@@ -10,17 +10,24 @@ FUZZTIME ?= 15s
 #                                    # diff the BENCH_*.json files, which carry
 #                                    # the same per-experiment wall times
 #
-# `make bench-json` regenerates BENCH_4.json from the fastpath and
-# mesh-throughput experiments — commit it alongside any change that moves
-# handshake, provisioning, or concurrent-discovery cost.
+# `make bench-json` regenerates BENCH_4.json (fastpath and mesh-throughput
+# experiments), BENCH_5.json (the `standard` soak) and BENCH_8.json (service
+# churn) — commit them alongside any change that moves handshake,
+# provisioning, or concurrent-discovery cost. The diffable PR-to-PR
+# benchmark is the nested module in benchmark/ (BENCHMARK.json).
 
-.PHONY: build test race vet verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check load soak capacity ops-smoke backend-smoke capacity-smoke clean
+.PHONY: build bench-build test race vet verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark is a nested module outside ./..., so build/vet/test above
+# cannot see a core API change break it; this can.
+bench-build:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Race-enabled run of the packages with real concurrency: the telemetry
 # registry is hammered from many goroutines, cert's verification cache and
@@ -45,7 +52,7 @@ cover-check:
 	scripts/check_coverage.sh
 
 # Full gate: everything CI and the verify skill run.
-verify: build vet test race
+verify: build vet test bench-build race
 
 # Wire-codec fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.

@@ -112,7 +112,7 @@ func (r *rig) discover() {
 
 var quickRetry = core.RetryPolicy{
 	Que1Retries: 3, Que2Retries: 3,
-	Timeout: 150 * time.Millisecond, Backoff: 2, SessionTTL: 5 * time.Second,
+	Timeout: 150 * time.Millisecond, SessionTTL: 5 * time.Second,
 }
 
 // The replayer's whole contract against one real object: orphan QUE2 is

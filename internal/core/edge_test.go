@@ -280,12 +280,16 @@ func TestVersionMixing(t *testing.T) {
 }
 
 // TestSessionCapBoundsMemory: an attacker flooding QUE1s cannot grow the
-// object's pending-session table beyond the cap.
+// object's pending-session table beyond the cap, and a legitimate QUE1
+// refused at the full table is served by a later probe once it has room.
 func TestSessionCapBoundsMemory(t *testing.T) {
 	d := newDeployment(t)
 	d.b.AddPolicy(attr.MustParse("true"), attr.MustParse("type=='lock'"), []string{"open"})
-	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30)
-	o := d.addObject("lock", L2, attr.MustSet("type=lock"), []string{"open"}, wire.V30)
+	reg := obs.NewRegistry()
+	p := DefaultRetry()
+	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30, WithRetry(p))
+	o := d.addObject("lock", L2, attr.MustSet("type=lock"), []string{"open"}, wire.V30,
+		WithRetry(p), WithTelemetry(reg, nil))
 
 	for i := 0; i < 3*maxPendingSessions; i++ {
 		rs, _ := suite.NewNonce(nil)
@@ -295,11 +299,18 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 	if got := len(o.sessions); got > maxPendingSessions {
 		t.Fatalf("pending sessions = %d, cap %d", got, maxPendingSessions)
 	}
-	// A legitimate discovery still completes once the flood stops: the
-	// subject's fresh QUE1 is deduplicated against `seen`, not blocked —
-	// though its session slot may be refused while the table is full, the
-	// engine must not crash or leak.
-	d.run()
+	// The flood's sessions hold the table until SessionTTL. A round started
+	// inside that window is refused — and marked seen, so only the
+	// expired-duplicate restart cue can serve it: the probe that fires after
+	// the flood aged out must complete the discovery.
+	d.net.Run(p.ttl() / 4)
+	res := d.run()
+	if got := counterValue(t, reg, obs.MObjectQue1, obs.L("result", "refused")); got <= 2*maxPendingSessions {
+		t.Fatalf("refused QUE1s = %d, want the flood's %d plus the subject's", got, 2*maxPendingSessions)
+	}
+	if len(res) != 1 || res[0].Level != L2 {
+		t.Fatalf("discoveries after the table drained = %+v, want the lock at L2", res)
+	}
 }
 
 // TestDiscoveryAcrossBridgedRadios: Argus is above the network layer (§II-A);

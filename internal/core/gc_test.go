@@ -10,8 +10,11 @@ import (
 	"time"
 
 	"argus/internal/attr"
+	"argus/internal/backend"
 	"argus/internal/netsim"
 	"argus/internal/obs"
+	"argus/internal/suite"
+	"argus/internal/transport"
 	"argus/internal/wire"
 )
 
@@ -130,7 +133,11 @@ func TestSessionGCUnderTotalRES2Loss(t *testing.T) {
 	if len(d.subject.Results()) != 0 {
 		t.Fatal("discoveries recorded with every RES2 dropped")
 	}
-	budget := p.ttl() + 2*time.Second
+	// The objects collect their answered sessions at TTL/2, so later probes
+	// restart the handshake and every restart's RES1 revives the probe chain:
+	// only the round's lifetime ends it. The last restart begins inside the
+	// lifetime and its sessions live one more TTL.
+	budget := (roundLifetimeTTLs+1)*p.ttl() + 2*time.Second
 	if d.net.Now() > budget {
 		t.Fatalf("round settled at %v, budget %v", d.net.Now(), budget)
 	}
@@ -156,5 +163,99 @@ func TestRetryDisabledKeepsSeedSessionSemantics(t *testing.T) {
 	d.run() // round 3: round-1 session pruned
 	if got := d.subject.PendingSessions(); got != 0 {
 		t.Fatalf("subject pending = %d after two more rounds, want 0 (round pruning)", got)
+	}
+}
+
+// TestMeshAdaptiveObjectRestartsExpiredSession proves the expired-duplicate
+// restart cue: a QUE1 rebroadcast whose object-side session aged out
+// entirely clears the duplicate-suppression entry and is served a fresh
+// handshake, while a duplicate with a live session gets the cached RES1.
+func TestMeshAdaptiveObjectRestartsExpiredSession(t *testing.T) {
+	b, err := backend.New(suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, _, err := b.RegisterObject("device", L2, attr.MustSet("type=device"), []string{"use"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oprov, err := b.ProvisionObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mesh := transport.NewMesh()
+	defer mesh.Close()
+	reg := obs.NewRegistry()
+	retry := RetryPolicy{Que1Retries: 2, Que2Retries: 2, Timeout: 50 * time.Millisecond,
+		SessionTTL: 300 * time.Millisecond}
+	obj := NewObject(oprov, wire.V30, Costs{},
+		WithEndpoint(mesh.Join()), WithRetry(retry), WithTelemetry(reg, nil))
+
+	// A bare listener stands in for the subject: it sends raw QUE1 frames
+	// and counts the RES1s the object answers with.
+	lep := mesh.Join()
+	var res1s int64
+	lep.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
+		if m, err := wire.Decode(payload); err == nil {
+			if _, ok := m.(*wire.RES1); ok {
+				res1s++
+			}
+		}
+	}))
+	count := func() int64 {
+		ch := make(chan int64, 1)
+		lep.Do(func() { ch <- res1s })
+		return <-ch
+	}
+
+	rs, err := suite.NewNonce(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := (&wire.QUE1{Version: wire.V30, RS: rs}).Encode()
+
+	lep.Do(func() { lep.Send(obj.ep.Addr(), q) })
+	meshPoll(t, 5*time.Second, func() bool { return count() == 1 }, "first RES1")
+
+	// Same R_S while the session is live: duplicate, served the cached RES1.
+	lep.Do(func() { lep.Send(obj.ep.Addr(), q) })
+	meshPoll(t, 5*time.Second, func() bool { return count() == 2 }, "cached RES1 resend")
+
+	// Let the unanswered session age out entirely, then probe again: the
+	// object must treat it as a restart and serve a fresh handshake rather
+	// than staying silent forever.
+	meshPoll(t, 5*time.Second, func() bool { return obj.PendingSessions() == 0 },
+		"object session TTL GC")
+	lep.Do(func() { lep.Send(obj.ep.Addr(), q) })
+	meshPoll(t, 5*time.Second, func() bool { return count() == 3 }, "fresh RES1 after restart")
+}
+
+// TestKarnRecoveredExchangeIsNoRTTSample: a round that recovers through two
+// QUE1 probes and one QUE2 retransmission must leave the RTT estimator
+// unfed — an answer after a retransmission cannot be matched to one
+// transmission (RFC 6298 §3), and timing it from the first would feed every
+// recovery's duration back into the timeout (at 20% loss the horizon grew
+// 16 s → 41 s → 103 s before the guard).
+func TestKarnRecoveredExchangeIsNoRTTSample(t *testing.T) {
+	d, p, reg := gcFixture(t)
+	left := map[wire.MsgType]int{wire.TRES1: 2 * len(d.objects), wire.TRES2: len(d.objects)}
+	d.net.SetDropFilter(func(_, _ netsim.NodeID, payload []byte) bool {
+		m, err := wire.Decode(payload)
+		if err != nil || left[m.Type()] == 0 {
+			return false
+		}
+		left[m.Type()]--
+		return true
+	})
+
+	if got := len(d.run()); got != len(d.objects) {
+		t.Fatalf("discoveries = %d, want %d (recovery through retransmission)", got, len(d.objects))
+	}
+	if got := counterValue(t, reg, obs.MRetransmissions, obs.L("role", "subject")); got < 3 {
+		t.Fatalf("subject retransmissions = %d, want the two probes and a QUE2 resend", got)
+	}
+	if got := d.subject.rtt.rto(p.Timeout); got != p.Timeout {
+		t.Fatalf("next round's RTO = %v, want the %v floor: a recovered exchange was sampled", got, p.Timeout)
 	}
 }

@@ -26,7 +26,76 @@ import (
 // GC so leak assertions converge quickly.
 func meshRetry() RetryPolicy {
 	return RetryPolicy{Que1Retries: 3, Que2Retries: 3, Timeout: 100 * time.Millisecond,
-		Backoff: 2, SessionTTL: time.Second}
+		SessionTTL: time.Second}
+}
+
+// meshFleet joins one staff subject and n Level 2 devices it may use to a
+// fresh mesh, every engine under the given policy and registry. subjEP, when
+// non-nil, wraps the subject's endpoint (fault-injecting tests).
+func meshFleet(t *testing.T, n int, retry RetryPolicy, reg *obs.Registry,
+	subjEP func(transport.Endpoint) transport.Endpoint) (transport.Endpoint, *Subject, []*Object) {
+	t.Helper()
+	b, err := backend.New(suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.AddPolicy(attr.MustParse("position=='staff'"),
+		attr.MustParse("type=='device'"), []string{"use"}); err != nil {
+		t.Fatal(err)
+	}
+	sid, _, err := b.RegisterSubject("alice", attr.MustSet("position=staff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := transport.NewMesh()
+	t.Cleanup(func() { mesh.Close() })
+
+	sprov, err := b.ProvisionSubject(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sep transport.Endpoint = mesh.Join()
+	if subjEP != nil {
+		sep = subjEP(sep)
+	}
+	subj := NewSubject(sprov, wire.V30, Costs{},
+		WithEndpoint(sep), WithRetry(retry), WithTelemetry(reg, nil))
+
+	objs := make([]*Object, n)
+	for i := range objs {
+		oid, _, err := b.RegisterObject(fmt.Sprintf("device-%02d", i), L2,
+			attr.MustSet("type=device"), []string{"use"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov, err := b.ProvisionObject(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = NewObject(prov, wire.V30, Costs{},
+			WithEndpoint(mesh.Join()), WithRetry(retry), WithTelemetry(reg, nil))
+	}
+	// Discover must run on the subject's event loop; Do is the only safe
+	// entry from the test goroutine.
+	sep.Do(func() {
+		if err := subj.Discover(1); err != nil {
+			t.Errorf("Discover: %v", err)
+		}
+	})
+	return sep, subj, objs
+}
+
+// meshDrained reports whether every engine's session table is empty.
+func meshDrained(subj *Subject, objs []*Object) bool {
+	if subj.PendingSessions() != 0 {
+		return false
+	}
+	for _, o := range objs {
+		if o.PendingSessions() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // meshPoll spins until cond holds or the deadline passes.
@@ -40,52 +109,7 @@ func meshPoll(t *testing.T, timeout time.Duration, cond func() bool, what string
 // leak — with the race detector watching every actor goroutine.
 func TestMeshDiscoveryRace(t *testing.T) {
 	const n = 32
-	b, err := backend.New(suite.S128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.AddPolicy(attr.MustParse("position=='staff'"),
-		attr.MustParse("type=='device'"), []string{"use"}); err != nil {
-		t.Fatal(err)
-	}
-	sid, _, err := b.RegisterSubject("alice", attr.MustSet("position=staff"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mesh := transport.NewMesh()
-	defer mesh.Close()
-
-	sprov, err := b.ProvisionSubject(sid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sep := mesh.Join()
-	subj := NewSubject(sprov, wire.V30, Costs{},
-		WithEndpoint(sep), WithRetry(meshRetry()))
-
-	objs := make([]*Object, n)
-	for i := 0; i < n; i++ {
-		oid, _, err := b.RegisterObject(fmt.Sprintf("device-%02d", i), L2,
-			attr.MustSet("type=device"), []string{"use"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prov, err := b.ProvisionObject(oid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs[i] = NewObject(prov, wire.V30, Costs{},
-			WithEndpoint(mesh.Join()), WithRetry(meshRetry()))
-	}
-
-	// Discover must run on the subject's event loop; Do is the only safe
-	// entry from the test goroutine.
-	sep.Do(func() {
-		if err := subj.Discover(1); err != nil {
-			t.Errorf("Discover: %v", err)
-		}
-	})
+	_, subj, objs := meshFleet(t, n, meshRetry(), nil, nil)
 
 	meshPoll(t, 20*time.Second, func() bool { return len(subj.Results()) >= n },
 		fmt.Sprintf("%d concurrent discoveries", n))
@@ -106,17 +130,100 @@ func TestMeshDiscoveryRace(t *testing.T) {
 	}
 
 	// Sessions on both sides are garbage-collected within the TTL.
-	meshPoll(t, 10*time.Second, func() bool {
-		if subj.PendingSessions() != 0 {
-			return false
-		}
-		for _, o := range objs {
-			if o.PendingSessions() != 0 {
-				return false
+	meshPoll(t, 10*time.Second, func() bool { return meshDrained(subj, objs) },
+		"session GC on all engines")
+}
+
+// TestMeshAdaptiveLosslessZeroRetransmissions: on a lossless transport a
+// subject finishes a discovery round with zero retransmissions — the deadline
+// wheel keeps deferring while answers flow and CompleteRound drops the
+// remaining deadlines. The policy leaves lots of headroom between mesh RTT
+// (sub-millisecond) and the retransmission floor so a healthy run never
+// plausibly hits a deadline even on a slow CI machine.
+func TestMeshAdaptiveLosslessZeroRetransmissions(t *testing.T) {
+	const n = 8
+	reg := obs.NewRegistry()
+	retry := RetryPolicy{Que1Retries: 3, Que2Retries: 3, Timeout: 2 * time.Second,
+		SessionTTL: 3 * time.Second}
+	sep, subj, objs := meshFleet(t, n, retry, reg, nil)
+
+	meshPoll(t, 20*time.Second, func() bool { return len(subj.Results()) >= n },
+		"lossless discoveries")
+	// The harness knows the round is over; the engine drops its remaining
+	// QUE1/QUE2 deadlines without any of them firing.
+	sep.Do(subj.CompleteRound)
+
+	meshPoll(t, 10*time.Second, func() bool { return meshDrained(subj, objs) },
+		"session GC on all engines")
+
+	if got := counterValue(t, reg, obs.MRetransmissions); got != 0 {
+		t.Fatalf("lossless round retransmitted %d times, want 0", got)
+	}
+	// Subject sessions complete and are deleted before TTL; only the object
+	// side ages out its answered sessions (it never learns RES2 arrived).
+	if got := counterValue(t, reg, obs.MSessionsExpired, obs.L("role", "subject")); got != 0 {
+		t.Fatalf("%d subject sessions expired, want 0", got)
+	}
+}
+
+// que2Dropper wraps a subject's endpoint and swallows the first QUE2 it
+// unicasts, simulating a lost frame on an otherwise healthy transport.
+type que2Dropper struct {
+	transport.Endpoint
+	dropped bool
+}
+
+func (d *que2Dropper) Send(to transport.Addr, payload []byte) {
+	if !d.dropped {
+		if m, err := wire.Decode(payload); err == nil {
+			if _, ok := m.(*wire.QUE2); ok {
+				d.dropped = true
+				return
 			}
 		}
-		return true
-	}, "session GC on all engines")
+	}
+	d.Endpoint.Send(to, payload)
+}
+
+// TestMeshAdaptiveQue2DeadlineRecoversLostFrame drops the subject's first
+// QUE2 on the floor: the RES2 never comes, the session's wheel deadline
+// fires, and the retransmitted QUE2 completes the handshake. This is the
+// QUE2 leg of the wheel actually firing, not just being cancelled.
+func TestMeshAdaptiveQue2DeadlineRecoversLostFrame(t *testing.T) {
+	reg := obs.NewRegistry()
+	retry := RetryPolicy{Que1Retries: 3, Que2Retries: 3, Timeout: 100 * time.Millisecond,
+		SessionTTL: 5 * time.Second}
+	var dropper *que2Dropper
+	_, subj, _ := meshFleet(t, 1, retry, reg, func(ep transport.Endpoint) transport.Endpoint {
+		dropper = &que2Dropper{Endpoint: ep}
+		return dropper
+	})
+
+	meshPoll(t, 20*time.Second, func() bool { return len(subj.Results()) >= 1 },
+		"discovery despite the dropped QUE2")
+	if !dropper.dropped {
+		t.Fatal("harness never saw a QUE2 to drop")
+	}
+	if got := counterValue(t, reg, obs.MRetransmissions,
+		obs.L("role", "subject"), obs.L("msg", "que2")); got < 1 {
+		t.Fatalf("QUE2 retransmissions = %d, want >= 1 (the wheel deadline must have fired)", got)
+	}
+}
+
+// TestMeshAdaptiveQue1ScheduleFiresWhenUnanswered is the liveness half: a
+// subject nobody answers has no activity to defer on, so the wheel must
+// actually fire — walk the whole configured rebroadcast schedule — not just
+// cancel quietly.
+func TestMeshAdaptiveQue1ScheduleFiresWhenUnanswered(t *testing.T) {
+	reg := obs.NewRegistry()
+	retry := RetryPolicy{Que1Retries: 2, Que2Retries: 2, Timeout: 30 * time.Millisecond,
+		SessionTTL: time.Second}
+	meshFleet(t, 0, retry, reg, nil)
+
+	meshPoll(t, 10*time.Second, func() bool {
+		return counterValue(t, reg, obs.MRetransmissions,
+			obs.L("role", "subject"), obs.L("msg", "que1")) == int64(retry.Que1Retries)
+	}, "QUE1 rebroadcast schedule")
 }
 
 // TestMeshBackpressureShedsNotDeadlocks wedges a slow object's event loop and

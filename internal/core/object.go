@@ -28,8 +28,8 @@ type Object struct {
 	retry    RetryPolicy // zero value: one-shot seed behavior (see RetryPolicy)
 	tel      *objectTelemetry
 
-	// wheel coalesces session expiries onto one armed timer when
-	// retry.Adaptive is set; nil on the legacy per-session timer path.
+	// wheel coalesces session expiries onto one armed timer; nil under the
+	// zero policy, which arms none.
 	wheel *timerWheel
 
 	// pendingN mirrors len(sessions) for cross-goroutine reads (core.go
@@ -98,7 +98,7 @@ func NewObject(prov *backend.ObjectProvision, version wire.Version, costs Costs,
 // constructed with WithEndpoint are already bound.
 func (o *Object) Bind(ep transport.Endpoint) {
 	o.ep = ep
-	if o.retry.Enabled() && o.retry.Adaptive {
+	if o.retry.Enabled() {
 		o.wheel = newTimerWheel(ep)
 	}
 	ep.Bind(o)
@@ -189,9 +189,10 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		// sides expired, nothing left to resend). Clear the dedup mark and
 		// run the full fresh-QUE1 path — the same stance the coarse seen
 		// reset below takes, with QUE2 signature freshness as the real
-		// replay guard. Adaptive-only: the static schedule keeps the seed's
-		// byte-exact suppression behavior.
-		if sess, ok := o.sessions[key]; ok || o.wheel == nil {
+		// replay guard. The same cue serves a QUE1 that was refused at a full
+		// session table once the table has room. The zero policy never
+		// rebroadcasts and keeps the seed's absolute suppression.
+		if sess, ok := o.sessions[key]; ok || !o.retry.Enabled() {
 			o.tel.que1Result(resultDuplicate)
 			if o.retry.Enabled() && ok && !sess.answered && sess.res1Enc != nil {
 				o.tel.retransmit(msgRES1)
@@ -225,11 +226,11 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		if o.retry.Enabled() {
 			// Cache the answer so a duplicate QUE1 can resend it (the
 			// public path has no QUE2 to drive retransmission otherwise).
+			// Born answered: it lives for the resend window only.
 			sess := &objSession{subjAddr: from, public: true, res1Enc: enc}
 			o.sessions[key] = sess
 			o.syncPending()
-			o.scheduleExpiry(key, sess)
-			o.scheduleAnsweredGC(key, sess) // born answered: resend window only
+			o.scheduleGC(key, sess, o.retry.ttl()/2)
 		}
 		o.ep.Send(from, enc)
 		return
@@ -267,9 +268,7 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	}
 	o.sessions[key] = sess
 	o.syncPending()
-	if o.retry.Enabled() {
-		o.scheduleExpiry(key, sess)
-	}
+	o.scheduleGC(key, sess, o.retry.ttl())
 
 	cost := o.costs.KexGen + o.costs.Sign
 	o.tel.que1Result(resultHandshake)
@@ -426,8 +425,7 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 			if v == nil {
 				ts.Release()
 				o.tel.que2Result(resultSilent)
-				sess.answered = true // remembered silence: duplicates stay silent
-				o.scheduleAnsweredGC(key, sess)
+				o.markAnswered(key, sess) // remembered silence: duplicates stay silent
 				return
 			}
 			kFirst := suite.SessionKey3(k2, v.GroupKey, sess.rs, sess.ro)
@@ -439,9 +437,8 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		if v == nil {
 			ts.Release()
 			o.tel.que2Result(resultSilent)
-			sess.answered = true // remembered silence: duplicates stay silent
-			o.scheduleAnsweredGC(key, sess)
-			return               // no policy admits this subject: silence, not a hint
+			o.markAnswered(key, sess) // remembered silence: duplicates stay silent
+			return                    // no policy admits this subject: silence, not a hint
 		}
 		res = o.buildRES2(ts, m, k2, v.Profile)
 		o.tel.que2Result(resultL2)
@@ -450,8 +447,7 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 	if res == nil {
 		return
 	}
-	sess.answered = true
-	o.scheduleAnsweredGC(key, sess)
+	o.markAnswered(key, sess)
 	o.tel.response(cost, len(res.Ciphertext))
 	o.ep.Compute(cost, func() {
 		enc := res.Encode()
@@ -460,43 +456,35 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 	})
 }
 
-// scheduleExpiry garbage-collects the session (pending or answered — the
-// object never learns whether the subject received RES2, so answered state
-// can only age out) at SessionTTL. See Subject.scheduleExpiry for the
-// pointer-equality rationale.
-func (o *Object) scheduleExpiry(key sessionKey, sess *objSession) {
-	o.scheduleGC(key, sess, o.retry.ttl())
-}
-
-// scheduleAnsweredGC collects an answered session after half the TTL, on the
-// adaptive path only. An answered session holds no handshake liveness — it
-// exists solely to serve idempotent duplicate resends — so its retention is
-// a resend-service window, not a liveness window. Halving it halves how long
-// the fleet's session tables (and a drain barrier waiting on them) trail the
-// last wave. The full-TTL entry from scheduleExpiry simply no-ops when it
+// markAnswered fixes the handshake outcome and shortens the session's
+// remaining life to half the TTL. An answered session holds no handshake
+// liveness — it exists solely to serve idempotent duplicate resends — so its
+// retention is a resend-service window, not a liveness window; halving it
+// halves how long the fleet's session tables (and a drain barrier waiting on
+// them) trail the last wave. The full-TTL entry armed at QUE1 no-ops when it
 // finds the session already gone.
-func (o *Object) scheduleAnsweredGC(key sessionKey, sess *objSession) {
-	if o.wheel == nil {
-		return
-	}
+func (o *Object) markAnswered(key sessionKey, sess *objSession) {
+	sess.answered = true
 	o.scheduleGC(key, sess, o.retry.ttl()/2)
 }
 
-func (o *Object) scheduleGC(key sessionKey, sess *objSession, ttl time.Duration) {
-	expire := func() {
+// scheduleGC garbage-collects the session after the given time (pending or
+// answered — the object never learns whether the subject received RES2, so
+// answered state can only age out). One armed wheel timer serves the whole
+// session table, and expiries are never deferred — TTL semantics are exact.
+// See Subject.scheduleExpiry for the pointer-equality rationale. The zero
+// policy arms nothing: its sessions are consumed by their first QUE2.
+func (o *Object) scheduleGC(key sessionKey, sess *objSession, after time.Duration) {
+	if !o.retry.Enabled() {
+		return
+	}
+	o.wheel.schedule(after, func() {
 		if cur, ok := o.sessions[key]; ok && cur == sess {
 			delete(o.sessions, key)
 			o.syncPending()
 			o.tel.sessionExpired()
 		}
-	}
-	if o.wheel != nil {
-		// One armed timer for the whole session table instead of one per
-		// session. Expiries are never deferred — TTL semantics are exact.
-		o.wheel.schedule(ttl, expire)
-		return
-	}
-	o.ep.After(ttl, expire)
+	})
 }
 
 // buildRES2 encrypts the profile variant under the session key and computes

@@ -5,77 +5,59 @@ import "time"
 // RetryPolicy makes the 4-way handshake survive a lossy ground network: the
 // paper's testbed runs over real WiFi (§IX) where QUE/RES frames are lost,
 // duplicated and reordered, and a protocol that hangs a session on one lost
-// frame cannot reproduce its results there. The policy drives bounded
-// retransmission with exponential backoff on the subject side, answer-caching
-// idempotency on the object side, and session-table expiry on both — all on
-// the simulator's virtual clock, so fixed-seed runs stay deterministic.
+// frame cannot reproduce its results there. An enabled policy drives bounded
+// RFC 6298 retransmission on the subject side (every deadline on one timer
+// wheel, timeouts floored at Timeout and stretched to the observed
+// round-trip horizon srtt + 4·rttvar), answer-caching idempotency on the
+// object side, and session-table expiry on both — all on the transport's
+// clock, so fixed-seed simulator runs stay deterministic. On a lossless
+// network an answered session cancels its deadlines before they fire.
 //
 // The zero value disables everything: engines behave exactly like the
-// pre-retry protocol (one shot per message, sessions pruned by round age),
-// which keeps the calibrated latency experiments (Fig 6) untouched.
+// pre-retry protocol (one shot per message, no timers, sessions pruned by
+// round age), which keeps the calibrated latency experiments (Fig 6)
+// untouched.
 type RetryPolicy struct {
-	// Que1Retries is how many times the subject rebroadcasts QUE1 after the
-	// initial transmission of a round. Objects suppress duplicates via R_S
-	// (§IV-B), so extra broadcasts only reach receivers that lost earlier
-	// copies — and nudge objects with stalled sessions to resend RES1.
+	// Que1Retries bounds the consecutive unanswered QUE1 rebroadcasts
+	// (quiescence probes) of a round. Objects suppress duplicates via R_S
+	// (§IV-B), so a probe only reaches receivers that lost earlier copies —
+	// and nudges objects with stalled sessions to resend RES1.
 	Que1Retries int
 	// Que2Retries is how many times the subject retransmits QUE2 while its
 	// session is still pending (no verified RES2 yet).
 	Que2Retries int
-	// Timeout is the base retransmission timeout. Zero disables the whole
-	// policy (Enabled reports false).
+	// Timeout is the initial retransmission timeout and the floor under
+	// every later one. Zero disables the whole policy (Enabled reports
+	// false).
 	Timeout time.Duration
-	// Backoff is the multiplier applied to Timeout per attempt (values < 1
-	// mean the default of 2).
-	Backoff float64
 	// SessionTTL bounds the lifetime of a pending or answered session; after
 	// it, the session is garbage-collected and counted as expired. Zero means
-	// the default of 8s.
+	// the default of 8s. Expiries are never deferred.
 	SessionTTL time.Duration
-	// Adaptive switches the engines from per-message backoff timers to a
-	// deadline-aware timer wheel keyed off observed RTT: retransmission
-	// deadlines start at the configured schedule but extend while the
-	// measured round-trip horizon (srtt + 4·rttvar) says the answer is still
-	// plausibly in flight, and a completed or canceled session drops its
-	// deadlines without the timer ever firing. On a lossless network an
-	// adaptive engine retransmits ~never. The configured delays remain hard
-	// floors and SessionTTL expiry is never deferred, so GC semantics are
-	// unchanged.
-	//
-	// Off by default. The legacy path arms one transport timer per attempt
-	// in a fixed order, and deterministic-simulation harnesses (netsim
-	// fault schedules, chaos, exp fingerprints) depend on that exact event
-	// sequence — they must leave Adaptive unset.
-	Adaptive bool
 }
 
 // Enabled reports whether the policy is active.
 func (p RetryPolicy) Enabled() bool { return p.Timeout > 0 }
 
-// delay returns the wait before retransmission attempt (1-based):
-// Timeout·Backoff^(attempt-1), capped at 10s so a misconfigured backoff
-// cannot stall the virtual clock.
+// delay returns the floor of the wait before retransmission attempt
+// (1-based): Timeout doubled per attempt (RFC 6298 §5.5), capped at 10s so a
+// large Timeout cannot stall the virtual clock.
 func (p RetryPolicy) delay(attempt int) time.Duration {
-	b := p.Backoff
-	if b < 1 {
-		b = 2
-	}
-	d := float64(p.Timeout)
-	for i := 1; i < attempt; i++ {
-		d *= b
-	}
 	const maxDelay = 10 * time.Second
-	if d > float64(maxDelay) {
-		return maxDelay
+	d := p.Timeout
+	for i := 1; i < attempt && d < maxDelay; i++ {
+		d *= 2
 	}
-	return time.Duration(d)
+	return min(d, maxDelay)
 }
 
-// Schedule returns the cumulative transmission offsets of one message leg:
-// the initial send at 0, then each of the retries attempts at
-// Σ delay(1..i). Harnesses use it to reason about when copies of a frame hit
-// the air — e.g. to prove a duty-cycled receiver's awake windows cover the
-// schedule, or to wait out the retry tail of a drained wave.
+// Schedule returns the earliest cumulative transmission offsets of one
+// message leg: the initial send at 0, then each of the retries attempts at
+// Σ delay(1..i) — what the wheel fires while the round-trip horizon sits at
+// the Timeout floor and nothing defers it. Harnesses use it to reason about
+// when copies of a frame hit the air — e.g. to prove a duty-cycled
+// receiver's awake windows cover the schedule, or to wait out the retry tail
+// of a drained wave.
 func (p RetryPolicy) Schedule(retries int) []time.Duration {
 	out := make([]time.Duration, 0, retries+1)
 	var cum time.Duration
@@ -95,21 +77,19 @@ func (p RetryPolicy) ttl() time.Duration {
 	return 8 * time.Second
 }
 
-// DefaultRetry is the policy used by argus-sim when fault injection is on and
-// by the chaos harness: sized so a 20% per-frame loss rate still completes
-// discovery. Six QUE1 broadcasts put the all-lost tail at 0.2^6 ≈ 6e-5; a
-// Level 1 exchange, whose only recovery channel is rebroadcast→RES1-resend
-// (~64% per attempt at 20% loss), still fails less than ~0.3% of the time.
-// The cumulative backoff schedule (250, 750, 1750, 3750, 7750 ms) keeps every
-// retry inside SessionTTL — a rebroadcast after expiry would find the
-// object's cached answer already garbage-collected. A fully partitioned
+// DefaultRetry is the policy argus-node ships and argus-sim, the chaos
+// harness and the benchmark fleet run: sized so a 20% per-frame loss rate
+// still completes discovery. Six consecutive silent QUE1 broadcasts put the
+// all-lost tail at 0.2^6 ≈ 6e-5; a Level 1 exchange, whose only recovery
+// channel is rebroadcast→RES1-resend (~64% per attempt at 20% loss), still
+// fails less than ~0.3% of the time. The silent-probe schedule (250, 750,
+// 1750, 3750, 7750 ms) fits inside SessionTTL, so a fully partitioned
 // network settles in one SessionTTL.
 func DefaultRetry() RetryPolicy {
 	return RetryPolicy{
 		Que1Retries: 5,
 		Que2Retries: 5,
 		Timeout:     250 * time.Millisecond,
-		Backoff:     2,
 		SessionTTL:  8 * time.Second,
 	}
 }

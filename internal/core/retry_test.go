@@ -24,34 +24,9 @@ func TestRetryPolicyDelaySchedule(t *testing.T) {
 			want:   []time.Duration{ms(250), ms(500), ms(1000), ms(2000), ms(4000)},
 		},
 		{
-			name:   "zero backoff defaults to 2",
-			policy: RetryPolicy{Timeout: ms(100)},
-			want:   []time.Duration{ms(100), ms(200), ms(400), ms(800)},
-		},
-		{
-			name:   "fractional backoff below 1 defaults to 2",
-			policy: RetryPolicy{Timeout: ms(100), Backoff: 0.5},
-			want:   []time.Duration{ms(100), ms(200), ms(400)},
-		},
-		{
-			name:   "backoff of exactly 1 keeps the delay flat",
-			policy: RetryPolicy{Timeout: ms(300), Backoff: 1},
-			want:   []time.Duration{ms(300), ms(300), ms(300), ms(300)},
-		},
-		{
-			name:   "non-integer backoff",
-			policy: RetryPolicy{Timeout: ms(100), Backoff: 1.5},
-			want:   []time.Duration{ms(100), ms(150), ms(225)},
-		},
-		{
 			name:   "cap at 10s",
-			policy: RetryPolicy{Timeout: 4 * time.Second, Backoff: 2},
+			policy: RetryPolicy{Timeout: 4 * time.Second},
 			want:   []time.Duration{4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second},
-		},
-		{
-			name:   "huge backoff hits the cap immediately after attempt 1",
-			policy: RetryPolicy{Timeout: ms(1), Backoff: 1e9},
-			want:   []time.Duration{ms(1), 10 * time.Second, 10 * time.Second},
 		},
 	}
 	for _, tc := range cases {
@@ -81,7 +56,7 @@ func TestRetryPolicySchedule(t *testing.T) {
 		},
 		{
 			name:   "quick harness policy",
-			policy: RetryPolicy{Timeout: ms(100), Backoff: 2}, retries: 3,
+			policy: RetryPolicy{Timeout: ms(100)}, retries: 3,
 			want: []time.Duration{0, ms(100), ms(300), ms(700)},
 		},
 		{
@@ -110,7 +85,7 @@ func TestRetryPolicyZeroValueDisabled(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("zero-value RetryPolicy must be disabled (one-shot seed behavior)")
 	}
-	if (RetryPolicy{Que1Retries: 5, Que2Retries: 5, Backoff: 2}).Enabled() {
+	if (RetryPolicy{Que1Retries: 5, Que2Retries: 5}).Enabled() {
 		t.Fatal("policy without a Timeout must stay disabled regardless of retry counts")
 	}
 	if !(RetryPolicy{Timeout: time.Millisecond}).Enabled() {

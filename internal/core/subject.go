@@ -55,10 +55,10 @@ type Subject struct {
 	retry   RetryPolicy
 	lastTTL int // hop TTL of the current round, for QUE1 rebroadcasts
 
-	// wheel coalesces retry/expiry deadlines when retry.Adaptive is set; nil
-	// on the legacy per-attempt timer path. rtt feeds its deadlines with the
-	// observed handshake round-trip, and que1Timer is the current round's
-	// pending rebroadcast (deferred while responses keep arriving).
+	// wheel holds every retry and expiry deadline of an enabled policy; nil
+	// under the zero policy, which arms no timers. rtt feeds its deadlines
+	// with the observed handshake round-trip, and que1Timer is the current
+	// round's pending rebroadcast (deferred while responses keep arriving).
 	wheel     *timerWheel
 	rtt       rttEstimator
 	que1Timer *wheelEntry
@@ -69,6 +69,9 @@ type Subject struct {
 	// late responses finally arrived) gets its recovery chain back instead of
 	// being stranded with expired sessions and an exhausted budget.
 	que1Attempt int
+	// probed is set once the current round rebroadcast QUE1: from then on a
+	// RES1 cannot be matched to one transmission and is no RTT sample.
+	probed bool
 	// completedRound is the last round a harness declared done via
 	// CompleteRound: handshake traffic still processes normally, but no new
 	// retry deadlines are armed for it (a responder answering after the
@@ -81,11 +84,11 @@ type Subject struct {
 	// QUE1 rebroadcast), and a Level 1 exchange has no session to anchor on.
 	l1Recorded map[transport.Addr]bool
 	// secRecorded maps an object address to the last round a secure (L2/L3)
-	// discovery from it was recorded. Adaptive-path only: once a handshake
-	// restart is possible (the object re-answers a rebroadcast after its
-	// session expired), a late restart RES1 can arrive AFTER the original
-	// handshake already completed — re-handshaking it would double-credit
-	// the round. Rounds start at 1, so the zero value never collides.
+	// discovery from it was recorded. Handshakes can restart (the object
+	// re-answers a rebroadcast after its session expired), so a late restart
+	// RES1 can arrive AFTER the original handshake already completed —
+	// re-handshaking it would double-credit the round. Rounds start at 1, so
+	// the zero value never collides.
 	secRecorded map[transport.Addr]int
 
 	tel *subjectTelemetry
@@ -107,12 +110,14 @@ type subjSession struct {
 	round   int
 	stamps  phaseStamps
 
-	// Adaptive-path state: wheel entries for the pending retransmission and
-	// the TTL expiry, and the transport time of the last QUE2 (re)send the
-	// RTO horizon is measured from. All nil/zero on the legacy path.
+	// Wheel entries for the pending retransmission and the TTL expiry, the
+	// transport time of the last QUE2 (re)send the RTO horizon is measured
+	// from, and whether QUE2 was ever resent (then RES2 is no RTT sample).
+	// All nil/zero under the zero policy.
 	que2Timer *wheelEntry
 	expiry    *wheelEntry
 	sentAt    time.Duration
+	resent    bool
 }
 
 // NewSubject creates an engine from a backend provision, applying any
@@ -144,7 +149,7 @@ func NewSubject(prov *backend.SubjectProvision, version wire.Version, costs Cost
 // constructed with WithEndpoint are already bound.
 func (s *Subject) Bind(ep transport.Endpoint) {
 	s.ep = ep
-	if s.retry.Enabled() && s.retry.Adaptive {
+	if s.retry.Enabled() {
 		s.wheel = newTimerWheel(ep)
 	}
 	ep.Bind(s)
@@ -235,13 +240,12 @@ func (s *Subject) Discover(ttl int) error {
 			delete(s.sessions, k)
 		}
 	}
-	if s.wheel != nil && s.que1Timer != nil {
-		s.wheel.cancel(s.que1Timer)
-		s.que1Timer = nil
-	}
+	s.que1Timer.cancel()
+	s.que1Timer = nil
 	s.syncPending()
 	s.rs = rs
 	s.que1At = s.ep.Now()
+	s.probed = false
 	s.lastTTL = ttl
 	s.l1Recorded = make(map[transport.Addr]bool)
 	s.tel.roundStarted()
@@ -249,58 +253,59 @@ func (s *Subject) Discover(ttl int) error {
 	s.que1Enc = q.Encode()
 	s.ep.Broadcast(s.que1Enc, ttl)
 	if s.retry.Enabled() && s.retry.Que1Retries > 0 {
-		if s.wheel != nil {
-			s.armQue1Adaptive(1)
-		} else {
-			s.scheduleQue1Retry(1)
-		}
+		s.armQue1(1)
 	}
 	return nil
 }
 
-// scheduleQue1Retry arms the attempt-th QUE1 rebroadcast. The rebroadcast is
-// unconditional — the subject cannot know which objects exist, so it cannot
-// tell "everyone answered" from "the rest lost my query" — but it is cheap:
-// objects suppress the duplicate via R_S, and objects with a stalled
-// handshake use it as a cue to resend RES1.
-func (s *Subject) scheduleQue1Retry(attempt int) {
-	round := s.round
-	s.ep.After(s.retry.delay(attempt), func() {
-		if s.round != round {
-			return // a newer round superseded this one
-		}
-		s.tel.retransmit(msgQUE1)
-		s.ep.Broadcast(s.que1Enc, s.lastTTL)
-		if attempt < s.retry.Que1Retries {
-			s.scheduleQue1Retry(attempt + 1)
-		}
-	})
+// roundLifetimeTTLs bounds a round's recovery, in SessionTTLs from its QUE1:
+// one TTL for the sessions the broadcast opened, one more so a round whose
+// sessions all aged out (both sides, behind loss or a compute backlog) can
+// still be probed into one restart. Past it the round arms and fires no
+// probe and activity resets no chain; a restart is an object's answer to a
+// probe, so every session of the round is gone within a third TTL. Without
+// the bound a round under total RES2 loss never ends: the object collects its
+// answered session at TTL/2, the next probe restarts the handshake, the fresh
+// RES1 is round activity, and activity resets the probe chain.
+const roundLifetimeTTLs = 2
+
+// probing reports whether the current round may still arm, fire or defer
+// QUE1 probes: never under the zero policy, not after CompleteRound, and not
+// past the round's lifetime.
+func (s *Subject) probing() bool {
+	return s.retry.Enabled() && s.completedRound != s.round &&
+		s.ep.Now()-s.que1At < roundLifetimeTTLs*s.retry.ttl()
 }
 
-// armQue1Adaptive arms the attempt-th QUE1 rebroadcast on the timer wheel.
-// Unlike the legacy chain, the deadline is a quiescence detector: every
-// response handled this round defers it to now + RTO (see noteActivity), so
-// while discovery traffic keeps flowing the rebroadcast never fires. On a
-// lossless network the round completes inside one deferral window and the
-// entry dies canceled (CompleteRound) or superseded by the next round.
+// armQue1 arms the attempt-th QUE1 rebroadcast on the timer wheel. The
+// rebroadcast cannot be conditional on who answered — the subject cannot know
+// which objects exist, so it cannot tell "everyone answered" from "the rest
+// lost my query" — so the deadline is a quiescence detector: every response
+// handled this round defers it to now + RTO (see noteActivity), and while
+// discovery traffic keeps flowing it never fires. A probe that does fire is
+// cheap: objects suppress the duplicate via R_S, and objects with a stalled
+// handshake use it as a cue to resend RES1. On a lossless network the round
+// completes inside one deferral window and the entry dies canceled
+// (CompleteRound) or superseded by the next round.
 //
 // The fire reads s.que1Attempt rather than its captured attempt so that
 // noteActivity's chain reset takes effect on an already-armed probe.
-func (s *Subject) armQue1Adaptive(attempt int) {
-	if s.completedRound == s.round {
+func (s *Subject) armQue1(attempt int) {
+	if !s.probing() {
 		return
 	}
 	s.que1Attempt = attempt
 	round := s.round
 	s.que1Timer = s.wheel.schedule(s.retry.delay(attempt), func() {
 		s.que1Timer = nil
-		if s.round != round {
-			return // a newer round superseded this one
+		if s.round != round || !s.probing() {
+			return // superseded by a newer round, or past its lifetime
 		}
+		s.probed = true
 		s.tel.retransmit(msgQUE1)
 		s.ep.Broadcast(s.que1Enc, s.lastTTL)
 		if s.que1Attempt < s.retry.Que1Retries {
-			s.armQue1Adaptive(s.que1Attempt + 1)
+			s.armQue1(s.que1Attempt + 1)
 		}
 	})
 }
@@ -315,7 +320,7 @@ func (s *Subject) armQue1Adaptive(attempt int) {
 // expired during the stall. The configured schedule remains the floor —
 // deferTo never moves a deadline earlier.
 func (s *Subject) noteActivity() {
-	if s.wheel == nil || s.completedRound == s.round {
+	if !s.probing() {
 		return
 	}
 	s.que1Attempt = 1
@@ -323,24 +328,25 @@ func (s *Subject) noteActivity() {
 	case s.que1Timer != nil:
 		s.wheel.deferTo(s.que1Timer, s.ep.Now()+s.rtt.rto(s.retry.Timeout))
 	case s.retry.Que1Retries > 0:
-		s.armQue1Adaptive(1)
+		s.armQue1(1)
 	}
 }
 
-// dropSessionTimers cancels a session's pending wheel entries (no-op on the
-// legacy path, whose timers guard on session liveness instead).
+// noteRES1 is noteActivity for a first-seen RES1, which also times the
+// QUE1→RES1 leg unless a probe made the sample ambiguous (Karn's rule).
+func (s *Subject) noteRES1() {
+	if !s.probed {
+		s.rtt.observe(s.ep.Now() - s.que1At)
+	}
+	s.noteActivity()
+}
+
+// dropSessionTimers cancels a session's pending wheel entries.
 func (s *Subject) dropSessionTimers(sess *subjSession) {
-	if s.wheel == nil {
-		return
-	}
-	if sess.que2Timer != nil {
-		s.wheel.cancel(sess.que2Timer)
-		sess.que2Timer = nil
-	}
-	if sess.expiry != nil {
-		s.wheel.cancel(sess.expiry)
-		sess.expiry = nil
-	}
+	sess.que2Timer.cancel()
+	sess.que2Timer = nil
+	sess.expiry.cancel()
+	sess.expiry = nil
 }
 
 // CompleteRound tells the engine the caller knows the current round is done
@@ -349,24 +355,19 @@ func (s *Subject) dropSessionTimers(sess *subjSession) {
 // dropped before they can fire, and no new retry deadline is armed for the
 // rest of the round: a handshake that progresses after the declaration (an
 // object silently refusing a revoked subject, a straggler RES1) completes
-// or expires without ever retransmitting. Only a harness that tracks expected response
-// counts can know this; the protocol itself cannot distinguish "everyone
-// answered" from "the rest lost my query", which is why the timers exist.
-// Sessions and their TTL expiries are untouched: completion accounting and
-// GC semantics stay exactly as without the call. No-op on the legacy
-// (non-adaptive) path. Event-loop only, like every state-mutating method.
+// or expires without ever retransmitting. Only a harness that tracks expected
+// response counts can know this; the protocol itself cannot distinguish
+// "everyone answered" from "the rest lost my query", which is why the timers
+// exist. Sessions and their TTL expiries are untouched: completion accounting
+// and GC semantics stay exactly as without the call. Event-loop only, like
+// every state-mutating method.
 func (s *Subject) CompleteRound() {
-	if s.wheel == nil {
-		return
-	}
 	s.completedRound = s.round
-	if s.que1Timer != nil {
-		s.wheel.cancel(s.que1Timer)
-		s.que1Timer = nil
-	}
+	s.que1Timer.cancel()
+	s.que1Timer = nil
 	for _, sess := range s.sessions {
-		if sess.round == s.round && sess.que2Timer != nil {
-			s.wheel.cancel(sess.que2Timer)
+		if sess.round == s.round {
+			sess.que2Timer.cancel()
 			sess.que2Timer = nil
 		}
 	}
@@ -430,10 +431,7 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 		return // duplicate delivery of this round's plaintext RES1
 	}
 	s.l1Recorded[from] = true
-	if s.wheel != nil {
-		s.rtt.observe(s.ep.Now() - s.que1At)
-		s.noteActivity()
-	}
+	s.noteRES1()
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
 	s.ep.Compute(s.costs.Verify, func() {
@@ -455,28 +453,21 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	if s.rs == nil {
 		return // no discovery in progress
 	}
-	if s.wheel != nil && s.secRecorded[from] == s.round {
+	if s.secRecorded[from] == s.round {
 		return // already credited this object this round: stale restart echo
 	}
 	if sess, ok := s.sessions[mkSessionKey(from, s.rs)]; ok {
-		if s.wheel == nil || bytes.Equal(sess.ro, m.RO) {
+		if !s.retry.Enabled() || bytes.Equal(sess.ro, m.RO) {
 			// Duplicate RES1 for a live handshake (link-layer duplication, or
 			// the object resent it after a QUE1 rebroadcast). Deriving a fresh
 			// KEX here would desync K2 with an object that already consumed
 			// our QUE2, deadlocking the session until expiry — so never
-			// re-handshake. On the legacy schedule the duplicate usually
-			// means our QUE2 was lost, so it is resent verbatim. On the
-			// adaptive path the session's own RTO timer owns QUE2
-			// retransmission — resending here too turns one congested-start
-			// quiescence probe into a probe→RES1→QUE2→RES2 echo storm across
-			// the whole fleet; the duplicate is recorded as round activity
-			// and nothing more.
-			if s.wheel != nil {
-				s.noteActivity()
-			} else if s.retry.Enabled() && sess.que2Enc != nil {
-				s.tel.retransmit(msgQUE2)
-				s.ep.Send(from, sess.que2Enc)
-			}
+			// re-handshake. Nor is QUE2 resent here: the session's own RTO
+			// timer owns that, and answering every duplicate too turns one
+			// congested-start quiescence probe into a probe→RES1→QUE2→RES2
+			// echo storm across the whole fleet. The duplicate is recorded as
+			// round activity and nothing more.
+			s.noteActivity()
 			return
 		}
 		// Fresh R_O under the same R_S: the object restarted the handshake
@@ -487,10 +478,7 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		delete(s.sessions, mkSessionKey(from, s.rs))
 		s.syncPending()
 	}
-	if s.wheel != nil {
-		s.rtt.observe(s.ep.Now() - s.que1At)
-		s.noteActivity()
-	}
+	s.noteRES1()
 	info, err := s.vcache.VerifyCert(s.prov.CACert, m.CertO, s.prov.Strength)
 	if err != nil || info.Role != cert.RoleObject {
 		return
@@ -582,39 +570,18 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		sess.sentAt = s.ep.Now()
 		s.ep.Send(from, enc)
 		if s.retry.Enabled() && s.retry.Que2Retries > 0 {
-			if s.wheel != nil {
-				s.armQue2Adaptive(key, sess, 1, s.rtt.rto(s.retry.delay(1)))
-			} else {
-				s.scheduleQue2Retry(key, 1)
-			}
+			s.armQue2(key, sess, 1, s.rtt.rto(s.retry.delay(1)))
 		}
 	})
 }
 
-// scheduleQue2Retry arms the attempt-th QUE2 retransmission for the session
-// under key. The timer is a no-op once the session completed (verified RES2)
-// or expired.
-func (s *Subject) scheduleQue2Retry(key sessionKey, attempt int) {
-	s.ep.After(s.retry.delay(attempt), func() {
-		sess, ok := s.sessions[key]
-		if !ok || sess.que2Enc == nil {
-			return
-		}
-		s.tel.retransmit(msgQUE2)
-		s.ep.Send(sess.objAddr, sess.que2Enc)
-		if attempt < s.retry.Que2Retries {
-			s.scheduleQue2Retry(key, attempt+1)
-		}
-	})
-}
-
-// armQue2Adaptive arms a QUE2 retransmission deadline on the wheel. The
-// wait starts at the configured backoff but never undercuts the observed
-// round-trip horizon, and a deadline that fires early (the estimator grew
-// after arming) re-arms for the remainder instead of retransmitting — on a
-// lossless network the verified RES2 cancels the entry first and the wire
-// never sees a duplicate QUE2.
-func (s *Subject) armQue2Adaptive(key sessionKey, sess *subjSession, attempt int, wait time.Duration) {
+// armQue2 arms a QUE2 retransmission deadline on the wheel. The wait starts
+// at the configured backoff but never undercuts the observed round-trip
+// horizon, and a deadline that fires early (the estimator grew after arming)
+// re-arms for the remainder instead of retransmitting — on a lossless
+// network the verified RES2 cancels the entry first and the wire never sees
+// a duplicate QUE2.
+func (s *Subject) armQue2(key sessionKey, sess *subjSession, attempt int, wait time.Duration) {
 	if s.completedRound == s.round && sess.round == s.round {
 		return // round declared done: the answer is either in flight or refused
 	}
@@ -625,15 +592,16 @@ func (s *Subject) armQue2Adaptive(key sessionKey, sess *subjSession, attempt int
 		}
 		horizon := s.rtt.rto(s.retry.delay(attempt))
 		if due := sess.sentAt + horizon; due > s.ep.Now() {
-			s.armQue2Adaptive(key, sess, attempt, due-s.ep.Now())
+			s.armQue2(key, sess, attempt, due-s.ep.Now())
 			return
 		}
 		s.tel.retransmit(msgQUE2)
 		s.ep.Send(sess.objAddr, sess.que2Enc)
 		sess.sentAt = s.ep.Now()
+		sess.resent = true
 		if attempt < s.retry.Que2Retries {
 			next := attempt + 1
-			s.armQue2Adaptive(key, sess, next, s.rtt.rto(s.retry.delay(next)))
+			s.armQue2(key, sess, next, s.rtt.rto(s.retry.delay(next)))
 		}
 	})
 }
@@ -644,23 +612,19 @@ func (s *Subject) armQue2Adaptive(key sessionKey, sess *subjSession, attempt int
 // suppression from converging. The pointer comparison protects a newer
 // session that reused the key (same peer, same R_S — only possible across
 // rounds with a nonce collision, but cheap to be exact about).
+//
+// The expiry is a heap entry, not a live transport timer, and completion
+// cancels it — 20k concurrent sessions hold one armed timer instead of 20k.
+// Expiries are never deferred.
 func (s *Subject) scheduleExpiry(key sessionKey, sess *subjSession) {
-	expire := func() {
+	sess.expiry = s.wheel.schedule(s.retry.ttl(), func() {
 		if cur, ok := s.sessions[key]; ok && cur == sess {
 			s.dropSessionTimers(sess)
 			delete(s.sessions, key)
 			s.syncPending()
 			s.tel.sessionExpired()
 		}
-	}
-	if s.wheel != nil {
-		// On the wheel the expiry is a heap entry, not a live transport
-		// timer, and completion cancels it — 20k concurrent sessions hold
-		// one armed timer instead of 20k. Expiries are never deferred.
-		sess.expiry = s.wheel.schedule(s.retry.ttl(), expire)
-		return
-	}
-	s.ep.After(s.retry.ttl(), expire)
+	})
 }
 
 // handleRES2 completes the handshake: determine which key the object used
@@ -689,9 +653,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		s.syncPending()
 	}
 	sess.stamps.res2At = s.ep.Now()
-	if s.wheel != nil {
-		s.noteActivity()
-	}
+	s.noteActivity()
 
 	toHash := transcriptOHash(sess.ts, sess.que2, m.Ciphertext)
 
@@ -712,14 +674,16 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	}
 	// An authenticated RES2 completes the session; a later duplicate finds
 	// no session and is dropped, making delivery effectively exactly-once.
-	if s.wheel != nil {
-		s.rtt.observe(sess.stamps.res2At - sess.stamps.que2At)
-		s.dropSessionTimers(sess)
+	if s.retry.Enabled() {
+		if !sess.resent { // Karn's rule, as for RES1
+			s.rtt.observe(sess.stamps.res2At - sess.stamps.que2At)
+		}
 		if s.secRecorded == nil {
 			s.secRecorded = make(map[transport.Addr]int)
 		}
 		s.secRecorded[from] = sess.round
 	}
+	s.dropSessionTimers(sess)
 	delete(s.sessions, key)
 	s.syncPending()
 

@@ -7,11 +7,11 @@ import (
 	"argus/internal/transport"
 )
 
-// timerWheel coalesces an engine's pending deadlines onto a single armed
-// transport timer. The per-message retry design arms one Endpoint.After per
-// attempt per session — at 20k concurrent sessions that is tens of thousands
-// of live timers, and every one that fires after its session completed is a
-// spurious retransmission. The wheel instead keeps deadlines in a min-heap
+// timerWheel coalesces an engine's pending deadlines — retransmissions and
+// session expiries — onto a single armed transport timer. One Endpoint.After
+// per attempt per session would be tens of thousands of live timers at 20k
+// concurrent sessions, and every one that fires after its session completed
+// is a spurious retransmission. The wheel instead keeps deadlines in a min-heap
 // (event-loop-only, no locks) and arms at most one After for the earliest;
 // entries can be canceled or deferred in O(log n) without touching the
 // transport.
@@ -41,7 +41,7 @@ func newTimerWheel(ep transport.Endpoint) *timerWheel {
 	return &timerWheel{ep: ep, armedAt: -1}
 }
 
-// schedule registers fn to run d from now and returns a handle for cancel /
+// schedule registers fn to run d from now and returns a handle to cancel or
 // deferTo. The callback runs on the engine's event loop.
 func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
 	e := &wheelEntry{at: w.ep.Now() + d, fn: fn}
@@ -51,8 +51,10 @@ func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
 }
 
 // cancel drops the entry. Lazy: the entry stays in the heap until it reaches
-// the head, costing nothing but its slot — no transport timer is touched.
-func (w *timerWheel) cancel(e *wheelEntry) {
+// the head, costing nothing but its slot — no transport timer is touched,
+// and the wheel is not involved, so engines under the zero policy (no wheel,
+// no entries) cancel unconditionally. A nil entry is a no-op.
+func (e *wheelEntry) cancel() {
 	if e != nil {
 		e.canceled = true
 		e.fn = nil
@@ -132,10 +134,10 @@ func (w *timerWheel) pending() int {
 // wheelHeap is a min-heap over deadlines with index maintenance.
 type wheelHeap []*wheelEntry
 
-func (h wheelHeap) Len() int            { return len(h) }
-func (h wheelHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h wheelHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *wheelHeap) Push(x any)         { e := x.(*wheelEntry); e.index = len(*h); *h = append(*h, e) }
+func (h wheelHeap) Len() int           { return len(h) }
+func (h wheelHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h wheelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
+func (h *wheelHeap) Push(x any)        { e := x.(*wheelEntry); e.index = len(*h); *h = append(*h, e) }
 func (h *wheelHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -148,10 +150,13 @@ func (h *wheelHeap) Pop() any {
 
 // rttEstimator is the classic Jacobson/Karels smoothed round-trip estimator
 // (RFC 6298 gains: srtt ← 7/8·srtt + 1/8·sample, rttvar ← 3/4·rttvar +
-// 1/4·|srtt−sample|). The subject feeds it QUE1→RES1 and QUE2→RES2 intervals;
-// the retransmission horizon srtt + 4·rttvar then tracks real handshake
-// latency — including compute-queue delay under load, which is exactly what
-// the static backoff schedule cannot see and why it fires spuriously.
+// 1/4·|srtt−sample|). The subject feeds it QUE1→RES1 and QUE2→RES2 intervals
+// of exchanges that were never retransmitted (Karn's rule, RFC 6298 §3: an
+// answer after a retransmission cannot be matched to one transmission, and
+// timing it from the first feeds every recovery's duration back into the
+// timeout); the retransmission horizon srtt + 4·rttvar then tracks real
+// handshake latency — including compute-queue delay under load, which a
+// fixed schedule cannot see and would answer with spurious resends.
 type rttEstimator struct {
 	srtt   time.Duration
 	rttvar time.Duration
@@ -178,8 +183,7 @@ func (e *rttEstimator) observe(sample time.Duration) {
 }
 
 // rto returns the retransmission horizon, never below floor. Before any
-// sample it returns floor unchanged, so an adaptive policy degrades to the
-// configured schedule.
+// sample it returns floor unchanged: the policy's doubling schedule.
 func (e *rttEstimator) rto(floor time.Duration) time.Duration {
 	if !e.valid {
 		return floor

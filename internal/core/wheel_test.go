@@ -90,8 +90,8 @@ func TestTimerWheelCancel(t *testing.T) {
 	w.schedule(10*time.Millisecond, func() { fired = append(fired, 1) })
 	e2 := w.schedule(20*time.Millisecond, func() { fired = append(fired, 2) })
 	w.schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
-	w.cancel(e2)
-	w.cancel(nil) // nil-safe
+	e2.cancel()
+	(*wheelEntry)(nil).cancel() // nil-safe
 	if w.pending() != 2 {
 		t.Fatalf("pending after cancel = %d, want 2", w.pending())
 	}

@@ -37,7 +37,7 @@ func runMeshThroughput(quick bool) (*Result, error) {
 		rounds = 2
 	}
 	retry := core.RetryPolicy{Que1Retries: 3, Que2Retries: 3,
-		Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: 5 * time.Second}
+		Timeout: 100 * time.Millisecond, SessionTTL: 5 * time.Second}
 
 	for _, n := range counts {
 		b, err := backend.New(suite.S128)

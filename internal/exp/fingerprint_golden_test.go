@@ -55,7 +55,6 @@ func goldenConfigs() map[string]DeployConfig {
 				Que1Retries: 3,
 				Que2Retries: 3,
 				Timeout:     250 * time.Millisecond,
-				Backoff:     2,
 				SessionTTL:  4 * time.Second,
 			},
 		},

@@ -61,7 +61,7 @@ func cellSubjOwner(cell, procs int) int { return (cell + 1) % procs }
 // for a loaded single-core host, short enough that a saturated trial's
 // expiries land inside its own measurement window.
 func shardRetry() core.RetryPolicy {
-	return core.RetryPolicy{Que1Retries: 3, Que2Retries: 3, Timeout: 250 * time.Millisecond, Backoff: 2, SessionTTL: 2 * time.Second}
+	return core.RetryPolicy{Que1Retries: 3, Que2Retries: 3, Timeout: 250 * time.Millisecond, SessionTTL: 2 * time.Second}
 }
 
 // shardConfig is ShardMain's parsed flag set.

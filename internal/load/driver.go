@@ -619,11 +619,11 @@ func (r *runner) advCountersNow() advCounters {
 // the injected amounts.
 func (r *runner) adversaryPhase() error {
 	p := r.p
-	// The QUE1 rebroadcast schedule is unconditional — a subject cannot know
-	// which objects exist, so completing a round never cancels it. The last
-	// wave's retry tail therefore keeps landing duplicates at objects after
-	// the wave drains; sleep it out (the schedule is computable) so the
-	// baseline below is quiescent and the personas' deltas stay exact.
+	// A round the ledger declared complete arms no further probe, but one
+	// armed just before the declaration may still be in a mailbox, and a
+	// round reaped as lost keeps probing. Sleep out the silent-probe tail
+	// (the schedule is computable) so no duplicate lands at an object after
+	// the baseline below and the personas' deltas stay exact.
 	sch := p.Retry.Schedule(p.Retry.Que1Retries)
 	time.Sleep(sch[len(sch)-1] + 250*time.Millisecond)
 	r.fleet.wakeAll()

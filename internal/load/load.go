@@ -250,7 +250,7 @@ func (p Profile) withDefaults() Profile {
 	if !p.Retry.Enabled() {
 		p.Retry = core.RetryPolicy{
 			Que1Retries: 2, Que2Retries: 3,
-			Timeout: 2 * time.Second, Backoff: 2, SessionTTL: 5 * time.Second,
+			Timeout: 2 * time.Second, SessionTTL: 5 * time.Second,
 		}
 	}
 	if p.DrainTimeout <= 0 {
@@ -384,13 +384,6 @@ func (p *Profile) validate() error {
 		if !p.Retry.Enabled() || p.Retry.Que1Retries == 0 || p.Retry.Que2Retries == 0 {
 			return fmt.Errorf("load: sleepy objects need retransmission on both legs (Que1Retries and Que2Retries > 0)")
 		}
-		if p.Retry.Adaptive {
-			// The losslessness proof below reasons over the exact static
-			// transmission schedule; an adaptive policy defers deadlines
-			// past it, so a sleepy object's awake windows are no longer
-			// guaranteed to intersect any transmission.
-			return fmt.Errorf("load: adaptive retry defers the transmission schedule the sleepy duty-cycle coverage proof depends on; use a static policy with SleepyFrac")
-		}
 		if churn {
 			return fmt.Errorf("load: sleepy objects would sleep through update pushes; no churn")
 		}
@@ -399,17 +392,23 @@ func (p *Profile) validate() error {
 		}
 		// Losslessness proof: every sleep phase must be covered by some
 		// transmission of each leg, and the session must outlive the
-		// worst-case two-leg recovery.
-		if !dutyCycleCovered(p.Retry.Schedule(p.Retry.Que1Retries), p.SleepPeriod, p.SleepAwake) {
-			return fmt.Errorf("load: QUE1 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
-				p.Retry.Schedule(p.Retry.Que1Retries), p.SleepAwake, p.SleepPeriod)
-		}
-		if !dutyCycleCovered(p.Retry.Schedule(p.Retry.Que2Retries), p.SleepPeriod, p.SleepAwake) {
-			return fmt.Errorf("load: QUE2 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every QUE2",
-				p.Retry.Schedule(p.Retry.Que2Retries), p.SleepAwake, p.SleepPeriod)
-		}
+		// worst-case two-leg recovery. QUE2 retransmissions are timed from
+		// the QUE2 itself, so that leg's schedule starts at offset 0. QUE1
+		// probes are timed from the round's last activity (an awake
+		// neighbour's answer defers them), not from the broadcast, so only
+		// the probe offsets count. Both hold while the subject's round-trip
+		// horizon SRTT + 4·RTTVAR stays at or under Timeout: a larger horizon
+		// stretches the offsets the proof reasons over.
 		q1 := p.Retry.Schedule(p.Retry.Que1Retries)
 		q2 := p.Retry.Schedule(p.Retry.Que2Retries)
+		if !dutyCycleCovered(q1[1:], p.SleepPeriod, p.SleepAwake) {
+			return fmt.Errorf("load: QUE1 probe schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
+				q1[1:], p.SleepAwake, p.SleepPeriod)
+		}
+		if !dutyCycleCovered(q2, p.SleepPeriod, p.SleepAwake) {
+			return fmt.Errorf("load: QUE2 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every QUE2",
+				q2, p.SleepAwake, p.SleepPeriod)
+		}
 		ttl := p.Retry.SessionTTL
 		if ttl <= 0 {
 			ttl = 8 * time.Second
@@ -456,7 +455,7 @@ func (p *Profile) validate() error {
 func Profiles() map[string]Profile {
 	quickRetry := core.RetryPolicy{
 		Que1Retries: 3, Que2Retries: 3,
-		Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
+		Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 	}
 	ps := []Profile{
 		{
@@ -476,8 +475,12 @@ func Profiles() map[string]Profile {
 				MinPeakConcurrent: 150,
 				P50Ceiling:        2 * time.Second,
 				P99Ceiling:        8 * time.Second,
-				// The static backoff schedule fires under -race scheduling
-				// jitter; benign duplicates, not losses.
+				// This profile runs under -race, where a cold handshake
+				// outlasts the 100 ms initial RTO and draws quiescence
+				// probes — on wave 0 and again on wave 2, whose live-added
+				// subjects and post-revocation cache misses are cold too
+				// (measured 24 / 0 / 20 per wave under -race, 0 / 0 / 0
+				// without). Benign duplicates, not losses.
 				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
 			},
 		},
@@ -500,10 +503,10 @@ func Profiles() map[string]Profile {
 				// SessionTTL must exceed the worst-case handshake completion
 				// time or healthy sessions expire mid-handshake and churn
 				// through expiry/restart recovery: a cold 20k-session wave is
-				// ~12s of ECDSA on one core, so 10s (the old static-schedule
-				// value) sat inside the compute backlog.
-				Timeout: 4 * time.Second, Backoff: 2, SessionTTL: 20 * time.Second,
-				Adaptive: true,
+				// ~12s of ECDSA on one core, so a 10s TTL sits inside the
+				// compute backlog. The 4s Timeout keeps the initial RTO, which
+				// no sample has stretched yet, clear of the same backlog.
+				Timeout: 4 * time.Second, SessionTTL: 20 * time.Second,
 			},
 			Seed:         1,
 			Workers:      8,
@@ -513,16 +516,15 @@ func Profiles() map[string]Profile {
 				P50Ceiling:        10 * time.Second,
 				P99Ceiling:        13 * time.Second,
 				MaxSlowSessions:   0,
-				// Mesh is lossless and the retry policy is adaptive, so once
-				// the RTT estimator has samples a retransmission is a timer
-				// misfire: waves after the first must retransmit exactly
-				// zero, and that invariant is pinned hard. The cold first
-				// wave is different — QUE1 quiescence probes fire against the
-				// initial conservative RTO while the fleet's handshake
-				// backlog is deepest, measured at 0.8k–4.8k probes per run on
-				// one core depending on scheduling jitter — so the total gate
-				// is a cold-start noise ceiling, not a loss budget (the
-				// static schedule produced 94k+ on this profile).
+				// Mesh is lossless, so once the RTT estimator has samples a
+				// retransmission is a timer misfire: waves after the first
+				// must retransmit exactly zero, and that invariant is pinned
+				// hard. The cold first wave is different — QUE1 quiescence
+				// probes fire against the initial conservative RTO while the
+				// fleet's handshake backlog is deepest, measured at 0.8k–4.8k
+				// probes per run on one core depending on scheduling jitter —
+				// so the total gate is a cold-start noise ceiling, not a loss
+				// budget.
 				MaxRetransmissions:     10000,
 				MaxWarmRetransmissions: 0,
 			},
@@ -537,15 +539,17 @@ func Profiles() map[string]Profile {
 			Waves:  2, ThinkTime: 50 * time.Millisecond,
 			Retry: core.RetryPolicy{
 				Que1Retries: 3, Que2Retries: 3,
-				Timeout: 250 * time.Millisecond, Backoff: 2, SessionTTL: 2 * time.Second,
+				Timeout: 250 * time.Millisecond, SessionTTL: 2 * time.Second,
 			},
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
 			SLO: SLO{
-				MinPeakConcurrent:  40,
-				P50Ceiling:         2 * time.Second,
-				P99Ceiling:         8 * time.Second,
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
+				MinPeakConcurrent: 40,
+				P50Ceiling:        2 * time.Second,
+				P99Ceiling:        8 * time.Second,
+				// Loopback UDP may drop a cold-wave datagram under a socket
+				// buffer burst; once warm, a retransmission is a misfire.
+				MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 			},
 		},
 		{
@@ -560,9 +564,11 @@ func Profiles() map[string]Profile {
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
 			SLO: SLO{
-				P50Ceiling:         2 * time.Second,
-				P99Ceiling:         8 * time.Second,
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
+				P50Ceiling: 2 * time.Second,
+				P99Ceiling: 8 * time.Second,
+				// Lossless, and every completed round is declared so: no
+				// deadline may fire.
+				MaxRetransmissions: 0,
 			},
 		},
 		{
@@ -604,11 +610,12 @@ func Profiles() map[string]Profile {
 			Waves:  3, ThinkTime: 30 * time.Millisecond,
 			RoamFrac:   0.34, // 2 of 6 subjects per cell migrate at each of 2 boundaries
 			SleepyFrac: 0.25, // the L1 object of each cell duty-cycles its radio
-			// {0, 100, 300, 700} ms mod 260 = {0, 100, 40, 180}: max circular
-			// gap 80ms < 150ms awake, so every sleep phase is covered.
+			// QUE1 probes at {100, 300, 700} ms mod 260 = {100, 40, 180}: max
+			// circular gap 120ms < 150ms awake; the QUE2 leg adds offset 0
+			// (gap 80ms). Every sleep phase is covered (see validate).
 			Retry: core.RetryPolicy{
 				Que1Retries: 3, Que2Retries: 3,
-				Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: 4 * time.Second,
+				Timeout: 100 * time.Millisecond, SessionTTL: 4 * time.Second,
 			},
 			ReplayTargets: 1, SybilRounds: 1,
 			Seed:         1,
@@ -636,7 +643,7 @@ func Profiles() map[string]Profile {
 			ObserverMaxSamples: 400,
 			Retry: core.RetryPolicy{
 				Que1Retries: 3, Que2Retries: 3,
-				Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: 2 * time.Second,
+				Timeout: 100 * time.Millisecond, SessionTTL: 2 * time.Second,
 			},
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
@@ -645,8 +652,9 @@ func Profiles() map[string]Profile {
 				P50Ceiling:        2 * time.Second,
 				P99Ceiling:        8 * time.Second,
 				CovertnessAlpha:   1e-3,
-				// Legacy static schedule under bursty waves.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
+				// The cold wave may probe against the initial RTO while the
+				// handshake backlog is deepest; warm waves must not.
+				MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 			},
 		},
 	}

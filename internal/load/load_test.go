@@ -138,7 +138,7 @@ func TestChurnDLQRedelivery(t *testing.T) {
 		CrashFrac:  0.34, // 1 of 3 objects per cell
 		Retry: core.RetryPolicy{
 			Que1Retries: 3, Que2Retries: 3,
-			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
+			Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 		},
 		Seed:         5,
 		DrainTimeout: 30 * time.Second,
@@ -236,7 +236,7 @@ func TestRunLiveObservability(t *testing.T) {
 		RevokeFrac: 0.5,
 		Retry: core.RetryPolicy{
 			Que1Retries: 3, Que2Retries: 3,
-			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
+			Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 		},
 		Seed:         3,
 		DrainTimeout: 30 * time.Second,
@@ -352,7 +352,7 @@ func TestOpenLoopSmall(t *testing.T) {
 		Rate:   200, Duration: 500 * time.Millisecond,
 		Retry: core.RetryPolicy{
 			Que1Retries: 3, Que2Retries: 3,
-			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
+			Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 		},
 		Seed: 42,
 		SLO:  SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
@@ -395,7 +395,7 @@ func TestFaultySoakSmall(t *testing.T) {
 		FaultSeed: 99,
 		Retry: core.RetryPolicy{
 			Que1Retries: 5, Que2Retries: 5,
-			Timeout: 50 * time.Millisecond, Backoff: 2, SessionTTL: 2 * time.Second,
+			Timeout: 50 * time.Millisecond, SessionTTL: 2 * time.Second,
 		},
 		Seed:         7,
 		DrainTimeout: 20 * time.Second,
@@ -622,6 +622,16 @@ func TestProfileValidate(t *testing.T) {
 			p.SleepyFrac = 0.5
 			p.SleepPeriod = 10 * time.Second
 			p.SleepAwake = 100 * time.Millisecond
+		}},
+		{"sleepy covered only by the broadcast", func(p *Profile) {
+			// {0, 100, 300, 700} ms mod 260 leaves 80 ms gaps, the probes
+			// alone 120 ms: an awake neighbour's answer moves the probes off
+			// the broadcast's phase, so offset 0 may not count.
+			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
+			p.SleepyFrac = 0.5
+			p.SleepPeriod = 260 * time.Millisecond
+			p.SleepAwake = 100 * time.Millisecond
+			p.Retry.SessionTTL = 4 * time.Second // outlives the recovery tail
 		}},
 		{"replay persona with faults", func(p *Profile) {
 			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0

@@ -29,11 +29,10 @@ type SLO struct {
 	// produces them).
 	MaxMalformed int64
 	// MaxRetransmissions bounds protocol retransmissions across both roles
-	// and all message legs. On a lossless transport with an adaptive retry
-	// policy a retransmission is a timer misfire, not recovery, so the
-	// headline profile holds an exact near-zero ceiling; lossy and
-	// duty-cycled profiles disable the gate (-1) because there
-	// retransmission IS the recovery mechanism.
+	// and all message legs. On a lossless transport a retransmission is a
+	// timer misfire, not recovery, so the headline profile holds an exact
+	// near-zero ceiling; lossy and duty-cycled profiles disable the gate
+	// (-1) because there retransmission IS the recovery mechanism.
 	MaxRetransmissions int64
 	// MaxWarmRetransmissions bounds retransmissions on waves after the
 	// first. The cold wave fires quiescence probes while the RTT estimator

@@ -105,3 +105,29 @@ func TestMailboxShedAccountingUnderBacklog(t *testing.T) {
 		t.Fatalf("drops = %d, want 25", got)
 	}
 }
+
+// A retry timer can fire on an endpoint's loop after Close detached it from
+// the segment but before the loop stopped. On a mesh whose last endpoint is
+// closing, that broadcast finds an empty segment — it must reach nobody, not
+// panic sizing the peer snapshot.
+func TestMeshBroadcastDuringClose(t *testing.T) {
+	mesh := NewMesh()
+	ep := mesh.Join()
+	ep.Bind(handlerFunc(func(Addr, []byte) {}))
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	ep.Do(func() {
+		close(entered)
+		<-release
+		ep.Broadcast([]byte{1}, 1)
+	})
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		ep.Close()
+		close(closed)
+	}()
+	waitCond(t, func() bool { _, ok := mesh.lookup(ep.Addr()); return !ok }, "endpoint detached")
+	close(release)
+	<-closed
+}

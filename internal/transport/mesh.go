@@ -98,11 +98,12 @@ func (m *Mesh) lookup(a Addr) (*MeshEndpoint, bool) {
 	return ep, ok
 }
 
-// peers snapshots every endpoint except self.
+// peers snapshots every endpoint except self. self may already be gone: an
+// endpoint detaches before its loop stops, and a timer can broadcast between.
 func (m *Mesh) peers(self Addr) []*MeshEndpoint {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]*MeshEndpoint, 0, len(m.eps)-1)
+	out := make([]*MeshEndpoint, 0, len(m.eps))
 	for a, ep := range m.eps {
 		if a != self {
 			out = append(out, ep)
