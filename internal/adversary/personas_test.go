@@ -2,6 +2,7 @@ package adversary_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,8 @@ import (
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/core"
+	"argus/internal/exp"
+	"argus/internal/netsim"
 	"argus/internal/obs"
 	"argus/internal/suite"
 	"argus/internal/transport"
@@ -286,5 +289,183 @@ func TestObserverVerdict(t *testing.T) {
 	o3 := adversary.NewObserver(reg, 1000, 0)
 	if o3.Verdict().Pass(0.001) {
 		t.Fatal("an unevaluated verdict must not pass")
+	}
+}
+
+// gatedTap forwards to a tap only while armed, so an observer can be pointed
+// at exactly the exchanges a test means it to sample.
+type gatedTap struct {
+	adversary.Tap
+	armed *bool
+}
+
+func (g gatedTap) Inbound(peer transport.Addr, p []byte, at time.Duration) {
+	if *g.armed {
+		g.Tap.Inbound(peer, p, at)
+	}
+}
+
+func (g gatedTap) Outbound(peer transport.Addr, p []byte, at time.Duration) {
+	if *g.armed {
+		g.Tap.Outbound(peer, p, at)
+	}
+}
+
+// resumedCrowd runs the Case-7 crowd experiment over a population whose
+// sampled sessions are all resumed: six non-fellow staff subjects against two
+// true Level 2 devices (the plain world) and two Level 3 devices showing them
+// their Level 2 face (the covert world), on the simulator with the calibrated
+// Pi cost table, so the observer's clock reads the objects' equalised compute
+// charge and nothing else. The first round of every subject — the full
+// handshakes that mint the tickets — passes unobserved; then the observer is
+// armed and every subject discovers eight more times.
+//
+// leak is the negative control: "length" makes the Level 3 devices' Level 2
+// face run 64 B past the uniform pad (re-signed, so sessions still complete
+// and resume); "timing" has them serve a second secret group, so their
+// fellowship trial takes two HMAC pairs where every other device's takes one.
+func resumedCrowd(t *testing.T, leak string) adversary.Covertness {
+	t.Helper()
+	const subjects, rounds, perWorld = 6, 8, 2
+	b, err := backend.New(suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("type=='device'"), []string{"use"})
+	net := netsim.New(netsim.DefaultWiFi(), 1)
+	reg := obs.NewRegistry()
+	observer := adversary.NewObserver(reg, subjects*rounds*perWorld, 0)
+	armed := false
+	var objNodes []netsim.NodeID
+	for i, pop := range []adversary.Population{adversary.PopPlain, adversary.PopCovert, adversary.PopCovert, adversary.PopPlain} {
+		level := backend.L2
+		if pop == adversary.PopCovert {
+			level = backend.L3
+		}
+		id, _, err := b.RegisterObject(fmt.Sprintf("device-%d", i), level, attr.MustSet("type=device"), []string{"use"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; level == backend.L3 && g < 2; g++ {
+			if g == 1 && leak != "timing" {
+				break
+			}
+			grp, err := b.Groups.CreateGroup(fmt.Sprintf("fellows the crowd is not, %d/%d", i, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddCovertService(id, grp.ID(), []string{"use", "covert"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prov, err := b.ProvisionObject(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leak == "length" && level == backend.L3 {
+			for i := range prov.Variants {
+				if v := &prov.Variants[i]; !v.IsCovert() {
+					v.Profile.Note += strings.Repeat(".", 64)
+					if err := b.Admin().SignProfile(v.Profile); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		ep := net.NewEndpoint()
+		objNodes = append(objNodes, ep.Node())
+		core.NewObject(prov, wire.V30, exp.PiCosts(),
+			core.WithEndpoint(adversary.WrapTap(ep, gatedTap{observer.Tap(pop), &armed})),
+			core.WithRetry(core.DefaultRetry()), core.WithTelemetry(reg, nil))
+	}
+
+	crowd := make([]*core.Subject, subjects)
+	for i := range crowd {
+		sid, _, err := b.RegisterSubject(fmt.Sprintf("staff-%d", i), attr.MustSet("position=staff"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov, err := b.ProvisionSubject(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := net.NewEndpoint()
+		for _, o := range objNodes {
+			net.Link(ep.Node(), o)
+		}
+		s := core.NewSubject(prov, wire.V30, exp.PhoneCosts(), core.WithEndpoint(ep),
+			core.WithRetry(core.DefaultRetry()), core.WithTelemetry(reg, nil))
+		seen := 0
+		s.OnDiscovery = func(d core.Discovery) {
+			if d.Level != backend.L2 {
+				t.Errorf("non-fellow discovered %v at level %v", d.Object, d.Level)
+			}
+			if seen++; seen%(2*perWorld) == 0 {
+				s.CompleteRound()
+			}
+		}
+		crowd[i] = s
+	}
+	sweep := func() {
+		for _, s := range crowd {
+			if err := s.Discover(1); err != nil {
+				t.Fatal(err)
+			}
+			net.Run(0)
+		}
+	}
+	counter := func(name string, labels ...obs.Label) int64 {
+		var total int64
+	next:
+		for _, m := range reg.Snapshot().Metrics {
+			if m.Name != name {
+				continue
+			}
+			for _, l := range labels {
+				if m.Labels[l.Key] != l.Value {
+					continue next
+				}
+			}
+			total += int64(m.Value)
+		}
+		return total
+	}
+
+	sweep()
+	signed := counter(obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", "sign"))
+	armed = true
+	for r := 0; r < rounds; r++ {
+		sweep()
+	}
+	if got := counter(obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", "sign")); got != signed {
+		t.Fatalf("%d observed sessions were full handshakes; the population must be all resumed", got-signed)
+	}
+	if got := counter(obs.MResumptions, obs.L("side", "object"), obs.L("result", "resumed")); got != 2*perWorld*subjects*rounds {
+		t.Fatalf("objects resumed %d sessions, want %d", got, 2*perWorld*subjects*rounds)
+	}
+	v := observer.Verdict()
+	if !v.Evaluated {
+		t.Fatalf("observer starved (%s): %s", leak, v)
+	}
+	return v
+}
+
+// TestObserverOverResumedSessions: Case 7 on resumed sessions. Everything
+// downstream of K2 is the code a full handshake runs, and a Level 2 device
+// runs the one fellowship trial its Level 3 neighbour runs (on a resumed
+// session nothing else would hide the difference), so a Level 3 device's
+// cover-up answers stay indistinguishable from a Level 2 device's when every
+// sampled session is resumed — and the gate still has teeth there, on both
+// channels.
+func TestObserverOverResumedSessions(t *testing.T) {
+	const alpha = 1e-3
+	if v := resumedCrowd(t, ""); v.LengthD != 0 || !v.Pass(alpha) {
+		t.Fatalf("resumed sessions fail the covertness gate: %s", v)
+	}
+	if v := resumedCrowd(t, "length"); v.LengthD != 1 || v.TimingP < alpha || v.Pass(alpha) {
+		t.Fatalf("a 64-byte leak on resumed sessions must fail the gate, on length alone: %s", v)
+	}
+	if v := resumedCrowd(t, "timing"); v.LengthD != 0 || v.TimingP >= alpha || v.Pass(alpha) {
+		t.Fatalf("a two-HMAC lag on resumed sessions must fail the gate, on timing alone: %s", v)
 	}
 }

@@ -134,7 +134,9 @@ type ReplayStats struct {
 	DupQue1 int64 `json:"dup_que1"`
 	// StaleQue2 replays against the session the replayer itself opened: the
 	// QUE2 signature covers the honest RES1 (a stale R_O), so each must be
-	// rejected (result=rejected) — never answered.
+	// rejected (result=rejected) — never served. A captured short QUE2 names
+	// a ticket that is spent, or filed under the honest subject's address:
+	// refused (argus_resumptions_total result=refused), served no more.
 	StaleQue2 int64 `json:"stale_que2"`
 	// IdempotencyViolations counts duplicate-QUE1 responses that were not
 	// byte-identical to the first RES1, and missing responses.
@@ -162,7 +164,8 @@ func (s *ReplayStats) Merge(o ReplayStats) {
 //  3. two concurrent duplicates of the same QUE1 → the cached RES1 must be
 //     resent byte-identically, twice;
 //  4. the captured QUE2 again → a session now exists, but the signature
-//     binds the honest transcript's RES1, so verification must reject it.
+//     binds the honest transcript's RES1, so verification must reject it
+//     (a short QUE2's ticket is not the replayer's to present: refused).
 //
 // The returned stats count what was injected; the caller asserts the
 // object-side counters moved by exactly these amounts.

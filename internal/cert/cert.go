@@ -15,6 +15,8 @@ package cert
 
 import (
 	"bytes"
+	"crypto"
+	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -52,27 +54,36 @@ func maxSigLen(s suite.Strength) int {
 	return header + body
 }
 
-// createSizedCert wraps x509.CreateCertificate, re-signing until the DER
-// ECDSA signature takes its maximal — and therefore fixed — length. DER
-// encodes r and s as minimal-length INTEGERs, so a freshly signed
-// certificate's size otherwise varies with the random nonce (±2 B), which
-// would make fixed-seed simulation runs non-reproducible at the byte level:
-// RES1 carries this DER verbatim, and message size drives virtual airtime.
-// Both r and s are maximal with probability 1/4, so this takes 4 signatures
-// on average, at issuance time only.
-func createSizedCert(tmpl, parent *x509.Certificate, pub, priv any, s suite.Strength) ([]byte, error) {
-	want := maxSigLen(s)
+// createSizedCert wraps x509.CreateCertificate so that the DER ECDSA
+// signature takes its maximal — and therefore fixed — length. DER encodes r
+// and s as minimal-length INTEGERs, so a freshly signed certificate's size
+// otherwise varies with the random nonce (±2 B), which would make fixed-seed
+// simulation runs non-reproducible at the byte level: RES1 carries this DER
+// verbatim, and message size drives virtual airtime. Both r and s are maximal
+// with probability 1/4, so this takes 4 signatures on average, at issuance
+// time only — inside the signer, so the TBS marshal and x509's check of its
+// own signature are paid once per certificate, not once per try.
+func createSizedCert(tmpl, parent *x509.Certificate, pub any, priv *ecdsa.PrivateKey, s suite.Strength) ([]byte, error) {
+	return x509.CreateCertificate(rand.Reader, tmpl, parent, pub, sizedSigner{priv, maxSigLen(s)})
+}
+
+// sizedSigner is an ECDSA crypto.Signer that re-signs until the DER signature
+// is exactly want bytes long.
+type sizedSigner struct {
+	key  *ecdsa.PrivateKey
+	want int
+}
+
+func (s sizedSigner) Public() crypto.PublicKey { return &s.key.PublicKey }
+
+func (s sizedSigner) Sign(rng io.Reader, digest []byte, opts crypto.SignerOpts) ([]byte, error) {
 	for attempt := 0; attempt < 256; attempt++ {
-		der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, pub, priv)
+		sig, err := s.key.Sign(rng, digest, opts)
 		if err != nil {
 			return nil, err
 		}
-		parsed, err := x509.ParseCertificate(der)
-		if err != nil {
-			return nil, err
-		}
-		if len(parsed.Signature) == want {
-			return der, nil
+		if len(sig) == s.want {
+			return sig, nil
 		}
 	}
 	return nil, errors.New("cert: could not produce a fixed-size signature")
@@ -353,6 +364,8 @@ type CertInfo struct {
 	Name   string
 	Role   Role
 	Public suite.PublicKey
+	// NotBefore and NotAfter bound the joint validity of the whole chain.
+	NotBefore, NotAfter time.Time
 }
 
 // VerifyCert parses certDER — an entity certificate, optionally followed by

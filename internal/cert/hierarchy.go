@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/x509"
 	"crypto/x509/pkix"
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 	"time"
 
 	"argus/internal/suite"
@@ -89,80 +91,107 @@ func (a *Admin) IssueCertChain(id ID, name string, role Role, pub suite.PublicKe
 // by intermediate CA certificates) and verifies the chain up to the root
 // anchor rootDER. It returns the bound identity like VerifyCert.
 func VerifyCertChain(rootDER, certDER []byte, s suite.Strength) (*CertInfo, error) {
-	info, _, _, err := verifyCertChainWindow(rootDER, certDER, s)
-	return info, err
+	anchor, err := parseAnchor(rootDER)
+	if err != nil {
+		return nil, err
+	}
+	return anchor.verifyCert(certDER, s)
 }
 
-// verifyCertChainWindow is VerifyCertChain plus the chain's joint validity
-// window (max NotBefore, min NotAfter over every certificate involved) — the
-// interval during which a memoized verification result stays trustworthy
-// (see VerifyCache).
-func verifyCertChainWindow(rootDER, certDER []byte, s suite.Strength) (*CertInfo, time.Time, time.Time, error) {
-	var zero time.Time
+// trustAnchor is the parsed root certificate and the pool that holds it:
+// everything about a chain verification that depends on the anchor alone.
+// Immutable once built, and read-only under x509 verification, so every
+// verifier of the process shares one.
+type trustAnchor struct {
+	der   []byte
+	root  *x509.Certificate
+	roots *x509.CertPool
+}
+
+// lastAnchor memoizes the trust anchor parsed last, so a verification miss
+// does not parse the root and build its pool again. One entry, compared by
+// the anchor bytes: a device trusts one root at a time, anchors come from
+// provisions and never from the air, and a rotated root replaces the entry
+// the first time it is used. Process-wide rather than per VerifyCache: a
+// simulated fleet holds one cache per engine, and a thousand private copies
+// of the same parsed certificate are megabytes of pointers for the garbage
+// collector to walk.
+var lastAnchor atomic.Pointer[trustAnchor]
+
+func parseAnchor(rootDER []byte) (*trustAnchor, error) {
+	if a := lastAnchor.Load(); a != nil && bytes.Equal(a.der, rootDER) {
+		return a, nil
+	}
 	root, err := x509.ParseCertificate(rootDER)
 	if err != nil {
-		return nil, zero, zero, fmt.Errorf("cert: bad trust anchor: %w", err)
+		return nil, fmt.Errorf("cert: bad trust anchor: %w", err)
 	}
-	certs, err := x509.ParseCertificates(certDER)
+	a := &trustAnchor{der: bytes.Clone(rootDER), root: root, roots: x509.NewCertPool()}
+	a.roots.AddCert(root)
+	lastAnchor.Store(a)
+	return a, nil
+}
+
+// verifyChain parses chainDER (leaf first, concatenated DER; what names it in
+// errors) and verifies the leaf up to the anchor through the rest.
+func (a *trustAnchor) verifyChain(chainDER []byte, what string) ([]*x509.Certificate, error) {
+	certs, err := x509.ParseCertificates(chainDER)
 	if err != nil || len(certs) == 0 {
-		return nil, zero, zero, errors.New("cert: bad certificate chain")
+		return nil, fmt.Errorf("cert: bad %s", what)
 	}
-	leaf := certs[0]
-	roots := x509.NewCertPool()
-	roots.AddCert(root)
-	inters := x509.NewCertPool()
-	for _, c := range certs[1:] {
-		inters.AddCert(c)
-	}
-	if _, err := leaf.Verify(x509.VerifyOptions{
-		Roots:         roots,
-		Intermediates: inters,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}); err != nil {
-		return nil, zero, zero, fmt.Errorf("cert: chain does not verify: %w", err)
-	}
-	notBefore, notAfter := root.NotBefore, root.NotAfter
-	for _, c := range certs {
-		if c.NotBefore.After(notBefore) {
-			notBefore = c.NotBefore
-		}
-		if c.NotAfter.Before(notAfter) {
-			notAfter = c.NotAfter
+	opts := x509.VerifyOptions{Roots: a.roots, KeyUsages: []x509.ExtKeyUsage{x509.ExtKeyUsageAny}}
+	if len(certs) > 1 {
+		opts.Intermediates = x509.NewCertPool()
+		for _, c := range certs[1:] {
+			opts.Intermediates.AddCert(c)
 		}
 	}
-	info, err := infoFromLeaf(leaf, s)
+	if _, err := certs[0].Verify(opts); err != nil {
+		return nil, fmt.Errorf("cert: %s does not verify: %w", what, err)
+	}
+	return certs, nil
+}
+
+// verifyCert is VerifyCertChain against the parsed anchor. The CertInfo
+// carries the chain's joint validity window (max NotBefore, min NotAfter over
+// every certificate involved) — the interval during which a memoized result,
+// or a resumption ticket minted from it, stays trustworthy.
+func (a *trustAnchor) verifyCert(certDER []byte, s suite.Strength) (*CertInfo, error) {
+	certs, err := a.verifyChain(certDER, "certificate chain")
 	if err != nil {
-		return nil, zero, zero, err
+		return nil, err
 	}
-	return info, notBefore, notAfter, nil
+	info, err := infoFromLeaf(certs[0], s)
+	if err != nil {
+		return nil, err
+	}
+	info.NotBefore, info.NotAfter = a.root.NotBefore, a.root.NotAfter
+	for _, c := range certs {
+		info.NotBefore, info.NotAfter = narrow(info.NotBefore, info.NotAfter, c.NotBefore, c.NotAfter)
+	}
+	return info, nil
+}
+
+// narrow intersects the window [nb, na] with [nb2, na2].
+func narrow(nb, na, nb2, na2 time.Time) (time.Time, time.Time) {
+	if nb2.After(nb) {
+		nb = nb2
+	}
+	if na2.Before(na) {
+		na = na2
+	}
+	return nb, na
 }
 
 // verifyCAChain verifies a chain of CA certificates (leaf first, concatenated
-// DER) against the root anchor and returns the leaf CA's public key — the key
+// DER) against the anchor and returns the leaf CA's public key — the key
 // that signed a sub-backend's profiles.
-func verifyCAChain(rootDER, chainDER []byte) (suite.PublicKey, error) {
-	root, err := x509.ParseCertificate(rootDER)
+func (a *trustAnchor) verifyCAChain(chainDER []byte) (suite.PublicKey, error) {
+	certs, err := a.verifyChain(chainDER, "signer chain")
 	if err != nil {
-		return suite.PublicKey{}, fmt.Errorf("cert: bad trust anchor: %w", err)
-	}
-	certs, err := x509.ParseCertificates(chainDER)
-	if err != nil || len(certs) == 0 {
-		return suite.PublicKey{}, errors.New("cert: bad signer chain")
+		return suite.PublicKey{}, err
 	}
 	leaf := certs[0]
-	roots := x509.NewCertPool()
-	roots.AddCert(root)
-	inters := x509.NewCertPool()
-	for _, c := range certs[1:] {
-		inters.AddCert(c)
-	}
-	if _, err := leaf.Verify(x509.VerifyOptions{
-		Roots:         roots,
-		Intermediates: inters,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	}); err != nil {
-		return suite.PublicKey{}, fmt.Errorf("cert: signer chain does not verify: %w", err)
-	}
 	if !leaf.IsCA {
 		return suite.PublicKey{}, errors.New("cert: profile signer is not a CA")
 	}

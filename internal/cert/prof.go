@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"time"
@@ -158,17 +159,41 @@ func (p *Profile) VerifyAnchored(anchorDER []byte, rootPub suite.PublicKey, now 
 	if len(p.SignerChain) == 0 {
 		return p.Verify(rootPub, now)
 	}
-	// Re-assemble the chain DERs and verify up to the anchor. The chain leaf
-	// is the signing sub-admin's CA certificate.
-	var chainDER []byte
-	for _, c := range p.SignerChain {
-		chainDER = append(chainDER, c...)
+	anchor, err := parseAnchor(anchorDER)
+	if err != nil {
+		return err
 	}
-	signerPub, err := verifyCAChain(anchorDER, chainDER)
+	// The chain leaf is the signing sub-admin's CA certificate.
+	signerPub, err := anchor.verifyCAChain(p.signerChainDER())
 	if err != nil {
 		return err
 	}
 	return p.Verify(signerPub, now)
+}
+
+// signerChainDER re-assembles the signer chain, leaf first.
+func (p *Profile) signerChainDER() []byte {
+	var chainDER []byte
+	for _, c := range p.SignerChain {
+		chainDER = append(chainDER, c...)
+	}
+	return chainDER
+}
+
+// Window returns the interval in which a successful verification of p keeps
+// holding: the profile's own validity (Verify's lower bound is Issued−1h)
+// narrowed by every certificate of its signer chain.
+func (p *Profile) Window() (notBefore, notAfter time.Time) {
+	notBefore, notAfter = p.Issued.Add(-time.Hour), p.Expires
+	if len(p.SignerChain) == 0 {
+		return notBefore, notAfter
+	}
+	if certs, err := x509.ParseCertificates(p.signerChainDER()); err == nil {
+		for _, c := range certs {
+			notBefore, notAfter = narrow(notBefore, notAfter, c.NotBefore, c.NotAfter)
+		}
+	}
+	return notBefore, notAfter
 }
 
 // PadNoteTo extends the Note field with spaces so the encoded profile is

@@ -3,7 +3,6 @@ package cert
 import (
 	"container/list"
 	"crypto/sha256"
-	"crypto/x509"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -249,15 +248,11 @@ func (c *VerifyCache) VerifyCert(rootDER, certDER []byte, s suite.Strength) (*Ce
 			info := e.info
 			return &info, nil
 		}
-		info, _, _, err := verifyCertChainWindow(rootDER, certDER, s)
-		if err != nil {
-			return nil, err
-		}
-		return info, nil
+		return VerifyCertChain(rootDER, certDER, s)
 	}
-	info, nb, na, err := verifyCertChainWindow(rootDER, certDER, s)
+	info, err := VerifyCertChain(rootDER, certDER, s)
 	if err == nil {
-		c.store(&vcEntry{key: key, kind: vcKindCert, entity: info.ID, info: *info, notBefore: nb, notAfter: na})
+		c.store(&vcEntry{key: key, kind: vcKindCert, entity: info.ID, info: *info, notBefore: info.NotBefore, notAfter: info.NotAfter})
 	}
 	c.leaveFlight(key, fl, err)
 	if err != nil {
@@ -296,25 +291,9 @@ func (c *VerifyCache) VerifyProfileAnchored(p *Profile, raw, anchorDER []byte, r
 		c.leaveFlight(key, fl, err)
 		return err
 	}
-	// The memoized result holds while the profile window AND the signer
-	// chain (if any) remain valid. Verify's lower bound is Issued−1h.
-	nb, na := p.Issued.Add(-time.Hour), p.Expires
-	if len(p.SignerChain) > 0 {
-		var chainDER []byte
-		for _, cd := range p.SignerChain {
-			chainDER = append(chainDER, cd...)
-		}
-		if certs, err := x509.ParseCertificates(chainDER); err == nil {
-			for _, cc := range certs {
-				if cc.NotBefore.After(nb) {
-					nb = cc.NotBefore
-				}
-				if cc.NotAfter.Before(na) {
-					na = cc.NotAfter
-				}
-			}
-		}
-	}
+	// The memoized result holds while the profile AND its signer chain (if
+	// any) remain valid.
+	nb, na := p.Window()
 	c.store(&vcEntry{key: key, kind: vcKindProf, entity: p.Entity, notBefore: nb, notAfter: na})
 	c.leaveFlight(key, fl, nil)
 	return nil

@@ -1,6 +1,7 @@
 package cert
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -501,11 +502,11 @@ func TestVerifyCacheFlightWaiterServedFromStore(t *testing.T) {
 		return misses >= 1
 	}, "concurrent caller to record its miss")
 	// Leader-style completion: verify, store, release the waiters.
-	info, nb, na, err := verifyCertChainWindow(admin.CACert(), fx.certDER, s)
+	info, err := VerifyCertChain(admin.CACert(), fx.certDER, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.store(&vcEntry{key: key, kind: vcKindCert, entity: info.ID, info: *info, notBefore: nb, notAfter: na})
+	c.store(&vcEntry{key: key, kind: vcKindCert, entity: info.ID, info: *info, notBefore: info.NotBefore, notAfter: info.NotAfter})
 	c.leaveFlight(key, fl, nil)
 
 	r := <-ch
@@ -548,5 +549,50 @@ func TestVerifyCacheConcurrentMissAccounting(t *testing.T) {
 	// miss, and both credentials live in the cache exactly once.
 	if hits, misses, entries := statsOf(c); hits+misses != 2*g || entries != 2 {
 		t.Fatalf("hits=%d misses=%d entries=%d", hits, misses, entries)
+	}
+}
+
+// TestAnchorParsedOnce: the trust anchor is parsed (and its pool built) by the
+// first verification that needs it and shared by every later one, across
+// caches; other bytes replace it; a bad anchor is an error, never the memo.
+func TestAnchorParsedOnce(t *testing.T) {
+	admin := newVCAdmin(t)
+	a, b := newVCFixture(t, admin, "lamp-a"), newVCFixture(t, admin, "lamp-b")
+	root := admin.CACert()
+	for _, fx := range []*vcFixture{a, b, a} {
+		c := NewVerifyCache(1) // every lookup below misses
+		info, err := c.VerifyCert(root, fx.certDER, admin.Strength())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NotAfter.IsZero() || !info.NotBefore.Before(info.NotAfter) {
+			t.Fatalf("CertInfo carries no validity window: %v – %v", info.NotBefore, info.NotAfter)
+		}
+	}
+	first, err := parseAnchor(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != lastAnchor.Load() {
+		t.Fatal("the misses above left no parsed anchor behind")
+	}
+	if again, _ := parseAnchor(append([]byte(nil), root...)); again != first {
+		t.Fatal("anchor parsed again for the same bytes")
+	}
+	if _, err := NewVerifyCache(1).VerifyCert([]byte("not a certificate"), a.certDER, admin.Strength()); err == nil {
+		t.Fatal("garbage anchor verified")
+	}
+	if lastAnchor.Load() != first {
+		t.Fatal("a bad anchor displaced the memo")
+	}
+	other := newVCAdmin(t)
+	if _, err := VerifyCertChain(other.CACert(), a.certDER, admin.Strength()); err == nil {
+		t.Fatal("certificate verified under a foreign root")
+	}
+	if got := lastAnchor.Load(); got == first || !bytes.Equal(got.der, other.CACert()) {
+		t.Fatal("a new root did not replace the memo")
+	}
+	if _, err := VerifyCertChain(root, a.certDER, admin.Strength()); err != nil {
+		t.Fatalf("back under its own root: %v", err)
 	}
 }

@@ -47,8 +47,12 @@ type Scenario struct {
 	Retry     core.RetryPolicy
 	Fellow    bool // subject holds the covert group key of L3 objects
 	TTL       int  // hop TTL for QUE1 (0: 1)
-	Crashes   []Crash
-	Registry  *obs.Registry
+	// Sweeps is how many times DiscoverAll runs (0: once). From the second
+	// sweep on the subject holds a resumption ticket for every Level 2/3
+	// object the sweeps before completed a handshake with.
+	Sweeps   int
+	Crashes  []Crash
+	Registry *obs.Registry
 	// Snoop, when set, is installed on the network before discovery starts
 	// (eavesdropper taps for indistinguishability properties).
 	Snoop func(from, to netsim.NodeID, payload []byte)
@@ -65,8 +69,8 @@ type Outcome struct {
 }
 
 // Run executes the scenario: deploy, schedule crashes, DiscoverAll (one
-// round per held group key), and drain every remaining timer so session
-// expiry has fired before leaks are counted.
+// round per held group key) Sweeps times over, and drain every remaining
+// timer so session expiry has fired before leaks are counted.
 func Run(s Scenario) (*Outcome, error) {
 	d, err := exp.Deploy(exp.DeployConfig{
 		Levels:    s.Levels,
@@ -91,8 +95,10 @@ func Run(s Scenario) (*Outcome, error) {
 	if ttl < 1 {
 		ttl = 1
 	}
-	if err := d.Subject.DiscoverAll(ttl, func() { d.Net.Run(0) }); err != nil {
-		return nil, err
+	for sweep := 0; sweep < max(s.Sweeps, 1); sweep++ {
+		if err := d.Subject.DiscoverAll(ttl, func() { d.Net.Run(0) }); err != nil {
+			return nil, err
+		}
 	}
 	d.Net.Run(0) // outstanding expiry timers of the last round
 

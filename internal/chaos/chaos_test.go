@@ -8,6 +8,7 @@ import (
 	"argus/internal/backend"
 	"argus/internal/core"
 	"argus/internal/netsim"
+	"argus/internal/obs"
 	"argus/internal/suite"
 	"argus/internal/wire"
 )
@@ -61,6 +62,72 @@ func TestCompletenessUnderLoss(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestCompletenessUnderLossWithResumption: the headline property again, for
+// the sweeps after the first — when the subject holds a ticket for every
+// Level 2/3 object and every handshake starts out resumed. A short QUE2 or
+// its RES2 can be lost like any other frame, and the object ratchets when it
+// answers, not when the answer arrives — so the retransmitted short QUE2 must
+// be served the cached RES2 of a ticket already spent. Each later sweep alone
+// finds every object at its level, exactly once a round, and nothing leaks.
+// (A ticket stranded for good — the session expired unanswered — is
+// core.TestDesyncAndEvictionCostOneFullHandshake; five QUE2 retries make it
+// rarer than these seeds at 20 %.)
+func TestCompletenessUnderLossWithResumption(t *testing.T) {
+	const sweeps = 4
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			out, err := Run(Scenario{
+				Seed:     seed,
+				Levels:   mixedLevels,
+				Faults:   netsim.FaultModel{Loss: 0.2},
+				Retry:    core.DefaultRetry(),
+				Fellow:   true,
+				Sweeps:   sweeps,
+				Registry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := out.Discoveries
+			perSweep := all[len(all)-1].Round / sweeps
+			for sweep := 1; sweep < sweeps; sweep++ {
+				out.Discoveries = nil
+				for _, d := range all {
+					if (d.Round-1)/perSweep == sweep {
+						out.Discoveries = append(out.Discoveries, d)
+					}
+				}
+				if missing := out.Missing(mixedLevels); len(missing) > 0 {
+					t.Fatalf("sweep %d incomplete (FaultLost=%d):\n%v", sweep+1, out.Stats.FaultLost, missing)
+				}
+				if dups := out.Duplicates(); len(dups) > 0 {
+					t.Fatalf("sweep %d: duplicate discovery records:\n%v", sweep+1, dups)
+				}
+			}
+			if out.SubjectPending != 0 || out.ObjectPending != 0 {
+				t.Fatalf("leaked sessions: subject %d, objects %d", out.SubjectPending, out.ObjectPending)
+			}
+			resumed := resumptions(reg, "subject", "resumed")
+			if resumed == 0 {
+				t.Fatal("no session of the run was resumed: the property was not exercised")
+			}
+			t.Logf("resumed %d, refused %d, minted %d (subject side), %d frames lost",
+				resumed, resumptions(reg, "subject", "refused"), resumptions(reg, "subject", "minted"), out.Stats.FaultLost)
+		})
+	}
+}
+
+// resumptions reads one argus_resumptions_total series.
+func resumptions(reg *obs.Registry, side, result string) int64 {
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == obs.MResumptions && m.Labels["side"] == side && m.Labels["result"] == result {
+			return int64(m.Value)
+		}
+	}
+	return 0
 }
 
 // TestGracefulDegradationAtExtremeLoss: at 50% and 100% loss — with

@@ -11,13 +11,26 @@ import (
 	"argus/internal/wire"
 )
 
-// BenchmarkWarmHandshake measures one full L2 discovery round against a
-// single object with a warm credential verify cache: QUE1 broadcast, RES1,
-// QUE2, RES2, MAC checks, and the session bookkeeping around them. The
-// per-session nonce signatures and ECDH are never cacheable, so this is the
-// floor a warm handshake costs; the allocs/op figure is what the zero-alloc
-// codec seam is held to (BENCH_9.json).
+// BenchmarkWarmHandshake measures one L2 discovery round against a single
+// object with a warm credential verify cache — QUE1 broadcast, RES1, QUE2,
+// RES2, MAC checks, and the session bookkeeping around them — under the
+// default retry policy, in its two regimes:
+//
+//   - first-contact: no ticket on either side (both are dropped before every
+//     round), so the round is the full handshake plus the minting of the
+//     ticket. The per-session nonce signatures and ECDH are never cacheable,
+//     so this is the floor a first contact costs; its allocs/op is what the
+//     zero-alloc codec seam is held to (BENCH_9.json), and resumption must
+//     not make it dearer.
+//   - resumed: every round after the first runs on the ticket of the one
+//     before. What is left is the object's RES1 (key generation, signature)
+//     and HMACs.
 func BenchmarkWarmHandshake(b *testing.B) {
+	b.Run("first-contact", func(b *testing.B) { benchHandshake(b, false) })
+	b.Run("resumed", func(b *testing.B) { benchHandshake(b, true) })
+}
+
+func benchHandshake(b *testing.B, resume bool) {
 	be, err := backend.New(suite.S128)
 	if err != nil {
 		b.Fatal(err)
@@ -38,7 +51,10 @@ func BenchmarkWarmHandshake(b *testing.B) {
 		b.Fatal(err)
 	}
 	sep := net.NewEndpoint()
-	subj := NewSubject(sprov, wire.V20, Costs{}, WithEndpoint(sep), WithVerifyCache(vc))
+	subj := NewSubject(sprov, wire.V20, Costs{}, WithEndpoint(sep), WithVerifyCache(vc), WithRetry(DefaultRetry()))
+	// One answer is the whole round: without the declaration every round
+	// would also drain its quiescence probes.
+	subj.OnDiscovery = func(Discovery) { subj.CompleteRound() }
 
 	oid, _, err := be.RegisterObject("bench-object", L2, attr.MustSet("type=multimedia"), []string{"play"})
 	if err != nil {
@@ -49,7 +65,7 @@ func BenchmarkWarmHandshake(b *testing.B) {
 		b.Fatal(err)
 	}
 	oep := net.NewEndpoint()
-	NewObject(oprov, wire.V20, Costs{}, WithEndpoint(oep), WithVerifyCache(vc))
+	obj := NewObject(oprov, wire.V20, Costs{}, WithEndpoint(oep), WithVerifyCache(vc), WithRetry(DefaultRetry()))
 	net.Link(sep.Node(), oep.Node())
 
 	// Prime: first round pays the cold chain verifications.
@@ -64,6 +80,10 @@ func BenchmarkWarmHandshake(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if !resume {
+			subj.tickets.flush()
+			obj.tickets.flush()
+		}
 		if err := subj.Discover(1); err != nil {
 			b.Fatal(err)
 		}
@@ -72,5 +92,8 @@ func BenchmarkWarmHandshake(b *testing.B) {
 	b.StopTimer()
 	if got := len(subj.Results()); got != b.N+1 {
 		b.Fatalf("completed %d discoveries, want %d", len(subj.Results()), b.N+1)
+	}
+	if subj.Tickets() != 1 {
+		b.Fatal("no ticket on file after the last round")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"argus/internal/attr"
 	"argus/internal/cert"
+	"argus/internal/netsim"
 	"argus/internal/obs"
 	"argus/internal/wire"
 )
@@ -318,5 +319,39 @@ func TestConcurrentResultsReaders(t *testing.T) {
 	if d.subject.PendingSessions() != 0 || obj.PendingSessions() != 0 {
 		t.Fatalf("sessions leaked: subject=%d object=%d",
 			d.subject.PendingSessions(), obj.PendingSessions())
+	}
+}
+
+// TestDuplicateLevel1RES1PaysNoVerification: a probe-triggered duplicate of
+// this round's plaintext RES1 is recognised before the PROF verification, not
+// after it — on a cold cache that verification is a full ECDSA check whose
+// result the dedupe then threw away.
+func TestDuplicateLevel1RES1PaysNoVerification(t *testing.T) {
+	d := newDeployment(t)
+	air := &tap{}
+	air.install(d.net)
+	vc := cert.NewVerifyCache(1)
+	d.addSubject("alice", attr.MustSet("position=visitor"), wire.V30, WithVerifyCache(vc))
+	d.addObject("thermometer", L1, attr.MustSet("type=thermometer"), []string{"read"}, wire.V30)
+	if got := len(d.run()); got != 1 {
+		t.Fatalf("discoveries = %d, want 1", got)
+	}
+	lookups := func() int64 { h, m, _ := vc.Stats(); return h + m }
+	if got := lookups(); got != 1 {
+		t.Fatalf("first RES1 cost %d cache lookups, want 1", got)
+	}
+	res1 := air.byType(wire.TRES1)
+	if len(res1) != 1 {
+		t.Fatalf("captured %d RES1, want 1", len(res1))
+	}
+	for i := 0; i < 3; i++ {
+		d.subject.Handle(netsim.AddrOf(res1[0].from), res1[0].payload)
+	}
+	d.net.Run(0)
+	if got := lookups(); got != 1 {
+		t.Errorf("three duplicate RES1s cost %d more cache lookups, want 0", got-1)
+	}
+	if got := len(d.subject.Results()); got != 1 {
+		t.Errorf("duplicates recorded: %d discoveries, want 1", got)
 	}
 }

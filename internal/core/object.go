@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/obs"
@@ -36,6 +37,10 @@ type Object struct {
 	// contract); vcache memoizes credential verifications (WithVerifyCache).
 	pendingN atomic.Int64
 	vcache   *cert.VerifyCache
+
+	// tickets holds the resumption tickets minted for subjects, by ticket id
+	// (resume.go).
+	tickets ticketTable[ticketID]
 }
 
 // Resource bounds. DoS resistance is a non-goal of the paper (§III), but an
@@ -112,6 +117,10 @@ func (o *Object) PendingSessions() int { return int(o.pendingN.Load()) }
 // syncPending republishes len(sessions) after a mutation; event-loop only.
 func (o *Object) syncPending() { o.pendingN.Store(int64(len(o.sessions))) }
 
+// Tickets returns the number of resumption tickets held for subjects. Safe to
+// call from any goroutine.
+func (o *Object) Tickets() int { return o.tickets.size() }
+
 // instrument attaches a metrics registry. Like the subject's, object
 // telemetry is purely observational and preserves fixed-seed runs.
 func (o *Object) instrument(reg *obs.Registry) {
@@ -136,11 +145,14 @@ func (o *Object) Level() Level { return o.prov.Level }
 // re-keying, revocation notifications). Cache hygiene: a changed trust anchor
 // flushes the verification cache wholesale, and every subject revoked in the
 // new provision is individually invalidated, so a blacklisted peer's warm
-// credentials can never satisfy the next handshake.
+// credentials can never satisfy the next handshake. Resumption tickets are
+// dropped wholesale: what they vouch for was checked against the old
+// provision, and every subject pays one full handshake against the new one.
 func (o *Object) Refresh(prov *backend.ObjectProvision) {
 	if !bytes.Equal(o.prov.CACert, prov.CACert) {
 		o.vcache.Flush()
 	}
+	o.tickets.flush()
 	o.prov = prov
 	o.revoked = make(map[cert.ID]bool, len(prov.Revoked))
 	for _, id := range prov.Revoked {
@@ -151,10 +163,15 @@ func (o *Object) Refresh(prov *backend.ObjectProvision) {
 
 // Revoke adds a subject to the object's local blacklist (a backend
 // notification arriving on the ground, §VIII) and drops the subject's cached
-// credential verifications.
+// credential verifications and resumption tickets.
 func (o *Object) Revoke(subject cert.ID) {
 	o.revoked[subject] = true
 	o.vcache.InvalidateEntity(subject)
+	for id, t := range o.tickets.m {
+		if t.subject == subject {
+			o.tickets.drop(id)
+		}
+	}
 }
 
 // Handle implements transport.Handler.
@@ -306,73 +323,159 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		}
 		return
 	}
-	if !o.retry.Enabled() {
-		// One-shot mode: the session is consumed by its first QUE2. Under
-		// retry it instead stays pending on verification failure (the QUE2
-		// may have been corrupted in flight — a clean retransmission must
-		// still be able to complete) and is marked answered on success.
-		delete(o.sessions, key)
-		o.syncPending()
+	var a que2Auth
+	if len(m.Ticket) > 0 {
+		a, ok = o.resumeQUE2(from, sess, m)
+	} else {
+		if !o.retry.Enabled() {
+			// One-shot mode: the session is consumed by its first QUE2. Under
+			// retry it instead stays pending on verification failure (the
+			// QUE2 may have been corrupted in flight — a clean retransmission
+			// must still be able to complete) and is marked answered on
+			// success.
+			delete(o.sessions, key)
+			o.syncPending()
+		}
+		a, ok = o.authenticateQUE2(from, sess, m)
 	}
+	if ok {
+		o.answerQUE2(from, key, sess, m, a)
+	}
+}
 
-	// Authenticate the subject: CERT chains to the admin, signature covers
-	// the whole transcript, and the freshness of R_O defeats replay.
+// que2Auth is what authenticating a QUE2 — in full, or by ticket — hands to
+// the response path: K2, the subject's transcript cut, and who the subject is.
+type que2Auth struct {
+	k2     []byte
+	ts     *wire.Transcript // answerQUE2 releases it
+	tsHash [32]byte
+	// next binds the ticket the answer will mint: the subject's address,
+	// verified identity and PROF_S attributes, and their validity window. After a short
+	// QUE2 it is the ticket that was presented.
+	next    ticket
+	resumed bool
+}
+
+// authenticateQUE2 is the full path: CERT_S chains to the admin, SIG_S covers
+// the whole transcript (the freshness of R_O defeats replay), PROF_S is
+// admin-signed and the subject's own, and MAC_{S,2} proves the ECDH key.
+func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire.QUE2) (que2Auth, bool) {
+	reject := func() (que2Auth, bool) {
+		o.tel.que2Result(resultRejected)
+		return que2Auth{}, false
+	}
 	info, err := o.vcache.VerifyCert(o.prov.CACert, m.CertS, o.prov.Strength)
 	if err != nil || info.Role != cert.RoleSubject {
-		o.tel.que2Result(resultRejected)
-		return
+		return reject()
 	}
 	if o.revoked[info.ID] {
-		o.tel.que2Result(resultRejected)
-		return // de-authorized subjects stop seeing services (§VIII)
+		return reject() // de-authorized subjects stop seeing services (§VIII)
 	}
 	// The signature input doubles as the transcript prefix (§V): build it
 	// once in pooled scratch; if the signature holds, it seeds the transcript
-	// cut below.
+	// cut.
 	sigInput := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
 	if !info.Public.Verify(sigInput, m.Sig) {
 		wire.PutScratch(sigInput)
-		o.tel.que2Result(resultRejected)
-		return
+		return reject()
 	}
 	ts := wire.NewTranscript(len(sigInput) + len(m.Sig))
 	ts.Add(sigInput)
 	ts.Add(m.Sig)
 	wire.PutScratch(sigInput)
-	// ts is transient on the object side: every exit below releases it.
+	// ts is transient on the object side: every exit releases it.
 
 	prof, err := cert.DecodeProfile(m.ProfS)
 	if err != nil || prof.Kind != cert.RoleSubject || prof.Entity != info.ID {
 		ts.Release()
-		o.tel.que2Result(resultRejected)
-		return
+		return reject()
 	}
 	if err := o.vcache.VerifyProfileAnchored(prof, m.ProfS, o.prov.CACert, o.prov.AdminPub, time.Now()); err != nil {
 		ts.Release()
-		o.tel.que2Result(resultRejected)
-		return // PROF must be admin-signed: attributes cannot be self-claimed
+		return reject() // PROF must be admin-signed: attributes cannot be self-claimed
 	}
 
 	// Key establishment.
 	preK, err := sess.kex.Shared(m.KEXMS)
 	if err != nil {
 		ts.Release()
-		o.tel.que2Result(resultRejected)
-		return
+		return reject()
 	}
-	k2 := suite.SessionKey2(preK, sess.rs, sess.ro)
-	tsHash := ts.Hash()
-	if !suite.VerifyMAC(k2, suite.LabelSubjectFinished, tsHash, m.MACS2) {
+	a := que2Auth{k2: suite.SessionKey2(preK, sess.rs, sess.ro), ts: ts, tsHash: ts.Hash()}
+	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
+		ts.Release()
+		return reject() // handshake failure
+	}
+	if o.retry.Enabled() {
+		a.next = ticket{peer: from, subject: info.ID, attrs: prof.Attrs, notBefore: info.NotBefore, notAfter: info.NotAfter}
+		a.next.narrowTo(prof.Window())
+	} else {
+		a.next.attrs = prof.Attrs
+	}
+	return a, true
+}
+
+// resumeQUE2 is the short path: the ticket names a secret this object minted
+// for this subject address, and MAC_{S,2} under K2′ = PRF(secret, R_S‖R_O)
+// proves the sender holds it — fresh R_O, so a replayed short QUE2 proves
+// nothing. CERT_S, PROF_S and SIG_S were checked when the ticket's chain
+// began; what can change since is checked now: the validity window, the
+// blacklist, and (in answerQUE2) the policies of the current provision.
+//
+// A ticket the object cannot honour — unknown (evicted, flushed, a ratchet
+// step behind), expired, or presented from another address — is refused with
+// the empty RES2 and the session left pending, so the subject's full QUE2
+// finds it. The refusal tells an observer only what RES1 already did.
+func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2) (que2Auth, bool) {
+	var id ticketID
+	var t *ticket
+	if len(m.Ticket) == len(id) {
+		copy(id[:], m.Ticket)
+		t = o.tickets.get(id)
+	}
+	if t != nil && !t.valid(time.Now()) {
+		o.tickets.drop(id)
+		t = nil
+	}
+	if t == nil || t.peer != from {
+		o.tel.resumption(resultRefused)
+		o.ep.Send(from, (&wire.RES2{Version: o.version}).Encode())
+		return que2Auth{}, false
+	}
+	if o.revoked[t.subject] {
+		o.tickets.drop(id)
+		o.tel.que2Result(resultRejected)
+		return que2Auth{}, false // silence, as for the full QUE2 of a revoked subject
+	}
+	in := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
+	ts := wire.NewTranscript(len(in))
+	ts.Add(in)
+	wire.PutScratch(in)
+	a := que2Auth{k2: suite.SessionKey2(t.secret, sess.rs, sess.ro), ts: ts, tsHash: ts.Hash(), next: *t, resumed: true}
+	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
 		ts.Release()
 		o.tel.que2Result(resultRejected)
-		return // handshake failure
+		return que2Auth{}, false // corrupted, or not the ticket's holder: stay pending
 	}
+	return a, true
+}
+
+// answerQUE2 is everything downstream of K2, the same for a full and a
+// resumed session: the fellowship trial, the double-faced RES2 at constant
+// length, the equalised compute charge — and, under an enabled policy, the
+// ticket for the next session.
+func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSession, m *wire.QUE2, a que2Auth) {
+	k2, ts, tsHash := a.k2, a.ts, a.tsHash
 
 	// Level 3: test fellowship by verifying MAC_{S,3} against each group
 	// key the object serves (§VI-A, §VI-C).
 	var fellowVariant *backend.ObjectVariant
 	var k3 []byte
-	if o.prov.Level == L3 && len(m.MACS3) > 0 && o.version != wire.V10 {
+	trials := 0
+	switch {
+	case len(m.MACS3) == 0 || o.version == wire.V10:
+	case o.prov.Level == L3:
+		trials = o.covertVariantCount()
 		for i := range o.prov.Variants {
 			v := &o.prov.Variants[i]
 			if !v.IsCovert() {
@@ -384,30 +487,46 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 				break
 			}
 		}
+	case a.resumed:
+		// A Level 2 object has no group to try — but on a resumed session
+		// nothing else hides that: the signature checks and the ECDH whose
+		// jitter buried a two-HMAC trial are gone, and a crowd observer
+		// (internal/adversary) tells the levels apart by turnaround alone. So
+		// it runs the one trial a Level 3 object serving one group runs, under
+		// a key nobody holds, and fails it.
+		trials = 1
+		suite.VerifyMAC(suite.SessionKey3(k2, k2, sess.rs, sess.ro), suite.LabelSubjectFinished, tsHash, m.MACS3)
 	}
 
 	// Build the response. The virtual compute cost is charged identically on
 	// every path — the paper's "constant response time" countermeasure to
 	// timing attacks (§VI-B): verification work that a path skips is waited
-	// out instead.
-	cost := 2*o.costs.Verify + // CERT_S, SIG_S
-		o.costs.Verify + // PROF_S admin signature
-		o.costs.KexShared +
-		o.costs.HMAC + // MAC_{S,2}
-		o.costs.Cipher + o.costs.HMAC // RES2 ciphertext + MAC_{O,X}
-	if o.version != wire.V10 && o.prov.Level == L3 {
-		cost += time.Duration(o.covertVariantCount()) * 2 * o.costs.HMAC // K3 derivations + MAC_{S,3} trials
+	// out instead. Full and resumed sessions differ — a resumed one skipped
+	// the three verifications and the ECDH, and is charged and counted for
+	// what it did — but which of the two a session is shows in the length of
+	// its QUE2 anyway, and says nothing about the object's level.
+	hmacs := 2 // MAC_{S,2} verify + MAC_{O,X}
+	if a.resumed {
+		hmacs += trials * 2 // K3 derivations + MAC_{S,3} trials
+	} else if o.version != wire.V10 && o.prov.Level == L3 {
+		hmacs += o.covertVariantCount() * 2
 	}
-	if o.tel != nil {
+	if o.retry.Enabled() {
+		hmacs++ // the next ticket
+	}
+	cost := o.costs.Cipher // RES2 ciphertext
+	if a.resumed {
+		hmacs++ // K2′
+	} else {
+		cost += 2*o.costs.Verify + // CERT_S, SIG_S
+			o.costs.Verify + // PROF_S admin signature
+			o.costs.KexShared
 		o.tel.count(opsVerify, 3)
 		o.tel.count(opsKexShared, 1)
-		hmacs := int64(2) // MAC_{S,2} verify + MAC_{O,X}
-		if o.version != wire.V10 && o.prov.Level == L3 {
-			hmacs += int64(o.covertVariantCount()) * 2
-		}
-		o.tel.count(opsHMAC, hmacs)
-		o.tel.count(opsCipher, 1)
 	}
+	cost += time.Duration(hmacs) * o.costs.HMAC
+	o.tel.count(opsHMAC, int64(hmacs))
+	o.tel.count(opsCipher, 1)
 
 	var res *wire.RES2
 	switch {
@@ -433,7 +552,7 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 			o.tel.que2Result(resultFellow)
 			break
 		}
-		v := o.matchVariant(prof)
+		v := o.matchVariant(a.next.attrs)
 		if v == nil {
 			ts.Release()
 			o.tel.que2Result(resultSilent)
@@ -448,6 +567,20 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		return
 	}
 	o.markAnswered(key, sess)
+	if o.retry.Enabled() {
+		// Ratchet: the presented ticket is spent whether or not RES2 arrives.
+		// If it does not, and the subject's retransmissions (served from the
+		// cached RES2) all fail too, the subject's next short QUE2 is refused
+		// and it pays one full handshake.
+		if a.resumed {
+			o.tickets.drop(a.next.id)
+			o.tel.resumption(resultResumed)
+		} else {
+			o.tel.resumption(resultMinted)
+		}
+		next := a.next.minted(k2, tsHash)
+		o.tickets.put(next.id, next)
+	}
 	o.tel.response(cost, len(res.Ciphertext))
 	o.ep.Compute(cost, func() {
 		enc := res.Encode()
@@ -465,6 +598,9 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 // finds the session already gone.
 func (o *Object) markAnswered(key sessionKey, sess *objSession) {
 	sess.answered = true
+	// Only the cached RES2 is ever read again: let the handshake material go
+	// now rather than hold it for the rest of the resend window.
+	sess.rs, sess.ro, sess.kex, sess.que1Enc, sess.res1Enc = nil, nil, nil, nil, nil
 	o.scheduleGC(key, sess, o.retry.ttl()/2)
 }
 
@@ -500,13 +636,13 @@ func (o *Object) buildRES2(ts *wire.Transcript, m *wire.QUE2, key []byte, prof *
 
 // matchVariant returns the first Level 2 variant whose predicate matches the
 // subject's non-sensitive attributes (pred_i order fixed by the backend).
-func (o *Object) matchVariant(prof *cert.Profile) *backend.ObjectVariant {
+func (o *Object) matchVariant(attrs attr.Set) *backend.ObjectVariant {
 	for i := range o.prov.Variants {
 		v := &o.prov.Variants[i]
 		if v.IsCovert() {
 			continue
 		}
-		if v.Pred.Eval(prof.Attrs) {
+		if v.Pred.Eval(attrs) {
 			return v
 		}
 	}

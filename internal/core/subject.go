@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,9 @@ type Subject struct {
 	// the zero value never collides.
 	secRecorded map[transport.Addr]int
 
+	// tickets holds one resumption ticket per object address (resume.go).
+	tickets ticketTable[transport.Addr]
+
 	tel *subjectTelemetry
 
 	// OnDiscovery, if set, is invoked for every verified discovery, on the
@@ -118,6 +122,15 @@ type subjSession struct {
 	expiry    *wheelEntry
 	sentAt    time.Duration
 	resent    bool
+
+	// Resumption state, enabled policies only. next is the binding of the
+	// ticket a verified RES2 will mint: a draft after a full QUE2, the ticket
+	// in use after a short one — and then res1 keeps the RES1 the short QUE2
+	// answered, so that a refusal can still be turned into the full handshake.
+	next    ticket
+	resumed bool
+	res1    []byte
+	tsHash  [32]byte // hash of ts, the cut both finished MACs and the next ticket bind
 }
 
 // NewSubject creates an engine from a backend provision, applying any
@@ -163,6 +176,10 @@ func (s *Subject) PendingSessions() int { return int(s.pendingN.Load()) }
 // syncPending republishes len(sessions) after a mutation; event-loop only.
 func (s *Subject) syncPending() { s.pendingN.Store(int64(len(s.sessions))) }
 
+// Tickets returns the number of resumption tickets held, one per object the
+// subject can resume with. Safe to call from any goroutine.
+func (s *Subject) Tickets() int { return s.tickets.size() }
+
 // instrument attaches a metrics registry and an optional span tracer.
 // Telemetry is purely observational — it consumes no randomness and
 // schedules no events, so instrumented and uninstrumented runs of the same
@@ -180,11 +197,13 @@ func (s *Subject) ID() cert.ID { return s.prov.ID }
 
 // Refresh applies a re-provision (new PROF, rotated group keys). A changed
 // trust anchor (backend re-keying) flushes the verification cache: results
-// proven against the old anchor say nothing about the new one.
+// proven against the old anchor say nothing about the new one. Resumption
+// tickets go either way: the objects hold the PROF_S each was minted with.
 func (s *Subject) Refresh(prov *backend.SubjectProvision) {
 	if !bytes.Equal(s.prov.CACert, prov.CACert) {
 		s.vcache.Flush()
 	}
+	s.tickets.flush()
 	s.prov = prov
 	if s.activeGroup >= len(prov.Memberships) {
 		s.activeGroup = 0
@@ -420,15 +439,18 @@ func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
 // on the plaintext profile (the subject's only compute-intensive operation in
 // Level 1, Fig 6b).
 func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
+	if s.l1Recorded[from] {
+		// Duplicate delivery of this round's plaintext RES1 (every probe
+		// draws one). Tested before the verification it would otherwise pay
+		// for nothing; the mark is only ever set after one succeeded.
+		return
+	}
 	prof, err := cert.DecodeProfile(m.Prof)
 	if err != nil || prof.Kind != cert.RoleObject {
 		return
 	}
 	if err := s.vcache.VerifyProfileAnchored(prof, m.Prof, s.prov.CACert, s.prov.AdminPub, time.Now()); err != nil {
 		return
-	}
-	if s.l1Recorded[from] {
-		return // duplicate delivery of this round's plaintext RES1
 	}
 	s.l1Recorded[from] = true
 	s.noteRES1()
@@ -479,6 +501,29 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		s.syncPending()
 	}
 	s.noteRES1()
+	if t := s.ticketFor(from, m.CertO); t != nil {
+		s.resumedQUE2(from, m, raw, t)
+		return
+	}
+	s.fullQUE2(from, m, raw)
+}
+
+// ticketFor returns the subject's ticket for the object at from, if it was
+// minted under the CERT_O this RES1 presents and its window is still open.
+// A ticket that does not fit is left alone: the full handshake that follows
+// replaces it if it completes, and a forged RES1 must not be able to cost the
+// subject a good ticket.
+func (s *Subject) ticketFor(from transport.Addr, certO []byte) *ticket {
+	t := s.tickets.get(from)
+	if t == nil || t.certO != sha256.Sum256(certO) || !t.valid(time.Now()) {
+		return nil
+	}
+	return t
+}
+
+// fullQUE2 answers a secure RES1 with the full QUE2: authenticate the object
+// (CERT_O, SIG_O), run the ephemeral ECDH, sign the transcript.
+func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
 	info, err := s.vcache.VerifyCert(s.prov.CACert, m.CertO, s.prov.Strength)
 	if err != nil || info.Role != cert.RoleObject {
 		return
@@ -497,7 +542,6 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	if err != nil {
 		return
 	}
-	k2 := suite.SessionKey2(preK, s.rs, m.RO)
 
 	q := &wire.QUE2{
 		Version: s.version,
@@ -517,17 +561,58 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		return
 	}
 	q.Sig = sig
-
 	ts := wire.NewTranscript(len(sigIn) + len(sig))
 	ts.Add(sigIn)
 	ts.Add(sig)
 	wire.PutScratch(sigIn)
-	tsHash := ts.Hash()
-	q.MACS2 = suite.FinishedMAC(k2, suite.LabelSubjectFinished, tsHash)
 
-	sess := &subjSession{objAddr: from, ro: append([]byte(nil), m.RO...), k2: k2, ts: ts, round: s.round}
+	sess := &subjSession{k2: suite.SessionKey2(preK, s.rs, m.RO), ts: ts}
+	if s.retry.Enabled() {
+		sess.next = ticket{peer: from, certO: sha256.Sum256(m.CertO), notBefore: info.NotBefore, notAfter: info.NotAfter}
+	}
+	// Fig 6b subject cost in Level 2/3: 1 signing, 3 verifications (CERT_O,
+	// KEXM_O signature, and later PROF_O), 2 ECDH operations. The PROF_O
+	// verification and decryption are charged at RES2 time.
+	if s.tel != nil {
+		s.tel.count(opsVerify, 2)
+		s.tel.count(opsKexGen, 1)
+		s.tel.count(opsKexShared, 1)
+		s.tel.count(opsSign, 1)
+	}
+	s.sendQUE2(from, m.RO, q, sess, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
+}
+
+// resumedQUE2 answers a secure RES1 from an object the subject holds a ticket
+// for with the short QUE2: no CERT_O or SIG_O check, no key generation, no
+// ECDH, no signature. K2′ comes from the ticket's secret and the two fresh
+// nonces, and only an object holding the same secret can produce the MAC_O
+// that completes the session — until then nothing the RES1 claimed is
+// believed, and nothing but HMACs was spent on it.
+func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *ticket) {
+	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: t.id[:]}
+	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
+	ts := wire.NewTranscript(len(in))
+	ts.Add(in)
+	wire.PutScratch(in)
+	sess := &subjSession{
+		k2: suite.SessionKey2(t.secret, s.rs, m.RO), ts: ts,
+		next: *t, resumed: true, res1: append([]byte(nil), raw...),
+	}
+	s.sendQUE2(from, m.RO, q, sess, 0)
+}
+
+// sendQUE2 is the subject's phase 2 downstream of K2, the same for a full and
+// a resumed session: the finished MACs over the transcript cut (K3 from the
+// round's active group key), the session and its expiry, and — after the
+// modeled compute time — the frame and its retransmission deadline. cost is
+// what establishing K2 took; the key derivation and the MACs are added here.
+func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *subjSession, cost time.Duration) {
+	tsHash := sess.ts.Hash()
+	sess.tsHash = tsHash
+	q.MACS2 = suite.FinishedMAC(sess.k2, suite.LabelSubjectFinished, tsHash)
+	sess.objAddr, sess.ro, sess.round, sess.que2 = from, append([]byte(nil), ro...), s.round, q
 	sess.stamps = phaseStamps{session: s.tel.session(), secure: true, que1At: s.que1At, res1At: s.ep.Now()}
-	extraHMACs := 0
+	hmacs := 2 // K2 derivation + MAC_{S,2}
 	if s.version != wire.V10 && len(s.prov.Memberships) > 0 {
 		// v2.0: MAC_{S,3} is attached only when performing Level 3 discovery,
 		// i.e. when the subject actually holds a real group key — the
@@ -536,34 +621,20 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		// looks the same.
 		mem := s.prov.Memberships[s.activeGroup%len(s.prov.Memberships)]
 		if s.version == wire.V30 || !mem.CoverUp {
-			k3 := suite.SessionKey3(k2, mem.Key, s.rs, m.RO)
-			q.MACS3 = suite.FinishedMAC(k3, suite.LabelSubjectFinished, tsHash)
-			sess.k3 = k3
+			sess.k3 = suite.SessionKey3(sess.k2, mem.Key, s.rs, ro)
+			q.MACS3 = suite.FinishedMAC(sess.k3, suite.LabelSubjectFinished, tsHash)
 			sess.group = mem.Group
-			extraHMACs = 2 // K3 derivation + MAC_{S,3}
+			hmacs += 2 // K3 derivation + MAC_{S,3}
 		}
 	}
-	sess.que2 = q
 	key := mkSessionKey(from, s.rs)
 	s.sessions[key] = sess
 	s.syncPending()
 	if s.retry.Enabled() {
 		s.scheduleExpiry(key, sess)
 	}
-
-	// Fig 6b subject cost in Level 2/3: 1 signing, 3 verifications (CERT_O,
-	// KEXM_O signature, and later PROF_O), 2 ECDH operations. The PROF_O
-	// verification and decryption are charged at RES2 time.
-	cost := 2*s.costs.Verify + s.costs.KexGen + s.costs.KexShared +
-		s.costs.Sign + (2+time.Duration(extraHMACs))*s.costs.HMAC
-	if s.tel != nil {
-		s.tel.count(opsVerify, 2)
-		s.tel.count(opsKexGen, 1)
-		s.tel.count(opsKexShared, 1)
-		s.tel.count(opsSign, 1)
-		s.tel.count(opsHMAC, int64(2+extraHMACs))
-	}
-	s.ep.Compute(cost, func() {
+	s.tel.count(opsHMAC, int64(hmacs))
+	s.ep.Compute(cost+time.Duration(hmacs)*s.costs.HMAC, func() {
 		sess.stamps.que2At = s.ep.Now()
 		enc := q.Encode()
 		sess.que2Enc = enc
@@ -648,6 +719,10 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		s.noteActivity()
 		return
 	}
+	if sess.resumed && m.Refusal() {
+		s.refused(key, sess)
+		return
+	}
 	if !s.retry.Enabled() {
 		delete(s.sessions, key)
 		s.syncPending()
@@ -699,9 +774,24 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		return // service information is admin-signed end to end
 	}
 
-	cost := 2*s.costs.HMAC + s.costs.Cipher + s.costs.Verify
+	hmacs := 2
+	if s.retry.Enabled() {
+		// The handshake is complete and everything it carried is verified:
+		// file the ticket for the next one. After a resumed session this is
+		// the ratchet step — the ticket just used is overwritten.
+		next := sess.next.minted(sess.k2, sess.tsHash)
+		next.narrowTo(prof.Window())
+		s.tickets.put(from, next)
+		if sess.resumed {
+			s.tel.resumption(resultResumed)
+		} else {
+			s.tel.resumption(resultMinted)
+		}
+		hmacs++
+	}
+	cost := time.Duration(hmacs)*s.costs.HMAC + s.costs.Cipher + s.costs.Verify
 	if s.tel != nil {
-		s.tel.count(opsHMAC, 2)
+		s.tel.count(opsHMAC, int64(hmacs))
 		s.tel.count(opsCipher, 1)
 		s.tel.count(opsVerify, 1)
 	}
@@ -717,6 +807,30 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 			Round:   sess.round,
 		})
 	})
+}
+
+// refused handles the empty RES2 by which an object declines the ticket of a
+// resumed session (evicted, flushed, expired, or a ratchet step ahead after a
+// lost RES2): forget the ticket and finish the full handshake from the RES1
+// the session kept. The object left its half of the session pending for
+// exactly this, so the round loses one round trip and waits for no timer. A
+// forged refusal buys an attacker nothing more than that full handshake.
+func (s *Subject) refused(key sessionKey, sess *subjSession) {
+	s.tel.resumption(resultRefused)
+	if t := s.tickets.get(sess.objAddr); t != nil && t.id == sess.next.id {
+		s.tickets.drop(sess.objAddr)
+	}
+	s.dropSessionTimers(sess)
+	delete(s.sessions, key)
+	s.syncPending()
+	s.noteActivity()
+	if sess.round != s.round {
+		return // R_S has moved on; the new round handshakes for itself
+	}
+	m, _ := wire.Decode(sess.res1)
+	if res1, ok := m.(*wire.RES1); ok {
+		s.fullQUE2(sess.objAddr, res1, sess.res1)
+	}
 }
 
 func (s *Subject) record(d Discovery) {

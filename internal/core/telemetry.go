@@ -53,13 +53,23 @@ const (
 	msgRES2 = "res2"
 )
 
+// Result label values of obs.MResumptions, with resultRefused: the object
+// declined a ticket, and the full handshake follows.
+const (
+	resultResumed = "resumed" // a session completed on a ticket (and ratcheted it)
+	resultMinted  = "minted"  // a full handshake completed and filed a ticket
+)
+
 // robustness is the per-role retransmission/expiry/malformed counter block
 // shared by both engines (satellite of the fault-injection work: malformed
-// traffic used to vanish without a trace).
+// traffic used to vanish without a trace), plus the resumption outcomes.
 type robustness struct {
 	retrans   map[string]*obs.Counter // by msg label
 	expired   *obs.Counter
 	malformed *obs.Counter
+	// Resumption outcomes. Fields, not a map like retrans: an idle engine's
+	// heap is a benchmark metric, and a three-entry map is 300 B of it.
+	resumed, refused, minted *obs.Counter
 }
 
 func newRobustness(reg *obs.Registry, role string, msgs []string) robustness {
@@ -77,7 +87,24 @@ func newRobustness(reg *obs.Registry, role string, msgs []string) robustness {
 			"Protocol messages retransmitted (timeouts or duplicate-query resends).",
 			obs.L("role", role), obs.L("msg", m))
 	}
+	res := func(result string) *obs.Counter {
+		return reg.Counter(obs.MResumptions,
+			"Session resumption outcomes: sessions completed on a ticket, tickets refused, tickets minted by a full handshake.",
+			obs.L("side", role), obs.L("result", result))
+	}
+	r.resumed, r.refused, r.minted = res(resultResumed), res(resultRefused), res(resultMinted)
 	return r
+}
+
+// resumption returns the counter of one resumption outcome.
+func (r *robustness) resumption(result string) *obs.Counter {
+	switch result {
+	case resultResumed:
+		return r.resumed
+	case resultRefused:
+		return r.refused
+	}
+	return r.minted
 }
 
 // subjectTelemetry instruments the subject engine.
@@ -182,6 +209,13 @@ func (t *subjectTelemetry) retransmit(msg string) {
 	t.rob.retrans[msg].Inc()
 }
 
+func (t *subjectTelemetry) resumption(result string) {
+	if t == nil {
+		return
+	}
+	t.rob.resumption(result).Inc()
+}
+
 func (t *subjectTelemetry) sessionExpired() {
 	if t == nil {
 		return
@@ -275,6 +309,13 @@ func (t *objectTelemetry) retransmit(msg string) {
 		return
 	}
 	t.rob.retrans[msg].Inc()
+}
+
+func (t *objectTelemetry) resumption(result string) {
+	if t == nil {
+		return
+	}
+	t.rob.resumption(result).Inc()
 }
 
 func (t *objectTelemetry) sessionExpired() {

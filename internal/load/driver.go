@@ -601,7 +601,10 @@ func (r *runner) roam(wave int) error {
 }
 
 // advCounters is the trio of object-side outcome counters the adversary
-// phase holds to exact deltas.
+// phase holds to exact deltas. rejected is every QUE2 an object judged and
+// declined to serve: failed authentication, or — a replayed short QUE2, whose
+// ticket is spent or filed under the honest subject's address — a refused
+// resumption.
 type advCounters struct{ orphan, duplicate, rejected int64 }
 
 func (r *runner) advCountersNow() advCounters {
@@ -609,7 +612,8 @@ func (r *runner) advCountersNow() advCounters {
 	return advCounters{
 		orphan:    sumFamily(snap, obs.MObjectQue2, obs.L("result", "orphan")),
 		duplicate: sumFamily(snap, obs.MObjectQue1, obs.L("result", "duplicate")),
-		rejected:  sumFamily(snap, obs.MObjectQue2, obs.L("result", "rejected")),
+		rejected: sumFamily(snap, obs.MObjectQue2, obs.L("result", "rejected")) +
+			sumFamily(snap, obs.MResumptions, obs.L("side", "object"), obs.L("result", "refused")),
 	}
 }
 

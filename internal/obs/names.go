@@ -45,6 +45,7 @@ const (
 	MRetransmissions = "argus_retransmissions_total"  // role, msg
 	MSessionsExpired = "argus_sessions_expired_total" // role
 	MMalformedDrops  = "argus_malformed_drops_total"  // role
+	MResumptions     = "argus_resumptions_total"      // side, result
 
 	// internal/cert — credential verification cache (handshake fast path).
 	MVerifyCacheEvents = "argus_verify_cache_events_total" // kind, result

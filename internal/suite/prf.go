@@ -13,6 +13,16 @@ const (
 	LabelObjectFinished  = "object finished"
 )
 
+// Resumption labels (DESIGN.md §15; not in the paper): the key schedule of a
+// repeat discovery between two ends that completed a handshake before.
+const (
+	LabelResumption = "resumption secret"
+	LabelTicketID   = "resumption ticket"
+)
+
+// TicketIDSize is the byte length of a resumption ticket id on the wire.
+const TicketIDSize = 16
+
 // PRF is the HMAC-based pseudorandom function HMAC(secret, seed) used
 // throughout the key schedule (§V). The output is truncated or expanded to
 // size bytes using an HKDF-expand-style counter construction; for the
@@ -61,6 +71,26 @@ func SessionKey3(k2, groupKey, rs, ro []byte) []byte {
 	seed = append(seed, rs...)
 	seed = append(seed, ro...)
 	return PRF(secret, seed, KeySize)
+}
+
+// ResumptionTicket derives what both ends of a completed handshake keep for
+// the next one, with nothing extra on the wire:
+//
+//	secret = HMAC(K2, "resumption secret" ‖ SHA-256(transcript))
+//	id     = SHA-256("resumption ticket" ‖ secret)[:16]
+//
+// The secret stands in for the ECDH premaster of the next session
+// (K2′ = SessionKey2(secret, R_S, R_O)); the id names it in the short QUE2.
+// Applied again to K2′ and the resumed session's transcript it is the ratchet:
+// every step is one-way, so a secret read off a compromised device opens no
+// earlier session, and the public id reveals nothing of the secret it hashes.
+func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byte, id [TicketIDSize]byte) {
+	secret = FinishedMAC(k2, LabelResumption, transcriptHash)
+	var in [len(LabelTicketID) + sha256.Size]byte
+	copy(in[copy(in[:], LabelTicketID):], secret)
+	sum := sha256.Sum256(in[:])
+	copy(id[:], sum[:])
+	return secret, id
 }
 
 // FinishedMAC computes a finished MAC

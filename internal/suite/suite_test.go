@@ -224,6 +224,40 @@ func TestFinishedMAC(t *testing.T) {
 	}
 }
 
+// TestResumptionTicket: both ends derive the same ticket from (K2, transcript),
+// it is bound to both, it opens a chain (each step from the key of the session
+// it just served), and neither the id nor a later secret is any of the values
+// it was derived from.
+func TestResumptionTicket(t *testing.T) {
+	k2 := bytes.Repeat([]byte{5}, KeySize)
+	h := sha256.Sum256([]byte("transcript"))
+	secret, id := ResumptionTicket(k2, h)
+	if len(secret) != KeySize || len(id) != TicketIDSize {
+		t.Fatalf("secret %d B, id %d B", len(secret), len(id))
+	}
+	again, idAgain := ResumptionTicket(k2, h)
+	if !bytes.Equal(secret, again) || id != idAgain {
+		t.Fatal("derivation is not deterministic: the two ends would disagree")
+	}
+	if s2, id2 := ResumptionTicket(bytes.Repeat([]byte{6}, KeySize), h); bytes.Equal(s2, secret) || id2 == id {
+		t.Fatal("ticket ignores K2")
+	}
+	if s2, id2 := ResumptionTicket(k2, sha256.Sum256([]byte("another transcript"))); bytes.Equal(s2, secret) || id2 == id {
+		t.Fatal("ticket ignores the transcript")
+	}
+	if bytes.Equal(secret, k2) || bytes.Contains(secret, id[:]) || bytes.Equal(secret, FinishedMAC(k2, LabelSubjectFinished, h)) {
+		t.Fatal("ticket collides with a value of the handshake it came from")
+	}
+	// The ratchet: the next session's key comes from the secret and fresh
+	// nonces, and the next ticket from that key.
+	rs, ro := bytes.Repeat([]byte{1}, NonceSize), bytes.Repeat([]byte{2}, NonceSize)
+	k2next := SessionKey2(secret, rs, ro)
+	next, idNext := ResumptionTicket(k2next, h)
+	if bytes.Equal(next, secret) || idNext == id || bytes.Equal(k2next, k2) {
+		t.Fatal("the ratchet did not move")
+	}
+}
+
 func TestProfileCipherRoundTrip(t *testing.T) {
 	key := bytes.Repeat([]byte{7}, KeySize)
 	for _, n := range []int{0, 1, 15, 16, 17, 200, 1000} {

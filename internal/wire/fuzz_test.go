@@ -56,6 +56,7 @@ func TestDecodeEncodedIdempotent(t *testing.T) {
 			CertO: make([]byte, 100), KEXMO: make([]byte, 64), Sig: make([]byte, 64)},
 		que2For(V20, true),
 		que2For(V10, false),
+		que2Resumed(V30),
 		&RES2{Version: V30, Ciphertext: make([]byte, 64), MACO: make([]byte, 32)},
 	}
 	for i, m := range msgs {
@@ -90,6 +91,9 @@ func goldenEncodings() [][]byte {
 		que2For(V10, false).Encode(),
 		que2For(V20, true).Encode(),
 		que2For(V30, true).Encode(),
+		que2Resumed(V10).Encode(),
+		que2Resumed(V30).Encode(),
+		(&RES2{Version: V30}).Encode(), // the resumption refusal
 		(&RES2{Version: V10, Ciphertext: bytes.Repeat([]byte{8}, 256),
 			MACO: bytes.Repeat([]byte{9}, 32)}).Encode(),
 		(&RES2{Version: V30, Ciphertext: bytes.Repeat([]byte{10}, 64),
@@ -130,6 +134,7 @@ func FuzzDecodeQUE2(f *testing.F) {
 	f.Add(que2For(V20, false).Encode())
 	f.Add(que2For(V20, true).Encode())
 	f.Add(que2For(V30, true).Encode())
+	f.Add(que2Resumed(V30).Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

@@ -222,18 +222,35 @@ type QUE2 struct {
 	// subject performs Level 3 discovery (the distinguishability leak);
 	// always present in v3.0 (cover-up keys make it universal, §VI-B).
 	MACS3 []byte
+	// Ticket, when set, makes this the short QUE2 of a resumed session
+	// (DESIGN.md §15): it names a secret both ends derived from an earlier
+	// handshake, and stands in for ProfS, CertS, KEXMS and Sig, which are
+	// not encoded. Same tag; the high bit of the R_S length octet marks it.
+	Ticket []byte
 }
+
+// que2Short flags the short form in QUE2's R_S length octet (R_S is 28 B).
+const que2Short = 0x80
 
 // Type implements Message.
 func (m *QUE2) Type() MsgType { return TQUE2 }
 
 // coreSize returns the encoded length of the signature-covered core fields.
 func (m *QUE2) coreSize() int {
+	if len(m.Ticket) > 0 {
+		return 1 + len(m.RS) + 2 + len(m.Ticket)
+	}
 	return 1 + len(m.RS) + 6 + len(m.ProfS) + len(m.CertS) + len(m.KEXMS)
 }
 
-// appendCore appends the fields covered by the subject's signature.
+// appendCore appends the fields covered by the subject's signature — in the
+// short form, which carries none, the fields the finished MACs cover.
 func (m *QUE2) appendCore(buf []byte) []byte {
+	if len(m.Ticket) > 0 {
+		buf = append(buf, que2Short|byte(len(m.RS)))
+		buf = append(buf, m.RS...)
+		return appendBytes16(buf, m.Ticket)
+	}
 	buf = append(buf, byte(len(m.RS)))
 	buf = append(buf, m.RS...)
 	buf = appendBytes16(buf, m.ProfS)
@@ -243,7 +260,10 @@ func (m *QUE2) appendCore(buf []byte) []byte {
 
 // EncodedSize implements Message.
 func (m *QUE2) EncodedSize() int {
-	n := 2 + m.coreSize() + 2 + len(m.Sig) + 2 + len(m.MACS2)
+	n := 2 + m.coreSize() + 2 + len(m.MACS2)
+	if len(m.Ticket) == 0 {
+		n += 2 + len(m.Sig)
+	}
 	if m.Version != V10 {
 		n += 2 + len(m.MACS3)
 	}
@@ -254,7 +274,9 @@ func (m *QUE2) EncodedSize() int {
 func (m *QUE2) AppendTo(buf []byte) []byte {
 	buf = append(buf, byte(TQUE2), byte(m.Version))
 	buf = m.appendCore(buf)
-	buf = appendBytes16(buf, m.Sig)
+	if len(m.Ticket) == 0 {
+		buf = appendBytes16(buf, m.Sig)
+	}
 	buf = appendBytes16(buf, m.MACS2)
 	if m.Version != V10 {
 		// v2.0 carries MAC_{S,3} only during Level 3 discovery; v3.0 always.
@@ -280,6 +302,12 @@ type RES2 struct {
 
 // Type implements Message.
 func (m *RES2) Type() MsgType { return TRES2 }
+
+// Refusal reports whether this is the empty RES2 by which an object declines
+// a resumption ticket: the subject then finishes the full handshake from the
+// RES1 it holds. It is unauthenticated on purpose — the object has no key to
+// sign it with, and a forged one only costs the subject the full handshake.
+func (m *RES2) Refusal() bool { return len(m.Ciphertext) == 0 && len(m.MACO) == 0 }
 
 // EncodedSize implements Message.
 func (m *RES2) EncodedSize() int { return 2 + 4 + len(m.Ciphertext) + len(m.MACO) }
@@ -337,11 +365,18 @@ func Decode(b []byte) (Message, error) {
 		return m, nil
 	case TQUE2:
 		m := &QUE2{Version: ver}
-		m.RS = r.Raw(int(r.U8()))
-		m.ProfS = r.Bytes16()
-		m.CertS = r.Bytes16()
-		m.KEXMS = r.Bytes16()
-		m.Sig = r.Bytes16()
+		if n := r.U8(); n&que2Short != 0 {
+			m.RS = r.Raw(int(n &^ que2Short))
+			if m.Ticket = r.Bytes16(); len(m.Ticket) == 0 && r.Err() == nil {
+				return nil, errors.New("wire: short QUE2 missing ticket")
+			}
+		} else {
+			m.RS = r.Raw(int(n))
+			m.ProfS = r.Bytes16()
+			m.CertS = r.Bytes16()
+			m.KEXMS = r.Bytes16()
+			m.Sig = r.Bytes16()
+		}
 		m.MACS2 = r.Bytes16()
 		if ver != V10 {
 			m.MACS3 = r.Bytes16()

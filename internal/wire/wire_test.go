@@ -85,6 +85,56 @@ func que2For(v Version, withMAC3 bool) *QUE2 {
 	return m
 }
 
+// que2Resumed is the short QUE2 of a resumed session: ticket and MACs only.
+func que2Resumed(v Version) *QUE2 {
+	m := &QUE2{Version: v, RS: nonce(1), Ticket: bytes.Repeat([]byte{12}, suite.TicketIDSize), MACS2: bytes.Repeat([]byte{10}, 32)}
+	if v != V10 {
+		m.MACS3 = bytes.Repeat([]byte{11}, 32)
+	}
+	return m
+}
+
+func TestShortQUE2RoundTripAndShape(t *testing.T) {
+	for _, v := range []Version{V10, V20, V30} {
+		m := que2Resumed(v)
+		enc := m.Encode()
+		if enc[0] != byte(TQUE2) {
+			t.Fatalf("%v: short QUE2 tag = %d, want TQUE2", v, enc[0])
+		}
+		if len(enc) != m.EncodedSize() {
+			t.Errorf("%v: EncodedSize %d != len(Encode) %d", v, m.EncodedSize(), len(enc))
+		}
+		got, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		q := got.(*QUE2)
+		if !bytes.Equal(q.RS, m.RS) || !bytes.Equal(q.Ticket, m.Ticket) ||
+			!bytes.Equal(q.MACS2, m.MACS2) || !bytes.Equal(q.MACS3, m.MACS3) {
+			t.Errorf("%v: short QUE2 round trip mismatch", v)
+		}
+		if q.ProfS != nil || q.CertS != nil || q.KEXMS != nil || q.Sig != nil {
+			t.Errorf("%v: short QUE2 decoded credential fields", v)
+		}
+		// The MACs cover R_S and the ticket through the transcript prefix.
+		in := SigInputQUE2([]byte("que1"), []byte("res1"), m)
+		if !bytes.Contains(in, m.Ticket) || len(in) != SigInputSizeQUE2([]byte("que1"), []byte("res1"), m) {
+			t.Errorf("%v: transcript prefix does not cover the ticket", v)
+		}
+	}
+	// A short form without a ticket would re-encode as a (different) full
+	// form, so it is not a message.
+	bad := que2Resumed(V30).Encode()
+	bad = append(bad[:3+28], append([]byte{0, 0}, bad[3+28+2+suite.TicketIDSize:]...)...)
+	if _, err := Decode(bad); err == nil {
+		t.Error("short QUE2 with an empty ticket decoded")
+	}
+	// The refusal is the empty RES2 and nothing else.
+	if !(&RES2{Version: V30}).Refusal() || (&RES2{Version: V30, MACO: []byte{1}}).Refusal() {
+		t.Error("RES2.Refusal misclassifies")
+	}
+}
+
 func TestQUE2RoundTrip(t *testing.T) {
 	cases := []struct {
 		v        Version
