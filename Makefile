@@ -1,20 +1,26 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-# Comparing two revisions of the handshake fast path (BENCH_N.json trajectory):
+# Comparing two revisions:
 #
-#   go test -bench=Handshake -benchmem -count=10 -run=^$ . > old.txt
+#   bash benchmark/run.sh --seed 1 --out benchmark/out/a.json   # at the parent
 #   <apply change>
-#   go test -bench=Handshake -benchmem -count=10 -run=^$ . > new.txt
-#   benchstat old.txt new.txt        # if benchstat is installed; otherwise
-#                                    # diff the BENCH_*.json files, which carry
-#                                    # the same per-experiment wall times
+#   bash benchmark/run.sh --seed 1 --out benchmark/out/b.json
+#   bash benchmark/run.sh --compare benchmark/out/a.json benchmark/out/b.json
 #
-# `make bench-json` regenerates BENCH_4.json (fastpath and mesh-throughput
-# experiments), BENCH_5.json (the `standard` soak) and BENCH_8.json (service
-# churn) — commit them alongside any change that moves handshake,
-# provisioning, or concurrent-discovery cost. The diffable PR-to-PR
-# benchmark is the nested module in benchmark/ (BENCHMARK.json).
+# is the diffable PR-to-PR benchmark (the nested module in benchmark/, declared
+# by BENCHMARK.json: four workloads, eleven end-to-end metrics with bounds, a
+# per-layer budget); a claimed gain takes ten alternated pairs. Beside it:
+#
+#   make bench-check   allocs/op ceilings of the codec and the warm handshake
+#                      (internal/wire, internal/core; scripts/check_bench.sh)
+#   make bench-json    regenerates BENCH_4.json (fastpath and mesh-throughput
+#                      experiments), BENCH_5.json (the `standard` soak) and
+#                      BENCH_8.json (service churn)
+#   make capacity      regenerates BENCH_10.json (the capacity knee)
+#
+# The BENCH_N.json files are each PR's own record, in that PR's schema; commit
+# the ones a change moves.
 
 .PHONY: build bench-build test race vet verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
@@ -54,12 +60,13 @@ cover-check:
 # Full gate: everything CI and the verify skill run.
 verify: build vet test bench-build race
 
-# Wire-codec fuzzing (one target per invocation: go test allows a single
+# Codec and key-schedule fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeQUE2$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeRES2$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/suite -run='^$$' -fuzz='^FuzzMACMatchesStdlib$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/backend -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/realtime -run='^$$' -fuzz='^FuzzTailDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/backendsvc -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)

@@ -236,6 +236,29 @@ func TestProfilePadding(t *testing.T) {
 	}
 }
 
+// EncodedLen is computed from the field lengths; it must stay len(Encode())
+// whatever fields are present.
+func TestEncodedLenMatchesEncode(t *testing.T) {
+	admin := newTestAdmin(t)
+	signed := testProfile()
+	if err := admin.SignProfile(signed); err != nil {
+		t.Fatal(err)
+	}
+	chained := testProfile()
+	chained.Sig = []byte("sig")
+	chained.SignerChain = [][]byte{[]byte("leaf-der"), nil, []byte("intermediate-der")}
+	for name, p := range map[string]*Profile{
+		"empty":    {Kind: RoleSubject},
+		"unsigned": testProfile(),
+		"signed":   signed,
+		"chained":  chained,
+	} {
+		if got, want := p.EncodedLen(), len(p.Encode()); got != want {
+			t.Errorf("%s: EncodedLen = %d, Encode is %d bytes", name, got, want)
+		}
+	}
+}
+
 func TestIDHelpers(t *testing.T) {
 	a := IDFromName("alpha")
 	b := IDFromName("alpha")

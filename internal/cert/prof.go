@@ -75,8 +75,24 @@ func (p *Profile) Encode() []byte {
 	return w.Bytes()
 }
 
-// EncodedLen returns the wire length of the profile.
-func (p *Profile) EncodedLen() int { return len(p.Encode()) }
+// EncodedLen returns the wire length of the profile, len(p.Encode()), from
+// the field lengths.
+func (p *Profile) EncodedLen() int {
+	n := 1 + 1 + len(p.Entity) + 4 + 8 + 8 + 8 // version … Expires
+	n += 2
+	for name, val := range p.Attrs {
+		n += 2 + len(name) + 2 + len(val)
+	}
+	n += 2
+	for _, f := range p.Functions {
+		n += 2 + len(f)
+	}
+	n += 2 + len(p.Note) + 2 + len(p.Sig) + 1
+	for _, c := range p.SignerChain {
+		n += 2 + len(c)
+	}
+	return n
+}
 
 // DecodeProfile parses a wire-encoded profile. The signature is not verified;
 // call Verify.

@@ -117,35 +117,12 @@ func mkSessionKey(peer transport.Addr, rs []byte) sessionKey {
 	return k
 }
 
-// transcriptS returns the transcript cut for the subject finished MACs:
-// QUE1 ‖ RES1 ‖ QUE2 core fields ‖ subject signature ("*" at the point the
-// subject finishes, §V).
-func transcriptS(que1Enc, res1Enc []byte, q *wire.QUE2) *wire.Transcript {
-	t := &wire.Transcript{}
-	t.Add(wire.SigInputQUE2(que1Enc, res1Enc, q))
-	t.Add(q.Sig)
-	return t
-}
-
-// transcriptO extends the subject cut with the finished MACs of QUE2 and the
-// RES2 ciphertext — everything sent and received when the object finishes.
-func transcriptO(ts *wire.Transcript, q *wire.QUE2, ciphertext []byte) *wire.Transcript {
-	t := ts.Clone()
-	t.Add(q.MACS2)
-	t.Add(q.MACS3)
-	t.Add(ciphertext)
-	return t
-}
-
-// transcriptOHash is the hot-path form of transcriptO: both engines only
-// ever hash the object cut, so the extension lives in a pooled buffer that
-// is released before returning instead of surviving as garbage.
-func transcriptOHash(ts *wire.Transcript, q *wire.QUE2, ciphertext []byte) [32]byte {
-	t := ts.CloneInto(len(q.MACS2) + len(q.MACS3) + len(ciphertext))
-	t.Add(q.MACS2)
-	t.Add(q.MACS3)
-	t.Add(ciphertext)
-	h := t.Hash()
-	t.Release()
-	return h
+// transcriptOHash extends the subject's transcript cut — QUE1 ‖ RES1 ‖ QUE2
+// core fields ‖ subject signature (§V) — with the finished MACs of QUE2 and
+// the RES2 ciphertext, "*" when the object finishes, and hashes that. ts is a
+// copy: the caller's cut stays put, so a subject whose RES2 turns out
+// corrupted evaluates the retransmission from the same state.
+func transcriptOHash(ts wire.Transcript, q *wire.QUE2, ciphertext []byte) [32]byte {
+	ts.Add(q.MACS2, q.MACS3, ciphertext)
+	return ts.Hash()
 }

@@ -367,6 +367,38 @@ func TestRevokedSubjectIsRefused(t *testing.T) {
 	}
 }
 
+// TestRefreshServesTheNewProfiles: an object encodes its profiles when a
+// provision arrives, not per answer — so a Refresh must replace every one of
+// them, the public profile and the variants.
+func TestRefreshServesTheNewProfiles(t *testing.T) {
+	d := newDeployment(t)
+	d.b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("has(type)"), []string{"use"})
+	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30)
+	names := map[cert.ID]string{}
+	for name, level := range map[string]Level{"sign": L1, "printer": L2} {
+		names[d.addObject(name, level, attr.MustSet("type=device,floor=1"), []string{"use"}, wire.V30).ID()] = name
+	}
+	floors := func(res []Discovery) map[string]string {
+		out := map[string]string{}
+		for _, r := range res {
+			out[names[r.Object]] = r.Profile.Attrs["floor"]
+		}
+		return out
+	}
+	if got := floors(d.run()); got["sign"] != "1" || got["printer"] != "1" {
+		t.Fatalf("before the move: floors %v", got)
+	}
+	for id, name := range names {
+		if _, err := d.b.UpdateObjectAttrs(id, attr.MustSet("type=device,floor=2")); err != nil {
+			t.Fatal(err)
+		}
+		d.refreshObject(name)
+	}
+	if got := floors(d.run()[2:]); got["sign"] != "2" || got["printer"] != "2" {
+		t.Fatalf("after Refresh the objects still serve the old encodings: floors %v", got)
+	}
+}
+
 func TestDuplicateQUE1Suppressed(t *testing.T) {
 	// Objects detect duplicate queries via R_S (§IV-B): a flooded QUE1
 	// arriving over several paths triggers one RES1.

@@ -15,9 +15,12 @@ import (
 )
 
 // TestEnginesIgnoreGarbage feeds random and truncated payloads to both
-// engines: nothing may panic, nothing may be discovered — and none of it may
-// vanish silently: every undecodable frame must land on the malformed-drop
-// counter of the engine that received it.
+// engines: nothing may panic, nothing may be discovered — and no frame an
+// engine would have handled may vanish silently: every undecodable frame whose
+// type octet names a message of the receiving engine (or that has no type
+// octet at all) must land on that engine's malformed-drop counter, and frames
+// of any other type — the other engine's messages, which it overhears all day —
+// on none.
 func TestEnginesIgnoreGarbage(t *testing.T) {
 	d := newDeployment(t)
 	reg := obs.NewRegistry()
@@ -39,23 +42,33 @@ func TestEnginesIgnoreGarbage(t *testing.T) {
 		b[0], b[1] = byte(mt), byte(wire.V30)
 		payloads = append(payloads, b)
 	}
+	var wantSub, wantObj int64
 	for _, p := range payloads {
 		d.subject.Handle(netsim.AddrOf(1), p)
 		o.Handle(netsim.AddrOf(0), p)
+		if _, err := wire.Decode(p); err == nil {
+			continue
+		}
+		switch {
+		case len(p) == 0:
+			wantSub, wantObj = wantSub+1, wantObj+1
+		case p[0] == byte(wire.TRES1) || p[0] == byte(wire.TRES2):
+			wantSub++
+		case p[0] == byte(wire.TQUE1) || p[0] == byte(wire.TQUE2):
+			wantObj++
+		}
 	}
 	d.net.Run(0)
 	if len(d.subject.Results()) != 0 {
 		t.Fatal("garbage produced discoveries")
 	}
-	// Both engines saw the identical payload list, so their malformed-drop
-	// counts must match — and be non-zero, or the drop accounting is dead.
 	sub := counterValue(t, reg, obs.MMalformedDrops, obs.L("role", "subject"))
 	obj := counterValue(t, reg, obs.MMalformedDrops, obs.L("role", "object"))
-	if sub == 0 {
-		t.Error("subject dropped garbage without counting it")
+	if wantSub < 3 || wantObj < 3 {
+		t.Fatalf("payload list exercises too little: %d subject, %d object frames", wantSub, wantObj)
 	}
-	if sub != obj {
-		t.Errorf("malformed-drop counts diverged: subject %d, object %d", sub, obj)
+	if sub != wantSub || obj != wantObj {
+		t.Errorf("malformed drops: subject %d (want %d), object %d (want %d)", sub, wantSub, obj, wantObj)
 	}
 }
 
@@ -464,5 +477,79 @@ func TestProximityScopedVisibility(t *testing.T) {
 	after := d.subject.Results()[before:]
 	if len(after) != 1 || after[0].Node != netsim.AddrOf(room2) {
 		t.Fatalf("room 2 discoveries = %+v", after)
+	}
+}
+
+// TestOverheardFramesCostNothing: a broadcast is heard by every endpoint of
+// the cell, so each engine hears the other kind's messages all day. It drops
+// them on the type octet: no decode, no allocation, no malformed-drop count.
+func TestOverheardFramesCostNothing(t *testing.T) {
+	d := newDeployment(t)
+	reg := obs.NewRegistry()
+	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30, WithTelemetry(reg, nil))
+	o := d.addObject("safe", L2, attr.MustSet("type=safe"), []string{"open"}, wire.V30, WithTelemetry(reg, nil))
+
+	rs, _ := suite.NewNonce(nil)
+	que1 := (&wire.QUE1{Version: wire.V30, RS: rs}).Encode()
+	que2 := (&wire.QUE2{Version: wire.V30, RS: rs, Ticket: make([]byte, suite.TicketIDSize), MACS2: make([]byte, suite.MACSize)}).Encode()
+	res1 := (&wire.RES1{Version: wire.V30, Mode: wire.ModePublic, Prof: []byte("prof")}).Encode()
+	res2 := (&wire.RES2{Version: wire.V30, Ciphertext: make([]byte, 64), MACO: make([]byte, suite.MACSize)}).Encode()
+	peer := netsim.AddrOf(9)
+	for name, hear := range map[string]func(){
+		"subject hears QUE1": func() { d.subject.Handle(peer, que1) },
+		"subject hears QUE2": func() { d.subject.Handle(peer, que2) },
+		"object hears RES1":  func() { o.Handle(peer, res1) },
+		"object hears RES2":  func() { o.Handle(peer, res2) },
+	} {
+		if n := testing.AllocsPerRun(100, hear); n != 0 {
+			t.Errorf("%s: %.0f allocs, want 0", name, n)
+		}
+	}
+	if n := counterValue(t, reg, obs.MMalformedDrops); n != 0 {
+		t.Errorf("overheard frames counted as malformed: %d", n)
+	}
+}
+
+// TestCorruptedRES2ThenCleanRetransmission: a RES2 damaged in flight fails
+// both finished-MAC checks and leaves the session pending; evaluating it must
+// not move the session's transcript, because the clean copy the QUE2
+// retransmission fetches is verified from the same cut — in a full session
+// and in a resumed one.
+func TestCorruptedRES2ThenCleanRetransmission(t *testing.T) {
+	d, _, reg := gcFixture(t)
+	// Replace the first RES2 of each round, from each object, by a copy with
+	// one ciphertext bit flipped, and let every later one through.
+	damaged := map[netsim.NodeID]bool{}
+	d.net.SetDropFilter(func(from, _ netsim.NodeID, p []byte) bool {
+		if len(p) == 0 || p[0] != byte(wire.TRES2) || damaged[from] {
+			return false
+		}
+		damaged[from] = true
+		bad := append([]byte(nil), p...)
+		bad[len(bad)/2] ^= 0x10
+		d.subject.Handle(netsim.AddrOf(from), bad)
+		return true
+	})
+	for round, result := range []string{resultMinted, resultResumed} {
+		clear(damaged)
+		if err := d.subject.Discover(1); err != nil {
+			t.Fatal(err)
+		}
+		d.net.Run(0)
+		if len(damaged) != 3 {
+			t.Fatalf("round %d: %d RES2s damaged, want 3", round+1, len(damaged))
+		}
+		if got := len(d.subject.Results()); got != 3*(round+1) {
+			t.Fatalf("round %d: %d discoveries in all, want %d: a damaged RES2 cost the session its transcript", round+1, got, 3*(round+1))
+		}
+		if got := counterValue(t, reg, obs.MResumptions, obs.L("side", "subject"), obs.L("result", result)); got != 3 {
+			t.Fatalf("round %d: %d sessions %s, want 3", round+1, got, result)
+		}
+		if got := counterValue(t, reg, obs.MRetransmissions, obs.L("role", "object"), obs.L("msg", "res2")); got != int64(3*(round+1)) {
+			t.Fatalf("round %d: %d RES2 retransmissions in all, want %d", round+1, got, 3*(round+1))
+		}
+	}
+	if d.subject.PendingSessions() != 0 {
+		t.Fatalf("%d sessions left pending", d.subject.PendingSessions())
 	}
 }

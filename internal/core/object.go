@@ -41,6 +41,12 @@ type Object struct {
 	// tickets holds the resumption tickets minted for subjects, by ticket id
 	// (resume.go).
 	tickets ticketTable[ticketID]
+
+	// publicEnc and variantEnc are the wire encodings of prov.PublicProfile
+	// and of each prov.Variants[i].Profile, made when the provision arrives,
+	// not per answer.
+	publicEnc  []byte
+	variantEnc [][]byte
 }
 
 // Resource bounds. DoS resistance is a non-goal of the paper (§III), but an
@@ -84,6 +90,7 @@ func NewObject(prov *backend.ObjectProvision, version wire.Version, costs Costs,
 	for _, id := range prov.Revoked {
 		o.revoked[id] = true
 	}
+	o.encodeProfiles()
 	eo := applyOptions(opts)
 	if eo.hasRetry {
 		o.retry = eo.retry
@@ -107,6 +114,17 @@ func (o *Object) Bind(ep transport.Endpoint) {
 		o.wheel = newTimerWheel(ep)
 	}
 	ep.Bind(o)
+}
+
+// encodeProfiles fills publicEnc and variantEnc from the current provision.
+func (o *Object) encodeProfiles() {
+	o.publicEnc, o.variantEnc = nil, make([][]byte, 0, len(o.prov.Variants))
+	if p := o.prov.PublicProfile; p != nil {
+		o.publicEnc = p.Encode()
+	}
+	for _, v := range o.prov.Variants {
+		o.variantEnc = append(o.variantEnc, v.Profile.Encode())
+	}
 }
 
 // PendingSessions returns the number of sessions held (pending + answered).
@@ -154,6 +172,7 @@ func (o *Object) Refresh(prov *backend.ObjectProvision) {
 	}
 	o.tickets.flush()
 	o.prov = prov
+	o.encodeProfiles()
 	o.revoked = make(map[cert.ID]bool, len(prov.Revoked))
 	for _, id := range prov.Revoked {
 		o.revoked[id] = true
@@ -176,10 +195,13 @@ func (o *Object) Revoke(subject cert.ID) {
 
 // Handle implements transport.Handler.
 func (o *Object) Handle(from transport.Addr, payload []byte) {
+	if len(payload) > 0 && payload[0] != byte(wire.TQUE1) && payload[0] != byte(wire.TQUE2) {
+		return // an overheard RES1 or RES2: not worth a decode
+	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
 		// Malformed traffic (noise, or fault-injected corruption) is dropped,
-		// but no longer silently: the counter makes corruption storms visible.
+		// but not silently: the counter makes corruption storms visible.
 		o.tel.malformedDrop()
 		return
 	}
@@ -236,14 +258,15 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		res := &wire.RES1{
 			Version: o.version,
 			Mode:    wire.ModePublic,
-			Prof:    o.prov.PublicProfile.Encode(),
+			Prof:    o.publicEnc,
 		}
 		o.tel.que1Result(resultPublic)
 		enc := res.Encode()
 		if o.retry.Enabled() {
 			// Cache the answer so a duplicate QUE1 can resend it (the
-			// public path has no QUE2 to drive retransmission otherwise).
-			// Born answered: it lives for the resend window only.
+			// public path has no QUE2 to drive retransmission otherwise). It is
+			// never marked answered — handleQUE2 ignores a public session — so
+			// the collection armed here, at TTL/2, bounds the resend window.
 			sess := &objSession{subjAddr: from, public: true, res1Enc: enc}
 			o.sessions[key] = sess
 			o.syncPending()
@@ -278,10 +301,10 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	res.Sig = sig
 	sess := &objSession{
 		subjAddr: from,
-		rs:       append([]byte(nil), m.RS...),
+		rs:       m.RS, // a window on raw, like every decoded field
 		ro:       ro,
 		kex:      kex,
-		que1Enc:  append([]byte(nil), raw...),
+		que1Enc:  raw,
 	}
 	o.sessions[key] = sess
 	o.syncPending()
@@ -347,7 +370,7 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 // the response path: K2, the subject's transcript cut, and who the subject is.
 type que2Auth struct {
 	k2     []byte
-	ts     *wire.Transcript // answerQUE2 releases it
+	ts     wire.Transcript
 	tsHash [32]byte
 	// next binds the ticket the answer will mint: the subject's address,
 	// verified identity and PROF_S attributes, and their validity window. After a short
@@ -372,38 +395,31 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 		return reject() // de-authorized subjects stop seeing services (§VIII)
 	}
 	// The signature input doubles as the transcript prefix (§V): build it
-	// once in pooled scratch; if the signature holds, it seeds the transcript
-	// cut.
+	// once in pooled scratch, for the verification and for the transcript cut.
+	var a que2Auth
 	sigInput := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
-	if !info.Public.Verify(sigInput, m.Sig) {
-		wire.PutScratch(sigInput)
+	sigOK := info.Public.Verify(sigInput, m.Sig)
+	a.ts.Add(sigInput, m.Sig)
+	wire.PutScratch(sigInput)
+	if !sigOK {
 		return reject()
 	}
-	ts := wire.NewTranscript(len(sigInput) + len(m.Sig))
-	ts.Add(sigInput)
-	ts.Add(m.Sig)
-	wire.PutScratch(sigInput)
-	// ts is transient on the object side: every exit releases it.
 
 	prof, err := cert.DecodeProfile(m.ProfS)
 	if err != nil || prof.Kind != cert.RoleSubject || prof.Entity != info.ID {
-		ts.Release()
 		return reject()
 	}
 	if err := o.vcache.VerifyProfileAnchored(prof, m.ProfS, o.prov.CACert, o.prov.AdminPub, time.Now()); err != nil {
-		ts.Release()
 		return reject() // PROF must be admin-signed: attributes cannot be self-claimed
 	}
 
 	// Key establishment.
 	preK, err := sess.kex.Shared(m.KEXMS)
 	if err != nil {
-		ts.Release()
 		return reject()
 	}
-	a := que2Auth{k2: suite.SessionKey2(preK, sess.rs, sess.ro), ts: ts, tsHash: ts.Hash()}
+	a.k2, a.tsHash = suite.SessionKey2(preK, sess.rs, sess.ro), a.ts.Hash()
 	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
-		ts.Release()
 		return reject() // handshake failure
 	}
 	if o.retry.Enabled() {
@@ -447,13 +463,12 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2)
 		o.tel.que2Result(resultRejected)
 		return que2Auth{}, false // silence, as for the full QUE2 of a revoked subject
 	}
+	a := que2Auth{k2: suite.SessionKey2(t.secret, sess.rs, sess.ro), next: *t, resumed: true}
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
-	ts := wire.NewTranscript(len(in))
-	ts.Add(in)
+	a.ts.Add(in)
 	wire.PutScratch(in)
-	a := que2Auth{k2: suite.SessionKey2(t.secret, sess.rs, sess.ro), ts: ts, tsHash: ts.Hash(), next: *t, resumed: true}
+	a.tsHash = a.ts.Hash()
 	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
-		ts.Release()
 		o.tel.que2Result(resultRejected)
 		return que2Auth{}, false // corrupted, or not the ticket's holder: stay pending
 	}
@@ -469,7 +484,7 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 
 	// Level 3: test fellowship by verifying MAC_{S,3} against each group
 	// key the object serves (§VI-A, §VI-C).
-	var fellowVariant *backend.ObjectVariant
+	fellow := -1 // index of the covert variant whose group key the subject holds
 	var k3 []byte
 	trials := 0
 	switch {
@@ -483,7 +498,7 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 			}
 			cand := suite.SessionKey3(k2, v.GroupKey, sess.rs, sess.ro)
 			if suite.VerifyMAC(cand, suite.LabelSubjectFinished, tsHash, m.MACS3) {
-				fellowVariant, k3 = v, cand
+				fellow, k3 = i, cand
 				break
 			}
 		}
@@ -530,9 +545,9 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 
 	var res *wire.RES2
 	switch {
-	case fellowVariant != nil:
+	case fellow >= 0:
 		// Level 3 face: MAC_{O,3} and PROF encrypted under K3.
-		res = o.buildRES2(ts, m, k3, fellowVariant.Profile)
+		res = o.buildRES2(ts, m, k3, fellow)
 		o.tel.que2Result(resultFellow)
 	default:
 		// Level 2 face (for true Level 2 objects and for Level 3 objects
@@ -540,29 +555,26 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 		// with their Level 3 face unconditionally — the composition leak the
 		// paper describes (§VI-B) and our attack tests exploit.
 		if o.version == wire.V20 && o.prov.Level == L3 {
-			v := o.firstCovertVariant()
-			if v == nil {
-				ts.Release()
+			first := o.firstCovertVariant()
+			if first < 0 {
 				o.tel.que2Result(resultSilent)
 				o.markAnswered(key, sess) // remembered silence: duplicates stay silent
 				return
 			}
-			kFirst := suite.SessionKey3(k2, v.GroupKey, sess.rs, sess.ro)
-			res = o.buildRES2(ts, m, kFirst, v.Profile)
+			kFirst := suite.SessionKey3(k2, o.prov.Variants[first].GroupKey, sess.rs, sess.ro)
+			res = o.buildRES2(ts, m, kFirst, first)
 			o.tel.que2Result(resultFellow)
 			break
 		}
-		v := o.matchVariant(a.next.attrs)
-		if v == nil {
-			ts.Release()
+		match := o.matchVariant(a.next.attrs)
+		if match < 0 {
 			o.tel.que2Result(resultSilent)
 			o.markAnswered(key, sess) // remembered silence: duplicates stay silent
 			return                    // no policy admits this subject: silence, not a hint
 		}
-		res = o.buildRES2(ts, m, k2, v.Profile)
+		res = o.buildRES2(ts, m, k2, match)
 		o.tel.que2Result(resultL2)
 	}
-	ts.Release()
 	if res == nil {
 		return
 	}
@@ -623,10 +635,10 @@ func (o *Object) scheduleGC(key sessionKey, sess *objSession, after time.Duratio
 	})
 }
 
-// buildRES2 encrypts the profile variant under the session key and computes
+// buildRES2 encrypts profile variant i under the session key and computes
 // MAC_{O,X} over the object-side transcript cut.
-func (o *Object) buildRES2(ts *wire.Transcript, m *wire.QUE2, key []byte, prof *cert.Profile) *wire.RES2 {
-	ct, err := suite.EncryptProfile(key, prof.Encode(), nil)
+func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key []byte, i int) *wire.RES2 {
+	ct, err := suite.EncryptProfile(key, o.variantEnc[i], nil)
 	if err != nil {
 		return nil
 	}
@@ -634,28 +646,27 @@ func (o *Object) buildRES2(ts *wire.Transcript, m *wire.QUE2, key []byte, prof *
 	return &wire.RES2{Version: o.version, Ciphertext: ct, MACO: mac}
 }
 
-// matchVariant returns the first Level 2 variant whose predicate matches the
-// subject's non-sensitive attributes (pred_i order fixed by the backend).
-func (o *Object) matchVariant(attrs attr.Set) *backend.ObjectVariant {
+// matchVariant returns the index of the first Level 2 variant whose predicate
+// matches the subject's non-sensitive attributes (pred_i order fixed by the
+// backend), or -1.
+func (o *Object) matchVariant(attrs attr.Set) int {
 	for i := range o.prov.Variants {
 		v := &o.prov.Variants[i]
-		if v.IsCovert() {
-			continue
-		}
-		if v.Pred.Eval(attrs) {
-			return v
+		if !v.IsCovert() && v.Pred.Eval(attrs) {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (o *Object) firstCovertVariant() *backend.ObjectVariant {
+// firstCovertVariant returns the index of the first covert variant, or -1.
+func (o *Object) firstCovertVariant() int {
 	for i := range o.prov.Variants {
 		if o.prov.Variants[i].IsCovert() {
-			return &o.prov.Variants[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 func (o *Object) covertVariantCount() int {

@@ -104,11 +104,11 @@ type Subject struct {
 
 type subjSession struct {
 	objAddr transport.Addr
-	ro      []byte // object nonce, distinguishes RES1 resends from restarts
+	ro      []byte // object nonce (borrowed from RES1), distinguishes RES1 resends from restarts
 	k2      []byte
 	k3      []byte
 	group   groups.ID
-	ts      *wire.Transcript // subject-cut transcript
+	ts      wire.Transcript // subject-cut transcript
 	que2    *wire.QUE2
 	que2Enc []byte // cached encoding, resent verbatim on timeout/duplicate RES1
 	round   int
@@ -413,6 +413,9 @@ func (s *Subject) DiscoverAll(ttl int, settle func()) error {
 
 // Handle implements transport.Handler.
 func (s *Subject) Handle(from transport.Addr, payload []byte) {
+	if len(payload) > 0 && payload[0] != byte(wire.TRES1) && payload[0] != byte(wire.TRES2) {
+		return // an overheard QUE1 or QUE2: not worth a decode
+	}
 	msg, err := wire.Decode(payload)
 	if err != nil {
 		s.tel.malformedDrop()
@@ -551,22 +554,16 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
 		KEXMS:   kex.Public(),
 	}
 	// The QUE2 signature input doubles as the transcript prefix: build it
-	// once in pooled scratch, sign it, seed the session transcript from it.
-	// (The transcript is retained for the session's lifetime, so it gets its
-	// own buffer; the scratch goes straight back to the pool.)
+	// once in pooled scratch, sign it, hash it into the session's transcript.
+	sess := &subjSession{k2: suite.SessionKey2(preK, s.rs, m.RO)}
 	sigIn := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
 	sig, err := s.prov.Key.Sign(sigIn)
+	sess.ts.Add(sigIn, sig)
+	wire.PutScratch(sigIn)
 	if err != nil {
-		wire.PutScratch(sigIn)
 		return
 	}
 	q.Sig = sig
-	ts := wire.NewTranscript(len(sigIn) + len(sig))
-	ts.Add(sigIn)
-	ts.Add(sig)
-	wire.PutScratch(sigIn)
-
-	sess := &subjSession{k2: suite.SessionKey2(preK, s.rs, m.RO), ts: ts}
 	if s.retry.Enabled() {
 		sess.next = ticket{peer: from, certO: sha256.Sum256(m.CertO), notBefore: info.NotBefore, notAfter: info.NotAfter}
 	}
@@ -590,14 +587,10 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
 // believed, and nothing but HMACs was spent on it.
 func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *ticket) {
 	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: t.id[:]}
+	sess := &subjSession{k2: suite.SessionKey2(t.secret, s.rs, m.RO), next: *t, resumed: true, res1: raw}
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
-	ts := wire.NewTranscript(len(in))
-	ts.Add(in)
+	sess.ts.Add(in)
 	wire.PutScratch(in)
-	sess := &subjSession{
-		k2: suite.SessionKey2(t.secret, s.rs, m.RO), ts: ts,
-		next: *t, resumed: true, res1: append([]byte(nil), raw...),
-	}
 	s.sendQUE2(from, m.RO, q, sess, 0)
 }
 
@@ -610,7 +603,7 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 	tsHash := sess.ts.Hash()
 	sess.tsHash = tsHash
 	q.MACS2 = suite.FinishedMAC(sess.k2, suite.LabelSubjectFinished, tsHash)
-	sess.objAddr, sess.ro, sess.round, sess.que2 = from, append([]byte(nil), ro...), s.round, q
+	sess.objAddr, sess.ro, sess.round, sess.que2 = from, ro, s.round, q
 	sess.stamps = phaseStamps{session: s.tel.session(), secure: true, que1At: s.que1At, res1At: s.ep.Now()}
 	hmacs := 2 // K2 derivation + MAC_{S,2}
 	if s.version != wire.V10 && len(s.prov.Memberships) > 0 {

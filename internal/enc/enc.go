@@ -157,10 +157,28 @@ func (r *Reader) Raw(n int) []byte {
 	return append([]byte(nil), b...)
 }
 
+// View reads exactly n bytes like Raw, but returns a slice of the input
+// instead of a copy (nil for n == 0, as Raw does): for decoders whose input
+// is immutable and may be retained. Its capacity ends with the field, so an
+// append to it cannot reach the bytes that follow.
+func (r *Reader) View(n int) []byte {
+	b := r.take(n)
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:n:n]
+}
+
 // Bytes16 reads a 2-byte length-prefixed byte string (copied).
 func (r *Reader) Bytes16() []byte {
 	n := int(r.U16())
 	return r.Raw(n)
+}
+
+// View16 reads a 2-byte length-prefixed byte string as a View.
+func (r *Reader) View16() []byte {
+	n := int(r.U16())
+	return r.View(n)
 }
 
 // Bytes32 reads a 4-byte length-prefixed byte string (copied).

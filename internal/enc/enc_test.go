@@ -132,6 +132,36 @@ func TestRawReturnsCopy(t *testing.T) {
 	}
 }
 
+// View and View16 alias the input, stop at the field's end, and agree with
+// Raw and Bytes16 on everything else — empty fields and truncation included.
+func TestViewBorrowsInput(t *testing.T) {
+	w := NewWriter(0)
+	w.Raw([]byte{7, 8})
+	w.Bytes16([]byte("abc"))
+	w.Bytes16(nil)
+	w.U8(0xEE)
+	src := w.Bytes()
+
+	r := NewReader(src)
+	raw, field, empty := r.View(2), r.View16(), r.View16()
+	if !bytes.Equal(raw, []byte{7, 8}) || string(field) != "abc" || empty != nil {
+		t.Fatalf("View = %v, View16 = %q, empty = %v", raw, field, empty)
+	}
+	if &field[0] != &src[4] {
+		t.Error("View16 copied the field")
+	}
+	if field = append(field, 'X'); src[7] != 0 {
+		t.Error("append to a view reached the following field")
+	}
+	if r.U8() != 0xEE || r.Done() != nil {
+		t.Errorf("reader out of step after views: %v", r.Done())
+	}
+	short := NewReader([]byte{0, 5, 1})
+	if short.View16() != nil || short.Err() != ErrTruncated {
+		t.Errorf("truncated view: err = %v", short.Err())
+	}
+}
+
 func TestOversizeFieldPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -90,17 +90,13 @@ func (f *faultEndpoint) transmit(payload []byte, deliver func([]byte)) {
 			f.duplicated.Inc()
 		}
 	}
+	// A sent payload is immutable (transport.Endpoint.Send), so a late or
+	// duplicate delivery shares the sender's buffer like any other.
 	for i := 0; i < copies; i++ {
-		frame := out
-		if delay > 0 || copies > 1 {
-			// The engine may reuse its buffer once Send returns; anything
-			// delivered asynchronously needs its own copy.
-			frame = append([]byte(nil), out...)
-		}
 		if delay > 0 {
-			time.AfterFunc(delay, func() { deliver(frame) })
+			time.AfterFunc(delay, func() { deliver(out) })
 		} else {
-			deliver(frame)
+			deliver(out)
 		}
 	}
 }

@@ -33,8 +33,9 @@ type NodeID int
 // Handler receives messages delivered to a node.
 type Handler interface {
 	// HandleMessage is invoked at virtual delivery time. from is the
-	// originating node (not the relay). The payload is shared; treat as
-	// read-only.
+	// originating node (not the relay). The payload is shared with the
+	// sender and every other receiver and is immutable from Send on: it may be
+	// retained, never written (a corrupting fault works on its own copy).
 	HandleMessage(net *Network, from NodeID, payload []byte)
 }
 

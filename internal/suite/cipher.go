@@ -3,9 +3,7 @@ package suite
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
 	"io"
 )
@@ -29,10 +27,15 @@ func CiphertextLen(n int) int {
 	return aes.BlockSize + padded + MACSize
 }
 
-func cipherKeys(sessionKey []byte) (encKey, macKey []byte) {
-	encKey = PRF(sessionKey, []byte("profile encryption"), 32)
-	macKey = PRF(sessionKey, []byte("profile integrity"), 32)
-	return
+// profileTag absorbs covered (IV ‖ ciphertext) under the MAC key: the tag,
+// ready to be appended or compared. Both of the cipher's keys are one-block
+// PRFs of the session key; this one never leaves the state.
+func profileTag(sessionKey, covered []byte) *macState {
+	m := oneBlock(startMAC(sessionKey), "profile integrity", nil, nil)
+	m.finish()
+	m.rekey(m.buf[:])
+	m.write(covered)
+	return m
 }
 
 // EncryptProfile encrypts plaintext under the session key. rng supplies the
@@ -40,11 +43,6 @@ func cipherKeys(sessionKey []byte) (encKey, macKey []byte) {
 func EncryptProfile(sessionKey, plaintext []byte, rng io.Reader) ([]byte, error) {
 	if rng == nil {
 		rng = rand.Reader
-	}
-	encKey, macKey := cipherKeys(sessionKey)
-	block, err := aes.NewCipher(encKey)
-	if err != nil {
-		return nil, err
 	}
 	pad := aes.BlockSize - len(plaintext)%aes.BlockSize
 	body := make([]byte, len(plaintext)+pad)
@@ -57,11 +55,13 @@ func EncryptProfile(sessionKey, plaintext []byte, rng io.Reader) ([]byte, error)
 	if _, err := io.ReadFull(rng, iv); err != nil {
 		return nil, err
 	}
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[aes.BlockSize:aes.BlockSize+len(body)], body)
-	m := hmac.New(sha256.New, macKey)
-	m.Write(out[:aes.BlockSize+len(body)])
-	copy(out[aes.BlockSize+len(body):], m.Sum(nil))
-	return out, nil
+	block, err := aes.NewCipher(oneBlock(startMAC(sessionKey), "profile encryption", nil, nil).sum(nil))
+	if err != nil {
+		return nil, err
+	}
+	macStart := aes.BlockSize + len(body)
+	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[aes.BlockSize:macStart], body)
+	return profileTag(sessionKey, out[:macStart]).sum(out[:macStart]), nil
 }
 
 // DecryptProfile verifies and decrypts a profile ciphertext. It returns
@@ -72,18 +72,15 @@ func DecryptProfile(sessionKey, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < aes.BlockSize+aes.BlockSize+MACSize {
 		return nil, errCipher
 	}
-	encKey, macKey := cipherKeys(sessionKey)
 	macStart := len(ciphertext) - MACSize
-	m := hmac.New(sha256.New, macKey)
-	m.Write(ciphertext[:macStart])
-	if !hmac.Equal(m.Sum(nil), ciphertext[macStart:]) {
+	if !profileTag(sessionKey, ciphertext[:macStart]).equal(ciphertext[macStart:]) {
 		return nil, errCipher
 	}
 	body := ciphertext[aes.BlockSize:macStart]
 	if len(body)%aes.BlockSize != 0 {
 		return nil, errCipher
 	}
-	block, err := aes.NewCipher(encKey)
+	block, err := aes.NewCipher(oneBlock(startMAC(sessionKey), "profile encryption", nil, nil).sum(nil))
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package suite
 
-import (
-	"crypto/hmac"
-	"crypto/sha256"
-)
+import "crypto/sha256"
 
 // The ASCII labels bound into the key schedule and finished MACs, exactly as
 // named in §V of the paper.
@@ -28,19 +25,26 @@ const TicketIDSize = 16
 // size bytes using an HKDF-expand-style counter construction; for the
 // standard 32-byte outputs a single HMAC-SHA-256 invocation suffices.
 func PRF(secret, seed []byte, size int) []byte {
-	out := make([]byte, 0, size)
-	var block []byte
-	ctr := byte(1)
-	for len(out) < size {
-		m := hmac.New(sha256.New, secret)
-		m.Write(block)
-		m.Write(seed)
-		m.Write([]byte{ctr})
-		block = m.Sum(nil)
-		out = append(out, block...)
-		ctr++
+	out := make([]byte, 0, (size+MACSize-1)/MACSize*MACSize)
+	for ctr := byte(1); len(out) < size; ctr++ {
+		m := startMAC(secret)
+		m.write(out[max(0, len(out)-MACSize):])
+		m.write(seed)
+		m.writeByte(ctr)
+		out = m.sum(out)
 	}
 	return out[:size]
+}
+
+// oneBlock absorbs what PRF(secret, label ‖ a ‖ b, KeySize) hashes, over a
+// state keyed with the secret: the one-HMAC case of PRF, which every key of
+// the schedule is, without assembling secret or seed.
+func oneBlock(m *macState, label string, a, b []byte) *macState {
+	m.writeString(label)
+	m.write(a)
+	m.write(b)
+	m.writeByte(1)
+	return m
 }
 
 // SessionKey2 derives Level 2's session key
@@ -49,11 +53,7 @@ func PRF(secret, seed []byte, size int) []byte {
 //
 // from the ECDH premaster secret and the two nonces (§V).
 func SessionKey2(preK, rs, ro []byte) []byte {
-	seed := make([]byte, 0, len(LabelSessionKey)+len(rs)+len(ro))
-	seed = append(seed, LabelSessionKey...)
-	seed = append(seed, rs...)
-	seed = append(seed, ro...)
-	return PRF(preK, seed, KeySize)
+	return oneBlock(startMAC(preK), LabelSessionKey, rs, ro).sum(nil)
 }
 
 // SessionKey3 derives Level 3's session key
@@ -63,14 +63,7 @@ func SessionKey2(preK, rs, ro []byte) []byte {
 // for secret group i (§VI-A). Only a fellow holding the same group key can
 // derive the same K3.
 func SessionKey3(k2, groupKey, rs, ro []byte) []byte {
-	secret := make([]byte, 0, len(k2)+len(groupKey))
-	secret = append(secret, k2...)
-	secret = append(secret, groupKey...)
-	seed := make([]byte, 0, len(LabelSessionKey)+len(rs)+len(ro))
-	seed = append(seed, LabelSessionKey...)
-	seed = append(seed, rs...)
-	seed = append(seed, ro...)
-	return PRF(secret, seed, KeySize)
+	return oneBlock(startMAC(k2, groupKey), LabelSessionKey, rs, ro).sum(nil)
 }
 
 // ResumptionTicket derives what both ends of a completed handshake keep for
@@ -93,6 +86,15 @@ func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byt
 	return secret, id
 }
 
+// finished absorbs label ‖ transcriptHash under sessionKey.
+func finished(sessionKey []byte, label string, transcriptHash [sha256.Size]byte) *macState {
+	m := startMAC(sessionKey)
+	m.writeString(label)
+	m.buf = transcriptHash
+	m.write(m.buf[:])
+	return m
+}
+
 // FinishedMAC computes a finished MAC
 //
 //	MAC_{X,l} = HMAC(K_l, label ‖ SHA-256(transcript))
@@ -100,15 +102,11 @@ func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byt
 // where label is LabelSubjectFinished or LabelObjectFinished and transcript
 // is "*": all the content sent and received so far (§V).
 func FinishedMAC(sessionKey []byte, label string, transcriptHash [sha256.Size]byte) []byte {
-	m := hmac.New(sha256.New, sessionKey)
-	m.Write([]byte(label))
-	m.Write(transcriptHash[:])
-	return m.Sum(nil)
+	return finished(sessionKey, label, transcriptHash).sum(nil)
 }
 
 // VerifyMAC reports whether mac is the finished MAC for the given key, label
 // and transcript hash, in constant time.
 func VerifyMAC(sessionKey []byte, label string, transcriptHash [sha256.Size]byte, mac []byte) bool {
-	want := FinishedMAC(sessionKey, label, transcriptHash)
-	return hmac.Equal(want, mac)
+	return finished(sessionKey, label, transcriptHash).equal(mac)
 }

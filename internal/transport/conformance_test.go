@@ -3,9 +3,10 @@ package transport_test
 // Conformance suite for the transport.Endpoint contract. Every transport —
 // the deterministic simulator adapter, the concurrent in-memory Mesh, and
 // real UDP sockets — must deliver the same observable semantics to the
-// protocol engines: verbatim payloads with truthful source addresses,
-// TTL-gated broadcast, monotone clocks, timers and Do closures serialized
-// onto the endpoint's event loop. The engines are transport-generic exactly
+// protocol engines: verbatim payloads with truthful source addresses, that
+// stay as delivered for as long as a handler keeps them, TTL-gated broadcast,
+// monotone clocks, timers and Do closures serialized onto the endpoint's
+// event loop. The engines are transport-generic exactly
 // to the extent this suite proves.
 
 import (
@@ -30,12 +31,15 @@ type fixture struct {
 	// driving Network.Run owns the loop — so it is exempt from the
 	// multi-goroutine injection test.
 	concurrent bool
-	build      func(t *testing.T, n int) (eps []transport.Endpoint, settle func())
+	// shared marks transports that hand receivers the very buffer the sender
+	// passed to Send, with no copy at the boundary.
+	shared bool
+	build  func(t *testing.T, n int) (eps []transport.Endpoint, settle func())
 }
 
 func fixtures() []fixture {
 	return []fixture{
-		{name: "netsim", build: func(t *testing.T, n int) ([]transport.Endpoint, func()) {
+		{name: "netsim", shared: true, build: func(t *testing.T, n int) ([]transport.Endpoint, func()) {
 			net := netsim.New(netsim.DefaultWiFi(), 1)
 			eps := make([]transport.Endpoint, n)
 			for i := range eps {
@@ -48,7 +52,7 @@ func fixtures() []fixture {
 			}
 			return eps, func() { net.Run(0) }
 		}},
-		{name: "mesh", concurrent: true, build: func(t *testing.T, n int) ([]transport.Endpoint, func()) {
+		{name: "mesh", concurrent: true, shared: true, build: func(t *testing.T, n int) ([]transport.Endpoint, func()) {
 			m := transport.NewMesh()
 			t.Cleanup(m.Close)
 			eps := make([]transport.Endpoint, n)
@@ -83,7 +87,11 @@ func fixtures() []fixture {
 	}
 }
 
-// recorder is a Handler capturing every frame, safe to read concurrently.
+// recorder is a Handler capturing every frame, safe to read concurrently. It
+// keeps the payload slice it was handed, as the engines do, beside a copy
+// taken at delivery: a payload that no longer equals its copy was written
+// after delivery — by a transport recycling a receive buffer, or by a sender
+// reusing what it handed to Send — and fails whichever test recorded it.
 type recorder struct {
 	mu  sync.Mutex
 	got []frame
@@ -91,13 +99,38 @@ type recorder struct {
 
 type frame struct {
 	from    transport.Addr
-	payload []byte
+	payload []byte // as delivered, retained
+	was     []byte // its bytes at delivery
+}
+
+// newRecorder returns a recorder whose retained payloads are checked when the
+// test ends.
+func newRecorder(t *testing.T) *recorder {
+	r := &recorder{}
+	t.Cleanup(func() {
+		for _, f := range r.changed() {
+			t.Errorf("frame from %s changed after delivery: % x, delivered as % x", f.from, f.payload, f.was)
+		}
+	})
+	return r
+}
+
+// changed returns the frames whose retained payload is no longer what was
+// delivered.
+func (r *recorder) changed() []frame {
+	var out []frame
+	for _, f := range r.frames() {
+		if !bytes.Equal(f.payload, f.was) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func (r *recorder) Handle(from transport.Addr, payload []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.got = append(r.got, frame{from, append([]byte(nil), payload...)})
+	r.got = append(r.got, frame{from, payload, append([]byte(nil), payload...)})
 }
 
 func (r *recorder) frames() []frame {
@@ -121,9 +154,9 @@ func TestConformanceUnicastVerbatim(t *testing.T) {
 	for _, fx := range fixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			eps, settle := fx.build(t, 2)
-			rec := &recorder{}
+			rec := newRecorder(t)
 			eps[1].Bind(rec)
-			eps[0].Bind(&recorder{})
+			eps[0].Bind(newRecorder(t))
 
 			// The payload must arrive byte-for-byte — the Case 7 wire analysis
 			// assumes no transport reframing — with the sender's true address.
@@ -141,6 +174,67 @@ func TestConformanceUnicastVerbatim(t *testing.T) {
 	}
 }
 
+// TestConformancePayloadImmutable is the contract the engines' zero-copy
+// decode stands on: a delivered payload may be kept, and stays as delivered
+// while any amount of later traffic passes through the same endpoints — a
+// transport recycling a receive buffer under a retained frame fails here.
+// The other half of the contract is the sender's (Endpoint.Send): the negative
+// control writes a buffer after sending it, and either the transport had
+// taken its own copy (UDP) and the receiver never sees the write, or the
+// buffer is shared (Mesh, the simulator) and the recorder's end-of-test check —
+// armed on every recorder of this suite — reports the frame.
+func TestConformancePayloadImmutable(t *testing.T) {
+	for _, fx := range fixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			eps, settle := fx.build(t, 3)
+			recs := []*recorder{newRecorder(t), newRecorder(t), {}}
+			for i, ep := range eps {
+				ep.Bind(recs[i])
+			}
+
+			// Frames of several sizes, each from its own buffer, unicast and
+			// broadcast, then as much again: enough to cycle any buffer a
+			// transport might be tempted to reuse.
+			frameFor := func(i int) []byte {
+				return bytes.Repeat([]byte{byte(i + 1)}, 1+37*i)
+			}
+			const burst = 24
+			for round := 0; round < 2; round++ {
+				for i := 0; i < burst; i++ {
+					eps[0].Send(eps[1].Addr(), frameFor(i))
+					eps[0].Broadcast(frameFor(burst+i), 1)
+				}
+				want := 2 * burst * (round + 1)
+				waitFor(t, settle, func() bool { return len(recs[1].frames()) >= want }, "burst delivery")
+				for _, f := range recs[1].frames() {
+					if !bytes.Equal(f.payload, frameFor(int(f.payload[0])-1)) {
+						t.Fatalf("retained frame %d no longer reads as sent: % x", f.payload[0]-1, f.payload)
+					}
+				}
+			}
+
+			// Negative control, on the recorder without an end-of-test check.
+			sent := []byte("written after Send")
+			orig := append([]byte(nil), sent...)
+			eps[0].Send(eps[2].Addr(), sent)
+			waitFor(t, settle, func() bool {
+				for _, f := range recs[2].frames() {
+					if bytes.Equal(f.was, orig) {
+						return true
+					}
+				}
+				return false
+			}, "control delivery")
+			sent[0] ^= 0xFF
+			if got := len(recs[2].changed()); fx.shared && got != 1 {
+				t.Fatalf("the check flagged %d frames for the sender's write, want 1", got)
+			} else if !fx.shared && got != 0 {
+				t.Fatalf("the sender's write reached %d retained frames through a copying transport", got)
+			}
+		})
+	}
+}
+
 func TestConformanceBroadcastScope(t *testing.T) {
 	for _, fx := range fixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -148,7 +242,7 @@ func TestConformanceBroadcastScope(t *testing.T) {
 			eps, settle := fx.build(t, n)
 			recs := make([]*recorder, n)
 			for i := range eps {
-				recs[i] = &recorder{}
+				recs[i] = newRecorder(t)
 				eps[i].Bind(recs[i])
 			}
 
@@ -196,7 +290,7 @@ func TestConformanceClockAndTimers(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			eps, settle := fx.build(t, 1)
 			ep := eps[0]
-			ep.Bind(&recorder{})
+			ep.Bind(newRecorder(t))
 
 			before := ep.Now()
 			var mu sync.Mutex
@@ -244,7 +338,7 @@ func TestConformanceLoopSerialization(t *testing.T) {
 				counter++
 			})
 			eps[1].Bind(rec)
-			eps[0].Bind(&recorder{})
+			eps[0].Bind(newRecorder(t))
 
 			const workers, perWorker = 8, 25
 			if fx.concurrent {

@@ -127,25 +127,40 @@ func (mb *mailbox) close() {
 // run is the actor loop: drain control, then frames in batches of
 // mailboxBatch — re-checking for control work between batches, so the
 // ctrl-before-frame contract holds against an arbitrarily deep frame backlog
-// — then sleep until woken. The frame queue is double-buffered: the drained
+// — then sleep until woken. Both queues are double-buffered: the drained
 // slice is recycled as the producers' next append target, so steady-state
-// delivery allocates nothing. run is the only goroutine that ever calls h,
-// preserving the engines' single-writer contract.
+// delivery, timer fires and Do closures allocate no queue memory. run is the
+// only goroutine that ever calls h, preserving the engines' single-writer
+// contract.
 func (mb *mailbox) run(h Handler) {
 	defer close(mb.loopDone)
+	// The control buffer drained last waits here, with the loop, until the
+	// next take installs it under mu: it needs no field and no lock of its own.
+	var ctrlSpare []func()
+	takeCtrl := func() []func() { // caller holds mu
+		ctrl := mb.ctrl
+		mb.ctrl, ctrlSpare = ctrlSpare, nil
+		return ctrl
+	}
+	runCtrl := func(ctrl []func()) {
+		for i, fn := range ctrl {
+			fn()
+			ctrl[i] = nil // do not pin the closure until the buffer's next fill
+		}
+		if cap(ctrl) > cap(ctrlSpare) {
+			ctrlSpare = ctrl[:0]
+		}
+	}
 	for {
 		mb.mu.Lock()
-		ctrl := mb.ctrl
-		mb.ctrl = nil
+		ctrl := takeCtrl()
 		msgs := mb.msgs
 		mb.msgs = mb.spare[:0]
 		mb.spare = nil
 		closed := mb.closed
 		mb.mu.Unlock()
 
-		for _, fn := range ctrl {
-			fn()
-		}
+		runCtrl(ctrl)
 		for rest := msgs; len(rest) > 0; {
 			n := len(rest)
 			if n > mailboxBatch {
@@ -166,12 +181,9 @@ func (mb *mailbox) run(h Handler) {
 			// closures from the handlers themselves) jumps the remaining
 			// backlog, exactly as if the loop had gone back to sleep.
 			mb.mu.Lock()
-			mid := mb.ctrl
-			mb.ctrl = nil
+			mid := takeCtrl()
 			mb.mu.Unlock()
-			for _, fn := range mid {
-				fn()
-			}
+			runCtrl(mid)
 		}
 		// Recycle the drained buffer; zero it first so it doesn't pin the
 		// delivered payloads until its next fill.

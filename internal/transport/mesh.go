@@ -152,8 +152,8 @@ func (e *MeshEndpoint) Send(to Addr, payload []byte) {
 }
 
 // Broadcast implements Endpoint: every other endpoint on the segment
-// receives the frame once. The payload buffer is shared across receivers —
-// handlers treat it as read-only.
+// receives the frame once. The payload buffer is shared across receivers,
+// which may each retain it (Handler).
 func (e *MeshEndpoint) Broadcast(payload []byte, ttl int) {
 	if ttl < 1 {
 		return

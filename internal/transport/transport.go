@@ -36,8 +36,14 @@ import "time"
 type Addr string
 
 // Handler consumes inbound frames. Implementations are invoked on the
-// endpoint's event loop — never concurrently — and must treat payload as
-// read-only (broadcasts may share one buffer across receivers).
+// endpoint's event loop — never concurrently. payload is immutable and may be
+// retained: nobody writes those bytes again — not the handler (a broadcast
+// shares one buffer across its receivers, and on the in-memory transports with
+// the sender), not the transport (no receive buffer is recycled under a
+// delivered frame), not the sender (see Endpoint.Send). The engines rely on
+// it: a decoded message's fields are windows on the payload, and a session
+// keeps them without copying. The conformance suite holds every transport to
+// it.
 type Handler interface {
 	Handle(from Addr, payload []byte)
 }
@@ -64,12 +70,15 @@ type Endpoint interface {
 	// monotonic wall time since transport start on real transports.
 	Now() time.Duration
 
-	// Send unicasts payload to a peer address.
+	// Send unicasts payload to a peer address. The bytes belong to the
+	// transport and its receivers from the call on: the caller may keep
+	// reading them (a cached encoding is resent verbatim) but never writes
+	// them again, and never hands a pooled buffer.
 	Send(to Addr, payload []byte)
 
 	// Broadcast floods payload to every node within ttl hops; ttl < 1 sends
 	// nothing. Single-segment transports (Mesh, UDP) reach all peers at any
-	// ttl >= 1.
+	// ttl >= 1. payload is the transport's from the call on, as for Send.
 	Broadcast(payload []byte, ttl int)
 
 	// After schedules fn on the event loop at Now()+d. Timer callbacks are

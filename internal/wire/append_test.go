@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"sync"
 	"testing"
 
 	"argus/internal/enc"
@@ -132,43 +134,63 @@ func TestAppendSigInputQUE2Matches(t *testing.T) {
 	}
 }
 
+// TestTranscriptPooledHelpers: the running hash is SHA-256 of the bytes added,
+// at every cut; a copy is a fork; and neither Add, Hash nor a scratch
+// round-trip allocates once the pools are warm.
 func TestTranscriptPooledHelpers(t *testing.T) {
-	ref := &Transcript{}
-	ref.Add([]byte("abc"))
-	ref.Add([]byte("defg"))
-
-	ts := NewTranscript(7)
-	ts.Add([]byte("abc"))
-	if ts.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ts.Len())
+	var ts Transcript
+	if ts.Hash() != sha256.Sum256(nil) {
+		t.Fatal("empty transcript is not SHA-256 of nothing")
 	}
-	ts.Add([]byte("defg"))
-	if ts.Hash() != ref.Hash() {
-		t.Fatal("pooled transcript hash differs from plain transcript")
-	}
-
-	c := ts.CloneInto(16)
-	c.Add([]byte("tail"))
-	if ts.Hash() != ref.Hash() {
-		t.Fatal("CloneInto mutated the source transcript")
-	}
-	want := &Transcript{}
-	want.Add([]byte("abcdefg"))
-	want.Add([]byte("tail"))
-	if c.Hash() != want.Hash() {
-		t.Fatal("CloneInto copy diverged")
-	}
-	c.Release()
-	ts.Release()
-	if ts.Len() != 0 {
-		t.Fatal("Release did not empty the transcript")
+	// Cuts on both sides of the digest's 64-byte block boundary.
+	var all []byte
+	for _, n := range []int{3, 60, 1, 64, 200, 0, 7} {
+		part := bytes.Repeat([]byte{byte(n)}, n)
+		all = append(all, part...)
+		ts.Add(part[:n/2], part[n/2:])
+		if ts.Hash() != sha256.Sum256(all) {
+			t.Fatalf("after %d bytes: running hash differs from SHA-256 of the bytes", len(all))
+		}
 	}
 
-	// Oversized transcripts fall back to a plain allocation and may still be
-	// released safely (the pool drops oversized buffers).
-	big := NewTranscript(scratchCap + 1)
-	big.Add(bytes.Repeat([]byte{1}, scratchCap+1))
-	big.Release()
+	fork := ts
+	fork.Add([]byte("tail"))
+	if ts.Hash() != sha256.Sum256(all) {
+		t.Fatal("adding to a copy moved the original")
+	}
+	if fork.Hash() != sha256.Sum256(append(all, "tail"...)) {
+		t.Fatal("the copy diverged from the bytes it was fed")
+	}
+
+	if !poolsKeep() {
+		return
+	}
+	part := bytes.Repeat([]byte{9}, 300)
+	if n := testing.AllocsPerRun(100, func() {
+		var ts Transcript
+		ts.Add(part, part)
+		_ = ts.Hash()
+		fork := ts
+		fork.Add(part)
+		_ = fork.Hash()
+		PutScratch(append(GetScratch(), part...))
+	}); n != 0 {
+		t.Fatalf("transcript and scratch cost %.0f allocs/op, want 0", n)
+	}
+}
+
+// poolsKeep reports whether a sync.Pool hands back what was just put. Under
+// the race detector it drops a quarter of the puts at random, and an
+// allocation count then measures the refills.
+func poolsKeep() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
 }
 
 func TestScratchPoolRoundTrip(t *testing.T) {

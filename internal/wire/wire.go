@@ -18,9 +18,12 @@ package wire
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 
 	"argus/internal/enc"
 )
@@ -324,7 +327,9 @@ func (m *RES2) Encode() []byte {
 	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
 }
 
-// Decode parses any wire message.
+// Decode parses any wire message. Its byte fields are slices of b, not copies:
+// b must be immutable from here on — as every delivered payload is
+// (transport.Handler) — and the message may be retained as long as b may.
 func Decode(b []byte) (Message, error) {
 	if len(b) < 2 {
 		return nil, enc.ErrTruncated
@@ -337,7 +342,7 @@ func Decode(b []byte) (Message, error) {
 	switch MsgType(b[0]) {
 	case TQUE1:
 		m := &QUE1{Version: ver}
-		m.RS = r.Raw(int(r.U8()))
+		m.RS = r.View(int(r.U8()))
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -350,12 +355,12 @@ func Decode(b []byte) (Message, error) {
 		m.Mode = ResponseMode(r.U8())
 		switch m.Mode {
 		case ModePublic:
-			m.Prof = r.Bytes16()
+			m.Prof = r.View16()
 		case ModeSecure:
-			m.RO = r.Bytes16()
-			m.CertO = r.Bytes16()
-			m.KEXMO = r.Bytes16()
-			m.Sig = r.Bytes16()
+			m.RO = r.View16()
+			m.CertO = r.View16()
+			m.KEXMO = r.View16()
+			m.Sig = r.View16()
 		default:
 			return nil, fmt.Errorf("wire: unknown RES1 mode %d", m.Mode)
 		}
@@ -366,20 +371,20 @@ func Decode(b []byte) (Message, error) {
 	case TQUE2:
 		m := &QUE2{Version: ver}
 		if n := r.U8(); n&que2Short != 0 {
-			m.RS = r.Raw(int(n &^ que2Short))
-			if m.Ticket = r.Bytes16(); len(m.Ticket) == 0 && r.Err() == nil {
+			m.RS = r.View(int(n &^ que2Short))
+			if m.Ticket = r.View16(); len(m.Ticket) == 0 && r.Err() == nil {
 				return nil, errors.New("wire: short QUE2 missing ticket")
 			}
 		} else {
-			m.RS = r.Raw(int(n))
-			m.ProfS = r.Bytes16()
-			m.CertS = r.Bytes16()
-			m.KEXMS = r.Bytes16()
-			m.Sig = r.Bytes16()
+			m.RS = r.View(int(n))
+			m.ProfS = r.View16()
+			m.CertS = r.View16()
+			m.KEXMS = r.View16()
+			m.Sig = r.View16()
 		}
-		m.MACS2 = r.Bytes16()
+		m.MACS2 = r.View16()
 		if ver != V10 {
-			m.MACS3 = r.Bytes16()
+			m.MACS3 = r.View16()
 		}
 		if err := r.Done(); err != nil {
 			return nil, err
@@ -387,8 +392,8 @@ func Decode(b []byte) (Message, error) {
 		return m, nil
 	case TRES2:
 		m := &RES2{Version: ver}
-		m.Ciphertext = r.Bytes16()
-		m.MACO = r.Bytes16()
+		m.Ciphertext = r.View16()
+		m.MACO = r.View16()
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -397,57 +402,65 @@ func Decode(b []byte) (Message, error) {
 	return nil, fmt.Errorf("wire: unknown message type %d", b[0])
 }
 
-// Transcript accumulates "*": all the content sent and received so far, in
-// order, on either side of a discovery session. Both sides must feed the
-// identical byte sequence to derive matching finished MACs. The buffer is
-// retained (rather than a streaming hash) because the two sides hash at
-// different cut points: MAC_{S,l} covers the transcript up to QUE2's core,
-// MAC_{O,l} additionally covers the RES2 ciphertext.
+// Transcript is "*": all the content sent and received so far, in order, on
+// either side of a discovery session, as a running SHA-256. Both sides must
+// feed the identical byte sequence to derive matching finished MACs. They
+// hash at different cut points — MAC_{S,l} covers the transcript up to QUE2's
+// signature, MAC_{O,l} additionally the finished MACs and the RES2 ciphertext
+// — and the first cut is a prefix of the second: take Hash, keep adding, take
+// it again, and no byte is hashed twice or kept.
+//
+// A Transcript is a plain value holding the digest in crypto/sha256's
+// marshalled form (Add and Hash revive it in a pooled hasher): the zero value
+// is the empty transcript, a copy is a fork, and there is nothing to release.
 type Transcript struct {
-	data []byte
+	state [sha256StateLen]byte // all zero: nothing added yet
 }
 
-// NewTranscript returns a transcript whose buffer is borrowed from the
-// scratch pool when capacity fits, so short-lived transcripts (the object
-// side builds and hashes two per QUE2, then drops both) recycle their memory
-// via Release instead of churning the allocator. A transcript that outlives
-// its handler call (the subject's per-session cut) is simply never Released.
-func NewTranscript(capacity int) *Transcript {
-	if capacity <= scratchCap {
-		return &Transcript{data: GetScratch()}
+// sha256StateLen is the length of crypto/sha256's marshalled digest: magic,
+// eight chaining words, one block of buffered input, the length.
+const sha256StateLen = 4 + sha256.Size + sha256.BlockSize + 8
+
+// hasher is a pooled SHA-256 with the buffer its interface calls read and
+// write: staged there, a Transcript on a caller's stack stays on it.
+type hasher struct {
+	h     hash.Hash
+	state [sha256StateLen]byte
+}
+
+var hasherPool = sync.Pool{New: func() any { return &hasher{h: sha256.New()} }}
+
+// revive borrows a hasher holding t's digest.
+func (t *Transcript) revive() *hasher {
+	x := hasherPool.Get().(*hasher)
+	if x.state = t.state; x.state[0] == 0 { // the marshalled form opens with a magic string
+		x.h.Reset()
+	} else if err := x.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(x.state[:]); err != nil {
+		panic("wire: transcript state: " + err.Error())
 	}
-	return &Transcript{data: make([]byte, 0, capacity)}
+	return x
 }
 
-// Release returns the transcript's buffer to the scratch pool and empties
-// the transcript. Only call when nothing aliases the accumulated bytes.
-func (t *Transcript) Release() {
-	PutScratch(t.data)
-	t.data = nil
+// Add appends message bytes to the transcript, part by part.
+func (t *Transcript) Add(parts ...[]byte) {
+	x := t.revive()
+	for _, p := range parts {
+		x.h.Write(p)
+	}
+	state, err := x.h.(encoding.BinaryAppender).AppendBinary(x.state[:0])
+	if err != nil || len(state) != len(t.state) || state[0] == 0 {
+		panic("wire: crypto/sha256 marshals a state this package does not know")
+	}
+	t.state = x.state
+	hasherPool.Put(x)
 }
 
-// Len returns the number of accumulated transcript bytes.
-func (t *Transcript) Len() int { return len(t.data) }
-
-// Add appends message bytes to the transcript.
-func (t *Transcript) Add(b []byte) { t.data = append(t.data, b...) }
-
-// Hash returns SHA-256 over the accumulated transcript.
-func (t *Transcript) Hash() [sha256.Size]byte { return sha256.Sum256(t.data) }
-
-// Clone returns an independent copy of the transcript state.
-func (t *Transcript) Clone() *Transcript {
-	return &Transcript{data: append([]byte(nil), t.data...)}
-}
-
-// CloneInto returns an independent copy with room for extra more bytes,
-// pool-backed like NewTranscript — the object side extends its subject cut
-// by the finished MACs and ciphertext, and sizing the clone once avoids the
-// growth copies.
-func (t *Transcript) CloneInto(extra int) *Transcript {
-	c := NewTranscript(len(t.data) + extra)
-	c.data = append(c.data, t.data...)
-	return c
+// Hash returns SHA-256 over the transcript so far, and leaves it open.
+func (t *Transcript) Hash() (sum [sha256.Size]byte) {
+	x := t.revive()
+	copy(sum[:], x.h.Sum(x.state[:0]))
+	hasherPool.Put(x)
+	return sum
 }
 
 // SigInputSizeQUE2 returns exactly len(SigInputQUE2(que1Enc, res1Enc, q)).

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"argus/internal/suite"
 )
@@ -228,14 +229,14 @@ func TestTranscript(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Fatal("transcript hash depends on chunking — both sides must agree")
 	}
-	c := a.Clone()
+	c := *a
 	c.Add([]byte("res2"))
 	if a.Hash() == c.Hash() {
-		t.Fatal("clone aliases parent")
+		t.Fatal("copy aliases parent")
 	}
 	a.Add([]byte("res2"))
 	if a.Hash() != c.Hash() {
-		t.Fatal("clone diverges from identical additions")
+		t.Fatal("copy diverges from identical additions")
 	}
 }
 
@@ -310,5 +311,50 @@ func TestVersionAndTypeStrings(t *testing.T) {
 	}
 	if TQUE1.String() != "QUE1" || TRES2.String() != "RES2" {
 		t.Error("type strings wrong")
+	}
+}
+
+// TestDecodeBorrowsPayload: a decoded message is one allocation — the struct —
+// and its byte fields are windows on the payload, each closed at its own end.
+func TestDecodeBorrowsPayload(t *testing.T) {
+	within := func(field, raw []byte) bool {
+		return len(field) > 0 && cap(field) == len(field) &&
+			uintptr(unsafe.Pointer(&field[0])) >= uintptr(unsafe.Pointer(&raw[0])) &&
+			uintptr(unsafe.Pointer(&field[len(field)-1])) <= uintptr(unsafe.Pointer(&raw[len(raw)-1]))
+	}
+	full, short := que2For(V30, true), que2For(V30, true)
+	short.Ticket = bytes.Repeat([]byte{0x77}, 16)
+	for _, m := range []Message{
+		&QUE1{Version: V30, RS: full.RS},
+		&RES1{Version: V30, Mode: ModePublic, Prof: bytes.Repeat([]byte{1}, 200)},
+		&RES1{Version: V30, Mode: ModeSecure, RO: bytes.Repeat([]byte{4}, 28), CertO: bytes.Repeat([]byte{5}, 500),
+			KEXMO: bytes.Repeat([]byte{6}, 64), Sig: bytes.Repeat([]byte{7}, 64)},
+		full, short,
+		&RES2{Version: V30, Ciphertext: bytes.Repeat([]byte{8}, 256), MACO: bytes.Repeat([]byte{9}, 32)},
+	} {
+		raw := m.Encode()
+		got, err := Decode(raw)
+		if err != nil || got.Type() != m.Type() {
+			t.Fatalf("%v: decoded as %v, %v", m.Type(), got, err)
+		}
+		var fields [][]byte
+		switch d := got.(type) {
+		case *QUE1:
+			fields = [][]byte{d.RS}
+		case *RES1:
+			fields = [][]byte{d.Prof, d.RO, d.CertO, d.KEXMO, d.Sig}
+		case *QUE2:
+			fields = [][]byte{d.RS, d.ProfS, d.CertS, d.KEXMS, d.Sig, d.MACS2, d.MACS3, d.Ticket}
+		case *RES2:
+			fields = [][]byte{d.Ciphertext, d.MACO}
+		}
+		for i, f := range fields {
+			if len(f) > 0 && !within(f, raw) {
+				t.Errorf("%v field %d: copied, or open past its end", m.Type(), i)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = Decode(raw) }); n != 1 {
+			t.Errorf("%v: Decode costs %.0f allocs, want 1", m.Type(), n)
+		}
 	}
 }
