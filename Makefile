@@ -17,7 +17,9 @@ FUZZTIME ?= 15s
 #   make bench-json    regenerates BENCH_4.json (fastpath and mesh-throughput
 #                      experiments), BENCH_5.json (the `standard` soak) and
 #                      BENCH_8.json (service churn)
-#   make capacity      regenerates BENCH_10.json (the capacity knee)
+#   make capacity      regenerates BENCH_10.json (the capacity knee: the search
+#                      ladder and the warm wave's sessions, seconds and level
+#                      mix, in-process and over two processes)
 #
 # The BENCH_N.json files are each PR's own record, in that PR's schema; commit
 # the ones a change moves.
@@ -72,8 +74,6 @@ fuzz:
 	$(GO) test ./internal/backendsvc -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz='^FuzzMergeSnapshots$$' -fuzztime=$(FUZZTIME)
 
-# Property/chaos harness: seeds × loss rates × levels, crash windows, Case 7
-# under retransmission (internal/chaos).
 # Live ops-plane smoke: argus-load serves /events while the ci-soak profile
 # runs and argus-ops tails it with the same SLO gates (scripts/ops_smoke.sh).
 ops-smoke:
@@ -85,12 +85,15 @@ ops-smoke:
 backend-smoke:
 	scripts/backend_smoke.sh
 
-# Capacity-search smoke: a 2-process sharded fleet under a coarse
-# `argus-load -capacity -procs 2` search — the coordinator/shard/merge
-# pipeline end to end (scripts/capacity_smoke.sh, ~1 min).
+# Capacity-search smoke: one tiny fleet under a coarse `argus-load -capacity`
+# search on both placements — in-process, then sharded over two argus-node
+# processes (the coordinator/shard/merge pipeline) — each with a non-zero
+# knee and the profile's level mix (scripts/capacity_smoke.sh, ~1 min).
 capacity-smoke:
 	scripts/capacity_smoke.sh
 
+# Property/chaos harness: seeds × loss rates × levels, crash windows, Case 7
+# under retransmission (internal/chaos).
 chaos:
 	$(GO) test ./internal/chaos -count=1 -v
 
@@ -132,8 +135,10 @@ soak:
 # Capacity knee search (BENCH_10.json): bracket-and-bisect search over the
 # open-loop arrival rate on a widened ci-soak topology (192 subjects so the
 # knee is compute-bound, not subject-bound), single process first, then the
-# same fleet sharded across two argus-node processes with merged verdicts.
-# A few minutes of wall time; regenerates the committed BENCH_10.json.
+# same fleet — same level mix, same driver — sharded across two argus-node
+# processes with merged verdicts. A few minutes of wall time; regenerates
+# BENCH_10.json (the committed file is frozen history until ROADMAP item 1b
+# re-measures: see EXPERIMENTS.md).
 capacity:
 	$(GO) build -o /tmp/argus-cap-node ./cmd/argus-node
 	$(GO) run ./cmd/argus-load -capacity -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-single.json

@@ -11,7 +11,6 @@ import (
 
 	"argus/internal/fleetcoord"
 	"argus/internal/load"
-	"argus/internal/scale"
 )
 
 // capacityOpts carries the -capacity flag group from main into runCapacity.
@@ -19,10 +18,8 @@ type capacityOpts struct {
 	procs   int
 	nodeBin string
 	start   float64
-	growth  float64
 	tol     float64
 	trials  int
-	ceiling float64
 	dur     time.Duration
 	out     string
 	quiet   bool
@@ -30,24 +27,32 @@ type capacityOpts struct {
 	backendURL, tenant, authKey string
 }
 
-// capacityDoc is the JSON document -capacity emits: the measured search
-// next to the analytic scale model's prediction, so BENCH_10 (and anyone
-// reading it later) can see how far measurement and model diverge.
+// capacityDoc is the JSON document -capacity emits: the measured search and
+// the closed warm wave that preceded it, as the measurement it is.
 type capacityDoc struct {
-	Profile      string               `json:"profile"`
-	Procs        int                  `json:"procs"`
-	Cores        int                  `json:"cores"`
-	TrialSeconds float64              `json:"trial_seconds"`
-	WarmSessions int64                `json:"warm_sessions"`
-	WarmSeconds  float64              `json:"warm_seconds"`
-	Search       *load.CapacityResult `json:"search"`
-	Model        scale.CapacityModel  `json:"model"`
-	// PredictedKnee is Model.Predict(Procs): the per-session warm cost
-	// scaled by process count and core budget.
-	PredictedKnee float64 `json:"predicted_knee_sessions_per_second"`
+	Profile      string  `json:"profile"`
+	Procs        int     `json:"procs"`
+	Cores        int     `json:"cores"`
+	TrialSeconds float64 `json:"trial_seconds"`
+	WarmSessions int64   `json:"warm_sessions"`
+	WarmSeconds  float64 `json:"warm_seconds"`
+	// WarmByLevel splits the warm wave's discoveries by the level they
+	// resolved at ("1".."3"): the fleet's level mix, which must not depend on
+	// where the fleet is placed.
+	WarmByLevel map[string]uint64    `json:"warm_sessions_by_level"`
+	Search      *load.CapacityResult `json:"search"`
 	// ProcErrors aggregates children that died mid-search (multi-process
 	// runs only); each is also folded into its trial's violations.
 	ProcErrors []string `json:"proc_errors,omitempty"`
+}
+
+// setWarm records the warm wave's window in the document.
+func (d *capacityDoc) setWarm(warm *load.Report) {
+	d.WarmSessions, d.WarmSeconds = warm.Totals.Armed, warm.Totals.WallSeconds
+	d.WarmByLevel = map[string]uint64{}
+	for lvl, q := range warm.Latency {
+		d.WarmByLevel[lvl] = q.Count
+	}
 }
 
 // findNodeBin resolves the shard-child binary: an explicit -node-bin wins,
@@ -78,31 +83,26 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 	}
 	cfg := load.CapacityConfig{
 		Start:     o.start,
-		Growth:    o.growth,
 		Tolerance: o.tol,
 		MaxTrials: o.trials,
-		Ceiling:   o.ceiling,
 		Logf:      logf,
 	}
 
-	doc := capacityDoc{Profile: name, Procs: o.procs, Cores: runtime.GOMAXPROCS(0)}
-	if doc.Procs < 1 {
-		doc.Procs = 1
+	dur := o.dur
+	if dur <= 0 {
+		dur = 5 * time.Second
 	}
+	doc := capacityDoc{Profile: name, Procs: max(1, o.procs), Cores: runtime.GOMAXPROCS(0), TrialSeconds: dur.Seconds()}
 
 	var trial load.TrialFunc
 	if o.procs <= 1 {
-		cs, err := load.OpenCapacitySession(p, o.dur)
+		cs, err := load.OpenCapacitySession(p, dur)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
 			return 2
 		}
 		defer cs.Close()
-		doc.WarmSessions, doc.WarmSeconds = cs.WarmSessions, cs.WarmSeconds
-		doc.TrialSeconds = o.dur.Seconds()
-		if doc.TrialSeconds <= 0 {
-			doc.TrialSeconds = 5
-		}
+		doc.setWarm(cs.Warm)
 		trial = cs.Trial
 	} else {
 		bin, err := findNodeBin(o.nodeBin)
@@ -117,34 +117,27 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 		}
 		defer os.RemoveAll(work)
 		co, err := fleetcoord.Launch(fleetcoord.Config{
-			Procs:           o.procs,
-			Cells:           p.Cells,
-			SubjectsPerCell: p.SubjectsPerCell,
-			ObjectsPerCell:  p.ObjectsPerCell,
-			BinPath:         bin,
-			BaseArgs:        []string{"-role", "shard", "--"},
-			BackendURL:      o.backendURL,
-			Tenant:          o.tenant,
-			AuthKey:         o.authKey,
-			WorkDir:         work,
-			TrialSLO:        load.TrialSLO(p.SLO),
-			Logf:            logf,
+			Procs:      o.procs,
+			Profile:    p,
+			BinPath:    bin,
+			BaseArgs:   []string{"-role", "shard", "--"},
+			BackendURL: o.backendURL,
+			Tenant:     o.tenant,
+			AuthKey:    o.authKey,
+			WorkDir:    work,
+			Logf:       logf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
 			return 2
 		}
 		defer co.Close()
-		if err := co.Sweep(); err != nil {
+		warm, err := co.Sweep()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "argus-load: warm sweep: %v\n", err)
 			return 2
 		}
-		doc.WarmSessions, doc.WarmSeconds = co.WarmSessions, co.WarmSeconds
-		dur := o.dur
-		if dur <= 0 {
-			dur = 5 * time.Second
-		}
-		doc.TrialSeconds = dur.Seconds()
+		doc.setWarm(warm)
 		trial = func(offered float64) (load.Trial, error) {
 			v, err := co.Trial(offered, dur)
 			if err != nil {
@@ -154,11 +147,6 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 			return v.Trial, nil
 		}
 	}
-
-	// Calibrate the analytic model from the warm closed wave so the doc
-	// carries prediction and measurement side by side.
-	doc.Model = scale.Calibrate(doc.WarmSessions, doc.WarmSeconds, doc.Cores)
-	doc.PredictedKnee = doc.Model.Predict(doc.Procs)
 
 	res, err := load.SearchCapacity(cfg, trial)
 	if err != nil {
@@ -191,14 +179,11 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 	}
 	if !o.quiet {
 		verdict := fmt.Sprintf("knee %.1f sessions/s", res.Knee)
-		if res.HitCeiling {
-			verdict += " (ceiling, lower bound)"
-		}
 		if res.Bottleneck != "" {
 			verdict += fmt.Sprintf(", bottleneck %s", res.Bottleneck)
 		}
-		fmt.Fprintf(os.Stderr, "argus-load: capacity: %s over %d procs; model predicted %.1f (%d trials)\n",
-			verdict, doc.Procs, doc.PredictedKnee, len(res.Trials))
+		fmt.Fprintf(os.Stderr, "argus-load: capacity: %s over %d procs (%d trials)\n",
+			verdict, doc.Procs, len(res.Trials))
 	}
 	return 0
 }

@@ -64,19 +64,14 @@ func run() int {
 		procs      = flag.Int("procs", 0, "capacity: shard the fleet across this many argus-node child processes (implies -capacity)")
 		nodeBin    = flag.String("node-bin", "", "capacity: path to the argus-node binary for -procs children (default: next to argus-load, then $PATH)")
 		capStart   = flag.Float64("cap-start", 0, "capacity: first offered rate in sessions/s (0 = default)")
-		capGrowth  = flag.Float64("cap-growth", 0, "capacity: bracket growth multiplier (0 = default)")
 		capTol     = flag.Float64("cap-tol", 0, "capacity: relative bracket tolerance to converge at (0 = default)")
 		capTrials  = flag.Int("cap-trials", 0, "capacity: hard trial budget (0 = default)")
-		capCeiling = flag.Float64("cap-ceiling", 0, "capacity: never offer beyond this rate (0 = unbounded)")
 		capDur     = flag.Duration("cap-duration", 0, "capacity: measured window per trial (0 = default)")
 		capBackend = flag.String("cap-backend", "", "capacity: provision the -procs fleet from this live argus-backend URL instead of a snapshot")
 		capTenant  = flag.String("cap-tenant", "demo", "capacity: tenant namespace on -cap-backend")
 		capAuthKey = flag.String("cap-auth-key", "", "capacity: tenant auth key for -cap-backend")
 
-		svcChurn  = flag.Bool("service-churn", false, "run the live-churn benchmark against a multi-tenant backend service and exit")
-		churnN    = flag.Int("churn-n", 0, "service-churn: accessible objects per subject (0 = default)")
-		churnOps  = flag.Int("churn-ops", 0, "service-churn: repetitions per operation (0 = default)")
-		churnHTTP = flag.Bool("churn-local", false, "service-churn: keep churn in-process instead of over HTTP")
+		svcChurn = flag.Bool("service-churn", false, "run the live-churn benchmark against a multi-tenant backend service and exit")
 	)
 	flag.Parse()
 
@@ -112,13 +107,6 @@ func run() int {
 
 	if *svcChurn {
 		cfg := load.DefaultServiceChurnConfig()
-		if *churnN > 0 {
-			cfg.N = *churnN
-		}
-		if *churnOps > 0 {
-			cfg.Ops = *churnOps
-		}
-		cfg.HTTP = !*churnHTTP
 		if !*quiet {
 			cfg.Logf = func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -223,10 +211,8 @@ func run() int {
 			procs:      *procs,
 			nodeBin:    *nodeBin,
 			start:      *capStart,
-			growth:     *capGrowth,
 			tol:        *capTol,
 			trials:     *capTrials,
-			ceiling:    *capCeiling,
 			dur:        *capDur,
 			out:        *out,
 			quiet:      *quiet,

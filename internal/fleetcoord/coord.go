@@ -26,10 +26,14 @@ import (
 
 // Config describes the fleet the coordinator shards out.
 type Config struct {
-	Procs           int
-	Cells           int
-	SubjectsPerCell int
-	ObjectsPerCell  int
+	Procs int
+
+	// Profile is the fleet that is sharded: its shape (Cells,
+	// SubjectsPerCell, ObjectsPerCell), its level mix (Levels, Fellow) and its
+	// SLO, which gates each trial window as load.TrialSLO. Its driver, churn,
+	// fault and retry fields do not apply here: shards run the coordinator's
+	// sweep and trial verbs under shardRetry.
+	Profile load.Profile
 
 	// BinPath + BaseArgs launch one child: exec(BinPath, BaseArgs...,
 	// <shard flags>). For argus-node: BaseArgs = ["-role","shard","--"].
@@ -48,27 +52,22 @@ type Config struct {
 	// WorkDir holds the snapshot and the address file. Required.
 	WorkDir string
 
-	// TrialSLO gates each trial window (load.TrialSLO of a profile SLO);
-	// MaxSkipFrac bounds the open-loop skip fraction (<=0 = 5%).
-	TrialSLO    load.SLO
-	MaxSkipFrac float64
-
-	LaunchTimeout time.Duration
-	Logf          func(format string, args ...any)
+	Logf func(format string, args ...any)
 }
 
+// launchTimeout bounds each readiness barrier of Launch.
+const launchTimeout = 60 * time.Second
+
 func (c Config) withDefaults() (Config, error) {
-	if c.Procs < 1 || c.Cells < 1 || c.SubjectsPerCell < 1 || c.ObjectsPerCell < 1 {
-		return c, fmt.Errorf("fleetcoord: non-positive topology: %+v", c)
+	if p := c.Profile; c.Procs < 1 || p.Cells < 1 || p.SubjectsPerCell < 1 || p.ObjectsPerCell < 1 {
+		return c, fmt.Errorf("fleetcoord: non-positive topology: %d procs, %d cells × (%d subj + %d obj)",
+			c.Procs, p.Cells, p.SubjectsPerCell, p.ObjectsPerCell)
 	}
 	if c.BinPath == "" {
 		return c, fmt.Errorf("fleetcoord: BinPath is required")
 	}
 	if c.WorkDir == "" {
 		return c, fmt.Errorf("fleetcoord: WorkDir is required")
-	}
-	if c.LaunchTimeout <= 0 {
-		c.LaunchTimeout = 60 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -101,7 +100,6 @@ type proc struct {
 	armed     bool
 	sweeps    int
 	trials    int
-	sweepSess int64
 	sweepSecs float64
 	exited    bool
 	exitErr   error
@@ -117,10 +115,6 @@ func (p *proc) state() (ready, armed, exited bool) {
 type Coordinator struct {
 	cfg   Config
 	procs []*proc
-
-	// Warm sweep measurement across the fleet, for scale-model calibration.
-	WarmSessions int64
-	WarmSeconds  float64
 }
 
 // Launch provisions the enterprise, spawns the shards, distributes the
@@ -137,6 +131,7 @@ func Launch(cfg Config) (*Coordinator, error) {
 	addrFile := filepath.Join(cfg.WorkDir, "objects.addr")
 
 	co := &Coordinator{cfg: cfg}
+	fleet := cfg.Profile
 	ok := false
 	defer func() {
 		if !ok {
@@ -147,9 +142,9 @@ func Launch(cfg Config) (*Coordinator, error) {
 		args := append(append([]string(nil), cfg.BaseArgs...),
 			"-shard-index", strconv.Itoa(i),
 			"-shards", strconv.Itoa(cfg.Procs),
-			"-cells", strconv.Itoa(cfg.Cells),
-			"-subjects-per-cell", strconv.Itoa(cfg.SubjectsPerCell),
-			"-objects-per-cell", strconv.Itoa(cfg.ObjectsPerCell),
+			"-cells", strconv.Itoa(fleet.Cells),
+			"-subjects-per-cell", strconv.Itoa(fleet.SubjectsPerCell),
+			"-objects-per-cell", strconv.Itoa(fleet.ObjectsPerCell),
 			"-addr-file", addrFile,
 			"-seed", strconv.Itoa(i+1),
 		)
@@ -184,7 +179,7 @@ func Launch(cfg Config) (*Coordinator, error) {
 	}
 
 	// Readiness barrier 1: every shard has bound its object sockets.
-	if err := co.await(cfg.LaunchTimeout, func(p *proc) bool { r, _, _ := p.state(); return r }, "object readiness"); err != nil {
+	if err := co.await(launchTimeout, func(p *proc) bool { r, _, _ := p.state(); return r }, "object readiness"); err != nil {
 		return nil, err
 	}
 	// Distribute the union of object addresses, atomically (tmp + rename)
@@ -198,8 +193,8 @@ func Launch(cfg Config) (*Coordinator, error) {
 		p.mu.Unlock()
 	}
 	sort.Strings(lines)
-	if len(lines) != cfg.Cells*cfg.ObjectsPerCell {
-		return nil, fmt.Errorf("fleetcoord: %d object addresses announced, want %d", len(lines), cfg.Cells*cfg.ObjectsPerCell)
+	if len(lines) != fleet.Objects() {
+		return nil, fmt.Errorf("fleetcoord: %d object addresses announced, want %d", len(lines), fleet.Objects())
 	}
 	tmp := addrFile + ".tmp"
 	if err := os.WriteFile(tmp, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -209,17 +204,20 @@ func Launch(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	// Readiness barrier 2: every shard has peered its subjects.
-	if err := co.await(cfg.LaunchTimeout, func(p *proc) bool { _, a, _ := p.state(); return a }, "subject arming"); err != nil {
+	if err := co.await(launchTimeout, func(p *proc) bool { _, a, _ := p.state(); return a }, "subject arming"); err != nil {
 		return nil, err
 	}
 	cfg.Logf("fleetcoord: %d shards armed (%d cells, %d subj + %d obj per cell)",
-		cfg.Procs, cfg.Cells, cfg.SubjectsPerCell, cfg.ObjectsPerCell)
+		cfg.Procs, fleet.Cells, fleet.SubjectsPerCell, fleet.ObjectsPerCell)
 	ok = true
 	return co, nil
 }
 
 // provisionFleet registers the whole population through the Service seam —
-// a local backend snapshotted to disk, or a live argus-backend over HTTP.
+// a local backend snapshotted to disk, or a live argus-backend over HTTP —
+// with the profile's level mix, exactly as the in-process fleet gets it:
+// object i of the fleet is at Profile.ObjectLevel(i), Level 3 objects serve
+// the covert group, and with Fellow every subject is in it.
 func provisionFleet(cfg Config, snapPath string) error {
 	ctx := context.Background()
 	var svc backend.Service
@@ -239,16 +237,30 @@ func provisionFleet(cfg Config, snapPath string) error {
 		[]string{"use"}); err != nil {
 		return fmt.Errorf("fleetcoord: policy: %w", err)
 	}
-	for c := 0; c < cfg.Cells; c++ {
-		for k := 0; k < cfg.ObjectsPerCell; k++ {
-			if _, _, err := svc.RegisterObject(ctx, ObjectName(c, k), backend.L2,
-				attr.MustSet("type=device"), []string{"use"}); err != nil {
+	group, err := svc.CreateGroup(ctx, "fleet covert group")
+	if err != nil {
+		return fmt.Errorf("fleetcoord: covert group: %w", err)
+	}
+	fleet := cfg.Profile
+	for c := 0; c < fleet.Cells; c++ {
+		for k := 0; k < fleet.ObjectsPerCell; k++ {
+			level := fleet.ObjectLevel(c*fleet.ObjectsPerCell + k)
+			oid, _, err := svc.RegisterObject(ctx, ObjectName(c, k), level,
+				attr.MustSet("type=device"), []string{"use"})
+			if err == nil && level == backend.L3 {
+				err = svc.AddCovertService(ctx, oid, group, []string{"use", "covert"})
+			}
+			if err != nil {
 				return fmt.Errorf("fleetcoord: register %s: %w", ObjectName(c, k), err)
 			}
 		}
-		for k := 0; k < cfg.SubjectsPerCell; k++ {
-			if _, _, err := svc.RegisterSubject(ctx, SubjectName(c, k),
-				attr.MustSet("position=staff")); err != nil {
+		for k := 0; k < fleet.SubjectsPerCell; k++ {
+			sid, _, err := svc.RegisterSubject(ctx, SubjectName(c, k),
+				attr.MustSet("position=staff"))
+			if err == nil && fleet.Fellow {
+				err = svc.AddSubjectToGroup(ctx, sid, group)
+			}
+			if err != nil {
 				return fmt.Errorf("fleetcoord: register %s: %w", SubjectName(c, k), err)
 			}
 		}
@@ -281,11 +293,8 @@ func (p *proc) scan(r io.Reader, logf func(string, ...any)) {
 		case strings.HasPrefix(line, "shard armed"):
 			p.armed = true
 		case strings.HasPrefix(line, "sweep done"):
-			var sess int64
-			var secs float64
-			if _, err := fmt.Sscanf(line, "sweep done sessions=%d seconds=%f", &sess, &secs); err == nil {
-				p.sweepSess, p.sweepSecs = sess, secs
-			}
+			// The shard's own format; a mismatch would only lose the timing.
+			_, _ = fmt.Sscanf(line, "sweep done seconds=%f", &p.sweepSecs)
 			p.sweeps++
 		case strings.HasPrefix(line, "trial done"):
 			p.trials++
@@ -342,67 +351,38 @@ func (co *Coordinator) live() []*proc {
 // offered rate is proportional to.
 func (co *Coordinator) subjectsOf(index int) int {
 	n := 0
-	for c := 0; c < co.cfg.Cells; c++ {
+	for c := 0; c < co.cfg.Profile.Cells; c++ {
 		if cellSubjOwner(c, co.cfg.Procs) == index {
-			n += co.cfg.SubjectsPerCell
+			n += co.cfg.Profile.SubjectsPerCell
 		}
 	}
 	return n
 }
 
-// Sweep runs one closed warm wave on every shard and records the fleet-wide
-// per-session cost for the scale model.
-func (co *Coordinator) Sweep() error {
+// Sweep runs one closed warm wave on every shard and returns the merged
+// window: Totals.Armed sessions in Totals.WallSeconds (shards sweep
+// concurrently, so the fleet's wall time is the slowest shard's), with the
+// per-level mix in Latency.
+func (co *Coordinator) Sweep() (*load.Report, error) {
 	live := co.live()
 	if len(live) == 0 {
-		return fmt.Errorf("fleetcoord: no live shards")
+		return nil, fmt.Errorf("fleetcoord: no live shards")
 	}
-	before := make(map[int]int, len(live))
+	merged, procErrs, err := co.window(live, "sweep", 60*time.Second,
+		func(*proc) string { return "sweep\n" }, func(p *proc) int { return p.sweeps })
+	if err != nil {
+		return nil, err
+	}
+	if len(procErrs) > 0 {
+		return nil, fmt.Errorf("fleetcoord: warm sweep: %s", strings.Join(procErrs, "; "))
+	}
+	rep := load.SnapshotReport(merged)
 	for _, p := range live {
 		p.mu.Lock()
-		before[p.index] = p.sweeps
-		p.mu.Unlock()
-		if _, err := io.WriteString(p.stdin, "sweep\n"); err != nil {
-			return fmt.Errorf("fleetcoord: shard %d: %w", p.index, err)
-		}
-	}
-	if err := co.awaitCount(60*time.Second, live, func(p *proc) int { return p.sweeps }, before, "sweep"); err != nil {
-		return err
-	}
-	co.WarmSessions, co.WarmSeconds = 0, 0
-	for _, p := range live {
-		p.mu.Lock()
-		co.WarmSessions += p.sweepSess
-		if p.sweepSecs > co.WarmSeconds {
-			// Shards sweep concurrently; the fleet's wall time is the
-			// slowest shard's.
-			co.WarmSeconds = p.sweepSecs
-		}
+		rep.Totals.WallSeconds = max(rep.Totals.WallSeconds, p.sweepSecs)
 		p.mu.Unlock()
 	}
-	return nil
-}
-
-// awaitCount waits until each listed child's counter advances past its
-// before-value — or the child exits, which is not an error here: the trial
-// verdict folds the death in as a violation instead.
-func (co *Coordinator) awaitCount(timeout time.Duration, procs []*proc, get func(*proc) int, before map[int]int, what string) error {
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
-		for _, p := range procs {
-			p.mu.Lock()
-			done := get(p) > before[p.index]
-			exited := p.exited
-			p.mu.Unlock()
-			if !done && !exited {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
-		return fmt.Errorf("fleetcoord: %s did not complete in %s", what, timeout)
-	}
-	return nil
+	return rep, nil
 }
 
 // scrape fetches one child's obs snapshot over its HTTP endpoint.
@@ -419,11 +399,71 @@ func scrape(obsAddr string) (*obs.Snapshot, error) {
 	return obs.ParseSnapshot(blob)
 }
 
+// window runs one verb across the live shards and returns what it moved:
+// each shard is scraped, sent its command, awaited until its done-counter
+// advances — or it exits, which is not an error here — and scraped again;
+// the per-process diffs are merged into one fleet-wide snapshot. A child that
+// rejects the command, dies inside the window or cannot be scraped afterwards
+// is documented in procErrs rather than hanging the coordinator or silently
+// passing on the survivors' clean counters.
+func (co *Coordinator) window(live []*proc, what string, wait time.Duration,
+	cmd func(*proc) string, done func(*proc) int) (merged *obs.Snapshot, procErrs []string, err error) {
+	before := make(map[int]*obs.Snapshot, len(live))
+	counts := make(map[int]int, len(live))
+	for _, p := range live {
+		p.mu.Lock()
+		obsAddr := p.obsAddr
+		counts[p.index] = done(p)
+		p.mu.Unlock()
+		if before[p.index], err = scrape(obsAddr); err != nil {
+			return nil, nil, fmt.Errorf("fleetcoord: scrape shard %d: %w", p.index, err)
+		}
+	}
+	for _, p := range live {
+		if _, err := io.WriteString(p.stdin, cmd(p)); err != nil {
+			// A write to a just-died child: degrade, don't abort.
+			procErrs = append(procErrs, fmt.Sprintf("process %d rejected %s command: %v", p.index, what, err))
+		}
+	}
+	finished := transporttest.Poll(wait, 20*time.Millisecond, func() bool {
+		for _, p := range live {
+			p.mu.Lock()
+			pending := done(p) <= counts[p.index] && !p.exited
+			p.mu.Unlock()
+			if pending {
+				return false
+			}
+		}
+		return true
+	})
+	if !finished {
+		return nil, procErrs, fmt.Errorf("fleetcoord: %s did not complete in %s", what, wait)
+	}
+	var diffs []*obs.Snapshot
+	for _, p := range live {
+		p.mu.Lock()
+		obsAddr := p.obsAddr
+		exited, exitErr := p.exited, p.exitErr
+		p.mu.Unlock()
+		if exited {
+			procErrs = append(procErrs, fmt.Sprintf("process %d exited mid-%s: %v", p.index, what, exitErr))
+			continue
+		}
+		after, err := scrape(obsAddr)
+		if err != nil {
+			procErrs = append(procErrs, fmt.Sprintf("process %d unreachable after %s: %v", p.index, what, err))
+			continue
+		}
+		diffs = append(diffs, obs.DiffSnapshots(after, before[p.index]))
+	}
+	return obs.MergeSnapshots(diffs...), procErrs, nil
+}
+
 // Trial offers `offered` sessions/s fleet-wide for dur, splitting the
 // arrival rate across shards by their subject share, and judges the merged
-// per-process snapshot diffs with the same gates as the in-process search.
-// A child that dies mid-trial degrades the verdict (documented violation)
-// rather than hanging the coordinator or silently passing.
+// window with the same gates as the in-process search. A child that dies
+// mid-trial degrades the verdict (documented violation) rather than hanging
+// the coordinator or silently passing.
 func (co *Coordinator) Trial(offered float64, dur time.Duration) (Verdict, error) {
 	v := Verdict{Procs: co.cfg.Procs, Offered: offered}
 	// Any already-dead child degrades this verdict too: its slice of the
@@ -448,55 +488,21 @@ func (co *Coordinator) Trial(offered float64, dur time.Duration) (Verdict, error
 	if totalSubj == 0 {
 		return v, fmt.Errorf("fleetcoord: live shards own no subjects")
 	}
-	arrivals := offered / float64(co.cfg.ObjectsPerCell)
+	perArrival := float64(co.cfg.Profile.ObjectsPerCell)
+	arrivals := offered / perArrival
 
-	before := make(map[int]*obs.Snapshot, len(live))
-	counts := make(map[int]int, len(live))
-	for _, p := range live {
-		p.mu.Lock()
-		obsAddr := p.obsAddr
-		counts[p.index] = p.trials
-		p.mu.Unlock()
-		snap, err := scrape(obsAddr)
-		if err != nil {
-			return v, fmt.Errorf("fleetcoord: scrape shard %d: %w", p.index, err)
-		}
-		before[p.index] = snap
-	}
-	for _, p := range live {
-		share := arrivals * float64(co.subjectsOf(p.index)) / float64(totalSubj)
-		cmd := fmt.Sprintf("trial %.4f %d\n", share, dur.Milliseconds())
-		if _, err := io.WriteString(p.stdin, cmd); err != nil {
-			// A write to a just-died child: degrade, don't abort.
-			v.ProcErrors = append(v.ProcErrors, fmt.Sprintf("process %d rejected trial command: %v", p.index, err))
-		}
-	}
 	// The window plus the shard's own drain + quiesce, with slack.
 	wait := dur + shardRetry().SessionTTL + 25*time.Second
-	if err := co.awaitCount(wait, live, func(p *proc) int { return p.trials }, counts, "trial"); err != nil {
+	merged, procErrs, err := co.window(live, "trial", wait, func(p *proc) string {
+		share := arrivals * float64(co.subjectsOf(p.index)) / float64(totalSubj)
+		return fmt.Sprintf("trial %.4f %d\n", share, dur.Milliseconds())
+	}, func(p *proc) int { return p.trials })
+	v.ProcErrors = append(v.ProcErrors, procErrs...)
+	if err != nil {
 		return v, err
 	}
-
-	var diffs []*obs.Snapshot
-	for _, p := range live {
-		p.mu.Lock()
-		obsAddr := p.obsAddr
-		exited, exitErr := p.exited, p.exitErr
-		p.mu.Unlock()
-		if exited {
-			v.ProcErrors = append(v.ProcErrors, fmt.Sprintf("process %d exited mid-trial: %v", p.index, exitErr))
-			continue
-		}
-		after, err := scrape(obsAddr)
-		if err != nil {
-			v.ProcErrors = append(v.ProcErrors, fmt.Sprintf("process %d unreachable after trial: %v", p.index, err))
-			continue
-		}
-		diffs = append(diffs, obs.DiffSnapshots(after, before[p.index]))
-	}
-	merged := obs.MergeSnapshots(diffs...)
-	rep := load.SnapshotReport(merged)
-	v.Trial = load.EvalTrial(offered, dur.Seconds(), float64(co.cfg.ObjectsPerCell), rep, co.cfg.TrialSLO, co.cfg.MaxSkipFrac)
+	v.Trial = load.EvalTrial(offered, dur.Seconds(), perArrival,
+		load.SnapshotReport(merged), load.TrialSLO(co.cfg.Profile.SLO))
 	if len(v.ProcErrors) > 0 {
 		v.Trial.Violations = append(v.Trial.Violations, v.ProcErrors...)
 		v.Trial.Pass = false

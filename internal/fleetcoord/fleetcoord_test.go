@@ -2,13 +2,16 @@ package fleetcoord
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"argus/internal/backend"
 	"argus/internal/load"
+	"argus/internal/transport/transporttest"
 )
 
 // TestMain doubles as the shard-child trampoline: the e2e test re-executes
@@ -43,15 +46,17 @@ func TestOwnersSplitRoles(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := Config{Procs: 2, Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1, BinPath: "/bin/true", WorkDir: "/tmp"}
+	fleet := load.Profile{Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1}
+	good := Config{Procs: 2, Profile: fleet, BinPath: "/bin/true", WorkDir: "/tmp"}
 	if _, err := good.withDefaults(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := []Config{
 		{},
-		{Procs: 2, Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1, WorkDir: "/tmp"},      // no BinPath
-		{Procs: 2, Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1, BinPath: "/bin/true"}, // no WorkDir
-		{Procs: 0, Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1, BinPath: "x", WorkDir: "y"},
+		{Procs: 2, Profile: fleet, WorkDir: "/tmp"},      // no BinPath
+		{Procs: 2, Profile: fleet, BinPath: "/bin/true"}, // no WorkDir
+		{Procs: 0, Profile: fleet, BinPath: "x", WorkDir: "y"},
+		{Procs: 2, Profile: load.Profile{Cells: 2, SubjectsPerCell: 1}, BinPath: "x", WorkDir: "y"}, // no objects
 	}
 	for i, c := range bad {
 		if _, err := c.withDefaults(); err == nil {
@@ -99,7 +104,7 @@ func TestAddrFileRoundtrip(t *testing.T) {
 }
 
 func TestSubjectsOfPartitionsFleet(t *testing.T) {
-	co := &Coordinator{cfg: Config{Procs: 3, Cells: 7, SubjectsPerCell: 2}}
+	co := &Coordinator{cfg: Config{Procs: 3, Profile: load.Profile{Cells: 7, SubjectsPerCell: 2}}}
 	total := 0
 	for i := 0; i < 3; i++ {
 		total += co.subjectsOf(i)
@@ -118,10 +123,118 @@ func TestShardMainRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestFleetE2E is the subprocess end-to-end: three real shard processes,
-// cross-process discovery over UDP loopback, one healthy merged trial, then
-// a mid-run kill whose merged verdict must degrade with a documented error
-// instead of hanging. ~15s of wall time, so -short skips it.
+// TestShardVerbsInProcess runs one shard's whole life inside the test process
+// — so under -race, which the subprocess e2e never is: provision a one-cell
+// L1/L3 fellow fleet, serve it over pipes, hand the shard its own object
+// addresses, and drive the sweep and trial verbs the way the coordinator does.
+func TestShardVerbsInProcess(t *testing.T) {
+	dir := t.TempDir()
+	snap, addrFile := filepath.Join(dir, "fleet.snap"), filepath.Join(dir, "objects.addr")
+	fleet := load.Profile{
+		Cells: 1, SubjectsPerCell: 2, ObjectsPerCell: 2,
+		Levels: []backend.Level{backend.L1, backend.L3}, Fellow: true,
+	}
+	if err := provisionFleet(Config{Procs: 1, Profile: fleet}, snap); err != nil {
+		t.Fatal(err)
+	}
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		served <- serveShard(shardConfig{procs: 1, cells: 1, subjPerCell: 2, objPerCell: 2,
+			snapshot: snap, addrFile: addrFile, seed: 1}, inR, outW)
+		outW.Close()
+	}()
+	p := &proc{objAddrs: map[[2]int]string{}}
+	go p.scan(outR, t.Logf)
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		transporttest.WaitUntil(t, 30*time.Second, func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return cond()
+		}, what)
+	}
+
+	await("object readiness", func() bool { return p.ready })
+	var lines []string
+	p.mu.Lock()
+	for key, addr := range p.objAddrs {
+		lines = append(lines, fmt.Sprintf("cell=%d idx=%d addr=%s", key[0], key[1], addr))
+	}
+	obsAddr := p.obsAddr
+	p.mu.Unlock()
+	if err := os.WriteFile(addrFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	await("subject arming", func() bool { return p.armed })
+
+	verb := func(cmd string) *load.Report {
+		t.Helper()
+		p.mu.Lock()
+		done := p.sweeps + p.trials
+		p.mu.Unlock()
+		if _, err := io.WriteString(inW, cmd); err != nil {
+			t.Fatal(err)
+		}
+		await(cmd, func() bool { return p.sweeps+p.trials > done })
+		snap, err := scrape(obsAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return load.SnapshotReport(snap)
+	}
+	warm := verb("sweep\n")
+	if warm.Totals.Armed != 4 || warm.Totals.Completed != 4 || warm.Totals.Lost != 0 || warm.Totals.PeakInflight != 4 {
+		t.Fatalf("sweep totals %+v, want 4 sessions armed, completed and at peak", warm.Totals)
+	}
+	if warm.Latency["1"].Count != 2 || warm.Latency["3"].Count != 2 {
+		t.Fatalf("sweep resolved %+v, want two Level 1 and two Level 3 discoveries", warm.Latency)
+	}
+	trial := verb("trial 20 300\n")
+	if trial.Totals.Completed <= 4 || trial.Totals.Completed != trial.Totals.Armed || trial.Totals.Unexpected != 0 {
+		t.Fatalf("trial totals %+v, want every armed session completed", trial.Totals)
+	}
+
+	// An unknown verb ends the shard with an error naming it.
+	if _, err := io.WriteString(inW, "reboot\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), "reboot") {
+		t.Fatalf("unknown verb: serveShard returned %v", err)
+	}
+}
+
+// TestLaunchFailsFastOnDeadChild: children that die before announcing their
+// objects fail Launch at once with the shard named — not at the 60 s barrier
+// — and leave no process behind.
+func TestLaunchFailsFastOnDeadChild(t *testing.T) {
+	bin, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = Launch(Config{
+		Procs:    2,
+		Profile:  load.Profile{Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1},
+		BinPath:  bin,
+		BaseArgs: []string{"stray"}, // flag parsing stops here: no -addr-file, exit 1
+		Env:      []string{"ARGUS_FLEETCOORD_SHARD=1"},
+		WorkDir:  t.TempDir(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "exited before object readiness") {
+		t.Fatalf("Launch over dying children returned %v", err)
+	}
+	if took := time.Since(start); took > launchTimeout/2 {
+		t.Fatalf("Launch took %v to notice its children were dead", took)
+	}
+}
+
+// TestFleetE2E is the subprocess end-to-end: three real shard processes
+// hosting the profile's L1/L2/L3 fellow fleet, cross-process discovery over
+// UDP loopback, one healthy merged trial, then a mid-run kill whose merged
+// verdict must degrade with a documented error instead of hanging. ~15s of
+// wall time, so -short skips it.
 func TestFleetE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped with -short")
@@ -130,16 +243,19 @@ func TestFleetE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet := load.Profile{
+		Cells: 3, SubjectsPerCell: 2, ObjectsPerCell: 2,
+		Levels: []backend.Level{backend.L1, backend.L2, backend.L3, backend.L2},
+		Fellow: true,
+		SLO:    load.SLO{P50Ceiling: 4 * time.Second, P99Ceiling: 10 * time.Second},
+	}
 	cfg := Config{
-		Procs: 3, Cells: 3, SubjectsPerCell: 2, ObjectsPerCell: 2,
+		Procs:   3,
+		Profile: fleet,
 		BinPath: bin,
 		Env:     []string{"ARGUS_FLEETCOORD_SHARD=1"},
 		WorkDir: t.TempDir(),
-		TrialSLO: load.TrialSLO(load.SLO{
-			P50Ceiling: 4 * time.Second,
-			P99Ceiling: 10 * time.Second,
-		}),
-		Logf: t.Logf,
+		Logf:    t.Logf,
 	}
 	co, err := Launch(cfg)
 	if err != nil {
@@ -148,13 +264,29 @@ func TestFleetE2E(t *testing.T) {
 	defer co.Close()
 
 	// Cross-process discovery proof: the warm sweep completes every
-	// subject-object pair across the process boundaries.
-	if err := co.Sweep(); err != nil {
+	// subject-object pair across the process boundaries, each at the level
+	// the profile's pattern gives the object (cells hold L1+L2, L3+L2, L1+L2)
+	// — fellows resolve the covert service at Level 3.
+	warm, err := co.Sweep()
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantSessions := int64(cfg.Cells * cfg.SubjectsPerCell * cfg.ObjectsPerCell)
-	if co.WarmSessions != wantSessions {
-		t.Fatalf("warm sweep armed %d sessions, want %d", co.WarmSessions, wantSessions)
+	wantSessions := int64(fleet.Subjects() * fleet.ObjectsPerCell)
+	if warm.Totals.Armed != wantSessions || warm.Totals.Completed != wantSessions || warm.Totals.Lost != 0 {
+		t.Fatalf("warm sweep totals %+v, want %d sessions armed and completed", warm.Totals, wantSessions)
+	}
+	for lvl, want := range map[string]uint64{"1": 4, "2": 6, "3": 2} {
+		if got := warm.Latency[lvl].Count; got != want {
+			t.Errorf("warm sweep: %d Level %s discoveries, want %d", got, lvl, want)
+		}
+	}
+	// The peak is latched in the driver, so a shard's gauge is no longer a
+	// registered zero (merged gauges read the last shard's: one cell's wave).
+	if warm.Totals.PeakInflight == 0 {
+		t.Error("merged warm sweep reports a zero peak inflight")
+	}
+	if warm.Totals.WallSeconds <= 0 {
+		t.Error("warm sweep carries no wall time")
 	}
 
 	// A gentle offered rate against the healthy 3-process fleet passes.

@@ -31,14 +31,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"argus/internal/backend"
 	"argus/internal/backendclient"
 	"argus/internal/cert"
 	"argus/internal/core"
+	"argus/internal/load"
 	"argus/internal/obs"
 	"argus/internal/transport"
 	"argus/internal/transport/transporttest"
@@ -103,38 +102,26 @@ func ShardMain(args []string) error {
 	return serveShard(cfg, os.Stdin, os.Stdout)
 }
 
-// shardSlot mirrors the in-process harness's subjectSlot: the per-round
-// expectation ledger one subject engine is held to.
-type shardSlot struct {
-	eng *core.Subject
-	ep  transport.Endpoint
-
-	mu        sync.Mutex
-	round     int
-	expected  int
-	got       int
-	busy      bool
-	lostRound bool
-}
-
-// shard is one child process's fleet slice.
+// shard is one child process's fleet slice: its own fleet construction
+// (backend.Service credentials, one UDP socket per engine, peers from the
+// address file), driven by the same load.Driver as the in-process harness.
 type shard struct {
 	cfg shardConfig
 	reg *obs.Registry
 	rng *rand.Rand
 	out io.Writer
+	drv *load.Driver
 
-	subjects []*shardSlot
+	slots    []*load.Slot
+	subjects []*core.Subject
 	objects  []*core.Object
 	eps      []*transport.UDPEndpoint
-
-	roundsArmed, roundsDone atomic.Int64
-
-	armedC, completionsC *obs.Counter
-	lostC, skippedC      *obs.Counter
-	inflightG, peakG     *obs.Gauge
-	unexpectedC          *obs.Counter
 }
+
+// quiesceDeadline outlives the session TTL: a round whose peer process died
+// can never complete, and its subject sessions expire at the TTL, so both the
+// open loop's drain and the quiesce after it need only wait that long.
+func quiesceDeadline() time.Duration { return shardRetry().SessionTTL + 3*time.Second }
 
 // serveShard builds this shard's slice of the fleet and runs the stdin
 // command loop until "quit" or EOF.
@@ -157,13 +144,7 @@ func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
 		cfg: cfg, reg: reg, out: out,
 		rng: rand.New(rand.NewSource(cfg.seed*1023 + int64(cfg.index))),
 	}
-	sh.inflightG = reg.Gauge(obs.MLoadInflight, "armed discovery sessions not yet completed")
-	sh.peakG = reg.Gauge(obs.MLoadPeakInflight, "high-water mark of inflight sessions")
-	sh.armedC = reg.Counter(obs.MLoadRoundsArmed, "sessions armed (expected completions)")
-	sh.completionsC = reg.Counter(obs.MLoadCompletions, "sessions completed")
-	sh.lostC = reg.Counter(obs.MLoadLost, "sessions reaped at the drain deadline")
-	sh.unexpectedC = reg.Counter(obs.MLoadUnexpected, "completions that violated the expectation ledger")
-	sh.skippedC = reg.Counter(obs.MLoadSkipped, "open-loop arrivals that found every subject busy")
+	sh.drv = load.NewDriver(reg, sh.pendingSessions)
 	defer sh.close()
 
 	if err := sh.buildObjects(svc); err != nil {
@@ -178,7 +159,7 @@ func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
 	if err := sh.buildSubjects(svc, addrs); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "shard armed subjects=%d\n", len(sh.subjects))
+	fmt.Fprintf(out, "shard armed subjects=%d\n", len(sh.slots))
 
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
@@ -188,8 +169,14 @@ func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
 		}
 		switch fields[0] {
 		case "sweep":
-			sessions, seconds := sh.sweep()
-			fmt.Fprintf(out, "sweep done sessions=%d seconds=%.4f\n", sessions, seconds)
+			// One closed wave — every subject, one round: it warms the caches
+			// and times the fleet's per-session cost. What it armed, completed
+			// and lost is in the registry the coordinator scrapes.
+			start := time.Now()
+			sh.drv.Wave(sh.slots, 0, 30*time.Second)
+			seconds := time.Since(start).Seconds()
+			sh.drv.Quiesce(quiesceDeadline())
+			fmt.Fprintf(out, "sweep done seconds=%.4f\n", seconds)
 		case "trial":
 			if len(fields) != 3 {
 				return fmt.Errorf("shard: bad trial command %q", sc.Text())
@@ -199,8 +186,8 @@ func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("shard: bad trial command %q", sc.Text())
 			}
-			sh.openLoop(rate, time.Duration(durMS)*time.Millisecond)
-			sh.quiesce()
+			sh.drv.OpenLoop(sh.slots, sh.rng, rate, time.Duration(durMS)*time.Millisecond, quiesceDeadline())
+			sh.drv.Quiesce(quiesceDeadline())
 			fmt.Fprintf(out, "trial done\n")
 		case "quit":
 			return nil
@@ -320,160 +307,32 @@ func (sh *shard) buildSubjects(svc backend.Service, addrs map[[2]int]string) err
 				return err
 			}
 			sh.eps = append(sh.eps, ep)
-			slot := &shardSlot{ep: ep, expected: sh.cfg.objPerCell}
 			subj := core.NewSubject(prov, wire.V30, core.Costs{},
 				core.WithEndpoint(ep),
 				core.WithRetry(shardRetry()),
 				core.WithTelemetry(sh.reg, nil),
 				core.WithVerifyCache(vcache))
-			slot.eng = subj
-			subj.OnDiscovery = func(d core.Discovery) { sh.onDiscovery(slot, d) }
-			sh.subjects = append(sh.subjects, slot)
+			// Every subject of the sharded fleet is live, so whatever the
+			// level mix it discovers each of its cell's objects once a round.
+			slot := load.NewSlot(subj, ep, sh.cfg.objPerCell)
+			subj.OnDiscovery = func(d core.Discovery) { sh.drv.Complete(slot, d, true) }
+			sh.slots = append(sh.slots, slot)
+			sh.subjects = append(sh.subjects, subj)
 		}
 	}
 	return nil
 }
 
-// onDiscovery runs on subject event loops; same ledger rules as the
-// in-process harness.
-func (sh *shard) onDiscovery(s *shardSlot, d core.Discovery) {
-	s.mu.Lock()
-	if d.Round != s.round || s.lostRound || s.got >= s.expected {
-		s.mu.Unlock()
-		sh.unexpectedC.Inc()
-		return
-	}
-	s.got++
-	done := s.got == s.expected
-	if done {
-		s.busy = false
-	}
-	s.mu.Unlock()
-	sh.completionsC.Inc()
-	sh.inflightG.Add(-1)
-	if done {
-		sh.roundsDone.Add(1)
-		s.eng.CompleteRound()
-	}
-}
-
-// arm opens the slot's next round; fire issues the Discover on the engine's
-// event loop.
-func (sh *shard) arm(s *shardSlot) {
-	s.mu.Lock()
-	s.round++
-	s.got = 0
-	s.busy = true
-	s.lostRound = false
-	s.mu.Unlock()
-	sh.roundsArmed.Add(1)
-	sh.armedC.Add(int64(s.expected))
-	sh.inflightG.Add(int64(s.expected))
-	eng := s.eng
-	s.ep.Do(func() { _ = eng.Discover(1) })
-}
-
-// sweep fires one closed wave — every subject, one round — and waits for it
-// to drain; it both warms the caches and measures per-session cost.
-func (sh *shard) sweep() (sessions int64, seconds float64) {
-	start := time.Now()
-	before := sh.roundsDone.Load()
+// pendingSessions sums the open sessions of every engine this shard hosts.
+func (sh *shard) pendingSessions() int {
+	n := 0
 	for _, s := range sh.subjects {
-		sh.arm(s)
+		n += s.PendingSessions()
 	}
-	target := before + int64(len(sh.subjects))
-	if !transporttest.Poll(30*time.Second, 10*time.Millisecond, func() bool {
-		return sh.roundsDone.Load() >= target
-	}) {
-		sh.reap()
+	for _, o := range sh.objects {
+		n += o.PendingSessions()
 	}
-	seconds = time.Since(start).Seconds()
-	sh.quiesce()
-	return int64(len(sh.subjects) * sh.cfg.objPerCell), seconds
-}
-
-// openLoop offers `rate` arrivals/s (each arrival arms one subject round)
-// for `duration`, with the same deterministic catch-up schedule as the
-// in-process driver, then drains the armed tail.
-func (sh *shard) openLoop(rate float64, duration time.Duration) {
-	if rate <= 0 || len(sh.subjects) == 0 {
-		return
-	}
-	start := time.Now()
-	next := 0
-	var tNext time.Duration
-	for {
-		tNext += time.Duration(sh.rng.ExpFloat64() / rate * float64(time.Second))
-		if tNext >= duration {
-			break
-		}
-		if wait := tNext - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		fired := false
-		for i := 0; i < len(sh.subjects); i++ {
-			s := sh.subjects[(next+i)%len(sh.subjects)]
-			s.mu.Lock()
-			idle := !s.busy
-			s.mu.Unlock()
-			if !idle {
-				continue
-			}
-			next = (next + i + 1) % len(sh.subjects)
-			sh.arm(s)
-			fired = true
-			break
-		}
-		if !fired {
-			sh.skippedC.Inc()
-		}
-	}
-	// A round whose peer process died can never complete; its subject
-	// session expires at the TTL, so the drain deadline only needs to
-	// outlive that before reaping the round as lost.
-	target := sh.roundsArmed.Load()
-	if !transporttest.Poll(shardRetry().SessionTTL+3*time.Second, 10*time.Millisecond, func() bool {
-		return sh.roundsDone.Load() >= target
-	}) {
-		sh.reap()
-	}
-}
-
-// reap retires every unfinished round, converting its missing completions
-// to losses — the same accounting as the in-process harness.
-func (sh *shard) reap() {
-	for _, s := range sh.subjects {
-		s.mu.Lock()
-		if s.busy && !s.lostRound {
-			missing := s.expected - s.got
-			s.lostRound = true
-			s.busy = false
-			s.mu.Unlock()
-			sh.lostC.Add(int64(missing))
-			sh.inflightG.Add(int64(-missing))
-			sh.roundsDone.Add(1)
-			eng := s.eng
-			s.ep.Do(func() { eng.CompleteRound() })
-			continue
-		}
-		s.mu.Unlock()
-	}
-}
-
-// quiesce waits for every engine's session table to empty, so a reaped
-// round's expiries land in the window that caused them.
-func (sh *shard) quiesce() {
-	ttl := shardRetry().SessionTTL
-	transporttest.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
-		n := 0
-		for _, s := range sh.subjects {
-			n += s.eng.PendingSessions()
-		}
-		for _, o := range sh.objects {
-			n += o.PendingSessions()
-		}
-		return n == 0
-	})
+	return n
 }
 
 func (sh *shard) close() {

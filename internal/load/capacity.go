@@ -5,14 +5,7 @@ import (
 	"time"
 
 	"argus/internal/obs"
-	"argus/internal/transport/transporttest"
 )
-
-// waitPoll is deadline polling at the coarse step the fleet-walking
-// predicates want (each pendingSessions call visits every engine).
-func waitPoll(timeout time.Duration, cond func() bool) bool {
-	return transporttest.Poll(timeout, 50*time.Millisecond, cond)
-}
 
 // This file is the saturation-knee finder: a bracket-then-bisect search over
 // the open-loop offered rate (sessions/s) that reports the highest rate the
@@ -61,19 +54,18 @@ type TrialFunc func(offered float64) (Trial, error)
 // CapacityConfig tunes the search.
 type CapacityConfig struct {
 	Start     float64 // first offered rate, sessions/s (default 100)
-	Growth    float64 // bracket multiplier (default 2)
 	Tolerance float64 // stop when hi-lo <= Tolerance*lo (default 0.1)
 	MaxTrials int     // hard trial budget (default 16)
-	Ceiling   float64 // optional: never offer beyond this rate (0 = none)
 	Logf      func(format string, args ...any)
 }
+
+// bracketGrowth is the factor the bracketing phase multiplies (or divides)
+// the offered rate by.
+const bracketGrowth = 2
 
 func (c CapacityConfig) withDefaults() CapacityConfig {
 	if c.Start <= 0 {
 		c.Start = 100
-	}
-	if c.Growth <= 1 {
-		c.Growth = 2
 	}
 	if c.Tolerance <= 0 {
 		c.Tolerance = 0.1
@@ -97,15 +89,13 @@ type CapacityResult struct {
 	// "vcache-misses", "retransmissions", "session-expiries",
 	// "arrival-backlog", "compute-saturation", or "" when nothing failed.
 	Bottleneck string `json:"bottleneck,omitempty"`
-	// Converged: the bracket closed to within Tolerance. HitCeiling: the
-	// fleet passed at the configured Ceiling, so the knee is a lower bound.
-	Converged  bool    `json:"converged"`
-	HitCeiling bool    `json:"hit_ceiling,omitempty"`
-	Trials     []Trial `json:"trials"`
+	// Converged: the bracket closed to within Tolerance.
+	Converged bool    `json:"converged"`
+	Trials    []Trial `json:"trials"`
 }
 
-// SearchCapacity brackets the knee (multiplying by Growth while trials
-// pass, dividing while even Start fails) and then bisects until the
+// SearchCapacity brackets the knee (doubling the rate while trials pass,
+// halving while even Start fails) and then bisects until the
 // bracket is within Tolerance or the trial budget runs out. The rate
 // ladder is monotone during bracketing by construction; bisection probes
 // only inside the bracket.
@@ -115,9 +105,6 @@ func SearchCapacity(cfg CapacityConfig, run TrialFunc) (*CapacityResult, error) 
 	var lo, hi float64 // highest pass, lowest fail
 	var firstFail *Trial
 	rate := cfg.Start
-	if cfg.Ceiling > 0 && rate > cfg.Ceiling {
-		rate = cfg.Ceiling
-	}
 	for len(res.Trials) < cfg.MaxTrials {
 		t, err := run(rate)
 		if err != nil {
@@ -129,10 +116,6 @@ func SearchCapacity(cfg CapacityConfig, run TrialFunc) (*CapacityResult, error) 
 				t.Offered, t.Achieved, 100*t.SkipFraction)
 			if t.Offered > lo {
 				lo = t.Offered
-			}
-			if cfg.Ceiling > 0 && t.Offered >= cfg.Ceiling {
-				res.HitCeiling = true
-				break
 			}
 		} else {
 			cfg.Logf("capacity: %.1f/s FAIL (%v)", t.Offered, t.Violations)
@@ -147,17 +130,14 @@ func SearchCapacity(cfg CapacityConfig, run TrialFunc) (*CapacityResult, error) 
 		switch {
 		case lo == 0 && hi > 0:
 			// Even the smallest rate tried so far fails: bracket downward.
-			rate = hi / cfg.Growth
+			rate = hi / bracketGrowth
 			if rate < cfg.Start/1024 {
 				// Nothing sustains; give up rather than chase zero.
 				goto done
 			}
 		case lo > 0 && hi == 0:
 			// Everything passes so far: bracket upward.
-			rate = lo * cfg.Growth
-			if cfg.Ceiling > 0 && rate > cfg.Ceiling {
-				rate = cfg.Ceiling
-			}
+			rate = lo * bracketGrowth
 		default:
 			// Bracket closed: bisect or stop.
 			if hi-lo <= cfg.Tolerance*lo {
@@ -173,9 +153,6 @@ func SearchCapacity(cfg CapacityConfig, run TrialFunc) (*CapacityResult, error) 
 done:
 	res.Knee = lo
 	res.FirstFail = hi
-	if res.HitCeiling {
-		res.Converged = true
-	}
 	if firstFail != nil {
 		res.Bottleneck = AttributeBottleneck(*firstFail)
 	}
@@ -216,6 +193,11 @@ func AttributeBottleneck(t Trial) string {
 	}
 }
 
+// maxSkipFrac bounds a trial's skip fraction: an open-loop fleet that sheds
+// more offered load than that is saturated no matter how clean the
+// completions look.
+const maxSkipFrac = 0.05
+
 // TrialSLO derives the per-trial gate set from a profile SLO. Trials judge
 // a short open-loop window from a snapshot diff, so the ledger-backed and
 // whole-run gates are retuned: retransmission ceilings off (the window
@@ -238,13 +220,7 @@ func TrialSLO(s SLO) SLO {
 // the arrival rate in sessions/s, seconds the offered-window length,
 // sessionsPerArrival how many sessions one open-loop arrival arms (the
 // subject's per-round fan-out — ObjectsPerCell for the standard fleets).
-// maxSkipFrac bounds the skip fraction (<=0 means 5%): an open-loop fleet
-// that sheds more offered load than that is saturated no matter how clean
-// the completions look.
-func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SLO, maxSkipFrac float64) Trial {
-	if maxSkipFrac <= 0 {
-		maxSkipFrac = 0.05
-	}
+func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SLO) Trial {
 	if sessionsPerArrival <= 0 {
 		sessionsPerArrival = 1
 	}
@@ -283,22 +259,20 @@ func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SL
 // so the (expensive) fleet build is paid once and each trial is a
 // snapshot-diff window over the shared registry.
 type CapacitySession struct {
-	r           *runner
-	trialDur    time.Duration
-	slo         SLO
-	maxSkipFrac float64
+	r        *runner
+	trialDur time.Duration
+	slo      SLO
+	last     *obs.Snapshot // the registry when the previous window closed
 
-	// Warmup measurement, for calibrating the scale model: sessions
-	// completed by the closed warm wave and the wall seconds it took.
-	WarmSessions int64
-	WarmSeconds  float64
+	// Warm is the closed warm wave's window: Totals.Armed sessions in
+	// Totals.WallSeconds, with the per-level mix in Latency.
+	Warm *Report
 }
 
 // OpenCapacitySession builds the profile's fleet and runs one closed
 // warm wave (every subject fires one round) so verify caches, ARP-style
-// peer state and the RTT estimators are warm before the first trial — and
-// so the session has a per-session cost measurement to calibrate the scale
-// model with.
+// peer state and the RTT estimators are warm before the first trial. Each
+// trial's offered window lasts trialDur.
 func OpenCapacitySession(p Profile, trialDur time.Duration) (*CapacitySession, error) {
 	r, err := newRunner(p)
 	if err != nil {
@@ -308,40 +282,30 @@ func OpenCapacitySession(p Profile, trialDur time.Duration) (*CapacitySession, e
 		r:        r,
 		trialDur: trialDur,
 		slo:      TrialSLO(r.p.SLO),
+		last:     r.before,
 	}
-	if cs.trialDur <= 0 {
-		cs.trialDur = 5 * time.Second
-	}
-	if err := cs.warm(); err != nil {
+	start := time.Now()
+	_, lost := r.drv.Wave(r.slots(), 0, r.p.DrainTimeout)
+	seconds := time.Since(start).Seconds()
+	if lost > 0 {
 		cs.Close()
-		return nil, err
+		return nil, fmt.Errorf("warm wave did not complete: %d sessions lost", lost)
 	}
+	cs.Warm = cs.window()
+	cs.Warm.Totals.WallSeconds = seconds
 	return cs, nil
 }
 
-// warm fires one closed wave and waits for it to complete and quiesce.
-func (cs *CapacitySession) warm() error {
+// window quiesces the fleet — so a written-off round's session expiries land
+// in the window that caused them, not the next one's — and reports the
+// registry's movement since the previous window closed.
+func (cs *CapacitySession) window() *Report {
 	r := cs.r
-	slots := r.allSubjects()
-	start := time.Now()
-	var armed int64
-	for _, s := range slots {
-		exp := r.armSlot(s)
-		armed += int64(exp)
-		r.inflight.add(int64(exp))
-		r.inflightG.Add(int64(exp))
-	}
-	for _, s := range slots {
-		r.fire(s)
-	}
-	target := r.roundsArmed.Load()
-	if !waitPoll(r.p.DrainTimeout, func() bool { return r.roundsDone.Load() >= target }) {
-		return fmt.Errorf("warm wave did not complete: %d/%d rounds", r.roundsDone.Load(), target)
-	}
-	cs.WarmSessions = armed
-	cs.WarmSeconds = time.Since(start).Seconds()
-	cs.quiesce()
-	return nil
+	r.drv.Quiesce(r.p.quiesceDeadline())
+	after := r.reg.Snapshot()
+	rep := SnapshotReport(obs.DiffSnapshots(after, cs.last))
+	cs.last = after
+	return rep
 }
 
 // Trial offers `offered` sessions/s for the session's trial duration and
@@ -351,24 +315,8 @@ func (cs *CapacitySession) warm() error {
 func (cs *CapacitySession) Trial(offered float64) (Trial, error) {
 	r := cs.r
 	perArrival := float64(r.p.ObjectsPerCell)
-	before := r.reg.Snapshot()
-	r.openLoopAt(offered/perArrival, cs.trialDur)
-	// Quiesce before the after-snapshot so a reaped round's session
-	// expiries land in this trial's window, not the next one's.
-	cs.quiesce()
-	diff := obs.DiffSnapshots(r.reg.Snapshot(), before)
-	rep := SnapshotReport(diff)
-	return EvalTrial(offered, cs.trialDur.Seconds(), perArrival, rep, cs.slo, cs.maxSkipFrac), nil
-}
-
-// quiesce waits for every engine's session table to empty (bounded by the
-// session TTL plus slack).
-func (cs *CapacitySession) quiesce() {
-	ttl := cs.r.p.Retry.SessionTTL
-	if ttl <= 0 {
-		ttl = 8 * time.Second
-	}
-	waitPoll(ttl+3*time.Second, func() bool { return cs.r.fleet.pendingSessions() == 0 })
+	r.drv.OpenLoop(r.slots(), r.rng, offered/perArrival, cs.trialDur, r.p.DrainTimeout)
+	return EvalTrial(offered, cs.trialDur.Seconds(), perArrival, cs.window(), cs.slo), nil
 }
 
 // Close tears the fleet down.

@@ -35,7 +35,7 @@ func (o *syntheticOracle) run(offered float64) (Trial, error) {
 func TestSearchCapacityConverges(t *testing.T) {
 	for _, knee := range []float64{137, 800, 2500} {
 		o := &syntheticOracle{knee: knee}
-		res, err := SearchCapacity(CapacityConfig{Start: 100, Growth: 2, Tolerance: 0.1, MaxTrials: 32}, o.run)
+		res, err := SearchCapacity(CapacityConfig{Start: 100, Tolerance: 0.1, MaxTrials: 32}, o.run)
 		if err != nil {
 			t.Fatalf("knee %v: %v", knee, err)
 		}
@@ -56,7 +56,7 @@ func TestSearchCapacityConverges(t *testing.T) {
 
 func TestSearchCapacityMonotoneBracketLadder(t *testing.T) {
 	o := &syntheticOracle{knee: 900}
-	res, err := SearchCapacity(CapacityConfig{Start: 100, Growth: 2, Tolerance: 0.1, MaxTrials: 32}, o.run)
+	res, err := SearchCapacity(CapacityConfig{Start: 100, Tolerance: 0.1, MaxTrials: 32}, o.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSearchCapacityMonotoneBracketLadder(t *testing.T) {
 func TestSearchCapacityBoundedTrials(t *testing.T) {
 	// A needle-thin tolerance cannot run past the trial budget.
 	o := &syntheticOracle{knee: 777}
-	res, err := SearchCapacity(CapacityConfig{Start: 10, Growth: 2, Tolerance: 1e-9, MaxTrials: 12}, o.run)
+	res, err := SearchCapacity(CapacityConfig{Start: 10, Tolerance: 1e-9, MaxTrials: 12}, o.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSearchCapacityBoundedTrials(t *testing.T) {
 func TestSearchCapacityBracketsDownward(t *testing.T) {
 	// Start far above the knee: the search must divide its way down.
 	o := &syntheticOracle{knee: 50}
-	res, err := SearchCapacity(CapacityConfig{Start: 6400, Growth: 2, Tolerance: 0.1, MaxTrials: 32}, o.run)
+	res, err := SearchCapacity(CapacityConfig{Start: 6400, Tolerance: 0.1, MaxTrials: 32}, o.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSearchCapacityBracketsDownward(t *testing.T) {
 
 func TestSearchCapacityNothingSustains(t *testing.T) {
 	o := &syntheticOracle{knee: 0} // every rate fails
-	res, err := SearchCapacity(CapacityConfig{Start: 100, Growth: 2, Tolerance: 0.1, MaxTrials: 40}, o.run)
+	res, err := SearchCapacity(CapacityConfig{Start: 100, Tolerance: 0.1, MaxTrials: 40}, o.run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +130,6 @@ func TestSearchCapacityNothingSustains(t *testing.T) {
 	}
 	if len(res.Trials) >= 40 {
 		t.Errorf("downward bracket must give up before the budget, ran %d", len(res.Trials))
-	}
-}
-
-func TestSearchCapacityCeiling(t *testing.T) {
-	o := &syntheticOracle{knee: 1e12} // effectively infinite capacity
-	res, err := SearchCapacity(CapacityConfig{Start: 100, Growth: 2, Tolerance: 0.1, MaxTrials: 32, Ceiling: 500}, o.run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.HitCeiling || res.Knee != 500 {
-		t.Errorf("ceiling: knee %v hitCeiling %v, want 500 and true", res.Knee, res.HitCeiling)
-	}
-	for _, r := range o.trials {
-		if r > 500 {
-			t.Errorf("offered %v above the ceiling", r)
-		}
 	}
 }
 
@@ -182,7 +166,7 @@ func TestSearchCapacityBottleneckPerRegime(t *testing.T) {
 	for _, rg := range regimes {
 		t.Run(rg.name, func(t *testing.T) {
 			o := &syntheticOracle{knee: 300, fail: rg.fail}
-			res, err := SearchCapacity(CapacityConfig{Start: 100, Growth: 2, Tolerance: 0.1, MaxTrials: 32}, o.run)
+			res, err := SearchCapacity(CapacityConfig{Start: 100, Tolerance: 0.1, MaxTrials: 32}, o.run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +187,7 @@ func TestEvalTrial(t *testing.T) {
 	rep.Totals.Armed = 1000
 	rep.Totals.Completed = 1000
 	rep.Totals.SkippedArrivals = 0
-	tr := EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}), 0.05)
+	tr := EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
 	if !tr.Pass {
 		t.Fatalf("clean window must pass: %v", tr.Violations)
 	}
@@ -216,7 +200,7 @@ func TestEvalTrial(t *testing.T) {
 
 	// 30 skipped arrivals × 2 sessions each against 1000 armed = 5.7% shed.
 	rep.Totals.SkippedArrivals = 30
-	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}), 0.05)
+	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
 	if tr.Pass {
 		t.Fatal("saturated window (skip fraction 5.7%) must fail")
 	}
@@ -236,7 +220,7 @@ func TestEvalTrial(t *testing.T) {
 	// Lost sessions trip the strict trial gate.
 	rep.Totals.SkippedArrivals = 0
 	rep.Totals.Lost = 2
-	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}), 0.05)
+	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
 	if tr.Pass {
 		t.Fatal("window with lost sessions must fail")
 	}

@@ -1,201 +1,106 @@
 package load
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"argus/internal/adversary"
-	"argus/internal/attr"
-	"argus/internal/backend"
-	"argus/internal/cert"
 	"argus/internal/core"
 	"argus/internal/obs"
-	"argus/internal/suite"
+	"argus/internal/transport"
 	"argus/internal/transport/transporttest"
 )
 
-// peakGauge is an atomic gauge that latches its high-water mark.
-type peakGauge struct{ cur, peak atomic.Int64 }
+// Slot is the expectation ledger one subject engine is held to: which round
+// is open, how many completions it must deliver and how many it has. The
+// mutex orders the orchestrator (arming, reaping) against the engine's event
+// loop (Driver.Complete).
+type Slot struct {
+	eng *core.Subject
+	ep  transport.Endpoint // the engine's endpoint; Do is the arming door
 
-func (g *peakGauge) add(n int64) int64 {
-	v := g.cur.Add(n)
-	for {
-		p := g.peak.Load()
-		if v <= p || g.peak.CompareAndSwap(p, v) {
-			return v
-		}
-	}
+	// Fanout is how many completions one round of this subject must deliver.
+	// It is read when the slot is armed; the owner may change it between
+	// driver calls (a revoked subject still sees only its cell's L1 objects).
+	Fanout int
+
+	mu        sync.Mutex
+	round     int  // mirrors the engine's round counter (one Discover per arm)
+	expected  int  // completions this round must deliver
+	got       int  // completions seen this round
+	busy      bool // a round is in flight
+	lostRound bool // the current round was reaped at a deadline
 }
 
-// runner executes one profile: it owns the fleet, the expectation ledger,
-// and the sampler. All orchestration (arming, churn, drain waits) happens
-// on the Run goroutine; completions arrive on engine event loops through
-// onDiscovery and touch only atomics and per-slot mutexes.
-type runner struct {
-	p       Profile
-	reg     *obs.Registry
-	fleet   *fleet
-	levelOf map[cert.ID]backend.Level
-	rng     *rand.Rand
+// NewSlot wraps one subject engine. The owner routes the engine's
+// OnDiscovery to Driver.Complete.
+func NewSlot(eng *core.Subject, ep transport.Endpoint, fanout int) *Slot {
+	return &Slot{eng: eng, ep: ep, Fanout: fanout}
+}
 
-	inflight peakGauge
-	peakOpen atomic.Int64 // sampled Σ PendingSessions high-water mark
+// Driver is the one discovery driver outside benchmark/: it arms rounds on
+// the slots it is handed — a closed Wave or a Poisson OpenLoop — credits
+// completions exactly once, writes off what a deadline leaves, and owns the
+// argus_load_* families, which are the only ledger a snapshot consumer
+// (SnapshotReport, argus-ops, fleetcoord) reads. The in-process runner, the
+// capacity session and the fleetcoord shard all drive their fleets through
+// it, so a knee measured on one placement is the same measurement as on
+// another. Wave, OpenLoop and Quiesce belong to one orchestrating goroutine;
+// Complete runs on engine event loops.
+type Driver struct {
+	pending func() int // Σ PendingSessions over the driven fleet
 
-	armed, completed, lost  atomic.Int64
-	unexpected, late        atomic.Int64
-	levelMismatch           atomic.Int64
+	// Rounds are what the deadlines wait on; sessions are what the registry
+	// counts. late is ledger-only: a straggler moves no snapshot family.
 	roundsArmed, roundsDone atomic.Int64
-	skippedArrivals         atomic.Int64
+	late                    atomic.Int64
 
-	inflightG, peakG     *obs.Gauge
-	armedC, completionsC *obs.Counter
-	lostC, unexpectedC   *obs.Counter
-	skippedC             *obs.Counter
-
-	// Ledger the SLO checks compare telemetry against.
-	predictedSubjExpiries int64
-	revokedCount          int
-	addedCount            int
-	crashedCount          int
-	redeliveredCount      int
-	roamedCount           int
-
-	roamsC    *obs.Counter
-	observer  *adversary.Observer
-	advReport *AdversaryReport
-	covert    *adversary.Covertness
-
-	waves []WaveStats
-
-	samplerStop chan struct{}
-	samplerDone chan struct{}
+	inflight, peak   *obs.Gauge
+	armed, completed *obs.Counter
+	lost, unexpected *obs.Counter
+	skipped          *obs.Counter
 }
 
-// Run builds the profile's fleet, drives it, and returns the report. err is
-// non-nil only for harness-level failures (invalid profile, provisioning or
-// transport setup errors); SLO violations are reported in Report.SLO so the
-// caller still gets the full numbers.
-func Run(p Profile) (*Report, error) {
-	start := time.Now()
-	r, err := newRunner(p)
-	if err != nil {
-		return nil, err
-	}
-	p = r.p
-	observer := r.observer
-	defer r.fleet.close()
-
-	r.startSampler()
-	if p.Rate > 0 {
-		r.runOpenLoop()
-	} else {
-		if err := r.runClosedLoop(); err != nil {
-			r.stopSampler()
-			return nil, err
-		}
-		if p.ReplayTargets > 0 || p.SybilRounds > 0 {
-			if err := r.adversaryPhase(); err != nil {
-				r.stopSampler()
-				return nil, err
-			}
-		}
-	}
-	leaked := r.drainTail()
-	r.stopSampler()
-	if observer != nil {
-		v := observer.Verdict()
-		r.covert = &v
-		p.logf("load: %s", v)
-	}
-
-	rep := r.buildReport(time.Since(start), leaked)
-	rep.SLO = p.SLO.Check(rep)
-	r.publish("report", rep)
-	r.publishSnapshot()
-	return rep, nil
-}
-
-// newRunner validates the profile, registers the harness metric families and
-// builds the fleet. The caller owns r.fleet.close(). Factored out of Run so
-// the capacity search can hold one fleet across many open-loop trials.
-func newRunner(p Profile) (*runner, error) {
-	p = p.withDefaults()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	reg := p.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	r := &runner{
-		p:   p,
-		reg: reg,
-		rng: rand.New(rand.NewSource(p.Seed)),
-	}
-	r.inflightG = r.reg.Gauge(obs.MLoadInflight, "armed discovery sessions not yet completed")
-	r.peakG = r.reg.Gauge(obs.MLoadPeakInflight, "high-water mark of inflight sessions")
-	r.armedC = r.reg.Counter(obs.MLoadRoundsArmed, "sessions armed (expected completions)")
-	r.completionsC = r.reg.Counter(obs.MLoadCompletions, "sessions completed")
-	r.lostC = r.reg.Counter(obs.MLoadLost, "sessions reaped at the drain deadline")
-	r.unexpectedC = r.reg.Counter(obs.MLoadUnexpected, "completions that violated the expectation ledger")
-	r.roamsC = r.reg.Counter(obs.MLoadRoams, "subjects migrated between cells at wave boundaries")
-	r.skippedC = r.reg.Counter(obs.MLoadSkipped, "open-loop arrivals that found every subject busy")
-
-	if p.Observer {
-		r.observer = adversary.NewObserver(reg, p.ObserverMinSamples, p.ObserverMaxSamples)
-	}
-
-	start := time.Now()
-	fl, err := buildFleet(p, r.reg, r.observer, r.onDiscovery)
-	if err != nil {
-		return nil, err
-	}
-	r.fleet = fl
-	r.levelOf = fl.levelOf()
-	p.logf("load: fleet up in %.1fs — %d cells × (%d subj + %d obj) over %s",
-		time.Since(start).Seconds(), p.Cells, p.SubjectsPerCell, p.ObjectsPerCell, p.Transport)
-	return r, nil
-}
-
-// publish emits one progress frame to the profile's live event hub, if any.
-func (r *runner) publish(kind string, v any) {
-	if r.p.Events != nil {
-		_ = r.p.Events.PublishData(kind, v)
+// NewDriver registers the harness families in reg. pending reports the open
+// sessions across every engine of the driven fleet, both roles; Quiesce
+// polls it.
+func NewDriver(reg *obs.Registry, pending func() int) *Driver {
+	return &Driver{
+		pending:    pending,
+		inflight:   reg.Gauge(obs.MLoadInflight, "armed discovery sessions not yet completed"),
+		peak:       reg.Gauge(obs.MLoadPeakInflight, "high-water mark of inflight sessions"),
+		armed:      reg.Counter(obs.MLoadRoundsArmed, "sessions armed (expected completions)"),
+		completed:  reg.Counter(obs.MLoadCompletions, "sessions completed"),
+		lost:       reg.Counter(obs.MLoadLost, "sessions reaped at the drain deadline"),
+		unexpected: reg.Counter(obs.MLoadUnexpected, "completions that violated the expectation ledger"),
+		skipped:    reg.Counter(obs.MLoadSkipped, "open-loop arrivals that found every subject busy"),
 	}
 }
 
-func (r *runner) publishSnapshot() {
-	if r.p.Events != nil {
-		r.p.Events.PublishSnapshot()
-	}
-}
+// Late counts completions that arrived for a superseded or reaped round.
+func (d *Driver) Late() int64 { return d.late.Load() }
 
-// onDiscovery is the completion hook, invoked on subject event loops.
-func (r *runner) onDiscovery(s *subjectSlot, d core.Discovery) {
+// Complete is the completion hook, called from the subject's OnDiscovery on
+// its event loop. admit is the owner's judgement of the discovery itself (a
+// revoked subject may see nothing above Level 1); the driver judges it
+// against the round. It reports whether the completion was credited.
+//
+// A straggler from a superseded or reaped round is late, not unexpected: its
+// absence is already charged as lost, so it credits nothing and moves no
+// gauge. A completion the owner refuses, or one past the round's
+// expectation, is unexpected.
+func (d *Driver) Complete(s *Slot, disc core.Discovery, admit bool) bool {
 	s.mu.Lock()
 	switch {
-	case d.Round != s.round || s.lostRound:
-		// A straggler from a superseded or reaped round: its absence was
-		// already accounted; never double-credit.
+	case disc.Round != s.round || s.lostRound:
 		s.mu.Unlock()
-		r.late.Add(1)
-		return
-	case s.revoked && d.Level > backend.L1:
+		d.late.Add(1)
+		return false
+	case !admit || s.got >= s.expected:
 		s.mu.Unlock()
-		r.unexpected.Add(1)
-		r.unexpectedC.Inc()
-		return
-	case s.got >= s.expected:
-		s.mu.Unlock()
-		r.unexpected.Add(1)
-		r.unexpectedC.Inc()
-		return
-	}
-	if !s.revoked && d.Level != r.wantLevel(s, d.Object) {
-		r.levelMismatch.Add(1)
+		d.unexpected.Inc()
+		return false
 	}
 	s.got++
 	done := s.got == s.expected
@@ -203,57 +108,44 @@ func (r *runner) onDiscovery(s *subjectSlot, d core.Discovery) {
 		s.busy = false
 	}
 	s.mu.Unlock()
-	r.completed.Add(1)
-	r.completionsC.Inc()
-	r.inflight.add(-1)
-	r.inflightG.Add(-1)
+	d.completed.Inc()
+	d.inflight.Add(-1)
 	if done {
-		r.roundsDone.Add(1)
+		d.roundsDone.Add(1)
 		// The ledger knows the round is over before the engine possibly can;
 		// drop its remaining retry deadlines so none fires spuriously. The
 		// hook runs on the subject's event loop, so the call is direct.
 		s.eng.CompleteRound()
 	}
+	return true
 }
 
-// wantLevel is the ground-truth visibility level a live subject must see a
-// given object at. A fellow provisioned after a revocation rotated the
-// covert group key holds a newer key than the objects, so its L3 visibility
-// degrades to L2 — exactly what the deployed system would do until the
-// objects are reprovisioned.
-func (r *runner) wantLevel(s *subjectSlot, obj cert.ID) backend.Level {
-	switch r.levelOf[obj] {
-	case backend.L1:
-		return backend.L1
-	case backend.L3:
-		if r.p.Fellow && !s.staleGroup {
-			return backend.L3
-		}
-		return backend.L2
-	default:
-		return backend.L2
-	}
-}
-
-// armSlot opens the slot's next round and returns its expected completions.
-// The caller pre-credits the inflight gauge for the whole batch before any
-// Discover is issued, so the gauge's peak is the true armed concurrency.
-func (r *runner) armSlot(s *subjectSlot) int {
-	exp := s.expectedRound()
+// arm opens the slot's next round and returns its expected completions. The
+// caller credits inflight for the whole batch before any Discover is issued,
+// so the gauge's peak is the true armed concurrency.
+func (d *Driver) arm(s *Slot) int64 {
 	s.mu.Lock()
 	s.round++
 	s.got = 0
-	s.expected = exp
-	s.busy = exp > 0
+	s.expected = s.Fanout
+	s.busy = s.expected > 0
 	s.lostRound = false
 	s.mu.Unlock()
-	r.armed.Add(int64(exp))
-	r.armedC.Add(int64(exp))
-	r.roundsArmed.Add(1)
-	if exp == 0 {
-		r.roundsDone.Add(1)
+	d.armed.Add(int64(s.Fanout))
+	d.roundsArmed.Add(1)
+	if s.Fanout == 0 {
+		d.roundsDone.Add(1)
 	}
-	return exp
+	return int64(s.Fanout)
+}
+
+// credit raises inflight and latches its high-water mark. Only the
+// orchestrator raises the gauge, so the latch has one writer.
+func (d *Driver) credit(n int64) {
+	d.inflight.Add(n)
+	if v := d.inflight.Value(); v > d.peak.Value() {
+		d.peak.Set(v)
+	}
 }
 
 // fire issues the slot's Discover on its event loop. A round armed with
@@ -261,7 +153,7 @@ func (r *runner) armSlot(s *subjectSlot) int {
 // declared complete in the same breath: it still broadcasts — the silence
 // it meets is part of the scenario — but nothing will ever credit it, so
 // its retry deadlines would all be misfires.
-func (r *runner) fire(s *subjectSlot) {
+func (d *Driver) fire(s *Slot) {
 	eng := s.eng
 	s.mu.Lock()
 	exp := s.expected
@@ -274,445 +166,85 @@ func (r *runner) fire(s *subjectSlot) {
 	})
 }
 
-// reapLost retires every unfinished round at a drain deadline, converting
-// the missing completions into lost counts and balancing the gauges.
-func (r *runner) reapLost(slots []*subjectSlot) int64 {
+// settle waits until every armed round has finished, and at the deadline
+// writes the unfinished ones off: their missing completions become lost, the
+// gauges balance, and each round is completed on its engine so a written-off
+// round stops broadcasting into the next window. Returns the sessions lost.
+func (d *Driver) settle(slots []*Slot, deadline time.Duration) int64 {
+	target := d.roundsArmed.Load()
+	if transporttest.Poll(deadline, transporttest.DefaultStep, func() bool {
+		return d.roundsDone.Load() >= target
+	}) {
+		return 0
+	}
 	var lost int64
 	for _, s := range slots {
 		s.mu.Lock()
-		if s.busy {
-			miss := int64(s.expected - s.got)
-			s.busy = false
-			s.lostRound = true
+		if !s.busy {
 			s.mu.Unlock()
-			lost += miss
-			r.roundsDone.Add(1)
-			r.inflight.add(-miss)
-			r.inflightG.Add(-miss)
-		} else {
-			s.mu.Unlock()
+			continue
 		}
+		lost += int64(s.expected - s.got)
+		s.busy = false
+		s.lostRound = true
+		s.mu.Unlock()
+		d.roundsDone.Add(1)
+		s.ep.Do(s.eng.CompleteRound)
 	}
-	if lost > 0 {
-		r.lost.Add(lost)
-		r.lostC.Add(lost)
-	}
+	d.lost.Add(lost)
+	d.inflight.Add(-lost)
 	return lost
 }
 
-// allSubjects snapshots the current subject population.
-func (r *runner) allSubjects() []*subjectSlot {
-	r.fleet.mu.RLock()
-	defer r.fleet.mu.RUnlock()
-	var out []*subjectSlot
-	for _, c := range r.fleet.cells {
-		out = append(out, c.subjects...)
+// Wave runs one closed wave: every slot is armed, then fired — all at once,
+// or with window > 0 spread across it in ~64 evenly spaced chunks (sleep
+// granularity, not per-slot precision) — and the wave settles by deadline.
+// The ledger is fully armed before the first Discover, so pacing is
+// invisible to accounting; it only flattens the handshake compute queue.
+// Returns the sessions armed and lost.
+func (d *Driver) Wave(slots []*Slot, window, deadline time.Duration) (armed, lost int64) {
+	for _, s := range slots {
+		armed += d.arm(s)
 	}
-	return out
+	d.credit(armed)
+	chunk := len(slots)
+	var pause time.Duration
+	if window > 0 && len(slots) > 1 {
+		steps := min(64, len(slots))
+		chunk = (len(slots) + steps - 1) / steps
+		pause = window / time.Duration((len(slots)+chunk-1)/chunk)
+	}
+	for i, s := range slots {
+		if pause > 0 && i > 0 && i%chunk == 0 {
+			time.Sleep(pause)
+		}
+		d.fire(s)
+	}
+	return armed, d.settle(slots, deadline)
 }
 
-// runClosedLoop drives synchronized waves with churn before the final wave.
-func (r *runner) runClosedLoop() error {
-	p := r.p
-	churnWave := -1
-	if (p.RevokeFrac > 0 || p.AddFrac > 0) && p.Waves >= 2 {
-		churnWave = p.Waves - 1 // churn right before the last wave
-	}
-	for w := 0; w < p.Waves; w++ {
-		if w > 0 && p.RoamFrac > 0 {
-			if err := r.roam(w); err != nil {
-				return err
-			}
-		}
-		if w == churnWave {
-			if err := r.churn(); err != nil {
-				return err
-			}
-		}
-		slots := r.allSubjects()
-		base := r.roundsDone.Load()
-		wave := WaveStats{Index: w, Subjects: len(slots)}
-		snapBefore := r.counterTotals()
-		var pre int64
-		for _, s := range slots {
-			pre += int64(r.armSlot(s))
-		}
-		r.inflight.add(pre)
-		r.inflightG.Add(pre)
-		waveStart := time.Now()
-		// Pace round starts across ArmWindow in ~64 evenly spaced chunks
-		// (sleep granularity, not per-slot precision). The expectation
-		// ledger is fully armed above, so the pacing is invisible to
-		// accounting — it only flattens the handshake compute queue.
-		chunk := len(slots)
-		var pause time.Duration
-		if p.ArmWindow > 0 && len(slots) > 1 {
-			steps := min(64, len(slots))
-			chunk = (len(slots) + steps - 1) / steps
-			pause = p.ArmWindow / time.Duration((len(slots)+chunk-1)/chunk)
-		}
-		for i, s := range slots {
-			if pause > 0 && i > 0 && i%chunk == 0 {
-				time.Sleep(pause)
-			}
-			r.fire(s)
-		}
-		target := base + int64(len(slots))
-		drained := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
-			return r.roundsDone.Load() >= target
-		})
-		if !drained {
-			wave.Lost = r.reapLost(slots)
-		}
-		wave.Armed = pre
-		wave.Seconds = time.Since(waveStart).Seconds()
-		snapAfter := r.counterTotals()
-		wave.VCacheHits = snapAfter.vcacheHits - snapBefore.vcacheHits
-		wave.VCacheMisses = snapAfter.vcacheMisses - snapBefore.vcacheMisses
-		wave.Retransmissions = snapAfter.retrans - snapBefore.retrans
-		r.waves = append(r.waves, wave)
-		r.publish("wave", wave)
-		r.publishSnapshot()
-		p.logf("load: wave %d — %d sessions in %.2fs (lost %d, vcache %d hit / %d miss, %d retrans)",
-			w, wave.Armed, wave.Seconds, wave.Lost, wave.VCacheHits, wave.VCacheMisses, wave.Retransmissions)
-		if p.ThinkTime > 0 && w < p.Waves-1 {
-			time.Sleep(p.ThinkTime)
-		}
-	}
-	return nil
-}
-
-// ChurnEvent is the live progress frame published after the churn window.
-type ChurnEvent struct {
-	Revoked     int `json:"revoked"`
-	Added       int `json:"added"`
-	Crashed     int `json:"crashed"`
-	Parked      int `json:"parked"`
-	Redelivered int `json:"redelivered"`
-}
-
-// churn revokes RevokeFrac of each cell's subjects (pushing signed
-// notifications through the cell distributor and waiting for on-device
-// effectuation) and registers AddFrac new subjects per cell, which join the
-// following wave with cold credentials. With CrashFrac set it also opens a
-// crash window: a fraction of each cell's objects drop offline at the
-// distributor before the pushes, so their notifications park in the
-// dead-letter queue; once the live population has effectuated, the crashed
-// nodes reattach and the whole backlog must redeliver in order before the
-// final wave fires.
-func (r *runner) churn() error {
-	p := r.p
-	var pushed, parked int
-	base := r.snapshotCounter(obs.MUpdateApplied)
-	baseEvict := r.snapshotCounter(obs.MUpdateDLQEvictions)
-
-	// Crash window opens before any push. Only the update plane goes dark —
-	// the crashed objects keep answering discovery, and every revocation is
-	// fully effectuated (live + redelivered) before the next wave, so the
-	// expectation arithmetic is unchanged.
-	crashed := make([][]*objectSlot, len(r.fleet.cells))
-	if p.CrashFrac > 0 {
-		for ci, c := range r.fleet.cells {
-			k := int(p.CrashFrac * float64(len(c.objects)))
-			if k > len(c.objects) {
-				k = len(c.objects)
-			}
-			for _, idx := range r.rng.Perm(len(c.objects))[:k] {
-				o := c.objects[idx]
-				c.dist.MarkOffline(o.id)
-				crashed[ci] = append(crashed[ci], o)
-				r.crashedCount++
-			}
-		}
-	}
-
-	for _, c := range r.fleet.cells {
-		k := int(p.RevokeFrac * float64(p.SubjectsPerCell))
-		if k > len(c.subjects) {
-			k = len(c.subjects)
-		}
-		if k == 0 {
-			continue
-		}
-		// Deterministic victim choice from the harness seed.
-		perm := r.rng.Perm(len(c.subjects))[:k]
-		for _, idx := range perm {
-			s := c.subjects[idx]
-			s.mu.Lock()
-			already := s.revoked
-			s.mu.Unlock()
-			if already {
-				continue
-			}
-			if _, err := r.fleet.svc.RevokeSubject(context.Background(), s.id); err != nil {
-				return fmt.Errorf("revoke %s: %w", s.name, err)
-			}
-			if err := c.dist.RevokeSubject(s.id, c.objIDs); err != nil {
-				return fmt.Errorf("push revocation %s: %w", s.name, err)
-			}
-			pushed += len(c.objIDs)
-			r.revokedCount++
-			// Each future round of this subject leaves one silently refused
-			// session per secure object to expire on the subject side.
-			secure := len(c.objects) - c.l1Count
-			wavesLeft := 1 // churn happens before exactly one final wave
-			r.predictedSubjExpiries += int64(secure * wavesLeft)
-			s.mu.Lock()
-			s.revoked = true
-			s.mu.Unlock()
-		}
-	}
-	if pushed > 0 {
-		// The crashed nodes' copies are parked (minus any bound evictions),
-		// not on the wire; the live population must effectuate the rest.
-		parked = r.fleetDLQDepth()
-		evicted := r.snapshotCounter(obs.MUpdateDLQEvictions) - baseEvict
-		wantLive := base + int64(pushed-parked) - evicted
-		ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
-			return r.snapshotCounter(obs.MUpdateApplied) >= wantLive
-		})
-		if !ok {
-			return fmt.Errorf("revocations not effectuated: applied %d, want %d",
-				r.snapshotCounter(obs.MUpdateApplied), wantLive)
-		}
-
-		// Crash window closes: reattach every crashed node. Reattach drains
-		// its queue in push order and the agents' replay checks reject any
-		// duplicate, so waiting for exact effectuation with the fleet-wide
-		// DLQ back at depth zero asserts exactly-once in-order redelivery
-		// end to end.
-		if r.crashedCount > 0 {
-			for ci, c := range r.fleet.cells {
-				for _, o := range crashed[ci] {
-					r.redeliveredCount += c.dist.Reattach(o.id, o.addr)
-				}
-			}
-			wantAll := base + int64(pushed) - evicted
-			ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
-				return r.snapshotCounter(obs.MUpdateApplied) >= wantAll && r.fleetDLQDepth() == 0
-			})
-			if !ok {
-				return fmt.Errorf("redelivery incomplete: applied %d (want %d), DLQ depth %d",
-					r.snapshotCounter(obs.MUpdateApplied), wantAll, r.fleetDLQDepth())
-			}
-		}
-	}
-
-	if p.AddFrac > 0 {
-		// Revoking a fellow rotates the covert group key
-		// (backend.RevokeSubject), and the object engines keep the key they
-		// were provisioned with. Fellows provisioned from here on therefore
-		// see L3 services at L2 until the fleet reprovisions — the
-		// expectation model tracks that per slot.
-		rotated := p.Fellow && r.revokedCount > 0
-		add := int(p.AddFrac * float64(p.SubjectsPerCell))
-		for ci, c := range r.fleet.cells {
-			for k := 0; k < add; k++ {
-				name := fmt.Sprintf("s-add-%d-%d", ci, k)
-				id, _, err := r.fleet.svc.RegisterSubject(context.Background(), name, attr.MustSet("position=staff"))
-				if err != nil {
-					return err
-				}
-				if p.Fellow {
-					if err := r.fleet.svc.AddSubjectToGroup(context.Background(), id, r.fleet.group); err != nil {
-						return err
-					}
-				}
-				if err := r.fleet.addSubject(c, id, name, rotated, r.onDiscovery); err != nil {
-					return err
-				}
-				r.addedCount++
-			}
-		}
-	}
-	p.logf("load: churn — revoked %d subjects (%d notifications), added %d subjects, crashed %d objects (%d parked, %d redelivered)",
-		r.revokedCount, pushed, r.addedCount, r.crashedCount, parked, r.redeliveredCount)
-	r.publish("churn", ChurnEvent{
-		Revoked: r.revokedCount, Added: r.addedCount,
-		Crashed: r.crashedCount, Parked: parked, Redelivered: r.redeliveredCount,
-	})
-	r.publishSnapshot()
-	return nil
-}
-
-// fleetDLQDepth sums parked letters across every cell distributor.
-func (r *runner) fleetDLQDepth() int {
-	n := 0
-	for _, c := range r.fleet.cells {
-		n += c.dist.DLQDepth()
-	}
-	return n
-}
-
-// RoamEvent is the live progress frame published after a roam boundary.
-type RoamEvent struct {
-	Wave  int `json:"wave"`
-	Moved int `json:"moved"`
-}
-
-// roam migrates RoamFrac of each cell's subjects to the next cell before
-// wave w fires: the old radio powers down (pending retry timers die with
-// it), and a fresh engine joins the destination segment with re-issued
-// credentials. The destination cell has never verified the roamer, so its
-// first round there must repopulate the cell-local verify cache — the
-// re-discovery cost the roam counters and per-wave miss deltas expose.
-func (r *runner) roam(wave int) error {
-	p := r.p
-	k := int(p.RoamFrac * float64(p.SubjectsPerCell))
-	if k == 0 {
-		return nil
-	}
-	type mover struct {
-		slot *subjectSlot
-		dst  *cell
-	}
-	var movers []mover
-	f := r.fleet
-	f.mu.Lock()
-	for ci, c := range f.cells {
-		dst := f.cells[(ci+1)%len(f.cells)]
-		n := min(k, len(c.subjects))
-		pick := make(map[int]bool, n)
-		for _, idx := range r.rng.Perm(len(c.subjects))[:n] {
-			pick[idx] = true
-		}
-		kept := c.subjects[:0:0]
-		for idx, s := range c.subjects {
-			if pick[idx] {
-				movers = append(movers, mover{s, dst})
-			} else {
-				kept = append(kept, s)
-			}
-		}
-		c.subjects = kept
-	}
-	f.mu.Unlock()
-	for _, m := range movers {
-		m.slot.ep.Close()
-		if err := f.addSubject(m.dst, m.slot.id, m.slot.name, m.slot.staleGroup, r.onDiscovery); err != nil {
-			return fmt.Errorf("roam %s: %w", m.slot.name, err)
-		}
-		r.roamedCount++
-		r.roamsC.Inc()
-	}
-	p.logf("load: roam — %d subjects migrated to their next cell before wave %d", len(movers), wave)
-	r.publish("roam", RoamEvent{Wave: wave, Moved: len(movers)})
-	return nil
-}
-
-// advCounters is the trio of object-side outcome counters the adversary
-// phase holds to exact deltas. rejected is every QUE2 an object judged and
-// declined to serve: failed authentication, or — a replayed short QUE2, whose
-// ticket is spent or filed under the honest subject's address — a refused
-// resumption.
-type advCounters struct{ orphan, duplicate, rejected int64 }
-
-func (r *runner) advCountersNow() advCounters {
-	snap := r.reg.Snapshot()
-	return advCounters{
-		orphan:    sumFamily(snap, obs.MObjectQue2, obs.L("result", "orphan")),
-		duplicate: sumFamily(snap, obs.MObjectQue1, obs.L("result", "duplicate")),
-		rejected: sumFamily(snap, obs.MObjectQue2, obs.L("result", "rejected")) +
-			sumFamily(snap, obs.MResumptions, obs.L("side", "object"), obs.L("result", "refused")),
-	}
-}
-
-// adversaryPhase drives the replay and Sybil personas against every cell
-// after the honest waves drain, and ledgers the object-side counter deltas
-// they produced. StrictAdversaryAccounting holds these deltas to exactly
-// the injected amounts.
-func (r *runner) adversaryPhase() error {
-	p := r.p
-	// A round the ledger declared complete arms no further probe, but one
-	// armed just before the declaration may still be in a mailbox, and a
-	// round reaped as lost keeps probing. Sleep out the silent-probe tail
-	// (the schedule is computable) so no duplicate lands at an object after
-	// the baseline below and the personas' deltas stay exact.
-	sch := p.Retry.Schedule(p.Retry.Que1Retries)
-	time.Sleep(sch[len(sch)-1] + 250*time.Millisecond)
-	r.fleet.wakeAll()
-
-	base := r.advCountersNow()
-	ad := &AdversaryReport{}
-	var wantOrphan, wantDup, wantRejected int64
-
-	if p.ReplayTargets > 0 {
-		var total adversary.ReplayStats
-		for _, c := range r.fleet.cells {
-			ep, err := c.join()
-			if err != nil {
-				return err
-			}
-			stats, err := adversary.ExecuteReplay(ep, c.replays, p.AdversaryTimeout, r.reg)
-			total.Merge(stats)
-			ep.Close()
-			if err != nil {
-				return fmt.Errorf("load: replay persona, cell %d: %w", c.index, err)
-			}
-		}
-		ad.Replay = &total
-		wantOrphan += total.OrphanQue2
-		wantDup += total.DupQue1
-		wantRejected += total.StaleQue2
-	}
-	if p.SybilRounds > 0 {
-		prov, err := adversary.RogueProvision(suite.S128)
-		if err != nil {
-			return err
-		}
-		var total adversary.SybilStats
-		for _, c := range r.fleet.cells {
-			stats, err := adversary.ExecuteSybil(c.join, prov, p.SybilRounds, p.AdversaryTimeout, r.reg)
-			total.Merge(stats)
-			if err != nil {
-				return fmt.Errorf("load: sybil persona, cell %d: %w", c.index, err)
-			}
-		}
-		ad.Sybil = &total
-		wantRejected += total.Forged
-	}
-
-	// The personas' last frames (stale and forged QUE2s) are fire-and-forget;
-	// give the fleet time to finish judging them before taking the deltas.
-	transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
-		cur := r.advCountersNow()
-		return cur.orphan-base.orphan >= wantOrphan &&
-			cur.duplicate-base.duplicate >= wantDup &&
-			cur.rejected-base.rejected >= wantRejected
-	})
-	cur := r.advCountersNow()
-	ad.OrphanDelta = cur.orphan - base.orphan
-	ad.DuplicateDelta = cur.duplicate - base.duplicate
-	ad.RejectedDelta = cur.rejected - base.rejected
-	r.advReport = ad
-	p.logf("load: adversary phase — deltas orphan %d, duplicate %d, rejected %d", ad.OrphanDelta, ad.DuplicateDelta, ad.RejectedDelta)
-	r.publish("adversary", ad)
-	r.publishSnapshot()
-	return nil
-}
-
-func (r *runner) runOpenLoop() { r.openLoopAt(r.p.Rate, r.p.Duration) }
-
-// openLoopAt issues discovery rounds as a Poisson process over the subject
-// pool at `rate` rounds/s for `duration`. Arrival times are a deterministic
-// Exp-gap schedule accumulated from the loop's start: after every sleep the
-// loop fires all arrivals whose scheduled time has passed, so the sleeper's
+// OpenLoop issues discovery rounds as a Poisson process over the slots at
+// `rate` rounds/s for `duration`. Arrival times are a deterministic Exp-gap
+// schedule accumulated from the loop's start: after every sleep the loop
+// fires all arrivals whose scheduled time has passed, so the sleeper's
 // millisecond granularity can shift an arrival slightly late but never
 // erases it — a naive sleep-per-gap loop silently caps the offered rate at
 // ~1/granularity. An arrival that finds every subject busy is counted
 // skipped; offered load is never queued (the definition of open-loop).
 //
-// The tail drain at the end makes each call self-contained: every round
-// armed by this call either completes or is reaped before it returns, so
-// back-to-back calls (the capacity search's trials) observe disjoint
-// counter windows.
-func (r *runner) openLoopAt(rate float64, duration time.Duration) {
-	slots := r.allSubjects()
+// The settle at the end makes each call self-contained: every round armed
+// by it either completes or is written off before it returns, so
+// back-to-back calls (a capacity search's trials) observe disjoint counter
+// windows.
+func (d *Driver) OpenLoop(slots []*Slot, rng *rand.Rand, rate float64, duration, deadline time.Duration) {
+	if rate <= 0 || len(slots) == 0 {
+		return
+	}
 	start := time.Now()
 	next := 0
 	var tNext time.Duration // next scheduled arrival, as an offset from start
 	for {
-		tNext += time.Duration(r.rng.ExpFloat64() / rate * float64(time.Second))
+		tNext += time.Duration(rng.ExpFloat64() / rate * float64(time.Second))
 		if tNext >= duration {
 			break
 		}
@@ -730,101 +262,26 @@ func (r *runner) openLoopAt(rate float64, duration time.Duration) {
 				continue
 			}
 			next = (next + i + 1) % len(slots)
-			exp := r.armSlot(s)
-			r.inflight.add(int64(exp))
-			r.inflightG.Add(int64(exp))
-			r.fire(s)
+			d.credit(d.arm(s))
+			d.fire(s)
 			fired = true
 			break
 		}
 		if !fired {
-			r.skippedArrivals.Add(1)
-			r.skippedC.Inc()
+			d.skipped.Inc()
 		}
 	}
-	// Let the tail of armed rounds complete.
-	target := r.roundsArmed.Load()
-	drained := transporttest.Poll(r.p.DrainTimeout, transporttest.DefaultStep, func() bool {
-		return r.roundsDone.Load() >= target
-	})
-	if !drained {
-		r.reapLost(slots)
-	}
+	d.settle(slots, deadline)
 }
 
-// drainTail waits out the session TTL so both engines' session tables empty
-// (answered object sessions and dark-wave subject sessions age out at TTL),
-// then reports how many sessions remain leaked.
-func (r *runner) drainTail() int64 {
-	ttl := r.p.Retry.SessionTTL
-	if ttl <= 0 {
-		ttl = 8 * time.Second
-	}
-	// The tail is bounded by session-GC timers, not by message flow, so a
-	// coarse poll step suffices; each pendingSessions call walks every engine
-	// in the fleet, which at 10 ms cadence showed up in the CPU profile.
-	ok := transporttest.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
-		return r.fleet.pendingSessions() == 0
-	})
-	if ok {
+// Quiesce waits for every engine's session table to empty, so the expiries a
+// written-off round leaves behind land in the window that caused them, and
+// returns the sessions still open at the deadline. The tail is bounded by
+// session-GC timers, not by message flow, and each poll walks every engine
+// in the fleet, so the step is coarse.
+func (d *Driver) Quiesce(deadline time.Duration) int {
+	if transporttest.Poll(deadline, 50*time.Millisecond, func() bool { return d.pending() == 0 }) {
 		return 0
 	}
-	return int64(r.fleet.pendingSessions())
-}
-
-// startSampler launches the concurrency sampler: every 25 ms it mirrors the
-// inflight gauge's peak into the registry and records the high-water mark
-// of actually open handshakes (Σ PendingSessions over every engine). Each
-// sample walks every engine in the fleet — at 11k+ engines the old 10 ms
-// cadence showed up as ~8% of run CPU on a single-core profile — so the
-// cadence stays just fine enough to catch a wave's concurrency plateau.
-func (r *runner) startSampler() {
-	r.samplerStop = make(chan struct{})
-	r.samplerDone = make(chan struct{})
-	go func() {
-		defer close(r.samplerDone)
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-r.samplerStop:
-				return
-			case <-tick.C:
-				open := int64(r.fleet.pendingSessions())
-				for {
-					p := r.peakOpen.Load()
-					if open <= p || r.peakOpen.CompareAndSwap(p, open) {
-						break
-					}
-				}
-				r.peakG.Set(r.inflight.peak.Load())
-			}
-		}
-	}()
-}
-
-func (r *runner) stopSampler() {
-	close(r.samplerStop)
-	<-r.samplerDone
-}
-
-// counterTotals gathers the counter families whose per-wave deltas the wave
-// stats report.
-type counterTotals struct {
-	vcacheHits, vcacheMisses int64
-	retrans                  int64
-}
-
-func (r *runner) counterTotals() counterTotals {
-	snap := r.reg.Snapshot()
-	return counterTotals{
-		vcacheHits:   sumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "hit")),
-		vcacheMisses: sumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "miss")),
-		retrans:      sumFamily(snap, obs.MRetransmissions),
-	}
-}
-
-// snapshotCounter sums one counter family across all label sets.
-func (r *runner) snapshotCounter(name string) int64 {
-	return sumFamily(r.reg.Snapshot(), name)
+	return d.pending()
 }

@@ -21,23 +21,16 @@ import (
 	"argus/internal/wire"
 )
 
-// subjectSlot is the harness's view of one subject engine. The mutex guards
-// the per-round expectation counters, which are written by the orchestrator
-// (arming) and by the engine's event loop (OnDiscovery).
+// subjectSlot is the harness's view of one subject engine: the driver's
+// round ledger plus the ground truth the runner judges discoveries against.
 type subjectSlot struct {
+	*Slot
 	id   cert.ID
 	name string
-	eng  *core.Subject
-	ep   transport.Endpoint // the engine's endpoint; Do is the arming door
-	cell *cell
 
-	mu        sync.Mutex
-	round     int  // mirrors the engine's round counter (one Discover per arm)
-	expected  int  // completions this round must deliver
-	got       int  // completions seen this round
-	busy      bool // a round is in flight
-	lostRound bool // the current round was reaped at the drain deadline
-	revoked   bool // revocation effectuated; only L1 may arrive
+	// revoked: revocation effectuated; only L1 may arrive. Written by churn
+	// between waves, read by the completion hook on the engine's event loop.
+	revoked atomic.Bool
 
 	// staleGroup marks a fellow provisioned after a revocation rotated the
 	// covert group key: the objects still hold the provisioning-time key,
@@ -165,7 +158,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 	objSpecs := make([]backend.ObjectSpec, nObj)
 	levels := make([]backend.Level, nObj)
 	for i := range objSpecs {
-		levels[i] = p.Levels[i%len(p.Levels)]
+		levels[i] = p.ObjectLevel(i)
 		objSpecs[i] = backend.ObjectSpec{
 			Name:      fmt.Sprintf("o-%d", i),
 			Level:     levels[i],
@@ -374,7 +367,7 @@ func (f *fleet) addSubject(c *cell, id cert.ID, name string, staleGroup bool, ho
 		core.WithRetry(f.p.Retry),
 		core.WithTelemetry(f.reg, f.p.Tracer),
 		core.WithVerifyCache(c.vcache))
-	slot := &subjectSlot{id: id, name: name, eng: subj, ep: ep, cell: c, staleGroup: staleGroup}
+	slot := &subjectSlot{Slot: NewSlot(subj, ep, len(c.objects)), id: id, name: name, staleGroup: staleGroup}
 	// The hook write is ordered before any traffic by the mailbox mutex on
 	// the first Do/Send that can trigger it.
 	subj.OnDiscovery = func(d core.Discovery) { hook(slot, d) }
@@ -383,16 +376,6 @@ func (f *fleet) addSubject(c *cell, id cert.ID, name string, staleGroup bool, ho
 	f.mu.Unlock()
 	f.subjectCount.Add(1)
 	return nil
-}
-
-// expectedRound returns how many completions one discovery round of this
-// slot must produce: every object in the cell, or only the L1 objects once
-// the subject's revocation has been effectuated.
-func (s *subjectSlot) expectedRound() int {
-	if s.revoked {
-		return s.cell.l1Count
-	}
-	return len(s.cell.objects)
 }
 
 // levelOf returns the object population's level map for mismatch checks.
@@ -418,20 +401,6 @@ func (f *fleet) pendingSessions() int {
 		}
 		for _, o := range c.objects {
 			n += o.eng.PendingSessions()
-		}
-	}
-	return n
-}
-
-// subjectPendingSessions sums only the subject side (subject sessions close
-// exactly at completion, so this hits zero as soon as a wave drains).
-func (f *fleet) subjectPendingSessions() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, c := range f.cells {
-		for _, s := range c.subjects {
-			n += s.eng.PendingSessions()
 		}
 	}
 	return n

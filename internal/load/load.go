@@ -17,14 +17,17 @@
 // concurrent sessions. All cells share one backend (single trust anchor),
 // one obs.Registry, and one credential verify cache.
 //
-// # Drivers
+// # Driver
 //
-// The closed-loop driver arms synchronized waves: every subject runs one
-// discovery round per wave, and the next wave starts only when the previous
-// has drained (think time in between). Wave 0 runs against a cold verify
-// cache; later waves are warm. The open-loop driver instead issues rounds
-// as a Poisson arrival process at Rate rounds/second over the subject pool,
-// so queueing is driven by offered load rather than by completion.
+// One Driver (driver.go) arms rounds, credits completions and owns the
+// argus_load_* families, for a profile run here, for a capacity session's
+// trials, and for a fleetcoord shard's slice of a multi-process fleet. Closed
+// loop, it arms synchronized waves: every subject runs one discovery round
+// per wave, and the next wave starts only when the previous has drained
+// (think time in between). Wave 0 runs against a cold verify cache; later
+// waves are warm. Open loop, it instead issues rounds as a Poisson arrival
+// process at Rate rounds/second over the subject pool, so queueing is driven
+// by offered load rather than by completion.
 //
 // # Accounting
 //
@@ -221,6 +224,27 @@ func (p *Profile) Subjects() int { return p.Cells * p.SubjectsPerCell }
 // Objects returns the fleet-wide object count.
 func (p *Profile) Objects() int { return p.Cells * p.ObjectsPerCell }
 
+// ObjectLevel returns the visibility level of the fleet's i-th object (cell
+// c's k-th is c·ObjectsPerCell + k): Levels repeats in creation order, and an
+// empty pattern is all Level 2.
+func (p *Profile) ObjectLevel(i int) backend.Level {
+	if len(p.Levels) == 0 {
+		return backend.L2
+	}
+	return p.Levels[i%len(p.Levels)]
+}
+
+// quiesceDeadline bounds the wait for the fleet's session tables to empty:
+// the session TTL (the engines' 8 s default when the policy leaves it unset)
+// plus slack.
+func (p *Profile) quiesceDeadline() time.Duration {
+	ttl := p.Retry.SessionTTL
+	if ttl <= 0 {
+		ttl = 8 * time.Second
+	}
+	return ttl + 3*time.Second
+}
+
 func (p *Profile) logf(format string, args ...any) {
 	if p.Logf != nil {
 		p.Logf(format, args...)
@@ -240,9 +264,6 @@ func (p Profile) withDefaults() Profile {
 	}
 	if p.ObjectsPerCell <= 0 {
 		p.ObjectsPerCell = 1
-	}
-	if len(p.Levels) == 0 {
-		p.Levels = []backend.Level{backend.L2}
 	}
 	if p.Waves <= 0 {
 		p.Waves = 1
@@ -296,7 +317,7 @@ func (p *Profile) replayIndices(ci int) (map[int]bool, error) {
 	}
 	need := p.ReplayTargets
 	for k := p.ObjectsPerCell - 1; k >= p.sleepyPerCell() && need > 0; k-- {
-		if p.Levels[(ci*p.ObjectsPerCell+k)%len(p.Levels)] == backend.L1 {
+		if p.ObjectLevel(ci*p.ObjectsPerCell+k) == backend.L1 {
 			continue
 		}
 		out[k] = true

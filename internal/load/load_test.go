@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,8 @@ import (
 func TestCISoak(t *testing.T) {
 	p := Profiles()["ci-soak"]
 	p.Logf = t.Logf
+	p.Registry = obs.NewRegistry()
+	before := p.Registry.Snapshot()
 	rep, err := Run(p)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -31,6 +34,7 @@ func TestCISoak(t *testing.T) {
 	if !rep.SLO.Pass {
 		t.Fatalf("SLO violations: %v", rep.SLO.Violations)
 	}
+	checkTotalsAreTheRegistry(t, rep, obs.DiffSnapshots(p.Registry.Snapshot(), before))
 	if rep.Totals.Lost != 0 {
 		t.Fatalf("lost completions: %d", rep.Totals.Lost)
 	}
@@ -117,6 +121,22 @@ func TestCISoak(t *testing.T) {
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
+	}
+}
+
+// checkTotalsAreTheRegistry: every total a snapshot consumer can compute is
+// kept once, in the registry — the report's figures are SnapshotReport over
+// the run's own window, not a second ledger that could drift from it.
+func checkTotalsAreTheRegistry(t *testing.T, rep *Report, window *obs.Snapshot) {
+	t.Helper()
+	got, want := rep.Totals, SnapshotReport(window).Totals
+	if got.Armed != want.Armed || got.Completed != want.Completed || got.Lost != want.Lost ||
+		got.Unexpected != want.Unexpected || got.SkippedArrivals != want.SkippedArrivals ||
+		got.PeakInflight != want.PeakInflight {
+		t.Fatalf("report totals %+v disagree with the registry window's %+v", got, want)
+	}
+	if got.Armed == 0 || got.PeakInflight == 0 {
+		t.Fatalf("registry window is empty: %+v", got)
 	}
 }
 
@@ -319,6 +339,60 @@ func TestStreamGates(t *testing.T) {
 	}
 }
 
+// TestGateTableCheckAgreesWithStream is the property slostream.go promises:
+// over random SLOs and reports, for every row of the gate table Check reports
+// the row's violation iff StreamGates marks that gate Violated — a tail that
+// shows green and a report that fails cannot disagree about a table gate.
+func TestGateTableCheckAgreesWithStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	limit := func() int64 { return []int64{-1, 0, 0, 2}[rng.Intn(4)] }
+	ceiling := func() time.Duration { return []time.Duration{0, 40 * time.Millisecond}[rng.Intn(2)] }
+	quantiles := func() Quantiles {
+		return Quantiles{Count: uint64(rng.Intn(3)), P50: rng.Float64() * 0.08, P99: rng.Float64() * 0.08, Overflow: rng.Int63n(4)}
+	}
+	for i := 0; i < 500; i++ {
+		slo := SLO{
+			MaxLost: limit(), MaxUnexpected: limit(), MaxMailboxDrops: limit(), MaxMalformed: limit(),
+			MaxRetransmissions: limit(), MaxDLQDepth: limit(), MaxSlowSessions: limit(),
+			P50Ceiling: ceiling(), P99Ceiling: ceiling(),
+			// The ledger-only gates are off, so every violation is a table row's.
+			MaxLevelMismatch: -1, MaxWarmRetransmissions: -1, MaxExpiredExtra: -1,
+		}
+		rep := &Report{
+			Totals:  Totals{Lost: rng.Int63n(4), Unexpected: rng.Int63n(4)},
+			Latency: map[string]Quantiles{"1": quantiles(), "2": quantiles(), "3": quantiles()},
+			Counters: map[string]int64{
+				"mailbox_drops": rng.Int63n(4), "malformed_drops": rng.Int63n(4),
+				"retransmissions": rng.Int63n(4), "dlq_depth": rng.Int63n(4),
+			},
+		}
+		reported := map[string]bool{}
+		for _, v := range slo.Check(rep).Violations {
+			reported[v] = true
+		}
+		rows, stream := slo.gates(rep), slo.StreamGates(rep, nil, 0)
+		if len(rows) != len(stream) {
+			t.Fatalf("case %d: %d table rows, %d stream gates", i, len(rows), len(stream))
+		}
+		violated := 0
+		for k, g := range rows {
+			if stream[k].Name != g.name {
+				t.Fatalf("case %d: stream gate %d is %q, table row is %q", i, k, stream[k].Name, g.name)
+			}
+			if stream[k].Violated {
+				violated++
+			}
+			if msg := g.violation(g.get(rep)); reported[msg] != stream[k].Violated {
+				t.Errorf("case %d gate %s: Check reported %v, StreamGates violated %v (value %v, limit %v)",
+					i, g.name, reported[msg], stream[k].Violated, stream[k].Value, stream[k].Limit)
+			}
+		}
+		if violated != len(reported) {
+			t.Errorf("case %d: %d gates violated, Check reported %d violations", i, violated, len(reported))
+		}
+	}
+}
+
 // TestUDPSoakSmall runs a shrunken udp-smoke over real loopback sockets.
 func TestUDPSoakSmall(t *testing.T) {
 	p := Profiles()["udp-smoke"]
@@ -354,10 +428,16 @@ func TestOpenLoopSmall(t *testing.T) {
 			Que1Retries: 3, Que2Retries: 3,
 			Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 		},
-		Seed: 42,
-		SLO:  SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
-		Logf: t.Logf,
+		Seed:     42,
+		SLO:      SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
+		Registry: obs.NewRegistry(),
+		Logf:     t.Logf,
 	}
+	// A registry with history: the report covers the run's window, not the
+	// registry's lifetime.
+	p.Registry.Counter(obs.MLoadCompletions, "sessions completed").Add(1000)
+	p.Registry.Counter(obs.MLoadLost, "sessions reaped at the drain deadline").Add(7)
+	before := p.Registry.Snapshot()
 	rep, err := Run(p)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -365,6 +445,7 @@ func TestOpenLoopSmall(t *testing.T) {
 	if !rep.SLO.Pass {
 		t.Fatalf("SLO violations: %v", rep.SLO.Violations)
 	}
+	checkTotalsAreTheRegistry(t, rep, obs.DiffSnapshots(p.Registry.Snapshot(), before))
 	if rep.Totals.Completed == 0 {
 		t.Fatal("open loop completed nothing")
 	}

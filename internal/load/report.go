@@ -150,35 +150,32 @@ func sumFamily(snap *obs.Snapshot, name string, labels ...obs.Label) int64 {
 	return total
 }
 
-// buildReport assembles the report from the ledger and a final snapshot.
+// buildReport starts from the snapshot-computable report over the run's own
+// window of the registry — the same figures argus-ops and fleetcoord read —
+// and adds what only the ledger knows.
 func (r *runner) buildReport(wall time.Duration, leaked int64) *Report {
-	snap := r.reg.Snapshot()
 	p := r.p
-
-	rep := &Report{
-		Profile:     p.Name,
-		Description: p.Description,
-		Transport:   string(p.Transport),
-		Seed:        p.Seed,
-		Fleet: FleetStats{
-			Cells:           p.Cells,
-			SubjectsPerCell: p.SubjectsPerCell,
-			ObjectsPerCell:  p.ObjectsPerCell,
-			Subjects:        p.Subjects() + r.addedCount,
-			Objects:         p.Objects(),
-			Revoked:         r.revokedCount,
-			Added:           r.addedCount,
-			Crashed:         r.crashedCount,
-			Roamed:          r.roamedCount,
-			Sleepy:          r.fleet.sleepy,
-		},
-		Waves:                    r.waves,
-		Latency:                  map[string]Quantiles{},
-		Counters:                 map[string]int64{},
-		PredictedSubjectExpiries: r.predictedSubjExpiries,
-		Adversary:                r.advReport,
-		Covertness:               r.covert,
+	rep := SnapshotReport(obs.DiffSnapshots(r.reg.Snapshot(), r.before))
+	rep.Profile = p.Name
+	rep.Description = p.Description
+	rep.Transport = string(p.Transport)
+	rep.Seed = p.Seed
+	rep.Fleet = FleetStats{
+		Cells:           p.Cells,
+		SubjectsPerCell: p.SubjectsPerCell,
+		ObjectsPerCell:  p.ObjectsPerCell,
+		Subjects:        p.Subjects() + r.addedCount,
+		Objects:         p.Objects(),
+		Revoked:         r.revokedCount,
+		Added:           r.addedCount,
+		Crashed:         r.crashedCount,
+		Roamed:          r.roamedCount,
+		Sleepy:          r.fleet.sleepy,
 	}
+	rep.Waves = r.waves
+	rep.PredictedSubjectExpiries = r.predictedSubjExpiries
+	rep.Adversary = r.advReport
+	rep.Covertness = r.covert
 
 	// Collect before sampling so HeapAlloc reports live heap rather than an
 	// arbitrary point in the GC cycle — raw samples on identical runs swung
@@ -186,27 +183,15 @@ func (r *runner) buildReport(wall time.Duration, leaked int64) *Report {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	completed := r.completed.Load()
-	rep.Totals = Totals{
-		Armed:             r.armed.Load(),
-		Completed:         completed,
-		Lost:              r.lost.Load(),
-		Unexpected:        r.unexpected.Load(),
-		Late:              r.late.Load(),
-		LevelMismatch:     r.levelMismatch.Load(),
-		SkippedArrivals:   r.skippedArrivals.Load(),
-		PeakInflight:      r.inflight.peak.Load(),
-		PeakOpenHandshake: r.peakOpen.Load(),
-		LeakedSessions:    leaked,
-		WallSeconds:       wall.Seconds(),
-		HeapAllocMB:       float64(ms.HeapAlloc) / (1 << 20),
-	}
+	rep.Totals.Late = r.drv.Late()
+	rep.Totals.LevelMismatch = r.levelMismatch.Load()
+	rep.Totals.PeakOpenHandshake = r.peakOpen.Load()
+	rep.Totals.LeakedSessions = leaked
+	rep.Totals.WallSeconds = wall.Seconds()
+	rep.Totals.HeapAllocMB = float64(ms.HeapAlloc) / (1 << 20)
 	if wall > 0 {
-		rep.Totals.SessionsPerSecond = float64(completed) / wall.Seconds()
+		rep.Totals.SessionsPerSecond = float64(rep.Totals.Completed) / wall.Seconds()
 	}
-
-	fillLatency(rep, snap)
-	fillCounters(rep, snap)
 	return rep
 }
 
@@ -275,10 +260,12 @@ func gaugeOr(snap *obs.Snapshot, name string, def int64, labels ...obs.Label) in
 
 // SnapshotReport derives the snapshot-computable slice of a Report from one
 // obs snapshot: latency quantiles, redelivery lag, counter families, and the
-// load totals the harness's own counters expose. argus-ops evaluates the
-// streaming SLO gates against this, so a live tail and the finished report
-// share one set of definitions. Ledger-derived fields (expectation
-// arithmetic, peaks, wave stats) are zero.
+// load totals the driver's families expose. argus-ops evaluates the
+// streaming SLO gates against this, fleetcoord judges merged per-process
+// windows with it, and a finished run's report starts from it, so a live
+// tail and the finished report share one set of definitions. Ledger-only
+// fields (late, level mismatch, open-handshake peak, wave stats,
+// predictions) are zero.
 func SnapshotReport(snap *obs.Snapshot) *Report {
 	rep := &Report{Latency: map[string]Quantiles{}, Counters: map[string]int64{}}
 	fillLatency(rep, snap)

@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -72,32 +73,87 @@ type SLO struct {
 // exceeded reports a max-style check failure, honoring -1 = disabled.
 func exceeded(limit, actual int64) bool { return limit >= 0 && actual > limit }
 
+// gate is one snapshot-computable SLO gate: everything needed to judge it is
+// in a SnapshotReport, so a live tail (StreamGates) and a finished run
+// (Check) evaluate the same row and cannot disagree.
+type gate struct {
+	name string // StreamGates' gate name
+	desc string // Check's violation wording
+	// limit is a count budget (0 strict, < 0 disabled) or, for a ceiling, a
+	// latency bound in seconds (point-in-time; disabled ceilings have no row).
+	limit   float64
+	ceiling bool
+	get     func(*Report) float64
+}
+
+func (g gate) violated(val float64) bool { return g.limit >= 0 && val > g.limit }
+
+func (g gate) violation(val float64) string {
+	if g.ceiling {
+		return fmt.Sprintf("%s %.3fs > ceiling %.3fs", g.desc, val, g.limit)
+	}
+	return fmt.Sprintf("%s: %.0f > max %.0f", g.desc, val, g.limit)
+}
+
+// gates is the table: the count budgets, then per level with samples in rep
+// (sorted, so the order is deterministic) the latency ceilings and the
+// beyond-histogram-range backstop.
+func (s SLO) gates(rep *Report) []gate {
+	count := func(name, desc string, limit int64, get func(*Report) int64) gate {
+		return gate{name: name, desc: desc, limit: float64(limit),
+			get: func(r *Report) float64 { return float64(get(r)) }}
+	}
+	counter := func(key string) func(*Report) int64 {
+		return func(r *Report) int64 { return r.Counters[key] }
+	}
+	out := []gate{
+		count("lost", "lost completions", s.MaxLost, func(r *Report) int64 { return r.Totals.Lost }),
+		count("unexpected", "unexpected completions", s.MaxUnexpected, func(r *Report) int64 { return r.Totals.Unexpected }),
+		count("mailbox_drops", "mailbox drops", s.MaxMailboxDrops, counter("mailbox_drops")),
+		count("malformed_drops", "malformed drops", s.MaxMalformed, counter("malformed_drops")),
+		count("retransmissions", "retransmissions", s.MaxRetransmissions, counter("retransmissions")),
+		count("dlq_depth", "parked dead-letter notifications", s.MaxDLQDepth, counter("dlq_depth")),
+	}
+	levels := make([]string, 0, len(rep.Latency))
+	for lvl, q := range rep.Latency {
+		if q.Count > 0 {
+			levels = append(levels, lvl)
+		}
+	}
+	sort.Strings(levels)
+	for _, lvl := range levels {
+		ceiling := func(q string, lim time.Duration, get func(Quantiles) float64) {
+			if lim > 0 {
+				out = append(out, gate{name: "L" + lvl + "_" + q, desc: "L" + lvl + " " + q + " latency",
+					limit: lim.Seconds(), ceiling: true,
+					get: func(r *Report) float64 { return get(r.Latency[lvl]) }})
+			}
+		}
+		ceiling("p50", s.P50Ceiling, func(q Quantiles) float64 { return q.P50 })
+		ceiling("p99", s.P99Ceiling, func(q Quantiles) float64 { return q.P99 })
+		out = append(out, count("L"+lvl+"_slow_sessions", "L"+lvl+" sessions beyond histogram range",
+			s.MaxSlowSessions, func(r *Report) int64 { return r.Latency[lvl].Overflow }))
+	}
+	return out
+}
+
 // Check evaluates the SLO over a finished run's report and returns the
-// violations (empty = pass).
+// violations (empty = pass): the violated rows of the gate table, then the
+// gates only the harness ledger can judge.
 func (s SLO) Check(rep *Report) SLOResult {
 	var v []string
 	add := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
 
-	if exceeded(s.MaxLost, rep.Totals.Lost) {
-		add("lost completions: %d > max %d", rep.Totals.Lost, s.MaxLost)
-	}
-	if exceeded(s.MaxUnexpected, rep.Totals.Unexpected) {
-		add("unexpected completions: %d > max %d", rep.Totals.Unexpected, s.MaxUnexpected)
+	for _, g := range s.gates(rep) {
+		if val := g.get(rep); g.violated(val) {
+			v = append(v, g.violation(val))
+		}
 	}
 	if exceeded(s.MaxLevelMismatch, rep.Totals.LevelMismatch) {
 		add("level mismatches: %d > max %d", rep.Totals.LevelMismatch, s.MaxLevelMismatch)
 	}
 	if s.MinPeakConcurrent > 0 && rep.Totals.PeakInflight < s.MinPeakConcurrent {
 		add("peak concurrency: %d < min %d", rep.Totals.PeakInflight, s.MinPeakConcurrent)
-	}
-	if exceeded(s.MaxMailboxDrops, rep.Counters["mailbox_drops"]) {
-		add("mailbox drops: %d > max %d", rep.Counters["mailbox_drops"], s.MaxMailboxDrops)
-	}
-	if exceeded(s.MaxMalformed, rep.Counters["malformed_drops"]) {
-		add("malformed drops: %d > max %d", rep.Counters["malformed_drops"], s.MaxMalformed)
-	}
-	if exceeded(s.MaxRetransmissions, rep.Counters["retransmissions"]) {
-		add("retransmissions: %d > max %d", rep.Counters["retransmissions"], s.MaxRetransmissions)
 	}
 	var warm int64
 	for _, w := range rep.Waves {
@@ -113,25 +169,8 @@ func (s SLO) Check(rep *Report) SLOResult {
 		add("unexplained subject session expiries: %d (observed %d, predicted %d) > max %d",
 			extra, rep.Counters["subject_sessions_expired"], rep.PredictedSubjectExpiries, s.MaxExpiredExtra)
 	}
-	if exceeded(s.MaxDLQDepth, rep.Counters["dlq_depth"]) {
-		add("parked dead-letter notifications: %d > max %d", rep.Counters["dlq_depth"], s.MaxDLQDepth)
-	}
 	if rep.Totals.LeakedSessions > 0 {
 		add("leaked sessions after TTL drain: %d", rep.Totals.LeakedSessions)
-	}
-	for lvl, q := range rep.Latency {
-		if q.Count == 0 {
-			continue
-		}
-		if s.P50Ceiling > 0 && q.P50 > s.P50Ceiling.Seconds() {
-			add("L%s p50 latency %.3fs > ceiling %.3fs", lvl, q.P50, s.P50Ceiling.Seconds())
-		}
-		if s.P99Ceiling > 0 && q.P99 > s.P99Ceiling.Seconds() {
-			add("L%s p99 latency %.3fs > ceiling %.3fs", lvl, q.P99, s.P99Ceiling.Seconds())
-		}
-		if exceeded(s.MaxSlowSessions, q.Overflow) {
-			add("L%s sessions beyond histogram range: %d > max %d", lvl, q.Overflow, s.MaxSlowSessions)
-		}
 	}
 	if s.CovertnessAlpha > 0 {
 		switch c := rep.Covertness; {

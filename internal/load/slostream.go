@@ -2,7 +2,6 @@ package load
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -43,58 +42,28 @@ func (g GateStatus) String() string {
 	}
 }
 
-// StreamGates evaluates the SLO's snapshot-computable gates over a report
-// (typically from SnapshotReport on a streamed frame). prev and dt, when
-// supplied, give the previous observation and the time between the two, from
-// which cumulative gates get a burn rate. Latency-ceiling gates are
-// point-in-time and never burn. Gates appear in deterministic order.
+// StreamGates evaluates the SLO's snapshot-computable gates — the gate table
+// Check reports from, so for every row Check fails iff the status here is
+// Violated — over a report (typically from SnapshotReport on a streamed
+// frame). prev and dt, when supplied, give the previous observation and the
+// time between the two, from which cumulative gates get a burn rate.
+// Latency-ceiling gates are point-in-time and never burn. Gates appear in
+// deterministic order.
 func (s SLO) StreamGates(cur, prev *Report, dt time.Duration) []GateStatus {
 	var out []GateStatus
-	gate := func(name string, limit int64, get func(*Report) int64) {
-		val := get(cur)
-		g := GateStatus{Name: name, Value: float64(val), Limit: float64(limit), Violated: exceeded(limit, val)}
+	for _, g := range s.gates(cur) {
+		val := g.get(cur)
+		st := GateStatus{Name: g.name, Value: val, Limit: g.limit, Violated: g.violated(val)}
 		switch {
-		case limit > 0:
-			g.BudgetUsed = g.Value / g.Limit
-			if prev != nil && dt > 0 {
-				g.BurnPerHour = (g.Value - float64(get(prev))) / g.Limit *
-					float64(time.Hour) / float64(dt)
+		case g.limit > 0:
+			st.BudgetUsed = val / g.limit
+			if !g.ceiling && prev != nil && dt > 0 {
+				st.BurnPerHour = (val - g.get(prev)) / g.limit * float64(time.Hour) / float64(dt)
 			}
-		case limit == 0 && val > 0:
-			g.BudgetUsed = 1
+		case g.limit == 0 && val > 0:
+			st.BudgetUsed = 1
 		}
-		out = append(out, g)
-	}
-
-	gate("lost", s.MaxLost, func(r *Report) int64 { return r.Totals.Lost })
-	gate("unexpected", s.MaxUnexpected, func(r *Report) int64 { return r.Totals.Unexpected })
-	gate("mailbox_drops", s.MaxMailboxDrops, func(r *Report) int64 { return r.Counters["mailbox_drops"] })
-	gate("malformed_drops", s.MaxMalformed, func(r *Report) int64 { return r.Counters["malformed_drops"] })
-	gate("retransmissions", s.MaxRetransmissions, func(r *Report) int64 { return r.Counters["retransmissions"] })
-	gate("dlq_depth", s.MaxDLQDepth, func(r *Report) int64 { return r.Counters["dlq_depth"] })
-
-	levels := make([]string, 0, len(cur.Latency))
-	for lvl := range cur.Latency {
-		levels = append(levels, lvl)
-	}
-	sort.Strings(levels)
-	ceiling := func(name string, q float64, lim time.Duration) {
-		if lim <= 0 {
-			return
-		}
-		g := GateStatus{Name: name, Value: q, Limit: lim.Seconds(), Violated: q > lim.Seconds()}
-		g.BudgetUsed = g.Value / g.Limit
-		out = append(out, g)
-	}
-	for _, lvl := range levels {
-		q := cur.Latency[lvl]
-		if q.Count == 0 {
-			continue
-		}
-		ceiling("L"+lvl+"_p50", q.P50, s.P50Ceiling)
-		ceiling("L"+lvl+"_p99", q.P99, s.P99Ceiling)
-		gate("L"+lvl+"_slow_sessions", s.MaxSlowSessions,
-			func(r *Report) int64 { return r.Latency[lvl].Overflow })
+		out = append(out, st)
 	}
 
 	// Covertness gates are floors, not budgets: the observed p-value (ppm

@@ -2,6 +2,7 @@ package scale
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"argus/internal/acl"
@@ -76,6 +77,17 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("invalid params accepted: %+v", bad)
 		}
 	}
+}
+
+// TestOfUnknownScheme: Table I has three schemes; asking for a fourth is a
+// programming error, reported by name.
+func TestOfUnknownScheme(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "CP-ABE-2") {
+			t.Fatalf("Of(unknown scheme) recovered %q, want a panic naming the scheme", msg)
+		}
+	}()
+	Of("CP-ABE-2", Typical())
 }
 
 // TestModelMatchesMeasuredArgus cross-checks the analytic Argus row against
