@@ -24,7 +24,7 @@ FUZZTIME ?= 15s
 # The BENCH_N.json files are each PR's own record, in that PR's schema; commit
 # the ones a change moves.
 
-.PHONY: build bench-build test race vet verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check load soak capacity ops-smoke backend-smoke capacity-smoke clean
+.PHONY: build bench-build test race vet deps-check verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Import-graph gate: what ships links only what it runs — argus-node no
+# harness package, argus-ops obs + realtime + slo, no *test package in a
+# non-test file (scripts/check_deps.sh; DESIGN.md §1).
+deps-check:
+	scripts/check_deps.sh
+
 # Per-package statement coverage (the human-readable view).
 cover:
 	$(GO) test -count=1 -cover ./...
@@ -60,7 +66,7 @@ cover-check:
 	scripts/check_coverage.sh
 
 # Full gate: everything CI and the verify skill run.
-verify: build vet test bench-build race
+verify: build vet deps-check test bench-build race
 
 # Codec and key-schedule fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.
@@ -86,8 +92,8 @@ backend-smoke:
 	scripts/backend_smoke.sh
 
 # Capacity-search smoke: one tiny fleet under a coarse `argus-load -capacity`
-# search on both placements — in-process, then sharded over two argus-node
-# processes (the coordinator/shard/merge pipeline) — each with a non-zero
+# search on both placements — in-process, then sharded over two `argus-load
+# shard` processes (the coordinator/shard/merge pipeline) — each with a non-zero
 # knee and the profile's level mix (scripts/capacity_smoke.sh, ~1 min).
 capacity-smoke:
 	scripts/capacity_smoke.sh
@@ -135,14 +141,13 @@ soak:
 # Capacity knee search (BENCH_10.json): bracket-and-bisect search over the
 # open-loop arrival rate on a widened ci-soak topology (192 subjects so the
 # knee is compute-bound, not subject-bound), single process first, then the
-# same fleet — same level mix, same driver — sharded across two argus-node
-# processes with merged verdicts. A few minutes of wall time; regenerates
-# BENCH_10.json (the committed file is frozen history until ROADMAP item 1b
-# re-measures: see EXPERIMENTS.md).
+# same fleet — same level mix, same driver — sharded across two processes (the
+# coordinator re-executing itself as `argus-load shard`) with merged verdicts.
+# A few minutes of wall time; regenerates BENCH_10.json (the committed file is
+# frozen history until ROADMAP item 1b re-measures: see EXPERIMENTS.md).
 capacity:
-	$(GO) build -o /tmp/argus-cap-node ./cmd/argus-node
 	$(GO) run ./cmd/argus-load -capacity -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-single.json
-	$(GO) run ./cmd/argus-load -capacity -procs 2 -node-bin /tmp/argus-cap-node -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-procs2.json
+	$(GO) run ./cmd/argus-load -capacity -procs 2 -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-procs2.json
 	{ printf '{\n"single_process": '; cat /tmp/argus-cap-single.json; printf ',\n"two_process": '; cat /tmp/argus-cap-procs2.json; printf '}\n'; } > BENCH_10.json
 
 clean:

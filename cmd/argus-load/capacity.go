@@ -4,27 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"argus/internal/fleetcoord"
 	"argus/internal/load"
+	"argus/internal/slo"
 )
 
 // capacityOpts carries the -capacity flag group from main into runCapacity.
 type capacityOpts struct {
-	procs   int
-	nodeBin string
-	start   float64
-	tol     float64
-	trials  int
-	dur     time.Duration
-	out     string
-	quiet   bool
-
-	backendURL, tenant, authKey string
+	procs  int
+	start  float64
+	tol    float64
+	trials int
+	dur    time.Duration
+	out    string
+	quiet  bool
 }
 
 // capacityDoc is the JSON document -capacity emits: the measured search and
@@ -47,7 +43,7 @@ type capacityDoc struct {
 }
 
 // setWarm records the warm wave's window in the document.
-func (d *capacityDoc) setWarm(warm *load.Report) {
+func (d *capacityDoc) setWarm(warm *slo.Report) {
 	d.WarmSessions, d.WarmSeconds = warm.Totals.Armed, warm.Totals.WallSeconds
 	d.WarmByLevel = map[string]uint64{}
 	for lvl, q := range warm.Latency {
@@ -55,25 +51,11 @@ func (d *capacityDoc) setWarm(warm *load.Report) {
 	}
 }
 
-// findNodeBin resolves the shard-child binary: an explicit -node-bin wins,
-// then an argus-node sitting next to this executable, then $PATH.
-func findNodeBin(explicit string) (string, error) {
-	if explicit != "" {
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "argus-node")
-		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
-			return cand, nil
-		}
-	}
-	return exec.LookPath("argus-node")
-}
-
 // runCapacity searches for the knee: the highest open-loop offered rate
 // (sessions/s) the fleet sustains under the trial SLO. With procs <= 1 the
 // fleet lives in this process; otherwise fleetcoord shards it across child
-// argus-node processes and each trial is a merged cross-process verdict.
+// processes — this binary again, as `argus-load shard` — and each trial is a
+// merged cross-process verdict.
 func runCapacity(name string, p load.Profile, o capacityOpts) int {
 	logf := func(string, ...any) {}
 	if !o.quiet {
@@ -105,11 +87,6 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 		doc.setWarm(cs.Warm)
 		trial = cs.Trial
 	} else {
-		bin, err := findNodeBin(o.nodeBin)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: locate argus-node: %v (set -node-bin)\n", err)
-			return 2
-		}
 		work, err := os.MkdirTemp("", "argus-fleet-*")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
@@ -117,15 +94,10 @@ func runCapacity(name string, p load.Profile, o capacityOpts) int {
 		}
 		defer os.RemoveAll(work)
 		co, err := fleetcoord.Launch(fleetcoord.Config{
-			Procs:      o.procs,
-			Profile:    p,
-			BinPath:    bin,
-			BaseArgs:   []string{"-role", "shard", "--"},
-			BackendURL: o.backendURL,
-			Tenant:     o.tenant,
-			AuthKey:    o.authKey,
-			WorkDir:    work,
-			Logf:       logf,
+			Procs:   o.procs,
+			Profile: p,
+			WorkDir: work,
+			Logf:    logf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)

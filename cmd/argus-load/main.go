@@ -12,6 +12,11 @@
 //	argus-load -profile ci-soak -cells 4 -subjects 4 -waves 2 -seed 3
 //	argus-load -profile ci-soak -obs 127.0.0.1:0   # then: argus-ops -attach <addr>
 //	argus-load -service-churn -out BENCH_8.json    # live churn vs §VIII closed form
+//	argus-load -capacity -procs 2 -profile ci-soak # knee search over two processes
+//
+// With -procs N the coordinator re-executes this binary as its shards
+// (`argus-load shard <shard flags>`, internal/fleetcoord): there is no second
+// binary to build or locate.
 //
 // The report is written as indented JSON to stdout (or -out); progress lines
 // go to stderr unless -quiet. Exit status is 0 only when every SLO check
@@ -27,10 +32,24 @@ import (
 	"sort"
 	"time"
 
+	"argus/internal/fleetcoord"
 	"argus/internal/load"
+	"argus/internal/realtime"
 )
 
-func main() { os.Exit(run()) }
+func main() {
+	// The -procs coordinator re-executes this binary as its shard children,
+	// `argus-load shard <shard flags>`: the shard parses its own flag set, so
+	// the word is dispatched before flag.Parse sees anything.
+	if len(os.Args) > 1 && os.Args[1] == "shard" {
+		if err := fleetcoord.ShardMain(os.Args[2:]); err != nil {
+			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+	os.Exit(run())
+}
 
 // run executes the command and returns the process exit code. It exists so
 // the deferred profile writers fire on every exit path, including SLO
@@ -60,16 +79,12 @@ func run() int {
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (headless alternative to -obs /debug/pprof)")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 
-		capacity   = flag.Bool("capacity", false, "search for the max sustainable open-loop rate instead of running the profile once")
-		procs      = flag.Int("procs", 0, "capacity: shard the fleet across this many argus-node child processes (implies -capacity)")
-		nodeBin    = flag.String("node-bin", "", "capacity: path to the argus-node binary for -procs children (default: next to argus-load, then $PATH)")
-		capStart   = flag.Float64("cap-start", 0, "capacity: first offered rate in sessions/s (0 = default)")
-		capTol     = flag.Float64("cap-tol", 0, "capacity: relative bracket tolerance to converge at (0 = default)")
-		capTrials  = flag.Int("cap-trials", 0, "capacity: hard trial budget (0 = default)")
-		capDur     = flag.Duration("cap-duration", 0, "capacity: measured window per trial (0 = default)")
-		capBackend = flag.String("cap-backend", "", "capacity: provision the -procs fleet from this live argus-backend URL instead of a snapshot")
-		capTenant  = flag.String("cap-tenant", "demo", "capacity: tenant namespace on -cap-backend")
-		capAuthKey = flag.String("cap-auth-key", "", "capacity: tenant auth key for -cap-backend")
+		capacity  = flag.Bool("capacity", false, "search for the max sustainable open-loop rate instead of running the profile once")
+		procs     = flag.Int("procs", 0, "capacity: shard the fleet across this many child processes, each this binary run again as argus-load shard (implies -capacity)")
+		capStart  = flag.Float64("cap-start", 0, "capacity: first offered rate in sessions/s (0 = default)")
+		capTol    = flag.Float64("cap-tol", 0, "capacity: relative bracket tolerance to converge at (0 = default)")
+		capTrials = flag.Int("cap-trials", 0, "capacity: hard trial budget (0 = default)")
+		capDur    = flag.Duration("cap-duration", 0, "capacity: measured window per trial (0 = default)")
 
 		svcChurn = flag.Bool("service-churn", false, "run the live-churn benchmark against a multi-tenant backend service and exit")
 	)
@@ -208,32 +223,37 @@ func run() int {
 
 	if *capacity || *procs > 0 {
 		return runCapacity(*profile, p, capacityOpts{
-			procs:      *procs,
-			nodeBin:    *nodeBin,
-			start:      *capStart,
-			tol:        *capTol,
-			trials:     *capTrials,
-			dur:        *capDur,
-			out:        *out,
-			quiet:      *quiet,
-			backendURL: *capBackend,
-			tenant:     *capTenant,
-			authKey:    *capAuthKey,
+			procs:  *procs,
+			start:  *capStart,
+			tol:    *capTol,
+			trials: *capTrials,
+			dur:    *capDur,
+			out:    *out,
+			quiet:  *quiet,
 		})
 	}
 
-	var obsSrv *obsServer
+	// The optional live obs plane: the run reports into the served registry
+	// and tracer and publishes wave/churn/report frames to the hub, so
+	// argus-ops can tail a soak while it executes. The bound address is
+	// announced on stderr (":0" picks a port; the ops-smoke script parses the
+	// line).
+	var plane *realtime.Plane
 	if *obsAddr != "" {
-		var oerr error
-		if obsSrv, oerr = serveObs(&p, *obsAddr); oerr != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: %v\n", oerr)
+		var err error
+		if plane, err = realtime.Serve(*obsAddr); err != nil {
+			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
 			return 2
 		}
+		fmt.Fprintf(os.Stderr, "obs listening addr=%s\n", plane.Addr)
+		p.Registry, p.Tracer, p.Events = plane.Registry, plane.Tracer, plane.Hub
 	}
 
 	start := time.Now()
 	rep, err := load.Run(p)
-	obsSrv.stop()
+	// The runner's final report and snapshot frames are already queued: the
+	// close drains them to every subscriber before the listener goes.
+	plane.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
 		return 2

@@ -8,11 +8,14 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -112,5 +115,57 @@ func TestProfileFlagsWriteHeadlessProfiles(t *testing.T) {
 		if st.Size() == 0 {
 			t.Fatalf("%s is empty", filepath.Base(p))
 		}
+	}
+}
+
+// TestShardWordRunsTheShard: `argus-load shard <flags>` is dispatched to the
+// shard's own flag set before argus-load's, so a bad shard flag set exits
+// non-zero with the shard's error, not argus-load's usage.
+func TestShardWordRunsTheShard(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "shard", "-shard-index", "2", "-shards", "2", "-addr-file", "x")
+	cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("out-of-range shard index exited 0:\n%s", out)
+	}
+	if want := "shard: index 2 outside [0, 2)"; !strings.Contains(string(out), want) {
+		t.Fatalf("shard printed %q, want its own error %q", out, want)
+	}
+}
+
+// TestCapacitySelfExecE2E runs the sharded capacity search end to end on the
+// 2×2×2 smoke fleet: the coordinator child re-executes its own binary (this
+// test binary, through the trampoline) as its two shards, finds a knee, and
+// reports the profile's level mix — the same mix the in-process placement
+// resolves (scripts/capacity_smoke.sh holds the two against each other).
+func TestCapacitySelfExecE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	cmd := exec.Command(os.Args[0], "-capacity", "-procs", "2",
+		"-profile", "ci-soak", "-cells", "2", "-subjects", "2", "-objects", "2",
+		"-cap-start", "25", "-cap-tol", "0.5", "-cap-trials", "4", "-cap-duration", "1s", "-quiet")
+	cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("argus-load -capacity -procs 2: %v\n%s", err, stderr.Bytes())
+	}
+	var doc struct {
+		Procs       int               `json:"procs"`
+		WarmByLevel map[string]uint64 `json:"warm_sessions_by_level"`
+		Search      struct {
+			Knee float64 `json:"knee_sessions_per_second"`
+		} `json:"search"`
+	}
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("capacity document: %v\n%s", err, out)
+	}
+	if doc.Procs != 2 || doc.Search.Knee <= 0 {
+		t.Fatalf("procs %d, knee %v: want two processes and a non-zero knee", doc.Procs, doc.Search.Knee)
+	}
+	if want := map[string]uint64{"1": 2, "2": 4, "3": 2}; !reflect.DeepEqual(doc.WarmByLevel, want) {
+		t.Fatalf("warm_sessions_by_level %v, want %v", doc.WarmByLevel, want)
 	}
 }

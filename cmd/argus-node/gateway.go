@@ -8,7 +8,6 @@ import (
 	"argus/internal/backendsvc"
 	"argus/internal/cert"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/update"
 )
 
@@ -51,7 +50,7 @@ func runGateway(snapshot, targets, offline, dlqLog string, every, reattachAfter,
 		peerAddrs = append(peerAddrs, addr)
 	}
 	ep, err := transport.ListenUDP(transport.UDPConfig{
-		Listen: "127.0.0.1:0", Peers: peerAddrs, Registry: op.reg,
+		Listen: "127.0.0.1:0", Peers: peerAddrs, Registry: op.Registry,
 	})
 	if err != nil {
 		return err
@@ -71,7 +70,7 @@ func runGateway(snapshot, targets, offline, dlqLog string, every, reattachAfter,
 		restored = parked
 	}
 	dist := update.NewDistributor(b.Admin(), ep, distOpts...)
-	dist.Instrument(op.reg)
+	dist.Instrument(op.Registry)
 	ids := make([]cert.ID, 0, len(tgts))
 	for _, t := range tgts {
 		dist.Register(t.id, t.addr)
@@ -152,7 +151,7 @@ loop:
 	// Graceful drain: reattach anything still offline so its backlog
 	// redelivers, then hold the exit until the queues report empty.
 	doReattach()
-	if !transporttest.Poll(10*time.Second, transporttest.DefaultStep, func() bool {
+	if !transport.Poll(10*time.Second, transport.DefaultPollStep, func() bool {
 		return dist.DLQDepth() == 0
 	}) {
 		op.flush()

@@ -2,7 +2,9 @@
 // objects — as a real OS process speaking the discovery protocol over UDP.
 // It is the transport abstraction's proof of life: the same engines that
 // replay deterministically inside the simulator complete L1/L2/L3 discovery
-// between processes on a real network.
+// between processes on a real network. It is the daemon and nothing else: it
+// links the engines, their transports and their credential sources, none of
+// the load harness (scripts/check_deps.sh holds it to that).
 //
 // Enterprise state comes from one of two sources. The default is a backend
 // snapshot file (internal/backend persistence): -init provisions a small demo
@@ -58,10 +60,8 @@ import (
 	"argus/internal/backendclient"
 	"argus/internal/cert"
 	"argus/internal/core"
-	"argus/internal/fleetcoord"
 	"argus/internal/suite"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/update"
 	"argus/internal/wire"
 )
@@ -73,7 +73,7 @@ func main() {
 		backendU = flag.String("backend", "", "argus-backend base URL; subject/object source credentials over HTTP instead of -snapshot")
 		tenant   = flag.String("tenant", "demo", "tenant namespace on -backend")
 		authKey  = flag.String("auth-key", "", "tenant auth key for -backend")
-		role     = flag.String("role", "", "subject | object | gateway | shard")
+		role     = flag.String("role", "", "subject | object | gateway")
 		name     = flag.String("name", "alice", "subject entity name")
 		names    = flag.String("names", "", "comma-separated object entity names")
 		listen   = flag.String("listen", "127.0.0.1:0", "UDP listen address (\":0\" picks a port)")
@@ -98,11 +98,6 @@ func main() {
 	switch {
 	case *doInit:
 		err = initEnterprise(*snapshot)
-	case *role == "shard":
-		// The fleet coordinator's child: everything after `--` belongs to
-		// the shard's own flag set, and the shard owns its own obs plane
-		// (it announces the bound address on stdout for the coordinator).
-		err = fleetcoord.ShardMain(flag.Args())
 	case *role == "object" || *role == "subject" || *role == "gateway":
 		var op *obsPlane
 		op, err = newObsPlane(*obsAddr, *obsOut)
@@ -118,7 +113,7 @@ func main() {
 			err = runGateway(*snapshot, *targets, *offline, *dlqLog, *reprovEvery, *reattachAfter, *duration, op)
 		}
 	default:
-		err = fmt.Errorf("need -init or -role subject|object|gateway|shard (got %q)", *role)
+		err = fmt.Errorf("need -init or -role subject|object|gateway (got %q)", *role)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "argus-node: %v\n", err)
@@ -255,7 +250,7 @@ func runObjects(src func() (backend.Service, error), names, listen string, durat
 		if err != nil {
 			return fmt.Errorf("provision %q: %w", n, err)
 		}
-		ep, err := transport.ListenUDP(transport.UDPConfig{Listen: listen, Registry: op.reg})
+		ep, err := transport.ListenUDP(transport.UDPConfig{Listen: listen, Registry: op.Registry})
 		if err != nil {
 			return err
 		}
@@ -267,11 +262,11 @@ func runObjects(src func() (backend.Service, error), names, listen string, durat
 				hold.obj.Revoke(nt.Subject)
 			}
 		})
-		agent.Instrument(op.reg, nil)
+		agent.Instrument(op.Registry, nil)
 		hold.obj = core.NewObject(prov, wire.V30, core.Costs{},
 			core.WithEndpoint(agent.Wrap(ep)),
 			core.WithRetry(core.DefaultRetry()),
-			core.WithTelemetry(op.reg, nil))
+			core.WithTelemetry(op.Registry, nil))
 		fmt.Printf("listening name=%s addr=%s\n", n, ep.Addr())
 	}
 	awaitStop(sig, duration)
@@ -298,14 +293,14 @@ func runSubject(src func() (backend.Service, error), name, listen, peers string,
 	if len(peerList) == 0 {
 		return fmt.Errorf("-role subject needs -peers")
 	}
-	ep, err := transport.ListenUDP(transport.UDPConfig{Listen: listen, Peers: peerList, Registry: op.reg})
+	ep, err := transport.ListenUDP(transport.UDPConfig{Listen: listen, Peers: peerList, Registry: op.Registry})
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
 	subj := core.NewSubject(prov, wire.V30, core.Costs{},
 		core.WithEndpoint(ep), core.WithRetry(core.DefaultRetry()),
-		core.WithTelemetry(op.reg, op.tr))
+		core.WithTelemetry(op.Registry, op.Tracer))
 
 	want, err := parseExpect(expect)
 	if err != nil {
@@ -333,8 +328,8 @@ func runSubject(src func() (backend.Service, error), name, listen, peers string,
 		// Poll for this round's results instead of sleeping a fixed
 		// interval: the subject reacts the moment its expectations are met,
 		// and a slow machine just polls into the next round. Step and
-		// tolerance policy live in internal/transport/transporttest.
-		transporttest.Poll(500*time.Millisecond, transporttest.DefaultStep, func() bool {
+		// tolerance policy live in internal/transport (poll.go).
+		transport.Poll(500*time.Millisecond, transport.DefaultPollStep, func() bool {
 			return satisfied(want, bestOf())
 		})
 

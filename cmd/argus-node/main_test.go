@@ -401,3 +401,16 @@ func TestGatewayDLQDrainOnSIGTERM(t *testing.T) {
 		t.Fatalf("redelivered = %v, want >= 3", v)
 	}
 }
+
+// TestShardRoleIsAUsageError: the daemon hosts subject, object and gateway
+// only — the load harness's shard is `argus-load shard`, and asking the node
+// for it is the unknown-role usage error, not a fleet.
+func TestShardRoleIsAUsageError(t *testing.T) {
+	out, err := child("-role", "shard").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-role shard exited 0:\n%s", out)
+	}
+	if want := `need -init or -role subject|object|gateway (got "shard")`; !strings.Contains(string(out), want) {
+		t.Fatalf("-role shard printed %q, want the usage error %q", out, want)
+	}
+}

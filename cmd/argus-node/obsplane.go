@@ -4,45 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 
-	"argus/internal/obs"
 	"argus/internal/realtime"
 )
 
-// obsPlane is the process's observability side: a registry and tracer every
-// engine reports into, a realtime hub streaming frames at /events, and — when
-// -obs is set — an HTTP listener serving the obs mux. The registry and tracer
-// exist even without a listener so -obs-out can flush a final snapshot from
-// an otherwise headless node.
+// obsPlane is the process's observability side: the realtime plane every
+// engine reports into (headless without -obs, so -obs-out can still flush a
+// final snapshot) plus the -obs-out path.
 type obsPlane struct {
-	reg *obs.Registry
-	tr  *obs.Tracer
-	hub *realtime.Hub
-	srv *http.Server
+	*realtime.Plane
 	out string // -obs-out path, "" = none
 }
 
-// newObsPlane builds the plane and, when addr is non-empty, starts serving
-// /metrics, /trace.json and /events on it, announcing the bound address on
-// stdout (":0" picks a port, so callers parse the line).
+// newObsPlane brings the plane up and, when addr is non-empty, announces the
+// bound address on stdout (":0" picks a port, so callers parse the line).
 func newObsPlane(addr, out string) (*obsPlane, error) {
-	p := &obsPlane{reg: obs.NewRegistry(), tr: obs.NewTracer(), out: out}
-	p.hub = realtime.New(realtime.Config{Registry: p.reg, Tracer: p.tr})
-	if addr == "" {
-		return p, nil
-	}
-	ln, err := net.Listen("tcp", addr)
+	pl, err := realtime.Serve(addr)
 	if err != nil {
-		p.hub.Close()
-		return nil, fmt.Errorf("obs listen: %w", err)
+		return nil, err
 	}
-	p.srv = &http.Server{Handler: obs.NewMux(p.reg, p.tr, obs.WithStream(p.hub.StreamHandler()))}
-	go p.srv.Serve(ln)
-	fmt.Printf("obs listening addr=%s\n", ln.Addr())
-	return p, nil
+	if pl.Addr != "" {
+		fmt.Printf("obs listening addr=%s\n", pl.Addr)
+	}
+	return &obsPlane{Plane: pl, out: out}, nil
 }
 
 // flush publishes one final snapshot frame, writes the snapshot to -obs-out
@@ -52,22 +37,19 @@ func (p *obsPlane) flush() error {
 	if p == nil {
 		return nil
 	}
-	p.hub.PublishSnapshot()
+	p.Hub.PublishSnapshot()
 	var err error
 	if p.out != "" {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		enc.SetIndent("", "  ")
-		if err = enc.Encode(p.reg.Snapshot()); err == nil {
+		if err = enc.Encode(p.Registry.Snapshot()); err == nil {
 			tmp := p.out + ".tmp"
 			if err = os.WriteFile(tmp, buf.Bytes(), 0o644); err == nil {
 				err = os.Rename(tmp, p.out)
 			}
 		}
 	}
-	p.hub.Close()
-	if p.srv != nil {
-		p.srv.Close()
-	}
+	p.Close()
 	return err
 }

@@ -5,8 +5,10 @@
 // retransmissions, mailbox drops, dead-letter depth and redeliveries —
 // plus the SLO gates of a chosen load profile, evaluated live with
 // budget-burn rates. The gates are the very definitions internal/load
-// enforces at the end of a run (SLO.StreamGates over load.SnapshotReport),
-// so the tail and the final report can never disagree about what green means.
+// enforces at the end of a run (SLO.StreamGates over slo.SnapshotReport, the
+// profile's block from slo.Profiles), so the tail and the final report can
+// never disagree about what green means. The tail is a reader: it links obs,
+// realtime and slo, and none of the engines the harness drives.
 //
 // Usage:
 //
@@ -31,13 +33,13 @@ import (
 	"strings"
 	"time"
 
-	"argus/internal/load"
 	"argus/internal/realtime"
+	"argus/internal/slo"
 )
 
 type options struct {
 	attach  string
-	slo     load.SLO
+	slo     slo.SLO
 	await   []string
 	tailFor time.Duration
 	frames  int
@@ -57,12 +59,12 @@ func main() {
 
 	o := options{attach: *attach, tailFor: *tailFor, frames: *frames, raw: *raw, spans: *spans}
 	if *profile != "" {
-		p, ok := load.Profiles()[*profile]
+		gates, ok := slo.Profiles()[*profile]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "argus-ops: unknown profile %q (try argus-load -list)\n", *profile)
 			os.Exit(2)
 		}
-		o.slo = p.SLO
+		o.slo = gates
 	}
 	for _, t := range strings.Split(*await, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -146,7 +148,7 @@ type tail struct {
 	w   io.Writer
 	enc *json.Encoder
 
-	prev   *load.Report
+	prev   *slo.Report
 	prevAt time.Duration
 }
 
@@ -175,7 +177,7 @@ func (t *tail) render(ev realtime.Event) error {
 // latency quantiles, redelivery lag, then every SLO gate with its budget
 // burn since the previous frame.
 func (t *tail) snapshot(ev realtime.Event) {
-	rep := load.SnapshotReport(ev.Snapshot)
+	rep := slo.SnapshotReport(ev.Snapshot)
 	fmt.Fprintf(t.w,
 		"snapshot seq=%d completed=%d lost=%d retransmissions=%d mailbox_drops=%d dlq_depth=%d redelivered=%d\n",
 		ev.Seq, rep.Totals.Completed, rep.Totals.Lost,

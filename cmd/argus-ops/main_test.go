@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"argus/internal/load"
 	"argus/internal/obs"
 	"argus/internal/realtime"
+	"argus/internal/slo"
 )
 
 func TestMain(m *testing.M) {
@@ -70,7 +70,7 @@ func TestRunAwaitRendersHealth(t *testing.T) {
 	var buf bytes.Buffer
 	o := options{
 		attach:  strings.TrimPrefix(srv.URL, "http://"),
-		slo:     load.SLO{MaxLost: 4, MaxDLQDepth: 0, MaxRetransmissions: -1},
+		slo:     slo.SLO{MaxLost: 4, MaxDLQDepth: 0, MaxRetransmissions: -1},
 		await:   []string{"snapshot", "span"},
 		tailFor: 10 * time.Second,
 		spans:   true,

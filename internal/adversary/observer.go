@@ -1,11 +1,11 @@
 package adversary
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/transport"
 	"argus/internal/wire"
 )
@@ -22,37 +22,6 @@ const (
 	PopPlain  Population = "plain"
 	PopCovert Population = "covert"
 )
-
-// Covertness is the observer's verdict: per-channel test statistics and
-// p-values over the QUE2→RES2 turnaround time (Mann–Whitney U) and the RES2
-// frame length (Kolmogorov–Smirnov).
-type Covertness struct {
-	PlainSamples  int     `json:"plain_samples"`
-	CovertSamples int     `json:"covert_samples"`
-	MinSamples    int     `json:"min_samples"`
-	Evaluated     bool    `json:"evaluated"` // both populations reached MinSamples
-	TimingU       float64 `json:"timing_u"`
-	TimingP       float64 `json:"timing_p"`
-	LengthD       float64 `json:"length_d"`
-	LengthP       float64 `json:"length_p"`
-}
-
-// Pass reports whether the covertness SLO holds at significance alpha: the
-// observer collected enough evidence and failed to reject the null on both
-// channels. An unevaluated verdict never passes — a starved observer is a
-// broken experiment, not a covert system.
-func (c Covertness) Pass(alpha float64) bool {
-	return c.Evaluated && c.TimingP >= alpha && c.LengthP >= alpha
-}
-
-func (c Covertness) String() string {
-	if !c.Evaluated {
-		return fmt.Sprintf("covertness: not evaluated (plain %d, covert %d, need %d each)",
-			c.PlainSamples, c.CovertSamples, c.MinSamples)
-	}
-	return fmt.Sprintf("covertness: timing p=%.4g (U=%.0f), length p=%.4g (D=%.3f) over %d/%d samples",
-		c.TimingP, c.TimingU, c.LengthP, c.LengthD, c.PlainSamples, c.CovertSamples)
-}
 
 // Observer is the passive crowd adversary: it taps object endpoints, pairs
 // each inbound QUE2 with the next RES2 sent back to the same peer, and
@@ -174,9 +143,9 @@ func (o *Observer) Samples() (plain, covert int) {
 // Verdict runs the two-sample tests over everything collected so far and
 // publishes the per-channel p-values as gauges (ppm). Unevaluated verdicts
 // publish -1 so "no data" is distinguishable from "p = 0" on the ops plane.
-func (o *Observer) Verdict() Covertness {
+func (o *Observer) Verdict() slo.Covertness {
 	o.mu.Lock()
-	c := Covertness{
+	c := slo.Covertness{
 		PlainSamples:  len(o.turnSec[PopPlain]),
 		CovertSamples: len(o.turnSec[PopCovert]),
 		MinSamples:    o.minSamples,

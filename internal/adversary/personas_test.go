@@ -14,6 +14,7 @@ import (
 	"argus/internal/exp"
 	"argus/internal/netsim"
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/suite"
 	"argus/internal/transport"
 	"argus/internal/wire"
@@ -324,7 +325,7 @@ func (g gatedTap) Outbound(peer transport.Addr, p []byte, at time.Duration) {
 // face run 64 B past the uniform pad (re-signed, so sessions still complete
 // and resume); "timing" has them serve a second secret group, so their
 // fellowship trial takes two HMAC pairs where every other device's takes one.
-func resumedCrowd(t *testing.T, leak string) adversary.Covertness {
+func resumedCrowd(t *testing.T, leak string) slo.Covertness {
 	t.Helper()
 	const subjects, rounds, perWorld = 6, 8, 2
 	b, err := backend.New(suite.S128)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/transport"
 	"argus/internal/wire"
 )
@@ -116,44 +117,6 @@ type ReplayTarget struct {
 	Capture *Capture
 }
 
-// ReplayStats is the replayer's own ledger of injected frames, which the
-// harness holds against the objects' outcome counters — exactly matching
-// deltas are the acceptance bar.
-type ReplayStats struct {
-	Targets int `json:"targets"`
-	// Skipped counts targets with no complete captured transcript.
-	Skipped int `json:"skipped"`
-	// OrphanQue2 replays landed before any session existed for the
-	// replayer's address: each must count as exactly one object-side orphan.
-	OrphanQue2 int64 `json:"orphan_que2"`
-	// Que1 replays of the captured broadcast from the replayer's address:
-	// each opens a fresh handshake (result=handshake) at the object.
-	Que1 int64 `json:"que1"`
-	// DupQue1 concurrent duplicates: each must earn a byte-identical cached
-	// RES1 resend (result=duplicate).
-	DupQue1 int64 `json:"dup_que1"`
-	// StaleQue2 replays against the session the replayer itself opened: the
-	// QUE2 signature covers the honest RES1 (a stale R_O), so each must be
-	// rejected (result=rejected) — never served. A captured short QUE2 names
-	// a ticket that is spent, or filed under the honest subject's address:
-	// refused (argus_resumptions_total result=refused), served no more.
-	StaleQue2 int64 `json:"stale_que2"`
-	// IdempotencyViolations counts duplicate-QUE1 responses that were not
-	// byte-identical to the first RES1, and missing responses.
-	IdempotencyViolations int64 `json:"idempotency_violations"`
-}
-
-// Merge accumulates per-cell stats into one fleet ledger.
-func (s *ReplayStats) Merge(o ReplayStats) {
-	s.Targets += o.Targets
-	s.Skipped += o.Skipped
-	s.OrphanQue2 += o.OrphanQue2
-	s.Que1 += o.Que1
-	s.DupQue1 += o.DupQue1
-	s.StaleQue2 += o.StaleQue2
-	s.IdempotencyViolations += o.IdempotencyViolations
-}
-
 // ExecuteReplay runs the transcript-replay persona from ep against targets,
 // all concurrently. ep must be an unbound endpoint on the targets' segment;
 // ExecuteReplay binds it. Per target the sequence is:
@@ -169,7 +132,7 @@ func (s *ReplayStats) Merge(o ReplayStats) {
 //
 // The returned stats count what was injected; the caller asserts the
 // object-side counters moved by exactly these amounts.
-func ExecuteReplay(ep transport.Endpoint, targets []ReplayTarget, timeout time.Duration, reg *obs.Registry) (ReplayStats, error) {
+func ExecuteReplay(ep transport.Endpoint, targets []ReplayTarget, timeout time.Duration, reg *obs.Registry) (slo.ReplayStats, error) {
 	injQue1 := reg.Counter(obs.MAdversaryInjected,
 		"Frames injected by adversarial personas.",
 		obs.L("persona", PersonaReplay), obs.L("msg", "que1"))
@@ -182,7 +145,7 @@ func ExecuteReplay(ep transport.Endpoint, targets []ReplayTarget, timeout time.D
 
 	var (
 		mu    sync.Mutex
-		stats = ReplayStats{Targets: len(targets)}
+		stats = slo.ReplayStats{Targets: len(targets)}
 		errs  []error
 		wg    sync.WaitGroup
 	)

@@ -7,6 +7,7 @@ import (
 	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/suite"
 	"argus/internal/transport"
 	"argus/internal/wire"
@@ -29,34 +30,6 @@ func RogueProvision(strength suite.Strength) (*backend.SubjectProvision, error) 
 	return rogue.ProvisionSubject(id)
 }
 
-// SybilStats ledgers one cell's flood.
-type SybilStats struct {
-	// Identities is the number of distinct attacker endpoints used (one per
-	// flood round — a fresh address each time, as a Sybil swarm would).
-	Identities int `json:"identities"`
-	// Broadcasts is the number of QUE1 floods sent.
-	Broadcasts int64 `json:"broadcasts"`
-	// SecureRes1 counts handshake offers received (sessions the flood
-	// opened at Level 2/3 objects); PublicRes1 counts Level 1 answers.
-	SecureRes1 int64 `json:"secure_res1"`
-	PublicRes1 int64 `json:"public_res1"`
-	// Forged counts the structurally-valid QUE2s sent against those
-	// sessions. Every one must show up as exactly one object-side
-	// rejection: the rogue certificate fails verification.
-	Forged int64 `json:"forged"`
-}
-
-func (s *SybilStats) add(o SybilStats) {
-	s.Identities += o.Identities
-	s.Broadcasts += o.Broadcasts
-	s.SecureRes1 += o.SecureRes1
-	s.PublicRes1 += o.PublicRes1
-	s.Forged += o.Forged
-}
-
-// Merge accumulates per-cell stats into one fleet ledger.
-func (s *SybilStats) Merge(o SybilStats) { s.add(o) }
-
 // ExecuteSybil floods one cell with rounds of unprovisioned discovery
 // traffic. Each round joins the segment as a fresh identity (so straggling
 // RES1s are always attributable to that identity's single R_S), broadcasts
@@ -64,7 +37,7 @@ func (s *SybilStats) Merge(o SybilStats) { s.add(o) }
 // RES1 with a forged QUE2 carrying the rogue credentials. join must return
 // unbound endpoints on the target cell's segment.
 func ExecuteSybil(join func() (transport.Endpoint, error), prov *backend.SubjectProvision,
-	rounds int, timeout time.Duration, reg *obs.Registry) (SybilStats, error) {
+	rounds int, timeout time.Duration, reg *obs.Registry) (slo.SybilStats, error) {
 
 	injQue1 := reg.Counter(obs.MAdversaryInjected,
 		"Frames injected by adversarial personas.",
@@ -84,7 +57,7 @@ func ExecuteSybil(join func() (transport.Endpoint, error), prov *backend.Subject
 		return b
 	}
 
-	var stats SybilStats
+	var stats slo.SybilStats
 	for r := 0; r < rounds; r++ {
 		ep, err := join()
 		if err != nil {

@@ -17,11 +17,11 @@ import (
 
 	"argus/internal/attr"
 	"argus/internal/backend"
-	"argus/internal/backendclient"
 	"argus/internal/load"
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/suite"
-	"argus/internal/transport/transporttest"
+	"argus/internal/transport"
 )
 
 // Config describes the fleet the coordinator shards out.
@@ -35,21 +35,8 @@ type Config struct {
 	// sweep and trial verbs under shardRetry.
 	Profile load.Profile
 
-	// BinPath + BaseArgs launch one child: exec(BinPath, BaseArgs...,
-	// <shard flags>). For argus-node: BaseArgs = ["-role","shard","--"].
-	BinPath  string
-	BaseArgs []string
-	// Env entries are appended to the children's inherited environment
-	// (the test trampoline rides on this).
-	Env []string
-
-	// Trust source: with BackendURL set the fleet registers into (and the
-	// shards provision from) a live argus-backend; otherwise the
-	// coordinator provisions a local backend and writes its snapshot to
-	// WorkDir for the shards to restore.
-	BackendURL, Tenant, AuthKey string
-
-	// WorkDir holds the snapshot and the address file. Required.
+	// WorkDir holds the backend snapshot the coordinator provisions for the
+	// shards to restore, and the address file. Required.
 	WorkDir string
 
 	Logf func(format string, args ...any)
@@ -62,9 +49,6 @@ func (c Config) withDefaults() (Config, error) {
 	if p := c.Profile; c.Procs < 1 || p.Cells < 1 || p.SubjectsPerCell < 1 || p.ObjectsPerCell < 1 {
 		return c, fmt.Errorf("fleetcoord: non-positive topology: %d procs, %d cells × (%d subj + %d obj)",
 			c.Procs, p.Cells, p.SubjectsPerCell, p.ObjectsPerCell)
-	}
-	if c.BinPath == "" {
-		return c, fmt.Errorf("fleetcoord: BinPath is required")
 	}
 	if c.WorkDir == "" {
 		return c, fmt.Errorf("fleetcoord: WorkDir is required")
@@ -117,12 +101,17 @@ type Coordinator struct {
 	procs []*proc
 }
 
-// Launch provisions the enterprise, spawns the shards, distributes the
-// object addresses and waits until every shard reports armed.
+// Launch provisions the enterprise, spawns the shards — this executable run
+// again as `<self> shard <shard flags>`, which its main hands to ShardMain —
+// distributes the object addresses and waits until every shard reports armed.
 func Launch(cfg Config) (*Coordinator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	self, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("fleetcoord: locate own executable: %w", err)
 	}
 	snapPath := filepath.Join(cfg.WorkDir, "fleet.snap")
 	if err := provisionFleet(cfg, snapPath); err != nil {
@@ -139,7 +128,8 @@ func Launch(cfg Config) (*Coordinator, error) {
 		}
 	}()
 	for i := 0; i < cfg.Procs; i++ {
-		args := append(append([]string(nil), cfg.BaseArgs...),
+		p := &proc{index: i, objAddrs: map[[2]int]string{}}
+		p.cmd = exec.Command(self, "shard",
 			"-shard-index", strconv.Itoa(i),
 			"-shards", strconv.Itoa(cfg.Procs),
 			"-cells", strconv.Itoa(fleet.Cells),
@@ -147,15 +137,8 @@ func Launch(cfg Config) (*Coordinator, error) {
 			"-objects-per-cell", strconv.Itoa(fleet.ObjectsPerCell),
 			"-addr-file", addrFile,
 			"-seed", strconv.Itoa(i+1),
+			"-snapshot", snapPath,
 		)
-		if cfg.BackendURL != "" {
-			args = append(args, "-backend", cfg.BackendURL, "-tenant", cfg.Tenant, "-auth-key", cfg.AuthKey)
-		} else {
-			args = append(args, "-snapshot", snapPath)
-		}
-		p := &proc{index: i, objAddrs: map[[2]int]string{}}
-		p.cmd = exec.Command(cfg.BinPath, args...)
-		p.cmd.Env = append(os.Environ(), cfg.Env...)
 		p.cmd.Stderr = os.Stderr
 		stdout, err := p.cmd.StdoutPipe()
 		if err != nil {
@@ -213,24 +196,18 @@ func Launch(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// provisionFleet registers the whole population through the Service seam —
-// a local backend snapshotted to disk, or a live argus-backend over HTTP —
-// with the profile's level mix, exactly as the in-process fleet gets it:
-// object i of the fleet is at Profile.ObjectLevel(i), Level 3 objects serve
-// the covert group, and with Fellow every subject is in it.
+// provisionFleet registers the whole population in a local backend and
+// snapshots it to snapPath, with the profile's level mix exactly as the
+// in-process fleet gets it: object i of the fleet is at
+// Profile.ObjectLevel(i), Level 3 objects serve the covert group, and with
+// Fellow every subject is in it.
 func provisionFleet(cfg Config, snapPath string) error {
 	ctx := context.Background()
-	var svc backend.Service
-	var local *backend.Backend
-	if cfg.BackendURL != "" {
-		svc = backendclient.New(cfg.BackendURL, cfg.Tenant, cfg.AuthKey)
-	} else {
-		b, err := backend.New(suite.S128)
-		if err != nil {
-			return err
-		}
-		local, svc = b, backend.NewLocal(b)
+	local, err := backend.New(suite.S128)
+	if err != nil {
+		return err
 	}
+	svc := backend.NewLocal(local)
 	if _, _, err := svc.AddPolicy(ctx,
 		attr.MustParse("position=='staff'"),
 		attr.MustParse("type=='device'"),
@@ -265,12 +242,7 @@ func provisionFleet(cfg Config, snapPath string) error {
 			}
 		}
 	}
-	if local != nil {
-		if err := os.WriteFile(snapPath, local.Snapshot(), 0o600); err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.WriteFile(snapPath, local.Snapshot(), 0o600)
 }
 
 // scan consumes one child's stdout readiness protocol.
@@ -307,7 +279,7 @@ func (p *proc) scan(r io.Reader, logf func(string, ...any)) {
 // await polls until cond holds for every child, failing fast when any child
 // exits before reaching it.
 func (co *Coordinator) await(timeout time.Duration, cond func(*proc) bool, what string) error {
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
+	ok := transport.Poll(timeout, 20*time.Millisecond, func() bool {
 		for _, p := range co.procs {
 			if cond(p) {
 				continue
@@ -363,7 +335,7 @@ func (co *Coordinator) subjectsOf(index int) int {
 // window: Totals.Armed sessions in Totals.WallSeconds (shards sweep
 // concurrently, so the fleet's wall time is the slowest shard's), with the
 // per-level mix in Latency.
-func (co *Coordinator) Sweep() (*load.Report, error) {
+func (co *Coordinator) Sweep() (*slo.Report, error) {
 	live := co.live()
 	if len(live) == 0 {
 		return nil, fmt.Errorf("fleetcoord: no live shards")
@@ -376,7 +348,7 @@ func (co *Coordinator) Sweep() (*load.Report, error) {
 	if len(procErrs) > 0 {
 		return nil, fmt.Errorf("fleetcoord: warm sweep: %s", strings.Join(procErrs, "; "))
 	}
-	rep := load.SnapshotReport(merged)
+	rep := slo.SnapshotReport(merged)
 	for _, p := range live {
 		p.mu.Lock()
 		rep.Totals.WallSeconds = max(rep.Totals.WallSeconds, p.sweepSecs)
@@ -385,13 +357,20 @@ func (co *Coordinator) Sweep() (*load.Report, error) {
 	return rep, nil
 }
 
+// scrapeClient bounds a scrape end to end, so a shard that is alive but
+// wedged costs the coordinator one timeout, not the run.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
+
 // scrape fetches one child's obs snapshot over its HTTP endpoint.
 func scrape(obsAddr string) (*obs.Snapshot, error) {
-	resp, err := http.Get("http://" + obsAddr + "/metrics?format=json")
+	resp, err := scrapeClient.Get("http://" + obsAddr + "/metrics?format=json")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("scrape %s: %s", obsAddr, resp.Status)
+	}
 	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, err
@@ -425,7 +404,7 @@ func (co *Coordinator) window(live []*proc, what string, wait time.Duration,
 			procErrs = append(procErrs, fmt.Sprintf("process %d rejected %s command: %v", p.index, what, err))
 		}
 	}
-	finished := transporttest.Poll(wait, 20*time.Millisecond, func() bool {
+	finished := transport.Poll(wait, 20*time.Millisecond, func() bool {
 		for _, p := range live {
 			p.mu.Lock()
 			pending := done(p) <= counts[p.index] && !p.exited
@@ -502,7 +481,7 @@ func (co *Coordinator) Trial(offered float64, dur time.Duration) (Verdict, error
 		return v, err
 	}
 	v.Trial = load.EvalTrial(offered, dur.Seconds(), perArrival,
-		load.SnapshotReport(merged), load.TrialSLO(co.cfg.Profile.SLO))
+		slo.SnapshotReport(merged), load.TrialSLO(co.cfg.Profile.SLO))
 	if len(v.ProcErrors) > 0 {
 		v.Trial.Violations = append(v.Trial.Violations, v.ProcErrors...)
 		v.Trial.Pass = false
@@ -515,7 +494,7 @@ func (co *Coordinator) Close() {
 	for _, p := range co.live() {
 		_, _ = io.WriteString(p.stdin, "quit\n")
 	}
-	done := transporttest.Poll(5*time.Second, 20*time.Millisecond, func() bool {
+	done := transport.Poll(5*time.Second, 20*time.Millisecond, func() bool {
 		return len(co.live()) == 0
 	})
 	if !done {
@@ -532,7 +511,7 @@ func (co *Coordinator) Kill(index int) error {
 	if err := p.cmd.Process.Kill(); err != nil {
 		return err
 	}
-	transporttest.Poll(5*time.Second, 10*time.Millisecond, func() bool {
+	transport.Poll(5*time.Second, 10*time.Millisecond, func() bool {
 		_, _, exited := p.state()
 		return exited
 	})
@@ -545,7 +524,7 @@ func (co *Coordinator) kill() {
 			_ = p.cmd.Process.Kill()
 		}
 	}
-	transporttest.Poll(5*time.Second, 20*time.Millisecond, func() bool {
+	transport.Poll(5*time.Second, 20*time.Millisecond, func() bool {
 		return len(co.live()) == 0
 	})
 }

@@ -3,6 +3,9 @@ package fleetcoord
 import (
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,16 +14,25 @@ import (
 
 	"argus/internal/backend"
 	"argus/internal/load"
+	"argus/internal/slo"
 	"argus/internal/transport/transporttest"
 )
 
-// TestMain doubles as the shard-child trampoline: the e2e test re-executes
-// this test binary with ARGUS_FLEETCOORD_SHARD=1 and the shard flags, and
-// the child runs ShardMain instead of the test suite — the same entry point
-// `argus-node -role shard` dispatches to.
+// shardDiesEnv, set in a test's environment (which Launch's children
+// inherit), makes every shard child exit before it announces anything.
+const shardDiesEnv = "ARGUS_FLEETCOORD_TEST_SHARD_DIES"
+
+// TestMain doubles as the shard-child trampoline: Launch re-executes this
+// test binary as `<test binary> shard <shard flags>`, and the child runs
+// ShardMain instead of the test suite — the same dispatch `argus-load shard`
+// does.
 func TestMain(m *testing.M) {
-	if os.Getenv("ARGUS_FLEETCOORD_SHARD") == "1" {
-		if err := ShardMain(os.Args[1:]); err != nil {
+	if len(os.Args) > 1 && os.Args[1] == "shard" {
+		if os.Getenv(shardDiesEnv) != "" {
+			fmt.Fprintln(os.Stderr, "shard: dying on request")
+			os.Exit(1)
+		}
+		if err := ShardMain(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "shard:", err)
 			os.Exit(1)
 		}
@@ -47,16 +59,15 @@ func TestOwnersSplitRoles(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	fleet := load.Profile{Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1}
-	good := Config{Procs: 2, Profile: fleet, BinPath: "/bin/true", WorkDir: "/tmp"}
+	good := Config{Procs: 2, Profile: fleet, WorkDir: "/tmp"}
 	if _, err := good.withDefaults(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := []Config{
 		{},
-		{Procs: 2, Profile: fleet, WorkDir: "/tmp"},      // no BinPath
-		{Procs: 2, Profile: fleet, BinPath: "/bin/true"}, // no WorkDir
-		{Procs: 0, Profile: fleet, BinPath: "x", WorkDir: "y"},
-		{Procs: 2, Profile: load.Profile{Cells: 2, SubjectsPerCell: 1}, BinPath: "x", WorkDir: "y"}, // no objects
+		{Procs: 2, Profile: fleet}, // no WorkDir
+		{Procs: 0, Profile: fleet, WorkDir: "y"},
+		{Procs: 2, Profile: load.Profile{Cells: 2, SubjectsPerCell: 1}, WorkDir: "y"}, // no objects
 	}
 	for i, c := range bad {
 		if _, err := c.withDefaults(); err == nil {
@@ -169,7 +180,7 @@ func TestShardVerbsInProcess(t *testing.T) {
 	}
 	await("subject arming", func() bool { return p.armed })
 
-	verb := func(cmd string) *load.Report {
+	verb := func(cmd string) *slo.Report {
 		t.Helper()
 		p.mu.Lock()
 		done := p.sweeps + p.trials
@@ -182,7 +193,7 @@ func TestShardVerbsInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return load.SnapshotReport(snap)
+		return slo.SnapshotReport(snap)
 	}
 	warm := verb("sweep\n")
 	if warm.Totals.Armed != 4 || warm.Totals.Completed != 4 || warm.Totals.Lost != 0 || warm.Totals.PeakInflight != 4 {
@@ -205,22 +216,49 @@ func TestShardVerbsInProcess(t *testing.T) {
 	}
 }
 
+// TestScrapeBoundsAWedgedShard: a shard that accepts the connection and never
+// answers costs scrape its timeout and an error, not the coordinator's run;
+// and an answer that is not 200 is an error, not a snapshot.
+func TestScrapeBoundsAWedgedShard(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // held open, never answered, until the test ends
+		}
+	}()
+	start := time.Now()
+	if _, err := scrape(ln.Addr().String()); err == nil {
+		t.Fatal("scrape of a shard that never answers returned no error")
+	}
+	if took := time.Since(start); took > scrapeClient.Timeout+2*time.Second {
+		t.Fatalf("scrape took %v, bound is %v", took, scrapeClient.Timeout)
+	}
+
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	if _, err := scrape(strings.TrimPrefix(srv.URL, "http://")); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("scrape of a 404 returned %v", err)
+	}
+}
+
 // TestLaunchFailsFastOnDeadChild: children that die before announcing their
 // objects fail Launch at once with the shard named — not at the 60 s barrier
 // — and leave no process behind.
 func TestLaunchFailsFastOnDeadChild(t *testing.T) {
-	bin, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Setenv(shardDiesEnv, "1")
 	start := time.Now()
-	_, err = Launch(Config{
-		Procs:    2,
-		Profile:  load.Profile{Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1},
-		BinPath:  bin,
-		BaseArgs: []string{"stray"}, // flag parsing stops here: no -addr-file, exit 1
-		Env:      []string{"ARGUS_FLEETCOORD_SHARD=1"},
-		WorkDir:  t.TempDir(),
+	_, err := Launch(Config{
+		Procs:   2,
+		Profile: load.Profile{Cells: 2, SubjectsPerCell: 1, ObjectsPerCell: 1},
+		WorkDir: t.TempDir(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "exited before object readiness") {
 		t.Fatalf("Launch over dying children returned %v", err)
@@ -239,21 +277,15 @@ func TestFleetE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e skipped with -short")
 	}
-	bin, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fleet := load.Profile{
 		Cells: 3, SubjectsPerCell: 2, ObjectsPerCell: 2,
 		Levels: []backend.Level{backend.L1, backend.L2, backend.L3, backend.L2},
 		Fellow: true,
-		SLO:    load.SLO{P50Ceiling: 4 * time.Second, P99Ceiling: 10 * time.Second},
+		SLO:    slo.SLO{P50Ceiling: 4 * time.Second, P99Ceiling: 10 * time.Second},
 	}
 	cfg := Config{
 		Procs:   3,
 		Profile: fleet,
-		BinPath: bin,
-		Env:     []string{"ARGUS_FLEETCOORD_SHARD=1"},
 		WorkDir: t.TempDir(),
 		Logf:    t.Logf,
 	}

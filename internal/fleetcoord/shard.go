@@ -2,15 +2,19 @@
 // coordinator shards a fleet of discovery engines across N child processes
 // speaking real UDP loopback between them, scrapes each child's obs
 // endpoint, and folds the per-process snapshot diffs into one fleet-wide
-// SLO verdict — the same evaluation path (load.SnapshotReport + SLO gates)
+// SLO verdict — the same evaluation path (slo.SnapshotReport + SLO gates)
 // the in-process harness uses, now fed by a merged snapshot.
+//
+// A shard is the coordinator's own executable run again as `<self> shard
+// <shard flags>` (for the shipped harness, `argus-load shard ...`): the
+// binary's main hands everything after the `shard` word to ShardMain.
 //
 // Topology: every cell's objects live on process cell%N and its subjects on
 // process (cell+1)%N, so with N >= 2 every single handshake crosses a
 // process boundary. Trust chains through one shared enterprise: the
-// coordinator registers the whole population (into a snapshot file or a
-// live argus-backend), and each shard provisions its own entities from that
-// source, exactly like a standalone argus-node.
+// coordinator registers the whole population in a local backend and writes
+// its snapshot, and each shard restores it and provisions its own entities
+// from it, exactly like a standalone argus-node on -snapshot.
 //
 // The child protocol is deliberately dumb — readiness lines on stdout, a
 // command verb per line on stdin — because the interesting synchronization
@@ -26,21 +30,18 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"argus/internal/backend"
-	"argus/internal/backendclient"
 	"argus/internal/cert"
 	"argus/internal/core"
 	"argus/internal/load"
 	"argus/internal/obs"
+	"argus/internal/realtime"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/wire"
 )
 
@@ -68,14 +69,13 @@ type shardConfig struct {
 	index, procs                   int
 	cells, subjPerCell, objPerCell int
 	snapshot                       string
-	backendURL, tenant, authKey    string
 	addrFile                       string
 	seed                           int64
 }
 
-// ShardMain is the child-process entry point, invoked by `argus-node -role
-// shard -- <flags>` (and by the test trampoline). It owns its flags and its
-// obs plane; args is everything after the `--`.
+// ShardMain is the child-process entry point, invoked by `argus-load shard
+// <flags>` (and by the test trampoline). It owns its flags and its obs plane;
+// args is everything after the `shard` word.
 func ShardMain(args []string) error {
 	fs := flag.NewFlagSet("shard", flag.ContinueOnError)
 	var cfg shardConfig
@@ -85,9 +85,6 @@ func ShardMain(args []string) error {
 	fs.IntVar(&cfg.subjPerCell, "subjects-per-cell", 1, "subjects per cell")
 	fs.IntVar(&cfg.objPerCell, "objects-per-cell", 1, "objects per cell")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "backend snapshot file (the coordinator wrote it)")
-	fs.StringVar(&cfg.backendURL, "backend", "", "argus-backend base URL instead of -snapshot")
-	fs.StringVar(&cfg.tenant, "tenant", "demo", "tenant namespace on -backend")
-	fs.StringVar(&cfg.authKey, "auth-key", "", "tenant auth key for -backend")
 	fs.StringVar(&cfg.addrFile, "addr-file", "", "object address file the coordinator writes once all shards are ready")
 	fs.Int64Var(&cfg.seed, "seed", 1, "open-loop arrival schedule seed (mixed with the shard index)")
 	if err := fs.Parse(args); err != nil {
@@ -126,17 +123,15 @@ func quiesceDeadline() time.Duration { return shardRetry().SessionTTL + 3*time.S
 // serveShard builds this shard's slice of the fleet and runs the stdin
 // command loop until "quit" or EOF.
 func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
-	reg := obs.NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	plane, err := realtime.Serve("127.0.0.1:0")
 	if err != nil {
-		return fmt.Errorf("shard: obs listen: %w", err)
+		return fmt.Errorf("shard: %w", err)
 	}
-	srv := &http.Server{Handler: obs.NewMux(reg, nil)}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(out, "obs listening addr=%s\n", ln.Addr())
+	defer plane.Close()
+	reg := plane.Registry
+	fmt.Fprintf(out, "obs listening addr=%s\n", plane.Addr)
 
-	svc, err := shardService(cfg)
+	svc, err := restoreService(cfg.snapshot)
 	if err != nil {
 		return err
 	}
@@ -198,12 +193,10 @@ func serveShard(cfg shardConfig, in io.Reader, out io.Writer) error {
 	return sc.Err()
 }
 
-// shardService picks the shard's credential source, mirroring argus-node.
-func shardService(cfg shardConfig) (backend.Service, error) {
-	if cfg.backendURL != "" {
-		return backendclient.New(cfg.backendURL, cfg.tenant, cfg.authKey), nil
-	}
-	blob, err := os.ReadFile(cfg.snapshot)
+// restoreService is the shard's credential source: the backend snapshot the
+// coordinator wrote.
+func restoreService(snapshot string) (backend.Service, error) {
+	blob, err := os.ReadFile(snapshot)
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
@@ -252,7 +245,7 @@ func (sh *shard) buildObjects(svc backend.Service) error {
 // file and parses its "cell=<c> idx=<k> addr=<a>" lines.
 func awaitAddrFile(path string, timeout time.Duration) (map[[2]int]string, error) {
 	var blob []byte
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
+	ok := transport.Poll(timeout, 20*time.Millisecond, func() bool {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return false

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"argus/internal/obs"
+	"argus/internal/slo"
 )
 
 // This file is the saturation-knee finder: a bracket-then-bisect search over
@@ -204,7 +205,7 @@ const maxSkipFrac = 0.05
 // boundary splits retry cycles arbitrarily), concurrency floor off (a
 // low-rate trial legitimately idles), loss/drops/expiries strict (at a
 // sustainable rate the window is loss-free), latency ceilings kept.
-func TrialSLO(s SLO) SLO {
+func TrialSLO(s slo.SLO) slo.SLO {
 	s.MaxRetransmissions = -1
 	s.MaxWarmRetransmissions = -1
 	s.MinPeakConcurrent = 0
@@ -220,7 +221,7 @@ func TrialSLO(s SLO) SLO {
 // the arrival rate in sessions/s, seconds the offered-window length,
 // sessionsPerArrival how many sessions one open-loop arrival arms (the
 // subject's per-round fan-out — ObjectsPerCell for the standard fleets).
-func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SLO) Trial {
+func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *slo.Report, gates slo.SLO) Trial {
 	if sessionsPerArrival <= 0 {
 		sessionsPerArrival = 1
 	}
@@ -245,7 +246,7 @@ func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SL
 	if offeredSessions > 0 {
 		t.SkipFraction = float64(t.Skipped) * sessionsPerArrival / offeredSessions
 	}
-	t.Violations = append(t.Violations, slo.Check(rep).Violations...)
+	t.Violations = append(t.Violations, gates.Check(rep).Violations...)
 	if t.SkipFraction > maxSkipFrac {
 		t.Violations = append(t.Violations, fmt.Sprintf(
 			"skip fraction %.1f%% > max %.1f%% (offered load shed, fleet saturated)",
@@ -261,12 +262,12 @@ func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *Report, slo SL
 type CapacitySession struct {
 	r        *runner
 	trialDur time.Duration
-	slo      SLO
+	gates    slo.SLO
 	last     *obs.Snapshot // the registry when the previous window closed
 
 	// Warm is the closed warm wave's window: Totals.Armed sessions in
 	// Totals.WallSeconds, with the per-level mix in Latency.
-	Warm *Report
+	Warm *slo.Report
 }
 
 // OpenCapacitySession builds the profile's fleet and runs one closed
@@ -281,7 +282,7 @@ func OpenCapacitySession(p Profile, trialDur time.Duration) (*CapacitySession, e
 	cs := &CapacitySession{
 		r:        r,
 		trialDur: trialDur,
-		slo:      TrialSLO(r.p.SLO),
+		gates:    TrialSLO(r.p.SLO),
 		last:     r.before,
 	}
 	start := time.Now()
@@ -299,11 +300,11 @@ func OpenCapacitySession(p Profile, trialDur time.Duration) (*CapacitySession, e
 // window quiesces the fleet — so a written-off round's session expiries land
 // in the window that caused them, not the next one's — and reports the
 // registry's movement since the previous window closed.
-func (cs *CapacitySession) window() *Report {
+func (cs *CapacitySession) window() *slo.Report {
 	r := cs.r
 	r.drv.Quiesce(r.p.quiesceDeadline())
 	after := r.reg.Snapshot()
-	rep := SnapshotReport(obs.DiffSnapshots(after, cs.last))
+	rep := slo.SnapshotReport(obs.DiffSnapshots(after, cs.last))
 	cs.last = after
 	return rep
 }
@@ -316,7 +317,7 @@ func (cs *CapacitySession) Trial(offered float64) (Trial, error) {
 	r := cs.r
 	perArrival := float64(r.p.ObjectsPerCell)
 	r.drv.OpenLoop(r.slots(), r.rng, offered/perArrival, cs.trialDur, r.p.DrainTimeout)
-	return EvalTrial(offered, cs.trialDur.Seconds(), perArrival, cs.window(), cs.slo), nil
+	return EvalTrial(offered, cs.trialDur.Seconds(), perArrival, cs.window(), cs.gates), nil
 }
 
 // Close tears the fleet down.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"argus/internal/slo"
 )
 
 // syntheticOracle is a fake TrialFunc with a known knee: rates at or below
@@ -178,7 +180,7 @@ func TestSearchCapacityBottleneckPerRegime(t *testing.T) {
 }
 
 func TestEvalTrial(t *testing.T) {
-	rep := &Report{Counters: map[string]int64{
+	rep := &slo.Report{Counters: map[string]int64{
 		"mailbox_drops":            0,
 		"vcache_misses":            3,
 		"retransmissions":          1,
@@ -187,7 +189,7 @@ func TestEvalTrial(t *testing.T) {
 	rep.Totals.Armed = 1000
 	rep.Totals.Completed = 1000
 	rep.Totals.SkippedArrivals = 0
-	tr := EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
+	tr := EvalTrial(200, 5, 2, rep, TrialSLO(slo.SLO{}))
 	if !tr.Pass {
 		t.Fatalf("clean window must pass: %v", tr.Violations)
 	}
@@ -200,7 +202,7 @@ func TestEvalTrial(t *testing.T) {
 
 	// 30 skipped arrivals × 2 sessions each against 1000 armed = 5.7% shed.
 	rep.Totals.SkippedArrivals = 30
-	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
+	tr = EvalTrial(200, 5, 2, rep, TrialSLO(slo.SLO{}))
 	if tr.Pass {
 		t.Fatal("saturated window (skip fraction 5.7%) must fail")
 	}
@@ -220,14 +222,14 @@ func TestEvalTrial(t *testing.T) {
 	// Lost sessions trip the strict trial gate.
 	rep.Totals.SkippedArrivals = 0
 	rep.Totals.Lost = 2
-	tr = EvalTrial(200, 5, 2, rep, TrialSLO(SLO{}))
+	tr = EvalTrial(200, 5, 2, rep, TrialSLO(slo.SLO{}))
 	if tr.Pass {
 		t.Fatal("window with lost sessions must fail")
 	}
 }
 
 func TestTrialSLOOverrides(t *testing.T) {
-	base := SLO{MaxRetransmissions: 5, MinPeakConcurrent: 100, CovertnessAlpha: 0.01}
+	base := slo.SLO{MaxRetransmissions: 5, MinPeakConcurrent: 100, CovertnessAlpha: 0.01}
 	s := TrialSLO(base)
 	if s.MaxRetransmissions != -1 || s.MaxWarmRetransmissions != -1 {
 		t.Error("retransmission gates must be disabled for trials")

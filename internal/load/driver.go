@@ -9,7 +9,6 @@ import (
 	"argus/internal/core"
 	"argus/internal/obs"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 )
 
 // Slot is the expectation ledger one subject engine is held to: which round
@@ -172,7 +171,7 @@ func (d *Driver) fire(s *Slot) {
 // round stops broadcasting into the next window. Returns the sessions lost.
 func (d *Driver) settle(slots []*Slot, deadline time.Duration) int64 {
 	target := d.roundsArmed.Load()
-	if transporttest.Poll(deadline, transporttest.DefaultStep, func() bool {
+	if transport.Poll(deadline, transport.DefaultPollStep, func() bool {
 		return d.roundsDone.Load() >= target
 	}) {
 		return 0
@@ -280,7 +279,7 @@ func (d *Driver) OpenLoop(slots []*Slot, rng *rand.Rand, rate float64, duration,
 // session-GC timers, not by message flow, and each poll walks every engine
 // in the fleet, so the step is coarse.
 func (d *Driver) Quiesce(deadline time.Duration) int {
-	if transporttest.Poll(deadline, 50*time.Millisecond, func() bool { return d.pending() == 0 }) {
+	if transport.Poll(deadline, 50*time.Millisecond, func() bool { return d.pending() == 0 }) {
 		return 0
 	}
 	return d.pending()

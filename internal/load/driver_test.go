@@ -8,6 +8,7 @@ import (
 	"argus/internal/backend"
 	"argus/internal/core"
 	"argus/internal/obs"
+	"argus/internal/slo"
 )
 
 // tinyFleet is a one-cell Mesh fleet (2 subjects × 2 objects) behind a
@@ -39,14 +40,14 @@ type ledger struct{ armed, completed, lost, unexpected, skipped, inflight, peak,
 func readLedger(r *runner) ledger {
 	snap := r.reg.Snapshot()
 	return ledger{
-		armed:      sumFamily(snap, obs.MLoadRoundsArmed),
-		completed:  sumFamily(snap, obs.MLoadCompletions),
-		lost:       sumFamily(snap, obs.MLoadLost),
-		unexpected: sumFamily(snap, obs.MLoadUnexpected),
-		skipped:    sumFamily(snap, obs.MLoadSkipped),
-		inflight:   sumFamily(snap, obs.MLoadInflight),
-		peak:       sumFamily(snap, obs.MLoadPeakInflight),
-		retrans:    sumFamily(snap, obs.MRetransmissions),
+		armed:      slo.SumFamily(snap, obs.MLoadRoundsArmed),
+		completed:  slo.SumFamily(snap, obs.MLoadCompletions),
+		lost:       slo.SumFamily(snap, obs.MLoadLost),
+		unexpected: slo.SumFamily(snap, obs.MLoadUnexpected),
+		skipped:    slo.SumFamily(snap, obs.MLoadSkipped),
+		inflight:   slo.SumFamily(snap, obs.MLoadInflight),
+		peak:       slo.SumFamily(snap, obs.MLoadPeakInflight),
+		retrans:    slo.SumFamily(snap, obs.MRetransmissions),
 	}
 }
 
@@ -206,7 +207,7 @@ func TestCapacitySessionSmall(t *testing.T) {
 			Timeout: 250 * time.Millisecond, SessionTTL: time.Second,
 		},
 		Seed: 1,
-		SLO:  SLO{P99Ceiling: 8 * time.Second},
+		SLO:  slo.SLO{P99Ceiling: 8 * time.Second},
 		Logf: t.Logf,
 	}, 400*time.Millisecond)
 	if err != nil {

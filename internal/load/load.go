@@ -52,6 +52,7 @@ import (
 	"argus/internal/core"
 	"argus/internal/netsim"
 	"argus/internal/obs"
+	"argus/internal/slo"
 )
 
 // Publisher receives live progress frames from a running profile — wave and
@@ -202,7 +203,7 @@ type Profile struct {
 	VerifyCacheCap int
 
 	// SLO is asserted over the finished run's report.
-	SLO SLO
+	SLO slo.SLO
 
 	// Live observability hooks. Registry, when non-nil, receives all run
 	// telemetry instead of a fresh private registry, so an obs endpoint can
@@ -471,8 +472,9 @@ func (p *Profile) validate() error {
 	return nil
 }
 
-// Profiles returns the built-in profile registry keyed by name. The
-// returned map is freshly built; callers may mutate their copy.
+// Profiles returns the built-in profile registry keyed by name, each
+// profile's SLO block filled from slo.Profiles (where argus-ops reads it
+// too). The returned map is freshly built; callers may mutate their copy.
 func Profiles() map[string]Profile {
 	quickRetry := core.RetryPolicy{
 		Que1Retries: 3, Que2Retries: 3,
@@ -492,18 +494,6 @@ func Profiles() map[string]Profile {
 			Retry:        quickRetry,
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
-			SLO: SLO{
-				MinPeakConcurrent: 150,
-				P50Ceiling:        2 * time.Second,
-				P99Ceiling:        8 * time.Second,
-				// This profile runs under -race, where a cold handshake
-				// outlasts the 100 ms initial RTO and draws quiescence
-				// probes — on wave 0 and again on wave 2, whose live-added
-				// subjects and post-revocation cache misses are cold too
-				// (measured 24 / 0 / 20 per wave under -race, 0 / 0 / 0
-				// without). Benign duplicates, not losses.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
-			},
 		},
 		{
 			Name:        "standard",
@@ -532,23 +522,6 @@ func Profiles() map[string]Profile {
 			Seed:         1,
 			Workers:      8,
 			DrainTimeout: 180 * time.Second,
-			SLO: SLO{
-				MinPeakConcurrent: 10000,
-				P50Ceiling:        10 * time.Second,
-				P99Ceiling:        13 * time.Second,
-				MaxSlowSessions:   0,
-				// Mesh is lossless, so once the RTT estimator has samples a
-				// retransmission is a timer misfire: waves after the first
-				// must retransmit exactly zero, and that invariant is pinned
-				// hard. The cold first wave is different — QUE1 quiescence
-				// probes fire against the initial conservative RTO while the
-				// fleet's handshake backlog is deepest, measured at 0.8k–4.8k
-				// probes per run on one core depending on scheduling jitter —
-				// so the total gate is a cold-start noise ceiling, not a loss
-				// budget.
-				MaxRetransmissions:     10000,
-				MaxWarmRetransmissions: 0,
-			},
 		},
 		{
 			Name:        "udp-smoke",
@@ -564,14 +537,6 @@ func Profiles() map[string]Profile {
 			},
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
-			SLO: SLO{
-				MinPeakConcurrent: 40,
-				P50Ceiling:        2 * time.Second,
-				P99Ceiling:        8 * time.Second,
-				// Loopback UDP may drop a cold-wave datagram under a socket
-				// buffer burst; once warm, a retransmission is a misfire.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
-			},
 		},
 		{
 			Name:        "open-loop",
@@ -584,13 +549,6 @@ func Profiles() map[string]Profile {
 			Retry:        quickRetry,
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
-			SLO: SLO{
-				P50Ceiling: 2 * time.Second,
-				P99Ceiling: 8 * time.Second,
-				// Lossless, and every completed round is declared so: no
-				// deadline may fire.
-				MaxRetransmissions: 0,
-			},
 		},
 		{
 			Name:        "soak-faulty",
@@ -603,23 +561,10 @@ func Profiles() map[string]Profile {
 			Faults: netsim.FaultModel{
 				Loss: 0.05, Duplicate: 0.05, ReorderJitter: 20 * time.Millisecond,
 			},
-			FaultSeed: 7,
-			Retry:     core.DefaultRetry(),
-			Seed:      1,
-			// Injected loss can in principle exhaust the retry budget; a
-			// handful of misses out of 1,600 sessions is within spec.
+			FaultSeed:    7,
+			Retry:        core.DefaultRetry(),
+			Seed:         1,
 			DrainTimeout: 60 * time.Second,
-			SLO: SLO{
-				MaxLost:           4,
-				MinPeakConcurrent: 700,
-				P50Ceiling:        4 * time.Second,
-				P99Ceiling:        13 * time.Second,
-				// Each lost session also shows up as (at most) one expiry on
-				// each side beyond the predicted count.
-				MaxExpiredExtra: 8,
-				// Retransmission is the recovery mechanism here.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
-			},
 		},
 		{
 			Name:        "adversary-soak",
@@ -641,15 +586,6 @@ func Profiles() map[string]Profile {
 			ReplayTargets: 1, SybilRounds: 1,
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
-			SLO: SLO{
-				MinPeakConcurrent:         100,
-				P50Ceiling:                2 * time.Second,
-				P99Ceiling:                8 * time.Second,
-				StrictAdversaryAccounting: true,
-				// Sleepy objects miss broadcasts by design; rebroadcast is
-				// what reaches them.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
-			},
 		},
 		{
 			Name:        "covert-observer",
@@ -668,19 +604,12 @@ func Profiles() map[string]Profile {
 			},
 			Seed:         1,
 			DrainTimeout: 30 * time.Second,
-			SLO: SLO{
-				MinPeakConcurrent: 100,
-				P50Ceiling:        2 * time.Second,
-				P99Ceiling:        8 * time.Second,
-				CovertnessAlpha:   1e-3,
-				// The cold wave may probe against the initial RTO while the
-				// handshake backlog is deepest; warm waves must not.
-				MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
-			},
 		},
 	}
+	slos := slo.Profiles()
 	m := make(map[string]Profile, len(ps))
 	for _, p := range ps {
+		p.SLO = slos[p.Name]
 		m[p.Name] = p
 	}
 	return m

@@ -2,7 +2,6 @@ package load
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"argus/internal/core"
 	"argus/internal/netsim"
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/transport"
 
 	"argus/internal/transport/transporttest"
@@ -125,11 +125,11 @@ func TestCISoak(t *testing.T) {
 }
 
 // checkTotalsAreTheRegistry: every total a snapshot consumer can compute is
-// kept once, in the registry — the report's figures are SnapshotReport over
+// kept once, in the registry — the report's figures are slo.SnapshotReport over
 // the run's own window, not a second ledger that could drift from it.
-func checkTotalsAreTheRegistry(t *testing.T, rep *Report, window *obs.Snapshot) {
+func checkTotalsAreTheRegistry(t *testing.T, rep *slo.Report, window *obs.Snapshot) {
 	t.Helper()
-	got, want := rep.Totals, SnapshotReport(window).Totals
+	got, want := rep.Totals, slo.SnapshotReport(window).Totals
 	if got.Armed != want.Armed || got.Completed != want.Completed || got.Lost != want.Lost ||
 		got.Unexpected != want.Unexpected || got.SkippedArrivals != want.SkippedArrivals ||
 		got.PeakInflight != want.PeakInflight {
@@ -162,7 +162,7 @@ func TestChurnDLQRedelivery(t *testing.T) {
 		},
 		Seed:         5,
 		DrainTimeout: 30 * time.Second,
-		SLO:          SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
+		SLO:          slo.SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
 		Logf:         t.Logf,
 	}
 	rep, err := Run(p)
@@ -260,7 +260,7 @@ func TestRunLiveObservability(t *testing.T) {
 		},
 		Seed:         3,
 		DrainTimeout: 30 * time.Second,
-		SLO:          SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
+		SLO:          slo.SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
 		Registry:     reg,
 		Tracer:       tr,
 		Events:       rec,
@@ -274,7 +274,7 @@ func TestRunLiveObservability(t *testing.T) {
 		t.Fatalf("SLO violations: %v", rep.SLO.Violations)
 	}
 	// The caller's registry is the run's registry.
-	if got := sumFamily(reg.Snapshot(), obs.MLoadCompletions); got != rep.Totals.Completed {
+	if got := slo.SumFamily(reg.Snapshot(), obs.MLoadCompletions); got != rep.Totals.Completed {
 		t.Fatalf("caller registry completions %d != report %d", got, rep.Totals.Completed)
 	}
 	if tr.Len() == 0 {
@@ -290,105 +290,15 @@ func TestRunLiveObservability(t *testing.T) {
 		t.Fatalf("snapshot frames: %d, want >= %d", rec.snaps, p.Waves+2)
 	}
 
-	// SnapshotReport over the live registry agrees with the gates the final
+	// slo.SnapshotReport over the live registry agrees with the gates the final
 	// report is held to.
-	sr := SnapshotReport(reg.Snapshot())
+	sr := slo.SnapshotReport(reg.Snapshot())
 	if sr.Totals.Completed != rep.Totals.Completed || sr.Totals.Lost != 0 {
 		t.Fatalf("SnapshotReport totals %+v disagree with report %+v", sr.Totals, rep.Totals)
 	}
 	for _, g := range p.SLO.StreamGates(sr, nil, 0) {
 		if g.Violated {
 			t.Fatalf("streaming gate %s violated on a passing run: %+v", g.Name, g)
-		}
-	}
-}
-
-// TestStreamGates checks the burn-rate arithmetic over synthetic reports.
-func TestStreamGates(t *testing.T) {
-	slo := SLO{MaxLost: 4, P99Ceiling: time.Second}
-	prev := &Report{Latency: map[string]Quantiles{}, Counters: map[string]int64{}}
-	cur := &Report{
-		Totals:   Totals{Lost: 2},
-		Latency:  map[string]Quantiles{"2": {Count: 10, P50: 0.1, P99: 1.5}},
-		Counters: map[string]int64{"dlq_depth": 3},
-	}
-	gates := slo.StreamGates(cur, prev, time.Minute)
-	byName := map[string]GateStatus{}
-	for _, g := range gates {
-		byName[g.Name] = g
-	}
-	lost := byName["lost"]
-	if lost.Violated || lost.BudgetUsed != 0.5 {
-		t.Fatalf("lost gate = %+v, want 50%% budget, no violation", lost)
-	}
-	// 2 of 4 budget in one minute = 30 budgets/hour.
-	if lost.BurnPerHour < 29.9 || lost.BurnPerHour > 30.1 {
-		t.Fatalf("lost burn = %v, want 30/h", lost.BurnPerHour)
-	}
-	// Strict gate (MaxDLQDepth zero value): any depth is a violation.
-	depth := byName["dlq_depth"]
-	if !depth.Violated || depth.BudgetUsed != 1 {
-		t.Fatalf("dlq_depth gate = %+v, want strict violation", depth)
-	}
-	p99 := byName["L2_p99"]
-	if !p99.Violated || p99.Value != 1.5 {
-		t.Fatalf("p99 gate = %+v, want ceiling violation at 1.5s", p99)
-	}
-	if _, ok := byName["L2_p50"]; ok {
-		t.Fatal("p50 gate emitted with no P50Ceiling configured")
-	}
-}
-
-// TestGateTableCheckAgreesWithStream is the property slostream.go promises:
-// over random SLOs and reports, for every row of the gate table Check reports
-// the row's violation iff StreamGates marks that gate Violated — a tail that
-// shows green and a report that fails cannot disagree about a table gate.
-func TestGateTableCheckAgreesWithStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	limit := func() int64 { return []int64{-1, 0, 0, 2}[rng.Intn(4)] }
-	ceiling := func() time.Duration { return []time.Duration{0, 40 * time.Millisecond}[rng.Intn(2)] }
-	quantiles := func() Quantiles {
-		return Quantiles{Count: uint64(rng.Intn(3)), P50: rng.Float64() * 0.08, P99: rng.Float64() * 0.08, Overflow: rng.Int63n(4)}
-	}
-	for i := 0; i < 500; i++ {
-		slo := SLO{
-			MaxLost: limit(), MaxUnexpected: limit(), MaxMailboxDrops: limit(), MaxMalformed: limit(),
-			MaxRetransmissions: limit(), MaxDLQDepth: limit(), MaxSlowSessions: limit(),
-			P50Ceiling: ceiling(), P99Ceiling: ceiling(),
-			// The ledger-only gates are off, so every violation is a table row's.
-			MaxLevelMismatch: -1, MaxWarmRetransmissions: -1, MaxExpiredExtra: -1,
-		}
-		rep := &Report{
-			Totals:  Totals{Lost: rng.Int63n(4), Unexpected: rng.Int63n(4)},
-			Latency: map[string]Quantiles{"1": quantiles(), "2": quantiles(), "3": quantiles()},
-			Counters: map[string]int64{
-				"mailbox_drops": rng.Int63n(4), "malformed_drops": rng.Int63n(4),
-				"retransmissions": rng.Int63n(4), "dlq_depth": rng.Int63n(4),
-			},
-		}
-		reported := map[string]bool{}
-		for _, v := range slo.Check(rep).Violations {
-			reported[v] = true
-		}
-		rows, stream := slo.gates(rep), slo.StreamGates(rep, nil, 0)
-		if len(rows) != len(stream) {
-			t.Fatalf("case %d: %d table rows, %d stream gates", i, len(rows), len(stream))
-		}
-		violated := 0
-		for k, g := range rows {
-			if stream[k].Name != g.name {
-				t.Fatalf("case %d: stream gate %d is %q, table row is %q", i, k, stream[k].Name, g.name)
-			}
-			if stream[k].Violated {
-				violated++
-			}
-			if msg := g.violation(g.get(rep)); reported[msg] != stream[k].Violated {
-				t.Errorf("case %d gate %s: Check reported %v, StreamGates violated %v (value %v, limit %v)",
-					i, g.name, reported[msg], stream[k].Violated, stream[k].Value, stream[k].Limit)
-			}
-		}
-		if violated != len(reported) {
-			t.Errorf("case %d: %d gates violated, Check reported %d violations", i, violated, len(reported))
 		}
 	}
 }
@@ -429,7 +339,7 @@ func TestOpenLoopSmall(t *testing.T) {
 			Timeout: 100 * time.Millisecond, SessionTTL: time.Second,
 		},
 		Seed:     42,
-		SLO:      SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
+		SLO:      slo.SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
 		Registry: obs.NewRegistry(),
 		Logf:     t.Logf,
 	}
@@ -480,7 +390,7 @@ func TestFaultySoakSmall(t *testing.T) {
 		},
 		Seed:         7,
 		DrainTimeout: 20 * time.Second,
-		SLO: SLO{
+		SLO: slo.SLO{
 			MaxLost:                3,
 			MaxExpiredExtra:        3,
 			P99Ceiling:             10 * time.Second,
@@ -596,13 +506,13 @@ func TestWrapFaultsJitterDelaysDelivery(t *testing.T) {
 }
 
 func TestSLOCheck(t *testing.T) {
-	base := func() *Report {
-		return &Report{
-			Totals: Totals{
+	base := func() *slo.Report {
+		return &slo.Report{
+			Totals: slo.Totals{
 				Armed: 100, Completed: 100,
 				PeakInflight: 100,
 			},
-			Latency: map[string]Quantiles{
+			Latency: map[string]slo.Quantiles{
 				"2": {Count: 100, P50: 0.010, P99: 0.050},
 			},
 			Counters: map[string]int64{},
@@ -610,42 +520,42 @@ func TestSLOCheck(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		slo     SLO
-		mutate  func(*Report)
+		slo     slo.SLO
+		mutate  func(*slo.Report)
 		wantOK  bool
 		wantHit string
 	}{
-		{name: "clean run passes strict zero-value SLO", slo: SLO{}, mutate: func(*Report) {}, wantOK: true},
-		{name: "lost", slo: SLO{}, mutate: func(r *Report) { r.Totals.Lost = 1 }, wantHit: "lost"},
-		{name: "lost within budget", slo: SLO{MaxLost: 2}, mutate: func(r *Report) { r.Totals.Lost = 2 }, wantOK: true},
-		{name: "lost disabled", slo: SLO{MaxLost: -1}, mutate: func(r *Report) { r.Totals.Lost = 999 }, wantOK: true},
-		{name: "unexpected", slo: SLO{}, mutate: func(r *Report) { r.Totals.Unexpected = 1 }, wantHit: "unexpected"},
-		{name: "level mismatch", slo: SLO{}, mutate: func(r *Report) { r.Totals.LevelMismatch = 1 }, wantHit: "level"},
-		{name: "peak floor", slo: SLO{MinPeakConcurrent: 101}, mutate: func(*Report) {}, wantHit: "peak"},
-		{name: "mailbox drops", slo: SLO{}, mutate: func(r *Report) { r.Counters["mailbox_drops"] = 1 }, wantHit: "mailbox"},
-		{name: "malformed", slo: SLO{}, mutate: func(r *Report) { r.Counters["malformed_drops"] = 3 }, wantHit: "malformed"},
-		{name: "retransmissions strict", slo: SLO{}, mutate: func(r *Report) { r.Counters["retransmissions"] = 1 }, wantHit: "retransmissions"},
-		{name: "retransmissions within budget", slo: SLO{MaxRetransmissions: 50}, mutate: func(r *Report) { r.Counters["retransmissions"] = 50 }, wantOK: true},
-		{name: "retransmissions disabled", slo: SLO{MaxRetransmissions: -1}, mutate: func(r *Report) { r.Counters["retransmissions"] = 99999 }, wantOK: true},
-		{name: "warm-wave retransmissions strict", slo: SLO{}, mutate: func(r *Report) {
-			r.Waves = append(r.Waves, WaveStats{Index: 0}, WaveStats{Index: 1, Retransmissions: 1})
+		{name: "clean run passes strict zero-value SLO", slo: slo.SLO{}, mutate: func(*slo.Report) {}, wantOK: true},
+		{name: "lost", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Totals.Lost = 1 }, wantHit: "lost"},
+		{name: "lost within budget", slo: slo.SLO{MaxLost: 2}, mutate: func(r *slo.Report) { r.Totals.Lost = 2 }, wantOK: true},
+		{name: "lost disabled", slo: slo.SLO{MaxLost: -1}, mutate: func(r *slo.Report) { r.Totals.Lost = 999 }, wantOK: true},
+		{name: "unexpected", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Totals.Unexpected = 1 }, wantHit: "unexpected"},
+		{name: "level mismatch", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Totals.LevelMismatch = 1 }, wantHit: "level"},
+		{name: "peak floor", slo: slo.SLO{MinPeakConcurrent: 101}, mutate: func(*slo.Report) {}, wantHit: "peak"},
+		{name: "mailbox drops", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["mailbox_drops"] = 1 }, wantHit: "mailbox"},
+		{name: "malformed", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["malformed_drops"] = 3 }, wantHit: "malformed"},
+		{name: "retransmissions strict", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 1 }, wantHit: "retransmissions"},
+		{name: "retransmissions within budget", slo: slo.SLO{MaxRetransmissions: 50}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 50 }, wantOK: true},
+		{name: "retransmissions disabled", slo: slo.SLO{MaxRetransmissions: -1}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 99999 }, wantOK: true},
+		{name: "warm-wave retransmissions strict", slo: slo.SLO{}, mutate: func(r *slo.Report) {
+			r.Waves = append(r.Waves, slo.WaveStats{Index: 0}, slo.WaveStats{Index: 1, Retransmissions: 1})
 		}, wantHit: "warm-wave"},
-		{name: "cold-wave retransmissions exempt from warm gate", slo: SLO{MaxRetransmissions: 10}, mutate: func(r *Report) {
+		{name: "cold-wave retransmissions exempt from warm gate", slo: slo.SLO{MaxRetransmissions: 10}, mutate: func(r *slo.Report) {
 			r.Counters["retransmissions"] = 7
-			r.Waves = append(r.Waves, WaveStats{Index: 0, Retransmissions: 7}, WaveStats{Index: 1})
+			r.Waves = append(r.Waves, slo.WaveStats{Index: 0, Retransmissions: 7}, slo.WaveStats{Index: 1})
 		}, wantOK: true},
-		{name: "warm-wave gate disabled", slo: SLO{MaxWarmRetransmissions: -1, MaxRetransmissions: -1}, mutate: func(r *Report) {
-			r.Waves = append(r.Waves, WaveStats{Index: 1, Retransmissions: 500})
+		{name: "warm-wave gate disabled", slo: slo.SLO{MaxWarmRetransmissions: -1, MaxRetransmissions: -1}, mutate: func(r *slo.Report) {
+			r.Waves = append(r.Waves, slo.WaveStats{Index: 1, Retransmissions: 500})
 		}, wantOK: true},
-		{name: "unexplained expiries", slo: SLO{}, mutate: func(r *Report) { r.Counters["subject_sessions_expired"] = 2 }, wantHit: "expir"},
-		{name: "predicted expiries pass", slo: SLO{}, mutate: func(r *Report) {
+		{name: "unexplained expiries", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["subject_sessions_expired"] = 2 }, wantHit: "expir"},
+		{name: "predicted expiries pass", slo: slo.SLO{}, mutate: func(r *slo.Report) {
 			r.Counters["subject_sessions_expired"] = 2
 			r.PredictedSubjectExpiries = 2
 		}, wantOK: true},
-		{name: "leak", slo: SLO{}, mutate: func(r *Report) { r.Totals.LeakedSessions = 1 }, wantHit: "leak"},
-		{name: "p50 ceiling", slo: SLO{P50Ceiling: 5 * time.Millisecond}, mutate: func(*Report) {}, wantHit: "p50"},
-		{name: "p99 ceiling", slo: SLO{P99Ceiling: 20 * time.Millisecond}, mutate: func(*Report) {}, wantHit: "p99"},
-		{name: "slow sessions", slo: SLO{}, mutate: func(r *Report) {
+		{name: "leak", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Totals.LeakedSessions = 1 }, wantHit: "leak"},
+		{name: "p50 ceiling", slo: slo.SLO{P50Ceiling: 5 * time.Millisecond}, mutate: func(*slo.Report) {}, wantHit: "p50"},
+		{name: "p99 ceiling", slo: slo.SLO{P99Ceiling: 20 * time.Millisecond}, mutate: func(*slo.Report) {}, wantHit: "p99"},
+		{name: "slow sessions", slo: slo.SLO{}, mutate: func(r *slo.Report) {
 			q := r.Latency["2"]
 			q.Overflow = 1
 			r.Latency["2"] = q
@@ -744,6 +654,20 @@ func TestProfileValidate(t *testing.T) {
 
 func TestProfilesRegistryShapes(t *testing.T) {
 	ps := Profiles()
+	// The SLO blocks live in slo.Profiles (argus-ops reads them there): the
+	// two registries name the same profiles, and each profile runs under its
+	// table entry.
+	slos := slo.Profiles()
+	if len(slos) != len(ps) {
+		t.Errorf("slo.Profiles has %d entries, load.Profiles %d", len(slos), len(ps))
+	}
+	for name, p := range ps {
+		if want, ok := slos[name]; !ok {
+			t.Errorf("profile %q has no entry in slo.Profiles", name)
+		} else if p.SLO != want {
+			t.Errorf("profile %q runs under %+v, slo.Profiles says %+v", name, p.SLO, want)
+		}
+	}
 	for _, name := range []string{"ci-soak", "standard", "udp-smoke", "open-loop", "soak-faulty", "adversary-soak", "covert-observer"} {
 		p, ok := ps[name]
 		if !ok {

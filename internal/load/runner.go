@@ -13,8 +13,9 @@ import (
 	"argus/internal/cert"
 	"argus/internal/core"
 	"argus/internal/obs"
+	"argus/internal/slo"
 	"argus/internal/suite"
-	"argus/internal/transport/transporttest"
+	"argus/internal/transport"
 )
 
 // runner executes one profile: it owns the fleet and the profile's business
@@ -44,10 +45,10 @@ type runner struct {
 
 	roamsC    *obs.Counter
 	observer  *adversary.Observer
-	advReport *AdversaryReport
-	covert    *adversary.Covertness
+	advReport *slo.AdversaryReport
+	covert    *slo.Covertness
 
-	waves []WaveStats
+	waves []slo.WaveStats
 
 	samplerStop chan struct{}
 	samplerDone chan struct{}
@@ -57,7 +58,7 @@ type runner struct {
 // non-nil only for harness-level failures (invalid profile, provisioning or
 // transport setup errors); SLO violations are reported in Report.SLO so the
 // caller still gets the full numbers.
-func Run(p Profile) (*Report, error) {
+func Run(p Profile) (*slo.Report, error) {
 	start := time.Now()
 	r, err := newRunner(p)
 	if err != nil {
@@ -213,7 +214,7 @@ func (r *runner) runClosedLoop() error {
 			}
 		}
 		slots := r.slots()
-		wave := WaveStats{Index: w, Subjects: len(slots)}
+		wave := slo.WaveStats{Index: w, Subjects: len(slots)}
 		snapBefore := r.counterTotals()
 		waveStart := time.Now()
 		wave.Armed, wave.Lost = r.drv.Wave(slots, p.ArmWindow, p.DrainTimeout)
@@ -317,7 +318,7 @@ func (r *runner) churn() error {
 		parked = r.fleetDLQDepth()
 		evicted := r.snapshotCounter(obs.MUpdateDLQEvictions) - baseEvict
 		wantLive := base + int64(pushed-parked) - evicted
-		ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+		ok := transport.Poll(p.DrainTimeout, transport.DefaultPollStep, func() bool {
 			return r.snapshotCounter(obs.MUpdateApplied) >= wantLive
 		})
 		if !ok {
@@ -337,7 +338,7 @@ func (r *runner) churn() error {
 				}
 			}
 			wantAll := base + int64(pushed) - evicted
-			ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+			ok := transport.Poll(p.DrainTimeout, transport.DefaultPollStep, func() bool {
 				return r.snapshotCounter(obs.MUpdateApplied) >= wantAll && r.fleetDLQDepth() == 0
 			})
 			if !ok {
@@ -459,10 +460,10 @@ type advCounters struct{ orphan, duplicate, rejected int64 }
 func (r *runner) advCountersNow() advCounters {
 	snap := r.reg.Snapshot()
 	return advCounters{
-		orphan:    sumFamily(snap, obs.MObjectQue2, obs.L("result", "orphan")),
-		duplicate: sumFamily(snap, obs.MObjectQue1, obs.L("result", "duplicate")),
-		rejected: sumFamily(snap, obs.MObjectQue2, obs.L("result", "rejected")) +
-			sumFamily(snap, obs.MResumptions, obs.L("side", "object"), obs.L("result", "refused")),
+		orphan:    slo.SumFamily(snap, obs.MObjectQue2, obs.L("result", "orphan")),
+		duplicate: slo.SumFamily(snap, obs.MObjectQue1, obs.L("result", "duplicate")),
+		rejected: slo.SumFamily(snap, obs.MObjectQue2, obs.L("result", "rejected")) +
+			slo.SumFamily(snap, obs.MResumptions, obs.L("side", "object"), obs.L("result", "refused")),
 	}
 }
 
@@ -482,11 +483,11 @@ func (r *runner) adversaryPhase() error {
 	r.fleet.wakeAll()
 
 	base := r.advCountersNow()
-	ad := &AdversaryReport{}
+	ad := &slo.AdversaryReport{}
 	var wantOrphan, wantDup, wantRejected int64
 
 	if p.ReplayTargets > 0 {
-		var total adversary.ReplayStats
+		var total slo.ReplayStats
 		for _, c := range r.fleet.cells {
 			ep, err := c.join()
 			if err != nil {
@@ -509,7 +510,7 @@ func (r *runner) adversaryPhase() error {
 		if err != nil {
 			return err
 		}
-		var total adversary.SybilStats
+		var total slo.SybilStats
 		for _, c := range r.fleet.cells {
 			stats, err := adversary.ExecuteSybil(c.join, prov, p.SybilRounds, p.AdversaryTimeout, r.reg)
 			total.Merge(stats)
@@ -523,7 +524,7 @@ func (r *runner) adversaryPhase() error {
 
 	// The personas' last frames (stale and forged QUE2s) are fire-and-forget;
 	// give the fleet time to finish judging them before taking the deltas.
-	transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+	transport.Poll(p.DrainTimeout, transport.DefaultPollStep, func() bool {
 		cur := r.advCountersNow()
 		return cur.orphan-base.orphan >= wantOrphan &&
 			cur.duplicate-base.duplicate >= wantDup &&
@@ -580,13 +581,13 @@ type counterTotals struct {
 func (r *runner) counterTotals() counterTotals {
 	snap := r.reg.Snapshot()
 	return counterTotals{
-		vcacheHits:   sumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "hit")),
-		vcacheMisses: sumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "miss")),
-		retrans:      sumFamily(snap, obs.MRetransmissions),
+		vcacheHits:   slo.SumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "hit")),
+		vcacheMisses: slo.SumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "miss")),
+		retrans:      slo.SumFamily(snap, obs.MRetransmissions),
 	}
 }
 
 // snapshotCounter sums one counter family across all label sets.
 func (r *runner) snapshotCounter(name string) int64 {
-	return sumFamily(r.reg.Snapshot(), name)
+	return slo.SumFamily(r.reg.Snapshot(), name)
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"argus/internal/adversary"
+	"argus/internal/slo"
 )
 
 // TestAdversarySoak runs the built-in adversary-soak profile: three honest
@@ -217,116 +217,68 @@ func TestCovertObserverBrokenScoping(t *testing.T) {
 	}
 }
 
-// TestStreamGatesCovertness pins the streaming form of the covertness gate:
-// a floor on the p-value gauges, with negative (pending) readings reported
-// but never violated — a tail early in a run must not scream before the
-// observer has evidence.
-func TestStreamGatesCovertness(t *testing.T) {
-	slo := SLO{CovertnessAlpha: 1e-3}
-	mk := func(timingPpm, lengthPpm int64) *Report {
-		return &Report{
-			Latency: map[string]Quantiles{},
-			Counters: map[string]int64{
-				"covert_timing_p_ppm": timingPpm,
-				"covert_length_p_ppm": lengthPpm,
-			},
-		}
-	}
-	find := func(gates []GateStatus, name string) GateStatus {
-		for _, g := range gates {
-			if g.Name == name {
-				return g
-			}
-		}
-		t.Fatalf("gate %q missing from %v", name, gates)
-		return GateStatus{}
-	}
-
-	pending := slo.StreamGates(mk(-1, -1), nil, 0)
-	if g := find(pending, "covert_timing_p"); g.Violated {
-		t.Fatalf("pending timing gauge must not violate: %+v", g)
-	}
-	healthy := slo.StreamGates(mk(400_000, 1_000_000), nil, 0)
-	for _, name := range []string{"covert_timing_p", "covert_length_p"} {
-		if g := find(healthy, name); g.Violated {
-			t.Fatalf("healthy %s violated: %+v", name, g)
-		}
-	}
-	leaky := slo.StreamGates(mk(500, 0), nil, 0)
-	if g := find(leaky, "covert_timing_p"); !g.Violated {
-		t.Fatalf("timing p=500ppm must violate alpha 1e-3: %+v", g)
-	}
-	if g := find(leaky, "covert_length_p"); !g.Violated {
-		t.Fatalf("length p=0 must violate: %+v", g)
-	}
-	// No alpha, no gates.
-	if gates := (SLO{}).StreamGates(mk(0, 0), nil, 0); len(gates) != 6 {
-		t.Fatalf("covert gates must be absent without an alpha, got %d gates", len(gates))
-	}
-}
-
 // TestSLOCheckAdversary pins the report-level covertness and strict
 // accounting gates.
 func TestSLOCheckAdversary(t *testing.T) {
-	base := func() *Report {
-		return &Report{
-			Totals:   Totals{Armed: 10, Completed: 10},
-			Latency:  map[string]Quantiles{},
+	base := func() *slo.Report {
+		return &slo.Report{
+			Totals:   slo.Totals{Armed: 10, Completed: 10},
+			Latency:  map[string]slo.Quantiles{},
 			Counters: map[string]int64{},
 		}
 	}
-	goodLedger := func() *AdversaryReport {
-		return &AdversaryReport{
-			Replay:      &adversary.ReplayStats{Targets: 6, OrphanQue2: 6, Que1: 6, DupQue1: 12, StaleQue2: 6},
-			Sybil:       &adversary.SybilStats{Identities: 6, Forged: 18},
+	goodLedger := func() *slo.AdversaryReport {
+		return &slo.AdversaryReport{
+			Replay:      &slo.ReplayStats{Targets: 6, OrphanQue2: 6, Que1: 6, DupQue1: 12, StaleQue2: 6},
+			Sybil:       &slo.SybilStats{Identities: 6, Forged: 18},
 			OrphanDelta: 6, DuplicateDelta: 12, RejectedDelta: 24,
 		}
 	}
 	cases := []struct {
 		name    string
-		slo     SLO
-		mutate  func(*Report)
+		slo     slo.SLO
+		mutate  func(*slo.Report)
 		wantOK  bool
 		wantHit string
 	}{
-		{name: "covertness gate needs an observer", slo: SLO{CovertnessAlpha: 1e-3},
-			mutate: func(*Report) {}, wantHit: "observer"},
-		{name: "starved observer fails", slo: SLO{CovertnessAlpha: 1e-3},
-			mutate: func(r *Report) {
-				r.Covertness = &adversary.Covertness{PlainSamples: 10, CovertSamples: 200, MinSamples: 150}
+		{name: "covertness gate needs an observer", slo: slo.SLO{CovertnessAlpha: 1e-3},
+			mutate: func(*slo.Report) {}, wantHit: "observer"},
+		{name: "starved observer fails", slo: slo.SLO{CovertnessAlpha: 1e-3},
+			mutate: func(r *slo.Report) {
+				r.Covertness = &slo.Covertness{PlainSamples: 10, CovertSamples: 200, MinSamples: 150}
 			}, wantHit: "starved"},
-		{name: "rejected null fails", slo: SLO{CovertnessAlpha: 1e-3},
-			mutate: func(r *Report) {
-				r.Covertness = &adversary.Covertness{Evaluated: true, TimingP: 0.8, LengthP: 1e-9}
+		{name: "rejected null fails", slo: slo.SLO{CovertnessAlpha: 1e-3},
+			mutate: func(r *slo.Report) {
+				r.Covertness = &slo.Covertness{Evaluated: true, TimingP: 0.8, LengthP: 1e-9}
 			}, wantHit: "rejected"},
-		{name: "indistinguishable passes", slo: SLO{CovertnessAlpha: 1e-3},
-			mutate: func(r *Report) {
-				r.Covertness = &adversary.Covertness{Evaluated: true, TimingP: 0.4, LengthP: 1}
+		{name: "indistinguishable passes", slo: slo.SLO{CovertnessAlpha: 1e-3},
+			mutate: func(r *slo.Report) {
+				r.Covertness = &slo.Covertness{Evaluated: true, TimingP: 0.4, LengthP: 1}
 			}, wantOK: true},
-		{name: "strict accounting needs a phase", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(*Report) {}, wantHit: "adversary"},
-		{name: "exact ledger passes", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(r *Report) { r.Adversary = goodLedger() }, wantOK: true},
-		{name: "skipped target fails", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(r *Report) {
+		{name: "strict accounting needs a phase", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(*slo.Report) {}, wantHit: "adversary"},
+		{name: "exact ledger passes", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(r *slo.Report) { r.Adversary = goodLedger() }, wantOK: true},
+		{name: "skipped target fails", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(r *slo.Report) {
 				a := goodLedger()
 				a.Replay.Skipped = 1
 				r.Adversary = a
 			}, wantHit: "skipped"},
-		{name: "idempotency violation fails", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(r *Report) {
+		{name: "idempotency violation fails", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(r *slo.Report) {
 				a := goodLedger()
 				a.Replay.IdempotencyViolations = 2
 				r.Adversary = a
 			}, wantHit: "idempotency"},
-		{name: "unexplained rejection fails", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(r *Report) {
+		{name: "unexplained rejection fails", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(r *slo.Report) {
 				a := goodLedger()
 				a.RejectedDelta = 25
 				r.Adversary = a
 			}, wantHit: "rejected QUE2 delta"},
-		{name: "missing duplicate fails", slo: SLO{StrictAdversaryAccounting: true},
-			mutate: func(r *Report) {
+		{name: "missing duplicate fails", slo: slo.SLO{StrictAdversaryAccounting: true},
+			mutate: func(r *slo.Report) {
 				a := goodLedger()
 				a.DuplicateDelta = 11
 				r.Adversary = a

@@ -3,10 +3,10 @@ package obs
 import "sort"
 
 // This file implements snapshot algebra for the multi-process fleet: each
-// argus-node shard serves its own registry, the coordinator scrapes all of
+// argus-load shard serves its own registry, the coordinator scrapes all of
 // them, subtracts the pre-trial baseline per process (DiffSnapshots) and sums
 // the per-process windows into one fleet-wide view (MergeSnapshots) that
-// load.SnapshotReport and the SLO gates consume unchanged.
+// slo.SnapshotReport and the SLO gates consume unchanged.
 //
 // Merge semantics, by metric type:
 //

@@ -1,4 +1,10 @@
-package load
+// Package slo is the snapshot side of the load harness: the Report a run (or
+// a live tail) is summarized into, the SLO gate table a report is judged by,
+// and the built-in profiles' SLO blocks. Everything here is computable from
+// an obs snapshot plus plain-data ledgers, so the package imports obs and the
+// standard library only — a reader such as argus-ops links it without the
+// engines, transports and personas internal/load drives.
+package slo
 
 import (
 	"fmt"

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"argus/internal/transport/transporttest"
 )
 
 // handlerFunc adapts a func to Handler for mailbox-level tests.
@@ -13,10 +11,13 @@ type handlerFunc func(from Addr, payload []byte)
 
 func (f handlerFunc) Handle(from Addr, payload []byte) { f(from, payload) }
 
-// waitCond polls until cond holds or the deadline passes.
+// waitCond polls until cond holds or the deadline passes. (Poll directly:
+// transporttest imports this package, so an in-package test cannot.)
 func waitCond(t *testing.T, cond func() bool, what string) {
 	t.Helper()
-	transporttest.WaitUntil(t, 10*time.Second, cond, what)
+	if !Poll(10*time.Second, DefaultPollStep, cond) {
+		t.Fatalf("timed out waiting for %s", what)
+	}
 }
 
 // Control work enqueued while a deep frame backlog drains must jump the

@@ -1,62 +1,21 @@
-// Package transporttest provides deadline-polling helpers for code that
-// waits on real-clock transports (transport.Mesh, transport.UDP).
-//
-// Tolerance policy: tests and binaries built on wall-clock transports must
-// never encode a fixed sleep as a correctness assumption — a loaded CI
-// worker can stretch any "plenty of time" constant until it flakes, and an
-// idle workstation wastes the rest of it. Instead, waits are expressed as a
-// condition polled on a short step until a generous deadline:
-//
-//   - the step (default 2 ms) bounds how stale a positive answer can be, so
-//     a met condition is observed almost immediately;
-//   - the deadline (callers typically pass 5–30 s, far beyond any expected
-//     completion) is only ever hit on genuine failure, so its size adds no
-//     latency to passing runs.
-//
-// The helpers are dependency-free (no testing import) so non-test binaries
-// such as cmd/argus-node and the internal/load driver can share the exact
-// polling discipline the conformance tests are held to.
+// Package transporttest is the test-side face of transport.Poll (see the
+// tolerance policy there): WaitUntil polls a condition to a deadline and
+// fails the test if it is never met. Only test files import it.
 package transporttest
 
-import "time"
+import (
+	"testing"
+	"time"
 
-// DefaultStep is the polling interval used when step <= 0: short enough
-// that a satisfied condition is seen within a couple of milliseconds, long
-// enough not to burn a CPU core while waiting.
-const DefaultStep = 2 * time.Millisecond
+	"argus/internal/transport"
+)
 
-// Poll invokes cond every step until it returns true or timeout elapses,
-// and reports whether the condition was met. cond is always evaluated at
-// least once, so a zero timeout degenerates to a single check.
-func Poll(timeout, step time.Duration, cond func() bool) bool {
-	if step <= 0 {
-		step = DefaultStep
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if cond() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(step)
-	}
-}
-
-// Failer is the slice of testing.TB the helpers need; keeping it an
-// interface avoids linking package testing into non-test binaries.
-type Failer interface {
-	Helper()
-	Fatalf(format string, args ...any)
-}
-
-// WaitUntil polls cond on DefaultStep until the deadline and fails the test
-// if it is never met. what names the awaited condition in the failure
-// message.
-func WaitUntil(t Failer, timeout time.Duration, cond func() bool, what string) {
+// WaitUntil polls cond on transport.DefaultPollStep until the deadline and
+// fails the test if it is never met. what names the awaited condition in the
+// failure message.
+func WaitUntil(t testing.TB, timeout time.Duration, cond func() bool, what string) {
 	t.Helper()
-	if !Poll(timeout, DefaultStep, cond) {
+	if !transport.Poll(timeout, transport.DefaultPollStep, cond) {
 		t.Fatalf("timed out after %v waiting for %s", timeout, what)
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end capacity-search smoke: the same tiny fleet searched on both
-# placements — in this process, then sharded across two real argus-node
-# shard processes by `argus-load -capacity -procs 2`. Passes only when
+# placements — in this process, then sharded across two real shard processes
+# by `argus-load -capacity -procs 2`, which re-executes its own binary as
+# `argus-load shard` (one build serves both legs). Passes only when
 #
 #   1. both searches exit 0 (some rate sustained): the in-process session
 #      and, for -procs 2, the coordinator launching both shards and
@@ -26,7 +27,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$TMP/argus-load" ./cmd/argus-load
-go build -o "$TMP/argus-node" ./cmd/argus-node
 
 # search <name> [placement flags...]: one search over the smoke fleet.
 search() {
@@ -52,7 +52,7 @@ search() {
 }
 
 search in-process
-search two-process -procs 2 -node-bin "$TMP/argus-node"
+search two-process -procs 2
 
 WANT='"warm_sessions_by_level":{"1":2,"2":4,"3":2}'
 for name in in-process two-process; do
