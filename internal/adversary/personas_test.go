@@ -435,8 +435,30 @@ func resumedCrowd(t *testing.T, leak string) slo.Covertness {
 	sweep()
 	signed := counter(obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", "sign"))
 	armed = true
+	// The RES1 form is on the air for anyone to read; what it may tell is
+	// whether the object knows the subject, never the object's level.
+	type res1Shape struct {
+		mode wire.ResponseMode
+		size int
+	}
+	res1s := make(map[netsim.NodeID]map[res1Shape]int)
+	net.Snoop(func(from, _ netsim.NodeID, p []byte) {
+		if m, err := wire.Decode(p); err == nil {
+			if r, ok := m.(*wire.RES1); ok {
+				if res1s[from] == nil {
+					res1s[from] = make(map[res1Shape]int)
+				}
+				res1s[from][res1Shape{r.Mode, len(p)}]++
+			}
+		}
+	})
 	for r := 0; r < rounds; r++ {
 		sweep()
+	}
+	for _, o := range objNodes {
+		if got := res1s[o]; len(got) != 1 || got[res1Shape{wire.ModeResume, 3 + 2 + suite.NonceSize}] != subjects*rounds {
+			t.Fatalf("object %d answered known subjects with RES1s %v; every level must send the one short form, %d times", o, got, subjects*rounds)
+		}
 	}
 	if got := counter(obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", "sign")); got != signed {
 		t.Fatalf("%d observed sessions were full handshakes; the population must be all resumed", got-signed)

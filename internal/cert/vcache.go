@@ -125,6 +125,8 @@ type vcEntry struct {
 	entity ID
 	// info is the verified chain content (kind == vcKindCert only).
 	info CertInfo
+	// prof is the verified profile as decoded (kind == vcKindProf only).
+	prof *Profile
 	// notBefore/notAfter bound the interval the memoized result is valid in.
 	notBefore, notAfter time.Time
 }
@@ -275,6 +277,36 @@ func (c *VerifyCache) VerifyProfileAnchored(p *Profile, raw, anchorDER []byte, r
 		c.hit(vcKindProf)
 		return nil
 	}
+	return c.verifyProfileMiss(key, p, anchorDER, rootPub, now)
+}
+
+// DecodeProfile is DecodeProfile followed by VerifyProfileAnchored, with the
+// decoding memoized beside the verification: a hit returns the profile its
+// entry was stored with — the same bytes, parsed once. An engine that meets
+// the same peer a thousand times then holds its service information once, not
+// a thousand times over. The profile is shared: callers must not modify it.
+func (c *VerifyCache) DecodeProfile(raw, anchorDER []byte, rootPub suite.PublicKey, now time.Time) (*Profile, error) {
+	if c != nil {
+		key := vcKey(vcKindProf, anchorDER, rootPub.Bytes(), raw)
+		if e := c.lookup(key, now); e != nil {
+			c.hit(vcKindProf)
+			return e.prof, nil
+		}
+		p, err := DecodeProfile(raw)
+		if err != nil {
+			return nil, err
+		}
+		return p, c.verifyProfileMiss(key, p, anchorDER, rootPub, now)
+	}
+	p, err := DecodeProfile(raw)
+	if err != nil {
+		return nil, err
+	}
+	return p, p.VerifyAnchored(anchorDER, rootPub, now)
+}
+
+// verifyProfileMiss verifies p, which no entry vouches for, and stores one.
+func (c *VerifyCache) verifyProfileMiss(key [32]byte, p *Profile, anchorDER []byte, rootPub suite.PublicKey, now time.Time) error {
 	c.miss(vcKindProf)
 	fl, leader := c.joinFlight(key)
 	if !leader {
@@ -294,7 +326,7 @@ func (c *VerifyCache) VerifyProfileAnchored(p *Profile, raw, anchorDER []byte, r
 	// The memoized result holds while the profile AND its signer chain (if
 	// any) remain valid.
 	nb, na := p.Window()
-	c.store(&vcEntry{key: key, kind: vcKindProf, entity: p.Entity, notBefore: nb, notAfter: na})
+	c.store(&vcEntry{key: key, kind: vcKindProf, entity: p.Entity, prof: p, notBefore: nb, notAfter: na})
 	c.leaveFlight(key, fl, nil)
 	return nil
 }

@@ -123,6 +123,63 @@ func TestVerifyCacheProfileHitMiss(t *testing.T) {
 	}
 }
 
+// TestVerifyCacheDecodeProfile: the decoding is memoized beside the
+// verification — a hit hands back the profile its entry was stored with, so
+// the same bytes are parsed and kept once — and never further than it: a
+// window that closed, bytes that do not parse and a signature that does not
+// verify take the real path, and a nil cache decodes and verifies every time.
+func TestVerifyCacheDecodeProfile(t *testing.T) {
+	admin := newVCAdmin(t)
+	fx := newVCFixture(t, admin, "plug")
+	c := NewVerifyCache(8)
+	now := time.Now()
+
+	p1, err := c.DecodeProfile(fx.profRaw, admin.CACert(), admin.Public(), now)
+	if err != nil || p1.Entity != fx.id || p1.Attrs["room"] != "101" {
+		t.Fatalf("first decode: %+v, %v", p1, err)
+	}
+	p2, err := c.DecodeProfile(append([]byte(nil), fx.profRaw...), admin.CACert(), admin.Public(), now)
+	if err != nil || p2 != p1 {
+		t.Fatalf("a hit decoded the profile again (%p, %p) or failed: %v", p1, p2, err)
+	}
+	if hits, misses, entries := statsOf(c); hits != 1 || misses != 1 || entries != 1 {
+		t.Fatalf("hits=%d misses=%d entries=%d", hits, misses, entries)
+	}
+	// The entry VerifyProfileAnchored stores serves DecodeProfile too.
+	fy := newVCFixture(t, admin, "lamp")
+	if err := c.VerifyProfileAnchored(fy.prof, fy.profRaw, admin.CACert(), admin.Public(), now); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := c.DecodeProfile(fy.profRaw, admin.CACert(), admin.Public(), now); err != nil || p != fy.prof {
+		t.Fatalf("entry stored by VerifyProfileAnchored: %p, want %p (%v)", p, fy.prof, err)
+	}
+
+	// Outside the window the entry is evicted and the real path refuses.
+	if _, err := c.DecodeProfile(fx.profRaw, admin.CACert(), admin.Public(), now.Add(48*time.Hour)); err == nil {
+		t.Fatal("expired profile served from the cache")
+	}
+	bad := *fx.prof
+	bad.Note = "tampered"
+	if _, err := c.DecodeProfile(bad.Encode(), admin.CACert(), admin.Public(), now); err == nil {
+		t.Fatal("tampered profile verified")
+	}
+	if _, err := c.DecodeProfile(fx.profRaw[:len(fx.profRaw)/2], admin.CACert(), admin.Public(), now); err == nil {
+		t.Fatal("truncated profile decoded")
+	}
+	if _, _, entries := statsOf(c); entries != 1 {
+		t.Fatalf("entries = %d, want the one for lamp", entries)
+	}
+
+	var none *VerifyCache
+	n1, err := none.DecodeProfile(fx.profRaw, admin.CACert(), admin.Public(), now)
+	if err != nil || n1 == p1 || n1.Entity != fx.id {
+		t.Fatalf("nil cache: %+v, %v", n1, err)
+	}
+	if _, err := none.DecodeProfile(bad.Encode(), admin.CACert(), admin.Public(), now); err == nil {
+		t.Fatal("nil cache verified a tampered profile")
+	}
+}
+
 func TestVerifyCacheFailuresNotCached(t *testing.T) {
 	admin := newVCAdmin(t)
 	other := newVCAdmin(t)

@@ -50,12 +50,16 @@ type Scenario struct {
 	// Sweeps is how many times DiscoverAll runs (0: once). From the second
 	// sweep on the subject holds a resumption ticket for every Level 2/3
 	// object the sweeps before completed a handshake with.
-	Sweeps   int
+	Sweeps int
+	// Between, when set, runs after each sweep but the last, on the drained
+	// network: churn — a Refresh, a Revoke — between two visits.
+	Between  func(d *exp.Deployment, sweep int)
 	Crashes  []Crash
 	Registry *obs.Registry
 	// Snoop, when set, is installed on the network before discovery starts
-	// (eavesdropper taps for indistinguishability properties).
-	Snoop func(from, to netsim.NodeID, payload []byte)
+	// (eavesdropper taps for indistinguishability properties). It is handed
+	// the deployment too, for churn that a frame on the air triggers.
+	Snoop func(d *exp.Deployment, from, to netsim.NodeID, payload []byte)
 }
 
 // Outcome is everything a property can assert about a finished run.
@@ -86,7 +90,7 @@ func Run(s Scenario) (*Outcome, error) {
 		return nil, err
 	}
 	if s.Snoop != nil {
-		d.Net.Snoop(s.Snoop)
+		d.Net.Snoop(func(from, to netsim.NodeID, p []byte) { s.Snoop(d, from, to, p) })
 	}
 	for _, c := range s.Crashes {
 		d.Net.ScheduleCrash(d.ObjNode[c.Object], c.At, c.For)
@@ -98,6 +102,9 @@ func Run(s Scenario) (*Outcome, error) {
 	for sweep := 0; sweep < max(s.Sweeps, 1); sweep++ {
 		if err := d.Subject.DiscoverAll(ttl, func() { d.Net.Run(0) }); err != nil {
 			return nil, err
+		}
+		if s.Between != nil && sweep+1 < s.Sweeps {
+			s.Between(d, sweep)
 		}
 	}
 	d.Net.Run(0) // outstanding expiry timers of the last round

@@ -7,6 +7,7 @@ import (
 
 	"argus/internal/backend"
 	"argus/internal/core"
+	"argus/internal/exp"
 	"argus/internal/netsim"
 	"argus/internal/obs"
 	"argus/internal/suite"
@@ -87,6 +88,27 @@ func TestCompletenessUnderLossWithResumption(t *testing.T) {
 				Fellow:   true,
 				Sweeps:   sweeps,
 				Registry: reg,
+				// Churn between the visits: one object is re-provisioned after
+				// the first sweep and the subject after the second, so the next
+				// sweep meets hints that match nothing and short RES1s nobody
+				// holds a ticket for — under the same loss.
+				Between: func(d *exp.Deployment, sweep int) {
+					switch sweep {
+					case 0:
+						o := d.Objects[2] // a Level 3 one
+						prov, err := d.Backend.ProvisionObject(o.ID())
+						if err != nil {
+							t.Fatal(err)
+						}
+						o.Refresh(prov)
+					case 1:
+						prov, err := d.Backend.ProvisionSubject(d.Subject.ID())
+						if err != nil {
+							t.Fatal(err)
+						}
+						d.Subject.Refresh(prov)
+					}
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,11 +133,80 @@ func TestCompletenessUnderLossWithResumption(t *testing.T) {
 				t.Fatalf("leaked sessions: subject %d, objects %d", out.SubjectPending, out.ObjectPending)
 			}
 			resumed := resumptions(reg, "subject", "resumed")
-			if resumed == 0 {
-				t.Fatal("no session of the run was resumed: the property was not exercised")
+			if resumed == 0 || resumptions(reg, "subject", "refused") == 0 {
+				t.Fatal("no session of the run was resumed, or none refused: the property was not exercised")
 			}
 			t.Logf("resumed %d, refused %d, minted %d (subject side), %d frames lost",
 				resumed, resumptions(reg, "subject", "refused"), resumptions(reg, "subject", "minted"), out.Stats.FaultLost)
+		})
+	}
+}
+
+// TestMidRoundChurnUnderLoss: the refusal that upgrades a short RES1 in place
+// is three more frames that can each be lost. Every Level 2/3 object is
+// re-provisioned the moment its first short RES1 of the second sweep is on the
+// air — the ticket goes between RES1 and QUE2 — at 20 % loss; the sweep still
+// finds everything, once, and no session leaks.
+func TestMidRoundChurnUnderLoss(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			churned, rounds := map[netsim.NodeID]bool{}, map[string]bool{}
+			out, err := Run(Scenario{
+				Seed:     seed,
+				Levels:   mixedLevels,
+				Faults:   netsim.FaultModel{Loss: 0.2},
+				Retry:    core.DefaultRetry(),
+				Fellow:   true,
+				Sweeps:   2,
+				Registry: reg,
+				Snoop: func(d *exp.Deployment, from, _ netsim.NodeID, p []byte) {
+					m, err := wire.Decode(p)
+					if q, ok := m.(*wire.QUE1); ok {
+						rounds[string(q.RS)] = true // a sweep is one round per group key
+					}
+					if r, ok := m.(*wire.RES1); err != nil || !ok || r.Mode != wire.ModeResume ||
+						len(rounds) <= d.Subject.GroupCount() || churned[from] {
+						return
+					}
+					churned[from] = true
+					for i, node := range d.ObjNode {
+						if node == from {
+							prov, err := d.Backend.ProvisionObject(d.Objects[i].ID())
+							if err != nil {
+								t.Fatal(err)
+							}
+							d.Objects[i].Refresh(prov)
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(churned) != 4 {
+				t.Fatalf("%d objects sent a short RES1 in the second sweep, want the 4 at Level 2/3", len(churned))
+			}
+			all := out.Discoveries
+			half := all[len(all)-1].Round / 2
+			out.Discoveries = nil
+			for _, disc := range all {
+				if disc.Round > half {
+					out.Discoveries = append(out.Discoveries, disc)
+				}
+			}
+			if missing := out.Missing(mixedLevels); len(missing) > 0 {
+				t.Fatalf("churned sweep incomplete (FaultLost=%d):\n%v", out.Stats.FaultLost, missing)
+			}
+			if dups := out.Duplicates(); len(dups) > 0 {
+				t.Fatalf("duplicate discovery records:\n%v", dups)
+			}
+			if out.SubjectPending != 0 || out.ObjectPending != 0 {
+				t.Fatalf("leaked sessions: subject %d, objects %d", out.SubjectPending, out.ObjectPending)
+			}
+			if got := resumptions(reg, "object", "refused"); got < 4 {
+				t.Fatalf("objects refused %d tickets, want one per churned object", got)
+			}
 		})
 	}
 }
@@ -210,7 +301,7 @@ func TestCase7IndistinguishabilityUnderLoss(t *testing.T) {
 			Faults: netsim.FaultModel{Loss: 0.2},
 			Retry:  core.DefaultRetry(),
 			Fellow: fellow,
-			Snoop: func(_, _ netsim.NodeID, p []byte) {
+			Snoop: func(_ *exp.Deployment, _, _ netsim.NodeID, p []byte) {
 				m, err := wire.Decode(p)
 				if err != nil {
 					return

@@ -94,7 +94,8 @@ type Discovery struct {
 	// Group is the secret group the covert service was found through
 	// (0 unless Level == L3).
 	Group uint64
-	// Profile is the verified service information.
+	// Profile is the verified service information. Discoveries of a profile
+	// that has not changed may share it: read-only.
 	Profile *cert.Profile
 	// At is the virtual time the discovery completed.
 	At time.Duration

@@ -373,7 +373,7 @@ func TestRevokedSubjectIsRefused(t *testing.T) {
 func TestRefreshServesTheNewProfiles(t *testing.T) {
 	d := newDeployment(t)
 	d.b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("has(type)"), []string{"use"})
-	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30)
+	d.addSubject("alice", attr.MustSet("position=staff"), wire.V30, WithVerifyCache(cert.NewVerifyCache(0)))
 	names := map[cert.ID]string{}
 	for name, level := range map[string]Level{"sign": L1, "printer": L2} {
 		names[d.addObject(name, level, attr.MustSet("type=device,floor=1"), []string{"use"}, wire.V30).ID()] = name
@@ -388,13 +388,23 @@ func TestRefreshServesTheNewProfiles(t *testing.T) {
 	if got := floors(d.run()); got["sign"] != "1" || got["printer"] != "1" {
 		t.Fatalf("before the move: floors %v", got)
 	}
+	// Met again, an object's unchanged profile is the one already held: the
+	// subject's results keep it once, however many rounds report it.
+	again := d.run()
+	for _, r := range again[2:] {
+		for _, first := range again[:2] {
+			if first.Object == r.Object && first.Profile != r.Profile {
+				t.Errorf("%s: the second round decoded and kept the same profile again", names[r.Object])
+			}
+		}
+	}
 	for id, name := range names {
 		if _, err := d.b.UpdateObjectAttrs(id, attr.MustSet("type=device,floor=2")); err != nil {
 			t.Fatal(err)
 		}
 		d.refreshObject(name)
 	}
-	if got := floors(d.run()[2:]); got["sign"] != "2" || got["printer"] != "2" {
+	if got := floors(d.run()[4:]); got["sign"] != "2" || got["printer"] != "2" {
 		t.Fatalf("after Refresh the objects still serve the old encodings: floors %v", got)
 	}
 }

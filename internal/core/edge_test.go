@@ -295,6 +295,8 @@ func TestVersionMixing(t *testing.T) {
 // TestSessionCapBoundsMemory: an attacker flooding QUE1s cannot grow the
 // object's pending-session table beyond the cap, and a legitimate QUE1
 // refused at the full table is served by a later probe once it has room.
+// Answers kept for resending are bounded separately and never refuse anyone:
+// past their bound the oldest goes.
 func TestSessionCapBoundsMemory(t *testing.T) {
 	d := newDeployment(t)
 	d.b.AddPolicy(attr.MustParse("true"), attr.MustParse("type=='lock'"), []string{"open"})
@@ -313,9 +315,8 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 		t.Fatalf("pending sessions = %d, cap %d", got, maxPendingSessions)
 	}
 	// The flood's sessions hold the table until SessionTTL. A round started
-	// inside that window is refused — and marked seen, so only the
-	// expired-duplicate restart cue can serve it: the probe that fires after
-	// the flood aged out must complete the discovery.
+	// inside that window is refused, and nothing of it is kept: the probe
+	// that fires after the flood aged out must complete the discovery.
 	d.net.Run(p.ttl() / 4)
 	res := d.run()
 	if got := counterValue(t, reg, obs.MObjectQue1, obs.L("result", "refused")); got <= 2*maxPendingSessions {
@@ -323,6 +324,60 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].Level != L2 {
 		t.Fatalf("discoveries after the table drained = %+v, want the lock at L2", res)
+	}
+
+	// The resend cache: a Level 1 object caches one RES1 per QUE1, an answered
+	// handshake its RES2.
+	pub := d.addObject("sign", L1, attr.MustSet("type=sign"), []string{"read"}, wire.V30,
+		WithRetry(p), WithTelemetry(reg, nil))
+	refused := counterValue(t, reg, obs.MObjectQue1, obs.L("result", "refused"))
+	var first, last sessionKey
+	for i := 0; i < maxResendCache+maxPendingSessions; i++ {
+		rs, _ := suite.NewNonce(nil)
+		pub.Handle(netsim.AddrOf(d.subjNode), (&wire.QUE1{Version: wire.V30, RS: rs}).Encode())
+		if last = mkSessionKey(netsim.AddrOf(d.subjNode), rs); i == 0 {
+			first = last
+		}
+	}
+	if got := len(pub.sessions); got != maxResendCache || pub.cachedN != got {
+		t.Fatalf("resend cache holds %d answers (%d counted), bound %d", got, pub.cachedN, maxResendCache)
+	}
+	if pub.sessions[first] != nil || pub.sessions[last] == nil {
+		t.Fatal("the cache shed an answer other than the oldest")
+	}
+	// One timer serves the whole cache, and what it shed left nothing behind.
+	if got := pub.wheel.pending(); got != 1 {
+		t.Fatalf("a full resend cache holds %d wheel entries, want 1", got)
+	}
+	if got := counterValue(t, reg, obs.MObjectQue1, obs.L("result", "refused")); got != refused {
+		t.Fatalf("a full resend cache refused %d QUE1s", got-refused)
+	}
+	// Answered sessions do not count against the pending cap: the lock has
+	// just answered alice, and still takes a full table of new handshakes.
+	d.net.Run(0) // the flood's RES1s off the air first
+	if err := d.subject.Discover(1); err != nil {
+		t.Fatal(err)
+	}
+	d.net.Run(d.net.Now() + time.Second)
+	d.subject.CompleteRound()
+	if o.cachedN != 1 || len(o.sessions) != 1 {
+		t.Fatalf("lock holds %d sessions, %d of them answers; want the one answered", len(o.sessions), o.cachedN)
+	}
+	for i := 0; i < maxPendingSessions; i++ {
+		rs, _ := suite.NewNonce(nil)
+		o.Handle(netsim.AddrOf(d.subjNode), (&wire.QUE1{Version: wire.V30, RS: rs}).Encode())
+	}
+	if got := counterValue(t, reg, obs.MObjectQue1, obs.L("result", "refused")); got != refused {
+		t.Fatalf("an answered session cost %d handshakes their place", got-refused)
+	}
+	d.net.Run(0)
+	if len(o.sessions)+len(pub.sessions) != 0 || o.cachedN != 0 || pub.cachedN != 0 || o.cached != nil || pub.cached != nil {
+		t.Fatalf("tables did not drain: %d + %d sessions, %d + %d counted", len(o.sessions), len(pub.sessions), o.cachedN, pub.cachedN)
+	}
+	// Nor is anything else kept per query: no timer of a session that is gone,
+	// and no mark beside the session table (the zero policy's o.seen).
+	if n := o.wheel.pending() + pub.wheel.pending() + len(o.seen) + len(pub.seen); n != 0 {
+		t.Fatalf("%d wheel entries or seen marks outlive the sessions", n)
 	}
 }
 
@@ -547,6 +602,11 @@ func TestCorruptedRES2ThenCleanRetransmission(t *testing.T) {
 		}
 		if got := counterValue(t, reg, obs.MRetransmissions, obs.L("role", "object"), obs.L("msg", "res2")); got != int64(3*(round+1)) {
 			t.Fatalf("round %d: %d RES2 retransmissions in all, want %d", round+1, got, 3*(round+1))
+		}
+		// The resumed round ran over short RES1s: the damaged RES2 of a session
+		// that never had a signature or a key exchange is recovered the same way.
+		if got := counterValue(t, reg, obs.MObjectQue1, obs.L("result", resultResume)); got != int64(3*round) {
+			t.Fatalf("round %d: %d short RES1s in all, want %d", round+1, got, 3*round)
 		}
 	}
 	if d.subject.PendingSessions() != 0 {

@@ -24,7 +24,7 @@ type Object struct {
 	ep      transport.Endpoint
 
 	sessions map[sessionKey]*objSession
-	seen     map[sessionKey]bool // duplicate-query suppression via R_S (§IV-B)
+	seen     map[sessionKey]bool // duplicate-query suppression via R_S (§IV-B), zero policy
 	revoked  map[cert.ID]bool
 	retry    RetryPolicy // zero value: one-shot seed behavior (see RetryPolicy)
 	tel      *objectTelemetry
@@ -38,14 +38,23 @@ type Object struct {
 	pendingN atomic.Int64
 	vcache   *cert.VerifyCache
 
-	// tickets holds the resumption tickets minted for subjects, by ticket id
-	// (resume.go).
-	tickets ticketTable[ticketID]
+	// tickets holds the resumption tickets minted for subjects, by subject
+	// address (resume.go).
+	tickets ticketTable
 
-	// publicEnc and variantEnc are the wire encodings of prov.PublicProfile
-	// and of each prov.Variants[i].Profile, made when the provision arrives,
-	// not per answer.
-	publicEnc  []byte
+	// The resend cache: sessions that only hold an answer for a duplicate
+	// query (Level 1's RES1, an answered handshake's RES2), oldest first,
+	// linked through objSession.next. They expire in the order they were
+	// cached, so the head is always the next to go and one wheel entry, armed
+	// for the head, serves them all.
+	cached, cachedTail *objSession
+	cachedN            int
+	cacheArmed         bool
+
+	// publicRES1 and variantEnc are the wire encodings of a Level 1 object's
+	// one answer and of each prov.Variants[i].Profile, made when the provision
+	// arrives, not per answer.
+	publicRES1 []byte
 	variantEnc [][]byte
 }
 
@@ -53,18 +62,32 @@ type Object struct {
 // unbounded session table would let any broadcaster exhaust object memory;
 // constrained objects cap pending handshakes and periodically forget old
 // duplicate-detection state.
+//
+// maxPendingSessions bounds the handshakes awaiting their QUE2 — the sessions
+// that hold key material and that a flood of QUE1s opens. maxResendCache
+// bounds the answers kept for duplicates, separately: they live TTL/2 whatever
+// the object does, so counted against the first bound they capped an object at
+// 64 sessions/s. Past it the oldest answer is shed; its subject, should it
+// still be asking, restarts the handshake with its next probe.
 const (
 	maxPendingSessions = 256
+	maxResendCache     = 256
 	maxSeenQueries     = 4096
 )
 
 type objSession struct {
-	subjAddr transport.Addr
-	rs       []byte
-	ro       []byte
-	kex      *suite.KeyExchange
-	que1Enc  []byte
-	res1Enc  []byte
+	key     sessionKey
+	rs      []byte
+	ro      []byte
+	kex     *suite.KeyExchange
+	que1Enc []byte
+	res1Enc []byte
+
+	// short marks a session whose RES1 was the short form, answering a QUE1
+	// hint under the ticket of subject. It has no kex until a short QUE2 the
+	// object cannot honour upgrades it in place (resumeQUE2).
+	short   bool
+	subject cert.ID
 
 	// Retry-mode state: a duplicate query means the subject lost our answer,
 	// so the cached encoding is resent verbatim — resends must be
@@ -73,6 +96,15 @@ type objSession struct {
 	public   bool   // Level 1 session, cached only for RES1 resends
 	answered bool   // QUE2 consumed; the handshake outcome is fixed
 	res2Enc  []byte // cached RES2 (nil while pending, and for silent answers)
+
+	gone  bool          // removed from the table; a stale link of the cache list
+	next  *objSession   // resend-cache order
+	until time.Duration // when the cached answer is dropped
+
+	// expiry collects the session if no QUE2 answers it within the TTL;
+	// canceled when one does, or when the session is removed. What has left
+	// the table is referenced by nothing.
+	expiry *wheelEntry
 }
 
 // NewObject creates an engine from a backend provision, applying any
@@ -116,12 +148,13 @@ func (o *Object) Bind(ep transport.Endpoint) {
 	ep.Bind(o)
 }
 
-// encodeProfiles fills publicEnc and variantEnc from the current provision.
+// encodeProfiles fills publicRES1 and variantEnc from the current provision.
 func (o *Object) encodeProfiles() {
-	o.publicEnc, o.variantEnc = nil, make([][]byte, 0, len(o.prov.Variants))
+	res := &wire.RES1{Version: o.version, Mode: wire.ModePublic}
 	if p := o.prov.PublicProfile; p != nil {
-		o.publicEnc = p.Encode()
+		res.Prof = p.Encode()
 	}
+	o.publicRES1, o.variantEnc = res.Encode(), make([][]byte, 0, len(o.prov.Variants))
 	for _, v := range o.prov.Variants {
 		o.variantEnc = append(o.variantEnc, v.Profile.Encode())
 	}
@@ -186,9 +219,9 @@ func (o *Object) Refresh(prov *backend.ObjectProvision) {
 func (o *Object) Revoke(subject cert.ID) {
 	o.revoked[subject] = true
 	o.vcache.InvalidateEntity(subject)
-	for id, t := range o.tickets.m {
+	for peer, t := range o.tickets.m {
 		if t.subject == subject {
-			o.tickets.drop(id)
+			o.tickets.drop(peer)
 		}
 	}
 }
@@ -218,72 +251,126 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		return
 	}
 	key := mkSessionKey(from, m.RS)
-	if o.seen[key] {
-		// A flooded QUE1 arriving via another path is ignored; but under
-		// retry, a duplicate for a session still awaiting its QUE2 means the
-		// subject likely lost our RES1 — resend the cached bytes. A duplicate
-		// whose session already aged out entirely is a restart cue, not a
-		// flood echo: the subject is still rebroadcasting past a full
-		// SessionTTL, so suppressing it would strand the round forever (both
-		// sides expired, nothing left to resend). Clear the dedup mark and
-		// run the full fresh-QUE1 path — the same stance the coarse seen
-		// reset below takes, with QUE2 signature freshness as the real
-		// replay guard. The same cue serves a QUE1 that was refused at a full
-		// session table once the table has room. The zero policy never
-		// rebroadcasts and keeps the seed's absolute suppression.
-		if sess, ok := o.sessions[key]; ok || !o.retry.Enabled() {
+	if o.retry.Enabled() {
+		// The session table is the duplicate detection: it holds every QUE1
+		// answered within the last TTL/2 at least. A duplicate for a session
+		// still awaiting its QUE2 means the subject likely lost our RES1 —
+		// resend the cached bytes. One whose session already aged out is a
+		// restart cue, not a flood echo: the subject is still rebroadcasting
+		// past a full SessionTTL, so suppressing it would strand the round
+		// forever (both sides expired, nothing left to resend); it runs the
+		// full fresh-QUE1 path, with QUE2 signature freshness as the real
+		// replay guard. The same serves a QUE1 that was refused at a full
+		// session table once the table has room.
+		if sess, ok := o.sessions[key]; ok {
 			o.tel.que1Result(resultDuplicate)
-			if o.retry.Enabled() && ok && !sess.answered && sess.res1Enc != nil {
+			if !sess.answered && sess.res1Enc != nil {
 				o.tel.retransmit(msgRES1)
 				o.ep.Send(from, sess.res1Enc)
 			}
 			return
 		}
-		delete(o.seen, key)
+	} else {
+		// The zero policy consumes a session with its first QUE2 and never
+		// rebroadcasts: a flooded QUE1 arriving via another path is ignored,
+		// the seed's absolute suppression.
+		if o.seen[key] {
+			o.tel.que1Result(resultDuplicate)
+			return
+		}
+		if len(o.seen) >= maxSeenQueries {
+			// Coarse reset: old R_S values have long completed or timed out;
+			// replays of them are still caught by the signature freshness check.
+			o.seen = make(map[sessionKey]bool)
+		}
+		o.seen[key] = true
 	}
-	if len(o.seen) >= maxSeenQueries {
-		// Coarse reset: old R_S values have long completed or timed out;
-		// replays of them are still caught by the signature freshness check.
-		o.seen = make(map[sessionKey]bool)
-	}
-	o.seen[key] = true
-	if len(o.sessions) >= maxPendingSessions {
+	if len(o.sessions)-o.cachedN >= maxPendingSessions {
 		o.tel.que1Result(resultRefused)
 		return // refuse new handshakes until pending ones complete
 	}
 
 	if o.prov.Level == L1 {
 		// Level 1: return the signed profile in plaintext. No
-		// compute-intensive operation on the object (Fig 6b).
-		res := &wire.RES1{
-			Version: o.version,
-			Mode:    wire.ModePublic,
-			Prof:    o.publicEnc,
-		}
+		// compute-intensive operation on the object (Fig 6b), and the same
+		// bytes to every subject.
 		o.tel.que1Result(resultPublic)
-		enc := res.Encode()
+		enc := o.publicRES1
 		if o.retry.Enabled() {
 			// Cache the answer so a duplicate QUE1 can resend it (the
 			// public path has no QUE2 to drive retransmission otherwise). It is
 			// never marked answered — handleQUE2 ignores a public session — so
 			// the collection armed here, at TTL/2, bounds the resend window.
-			sess := &objSession{subjAddr: from, public: true, res1Enc: enc}
-			o.sessions[key] = sess
-			o.syncPending()
-			o.scheduleGC(key, sess, o.retry.ttl()/2)
+			sess := &objSession{key: key, public: true, res1Enc: enc}
+			o.open(sess)
+			o.cache(sess)
 		}
 		o.ep.Send(from, enc)
 		return
 	}
 
-	// Level 2/3: respond with handshake material and await QUE2.
+	// Level 2/3: respond with a nonce, and with handshake material unless the
+	// subject holds a ticket, and await QUE2.
+	sess := &objSession{
+		key:     key,
+		rs:      m.RS, // a window on raw, like every decoded field
+		que1Enc: raw,
+	}
+	o.open(sess)
+	o.scheduleGC(sess)
+	t, hmacs := o.hintedTicket(from, m)
+	if t == nil {
+		if !o.signRES1(sess, time.Duration(hmacs)*o.costs.HMAC) {
+			o.remove(sess)
+			return
+		}
+		o.tel.que1Result(resultHandshake)
+		return
+	}
 	ro, err := suite.NewNonce(nil)
 	if err != nil {
+		o.remove(sess)
 		return
+	}
+	sess.ro, sess.short, sess.subject = ro, true, t.subject
+	o.tel.que1Result(resultResume)
+	res := &wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: ro}
+	o.ep.Compute(o.costs.HMAC, func() {
+		sess.res1Enc = res.Encode()
+		o.ep.Send(from, sess.res1Enc)
+	})
+}
+
+// hintedTicket returns the ticket held for the subject at from if the QUE1
+// carries its hint — the subject still holds it too, a ratchet step neither
+// ahead nor behind — and how many HMACs finding out took: one when there is a
+// ticket on file for the address, none for a stranger, a Level 1 object or the
+// zero policy, which files no tickets and is sent no hints.
+func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, int) {
+	t := o.tickets.get(from)
+	if t == nil || len(m.Hints) == 0 {
+		return nil, 0
+	}
+	o.tel.count(opsHMAC, 1)
+	if !m.HasHint(suite.Hint(t.secret, m.RS)) || !t.valid(time.Now()) || o.revoked[t.subject] {
+		return nil, 1
+	}
+	return t, 1
+}
+
+// signRES1 gives sess a fresh R_O and ephemeral key and sends the RES1 that
+// carries them under the object's signature (§V): the answer to a QUE1 from a
+// subject the object holds no ticket with, and the refusal of a short QUE2 it
+// cannot honour. It becomes the session's res1Enc once the modeled compute
+// time — extra plus one key generation and one signature — has passed.
+func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
+	ro, err := suite.NewNonce(nil)
+	if err != nil {
+		return false
 	}
 	kex, err := suite.NewKeyExchange(o.prov.Strength, nil)
 	if err != nil {
-		return
+		return false
 	}
 	res := &wire.RES1{
 		Version: o.version,
@@ -292,31 +379,84 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		CertO:   o.prov.CertDER,
 		KEXMO:   kex.Public(),
 	}
-	signed := res.AppendSignedPart(wire.GetScratch(), m.RS)
+	signed := res.AppendSignedPart(wire.GetScratch(), sess.rs)
 	sig, err := o.prov.Key.Sign(signed)
 	wire.PutScratch(signed)
 	if err != nil {
-		return
+		return false
 	}
 	res.Sig = sig
-	sess := &objSession{
-		subjAddr: from,
-		rs:       m.RS, // a window on raw, like every decoded field
-		ro:       ro,
-		kex:      kex,
-		que1Enc:  raw,
-	}
-	o.sessions[key] = sess
-	o.syncPending()
-	o.scheduleGC(key, sess, o.retry.ttl())
-
-	cost := o.costs.KexGen + o.costs.Sign
-	o.tel.que1Result(resultHandshake)
+	sess.ro, sess.kex, sess.res1Enc = ro, kex, nil
 	o.tel.count(opsKexGen, 1)
 	o.tel.count(opsSign, 1)
-	o.ep.Compute(cost, func() {
+	o.ep.Compute(extra+o.costs.KexGen+o.costs.Sign, func() {
 		sess.res1Enc = res.Encode()
-		o.ep.Send(from, sess.res1Enc)
+		o.ep.Send(sess.key.peer, sess.res1Enc)
+	})
+	return true
+}
+
+// open files sess in the session table, over whatever the key held.
+func (o *Object) open(sess *objSession) {
+	if old, ok := o.sessions[sess.key]; ok {
+		o.remove(old)
+	}
+	o.sessions[sess.key] = sess
+	o.syncPending()
+}
+
+// remove takes sess out of the session table.
+func (o *Object) remove(sess *objSession) {
+	delete(o.sessions, sess.key)
+	o.syncPending()
+	sess.gone = true
+	sess.expiry.cancel()
+	if sess.public || sess.answered {
+		// In the resend cache: a session in the table is public or answered
+		// exactly when cache took it (the zero policy, which caches nothing,
+		// removes a session before it answers it).
+		o.cachedN--
+	}
+	for o.cached != nil && o.cached.gone {
+		o.cached = o.cached.next
+	}
+}
+
+// cache moves sess, which from here on only holds an answer to resend, to the
+// resend cache for half a TTL, shedding the oldest answer if the cache is
+// full.
+func (o *Object) cache(sess *objSession) {
+	sess.expiry.cancel()
+	sess.expiry = nil
+	sess.until = o.ep.Now() + o.retry.ttl()/2
+	o.cachedN++
+	if o.cached == nil {
+		o.cached = sess
+	} else {
+		o.cachedTail.next = sess
+	}
+	o.cachedTail = sess
+	for o.cachedN > maxResendCache {
+		o.remove(o.cached)
+	}
+	o.armCache()
+}
+
+// armCache keeps one wheel entry armed for the oldest cached answer. An entry
+// armed for an answer that was shed meanwhile fires early, finds nothing due
+// and re-arms.
+func (o *Object) armCache() {
+	if o.cacheArmed || o.cached == nil {
+		return
+	}
+	o.cacheArmed = true
+	o.wheel.schedule(o.cached.until-o.ep.Now(), func() {
+		o.cacheArmed = false
+		for now := o.ep.Now(); o.cached != nil && o.cached.until <= now; {
+			o.remove(o.cached)
+			o.tel.sessionExpired()
+		}
+		o.armCache()
 	})
 }
 
@@ -356,13 +496,12 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 			// QUE2 may have been corrupted in flight — a clean retransmission
 			// must still be able to complete) and is marked answered on
 			// success.
-			delete(o.sessions, key)
-			o.syncPending()
+			o.remove(sess)
 		}
 		a, ok = o.authenticateQUE2(from, sess, m)
 	}
 	if ok {
-		o.answerQUE2(from, key, sess, m, a)
+		o.answerQUE2(from, sess, m, a)
 	}
 }
 
@@ -386,6 +525,9 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	reject := func() (que2Auth, bool) {
 		o.tel.que2Result(resultRejected)
 		return que2Auth{}, false
+	}
+	if sess.kex == nil {
+		return reject() // a short RES1 offered no KEXM_O to answer
 	}
 	info, err := o.vcache.VerifyCert(o.prov.CACert, m.CertS, o.prov.Strength)
 	if err != nil || info.Role != cert.RoleSubject {
@@ -423,7 +565,7 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 		return reject() // handshake failure
 	}
 	if o.retry.Enabled() {
-		a.next = ticket{peer: from, subject: info.ID, attrs: prof.Attrs, notBefore: info.NotBefore, notAfter: info.NotAfter}
+		a.next = ticket{subject: info.ID, attrs: prof.Attrs, notBefore: info.NotBefore, notAfter: info.NotAfter}
 		a.next.narrowTo(prof.Window())
 	} else {
 		a.next.attrs = prof.Attrs
@@ -431,35 +573,38 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	return a, true
 }
 
-// resumeQUE2 is the short path: the ticket names a secret this object minted
+// resumeQUE2 is the short path: the ticket names the secret this object holds
 // for this subject address, and MAC_{S,2} under K2′ = PRF(secret, R_S‖R_O)
 // proves the sender holds it — fresh R_O, so a replayed short QUE2 proves
 // nothing. CERT_S, PROF_S and SIG_S were checked when the ticket's chain
 // began; what can change since is checked now: the validity window, the
 // blacklist, and (in answerQUE2) the policies of the current provision.
 //
-// A ticket the object cannot honour — unknown (evicted, flushed, a ratchet
-// step behind), expired, or presented from another address — is refused with
-// the empty RES2 and the session left pending, so the subject's full QUE2
-// finds it. The refusal tells an observer only what RES1 already did.
+// A ticket the object cannot honour — none on file for the address (evicted,
+// flushed), another one (a ratchet step apart), or expired — is refused, and
+// the refusal is never a dead end: it hands the subject what it needs to
+// finish the full handshake in the same round, with no timer. After a signed
+// RES1 the subject holds that already, and the refusal is the empty RES2.
+// After a short RES1 it holds nothing, so the session is upgraded in place —
+// fresh R_O, KEXM_O and SIG_O — and the signed RES1 is the refusal, resent
+// verbatim to a duplicate short QUE2 like to a duplicate QUE1. Either way the
+// session stays pending for the full QUE2, and an observer learns only what
+// the RES1 already showed.
 func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2) (que2Auth, bool) {
-	var id ticketID
-	var t *ticket
-	if len(m.Ticket) == len(id) {
-		copy(id[:], m.Ticket)
-		t = o.tickets.get(id)
-	}
-	if t != nil && !t.valid(time.Now()) {
-		o.tickets.drop(id)
+	t := o.tickets.get(from)
+	if t != nil && !bytes.Equal(m.Ticket, t.id[:]) {
 		t = nil
 	}
-	if t == nil || t.peer != from {
-		o.tel.resumption(resultRefused)
-		o.ep.Send(from, (&wire.RES2{Version: o.version}).Encode())
+	if t != nil && !t.valid(time.Now()) {
+		o.tickets.drop(from)
+		t = nil
+	}
+	if t == nil {
+		o.refuseQUE2(from, sess)
 		return que2Auth{}, false
 	}
 	if o.revoked[t.subject] {
-		o.tickets.drop(id)
+		o.tickets.drop(from)
 		o.tel.que2Result(resultRejected)
 		return que2Auth{}, false // silence, as for the full QUE2 of a revoked subject
 	}
@@ -475,11 +620,31 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2)
 	return a, true
 }
 
+// refuseQUE2 answers a short QUE2 whose ticket the object cannot honour.
+func (o *Object) refuseQUE2(from transport.Addr, sess *objSession) {
+	switch {
+	case sess.short && o.revoked[sess.subject]:
+		// The revocation took the ticket after the short RES1 went out:
+		// silence, as above.
+		o.tel.que2Result(resultRejected)
+	case !sess.short:
+		o.tel.resumption(resultRefused)
+		o.ep.Send(from, (&wire.RES2{Version: o.version}).Encode())
+	case sess.kex == nil:
+		o.tel.resumption(resultRefused)
+		o.signRES1(sess, 0)
+	case sess.res1Enc != nil:
+		// A duplicate: the session was upgraded by the first copy.
+		o.tel.retransmit(msgRES1)
+		o.ep.Send(from, sess.res1Enc)
+	}
+}
+
 // answerQUE2 is everything downstream of K2, the same for a full and a
 // resumed session: the fellowship trial, the double-faced RES2 at constant
 // length, the equalised compute charge — and, under an enabled policy, the
 // ticket for the next session.
-func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSession, m *wire.QUE2, a que2Auth) {
+func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2, a que2Auth) {
 	k2, ts, tsHash := a.k2, a.ts, a.tsHash
 
 	// Level 3: test fellowship by verifying MAC_{S,3} against each group
@@ -558,7 +723,7 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 			first := o.firstCovertVariant()
 			if first < 0 {
 				o.tel.que2Result(resultSilent)
-				o.markAnswered(key, sess) // remembered silence: duplicates stay silent
+				o.markAnswered(sess) // remembered silence: duplicates stay silent
 				return
 			}
 			kFirst := suite.SessionKey3(k2, o.prov.Variants[first].GroupKey, sess.rs, sess.ro)
@@ -569,8 +734,8 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 		match := o.matchVariant(a.next.attrs)
 		if match < 0 {
 			o.tel.que2Result(resultSilent)
-			o.markAnswered(key, sess) // remembered silence: duplicates stay silent
-			return                    // no policy admits this subject: silence, not a hint
+			o.markAnswered(sess) // remembered silence: duplicates stay silent
+			return               // no policy admits this subject: silence, not a hint
 		}
 		res = o.buildRES2(ts, m, k2, match)
 		o.tel.que2Result(resultL2)
@@ -578,20 +743,19 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 	if res == nil {
 		return
 	}
-	o.markAnswered(key, sess)
+	o.markAnswered(sess)
 	if o.retry.Enabled() {
-		// Ratchet: the presented ticket is spent whether or not RES2 arrives.
-		// If it does not, and the subject's retransmissions (served from the
-		// cached RES2) all fail too, the subject's next short QUE2 is refused
-		// and it pays one full handshake.
+		// Ratchet: the presented ticket is spent — the next one replaces it —
+		// whether or not RES2 arrives. If it does not, and the subject's
+		// retransmissions (served from the cached RES2) all fail too, the
+		// subject's next hint finds nothing, its short QUE2 is refused and it
+		// pays one full handshake.
 		if a.resumed {
-			o.tickets.drop(a.next.id)
 			o.tel.resumption(resultResumed)
 		} else {
 			o.tel.resumption(resultMinted)
 		}
-		next := a.next.minted(k2, tsHash)
-		o.tickets.put(next.id, next)
+		o.tickets.put(from, a.next.minted(k2, tsHash))
 	}
 	o.tel.response(cost, len(res.Ciphertext))
 	o.ep.Compute(cost, func() {
@@ -601,37 +765,35 @@ func (o *Object) answerQUE2(from transport.Addr, key sessionKey, sess *objSessio
 	})
 }
 
-// markAnswered fixes the handshake outcome and shortens the session's
-// remaining life to half the TTL. An answered session holds no handshake
-// liveness — it exists solely to serve idempotent duplicate resends — so its
-// retention is a resend-service window, not a liveness window; halving it
-// halves how long the fleet's session tables (and a drain barrier waiting on
-// them) trail the last wave. The full-TTL entry armed at QUE1 no-ops when it
-// finds the session already gone.
-func (o *Object) markAnswered(key sessionKey, sess *objSession) {
+// markAnswered fixes the handshake outcome and moves the session to the resend
+// cache. An answered session holds no handshake liveness — it exists solely to
+// serve idempotent duplicate resends — so its retention is a resend-service
+// window of half the TTL, not a liveness window; halving it halves how long
+// the fleet's session tables (and a drain barrier waiting on them) trail the
+// last wave. The zero policy consumed the session with its QUE2.
+func (o *Object) markAnswered(sess *objSession) {
 	sess.answered = true
 	// Only the cached RES2 is ever read again: let the handshake material go
 	// now rather than hold it for the rest of the resend window.
 	sess.rs, sess.ro, sess.kex, sess.que1Enc, sess.res1Enc = nil, nil, nil, nil, nil
-	o.scheduleGC(key, sess, o.retry.ttl()/2)
+	if o.retry.Enabled() {
+		o.cache(sess)
+	}
 }
 
-// scheduleGC garbage-collects the session after the given time (pending or
-// answered — the object never learns whether the subject received RES2, so
-// answered state can only age out). One armed wheel timer serves the whole
-// session table, and expiries are never deferred — TTL semantics are exact.
-// See Subject.scheduleExpiry for the pointer-equality rationale. The zero
-// policy arms nothing: its sessions are consumed by their first QUE2.
-func (o *Object) scheduleGC(key sessionKey, sess *objSession, after time.Duration) {
+// scheduleGC collects a session still awaiting its QUE2 a TTL after its QUE1.
+// (An answered one can only age out too — the object never learns whether the
+// subject received RES2 — but does so from the resend cache, half a TTL after
+// its answer.) One armed wheel timer serves the whole session table, and
+// expiries are never deferred — TTL semantics are exact. The zero policy arms
+// nothing: its sessions are consumed by their first QUE2.
+func (o *Object) scheduleGC(sess *objSession) {
 	if !o.retry.Enabled() {
 		return
 	}
-	o.wheel.schedule(after, func() {
-		if cur, ok := o.sessions[key]; ok && cur == sess {
-			delete(o.sessions, key)
-			o.syncPending()
-			o.tel.sessionExpired()
-		}
+	sess.expiry = o.wheel.schedule(o.retry.ttl(), func() {
+		o.remove(sess)
+		o.tel.sessionExpired()
 	})
 }
 

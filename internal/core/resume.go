@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/rand"
 	"sync/atomic"
 	"time"
 
@@ -14,8 +15,12 @@ import (
 // handshake each derive a ticket from K2 and the transcript hash; the next
 // discovery between them replaces both signatures, both verifications and
 // both ECDH pairs by K2′ = PRF(secret, R_S‖R_O), and everything downstream of
-// K2 runs as in a full handshake. Every engine with an enabled RetryPolicy
-// resumes; the zero policy stays the paper's one-shot protocol.
+// K2 runs as in a full handshake. The subject's QUE1 says which tickets it
+// holds in a block of hints only their objects can read, and an object that
+// finds its own answers with the short RES1 — a nonce — instead of generating
+// a key and signing for a peer that will look at neither. Every engine with
+// an enabled RetryPolicy resumes; the zero policy stays the paper's one-shot
+// protocol.
 
 // maxTickets bounds each engine's ticket table, like maxPendingSessions bounds
 // its session table: the §VIII scale of one category (10³ peers). Past it the
@@ -32,7 +37,6 @@ type ticketID = [suite.TicketIDSize]byte
 type ticket struct {
 	id     ticketID
 	secret []byte
-	peer   transport.Addr
 	// The joint validity window of the credentials verified at minting
 	// (peer CERT chain and PROF); a ratchet step carries it over unchanged,
 	// so no chain of resumptions outlives it.
@@ -54,7 +58,8 @@ func (t *ticket) valid(now time.Time) bool {
 // derived from the session key and transcript hash of the one that just
 // completed. t itself is the binding (peer, credentials, window) and is not
 // modified: after a full handshake it is a draft without secret, after a
-// resumed session it is the ticket just used — the ratchet.
+// resumed session it is the ticket just used — the ratchet. Both ends file the
+// result under the peer's address, so a pairing holds one ticket at a time.
 func (t *ticket) minted(k2 []byte, tsHash [32]byte) *ticket {
 	next := *t
 	next.secret, next.id = suite.ResumptionTicket(k2, tsHash)
@@ -71,29 +76,39 @@ func (t *ticket) narrowTo(nb, na time.Time) {
 	}
 }
 
-// ticketTable is a bounded map of tickets, nil until the first is filed. The
-// subject keys it by object address, the object by ticket id. Event-loop
-// only, except size.
-type ticketTable[K comparable] struct {
-	m     map[K]*ticket
+// decoyTicket is a ticket no object holds. A subject answers with it a short
+// RES1 it has no ticket for any more (its own Refresh or an eviction overtook
+// the round): the short QUE2 it yields matches nothing, which is what makes
+// the object fall back to the signed RES1.
+func decoyTicket() *ticket {
+	t := &ticket{secret: make([]byte, suite.KeySize)}
+	rand.Read(t.secret)
+	rand.Read(t.id[:])
+	return t
+}
+
+// ticketTable is a bounded map of tickets by peer address, nil until the first
+// is filed. Event-loop only, except size.
+type ticketTable struct {
+	m     map[transport.Addr]*ticket
 	clock uint64
 	n     atomic.Int64 // mirrors len(m) for cross-goroutine reads
 }
 
 // size returns the number of tickets held; safe from any goroutine.
-func (tt *ticketTable[K]) size() int { return int(tt.n.Load()) }
+func (tt *ticketTable) size() int { return int(tt.n.Load()) }
 
-func (tt *ticketTable[K]) get(k K) *ticket { return tt.m[k] }
+func (tt *ticketTable) get(k transport.Addr) *ticket { return tt.m[k] }
 
 // put files t under k, first evicting the longest-unused ticket if the table
 // is full. The scan is linear, and paid only by a full handshake — a ratchet
 // step replaces a ticket — that finds maxTickets other peers on file.
-func (tt *ticketTable[K]) put(k K, t *ticket) {
+func (tt *ticketTable) put(k transport.Addr, t *ticket) {
 	if tt.m == nil {
-		tt.m = make(map[K]*ticket)
+		tt.m = make(map[transport.Addr]*ticket)
 	}
 	if _, replace := tt.m[k]; !replace && len(tt.m) >= maxTickets {
-		var oldest K
+		var oldest transport.Addr
 		least := tt.clock + 1
 		for key, cand := range tt.m {
 			if cand.used < least {
@@ -108,13 +123,35 @@ func (tt *ticketTable[K]) put(k K, t *ticket) {
 	tt.n.Store(int64(len(tt.m)))
 }
 
-func (tt *ticketTable[K]) drop(k K) {
+func (tt *ticketTable) drop(k transport.Addr) {
 	delete(tt.m, k)
 	tt.n.Store(int64(len(tt.m)))
 }
 
+// recent returns the (at most) len(buf) most recently filed tickets whose
+// window holds now, newest first, in buf.
+func (tt *ticketTable) recent(buf []*ticket, now time.Time) []*ticket {
+	out := buf[:0]
+	for _, t := range tt.m {
+		if !t.valid(now) {
+			continue
+		}
+		i := len(out)
+		if i < len(buf) {
+			out = out[:i+1]
+		} else if i--; out[i].used > t.used {
+			continue
+		}
+		for ; i > 0 && out[i-1].used < t.used; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = t
+	}
+	return out
+}
+
 // flush forgets every ticket.
-func (tt *ticketTable[K]) flush() {
+func (tt *ticketTable) flush() {
 	clear(tt.m)
 	tt.n.Store(0)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -93,7 +95,7 @@ type Subject struct {
 	secRecorded map[transport.Addr]int
 
 	// tickets holds one resumption ticket per object address (resume.go).
-	tickets ticketTable[transport.Addr]
+	tickets ticketTable
 
 	tel *subjectTelemetry
 
@@ -127,8 +129,11 @@ type subjSession struct {
 	// ticket a verified RES2 will mint: a draft after a full QUE2, the ticket
 	// in use after a short one — and then res1 keeps the RES1 the short QUE2
 	// answered, so that a refusal can still be turned into the full handshake.
+	// short marks a short RES1, which has nothing to finish from: its refusal
+	// is the signed RES1 itself.
 	next    ticket
 	resumed bool
+	short   bool
 	res1    []byte
 	tsHash  [32]byte // hash of ts, the cut both finished MACs and the next ticket bind
 }
@@ -269,12 +274,49 @@ func (s *Subject) Discover(ttl int) error {
 	s.l1Recorded = make(map[transport.Addr]bool)
 	s.tel.roundStarted()
 	q := &wire.QUE1{Version: s.version, RS: rs}
+	if s.retry.Enabled() {
+		q.Hints = s.hints(rs)
+	}
 	s.que1Enc = q.Encode()
 	s.ep.Broadcast(s.que1Enc, ttl)
 	if s.retry.Enabled() && s.retry.Que1Retries > 0 {
 		s.armQue1(1)
 	}
 	return nil
+}
+
+// hints returns the QUE1 hint block of a round: one tag under each of the
+// most recently filed tickets, at most HintSlots of them, and random bytes in
+// every other slot. The block is as long, and as random to anyone without the
+// secrets, whether the subject knows eight objects here or none; an object
+// whose ticket did not make the block answers as to a stranger. The tags sit
+// at uniformly permuted slots: the object that finds its own tag would
+// otherwise read its recency rank — how many objects the subject met since —
+// off the slot index. (Only the counters are charged: Discover has no modeled
+// compute step to add to.)
+func (s *Subject) hints(rs []byte) []byte {
+	fill := make([]byte, wire.HintBlockSize+8)
+	rand.Read(fill)
+	block := fill[:wire.HintBlockSize:wire.HintBlockSize]
+	// Fisher–Yates off the spare 64 bits: HintSlots! is far below 2^64.
+	var slot [wire.HintSlots]int
+	for i := range slot {
+		slot[i] = i
+	}
+	v := binary.LittleEndian.Uint64(fill[wire.HintBlockSize:])
+	for i := uint64(wire.HintSlots - 1); i > 0; i-- {
+		j := v % (i + 1)
+		v /= i + 1
+		slot[i], slot[j] = slot[j], slot[i]
+	}
+	var buf [wire.HintSlots]*ticket
+	known := s.tickets.recent(buf[:], time.Now())
+	for i, t := range known {
+		h := suite.Hint(t.secret, rs)
+		copy(block[slot[i]*wire.HintSize:], h[:])
+	}
+	s.tel.count(opsHMAC, int64(len(known)))
+	return block
 }
 
 // roundLifetimeTTLs bounds a round's recovery, in SessionTTLs from its QUE1:
@@ -435,6 +477,10 @@ func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
 		s.handlePublicRES1(from, m)
 	case wire.ModeSecure:
 		s.handleSecureRES1(from, m, raw)
+	case wire.ModeResume:
+		if s.retry.Enabled() { // the zero policy sends no hint to answer
+			s.handleSecureRES1(from, m, raw)
+		}
 	}
 }
 
@@ -448,11 +494,8 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 		// for nothing; the mark is only ever set after one succeeded.
 		return
 	}
-	prof, err := cert.DecodeProfile(m.Prof)
+	prof, err := s.vcache.DecodeProfile(m.Prof, s.prov.CACert, s.prov.AdminPub, time.Now())
 	if err != nil || prof.Kind != cert.RoleObject {
-		return
-	}
-	if err := s.vcache.VerifyProfileAnchored(prof, m.Prof, s.prov.CACert, s.prov.AdminPub, time.Now()); err != nil {
 		return
 	}
 	s.l1Recorded[from] = true
@@ -481,34 +524,48 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	if s.secRecorded[from] == s.round {
 		return // already credited this object this round: stale restart echo
 	}
-	if sess, ok := s.sessions[mkSessionKey(from, s.rs)]; ok {
-		if !s.retry.Enabled() || bytes.Equal(sess.ro, m.RO) {
-			// Duplicate RES1 for a live handshake (link-layer duplication, or
-			// the object resent it after a QUE1 rebroadcast). Deriving a fresh
-			// KEX here would desync K2 with an object that already consumed
-			// our QUE2, deadlocking the session until expiry — so never
-			// re-handshake. Nor is QUE2 resent here: the session's own RTO
-			// timer owns that, and answering every duplicate too turns one
-			// congested-start quiescence probe into a probe→RES1→QUE2→RES2
-			// echo storm across the whole fleet. The duplicate is recorded as
-			// round activity and nothing more.
-			s.noteActivity()
-			return
-		}
-		// Fresh R_O under the same R_S: the object restarted the handshake
-		// after its session aged out, so the state our cached QUE2's
-		// signature covers no longer exists — resending it can only be
-		// rejected. Supersede the doomed session and handshake anew.
-		s.dropSessionTimers(sess)
-		delete(s.sessions, mkSessionKey(from, s.rs))
-		s.syncPending()
-	}
-	s.noteRES1()
-	if t := s.ticketFor(from, m.CertO); t != nil {
-		s.resumedQUE2(from, m, raw, t)
+	old, live := s.sessions[mkSessionKey(from, s.rs)]
+	if live && (!s.retry.Enabled() || bytes.Equal(old.ro, m.RO)) {
+		// Duplicate RES1 for a live handshake (link-layer duplication, or
+		// the object resent it after a QUE1 rebroadcast). Deriving a fresh
+		// KEX here would desync K2 with an object that already consumed
+		// our QUE2, deadlocking the session until expiry — so never
+		// re-handshake. Nor is QUE2 resent here: the session's own RTO
+		// timer owns that, and answering every duplicate too turns one
+		// congested-start quiescence probe into a probe→RES1→QUE2→RES2
+		// echo storm across the whole fleet. The duplicate is recorded as
+		// round activity and nothing more.
+		s.noteActivity()
 		return
 	}
-	s.fullQUE2(from, m, raw)
+	// Otherwise, over a live session, this is a fresh R_O under the same R_S:
+	// the object restarted the handshake after its session aged out, or
+	// refused a short QUE2. The state the cached QUE2 covers no longer exists
+	// — resending it can only be rejected — so the QUE2 answering this RES1
+	// supersedes the doomed session (sendQUE2).
+	s.noteRES1()
+	switch {
+	case m.Mode == wire.ModeResume:
+		t := s.tickets.get(from)
+		if t == nil || !t.valid(time.Now()) {
+			t = decoyTicket()
+		}
+		s.resumedQUE2(from, m, raw, t)
+	case live && old.short:
+		// The signed RES1 is the object's refusal of the short QUE2 that
+		// answered its short RES1 (Object.resumeQUE2). Once SIG_O shows it is
+		// the object's, the ticket goes.
+		if s.fullQUE2(from, m, raw) {
+			s.tel.resumption(resultRefused)
+			s.dropTicket(old)
+		}
+	default:
+		if t := s.ticketFor(from, m.CertO); t != nil {
+			s.resumedQUE2(from, m, raw, t)
+		} else {
+			s.fullQUE2(from, m, raw)
+		}
+	}
 }
 
 // ticketFor returns the subject's ticket for the object at from, if it was
@@ -525,25 +582,26 @@ func (s *Subject) ticketFor(from transport.Addr, certO []byte) *ticket {
 }
 
 // fullQUE2 answers a secure RES1 with the full QUE2: authenticate the object
-// (CERT_O, SIG_O), run the ephemeral ECDH, sign the transcript.
-func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
+// (CERT_O, SIG_O), run the ephemeral ECDH, sign the transcript. It reports
+// whether the RES1 was the object's and the QUE2 went out.
+func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 	info, err := s.vcache.VerifyCert(s.prov.CACert, m.CertO, s.prov.Strength)
 	if err != nil || info.Role != cert.RoleObject {
-		return
+		return false
 	}
 	signed := m.AppendSignedPart(wire.GetScratch(), s.rs)
 	sigOK := info.Public.Verify(signed, m.Sig)
 	wire.PutScratch(signed)
 	if !sigOK {
-		return // forged or replayed RES1
+		return false // forged or replayed RES1
 	}
 	kex, err := suite.NewKeyExchange(s.prov.Strength, nil)
 	if err != nil {
-		return
+		return false
 	}
 	preK, err := kex.Shared(m.KEXMO)
 	if err != nil {
-		return
+		return false
 	}
 
 	q := &wire.QUE2{
@@ -561,11 +619,11 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
 	sess.ts.Add(sigIn, sig)
 	wire.PutScratch(sigIn)
 	if err != nil {
-		return
+		return false
 	}
 	q.Sig = sig
 	if s.retry.Enabled() {
-		sess.next = ticket{peer: from, certO: sha256.Sum256(m.CertO), notBefore: info.NotBefore, notAfter: info.NotAfter}
+		sess.next = ticket{certO: sha256.Sum256(m.CertO), notBefore: info.NotBefore, notAfter: info.NotAfter}
 	}
 	// Fig 6b subject cost in Level 2/3: 1 signing, 3 verifications (CERT_O,
 	// KEXM_O signature, and later PROF_O), 2 ECDH operations. The PROF_O
@@ -577,17 +635,19 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) {
 		s.tel.count(opsSign, 1)
 	}
 	s.sendQUE2(from, m.RO, q, sess, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
+	return true
 }
 
-// resumedQUE2 answers a secure RES1 from an object the subject holds a ticket
-// for with the short QUE2: no CERT_O or SIG_O check, no key generation, no
-// ECDH, no signature. K2′ comes from the ticket's secret and the two fresh
-// nonces, and only an object holding the same secret can produce the MAC_O
-// that completes the session — until then nothing the RES1 claimed is
-// believed, and nothing but HMACs was spent on it.
+// resumedQUE2 answers a RES1 — signed or short — from an object the subject
+// holds a ticket for with the short QUE2: no CERT_O or SIG_O check, no key
+// generation, no ECDH, no signature. K2′ comes from the ticket's secret and
+// the two fresh nonces, and only an object holding the same secret can produce
+// the MAC_O that completes the session — until then nothing the RES1 claimed
+// is believed, and nothing but HMACs was spent on it.
 func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *ticket) {
 	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: t.id[:]}
-	sess := &subjSession{k2: suite.SessionKey2(t.secret, s.rs, m.RO), next: *t, resumed: true, res1: raw}
+	sess := &subjSession{k2: suite.SessionKey2(t.secret, s.rs, m.RO), next: *t, resumed: true, res1: raw,
+		short: m.Mode == wire.ModeResume}
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
 	sess.ts.Add(in)
 	wire.PutScratch(in)
@@ -621,6 +681,9 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 		}
 	}
 	key := mkSessionKey(from, s.rs)
+	if old, ok := s.sessions[key]; ok {
+		s.dropSessionTimers(old) // superseded (handleSecureRES1)
+	}
 	s.sessions[key] = sess
 	s.syncPending()
 	if s.retry.Enabled() {
@@ -712,7 +775,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		s.noteActivity()
 		return
 	}
-	if sess.resumed && m.Refusal() {
+	if sess.resumed && !sess.short && m.Refusal() {
 		s.refused(key, sess)
 		return
 	}
@@ -759,11 +822,8 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	if err != nil {
 		return
 	}
-	prof, err := cert.DecodeProfile(plain)
+	prof, err := s.vcache.DecodeProfile(plain, s.prov.CACert, s.prov.AdminPub, time.Now())
 	if err != nil || prof.Kind != cert.RoleObject {
-		return
-	}
-	if err := s.vcache.VerifyProfileAnchored(prof, plain, s.prov.CACert, s.prov.AdminPub, time.Now()); err != nil {
 		return // service information is admin-signed end to end
 	}
 
@@ -810,9 +870,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 // forged refusal buys an attacker nothing more than that full handshake.
 func (s *Subject) refused(key sessionKey, sess *subjSession) {
 	s.tel.resumption(resultRefused)
-	if t := s.tickets.get(sess.objAddr); t != nil && t.id == sess.next.id {
-		s.tickets.drop(sess.objAddr)
-	}
+	s.dropTicket(sess)
 	s.dropSessionTimers(sess)
 	delete(s.sessions, key)
 	s.syncPending()
@@ -823,6 +881,14 @@ func (s *Subject) refused(key sessionKey, sess *subjSession) {
 	m, _ := wire.Decode(sess.res1)
 	if res1, ok := m.(*wire.RES1); ok {
 		s.fullQUE2(sess.objAddr, res1, sess.res1)
+	}
+}
+
+// dropTicket forgets the ticket a refused session presented, unless a newer
+// one has replaced it since.
+func (s *Subject) dropTicket(sess *subjSession) {
+	if t := s.tickets.get(sess.objAddr); t != nil && t.id == sess.next.id {
+		s.tickets.drop(sess.objAddr)
 	}
 }
 

@@ -54,7 +54,8 @@ const (
 )
 
 // Result label values of obs.MResumptions, with resultRefused: the object
-// declined a ticket, and the full handshake follows.
+// declined a ticket — with the empty RES2, or by upgrading the session of a
+// short RES1 in place — and the full handshake follows.
 const (
 	resultResumed = "resumed" // a session completed on a ticket (and ratcheted it)
 	resultMinted  = "minted"  // a full handshake completed and filed a ticket
@@ -244,6 +245,7 @@ type objectTelemetry struct {
 const (
 	resultPublic    = "public"    // Level 1 plaintext profile returned
 	resultHandshake = "handshake" // secure RES1 sent, awaiting QUE2
+	resultResume    = "resume"    // hint matched a ticket: short RES1 sent, awaiting QUE2
 	resultDuplicate = "duplicate" // flooded QUE1 seen via another path
 	resultRefused   = "refused"   // session table full
 	resultFellow    = "fellow"    // RES2 under K3 (Level 3 face)
@@ -266,7 +268,7 @@ func newObjectTelemetry(reg *obs.Registry) *objectTelemetry {
 		ops: newCryptoOps(reg, "object"),
 		rob: newRobustness(reg, "object", []string{msgRES1, msgRES2}),
 	}
-	for _, r := range []string{resultPublic, resultHandshake, resultDuplicate, resultRefused} {
+	for _, r := range []string{resultPublic, resultHandshake, resultResume, resultDuplicate, resultRefused} {
 		t.que1[r] = reg.Counter(obs.MObjectQue1, "QUE1 messages handled, by outcome.", obs.L("result", r))
 	}
 	for _, r := range []string{resultFellow, resultL2, resultRejected, resultSilent, resultOrphan} {

@@ -14,7 +14,9 @@ import (
 // is a spurious retransmission. The wheel instead keeps deadlines in a min-heap
 // (event-loop-only, no locks) and arms at most one After for the earliest;
 // entries can be canceled or deferred in O(log n) without touching the
-// transport.
+// transport. The heap holds live deadlines only: at tens of thousands of
+// sessions a second nearly every entry is canceled long before it is due, and
+// one left in place until then is memory the collector walks for nothing.
 //
 // Everything here runs on the engine's event loop (see the concurrency
 // contract in core.go); the After callback is delivered on the same loop, so
@@ -31,10 +33,10 @@ type timerWheel struct {
 // wheelEntry is one pending deadline. Callers hold the pointer to cancel or
 // defer it; index tracks the heap slot so deferral can heap.Fix in place.
 type wheelEntry struct {
-	at       time.Duration
-	fn       func()
-	index    int
-	canceled bool
+	w     *timerWheel
+	at    time.Duration
+	fn    func()
+	index int // heap slot; -1 once fired or canceled
 }
 
 func newTimerWheel(ep transport.Endpoint) *timerWheel {
@@ -44,21 +46,23 @@ func newTimerWheel(ep transport.Endpoint) *timerWheel {
 // schedule registers fn to run d from now and returns a handle to cancel or
 // deferTo. The callback runs on the engine's event loop.
 func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
-	e := &wheelEntry{at: w.ep.Now() + d, fn: fn}
+	e := &wheelEntry{w: w, at: w.ep.Now() + d, fn: fn}
 	heap.Push(&w.h, e)
 	w.arm()
 	return e
 }
 
-// cancel drops the entry. Lazy: the entry stays in the heap until it reaches
-// the head, costing nothing but its slot — no transport timer is touched,
-// and the wheel is not involved, so engines under the zero policy (no wheel,
-// no entries) cancel unconditionally. A nil entry is a no-op.
+// cancel takes the entry out of the heap and lets go of its callback. No
+// transport timer is touched: an After armed for it fires, finds nothing due
+// and re-arms. Engines under the zero policy (no wheel, no entries) cancel
+// unconditionally: a nil entry is a no-op, as is one that fired or was
+// canceled before.
 func (e *wheelEntry) cancel() {
-	if e != nil {
-		e.canceled = true
-		e.fn = nil
+	if e == nil || e.index < 0 {
+		return
 	}
+	heap.Remove(&e.w.h, e.index)
+	e.fn = nil
 }
 
 // deferTo pushes the entry's deadline out to at (never earlier). Used to
@@ -66,7 +70,7 @@ func (e *wheelEntry) cancel() {
 // still plausibly in flight. The outstanding After is left alone: when it
 // fires it finds the entry not yet due and re-arms.
 func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
-	if e == nil || e.canceled || e.index < 0 || at <= e.at {
+	if e == nil || e.index < 0 || at <= e.at {
 		return
 	}
 	e.at = at
@@ -75,9 +79,6 @@ func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
 
 // arm ensures an After is outstanding for the earliest live deadline.
 func (w *timerWheel) arm() {
-	for len(w.h) > 0 && w.h[0].canceled {
-		heap.Pop(&w.h)
-	}
 	if len(w.h) == 0 {
 		return
 	}
@@ -103,15 +104,10 @@ func (w *timerWheel) fire(target time.Duration) {
 	now := w.ep.Now()
 	for len(w.h) > 0 {
 		e := w.h[0]
-		if e.canceled {
-			heap.Pop(&w.h)
-			continue
-		}
 		if e.at > now {
 			break
 		}
 		heap.Pop(&w.h)
-		e.index = -1
 		fn := e.fn
 		e.fn = nil
 		fn()
@@ -120,16 +116,8 @@ func (w *timerWheel) fire(target time.Duration) {
 	w.arm()
 }
 
-// pending returns the number of live (non-canceled) entries; test hook.
-func (w *timerWheel) pending() int {
-	n := 0
-	for _, e := range w.h {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+// pending returns the number of entries; test hook.
+func (w *timerWheel) pending() int { return len(w.h) }
 
 // wheelHeap is a min-heap over deadlines with index maintenance.
 type wheelHeap []*wheelEntry

@@ -91,8 +91,9 @@ func TestTimerWheelCancel(t *testing.T) {
 	e2 := w.schedule(20*time.Millisecond, func() { fired = append(fired, 2) })
 	w.schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
 	e2.cancel()
+	e2.cancel()                 // again: a no-op
 	(*wheelEntry)(nil).cancel() // nil-safe
-	if w.pending() != 2 {
+	if w.pending() != 2 {       // the heap holds live entries only
 		t.Fatalf("pending after cancel = %d, want 2", w.pending())
 	}
 	ep.advanceTo(time.Second)

@@ -99,6 +99,12 @@ func TestKeyScheduleMatchesStdlib(t *testing.T) {
 	if !bytes.Equal(secret, stdMAC(k2, []byte(LabelResumption), th[:])) {
 		t.Error("ResumptionTicket's secret differs from HMAC(K2, label ‖ hash)")
 	}
+	if h := Hint(secret, rs); !bytes.Equal(h[:], stdMAC(secret, []byte(LabelHint), rs)[:HintSize]) {
+		t.Error("Hint differs from HMAC(secret, \"hint\" ‖ R_S)[:8]")
+	}
+	if Hint(secret, rs) == Hint(secret, ro) || Hint(secret, rs) == Hint(k2, rs) {
+		t.Error("Hint does not depend on both the secret and R_S")
+	}
 
 	// The profile cipher: keys by PRF, tag over IV ‖ ciphertext.
 	ct, err := EncryptProfile(k2, []byte("a profile"), nil)
@@ -198,6 +204,7 @@ func TestMACAllocations(t *testing.T) {
 		{"SessionKey3", 1, func() { SessionKey3(k2, grp, rs, ro) }},
 		{"ResumptionTicket", 1, func() { ResumptionTicket(k2, th) }},
 		{"VerifyMAC", 0, func() { VerifyMAC(k2, LabelSubjectFinished, th, mac) }},
+		{"Hint", 0, func() { Hint(k2, rs) }},
 		{"DecryptProfile tag check", 0, func() { _, _ = DecryptProfile(k2, ct) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got > c.max {

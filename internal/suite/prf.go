@@ -15,10 +15,14 @@ const (
 const (
 	LabelResumption = "resumption secret"
 	LabelTicketID   = "resumption ticket"
+	LabelHint       = "hint"
 )
 
 // TicketIDSize is the byte length of a resumption ticket id on the wire.
 const TicketIDSize = 16
+
+// HintSize is the byte length of one QUE1 hint tag.
+const HintSize = 8
 
 // PRF is the HMAC-based pseudorandom function HMAC(secret, seed) used
 // throughout the key schedule (§V). The output is truncated or expanded to
@@ -84,6 +88,23 @@ func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byt
 	sum := sha256.Sum256(in[:])
 	copy(id[:], sum[:])
 	return secret, id
+}
+
+// Hint derives the tag by which a subject's QUE1 tells one object — and nobody
+// else — that it holds their ticket:
+//
+//	hint = HMAC(secret, "hint" ‖ R_S)[:8]
+//
+// R_S is fresh per round and the secret ratchets per session, so no two hints
+// of a pairing are alike, and without the secret a hint is random bytes.
+func Hint(secret, rs []byte) (hint [HintSize]byte) {
+	m := startMAC(secret)
+	m.writeString(LabelHint)
+	m.write(rs)
+	m.finish()
+	copy(hint[:], m.buf[:])
+	m.release()
+	return hint
 }
 
 // finished absorbs label ‖ transcriptHash under sessionKey.

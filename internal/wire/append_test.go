@@ -20,6 +20,12 @@ func legacyEncode(m Message) []byte {
 		w := enc.NewWriter(2 + 1 + len(m.RS))
 		w.U8(byte(TQUE1))
 		w.U8(byte(m.Version))
+		if len(m.Hints) > 0 { // the hinted form, not in the pre-refactor codec
+			w.U8(0x80 | byte(len(m.RS)))
+			w.Raw(m.RS)
+			w.Raw(m.Hints)
+			return w.Bytes()
+		}
 		w.U8(byte(len(m.RS)))
 		w.Raw(m.RS)
 		return w.Bytes()
@@ -36,6 +42,8 @@ func legacyEncode(m Message) []byte {
 			w.Bytes16(m.CertO)
 			w.Bytes16(m.KEXMO)
 			w.Bytes16(m.Sig)
+		case ModeResume: // the short form, not in the pre-refactor codec
+			w.Bytes16(m.RO)
 		}
 		return w.Bytes()
 	case *QUE2:
@@ -75,6 +83,11 @@ func goldenCorpusMessages() []Message {
 		&QUE1{Version: V10, RS: bytes.Repeat([]byte{1}, 28)},
 		&QUE1{Version: V30, RS: bytes.Repeat([]byte{2}, 28)},
 		&QUE1{Version: V20, RS: []byte{9}},
+		que1HintedFor(V10),
+		que1HintedFor(V30),
+		res1Short(V20),
+		res1Short(V30),
+		&RES1{Version: V30, Mode: ModeResume},
 		&RES1{Version: V30, Mode: ModePublic, Prof: bytes.Repeat([]byte{3}, 200)},
 		&RES1{Version: V10, Mode: ModePublic},
 		&RES1{Version: V20, Mode: ModeSecure, RO: bytes.Repeat([]byte{4}, 28),

@@ -24,6 +24,8 @@ func TestDecodeNeverPanics(t *testing.T) {
 	// Mutations of valid messages (bit flips, truncations, extensions).
 	valid := [][]byte{
 		(&QUE1{Version: V30, RS: make([]byte, 28)}).Encode(),
+		que1HintedFor(V30).Encode(),
+		res1Short(V30).Encode(),
 		(&RES1{Version: V30, Mode: ModePublic, Prof: make([]byte, 200)}).Encode(),
 		(&RES1{Version: V20, Mode: ModeSecure, RO: make([]byte, 28),
 			CertO: make([]byte, 500), KEXMO: make([]byte, 64), Sig: make([]byte, 64)}).Encode(),
@@ -51,6 +53,8 @@ func TestDecodeNeverPanics(t *testing.T) {
 func TestDecodeEncodedIdempotent(t *testing.T) {
 	msgs := []Message{
 		&QUE1{Version: V30, RS: make([]byte, 28)},
+		que1HintedFor(V20),
+		res1Short(V20),
 		&RES1{Version: V30, Mode: ModePublic, Prof: []byte("prof")},
 		&RES1{Version: V30, Mode: ModeSecure, RO: make([]byte, 28),
 			CertO: make([]byte, 100), KEXMO: make([]byte, 64), Sig: make([]byte, 64)},
@@ -84,6 +88,10 @@ func goldenEncodings() [][]byte {
 	return [][]byte{
 		(&QUE1{Version: V10, RS: bytes.Repeat([]byte{1}, 28)}).Encode(),
 		(&QUE1{Version: V30, RS: bytes.Repeat([]byte{2}, 28)}).Encode(),
+		que1HintedFor(V10).Encode(),
+		que1HintedFor(V30).Encode(),
+		res1Short(V10).Encode(),
+		res1Short(V30).Encode(),
 		(&RES1{Version: V30, Mode: ModePublic, Prof: bytes.Repeat([]byte{3}, 200)}).Encode(),
 		(&RES1{Version: V20, Mode: ModeSecure, RO: bytes.Repeat([]byte{4}, 28),
 			CertO: bytes.Repeat([]byte{5}, 500), KEXMO: bytes.Repeat([]byte{6}, 64),

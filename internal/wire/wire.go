@@ -18,6 +18,7 @@ package wire
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding"
 	"encoding/binary"
 	"errors"
@@ -91,6 +92,10 @@ type ResponseMode byte
 const (
 	ModePublic ResponseMode = 1 // Level 1: plaintext PROF_O
 	ModeSecure ResponseMode = 2 // Level 2/3: R_O, CERT_O, KEXM_O, SIG
+	// ModeResume is the short RES1 of a Level 2/3 object that recognised the
+	// subject by a QUE1 hint (DESIGN.md §15): R_O only. The ticket secret both
+	// ends hold stands in for CERT_O, KEXM_O and SIG.
+	ModeResume ResponseMode = 3
 )
 
 // Message is implemented by all four wire messages.
@@ -125,18 +130,52 @@ func appendBytes16(dst, b []byte) []byte {
 type QUE1 struct {
 	Version Version
 	RS      []byte // NonceSize bytes
+	// Hints, when set, makes this the hinted QUE1 of a subject that resumes
+	// (DESIGN.md §15): HintBlockSize bytes, HintSlots tags of HintSize each,
+	// one per object the subject holds a ticket for and random fill otherwise,
+	// so neither the length nor any slot tells an outsider how many objects
+	// the subject knows. Same tag; the high bit of the R_S length octet marks
+	// it, as in the short QUE2.
+	Hints []byte
 }
+
+// The hint block of a hinted QUE1 has one size whatever the subject knows.
+// HintSize is suite.HintSize, which this package does not import: HasHint takes
+// what suite.Hint returns, so the two cannot drift apart and still compile.
+const (
+	HintSize      = 8
+	HintSlots     = 8
+	HintBlockSize = HintSlots * HintSize
+)
+
+// que1Hinted flags the hinted form in QUE1's R_S length octet (R_S is 28 B).
+const que1Hinted = 0x80
 
 // Type implements Message.
 func (m *QUE1) Type() MsgType { return TQUE1 }
 
+// HasHint reports whether any slot of the hint block equals h, scanning every
+// slot whatever it finds.
+func (m *QUE1) HasHint(h [HintSize]byte) bool {
+	found := 0
+	for i := 0; i+HintSize <= len(m.Hints); i += HintSize {
+		found |= subtle.ConstantTimeCompare(m.Hints[i:i+HintSize], h[:])
+	}
+	return found == 1
+}
+
 // EncodedSize implements Message.
-func (m *QUE1) EncodedSize() int { return 3 + len(m.RS) }
+func (m *QUE1) EncodedSize() int { return 3 + len(m.RS) + len(m.Hints) }
 
 // AppendTo implements Message.
 func (m *QUE1) AppendTo(buf []byte) []byte {
-	buf = append(buf, byte(TQUE1), byte(m.Version), byte(len(m.RS)))
-	return append(buf, m.RS...)
+	n := byte(len(m.RS))
+	if len(m.Hints) > 0 {
+		n |= que1Hinted
+	}
+	buf = append(buf, byte(TQUE1), byte(m.Version), n)
+	buf = append(buf, m.RS...)
+	return append(buf, m.Hints...)
 }
 
 // Encode implements Message.
@@ -155,6 +194,7 @@ type RES1 struct {
 
 	// ModeSecure (Level 2/3): object nonce, certificate, ephemeral ECDH
 	// public value, and the object's signature over R_S ‖ R_O ‖ KEXM_O.
+	// ModeResume: the object nonce alone.
 	RO    []byte
 	CertO []byte
 	KEXMO []byte
@@ -185,6 +225,8 @@ func (m *RES1) EncodedSize() int {
 		return 3 + 2 + len(m.Prof)
 	case ModeSecure:
 		return 3 + 8 + len(m.RO) + len(m.CertO) + len(m.KEXMO) + len(m.Sig)
+	case ModeResume:
+		return 3 + 2 + len(m.RO)
 	}
 	return 3
 }
@@ -200,6 +242,8 @@ func (m *RES1) AppendTo(buf []byte) []byte {
 		buf = appendBytes16(buf, m.CertO)
 		buf = appendBytes16(buf, m.KEXMO)
 		buf = appendBytes16(buf, m.Sig)
+	case ModeResume:
+		buf = appendBytes16(buf, m.RO)
 	}
 	return buf
 }
@@ -342,7 +386,12 @@ func Decode(b []byte) (Message, error) {
 	switch MsgType(b[0]) {
 	case TQUE1:
 		m := &QUE1{Version: ver}
-		m.RS = r.View(int(r.U8()))
+		if n := r.U8(); n&que1Hinted != 0 {
+			m.RS = r.View(int(n &^ que1Hinted))
+			m.Hints = r.View(HintBlockSize)
+		} else {
+			m.RS = r.View(int(n))
+		}
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
@@ -361,6 +410,8 @@ func Decode(b []byte) (Message, error) {
 			m.CertO = r.View16()
 			m.KEXMO = r.View16()
 			m.Sig = r.View16()
+		case ModeResume:
+			m.RO = r.View16()
 		default:
 			return nil, fmt.Errorf("wire: unknown RES1 mode %d", m.Mode)
 		}

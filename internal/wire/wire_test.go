@@ -136,6 +136,76 @@ func TestShortQUE2RoundTripAndShape(t *testing.T) {
 	}
 }
 
+// que1Hinted is the QUE1 of a subject that resumes: R_S and the hint block,
+// slot i filled with byte i+1.
+func que1HintedFor(v Version) *QUE1 {
+	m := &QUE1{Version: v, RS: nonce(1), Hints: make([]byte, HintBlockSize)}
+	for i := range m.Hints {
+		m.Hints[i] = byte(i/HintSize + 1)
+	}
+	return m
+}
+
+// res1Short is the short RES1 answering a hint: the object nonce alone.
+func res1Short(v Version) *RES1 { return &RES1{Version: v, Mode: ModeResume, RO: nonce(2)} }
+
+func TestHintedQUE1AndShortRES1RoundTripAndShape(t *testing.T) {
+	if HintSize != suite.HintSize {
+		t.Fatalf("wire.HintSize %d != suite.HintSize %d", HintSize, suite.HintSize)
+	}
+	for _, v := range []Version{V10, V20, V30} {
+		q := que1HintedFor(v)
+		enc := q.Encode()
+		if enc[0] != byte(TQUE1) || len(enc) != q.EncodedSize() || len(enc) != 3+suite.NonceSize+HintBlockSize {
+			t.Fatalf("%v: hinted QUE1 is %d B under tag %d, EncodedSize %d", v, len(enc), enc[0], q.EncodedSize())
+		}
+		got, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if g := got.(*QUE1); g.Version != v || !bytes.Equal(g.RS, q.RS) || !bytes.Equal(g.Hints, q.Hints) {
+			t.Errorf("%v: hinted QUE1 round trip mismatch", v)
+		}
+		// The plain QUE1 is the paper's, byte for byte, and decodes without hints.
+		plain, _ := Decode((&QUE1{Version: v, RS: nonce(1)}).Encode())
+		if plain.(*QUE1).Hints != nil {
+			t.Errorf("%v: plain QUE1 decoded with a hint block", v)
+		}
+
+		r := res1Short(v)
+		enc = r.Encode()
+		if enc[0] != byte(TRES1) || len(enc) != r.EncodedSize() || len(enc) != 3+2+suite.NonceSize {
+			t.Fatalf("%v: short RES1 is %d B, EncodedSize %d", v, len(enc), r.EncodedSize())
+		}
+		got, err = Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if g := got.(*RES1); g.Mode != ModeResume || !bytes.Equal(g.RO, r.RO) || g.CertO != nil || g.KEXMO != nil || g.Sig != nil || g.Prof != nil {
+			t.Errorf("%v: short RES1 round trip mismatch: %+v", v, g)
+		}
+	}
+	// Every slot is found, nothing else is, and a short block is no block.
+	q := que1HintedFor(V30)
+	for i := 0; i < HintSlots; i++ {
+		var h [HintSize]byte
+		copy(h[:], q.Hints[i*HintSize:])
+		if !q.HasHint(h) {
+			t.Errorf("slot %d not found", i)
+		}
+	}
+	if q.HasHint([HintSize]byte{1, 1, 1, 1, 2, 2, 2, 2}) || (&QUE1{RS: nonce(1)}).HasHint([HintSize]byte{}) {
+		t.Error("HasHint matched across a slot boundary, or in no block")
+	}
+	bad := q.Encode()
+	if _, err := Decode(bad[:len(bad)-1]); err == nil {
+		t.Error("hinted QUE1 with a truncated block decoded")
+	}
+	if _, err := Decode(append(bad, 0)); err == nil {
+		t.Error("hinted QUE1 with a trailing byte decoded")
+	}
+}
+
 func TestQUE2RoundTrip(t *testing.T) {
 	cases := []struct {
 		v        Version

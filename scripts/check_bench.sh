@@ -15,17 +15,22 @@
 #   EncodeQUE2      1 alloc/op   — thin wrapper: one buffer per Encode
 #   DecodeQUE2      1 alloc/op   — the message struct; its fields are windows
 #                                  on the payload (8 when they were copies)
-#   WarmHandshake/first-contact 361 allocs/op — full L2 round under the default
-#                                  retry policy, ticket minted; 344 measured
-#                                  + 5 % (482 before)
-#   WarmHandshake/resumed 176 allocs/op — the same round on a ticket; 168
-#                                  measured + 5 % (303 before). What is left:
-#                                  the object's RES1 — stdlib ECDSA sign ≈67,
-#                                  key generation ≈8 — then the simulator's
-#                                  event queue and the timer wheel ≈25, the
-#                                  decoded PROF_O ≈11, the keys, MACs and
-#                                  frames a session keeps or sends ≈20, and
-#                                  session, ticket and result records
+#   WarmHandshake/first-contact 345 allocs/op — full L2 round under the default
+#                                  retry policy, ticket minted; 329 measured
+#                                  + 5 % (482 before PR 14; 345 with QUE1's
+#                                  hint block, before a known PROF_O stopped
+#                                  being decoded again)
+#   WarmHandshake/resumed 74 allocs/op — the same round on a ticket: hinted
+#                                  QUE1, short RES1, short QUE2; 71 measured
+#                                  + 5 % (87 while every RES2 decoded PROF_O
+#                                  afresh and every answer armed a timer of
+#                                  its own, 168 while the object still
+#                                  generated a key and signed RES1 for it, 303
+#                                  before PR 14). What is left: the simulator's
+#                                  event queue and the timer wheel ≈20, the
+#                                  keys, MACs and frames a session keeps or
+#                                  sends ≈20, the hint block, and session,
+#                                  ticket and result records
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,8 +54,8 @@ check() {
 check BenchmarkAppendToQUE2 0
 check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
-check BenchmarkWarmHandshake/first-contact 361
-check BenchmarkWarmHandshake/resumed 176
+check BenchmarkWarmHandshake/first-contact 345
+check BenchmarkWarmHandshake/resumed 74
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
