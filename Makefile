@@ -15,7 +15,8 @@ FUZZTIME ?= 15s
 #   make bench-check   allocs/op ceilings of the codec and the warm handshake
 #                      (internal/wire, internal/core; scripts/check_bench.sh)
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
-#                      `failed` 0 and `correct` true on every run
+#                      `failed` 0, `correct` true and a `frames_per_session`
+#                      ceiling on every run
 #   make bench-json    regenerates BENCH_4.json (fastpath and mesh-throughput
 #                      experiments), BENCH_5.json (the `standard` soak) and
 #                      BENCH_8.json (service churn)
@@ -133,9 +134,10 @@ bench-check:
 	scripts/check_bench.sh
 
 # No more failures than the parent: the declared benchmark over its four
-# workloads × seeds 1–5, failing unless every run reports `failed` 0 and
-# `correct` true (scripts/bench_failcheck.sh, ~10 min; narrow it with
-# WORKLOADS="churn" SEEDS="1 2"). A rare dead end in the protocol's state
+# workloads × seeds 1–5, failing unless every run reports `failed` 0,
+# `correct` true and a `frames_per_session` under its workload's ceiling — a
+# count, so it does not hang on the host (scripts/bench_failcheck.sh, ~10 min;
+# narrow it with WORKLOADS="churn" SEEDS="1 2"). A rare dead end in the protocol's state
 # machine shows here, as a round that waits out the 8 s limit, while every
 # median improves; run it on the parent and on the change.
 bench-failcheck:

@@ -179,9 +179,9 @@ func (t *tail) render(ev realtime.Event) error {
 func (t *tail) snapshot(ev realtime.Event) {
 	rep := slo.SnapshotReport(ev.Snapshot)
 	fmt.Fprintf(t.w,
-		"snapshot seq=%d completed=%d lost=%d retransmissions=%d mailbox_drops=%d dlq_depth=%d redelivered=%d\n",
+		"snapshot seq=%d completed=%d lost=%d retransmissions=%d timeout=%d mailbox_drops=%d dlq_depth=%d redelivered=%d\n",
 		ev.Seq, rep.Totals.Completed, rep.Totals.Lost,
-		rep.Counters["retransmissions"], rep.Counters["mailbox_drops"],
+		rep.Counters["retransmissions"], rep.Counters["retransmissions_timeout"], rep.Counters["mailbox_drops"],
 		rep.Counters["dlq_depth"], rep.Counters["update_redelivered"])
 
 	levels := make([]string, 0, len(rep.Latency))

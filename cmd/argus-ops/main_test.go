@@ -46,7 +46,8 @@ func opsFixture(t *testing.T) *httptest.Server {
 
 	reg.Counter(obs.MLoadCompletions, "").Add(40)
 	reg.Counter(obs.MLoadLost, "").Add(2)
-	reg.Counter(obs.MRetransmissions, "").Add(3)
+	reg.Counter(obs.MRetransmissions, "", obs.L("cause", "probe")).Add(2)
+	reg.Counter(obs.MRetransmissions, "", obs.L("cause", "timeout")).Add(1)
 	reg.Gauge(obs.MUpdateDLQDepth, "").Set(1)
 	h := reg.Histogram(obs.MDiscoveryPhaseSeconds, "",
 		[]float64{0.001, 0.005, 0.01, 0.1, 1},
@@ -81,7 +82,7 @@ func TestRunAwaitRendersHealth(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"attached seq=",
-		"completed=40 lost=2 retransmissions=3",
+		"completed=40 lost=2 retransmissions=3 timeout=1",
 		"dlq_depth=1",
 		"L2 n=10",
 		"span seq=", "session=7 discover/total L2",

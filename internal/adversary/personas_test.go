@@ -492,3 +492,68 @@ func TestObserverOverResumedSessions(t *testing.T) {
 		t.Fatalf("a two-HMAC lag on resumed sessions must fail the gate, on timing alone: %s", v)
 	}
 }
+
+// TestRebroadcastsTellNoLevel: when a subject sends QUE1 again is on the air
+// for anyone to count, and since the decision reads its answer ledger it must
+// read nothing there a level could colour. One fellow subject, ten rounds no
+// harness ends, the second device's first QUE1 of round 3 lost: in a cell of
+// two Level 2 devices and in one whose second device is Level 3, every round
+// carries the same number of QUE1s — the blind rounds their chain, the lossy
+// round its one timeout, the rest one each.
+func TestRebroadcastsTellNoLevel(t *testing.T) {
+	const rounds, lossy = 10, 3
+	que1s := func(second backend.Level) []int {
+		d, err := exp.Deploy(exp.DeployConfig{
+			Levels: []backend.Level{backend.L2, second}, Seed: 1, Fellow: true, Retry: core.DefaultRetry(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRound, byRS := []int{}, map[string]int{}
+		d.Net.Snoop(func(_, to netsim.NodeID, p []byte) {
+			m, err := wire.Decode(p)
+			if q, ok := m.(*wire.QUE1); err == nil && ok && to == d.ObjNode[0] {
+				r, seen := byRS[string(q.RS)]
+				if !seen {
+					r = len(perRound)
+					byRS[string(q.RS)] = r
+					perRound = append(perRound, 0)
+				}
+				perRound[r]++
+			}
+		})
+		d.Net.SetDropFilter(func(_, to netsim.NodeID, p []byte) bool {
+			m, err := wire.Decode(p)
+			_, que1 := m.(*wire.QUE1)
+			return err == nil && que1 && to == d.ObjNode[1] && len(perRound) == lossy && perRound[lossy-1] == 1
+		})
+		for r := 1; r <= rounds; r++ {
+			res, err := d.Run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := res[len(res)-1], core.Level(second); len(res) != 2*r || got.Round != r || got.Level != want {
+				t.Fatalf("second device at %v, round %d: %d discoveries, the last %+v", second, r, len(res), got)
+			}
+		}
+		return perRound
+	}
+	plain, covert := que1s(backend.L2), que1s(backend.L3)
+	if fmt.Sprint(plain) != fmt.Sprint(covert) {
+		t.Fatalf("QUE1s per round differ with the second device's level:\n L2: %v\n L3: %v", plain, covert)
+	}
+	quiet, chains := 0, 0
+	for r, n := range plain {
+		switch {
+		case n == 1:
+			quiet++
+		case n == 1+core.DefaultRetry().Que1Retries:
+			chains++
+		case r+1 != lossy || n != 2:
+			t.Errorf("round %d carried %d QUE1s", r+1, n)
+		}
+	}
+	if chains != 2 || quiet != rounds-3 {
+		t.Errorf("QUE1s per round %v: want two blind rounds, one timeout in round %d and one QUE1 in every other", plain, lossy)
+	}
+}

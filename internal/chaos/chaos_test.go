@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/core"
 	"argus/internal/exp"
@@ -370,5 +371,131 @@ func TestDuplicationLeavesResultsExactlyOnce(t *testing.T) {
 	}
 	if missing := out.Missing(mixedLevels); len(missing) > 0 {
 		t.Fatalf("incomplete under duplication+loss:\n%v", missing)
+	}
+}
+
+// TestNewcomerUnderLoss: the completeness claim for what a subject's answer
+// ledger cannot show. The rebroadcast chain runs for peers that answered
+// lately and, every eighth round, for anyone; so at 20 % loss an object that
+// joins a known cell after the first sweep is found within eight sweeps —
+// by a round's first QUE1, by a chain some other peer's lost frame set off,
+// or at the latest by a blind round's — and an object that leaves costs the
+// chain for eight rounds and then nothing: once it has dropped out of the
+// ledger, a round that has found everyone still there sends no more QUE1.
+func TestNewcomerUnderLoss(t *testing.T) {
+	const within = 8 // core's blindEvery
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		t.Run(fmt.Sprintf("newcomer/seed=%d", seed), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			var joined netsim.NodeID
+			out, err := Run(Scenario{
+				Seed: seed, Levels: mixedLevels, Faults: netsim.FaultModel{Loss: 0.2},
+				Retry: core.DefaultRetry(), Fellow: true, Registry: reg,
+				Sweeps: 1 + within,
+				Between: func(d *exp.Deployment, sweep int) {
+					if sweep != 0 {
+						return
+					}
+					id, _, err := d.Backend.RegisterObject("newcomer", backend.L2, attr.MustSet("type=device,room=R1"), []string{"use"})
+					if err != nil {
+						t.Fatal(err)
+					}
+					prov, err := d.Backend.ProvisionObject(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ep := d.Net.NewEndpoint()
+					joined = ep.Node()
+					core.NewObject(prov, wire.V30, core.Costs{}, core.WithEndpoint(ep),
+						core.WithRetry(core.DefaultRetry()), core.WithTelemetry(reg, nil))
+					d.Net.Link(d.SubjNode, joined)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			for _, disc := range out.Discoveries {
+				if disc.Node == netsim.AddrOf(joined) && disc.Level == core.L2 {
+					found++
+				}
+			}
+			if found == 0 {
+				t.Fatalf("the newcomer was not found in %d sweeps (FaultLost=%d)", within, out.Stats.FaultLost)
+			}
+			if dups := out.Duplicates(); len(dups) > 0 {
+				t.Fatalf("duplicate discovery records:\n%v", dups)
+			}
+			if out.SubjectPending != 0 || out.ObjectPending != 0 {
+				t.Fatalf("leaked sessions: subject %d, objects %d", out.SubjectPending, out.ObjectPending)
+			}
+			t.Logf("found in %d of %d sweeps, %d frames lost", found, within, out.Stats.FaultLost)
+		})
+
+		t.Run(fmt.Sprintf("leaver/seed=%d", seed), func(t *testing.T) {
+			const leaver, sweeps = 1, 1 + within + 4 // a Level 2 object; it answers the first sweep only
+			// Per round, in order of first QUE1: when its last QUE1 was heard.
+			var lastQUE1 []time.Duration
+			rounds := map[string]int{}
+			out, err := Run(Scenario{
+				Seed: seed, Levels: mixedLevels, Faults: netsim.FaultModel{Loss: 0.2},
+				Retry: core.DefaultRetry(), Fellow: true, Sweeps: sweeps,
+				Between: func(d *exp.Deployment, sweep int) {
+					if sweep == 0 {
+						d.Net.Unlink(d.SubjNode, d.ObjNode[leaver])
+					}
+				},
+				Snoop: func(d *exp.Deployment, _, _ netsim.NodeID, p []byte) {
+					if m, err := wire.Decode(p); err == nil {
+						if q, ok := m.(*wire.QUE1); ok {
+							r, seen := rounds[string(q.RS)]
+							if !seen {
+								r = len(lastQUE1)
+								rounds[string(q.RS)] = r
+								lastQUE1 = append(lastQUE1, 0)
+							}
+							lastQUE1[r] = d.Net.Now()
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lastQUE1) != sweeps {
+				t.Fatalf("%d rounds on the air, want one per sweep (%d)", len(lastQUE1), sweeps)
+			}
+			if out.SubjectPending != 0 || out.ObjectPending != 0 {
+				t.Fatalf("leaked sessions: subject %d, objects %d", out.SubjectPending, out.ObjectPending)
+			}
+			lastFound, found := make([]time.Duration, sweeps+1), make([]int, sweeps+1)
+			for _, disc := range out.Discoveries {
+				found[disc.Round]++
+				lastFound[disc.Round] = max(lastFound[disc.Round], disc.At)
+			}
+			// A rebroadcast in flight when the last answer lands is heard a
+			// few milliseconds after it; the next one would be 250 ms later.
+			const inFlight = 50 * time.Millisecond
+			id := out.Deployment.Subject.ID()
+			phase, quiet := int(id[len(id)-1])%within, 0 // blind when round%8 == phase
+			for round := 2; round <= sweeps; round++ {
+				chained := lastQUE1[round-1] > lastFound[round]+inFlight
+				switch {
+				case found[round] != len(mixedLevels)-1:
+					// Loss kept a peer still there out of this round: the
+					// chain ran for it, whatever the ledger says of the leaver.
+				case round <= 1+within && !chained:
+					t.Errorf("round %d: no QUE1 after the last discovery while the leaver is expected", round)
+				case round > 1+within && round%within != phase:
+					if quiet++; chained {
+						t.Errorf("round %d: QUE1 at %v, %v after the round's last discovery: still asking for the leaver",
+							round, lastQUE1[round-1], lastQUE1[round-1]-lastFound[round])
+					}
+				}
+			}
+			if quiet < 2 {
+				t.Fatalf("only %d complete rounds after the leaver aged out: the property was not exercised", quiet)
+			}
+		})
 	}
 }

@@ -136,8 +136,8 @@ func TestMeshDiscoveryRace(t *testing.T) {
 
 // TestMeshAdaptiveLosslessZeroRetransmissions: on a lossless transport a
 // subject finishes a discovery round with zero retransmissions — the deadline
-// wheel keeps deferring while answers flow and CompleteRound drops the
-// remaining deadlines. The policy leaves lots of headroom between mesh RTT
+// wheel keeps deferring while answers flow and, in the blind first round,
+// CompleteRound drops the remaining deadlines. The policy leaves lots of headroom between mesh RTT
 // (sub-millisecond) and the retransmission floor so a healthy run never
 // plausibly hits a deadline even on a slow CI machine.
 func TestMeshAdaptiveLosslessZeroRetransmissions(t *testing.T) {
@@ -163,6 +163,24 @@ func TestMeshAdaptiveLosslessZeroRetransmissions(t *testing.T) {
 	// side ages out its answered sessions (it never learns RES2 arrived).
 	if got := counterValue(t, reg, obs.MSessionsExpired, obs.L("role", "subject")); got != 0 {
 		t.Fatalf("%d subject sessions expired, want 0", got)
+	}
+
+	// The second round needs no harness to end it: the engine has heard
+	// everyone its ledger expects, and its wheel is empty the moment it has.
+	sep.Do(func() {
+		if err := subj.Discover(1); err != nil {
+			t.Errorf("Discover: %v", err)
+		}
+	})
+	meshPoll(t, 20*time.Second, func() bool { return len(subj.Results()) >= 2*n },
+		"the second round's discoveries")
+	armed := make(chan int, 1)
+	sep.Do(func() { armed <- subj.wheel.pending() })
+	if n := <-armed; n != 0 {
+		t.Fatalf("%d deadlines armed after the last discovery of an undeclared round, want 0", n)
+	}
+	if got := counterValue(t, reg, obs.MRetransmissions); got != 0 {
+		t.Fatalf("the second round retransmitted %d times, want 0", got)
 	}
 }
 

@@ -82,17 +82,19 @@ type Subject struct {
 	// must not leave a retransmission timer ticking toward a misfire).
 	completedRound int
 
-	// l1Recorded dedupes Level 1 discoveries within a round: fault injection
-	// can deliver the same plaintext RES1 twice (link-layer duplication or a
-	// QUE1 rebroadcast), and a Level 1 exchange has no session to anchor on.
-	l1Recorded map[transport.Addr]bool
-	// secRecorded maps an object address to the last round a secure (L2/L3)
-	// discovery from it was recorded. Handshakes can restart (the object
-	// re-answers a rebroadcast after its session expired), so a late restart
-	// RES1 can arrive AFTER the original handshake already completed —
-	// re-handshaking it would double-credit the round. Rounds start at 1, so
-	// the zero value never collides.
-	secRecorded map[transport.Addr]int
+	// answered is the answer ledger: object address → the last round a
+	// discovery from it was recorded (rounds start at 1, so the zero value
+	// never collides). It is the round's duplicate check — a plaintext RES1
+	// delivered twice has no session to anchor on, and a restart RES1 arriving
+	// after its handshake completed would double-credit the round (secure
+	// discoveries are entered under an enabled policy only: the zero policy
+	// never rebroadcasts) — and it is the population the QUE1 rebroadcast
+	// decision reads (armQue1). It holds addresses and rounds, never a level.
+	// silent counts its entries the current round has not recorded yet; blind
+	// marks a round whose rebroadcast chain runs whoever answers.
+	answered map[transport.Addr]int
+	silent   int
+	blind    bool
 
 	// tickets holds one resumption ticket per object address (resume.go).
 	tickets ticketTable
@@ -142,11 +144,11 @@ type subjSession struct {
 // construction options (see Option).
 func NewSubject(prov *backend.SubjectProvision, version wire.Version, costs Costs, opts ...Option) *Subject {
 	s := &Subject{
-		prov:       prov,
-		version:    version,
-		costs:      costs,
-		sessions:   make(map[sessionKey]*subjSession),
-		l1Recorded: make(map[transport.Addr]bool),
+		prov:     prov,
+		version:  version,
+		costs:    costs,
+		sessions: make(map[sessionKey]*subjSession),
+		answered: make(map[transport.Addr]int),
 	}
 	eo := applyOptions(opts)
 	if eo.hasRetry {
@@ -271,7 +273,7 @@ func (s *Subject) Discover(ttl int) error {
 	s.que1At = s.ep.Now()
 	s.probed = false
 	s.lastTTL = ttl
-	s.l1Recorded = make(map[transport.Addr]bool)
+	s.expect()
 	s.tel.roundStarted()
 	q := &wire.QUE1{Version: s.version, RS: rs}
 	if s.retry.Enabled() {
@@ -323,34 +325,82 @@ func (s *Subject) hints(rs []byte) []byte {
 // one TTL for the sessions the broadcast opened, one more so a round whose
 // sessions all aged out (both sides, behind loss or a compute backlog) can
 // still be probed into one restart. Past it the round arms and fires no
-// probe and activity resets no chain; a restart is an object's answer to a
-// probe, so every session of the round is gone within a third TTL. Without
-// the bound a round under total RES2 loss never ends: the object collects its
-// answered session at TTL/2, the next probe restarts the handshake, the fresh
-// RES1 is round activity, and activity resets the probe chain.
+// rebroadcast and activity resets no chain; a restart is an object's answer to
+// a rebroadcast, so every session of the round is gone within a third TTL.
+// Without the bound a round under total RES2 loss never ends: the object
+// collects its answered session at TTL/2, the next rebroadcast restarts the
+// handshake, the fresh RES1 is round activity, and activity resets the chain.
 const roundLifetimeTTLs = 2
 
+// blindEvery is both horizons of the answer ledger, in rounds: a peer is
+// expected while it answered any of the last blindEvery rounds, and every
+// blindEvery-th round is blind. One number, because they are one promise: an
+// object this subject has never heard — asleep or behind loss at each round's
+// one QUE1 — meets the full chain within blindEvery rounds, and an object that
+// left costs the full chain for blindEvery rounds and then nothing.
+const blindEvery = 8
+
+// expect opens the ledger for the round Discover just started: peers that
+// answered none of the last blindEvery rounds are forgotten, everyone left is
+// expected and silent. The engine's first round is blind, and every
+// blindEvery-th after it at a phase taken from the subject's ID, so that a
+// fleet started together does not rebroadcast together and a fixed-seed run
+// repeats.
+func (s *Subject) expect() {
+	for a, last := range s.answered {
+		if last < s.round-blindEvery {
+			delete(s.answered, a)
+		}
+	}
+	s.silent = len(s.answered)
+	s.blind = s.round == 1 || s.round%blindEvery == int(s.prov.ID[len(s.prov.ID)-1])%blindEvery
+}
+
+// credit enters this round's discovery from an object into the ledger (the
+// callers have checked it is the round's first from there). When the last
+// expected peer is heard the round has nothing left to ask for, and the
+// pending rebroadcast goes; a blind round keeps it, for the peers no ledger
+// shows.
+func (s *Subject) credit(from transport.Addr) {
+	if _, known := s.answered[from]; known {
+		s.silent--
+	}
+	s.answered[from] = s.round
+	if !s.probing() {
+		s.que1Timer.cancel()
+		s.que1Timer = nil
+	}
+}
+
 // probing reports whether the current round may still arm, fire or defer
-// QUE1 probes: never under the zero policy, not after CompleteRound, and not
-// past the round's lifetime.
+// QUE1 rebroadcasts: never under the zero policy, not after CompleteRound,
+// not past the round's lifetime, and only while an expected peer is silent or
+// the round is blind.
 func (s *Subject) probing() bool {
 	return s.retry.Enabled() && s.completedRound != s.round &&
+		(s.silent > 0 || s.blind) &&
 		s.ep.Now()-s.que1At < roundLifetimeTTLs*s.retry.ttl()
 }
 
-// armQue1 arms the attempt-th QUE1 rebroadcast on the timer wheel. The
-// rebroadcast cannot be conditional on who answered — the subject cannot know
-// which objects exist, so it cannot tell "everyone answered" from "the rest
-// lost my query" — so the deadline is a quiescence detector: every response
-// handled this round defers it to now + RTO (see noteActivity), and while
-// discovery traffic keeps flowing it never fires. A probe that does fire is
-// cheap: objects suppress the duplicate via R_S, and objects with a stalled
-// handshake use it as a cue to resend RES1. On a lossless network the round
-// completes inside one deferral window and the entry dies canceled
-// (CompleteRound) or superseded by the next round.
+// armQue1 arms the attempt-th QUE1 rebroadcast on the timer wheel. A subject
+// cannot know which objects exist, but it knows which ones answered lately
+// (the answer ledger), and the rebroadcast is conditional on exactly that:
+// while an expected peer is silent — its discovery for this round not yet
+// recorded, a live session included, since the rebroadcast is the only
+// recovery once the object lost its half — the deadline is a response timeout
+// for that peer; every response handled this round defers it to now + RTO
+// (see noteActivity), and the discovery of the last silent peer cancels it
+// (credit). A round that has heard everyone it expected sends nothing more.
+// What the ledger cannot show — an object never heard — gets every round's
+// first QUE1 and, in a blind round, the whole chain regardless of who
+// answered. Either way a rebroadcast is cheap for whoever did answer: objects
+// suppress the duplicate via R_S, and objects with a stalled handshake use it
+// as a cue to resend RES1. The decision reads (address, answered) only: a
+// Level 3 object answers as a Level 2 one on the air, so when a subject
+// rebroadcasts tells an observer nothing the answers did not (§VII Case 7).
 //
 // The fire reads s.que1Attempt rather than its captured attempt so that
-// noteActivity's chain reset takes effect on an already-armed probe.
+// noteActivity's chain reset takes effect on an already-armed rebroadcast.
 func (s *Subject) armQue1(attempt int) {
 	if !s.probing() {
 		return
@@ -363,7 +413,11 @@ func (s *Subject) armQue1(attempt int) {
 			return // superseded by a newer round, or past its lifetime
 		}
 		s.probed = true
-		s.tel.retransmit(msgQUE1)
+		if s.silent > 0 {
+			s.tel.retransmit(msgQUE1)
+		} else {
+			s.tel.probe()
+		}
 		s.ep.Broadcast(s.que1Enc, s.lastTTL)
 		if s.que1Attempt < s.retry.Que1Retries {
 			s.armQue1(s.que1Attempt + 1)
@@ -372,14 +426,14 @@ func (s *Subject) armQue1(attempt int) {
 }
 
 // noteActivity records that current-round discovery traffic is still
-// arriving: the pending QUE1 rebroadcast (a quiescence probe, not a response
-// timeout) is pushed out to now + RTO, and the probe chain is reset to
-// attempt 1 — activity is proof the round is live, so the retry budget
-// guards consecutive silence, not lifetime probes. If the budget was already
-// exhausted while the network (or a compute backlog) sat on the responses,
-// the chain is re-armed: late traffic revives recovery for whatever sessions
-// expired during the stall. The configured schedule remains the floor —
-// deferTo never moves a deadline earlier.
+// arriving: the pending QUE1 rebroadcast is pushed out to now + RTO, and the
+// chain is reset to attempt 1 — activity is proof the round is live, so the
+// retry budget guards consecutive silence, not a round's total. If the budget
+// was already exhausted while the network (or a compute backlog) sat on the
+// responses, the chain is re-armed: late traffic revives recovery for whatever
+// sessions expired during the stall. The configured schedule remains the floor
+// — deferTo never moves a deadline earlier. None of it happens in a round
+// with nobody left to hear (probing).
 func (s *Subject) noteActivity() {
 	if !s.probing() {
 		return
@@ -412,16 +466,17 @@ func (s *Subject) dropSessionTimers(sess *subjSession) {
 
 // CompleteRound tells the engine the caller knows the current round is done
 // — every expected responder answered — so its pending retransmission
-// deadlines (the QUE1 rebroadcast probe and per-session QUE2 retries) are
+// deadlines (the QUE1 rebroadcast and per-session QUE2 retries) are
 // dropped before they can fire, and no new retry deadline is armed for the
 // rest of the round: a handshake that progresses after the declaration (an
 // object silently refusing a revoked subject, a straggler RES1) completes
 // or expires without ever retransmitting. Only a harness that tracks expected
-// response counts can know this; the protocol itself cannot distinguish
-// "everyone answered" from "the rest lost my query", which is why the timers
-// exist. Sessions and their TTL expiries are untouched: completion accounting
-// and GC semantics stay exactly as without the call. Event-loop only, like
-// every state-mutating method.
+// response counts can know this: the engine ends the chain by itself once
+// everyone its ledger expects has answered, but not in a blind round, and not
+// while it expects a peer that will never answer (an object that left, or
+// that refuses this subject since a revocation). Sessions and their TTL
+// expiries are untouched: completion accounting and GC semantics stay exactly
+// as without the call. Event-loop only, like every state-mutating method.
 func (s *Subject) CompleteRound() {
 	s.completedRound = s.round
 	s.que1Timer.cancel()
@@ -488,17 +543,18 @@ func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
 // on the plaintext profile (the subject's only compute-intensive operation in
 // Level 1, Fig 6b).
 func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
-	if s.l1Recorded[from] {
-		// Duplicate delivery of this round's plaintext RES1 (every probe
-		// draws one). Tested before the verification it would otherwise pay
-		// for nothing; the mark is only ever set after one succeeded.
+	if s.answered[from] == s.round {
+		// Duplicate delivery of this round's plaintext RES1 (every
+		// rebroadcast draws one). Tested before the verification it would
+		// otherwise pay for nothing; the entry is only ever made after one
+		// succeeded.
 		return
 	}
 	prof, err := s.vcache.DecodeProfile(m.Prof, s.prov.CACert, s.prov.AdminPub, time.Now())
 	if err != nil || prof.Kind != cert.RoleObject {
 		return
 	}
-	s.l1Recorded[from] = true
+	s.credit(from)
 	s.noteRES1()
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
@@ -521,7 +577,7 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	if s.rs == nil {
 		return // no discovery in progress
 	}
-	if s.secRecorded[from] == s.round {
+	if s.answered[from] == s.round {
 		return // already credited this object this round: stale restart echo
 	}
 	old, live := s.sessions[mkSessionKey(from, s.rs)]
@@ -532,8 +588,8 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		// our QUE2, deadlocking the session until expiry — so never
 		// re-handshake. Nor is QUE2 resent here: the session's own RTO
 		// timer owns that, and answering every duplicate too turns one
-		// congested-start quiescence probe into a probe→RES1→QUE2→RES2
-		// echo storm across the whole fleet. The duplicate is recorded as
+		// congested-start rebroadcast into a QUE1→RES1→QUE2→RES2 echo
+		// storm across the whole fleet. The duplicate is recorded as
 		// round activity and nothing more.
 		s.noteActivity()
 		return
@@ -770,8 +826,8 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	if sess == nil {
 		// Orphaned RES2: our session expired before the answer arrived. The
 		// payload is unusable, but it is still live round traffic — let it
-		// defer (or revive) the quiescence probe so the rebroadcast chain
-		// restarts the handshake instead of stranding the round.
+		// defer (or revive) the QUE1 rebroadcast so the chain restarts the
+		// handshake instead of stranding the round.
 		s.noteActivity()
 		return
 	}
@@ -809,10 +865,9 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		if !sess.resent { // Karn's rule, as for RES1
 			s.rtt.observe(sess.stamps.res2At - sess.stamps.que2At)
 		}
-		if s.secRecorded == nil {
-			s.secRecorded = make(map[transport.Addr]int)
+		if sess.round == s.round {
+			s.credit(from)
 		}
-		s.secRecorded[from] = sess.round
 	}
 	s.dropSessionTimers(sess)
 	delete(s.sessions, key)

@@ -65,7 +65,7 @@ const (
 // shared by both engines (satellite of the fault-injection work: malformed
 // traffic used to vanish without a trace), plus the resumption outcomes.
 type robustness struct {
-	retrans   map[string]*obs.Counter // by msg label
+	retrans   map[string]*obs.Counter // cause="timeout", by msg label
 	expired   *obs.Counter
 	malformed *obs.Counter
 	// Resumption outcomes. Fields, not a map like retrans: an idle engine's
@@ -84,9 +84,7 @@ func newRobustness(reg *obs.Registry, role string, msgs []string) robustness {
 			obs.L("role", role)),
 	}
 	for _, m := range msgs {
-		r.retrans[m] = reg.Counter(obs.MRetransmissions,
-			"Protocol messages retransmitted (timeouts or duplicate-query resends).",
-			obs.L("role", role), obs.L("msg", m))
+		r.retrans[m] = retransCounter(reg, role, m, obs.CauseTimeout)
 	}
 	res := func(result string) *obs.Counter {
 		return reg.Counter(obs.MResumptions,
@@ -95,6 +93,13 @@ func newRobustness(reg *obs.Registry, role string, msgs []string) robustness {
 	}
 	r.resumed, r.refused, r.minted = res(resultResumed), res(resultRefused), res(resultMinted)
 	return r
+}
+
+// retransCounter registers one argus_retransmissions_total series.
+func retransCounter(reg *obs.Registry, role, msg, cause string) *obs.Counter {
+	return reg.Counter(obs.MRetransmissions,
+		"Protocol messages retransmitted, by cause: timeout (for a silent expected peer, or a duplicate-query resend) or probe (a blind round's QUE1 with nobody missing).",
+		obs.L("role", role), obs.L("msg", msg), obs.L("cause", cause))
 }
 
 // resumption returns the counter of one resumption outcome.
@@ -112,6 +117,7 @@ func (r *robustness) resumption(result string) *obs.Counter {
 type subjectTelemetry struct {
 	tracer      *obs.Tracer
 	rounds      *obs.Counter
+	probes      *obs.Counter                 // blind-round QUE1 rebroadcasts with nobody silent
 	discoveries [4]*obs.Counter              // indexed by Level (1..3)
 	phases      [4]map[string]*obs.Histogram // [level][phase]
 	ops         cryptoOps
@@ -122,6 +128,7 @@ func newSubjectTelemetry(reg *obs.Registry, tr *obs.Tracer, version wire.Version
 	t := &subjectTelemetry{
 		tracer: tr,
 		rounds: reg.Counter(obs.MDiscoveryRounds, "Discovery rounds started (QUE1 broadcasts)."),
+		probes: retransCounter(reg, "subject", msgQUE1, obs.CauseProbe),
 		ops:    newCryptoOps(reg, "subject"),
 		rob:    newRobustness(reg, "subject", []string{msgQUE1, msgQUE2}),
 	}
@@ -208,6 +215,13 @@ func (t *subjectTelemetry) retransmit(msg string) {
 		return
 	}
 	t.rob.retrans[msg].Inc()
+}
+
+func (t *subjectTelemetry) probe() {
+	if t == nil {
+		return
+	}
+	t.probes.Inc()
 }
 
 func (t *subjectTelemetry) resumption(result string) {

@@ -21,7 +21,7 @@ import (
 type TrialCounters struct {
 	MailboxDrops    int64 `json:"mailbox_drops"`
 	VCacheMisses    int64 `json:"vcache_misses"`
-	Retransmissions int64 `json:"retransmissions"`
+	Retransmissions int64 `json:"retransmissions"` // cause="timeout": blind-round probes are not a symptom
 	SessionExpiries int64 `json:"session_expiries"`
 }
 
@@ -235,7 +235,7 @@ func EvalTrial(offered, seconds, sessionsPerArrival float64, rep *slo.Report, ga
 		Counters: TrialCounters{
 			MailboxDrops:    rep.Counters["mailbox_drops"],
 			VCacheMisses:    rep.Counters["vcache_misses"],
-			Retransmissions: rep.Counters["retransmissions"],
+			Retransmissions: rep.Counters["retransmissions_timeout"],
 			SessionExpiries: rep.Counters["subject_sessions_expired"],
 		},
 	}

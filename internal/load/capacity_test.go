@@ -183,7 +183,8 @@ func TestEvalTrial(t *testing.T) {
 	rep := &slo.Report{Counters: map[string]int64{
 		"mailbox_drops":            0,
 		"vcache_misses":            3,
-		"retransmissions":          1,
+		"retransmissions":          9, // eight of them blind-round probes
+		"retransmissions_timeout":  1,
 		"subject_sessions_expired": 0,
 	}}
 	rep.Totals.Armed = 1000

@@ -416,15 +416,23 @@ func (p *Profile) validate() error {
 		// transmission of each leg, and the session must outlive the
 		// worst-case two-leg recovery. QUE2 retransmissions are timed from
 		// the QUE2 itself, so that leg's schedule starts at offset 0. QUE1
-		// probes are timed from the round's last activity (an awake
+		// rebroadcasts are timed from the round's last activity (an awake
 		// neighbour's answer defers them), not from the broadcast, so only
-		// the probe offsets count. Both hold while the subject's round-trip
-		// horizon SRTT + 4·RTTVAR stays at or under Timeout: a larger horizon
-		// stretches the offsets the proof reasons over.
+		// the rebroadcast offsets count — and a subject sends them in two
+		// cases only, which between them are every round a sleepy object is
+		// owed here. (1) The object is an expected peer — it answered one of
+		// the subject's last eight rounds — and silent: the chain runs until
+		// its discovery is recorded. (2) The round is blind: a subject's
+		// first, in which the whole fleet meets its cells, runs the chain
+		// whoever answers. A roamer is case 1 by proxy: its ledger still
+		// expects the cell it left, and that silence keeps the chain running
+		// in the cell it entered. Both legs hold while the subject's
+		// round-trip horizon SRTT + 4·RTTVAR stays at or under Timeout: a
+		// larger horizon stretches the offsets the proof reasons over.
 		q1 := p.Retry.Schedule(p.Retry.Que1Retries)
 		q2 := p.Retry.Schedule(p.Retry.Que2Retries)
 		if !dutyCycleCovered(q1[1:], p.SleepPeriod, p.SleepAwake) {
-			return fmt.Errorf("load: QUE1 probe schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
+			return fmt.Errorf("load: QUE1 rebroadcast schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
 				q1[1:], p.SleepAwake, p.SleepPeriod)
 		}
 		if !dutyCycleCovered(q2, p.SleepPeriod, p.SleepAwake) {
@@ -576,7 +584,7 @@ func Profiles() map[string]Profile {
 			Waves:  3, ThinkTime: 30 * time.Millisecond,
 			RoamFrac:   0.34, // 2 of 6 subjects per cell migrate at each of 2 boundaries
 			SleepyFrac: 0.25, // the L1 object of each cell duty-cycles its radio
-			// QUE1 probes at {100, 300, 700} ms mod 260 = {100, 40, 180}: max
+			// QUE1 rebroadcasts at {100, 300, 700} ms mod 260 = {100, 40, 180}: max
 			// circular gap 120ms < 150ms awake; the QUE2 leg adds offset 0
 			// (gap 80ms). Every sleep phase is covered (see validate).
 			Retry: core.RetryPolicy{

@@ -534,14 +534,15 @@ func TestSLOCheck(t *testing.T) {
 		{name: "peak floor", slo: slo.SLO{MinPeakConcurrent: 101}, mutate: func(*slo.Report) {}, wantHit: "peak"},
 		{name: "mailbox drops", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["mailbox_drops"] = 1 }, wantHit: "mailbox"},
 		{name: "malformed", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["malformed_drops"] = 3 }, wantHit: "malformed"},
-		{name: "retransmissions strict", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 1 }, wantHit: "retransmissions"},
-		{name: "retransmissions within budget", slo: slo.SLO{MaxRetransmissions: 50}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 50 }, wantOK: true},
-		{name: "retransmissions disabled", slo: slo.SLO{MaxRetransmissions: -1}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 99999 }, wantOK: true},
+		{name: "retransmissions strict", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["retransmissions_timeout"] = 1 }, wantHit: "retransmissions"},
+		{name: "blind-round probes are no retransmission gate's business", slo: slo.SLO{}, mutate: func(r *slo.Report) { r.Counters["retransmissions"] = 9 }, wantOK: true},
+		{name: "retransmissions within budget", slo: slo.SLO{MaxRetransmissions: 50}, mutate: func(r *slo.Report) { r.Counters["retransmissions_timeout"] = 50 }, wantOK: true},
+		{name: "retransmissions disabled", slo: slo.SLO{MaxRetransmissions: -1}, mutate: func(r *slo.Report) { r.Counters["retransmissions_timeout"] = 99999 }, wantOK: true},
 		{name: "warm-wave retransmissions strict", slo: slo.SLO{}, mutate: func(r *slo.Report) {
 			r.Waves = append(r.Waves, slo.WaveStats{Index: 0}, slo.WaveStats{Index: 1, Retransmissions: 1})
 		}, wantHit: "warm-wave"},
 		{name: "cold-wave retransmissions exempt from warm gate", slo: slo.SLO{MaxRetransmissions: 10}, mutate: func(r *slo.Report) {
-			r.Counters["retransmissions"] = 7
+			r.Counters["retransmissions_timeout"] = 7
 			r.Waves = append(r.Waves, slo.WaveStats{Index: 0, Retransmissions: 7}, slo.WaveStats{Index: 1})
 		}, wantOK: true},
 		{name: "warm-wave gate disabled", slo: slo.SLO{MaxWarmRetransmissions: -1, MaxRetransmissions: -1}, mutate: func(r *slo.Report) {

@@ -583,7 +583,7 @@ func (r *runner) counterTotals() counterTotals {
 	return counterTotals{
 		vcacheHits:   slo.SumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "hit")),
 		vcacheMisses: slo.SumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "miss")),
-		retrans:      slo.SumFamily(snap, obs.MRetransmissions),
+		retrans:      slo.SumFamily(snap, obs.MRetransmissions, obs.L("cause", obs.CauseTimeout)),
 	}
 }
 

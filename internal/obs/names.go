@@ -42,7 +42,7 @@ const (
 	MNetCrashDrops      = "argus_net_crash_drops_total"
 
 	// internal/core — retransmission / robustness (both roles).
-	MRetransmissions = "argus_retransmissions_total"  // role, msg
+	MRetransmissions = "argus_retransmissions_total"  // role, msg, cause
 	MSessionsExpired = "argus_sessions_expired_total" // role
 	MMalformedDrops  = "argus_malformed_drops_total"  // role
 	MResumptions     = "argus_resumptions_total"      // side, result
@@ -140,4 +140,15 @@ const (
 	PhaseQUE2 = "que2_res2"    // QUE2 sent → RES2 arrival (object turnaround + air)
 	PhaseRES2 = "res2_decrypt" // RES2 arrival → discovery recorded (MAC + decrypt + verify)
 	PhaseAll  = "total"        // QUE1 broadcast → discovery recorded
+)
+
+// Causes of a retransmission: the `cause` label of MRetransmissions. A timeout
+// is a resend for someone in particular — a QUE1 rebroadcast while a peer the
+// subject expects is silent, and every QUE2, RES1 and RES2 resend. A probe is a
+// blind round's QUE1 rebroadcast with nobody missing: the only retransmission
+// a lossless, unhurried network sees, which is why the SLO gates and the
+// bottleneck attribution read timeout alone.
+const (
+	CauseTimeout = "timeout"
+	CauseProbe   = "probe"
 )

@@ -14,12 +14,14 @@ func Profiles() map[string]SLO {
 			P50Ceiling:        2 * time.Second,
 			P99Ceiling:        8 * time.Second,
 			// This profile runs under -race, where a cold handshake
-			// outlasts the 100 ms initial RTO and draws quiescence
-			// probes — on wave 0 and again on wave 2, whose live-added
-			// subjects and post-revocation cache misses are cold too
-			// (measured 24 / 0 / 20 per wave under -race, 0 / 0 / 0
-			// without). Benign duplicates, not losses.
-			MaxRetransmissions: -1, MaxWarmRetransmissions: -1,
+			// outlasts the 100 ms initial RTO: a subject's first round is
+			// blind and rebroadcasts QUE1 into the backlog, and each
+			// object's cached answer to that is a timeout resend (2–105
+			// on wave 0 over six -race runs, 0 without -race). Once the
+			// estimator has samples nothing times out: the warm waves,
+			// wave 2's live-added subjects and post-revocation cache
+			// misses included, held 0 in all six.
+			MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 		},
 		"standard": {
 			MinPeakConcurrent: 10000,
@@ -27,13 +29,15 @@ func Profiles() map[string]SLO {
 			P99Ceiling:        13 * time.Second,
 			MaxSlowSessions:   0,
 			// Mesh is lossless, so once the RTT estimator has samples a
-			// retransmission is a timer misfire: waves after the first
-			// must retransmit exactly zero, and that invariant is pinned
-			// hard. The cold first wave is different — QUE1 quiescence
-			// probes fire against the initial conservative RTO while the
-			// fleet's handshake backlog is deepest, measured at 0.8k–4.8k
-			// probes per run on one core depending on scheduling jitter —
-			// so the total gate is a cold-start noise ceiling, not a loss
+			// timeout is a timer misfire: waves after the first must time
+			// out exactly zero times, and that invariant is pinned hard.
+			// The cold first wave is different — every subject's first
+			// round is blind, its QUE1 rebroadcasts fire against the
+			// initial conservative RTO while the fleet's handshake backlog
+			// is deepest, and the objects' resent answers and the QUE2s
+			// behind them count as timeouts (0.8k–4.8k retransmissions per
+			// run on one core when probes were still in the count) — so
+			// the total gate is a cold-start noise ceiling, not a loss
 			// budget.
 			MaxRetransmissions:     10000,
 			MaxWarmRetransmissions: 0,
@@ -80,8 +84,9 @@ func Profiles() map[string]SLO {
 			P50Ceiling:        2 * time.Second,
 			P99Ceiling:        8 * time.Second,
 			CovertnessAlpha:   1e-3,
-			// The cold wave may probe against the initial RTO while the
-			// handshake backlog is deepest; warm waves must not.
+			// The cold wave's blind first rounds rebroadcast against the
+			// initial RTO while the handshake backlog is deepest, and the
+			// objects' resent answers are timeouts; warm waves have none.
 			MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 		},
 	}

@@ -86,7 +86,7 @@ type WaveStats struct {
 	Seconds         float64 `json:"seconds"`
 	VCacheHits      int64   `json:"vcache_hits"`
 	VCacheMisses    int64   `json:"vcache_misses"`
-	Retransmissions int64   `json:"retransmissions"`
+	Retransmissions int64   `json:"retransmissions"` // cause="timeout" only
 }
 
 // Totals aggregates the whole run.
@@ -175,7 +175,11 @@ func fillCounters(rep *Report, snap *obs.Snapshot) {
 	rep.Counters["discoveries"] = SumFamily(snap, obs.MDiscoveries)
 	rep.Counters["mailbox_drops"] = SumFamily(snap, obs.MTransportMailboxDrops)
 	rep.Counters["malformed_drops"] = SumFamily(snap, obs.MMalformedDrops)
+	// The sum, and the part every gate and the attribution read: a resend for
+	// a peer that was expected and silent. The rest are blind-round probes,
+	// which a lossless, idle fleet sends too.
 	rep.Counters["retransmissions"] = SumFamily(snap, obs.MRetransmissions)
+	rep.Counters["retransmissions_timeout"] = SumFamily(snap, obs.MRetransmissions, obs.L("cause", obs.CauseTimeout))
 	rep.Counters["subject_sessions_expired"] = SumFamily(snap, obs.MSessionsExpired, obs.L("role", "subject"))
 	rep.Counters["object_sessions_expired"] = SumFamily(snap, obs.MSessionsExpired, obs.L("role", "object"))
 	rep.Counters["vcache_hits"] = SumFamily(snap, obs.MVerifyCacheEvents, obs.L("result", "hit"))

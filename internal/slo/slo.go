@@ -35,18 +35,21 @@ type SLO struct {
 	// MaxMalformed bounds wire-decode drops (only injected corruption
 	// produces them).
 	MaxMalformed int64
-	// MaxRetransmissions bounds protocol retransmissions across both roles
-	// and all message legs. On a lossless transport a retransmission is a
-	// timer misfire, not recovery, so the headline profile holds an exact
-	// near-zero ceiling; lossy and duty-cycled profiles disable the gate
-	// (-1) because there retransmission IS the recovery mechanism.
+	// MaxRetransmissions bounds timeout retransmissions
+	// (argus_retransmissions_total{cause="timeout"}: a resend for a peer that
+	// was expected and silent) across both roles and all message legs; a
+	// blind round's probes are not counted. On a lossless transport a
+	// timeout is a timer misfire, not recovery, so the headline profile holds
+	// an exact near-zero ceiling; lossy and duty-cycled profiles disable the
+	// gate (-1) because there retransmission IS the recovery mechanism.
 	MaxRetransmissions int64
-	// MaxWarmRetransmissions bounds retransmissions on waves after the
-	// first. The cold wave fires quiescence probes while the RTT estimator
-	// is still unsampled, which is inherently noisy under a deep compute
-	// backlog — but once the wheel has observed round trips, a lossless run
-	// must retransmit exactly zero, so the headline profile pins this at 0.
-	// -1 disables (lossy profiles, where retransmission is recovery).
+	// MaxWarmRetransmissions bounds timeout retransmissions on waves after
+	// the first. On the cold wave the RTT estimator is still unsampled and
+	// the object's answer to a first-round rebroadcast is a timeout resend,
+	// which is inherently noisy under a deep compute backlog — but once the
+	// wheel has observed round trips, a lossless run must time out exactly
+	// zero times, so the headline profile pins this at 0. -1 disables (lossy
+	// profiles, where retransmission is recovery).
 	MaxWarmRetransmissions int64
 	// MaxExpiredExtra bounds subject-side session expiries beyond the
 	// harness's prediction (revoked subjects' silently refused handshakes
@@ -117,7 +120,7 @@ func (s SLO) gates(rep *Report) []gate {
 		count("unexpected", "unexpected completions", s.MaxUnexpected, func(r *Report) int64 { return r.Totals.Unexpected }),
 		count("mailbox_drops", "mailbox drops", s.MaxMailboxDrops, counter("mailbox_drops")),
 		count("malformed_drops", "malformed drops", s.MaxMalformed, counter("malformed_drops")),
-		count("retransmissions", "retransmissions", s.MaxRetransmissions, counter("retransmissions")),
+		count("retransmissions", "timeout retransmissions", s.MaxRetransmissions, counter("retransmissions_timeout")),
 		count("dlq_depth", "parked dead-letter notifications", s.MaxDLQDepth, counter("dlq_depth")),
 	}
 	levels := make([]string, 0, len(rep.Latency))
@@ -168,7 +171,7 @@ func (s SLO) Check(rep *Report) SLOResult {
 		}
 	}
 	if exceeded(s.MaxWarmRetransmissions, warm) {
-		add("warm-wave retransmissions: %d > max %d", warm, s.MaxWarmRetransmissions)
+		add("warm-wave timeout retransmissions: %d > max %d", warm, s.MaxWarmRetransmissions)
 	}
 	extra := rep.Counters["subject_sessions_expired"] - rep.PredictedSubjectExpiries
 	if exceeded(s.MaxExpiredExtra, extra) {

@@ -68,7 +68,7 @@ func TestGateTableCheckAgreesWithStream(t *testing.T) {
 			Latency: map[string]Quantiles{"1": quantiles(), "2": quantiles(), "3": quantiles()},
 			Counters: map[string]int64{
 				"mailbox_drops": rng.Int63n(4), "malformed_drops": rng.Int63n(4),
-				"retransmissions": rng.Int63n(4), "dlq_depth": rng.Int63n(4),
+				"retransmissions_timeout": rng.Int63n(4), "dlq_depth": rng.Int63n(4),
 			},
 		}
 		reported := map[string]bool{}
@@ -157,8 +157,9 @@ func TestSnapshotReportReadsTheFamilies(t *testing.T) {
 	reg.Counter(obs.MLoadLost, "").Add(2)
 	reg.Counter(obs.MLoadSkipped, "").Add(1)
 	reg.Gauge(obs.MLoadPeakInflight, "").Set(5)
-	reg.Counter(obs.MRetransmissions, "", obs.L("role", "subject"), obs.L("msg", "que1")).Add(3)
-	reg.Counter(obs.MRetransmissions, "", obs.L("role", "object"), obs.L("msg", "res1")).Add(4)
+	reg.Counter(obs.MRetransmissions, "", obs.L("role", "subject"), obs.L("msg", "que1"), obs.L("cause", "probe")).Add(3)
+	reg.Counter(obs.MRetransmissions, "", obs.L("role", "subject"), obs.L("msg", "que1"), obs.L("cause", "timeout")).Add(1)
+	reg.Counter(obs.MRetransmissions, "", obs.L("role", "object"), obs.L("msg", "res1"), obs.L("cause", "timeout")).Add(4)
 	reg.Counter(obs.MSessionsExpired, "", obs.L("role", "subject")).Add(2)
 	reg.Counter(obs.MSessionsExpired, "", obs.L("role", "object")).Add(6)
 	bounds := []float64{0.01, 0.1, 1}
@@ -175,7 +176,8 @@ func TestSnapshotReportReadsTheFamilies(t *testing.T) {
 		t.Errorf("totals %+v, want %+v", got, want)
 	}
 	for key, want := range map[string]int64{
-		"retransmissions":          7,
+		"retransmissions":          8,
+		"retransmissions_timeout":  5,
 		"subject_sessions_expired": 2,
 		"object_sessions_expired":  6,
 		"mailbox_drops":            0,
