@@ -17,17 +17,14 @@ FUZZTIME ?= 15s
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
 #                      `failed` 0, `correct` true and a `frames_per_session`
 #                      ceiling on every run
-#   make bench-json    regenerates BENCH_4.json (fastpath and mesh-throughput
-#                      experiments), BENCH_5.json (the `standard` soak) and
-#                      BENCH_8.json (service churn)
 #   make capacity      regenerates BENCH_10.json (the capacity knee: the search
 #                      ladder and the warm wave's sessions, seconds and level
 #                      mix, in-process and over two processes)
 #
-# The BENCH_N.json files are each PR's own record, in that PR's schema; commit
-# the ones a change moves.
+# The other BENCH_N.json files are frozen history, each in its PR's schema
+# (EXPERIMENTS.md says what measures each one now).
 
-.PHONY: build bench-build test race vet deps-check verify cover cover-check fuzz chaos bench bench-obs bench-json bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
+.PHONY: build bench-build test race vet fmt-check deps-check verify cover cover-check fuzz chaos bench bench-obs bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
 build:
 	$(GO) build ./...
@@ -51,9 +48,14 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Every Go file, benchmark/ included, is gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # Import-graph gate: what ships links only what it runs — argus-node no
-# harness package, argus-ops obs + realtime + slo, no *test package in a
-# non-test file (scripts/check_deps.sh; DESIGN.md §1).
+# harness package, argus-ops obs + realtime + slo, argus-load no backend-service
+# package, no *test package in a non-test file (scripts/check_deps.sh;
+# DESIGN.md §1).
 deps-check:
 	scripts/check_deps.sh
 
@@ -69,7 +71,7 @@ cover-check:
 	scripts/check_coverage.sh
 
 # Full gate: everything CI and the verify skill run.
-verify: build vet deps-check test bench-build race
+verify: build vet fmt-check deps-check test bench-build race
 
 # Codec and key-schedule fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.
@@ -113,18 +115,6 @@ bench:
 # Telemetry fast-path microbenchmarks (<50 ns/observe target).
 bench-obs:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/obs
-
-# Machine-readable benchmark trajectory: handshake fast path, provisioning,
-# and wall-clock Mesh discovery throughput (see EXPERIMENTS.md), plus the
-# 10k-subject load/soak headline run (BENCH_5.json, ~2 min). BENCH_9.json is
-# the hot-path rebuild's before/after record: its `after.report` is an
-# `argus-load -profile standard` run and its microbenchmark figures come
-# from the bench-check suite below — refresh both together when the hot
-# path moves.
-bench-json:
-	$(GO) run ./cmd/argus-bench -exp fastpath-handshake,fastpath-provision,mesh-throughput -json > BENCH_4.json
-	$(GO) run ./cmd/argus-load -profile standard -out BENCH_5.json
-	$(GO) run ./cmd/argus-load -service-churn -out BENCH_8.json
 
 # Hot-path allocation gate: wire codec + warm-handshake microbenchmarks
 # against the committed allocs/op ceilings (scripts/check_bench.sh, ~10 s).

@@ -8,11 +8,9 @@
 //	argus-bench -exp fig6e
 //	argus-bench -exp table1,msgsize,fig6b -markdown
 //	argus-bench -exp all [-quick]
-//	argus-bench -exp table1 -json        # machine-readable result array
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,11 +22,10 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		quick   = flag.Bool("quick", false, "smaller sweeps / fewer iterations")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		md      = flag.Bool("markdown", false, "render results as Markdown tables")
-		jsonOut = flag.Bool("json", false, "emit results as a JSON array on stdout")
+		which = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		quick = flag.Bool("quick", false, "smaller sweeps / fewer iterations")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
+		md    = flag.Bool("markdown", false, "render results as Markdown tables")
 	)
 	flag.Parse()
 
@@ -53,7 +50,6 @@ func main() {
 	}
 
 	failed := 0
-	var collected []*exp.Result
 	for _, id := range ids {
 		start := time.Now()
 		res, err := exp.Registry[id](*quick)
@@ -62,25 +58,12 @@ func main() {
 			failed++
 			continue
 		}
-		switch {
-		case *jsonOut:
-			collected = append(collected, res)
-			fmt.Fprintf(os.Stderr, "(%s completed in %v)\n", id, time.Since(start).Round(time.Millisecond))
-			continue
-		case *md:
+		if *md {
 			fmt.Println(res.Markdown())
-		default:
+		} else {
 			fmt.Println(res)
 		}
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(collected); err != nil {
-			fmt.Fprintln(os.Stderr, "argus-bench:", err)
-			os.Exit(1)
-		}
 	}
 	if failed > 0 {
 		os.Exit(1)

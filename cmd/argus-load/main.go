@@ -1,8 +1,8 @@
 // Command argus-load drives large fleets of concurrent discovery sessions
 // against a full provisioned enterprise and holds the run to an SLO. It is
 // the repo's load/soak front end: pick a built-in profile (or override its
-// knobs), run it, and get a machine-readable report — the same pipeline that
-// produces BENCH_5.json via `make bench-json`.
+// knobs), run it, and get a machine-readable report (BENCH_5.json is the
+// `standard` profile's).
 //
 // Usage:
 //
@@ -11,7 +11,6 @@
 //	argus-load -profile standard -out BENCH_5.json
 //	argus-load -profile ci-soak -cells 4 -subjects 4 -waves 2 -seed 3
 //	argus-load -profile ci-soak -obs 127.0.0.1:0   # then: argus-ops -attach <addr>
-//	argus-load -service-churn -out BENCH_8.json    # live churn vs §VIII closed form
 //	argus-load -capacity -procs 2 -profile ci-soak # knee search over two processes
 //
 // With -procs N the coordinator re-executes this binary as its shards
@@ -85,8 +84,6 @@ func run() int {
 		capTol    = flag.Float64("cap-tol", 0, "capacity: relative bracket tolerance to converge at (0 = default)")
 		capTrials = flag.Int("cap-trials", 0, "capacity: hard trial budget (0 = default)")
 		capDur    = flag.Duration("cap-duration", 0, "capacity: measured window per trial (0 = default)")
-
-		svcChurn = flag.Bool("service-churn", false, "run the live-churn benchmark against a multi-tenant backend service and exit")
 	)
 	flag.Parse()
 
@@ -118,39 +115,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "argus-load: write heap profile: %v\n", err)
 			}
 		}()
-	}
-
-	if *svcChurn {
-		cfg := load.DefaultServiceChurnConfig()
-		if !*quiet {
-			cfg.Logf = func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			}
-		}
-		rep, err := load.RunServiceChurn(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
-			return 2
-		}
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
-				return 2
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rep.WriteJSON(w); err != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: write report: %v\n", err)
-			return 2
-		}
-		if !rep.Match {
-			fmt.Fprintln(os.Stderr, "argus-load: live churn diverged from the §VIII closed form")
-			return 1
-		}
-		return 0
 	}
 
 	profiles := load.Profiles()

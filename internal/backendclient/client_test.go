@@ -15,14 +15,15 @@ import (
 )
 
 // harness spins a real backendsvc.Server over httptest and returns an
-// authenticated client plus the underlying tenant for cross-checking.
-func harness(t *testing.T) (*Client, *backendsvc.Tenant) {
+// authenticated client plus the underlying tenant (with the given number of
+// worker shards, 0 = serial) for cross-checking.
+func harness(t *testing.T, shards int) (*Client, *backendsvc.Tenant) {
 	t.Helper()
 	store, err := backendsvc.OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := store.Create("acme", suite.S128, 0)
+	tn, err := store.Create("acme", suite.S128, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func harness(t *testing.T) (*Client, *backendsvc.Tenant) {
 // TestClientServiceRoundTrip drives the full Service surface over the wire
 // and checks the remote state matches what the same calls produce locally.
 func TestClientServiceRoundTrip(t *testing.T) {
-	c, tn := harness(t)
+	c, tn := harness(t, 0)
 	ctx := context.Background()
 	var svc backend.Service = c
 
@@ -124,7 +125,7 @@ func TestClientServiceRoundTrip(t *testing.T) {
 // TestClientErrorMapping pins the wire error contract: every sentinel
 // survives the HTTP round trip for errors.Is, with the server's message.
 func TestClientErrorMapping(t *testing.T) {
-	c, _ := harness(t)
+	c, _ := harness(t, 0)
 	ctx := context.Background()
 	ghost := cert.IDFromName("nobody")
 
@@ -193,7 +194,7 @@ func TestClientErrorMapping(t *testing.T) {
 // TestClientAuth pins the auth surface: wrong tenant key, missing tenant,
 // wrong admin key.
 func TestClientAuth(t *testing.T) {
-	c, _ := harness(t)
+	c, _ := harness(t, 0)
 	ctx := context.Background()
 
 	bad := New(c.base, "acme", "wrong-key", WithHTTPClient(c.hc))
@@ -231,7 +232,7 @@ func TestClientAuth(t *testing.T) {
 
 // TestClientContextCancellation: a canceled context aborts the RPC.
 func TestClientContextCancellation(t *testing.T) {
-	c, _ := harness(t)
+	c, _ := harness(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.TrustAnchor(ctx); err == nil {

@@ -15,9 +15,8 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"ablation-crowd", "ablation-groups", "ablation-radio", "ablation-rsa",
 		"ablation-strength", "ablation-versions", "comparison",
-		"fastpath-handshake", "fastpath-provision",
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
-		"mesh-throughput", "msgsize", "propagation", "table1",
+		"msgsize", "propagation", "table1",
 	}
 	got := IDs()
 	if len(got) != len(want) {

@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,13 +96,13 @@ type fleet struct {
 	observer *adversary.Observer // nil unless Profile.Observer
 	sleepy   int                 // fleet-wide duty-cycled object count
 
-	// vmemo dedups the fan-out of identically-signed update notifications
-	// across every agent in the fleet (see suite.VerifyMemo).
-	vmemo *suite.VerifyMemo
-
 	mu           sync.RWMutex
 	subjectCount atomic.Int64
 }
+
+// verifyCacheCap is the entry count of each cell's credential verification
+// cache.
+const verifyCacheCap = 1 << 16
 
 // engineVersion is the wire version every engine speaks: v3.0 normally,
 // v2.0 when the profile deliberately breaks the covertness countermeasures.
@@ -137,12 +138,9 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 
 	f := &fleet{p: p, reg: reg, backend: b, svc: backend.NewLocal(b), group: grp.ID(), observer: observer}
 
-	// One signed churn notification fans out to every affected agent in this
-	// process; a fleet-shared memo verifies each distinct notification once.
-	vmemo := suite.NewVerifyMemo(0)
-	f.vmemo = vmemo
-
-	// Register + provision the whole population through the batch APIs.
+	// Register + provision the whole population through the batch APIs, one
+	// worker per processor (the result is the same for any worker count).
+	workers := runtime.GOMAXPROCS(0)
 	nSubj, nObj := p.Subjects(), p.Objects()
 	subjSpecs := make([]backend.SubjectSpec, nSubj)
 	for i := range subjSpecs {
@@ -151,7 +149,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 			Attrs: attr.MustSet("position=staff"),
 		}
 	}
-	sids, err := b.RegisterSubjects(subjSpecs, p.Workers)
+	sids, err := b.RegisterSubjects(subjSpecs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +164,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 			Functions: []string{"use"},
 		}
 	}
-	oids, err := b.RegisterObjects(objSpecs, p.Workers)
+	oids, err := b.RegisterObjects(objSpecs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +182,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 			}
 		}
 	}
-	oprovs, err := b.ProvisionObjects(oids, p.Workers)
+	oprovs, err := b.ProvisionObjects(oids, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +208,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 	for ci := range f.cells {
 		c := &cell{index: ci}
 		f.cells[ci] = c
-		c.vcache = cert.NewVerifyCache(p.VerifyCacheCap)
+		c.vcache = cert.NewVerifyCache(verifyCacheCap)
 		c.vcache.Instrument(reg)
 		replayIdx, err := p.replayIndices(ci)
 		if err != nil {
@@ -277,7 +275,6 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 			// agents' propagation histogram works on the concurrent
 			// transports too — and measures from park time across any DLQ
 			// crash window.
-			agent.UseVerifyMemo(f.vmemo)
 			agent.Instrument(reg, c.dist.SentAt)
 			obj := core.NewObject(prov, p.engineVersion(), core.Costs{},
 				core.WithEndpoint(agent.Wrap(ep)),
@@ -313,18 +310,12 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 func (f *fleet) openCell(c *cell) (func() (transport.Endpoint, error), error) {
 	switch f.p.Transport {
 	case TransportMesh:
-		var opts []transport.MeshOption
-		if f.p.Mailbox > 0 {
-			opts = append(opts, transport.WithMailbox(f.p.Mailbox))
-		}
-		opts = append(opts, transport.WithRegistry(f.reg))
-		c.mesh = transport.NewMesh(opts...)
+		c.mesh = transport.NewMesh(transport.WithRegistry(f.reg))
 		return func() (transport.Endpoint, error) { return c.mesh.Join(), nil }, nil
 	case TransportUDP:
 		return func() (transport.Endpoint, error) {
 			ep, err := transport.ListenUDP(transport.UDPConfig{
 				Listen:   "127.0.0.1:0",
-				Mailbox:  f.p.Mailbox,
 				Registry: f.reg,
 			})
 			if err != nil {

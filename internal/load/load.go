@@ -14,8 +14,8 @@
 // deployment is many small broadcast domains, not one giant one — and keep
 // the harness clear of the object-side session-table bound
 // (core's maxPendingSessions) while still multiplying to arbitrarily many
-// concurrent sessions. All cells share one backend (single trust anchor),
-// one obs.Registry, and one credential verify cache.
+// concurrent sessions. All cells share one backend (single trust anchor) and
+// one obs.Registry; each cell keeps its own credential verify cache.
 //
 // # Driver
 //
@@ -159,11 +159,9 @@ type Profile struct {
 	// exact). ReplayTargets wiretaps that many secure awake objects per cell
 	// during the waves and replays the captured transcripts against them;
 	// SybilRounds floods each cell that many times with discovery traffic
-	// from rogue-provisioned identities. AdversaryTimeout bounds each
-	// persona's response waits.
-	ReplayTargets    int
-	SybilRounds      int
-	AdversaryTimeout time.Duration
+	// from rogue-provisioned identities.
+	ReplayTargets int
+	SybilRounds   int
 
 	// Observer installs the passive crowd observer on every secure object:
 	// true Level 2 objects feed the "plain" population and Level 3 objects
@@ -192,15 +190,9 @@ type Profile struct {
 	// open-loop arrivals); fixed seed = fixed schedule.
 	Seed int64
 
-	// Mailbox overrides the transport inbound queue depth (0 = transport
-	// default). Workers bounds provisioning parallelism. DrainTimeout is
-	// the per-wave completion deadline; sessions still missing when it
-	// expires are counted lost. VerifyCacheCap sizes the shared credential
-	// cache (entries).
-	Mailbox        int
-	Workers        int
-	DrainTimeout   time.Duration
-	VerifyCacheCap int
+	// DrainTimeout is the per-wave completion deadline; sessions still
+	// missing when it expires are counted lost.
+	DrainTimeout time.Duration
 
 	// SLO is asserted over the finished run's report.
 	SLO slo.SLO
@@ -278,12 +270,6 @@ func (p Profile) withDefaults() Profile {
 	if p.DrainTimeout <= 0 {
 		p.DrainTimeout = 60 * time.Second
 	}
-	if p.VerifyCacheCap <= 0 {
-		p.VerifyCacheCap = 1 << 16
-	}
-	if p.Workers <= 0 {
-		p.Workers = 4
-	}
 	if p.SleepyFrac > 0 {
 		if p.SleepPeriod <= 0 {
 			p.SleepPeriod = 260 * time.Millisecond
@@ -291,9 +277,6 @@ func (p Profile) withDefaults() Profile {
 		if p.SleepAwake <= 0 {
 			p.SleepAwake = 150 * time.Millisecond
 		}
-	}
-	if p.AdversaryTimeout <= 0 {
-		p.AdversaryTimeout = 5 * time.Second
 	}
 	return p
 }
@@ -528,7 +511,6 @@ func Profiles() map[string]Profile {
 				Timeout: 4 * time.Second, SessionTTL: 20 * time.Second,
 			},
 			Seed:         1,
-			Workers:      8,
 			DrainTimeout: 180 * time.Second,
 		},
 		{

@@ -467,6 +467,9 @@ func (r *runner) advCountersNow() advCounters {
 	}
 }
 
+// adversaryTimeout bounds each persona's wait for a response.
+const adversaryTimeout = 5 * time.Second
+
 // adversaryPhase drives the replay and Sybil personas against every cell
 // after the honest waves drain, and ledgers the object-side counter deltas
 // they produced. StrictAdversaryAccounting holds these deltas to exactly
@@ -493,7 +496,7 @@ func (r *runner) adversaryPhase() error {
 			if err != nil {
 				return err
 			}
-			stats, err := adversary.ExecuteReplay(ep, c.replays, p.AdversaryTimeout, r.reg)
+			stats, err := adversary.ExecuteReplay(ep, c.replays, adversaryTimeout, r.reg)
 			total.Merge(stats)
 			ep.Close()
 			if err != nil {
@@ -512,7 +515,7 @@ func (r *runner) adversaryPhase() error {
 		}
 		var total slo.SybilStats
 		for _, c := range r.fleet.cells {
-			stats, err := adversary.ExecuteSybil(c.join, prov, p.SybilRounds, p.AdversaryTimeout, r.reg)
+			stats, err := adversary.ExecuteSybil(c.join, prov, p.SybilRounds, adversaryTimeout, r.reg)
 			total.Merge(stats)
 			if err != nil {
 				return fmt.Errorf("load: sybil persona, cell %d: %w", c.index, err)

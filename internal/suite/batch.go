@@ -1,23 +1,6 @@
 package suite
 
-import (
-	"crypto/sha256"
-	"sync"
-)
-
-// Batched ECDSA verification. Two fleet-scale patterns make individual
-// PublicKey.Verify calls wasteful:
-//
-//  1. Identical verifications: one signed artifact fans out to many
-//     receivers in the same process (a churn notification delivered to γ−1
-//     agents, a rebroadcast answer). Every receiver runs the same scalar
-//     multiplications on the same inputs.
-//  2. Key re-parsing: verifying against a key without a cached stdlib form
-//     re-derives the curve point per call.
-//
-// BatchVerify handles one call with several items (dedup + early abort);
-// VerifyMemo extends the dedup across calls and goroutines, which is what
-// the update fan-out needs.
+import "crypto/sha256"
 
 // VerifyItem is one (key, message, signature) tuple of a batch.
 type VerifyItem struct {
@@ -71,54 +54,4 @@ func verifyDigest(key PublicKey, msg, sig []byte) [32]byte {
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
-}
-
-// VerifyMemo is a bounded, concurrency-safe memo of successful signature
-// verifications, shared by receivers that see the same signed artifacts.
-// Only successes are remembered — sound because a signature that verified
-// once over exact bytes verifies forever — so an attacker flooding garbage
-// never poisons it and never gets a cheap reject timing oracle from it
-// either: failures always pay full price.
-//
-// A nil *VerifyMemo is valid and verifies directly.
-type VerifyMemo struct {
-	mu  sync.Mutex
-	m   map[[32]byte]struct{}
-	cap int
-}
-
-// NewVerifyMemo returns a memo holding at most capacity successes
-// (default 4096 when capacity <= 0). Eviction is wholesale: when full, the
-// memo resets — entries are pure cache, and the artifacts it serves
-// (update notifications) arrive in tight bursts where a reset between
-// bursts costs one redundant verify per distinct artifact.
-func NewVerifyMemo(capacity int) *VerifyMemo {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &VerifyMemo{m: make(map[[32]byte]struct{}, capacity), cap: capacity}
-}
-
-// Verify checks sig over msg under key, consulting the memo first.
-func (vm *VerifyMemo) Verify(key PublicKey, msg, sig []byte) bool {
-	if vm == nil {
-		return key.Verify(msg, sig)
-	}
-	d := verifyDigest(key, msg, sig)
-	vm.mu.Lock()
-	_, hit := vm.m[d]
-	vm.mu.Unlock()
-	if hit {
-		return true
-	}
-	if !BatchVerify([]VerifyItem{{Key: key, Msg: msg, Sig: sig}}) {
-		return false
-	}
-	vm.mu.Lock()
-	if len(vm.m) >= vm.cap {
-		vm.m = make(map[[32]byte]struct{}, vm.cap)
-	}
-	vm.m[d] = struct{}{}
-	vm.mu.Unlock()
-	return true
 }

@@ -58,59 +58,6 @@ func TestBatchVerify(t *testing.T) {
 	}
 }
 
-func TestVerifyMemo(t *testing.T) {
-	k1, _ := benchKeys(t)
-	a := signed(t, k1, "artifact")
-
-	var nilMemo *VerifyMemo
-	if !nilMemo.Verify(a.Key, a.Msg, a.Sig) {
-		t.Error("nil memo must verify directly")
-	}
-
-	vm := NewVerifyMemo(0)
-	if !vm.Verify(a.Key, a.Msg, a.Sig) {
-		t.Fatal("first (miss) verification failed")
-	}
-	if len(vm.m) != 1 {
-		t.Fatalf("memo holds %d entries after one success, want 1", len(vm.m))
-	}
-	if !vm.Verify(a.Key, a.Msg, a.Sig) {
-		t.Error("memo hit rejected")
-	}
-	if len(vm.m) != 1 {
-		t.Errorf("memo grew on a hit: %d entries", len(vm.m))
-	}
-
-	// Failures are never remembered: same inputs keep failing.
-	bad := append([]byte(nil), a.Sig...)
-	bad[0] ^= 0x01
-	for i := 0; i < 2; i++ {
-		if vm.Verify(a.Key, a.Msg, bad) {
-			t.Fatal("corrupted signature accepted")
-		}
-	}
-	if len(vm.m) != 1 {
-		t.Errorf("failure was cached: %d entries", len(vm.m))
-	}
-}
-
-func TestVerifyMemoCapacityReset(t *testing.T) {
-	k1, _ := benchKeys(t)
-	vm := NewVerifyMemo(2)
-	msgs := []string{"one", "two", "three"}
-	for _, m := range msgs {
-		it := signed(t, k1, m)
-		if !vm.Verify(it.Key, it.Msg, it.Sig) {
-			t.Fatalf("verify %q failed", m)
-		}
-	}
-	// Wholesale eviction: hitting capacity resets the map, so after the
-	// third insert only the newest entry remains.
-	if len(vm.m) != 1 {
-		t.Errorf("memo holds %d entries after reset, want 1", len(vm.m))
-	}
-}
-
 func TestSigningKeyAccessors(t *testing.T) {
 	k, _ := benchKeys(t)
 	if k.Strength() != S128 {

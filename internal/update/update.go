@@ -127,7 +127,6 @@ type Agent struct {
 	rejectedC   *obs.Counter
 	propagation *obs.Histogram
 	sentAt      func(seq uint64) (time.Duration, bool)
-	vmemo       *suite.VerifyMemo // optional shared memo (see UseVerifyMemo)
 }
 
 // NewAgent builds an agent. apply is invoked for each fresh, authentic
@@ -136,14 +135,6 @@ type Agent struct {
 func NewAgent(adminPub suite.PublicKey, inner transport.Handler, apply func(*Notification)) *Agent {
 	return &Agent{adminPub: adminPub, inner: inner, apply: apply}
 }
-
-// UseVerifyMemo shares a memo of successful signature verifications with
-// this agent. One churn operation fans the same signed notification out to
-// γ−1 co-located agents; with a shared memo the fleet pays one ECDSA
-// verification per notification instead of one per recipient. Verification
-// outcomes are unchanged (see suite.VerifyMemo); rejected traffic never
-// consults the memo's fast path. Call before traffic flows.
-func (a *Agent) UseVerifyMemo(vm *suite.VerifyMemo) { a.vmemo = vm }
 
 // Wrap interposes the agent on an endpoint's inbound path: binding an engine
 // to the returned endpoint installs the agent as the real handler with the
@@ -198,7 +189,7 @@ func (a *Agent) Handle(from transport.Addr, payload []byte) {
 		}
 		return
 	}
-	if err != nil || !a.verify(n) || n.Seq <= a.lastSeq {
+	if err != nil || !n.Verify(a.adminPub) || n.Seq <= a.lastSeq {
 		a.rejected++
 		a.rejectedC.Inc()
 		return
@@ -214,12 +205,6 @@ func (a *Agent) Handle(from transport.Addr, payload []byte) {
 	if a.apply != nil {
 		a.apply(n)
 	}
-}
-
-// verify checks the notification signature through the shared memo when one
-// is installed (a nil memo verifies directly).
-func (a *Agent) verify(n *Notification) bool {
-	return a.vmemo.Verify(a.adminPub, n.body(), n.Sig)
 }
 
 // Distributor is the backend's ground gateway: it signs notifications and

@@ -8,7 +8,10 @@
 #      obs, realtime and slo,
 #   3. internal/slo links any internal package other than obs, or
 #   4. a non-test file under cmd/ or internal/ imports a package whose path
-#      ends in "test" (a test-helper package in a shipped binary).
+#      ends in "test" (a test-helper package in a shipped binary), or
+#   5. the load harness, ./cmd/argus-load, links the backend service
+#      (internal/{backendsvc,backendclient,scale}): it drives backend.Service
+#      in process.
 #
 # Run it locally with `make deps-check`; `make verify` and CI include it.
 set -eu
@@ -18,7 +21,7 @@ GO=${GO:-go}
 status=0
 
 # A list that fails inside $(...) below would read as "no dependencies": fail here.
-$GO list -deps ./cmd/argus-node ./cmd/argus-ops ./internal/slo >/dev/null
+$GO list -deps ./cmd/argus-node ./cmd/argus-ops ./cmd/argus-load ./internal/slo >/dev/null
 
 # internal_deps <package>: the internal packages it links (and is, if it is one).
 internal_deps() {
@@ -53,6 +56,16 @@ done
 allow_only ./cmd/argus-ops obs realtime slo
 allow_only ./internal/slo obs slo
 
+load_deps=$(internal_deps ./cmd/argus-load)
+for dep in $load_deps; do
+	case $dep in
+	backendsvc | backendclient | scale)
+		echo "FAIL ./cmd/argus-load links internal/$dep (the backend service in the load harness)"
+		status=1
+		;;
+	esac
+done
+
 # .Imports is the import set of the package's non-test files.
 testimports=$($GO list -f '{{$p := .ImportPath}}{{range .Imports}}{{$p}} {{.}}{{"\n"}}{{end}}' ./cmd/... ./internal/... |
 	awk '$2 ~ /test$/ { print "FAIL " $1 " imports " $2 " from a non-test file" }')
@@ -62,6 +75,6 @@ if [ -n "$testimports" ]; then
 fi
 
 if [ $status -eq 0 ]; then
-	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo)"
+	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo; argus-load $(echo "$load_deps" | wc -l | tr -d ' '), none of the backend service)"
 fi
 exit $status
