@@ -17,14 +17,14 @@ FUZZTIME ?= 15s
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
 #                      `failed` 0, `correct` true and a `frames_per_session`
 #                      ceiling on every run
-#   make capacity      regenerates BENCH_10.json (the capacity knee: the search
-#                      ladder and the warm wave's sessions, seconds and level
-#                      mix, in-process and over two processes)
+#   make capacity      the capacity knee of one ci-soak fleet, searched in
+#                      process: the search ladder and the warm wave's
+#                      sessions, seconds and level mix as JSON on stdout
 #
-# The other BENCH_N.json files are frozen history, each in its PR's schema
+# The BENCH_N.json files are frozen history, each in its PR's schema
 # (EXPERIMENTS.md says what measures each one now).
 
-.PHONY: build bench-build test race vet fmt-check deps-check verify cover cover-check fuzz chaos bench bench-obs bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
+.PHONY: build bench-build test race vet fmt-check deps-check docs-check verify cover cover-check fuzz chaos bench bench-obs bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,6 @@ bench-build:
 # batch issuance fan out across worker pools, backend provisioning does the
 # same, and core's Results/PendingSessions are read cross-goroutine.
 race:
-	$(GO) test -race -short ./internal/fleetcoord
 	$(GO) test -race ./internal/obs ./internal/core ./internal/netsim ./internal/cert ./internal/backend ./internal/transport ./internal/load ./internal/realtime ./internal/update ./internal/adversary ./internal/backendsvc ./internal/backendclient ./internal/wire ./internal/suite
 
 vet:
@@ -59,6 +58,12 @@ fmt-check:
 deps-check:
 	scripts/check_deps.sh
 
+# Stale-name gate: every backticked internal/… or cmd/… path and every
+# pkg.Ident, pkg.TestX or pkg.FuzzX in README, DESIGN, EXPERIMENTS and the
+# verify skill resolves (scripts/check_docs.sh).
+docs-check:
+	scripts/check_docs.sh
+
 # Per-package statement coverage (the human-readable view).
 cover:
 	$(GO) test -count=1 -cover ./...
@@ -71,7 +76,7 @@ cover-check:
 	scripts/check_coverage.sh
 
 # Full gate: everything CI and the verify skill run.
-verify: build vet fmt-check deps-check test bench-build race
+verify: build vet fmt-check deps-check docs-check test bench-build race
 
 # Codec and key-schedule fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.
@@ -97,9 +102,8 @@ backend-smoke:
 	scripts/backend_smoke.sh
 
 # Capacity-search smoke: one tiny fleet under a coarse `argus-load -capacity`
-# search on both placements — in-process, then sharded over two `argus-load
-# shard` processes (the coordinator/shard/merge pipeline) — each with a non-zero
-# knee and the profile's level mix (scripts/capacity_smoke.sh, ~1 min).
+# search, with a non-zero knee and the profile's level mix
+# (scripts/capacity_smoke.sh, ~20 s).
 capacity-smoke:
 	scripts/capacity_smoke.sh
 
@@ -141,17 +145,11 @@ load:
 soak:
 	$(GO) run ./cmd/argus-load -profile standard
 
-# Capacity knee search (BENCH_10.json): bracket-and-bisect search over the
-# open-loop arrival rate on a widened ci-soak topology (192 subjects so the
-# knee is compute-bound, not subject-bound), single process first, then the
-# same fleet — same level mix, same driver — sharded across two processes (the
-# coordinator re-executing itself as `argus-load shard`) with merged verdicts.
-# A few minutes of wall time; regenerates BENCH_10.json (the committed file is
-# frozen history until ROADMAP item 1b re-measures: see EXPERIMENTS.md).
+# Capacity knee search: bracket-and-bisect over the open-loop arrival rate
+# on a widened ci-soak topology (192 subjects), in this one process; the
+# document goes to stdout. BENCH_10.json is frozen history (EXPERIMENTS.md).
 capacity:
-	$(GO) run ./cmd/argus-load -capacity -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-single.json
-	$(GO) run ./cmd/argus-load -capacity -procs 2 -profile ci-soak -subjects 16 -cap-duration 3s -out /tmp/argus-cap-procs2.json
-	{ printf '{\n"single_process": '; cat /tmp/argus-cap-single.json; printf ',\n"two_process": '; cat /tmp/argus-cap-procs2.json; printf '}\n'; } > BENCH_10.json
+	$(GO) run ./cmd/argus-load -capacity -profile ci-soak -subjects 16 -cap-duration 3s
 
 clean:
 	$(GO) clean ./...

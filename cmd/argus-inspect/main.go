@@ -14,6 +14,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"argus/internal/backend"
@@ -21,30 +22,36 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run inspects the one file named in args and returns the exit status: 0
+// printed, 1 unreadable or neither kind of snapshot, 2 a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := false
-	args := os.Args[1:]
 	if len(args) > 0 && args[0] == "-json" {
 		jsonOut = true
 		args = args[1:]
 	}
 	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: argus-inspect [-json] <snapshot-file>")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: argus-inspect [-json] <snapshot-file>")
+		return 2
 	}
 	blob, err := os.ReadFile(args[0])
+	if err == nil {
+		if b, rerr := backend.Restore(blob); rerr == nil {
+			err = inspectBackend(stdout, b, len(blob), jsonOut)
+		} else if snap, perr := obs.ParseSnapshot(blob); perr == nil {
+			err = inspectMetrics(stdout, snap, jsonOut)
+		} else {
+			err = fmt.Errorf("%s is neither a backend snapshot nor a metrics snapshot", args[0])
+		}
+	}
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "argus-inspect:", err)
+		return 1
 	}
-
-	if b, err := backend.Restore(blob); err == nil {
-		inspectBackend(b, len(blob), jsonOut)
-		return
-	}
-	if snap, err := obs.ParseSnapshot(blob); err == nil {
-		inspectMetrics(snap, jsonOut)
-		return
-	}
-	fail(fmt.Errorf("%s is neither a backend snapshot nor a metrics snapshot", args[0]))
+	return 0
 }
 
 // backendJSON is the -json projection of a backend snapshot (no key material).
@@ -79,7 +86,7 @@ type groupJSON struct {
 	KeyVersion  uint64 `json:"key_version"`
 }
 
-func inspectBackend(b *backend.Backend, size int, jsonOut bool) {
+func inspectBackend(w io.Writer, b *backend.Backend, size int, jsonOut bool) error {
 	out := backendJSON{Bytes: size, Strength: fmt.Sprint(b.Strength())}
 	for _, p := range b.Policies() {
 		out.Policies = append(out.Policies, policyJSON{
@@ -108,44 +115,44 @@ func inspectBackend(b *backend.Backend, size int, jsonOut bool) {
 	}
 
 	if jsonOut {
-		emitJSON(out)
-		return
+		return emitJSON(w, out)
 	}
-	fmt.Printf("backend snapshot: %d bytes, strength %v\n\n", out.Bytes, out.Strength)
-	fmt.Println("policies:")
+	fmt.Fprintf(w, "backend snapshot: %d bytes, strength %v\n\n", out.Bytes, out.Strength)
+	fmt.Fprintln(w, "policies:")
 	for _, p := range out.Policies {
-		fmt.Printf("  #%d  subject[%s]  object[%s]  rights%v\n", p.ID, p.Subject, p.Object, p.Rights)
+		fmt.Fprintf(w, "  #%d  subject[%s]  object[%s]  rights%v\n", p.ID, p.Subject, p.Object, p.Rights)
 	}
-	fmt.Println("\nobjects:")
+	fmt.Fprintln(w, "\nobjects:")
 	for _, o := range out.Objects {
-		fmt.Printf("  %-24s %-8s attrs[%s] functions%v", o.Name, o.Level, o.Attrs, o.Functions)
+		fmt.Fprintf(w, "  %-24s %-8s attrs[%s] functions%v", o.Name, o.Level, o.Attrs, o.Functions)
 		if o.Revoked > 0 {
-			fmt.Printf(" blacklist=%d", o.Revoked)
+			fmt.Fprintf(w, " blacklist=%d", o.Revoked)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\nsecret groups:")
+	fmt.Fprintln(w, "\nsecret groups:")
 	for _, g := range out.Groups {
-		fmt.Printf("  #%d  %q  γ=%d  key-version=%d\n", g.ID, g.Description, g.Size, g.KeyVersion)
+		fmt.Fprintf(w, "  #%d  %q  γ=%d  key-version=%d\n", g.ID, g.Description, g.Size, g.KeyVersion)
 	}
+	return nil
 }
 
-func inspectMetrics(snap *obs.Snapshot, jsonOut bool) {
+func inspectMetrics(w io.Writer, snap *obs.Snapshot, jsonOut bool) error {
 	if jsonOut {
-		emitJSON(snap)
-		return
+		return emitJSON(w, snap)
 	}
-	fmt.Printf("metrics snapshot: %d series\n\n", len(snap.Metrics))
+	fmt.Fprintf(w, "metrics snapshot: %d series\n\n", len(snap.Metrics))
 	for i := range snap.Metrics {
 		m := &snap.Metrics[i]
 		switch m.Type {
 		case "histogram":
-			fmt.Printf("  %-44s %s count=%d sum=%g p50=%g p95=%g p99=%g\n",
+			fmt.Fprintf(w, "  %-44s %s count=%d sum=%g p50=%g p95=%g p99=%g\n",
 				m.Name+labelSuffix(m), m.Type, m.Count, m.Sum, m.P50, m.P95, m.P99)
 		default:
-			fmt.Printf("  %-44s %s %g\n", m.Name+labelSuffix(m), m.Type, m.Value)
+			fmt.Fprintf(w, "  %-44s %s %g\n", m.Name+labelSuffix(m), m.Type, m.Value)
 		}
 	}
+	return nil
 }
 
 func labelSuffix(m *obs.Metric) string {
@@ -159,15 +166,8 @@ func labelSuffix(m *obs.Metric) string {
 	return obs.LabelString(ls)
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "argus-inspect:", err)
-	os.Exit(1)
+	return enc.Encode(v)
 }

@@ -11,49 +11,36 @@
 //	argus-load -profile standard -out BENCH_5.json
 //	argus-load -profile ci-soak -cells 4 -subjects 4 -waves 2 -seed 3
 //	argus-load -profile ci-soak -obs 127.0.0.1:0   # then: argus-ops -attach <addr>
-//	argus-load -capacity -procs 2 -profile ci-soak # knee search over two processes
+//	argus-load -capacity -profile ci-soak          # knee search in this process
 //
-// With -procs N the coordinator re-executes this binary as its shards
-// (`argus-load shard <shard flags>`, internal/fleetcoord): there is no second
-// binary to build or locate.
-//
-// The report is written as indented JSON to stdout (or -out); progress lines
-// go to stderr unless -quiet. Exit status is 0 only when every SLO check
-// passes, so the command slots directly into CI.
+// The report is written as indented JSON to stdout (or -out, created before
+// the fleet is built); progress lines go to stderr unless -quiet. Exit status
+// is 0 only when every SLO check passes, so the command slots directly into
+// CI; 2 is a usage, setup or output error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"time"
 
-	"argus/internal/fleetcoord"
 	"argus/internal/load"
 	"argus/internal/realtime"
 )
 
 func main() {
-	// The -procs coordinator re-executes this binary as its shard children,
-	// `argus-load shard <shard flags>`: the shard parses its own flag set, so
-	// the word is dispatched before flag.Parse sees anything.
-	if len(os.Args) > 1 && os.Args[1] == "shard" {
-		if err := fleetcoord.ShardMain(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	os.Exit(run())
 }
 
 // run executes the command and returns the process exit code. It exists so
-// the deferred profile writers fire on every exit path, including SLO
-// failures.
-func run() int {
+// the deferred profile writers and the -out close fire on every exit path,
+// including SLO failures.
+func run() (code int) {
 	var (
 		profile  = flag.String("profile", "ci-soak", "built-in profile name (see -list)")
 		list     = flag.Bool("list", false, "list built-in profiles and exit")
@@ -79,13 +66,17 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (after the run, post-GC) to this file")
 
 		capacity  = flag.Bool("capacity", false, "search for the max sustainable open-loop rate instead of running the profile once")
-		procs     = flag.Int("procs", 0, "capacity: shard the fleet across this many child processes, each this binary run again as argus-load shard (implies -capacity)")
 		capStart  = flag.Float64("cap-start", 0, "capacity: first offered rate in sessions/s (0 = default)")
 		capTol    = flag.Float64("cap-tol", 0, "capacity: relative bracket tolerance to converge at (0 = default)")
 		capTrials = flag.Int("cap-trials", 0, "capacity: hard trial budget (0 = default)")
 		capDur    = flag.Duration("cap-duration", 0, "capacity: measured window per trial (0 = default)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "argus-load: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -185,14 +176,31 @@ func run() int {
 		}
 	}
 
-	if *capacity || *procs > 0 {
+	// The report's destination is opened before any fleet is built: a bad
+	// path costs nothing, and a failed close (a short write) is an error.
+	w := io.Writer(os.Stdout)
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
+			return 2
+		}
+		defer func() {
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
+				code = 2
+			}
+		}()
+		w = f
+	}
+
+	if *capacity {
 		return runCapacity(*profile, p, capacityOpts{
-			procs:  *procs,
 			start:  *capStart,
 			tol:    *capTol,
 			trials: *capTrials,
 			dur:    *capDur,
-			out:    *out,
+			out:    w,
 			quiet:  *quiet,
 		})
 	}
@@ -223,16 +231,6 @@ func run() int {
 		return 2
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "argus-load: %v\n", err)
-			return 2
-		}
-		defer f.Close()
-		w = f
-	}
 	if err := rep.WriteJSON(w); err != nil {
 		fmt.Fprintf(os.Stderr, "argus-load: write report: %v\n", err)
 		return 2

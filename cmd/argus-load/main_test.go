@@ -118,31 +118,53 @@ func TestProfileFlagsWriteHeadlessProfiles(t *testing.T) {
 	}
 }
 
-// TestShardWordRunsTheShard: `argus-load shard <flags>` is dispatched to the
-// shard's own flag set before argus-load's, so a bad shard flag set exits
-// non-zero with the shard's error, not argus-load's usage.
-func TestShardWordRunsTheShard(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "shard", "-shard-index", "2", "-shards", "2", "-addr-file", "x")
-	cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("out-of-range shard index exited 0:\n%s", out)
-	}
-	if want := "shard: index 2 outside [0, 2)"; !strings.Contains(string(out), want) {
-		t.Fatalf("shard printed %q, want its own error %q", out, want)
+// TestStrayArgumentIsAUsageError: argus-load takes no positional arguments,
+// so a stray word prints the usage and exits 2 instead of starting a run.
+func TestStrayArgumentIsAUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-list", "typo"}, {"shard", "-profile", "ci-soak"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("argus-load %v: %v, want exit 2\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "Usage") {
+			t.Fatalf("argus-load %v printed no usage:\n%s", args, out)
+		}
 	}
 }
 
-// TestCapacitySelfExecE2E runs the sharded capacity search end to end on the
-// 2×2×2 smoke fleet: the coordinator child re-executes its own binary (this
-// test binary, through the trampoline) as its two shards, finds a knee, and
-// reports the profile's level mix — the same mix the in-process placement
-// resolves (scripts/capacity_smoke.sh holds the two against each other).
-func TestCapacitySelfExecE2E(t *testing.T) {
+// TestBadOutFailsBeforeTheFleet: an -out under a missing directory exits 2
+// before any fleet is built, on the profile and the capacity path alike —
+// on `standard`, building the fleet alone takes far longer than the bound.
+func TestBadOutFailsBeforeTheFleet(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "missing", "report.json")
+	for _, args := range [][]string{
+		{"-profile", "standard", "-quiet", "-out", out},
+		{"-capacity", "-profile", "standard", "-quiet", "-out", out},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
+		start := time.Now()
+		msg, err := cmd.CombinedOutput()
+		took := time.Since(start)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("argus-load %v: %v, want exit 2\n%s", args, err, msg)
+		}
+		if took >= 2*time.Second {
+			t.Fatalf("argus-load %v took %v to reject its -out, want < 2s", args, took)
+		}
+	}
+}
+
+// TestCapacityInProcessE2E runs the capacity search end to end on the 2×2×2
+// smoke fleet (the flags of scripts/capacity_smoke.sh): a non-zero knee, the
+// profile's level mix in the warm wave, and one placement, so no procs key.
+func TestCapacityInProcessE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
-	cmd := exec.Command(os.Args[0], "-capacity", "-procs", "2",
+	cmd := exec.Command(os.Args[0], "-capacity",
 		"-profile", "ci-soak", "-cells", "2", "-subjects", "2", "-objects", "2",
 		"-cap-start", "25", "-cap-tol", "0.5", "-cap-trials", "4", "-cap-duration", "1s", "-quiet")
 	cmd.Env = append(os.Environ(), "ARGUS_LOAD_CHILD=1")
@@ -150,10 +172,9 @@ func TestCapacitySelfExecE2E(t *testing.T) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("argus-load -capacity -procs 2: %v\n%s", err, stderr.Bytes())
+		t.Fatalf("argus-load -capacity: %v\n%s", err, stderr.Bytes())
 	}
 	var doc struct {
-		Procs       int               `json:"procs"`
 		WarmByLevel map[string]uint64 `json:"warm_sessions_by_level"`
 		Search      struct {
 			Knee float64 `json:"knee_sessions_per_second"`
@@ -162,10 +183,17 @@ func TestCapacitySelfExecE2E(t *testing.T) {
 	if err := json.Unmarshal(out, &doc); err != nil {
 		t.Fatalf("capacity document: %v\n%s", err, out)
 	}
-	if doc.Procs != 2 || doc.Search.Knee <= 0 {
-		t.Fatalf("procs %d, knee %v: want two processes and a non-zero knee", doc.Procs, doc.Search.Knee)
+	if doc.Search.Knee <= 0 {
+		t.Fatalf("knee %v: want a non-zero knee", doc.Search.Knee)
 	}
 	if want := map[string]uint64{"1": 2, "2": 4, "3": 2}; !reflect.DeepEqual(doc.WarmByLevel, want) {
 		t.Fatalf("warm_sessions_by_level %v, want %v", doc.WarmByLevel, want)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(out, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["procs"]; ok {
+		t.Fatalf("capacity document carries a procs key:\n%s", out)
 	}
 }

@@ -403,8 +403,8 @@ func TestGatewayDLQDrainOnSIGTERM(t *testing.T) {
 }
 
 // TestShardRoleIsAUsageError: the daemon hosts subject, object and gateway
-// only — the load harness's shard is `argus-load shard`, and asking the node
-// for it is the unknown-role usage error, not a fleet.
+// only — the load harness's fleet lives in argus-load, and asking the node
+// for a shard is the unknown-role usage error, not a fleet.
 func TestShardRoleIsAUsageError(t *testing.T) {
 	out, err := child("-role", "shard").CombinedOutput()
 	if err == nil {

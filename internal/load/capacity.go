@@ -13,8 +13,7 @@ import (
 // fleet sustains under the SLO gates and, at the first failing rate, which
 // resource gave out. The search itself is pure control logic over a
 // TrialFunc, so the deterministic tests drive it with a synthetic oracle and
-// the binaries drive it with a live fleet (in-process via CapacitySession,
-// cross-process via fleetcoord).
+// argus-load drives it with a live fleet through CapacitySession.
 
 // TrialCounters is the per-trial slice of obs counters the bottleneck
 // attribution reads, each summed over the trial's diff window.

@@ -42,11 +42,10 @@ func NewSlot(eng *core.Subject, ep transport.Endpoint, fanout int) *Slot {
 // the slots it is handed — a closed Wave or a Poisson OpenLoop — credits
 // completions exactly once, writes off what a deadline leaves, and owns the
 // argus_load_* families, which are the only ledger a snapshot consumer
-// (SnapshotReport, argus-ops, fleetcoord) reads. The in-process runner, the
-// capacity session and the fleetcoord shard all drive their fleets through
-// it, so a knee measured on one placement is the same measurement as on
-// another. Wave, OpenLoop and Quiesce belong to one orchestrating goroutine;
-// Complete runs on engine event loops.
+// (SnapshotReport, argus-ops) reads. The profile runner and the capacity
+// session both drive their fleets through it, so a knee and a soak measure
+// one driver. Wave, OpenLoop and Quiesce belong to one orchestrating
+// goroutine; Complete runs on engine event loops.
 type Driver struct {
 	pending func() int // Σ PendingSessions over the driven fleet
 

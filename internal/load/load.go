@@ -20,11 +20,10 @@
 // # Driver
 //
 // One Driver (driver.go) arms rounds, credits completions and owns the
-// argus_load_* families, for a profile run here, for a capacity session's
-// trials, and for a fleetcoord shard's slice of a multi-process fleet. Closed
-// loop, it arms synchronized waves: every subject runs one discovery round
-// per wave, and the next wave starts only when the previous has drained
-// (think time in between). Wave 0 runs against a cold verify cache; later
+// argus_load_* families, for a profile run here and for a capacity
+// session's trials. Closed loop, it arms synchronized waves: every subject
+// runs one discovery round per wave, and the next wave starts only when the
+// previous has drained (think time in between). Wave 0 runs against a cold verify cache; later
 // waves are warm. Open loop, it instead issues rounds as a Poisson arrival
 // process at Rate rounds/second over the subject pool, so queueing is driven
 // by offered load rather than by completion.

@@ -9,7 +9,7 @@ import (
 )
 
 // buildReport starts from the snapshot-computable report over the run's own
-// window of the registry — the same figures argus-ops and fleetcoord read —
+// window of the registry — the same figures argus-ops reads —
 // and adds what only the ledger knows.
 func (r *runner) buildReport(wall time.Duration, leaked int64) *slo.Report {
 	p := r.p

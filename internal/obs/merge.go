@@ -2,11 +2,10 @@ package obs
 
 import "sort"
 
-// This file implements snapshot algebra for the multi-process fleet: each
-// argus-load shard serves its own registry, the coordinator scrapes all of
-// them, subtracts the pre-trial baseline per process (DiffSnapshots) and sums
-// the per-process windows into one fleet-wide view (MergeSnapshots) that
-// slo.SnapshotReport and the SLO gates consume unchanged.
+// This file implements snapshot algebra: a window of one registry is
+// after − before (DiffSnapshots), and windows scraped from several processes
+// sum into one fleet-wide view (MergeSnapshots) that slo.SnapshotReport and
+// the SLO gates consume unchanged.
 //
 // Merge semantics, by metric type:
 //
@@ -27,7 +26,8 @@ import "sort"
 // MergeSnapshots folds per-process snapshots into a single fleet-wide
 // snapshot. The result is sorted like Registry.Snapshot output; inputs are
 // not modified. Nil snapshots are ignored; with no usable input the result
-// is empty.
+// is empty. Nothing ships it today: its tests and FuzzMergeSnapshots hold
+// the algebra for a fleet view in argus-ops over several obs planes.
 func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
 	merged := map[string]*Metric{}
 	for _, s := range snaps {

@@ -9,7 +9,7 @@ import (
 )
 
 // mkCounter / mkGauge / mkHist build snapshot metrics directly, the way
-// ParseSnapshot would deliver them from a scraped shard.
+// ParseSnapshot would deliver them from a scraped obs plane.
 func mkCounter(name string, v float64, labels map[string]string) Metric {
 	return Metric{Name: name, Type: "counter", Labels: labels, Value: v}
 }

@@ -109,8 +109,7 @@ const (
 	MLoadUnexpected   = "argus_load_unexpected_total"
 	// MLoadSkipped counts open-loop arrivals that found every subject busy —
 	// offered load the fleet could not absorb (never queued, by definition of
-	// open-loop). The capacity search's utilization gate reads this family, so
-	// multi-process shards must emit it too.
+	// open-loop). The capacity search's utilization gate reads this family.
 	MLoadSkipped = "argus_load_skipped_arrivals_total"
 
 	// internal/load — scenario diversity (mobility + duty cycling). Roams

@@ -217,10 +217,9 @@ func gaugeOr(snap *obs.Snapshot, name string, def int64, labels ...obs.Label) in
 // SnapshotReport derives the snapshot-computable slice of a Report from one
 // obs snapshot: latency quantiles, redelivery lag, counter families, and the
 // load totals the driver's families expose. argus-ops evaluates the
-// streaming SLO gates against this, fleetcoord judges merged per-process
-// windows with it, and a finished run's report starts from it, so a live
-// tail and the finished report share one set of definitions. Ledger-only
-// fields (late, level mismatch, open-handshake peak, wave stats,
+// streaming SLO gates against this, and a finished run's report starts from
+// it, so a live tail and the finished report share one set of definitions.
+// Ledger-only fields (late, level mismatch, open-handshake peak, wave stats,
 // predictions) are zero.
 func SnapshotReport(snap *obs.Snapshot) *Report {
 	rep := &Report{Latency: map[string]Quantiles{}, Counters: map[string]int64{}}

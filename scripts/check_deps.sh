@@ -3,7 +3,7 @@
 # may import whom"). Plain `go list`, nothing downloaded. Fails when
 #
 #   1. the daemon, ./cmd/argus-node, links a harness package
-#      (internal/{load,fleetcoord,adversary,netsim,scale,chaos,exp}),
+#      (internal/{load,adversary,netsim,scale,chaos,exp}),
 #   2. the reader, ./cmd/argus-ops, links any internal package other than
 #      obs, realtime and slo,
 #   3. internal/slo links any internal package other than obs, or
@@ -47,7 +47,7 @@ allow_only() {
 node_deps=$(internal_deps ./cmd/argus-node)
 for dep in $node_deps; do
 	case $dep in
-	load | fleetcoord | adversary | netsim | scale | chaos | exp)
+	load | adversary | netsim | scale | chaos | exp)
 		echo "FAIL ./cmd/argus-node links internal/$dep (a harness package in the daemon)"
 		status=1
 		;;
