@@ -15,8 +15,8 @@ FUZZTIME ?= 15s
 #   make bench-check   allocs/op ceilings of the codec and the warm handshake
 #                      (internal/wire, internal/core; scripts/check_bench.sh)
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
-#                      `failed` 0, `correct` true and a `frames_per_session`
-#                      ceiling on every run
+#                      `failed` 0, `correct` true and `frames_per_session`
+#                      and `allocs_per_session` ceilings on every run
 #   make capacity      the capacity knee of one ci-soak fleet, searched in
 #                      process: the search ladder and the warm wave's
 #                      sessions, seconds and level mix as JSON on stdout
@@ -129,8 +129,8 @@ bench-check:
 
 # No more failures than the parent: the declared benchmark over its four
 # workloads × seeds 1–5, failing unless every run reports `failed` 0,
-# `correct` true and a `frames_per_session` under its workload's ceiling — a
-# count, so it does not hang on the host (scripts/bench_failcheck.sh, ~10 min;
+# `correct` true and `frames_per_session` and `allocs_per_session` under
+# their workload's ceilings — counts, so they do not hang on the host (scripts/bench_failcheck.sh, ~10 min;
 # narrow it with WORKLOADS="churn" SEEDS="1 2"). A rare dead end in the protocol's state
 # machine shows here, as a round that waits out the 8 s limit, while every
 # median improves; run it on the parent and on the change.

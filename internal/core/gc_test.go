@@ -143,6 +143,24 @@ func TestSessionGCUnderTotalRES2Loss(t *testing.T) {
 	}
 }
 
+// TestAnsweredSessionsAreNoExpiries: an answered session leaving the
+// object's resend cache completed its handshake, so a lossless round, full or
+// resumed, expires nothing on either side once every table has drained.
+func TestAnsweredSessionsAreNoExpiries(t *testing.T) {
+	f := newResumeFixture(t, 3) // a full round, drained
+	if got, _ := f.round(t); len(got) != 3 {
+		t.Fatalf("resumed round: %d discoveries, want 3", len(got))
+	}
+	if n := f.objectPending(); n != 0 {
+		t.Fatalf("objects still hold %d sessions after the drain", n)
+	}
+	for _, role := range []string{"subject", "object"} {
+		if got := counterValue(t, f.reg, obs.MSessionsExpired, obs.L("role", role)); got != 0 {
+			t.Errorf("%s expiry counter = %d after two lossless rounds, want 0", role, got)
+		}
+	}
+}
+
 // TestRetryDisabledKeepsSeedSessionSemantics pins that the zero policy keeps
 // the pre-retry behavior: no expiry timers (sessions prune by round age), no
 // resends, and a lost RES2 leaves the session until the next-next round.

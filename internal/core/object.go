@@ -444,7 +444,8 @@ func (o *Object) cache(sess *objSession) {
 
 // armCache keeps one wheel entry armed for the oldest cached answer. An entry
 // armed for an answer that was shed meanwhile fires early, finds nothing due
-// and re-arms.
+// and re-arms. An answer leaving the cache is no session expiry: only the
+// handshakes that never got their QUE2 count as one (scheduleGC).
 func (o *Object) armCache() {
 	if o.cacheArmed || o.cached == nil {
 		return
@@ -454,7 +455,6 @@ func (o *Object) armCache() {
 		o.cacheArmed = false
 		for now := o.ep.Now(); o.cached != nil && o.cached.until <= now; {
 			o.remove(o.cached)
-			o.tel.sessionExpired()
 		}
 		o.armCache()
 	})

@@ -34,6 +34,13 @@ type ticketID = [suite.TicketIDSize]byte
 // plus everything the skipped credential checks had established, so a resumed
 // session is bound to the same peer, the same credentials and the same
 // validity window as the handshake that minted it.
+//
+// The subject side also keeps the PROF_O it admin-verified when the chain of
+// tickets began: the SHA-256 of its plaintext and the decoded profile. A
+// resumed RES2 whose MAC_O verified and whose plaintext hashes to profO, inside
+// the profile's window, is that profile, and is not verified again
+// (boundProfile); any other plaintext is verified and then bound to the next
+// ticket in its place.
 type ticket struct {
 	id     ticketID
 	secret []byte
@@ -43,7 +50,9 @@ type ticket struct {
 	notBefore, notAfter time.Time
 	used                uint64 // table clock at filing, for eviction
 
-	certO [32]byte // subject side: SHA-256 of the CERT_O bytes it was minted under
+	certO [32]byte      // subject side: SHA-256 of the CERT_O bytes it was minted under
+	profO [32]byte      // subject side: SHA-256 of the PROF_O plaintext verified at minting
+	prof  *cert.Profile // subject side: that PROF_O, decoded (shared, read-only)
 
 	subject cert.ID  // object side: the verified subject identity
 	attrs   attr.Set // object side: the attributes of the verified PROF_S, for matchVariant
@@ -52,6 +61,18 @@ type ticket struct {
 // valid reports whether now lies inside the ticket's validity window.
 func (t *ticket) valid(now time.Time) bool {
 	return !now.Before(t.notBefore) && !now.After(t.notAfter)
+}
+
+// boundProfile returns the PROF_O the ticket is bound to if digest is the
+// SHA-256 of its plaintext and now lies inside its window, nil otherwise.
+func (t *ticket) boundProfile(digest [32]byte, now time.Time) *cert.Profile {
+	if t.prof == nil || digest != t.profO {
+		return nil
+	}
+	if nb, na := t.prof.Window(); now.Before(nb) || now.After(na) {
+		return nil
+	}
+	return t.prof
 }
 
 // minted returns the ticket for the next session of the pairing t describes,

@@ -4,7 +4,9 @@ package core
 // costs, and every way a ticket must stop working.
 
 import (
+	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"strconv"
 	"testing"
 	"time"
@@ -135,7 +137,9 @@ func onlyTicket(t *testing.T, tt *ticketTable) *ticket {
 
 // TestResumedSessionCost: the second discovery between the same two ends is
 // the same four frames, costs neither end a signature, a signature check, a
-// key generation or an ECDH, and both ends say so in their counters.
+// key generation or an ECDH — the subject receives the PROF_O its ticket was
+// minted on, and does not verify it again — and both ends say so in their
+// counters.
 func TestResumedSessionCost(t *testing.T) {
 	const n = 3
 	f := newResumeFixture(t, n)
@@ -187,7 +191,7 @@ func TestResumedSessionCost(t *testing.T) {
 	}
 	want := map[key]int64{
 		{"subject", opSign}: 0, {"subject", opKexGen}: 0, {"subject", opKexShared}: 0,
-		{"subject", opVerify}: n, // PROF_O stays admin-verified end to end
+		{"subject", opVerify}: 0, // the PROF_O bytes verified at minting
 		{"subject", opCipher}: n,
 		{"subject", opHMAC}:   n * (1 + 4 + 3),            // hint | K2′ MAC_S2 K3 MAC_S3 | two MAC_O trials, next ticket
 		{"object", opSign}:    0, {"object", opKexGen}: 0, // the hint found the ticket: nothing to sign for
@@ -294,10 +298,17 @@ func TestRefreshInvalidatesTickets(t *testing.T) {
 	if f.subject.Tickets() != 0 {
 		t.Fatal("subject Refresh kept its tickets")
 	}
+	// No ticket, so no bound PROF_O: a rotated trust anchor is a re-provision
+	// too, and the next RES2 is verified against it.
+	verifies := f.ops(t, "subject", opVerify)
 	got, frames = f.round(t)
 	if len(got) != 1 || len(frames) != 4 {
 		t.Fatalf("round after subject Refresh: %d discoveries over %d frames, want 1 over 4", len(got), len(frames))
 	}
+	if n := f.ops(t, "subject", opVerify) - verifies; n != 3 { // CERT_O, SIG_O, PROF_O
+		t.Errorf("full handshake after subject Refresh: %d verifications, want 3", n)
+	}
+	wantBound(t, onlyTicket(t, &f.subject.tickets), f.only().variantEnc[0])
 	f.want(t, "after subject Refresh", 3, 0, 1)
 }
 
@@ -346,6 +357,144 @@ func TestTicketNeverOutlivesValidityWindow(t *testing.T) {
 		t.Fatalf("round with an expired subject-side ticket: %d discoveries over %d frames", len(got), len(frames))
 	}
 	f.want(t, "subject-side expiry", 3, 1, 1)
+}
+
+// wantBound asserts that the subject's one ticket is bound to the PROF_O
+// whose plaintext is plain.
+func wantBound(t *testing.T, tk *ticket, plain []byte) {
+	t.Helper()
+	if tk.prof == nil || tk.profO != sha256.Sum256(plain) || !bytes.Equal(tk.prof.Encode(), plain) {
+		t.Fatal("the ticket is not bound to the PROF_O just verified")
+	}
+}
+
+// TestResumedRES2OtherFaceReverified: a Level 3 object answers a resumed
+// session with whichever face the round's group key earns. A face other than
+// the one the ticket was minted on is verified, once, and the next ticket is
+// bound to it; the same face again is verified by nobody.
+func TestResumedRES2OtherFaceReverified(t *testing.T) {
+	f := newResumeFixtureAt(t, 1, L3, netsim.DefaultWiFi())
+	o := f.only()
+	other, err := f.b.Groups.CreateGroup("others")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.b.AddSubjectToGroup(f.subject.ID(), other.ID()); err != nil {
+		t.Fatal(err)
+	}
+	prov, err := f.b.ProvisionSubject(f.subject.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.subject.Refresh(prov)
+	if got, _ := f.round(t); len(got) != 1 { // a full handshake, minted afresh
+		t.Fatalf("round after Refresh: %d discoveries, want 1", len(got))
+	}
+	last := f.subject.Results()[0].Level
+	for _, step := range []struct {
+		rotate   bool
+		verifies int64
+	}{{true, 1}, {false, 0}, {true, 1}, {false, 0}} {
+		if step.rotate {
+			f.subject.NextGroup()
+		}
+		before := f.ops(t, "subject", opVerify)
+		got, _ := f.round(t)
+		if len(got) != 1 {
+			t.Fatalf("resumed round: %d discoveries, want 1", len(got))
+		}
+		if changed := got[0].Level != last; changed != step.rotate {
+			t.Fatalf("rotate=%v: face went %v → %v", step.rotate, last, got[0].Level)
+		}
+		last = got[0].Level
+		if n := f.ops(t, "subject", opVerify) - before; n != step.verifies {
+			t.Errorf("rotate=%v: the subject verified %d times, want %d", step.rotate, n, step.verifies)
+		}
+		face := 0
+		if last == L3 {
+			face = o.firstCovertVariant()
+		}
+		wantBound(t, onlyTicket(t, &f.subject.tickets), o.variantEnc[face])
+	}
+	f.want(t, "after the face changes", 2, 4, 0)
+}
+
+// TestResumedRES2ResignedProfileReverified: the same profile signed again is
+// other bytes. The object keeps its ticket (only its encoding changed, not its
+// provision), so the session resumes, and the subject verifies the new bytes
+// once and binds the next ticket to them.
+func TestResumedRES2ResignedProfileReverified(t *testing.T) {
+	f := newResumeFixture(t, 1)
+	o := f.only()
+	prov, err := f.b.ProvisionObject(o.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resigned := prov.Variants[0].Profile.Encode()
+	if bytes.Equal(resigned, o.variantEnc[0]) {
+		t.Fatal("re-provisioning returned the same PROF_O bytes")
+	}
+	o.variantEnc[0] = resigned
+	for i, want := range []int64{1, 0} {
+		before := f.ops(t, "subject", opVerify)
+		if got, _ := f.round(t); len(got) != 1 {
+			t.Fatalf("round %d: %d discoveries, want 1", i, len(got))
+		}
+		if n := f.ops(t, "subject", opVerify) - before; n != want {
+			t.Errorf("round %d: the subject verified %d times, want %d", i, n, want)
+		}
+		wantBound(t, onlyTicket(t, &f.subject.tickets), resigned)
+	}
+	f.want(t, "after the re-signed rounds", 1, 2, 0)
+}
+
+// TestResumedRES2UnsignedProfileRefused: MAC_O proves the RES2 came from the
+// ticket's holder, not that the admin signed what it carries. A PROF_O whose
+// signature does not verify is no discovery, and the ticket stays bound to
+// what was verified.
+func TestResumedRES2UnsignedProfileRefused(t *testing.T) {
+	f := newResumeFixture(t, 1)
+	o := f.only()
+	st := onlyTicket(t, &f.subject.tickets)
+	bound := st.prof
+	forged := *o.prov.Variants[0].Profile
+	forged.Functions = append([]string{"unlock"}, forged.Functions[1:]...)
+	o.variantEnc[0] = forged.Encode()
+	if got, _ := f.round(t); len(got) != 0 {
+		t.Fatalf("an unsigned PROF_O was discovered: %+v", got[0].Profile)
+	}
+	if tk := onlyTicket(t, &f.subject.tickets); tk.id != st.id || tk.prof != bound {
+		t.Error("a RES2 carrying an unverified PROF_O minted or bound a ticket")
+	}
+}
+
+// TestResumedRES2ClosedWindowReverified: a bound profile is trusted only
+// inside its own validity window. Once it has closed, the bytes are verified
+// again (here they still hold), and the next ticket binds what was verified.
+func TestResumedRES2ClosedWindowReverified(t *testing.T) {
+	f := newResumeFixture(t, 1)
+	o := f.only()
+	st := onlyTicket(t, &f.subject.tickets)
+	closed := *st.prof
+	closed.Expires = time.Now().Add(-time.Second)
+	st.prof = &closed
+	before := f.ops(t, "subject", opVerify)
+	got, _ := f.round(t)
+	if len(got) != 1 {
+		t.Fatalf("round: %d discoveries, want 1", len(got))
+	}
+	if n := f.ops(t, "subject", opVerify) - before; n != 1 {
+		t.Errorf("the subject verified %d times, want 1", n)
+	}
+	if got[0].Profile == &closed {
+		t.Error("the expired bound profile was reported as discovered")
+	}
+	tk := onlyTicket(t, &f.subject.tickets)
+	if tk.prof == &closed {
+		t.Error("the next ticket kept the expired bound profile")
+	}
+	wantBound(t, tk, o.variantEnc[0])
+	f.want(t, "after the re-verified round", 1, 1, 0)
 }
 
 // TestReplayAndForeignAddressRefused: a short QUE2 is worth nothing to anyone

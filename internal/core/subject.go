@@ -812,7 +812,8 @@ func (s *Subject) scheduleExpiry(key sessionKey, sess *subjSession) {
 
 // handleRES2 completes the handshake: determine which key the object used
 // (K2 → Level 2 face, K3 → Level 3 fellow), verify, decrypt, and verify the
-// admin signature on the received PROF variant.
+// admin signature on the received PROF variant — unless a resumed session
+// received the very bytes its ticket was minted on (ticket.boundProfile).
 func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	// RES2 carries no R_S echo, so locate the pending session by peer,
 	// preferring the most recent round if several are outstanding.
@@ -877,18 +878,36 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	if err != nil {
 		return
 	}
-	prof, err := s.vcache.DecodeProfile(plain, s.prov.CACert, s.prov.AdminPub, time.Now())
-	if err != nil || prof.Kind != cert.RoleObject {
-		return // service information is admin-signed end to end
+	// Service information is admin-signed end to end. A resumed session whose
+	// plaintext is the PROF_O its ticket was minted on carries bytes whose
+	// signature was checked then; anything else is verified now.
+	now := time.Now()
+	var digest [32]byte
+	var prof *cert.Profile
+	if s.retry.Enabled() {
+		digest = sha256.Sum256(plain)
+		prof = sess.next.boundProfile(digest, now)
+	}
+	verifies := 0
+	if prof == nil {
+		prof, err = s.vcache.DecodeProfile(plain, s.prov.CACert, s.prov.AdminPub, now)
+		if err != nil || prof.Kind != cert.RoleObject {
+			return
+		}
+		verifies = 1
 	}
 
 	hmacs := 2
 	if s.retry.Enabled() {
 		// The handshake is complete and everything it carried is verified:
 		// file the ticket for the next one. After a resumed session this is
-		// the ratchet step — the ticket just used is overwritten.
+		// the ratchet step — the ticket just used is overwritten. A reused
+		// profile narrowed the window when it was bound.
 		next := sess.next.minted(sess.k2, sess.tsHash)
-		next.narrowTo(prof.Window())
+		if verifies > 0 {
+			next.narrowTo(prof.Window())
+			next.profO, next.prof = digest, prof
+		}
 		s.tickets.put(from, next)
 		if sess.resumed {
 			s.tel.resumption(resultResumed)
@@ -897,11 +916,11 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		}
 		hmacs++
 	}
-	cost := time.Duration(hmacs)*s.costs.HMAC + s.costs.Cipher + s.costs.Verify
+	cost := time.Duration(hmacs)*s.costs.HMAC + s.costs.Cipher + time.Duration(verifies)*s.costs.Verify
 	if s.tel != nil {
 		s.tel.count(opsHMAC, int64(hmacs))
 		s.tel.count(opsCipher, 1)
-		s.tel.count(opsVerify, 1)
+		s.tel.count(opsVerify, int64(verifies))
 	}
 	s.ep.Compute(cost, func() {
 		s.tel.sessionDone(sess.stamps, level, from, s.version, s.ep.Now())

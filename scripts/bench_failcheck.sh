@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# bench_failcheck.sh — no more failures than the parent (ISSUE 23), and no
-# more frames than the work takes (ISSUE 24).
+# bench_failcheck.sh — no more failures than the parent, and no more frames
+# or allocations than the work takes.
 #
 # The benchmark contract rejects a change on which a larger share of
 # operations fails than at the parent, and the parent fails none: a single
@@ -22,6 +22,14 @@
 # above what was measured (`warm`/`cold` 3.38–3.39, `lossy` 3.50–3.54, `churn`
 # 4.61–4.64): rebroadcasting to nobody in particular every round, as before
 # ISSUE 24 (5.22 / 5.22 / 5.25 / 6.46), cannot come back unnoticed.
+#
+# It gates `allocs_per_session` the same way. `warm` and `cold` differ only in
+# their verify caches, and a resumed session looks nothing up, so both measure
+# 40.0–42.0 and share the ceiling 46; the `lossy` and `churn` ceilings sit 7 %
+# above the most they measured (45.4–45.7 over 13 seeds, 48.1–50.4 over 15). A
+# resumed RES2 that admin-verifies its PROF_O again (`cold` read 84 while every
+# one did), or any per-session allocation the size of a credential check,
+# fails it.
 #
 #   scripts/bench_failcheck.sh                       # 4 workloads × seeds 1–5, ~10 min
 #   WORKLOADS=churn SEEDS="1 2" scripts/bench_failcheck.sh
@@ -56,6 +64,21 @@ max_frames() {
 	esac
 }
 
+# max_allocs <workload>: the allocs_per_session ceiling, likewise.
+max_allocs() {
+	case "$1" in
+	warm | cold) echo 46 ;;
+	lossy) echo 49 ;;
+	churn) echo 54 ;;
+	esac
+}
+
+# over <value> <ceiling>: true when a ceiling is set and the value is missing
+# or above it.
+over() {
+	[ -n "$2" ] && ! awk -v v="$1" -v c="$2" 'BEGIN { exit !(v != "" && v <= c) }'
+}
+
 status=0
 rows=""
 for w in $WORKLOADS; do
@@ -64,7 +87,7 @@ for w in $WORKLOADS; do
 		if ! log=$(bash benchmark/run.sh --workload "$w" --seed "$s" --seconds 25 --trace 0 --out "$file" 2>"$out/$w-$s.err"); then
 			echo "bench_failcheck: $w seed $s: the benchmark exited non-zero" >&2
 			tail -n 5 "$out/$w-$s.err" >&2
-			rows+="| $w | $s | - | - | - | - | - | run failed |"$'\n'
+			rows+="| $w | $s | - | - | - | - | - | - | run failed |"$'\n'
 			status=1
 			continue
 		fi
@@ -75,26 +98,30 @@ for w in $WORKLOADS; do
 		slowest=$(printf '%s\n' "$log" | sed -n 's/.*closed-phase round latency.*max \([0-9.]* ms\).*/\1/p' | tail -n 1)
 		frames=$(metric "$last" frames_per_session)
 		bytes=$(metric "$last" bytes_per_session)
-		rows+="| $w | $s | $attempted | $failed | $correct | $frames | $bytes | ${slowest:--} |"$'\n'
+		allocs=$(metric "$last" allocs_per_session)
+		rows+="| $w | $s | $attempted | $failed | $correct | $frames | $bytes | $allocs | ${slowest:--} |"$'\n'
 		if [ "$failed" != 0 ] || [ "$correct" != true ]; then
 			status=1
 			echo "bench_failcheck: $w seed $s: failed=$failed correct=$correct; failures_by_kind:" >&2
 			# The result file is indented JSON: print the object that follows the key.
 			sed -n '/"failures_by_kind"/,/}/p' "$file" >&2
 		fi
-		ceiling=$(max_frames "$w")
-		if [ -n "$ceiling" ] && ! awk -v f="$frames" -v c="$ceiling" 'BEGIN { exit !(f != "" && f <= c) }'; then
+		if ceiling=$(max_frames "$w") && over "$frames" "$ceiling"; then
 			status=1
 			echo "bench_failcheck: $w seed $s: frames_per_session ${frames:-missing} > ceiling $ceiling" >&2
+		fi
+		if ceiling=$(max_allocs "$w") && over "$allocs" "$ceiling"; then
+			status=1
+			echo "bench_failcheck: $w seed $s: allocs_per_session ${allocs:-missing} > ceiling $ceiling" >&2
 		fi
 	done
 done
 
-echo "| workload | seed | attempted | failed | correct | frames/session | bytes/session | slowest closed-phase round |"
-echo "|---|---|---|---|---|---|---|---|"
+echo "| workload | seed | attempted | failed | correct | frames/session | bytes/session | allocs/session | slowest closed-phase round |"
+echo "|---|---|---|---|---|---|---|---|---|"
 printf '%s' "$rows"
 if [ "$status" -ne 0 ]; then
-	echo "bench_failcheck: FAIL — at least one run failed an operation, the oracle or its frames_per_session ceiling" >&2
+	echo "bench_failcheck: FAIL — at least one run failed an operation, the oracle or a frames/allocs ceiling" >&2
 	exit 1
 fi
-echo "bench_failcheck: every run has failed 0, correct true and frames_per_session under its ceiling"
+echo "bench_failcheck: every run has failed 0, correct true, and frames_per_session and allocs_per_session under their ceilings"

@@ -31,6 +31,13 @@
 #                                  keys, MACs and frames a session keeps or
 #                                  sends ≈20, the hint block, and session,
 #                                  ticket and result records
+#   WarmHandshake/uncached-resumed 74 allocs/op — resumed with no verify cache
+#                                  on either engine, so a lookup is a real
+#                                  P-256 verification; 69 measured + 5 % (109
+#                                  while every resumed RES2 admin-verified the
+#                                  PROF_O bytes its ticket was minted on). Its
+#                                  name must not start with "resumed": check
+#                                  matches on a prefix
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,6 +63,7 @@ check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
 check BenchmarkWarmHandshake/first-contact 345
 check BenchmarkWarmHandshake/resumed 74
+check BenchmarkWarmHandshake/uncached-resumed 74
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
