@@ -76,6 +76,7 @@ const (
 )
 
 type objSession struct {
+	o       *Object
 	key     sessionKey
 	rs      []byte
 	ro      []byte
@@ -104,7 +105,13 @@ type objSession struct {
 	// expiry collects the session if no QUE2 answers it within the TTL;
 	// canceled when one does, or when the session is removed. What has left
 	// the table is referenced by nothing.
-	expiry *wheelEntry
+	expiry wheelEntry
+}
+
+// due collects a session no QUE2 answered within the TTL (scheduleGC).
+func (sess *objSession) due(*wheelEntry) {
+	sess.o.remove(sess)
+	sess.o.tel.sessionExpired()
 }
 
 // NewObject creates an engine from a backend provision, applying any
@@ -312,6 +319,7 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	// Level 2/3: respond with a nonce, and with handshake material unless the
 	// subject holds a ticket, and await QUE2.
 	sess := &objSession{
+		o:       o,
 		key:     key,
 		rs:      m.RS, // a window on raw, like every decoded field
 		que1Enc: raw,
@@ -352,7 +360,7 @@ func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, int) 
 		return nil, 0
 	}
 	o.tel.count(opsHMAC, 1)
-	if !m.HasHint(suite.Hint(t.secret, m.RS)) || !t.valid(time.Now()) || o.revoked[t.subject] {
+	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(time.Now()) || o.revoked[t.subject] {
 		return nil, 1
 	}
 	return t, 1
@@ -427,7 +435,6 @@ func (o *Object) remove(sess *objSession) {
 // full.
 func (o *Object) cache(sess *objSession) {
 	sess.expiry.cancel()
-	sess.expiry = nil
 	sess.until = o.ep.Now() + o.retry.ttl()/2
 	o.cachedN++
 	if o.cached == nil {
@@ -487,8 +494,9 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		return
 	}
 	var a que2Auth
+	defer a.wipe()
 	if len(m.Ticket) > 0 {
-		a, ok = o.resumeQUE2(from, sess, m)
+		ok = o.resumeQUE2(from, sess, m, &a)
 	} else {
 		if !o.retry.Enabled() {
 			// One-shot mode: the session is consumed by its first QUE2. Under
@@ -498,17 +506,21 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 			// success.
 			o.remove(sess)
 		}
-		a, ok = o.authenticateQUE2(from, sess, m)
+		ok = o.authenticateQUE2(from, sess, m, &a)
 	}
 	if ok {
-		o.answerQUE2(from, sess, m, a)
+		o.answerQUE2(from, sess, m, &a)
 	}
 }
 
-// que2Auth is what authenticating a QUE2 — in full, or by ticket — hands to
-// the response path: K2, the subject's transcript cut, and who the subject is.
+// que2Auth is what authenticating a QUE2 — in full, or by ticket — fills in
+// for the response path: K2, the subject's transcript cut, and who the subject
+// is. It lives on the stack of handleQUE2, which wipes the keys when it
+// returns: an object session holds none.
 type que2Auth struct {
-	k2     []byte
+	k2     suite.Key
+	k2raw  [suite.KeySize]byte // for K3 = PRF(K2 ‖ K_grp, …)
+	k3     suite.Key           // the fellow's, or the last trial's
 	ts     wire.Transcript
 	tsHash [32]byte
 	// next binds the ticket the answer will mint: the subject's address,
@@ -521,10 +533,10 @@ type que2Auth struct {
 // authenticateQUE2 is the full path: CERT_S chains to the admin, SIG_S covers
 // the whole transcript (the freshness of R_O defeats replay), PROF_S is
 // admin-signed and the subject's own, and MAC_{S,2} proves the ECDH key.
-func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire.QUE2) (que2Auth, bool) {
-	reject := func() (que2Auth, bool) {
+func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire.QUE2, a *que2Auth) bool {
+	reject := func() bool {
 		o.tel.que2Result(resultRejected)
-		return que2Auth{}, false
+		return false
 	}
 	if sess.kex == nil {
 		return reject() // a short RES1 offered no KEXM_O to answer
@@ -538,7 +550,6 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	}
 	// The signature input doubles as the transcript prefix (§V): build it
 	// once in pooled scratch, for the verification and for the transcript cut.
-	var a que2Auth
 	sigInput := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
 	sigOK := info.Public.Verify(sigInput, m.Sig)
 	a.ts.Add(sigInput, m.Sig)
@@ -560,8 +571,10 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	if err != nil {
 		return reject()
 	}
-	a.k2, a.tsHash = suite.SessionKey2(preK, sess.rs, sess.ro), a.ts.Hash()
-	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
+	suite.SessionKey2To(&a.k2raw, preK, sess.rs, sess.ro)
+	a.k2.Set(a.k2raw[:])
+	a.tsHash = a.ts.Hash()
+	if !a.k2.VerifyMAC(suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
 		return reject() // handshake failure
 	}
 	if o.retry.Enabled() {
@@ -570,7 +583,7 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	} else {
 		a.next.attrs = prof.Attrs
 	}
-	return a, true
+	return true
 }
 
 // resumeQUE2 is the short path: the ticket names the secret this object holds
@@ -590,7 +603,7 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 // verbatim to a duplicate short QUE2 like to a duplicate QUE1. Either way the
 // session stays pending for the full QUE2, and an observer learns only what
 // the RES1 already showed.
-func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2) (que2Auth, bool) {
+func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2, a *que2Auth) bool {
 	t := o.tickets.get(from)
 	if t != nil && !bytes.Equal(m.Ticket, t.id[:]) {
 		t = nil
@@ -601,23 +614,25 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2)
 	}
 	if t == nil {
 		o.refuseQUE2(from, sess)
-		return que2Auth{}, false
+		return false
 	}
 	if o.revoked[t.subject] {
 		o.tickets.drop(from)
 		o.tel.que2Result(resultRejected)
-		return que2Auth{}, false // silence, as for the full QUE2 of a revoked subject
+		return false // silence, as for the full QUE2 of a revoked subject
 	}
-	a := que2Auth{k2: suite.SessionKey2(t.secret, sess.rs, sess.ro), next: *t, resumed: true}
+	a.next, a.resumed = t.binding(), true
+	t.secret.SessionKey2(&a.k2raw, sess.rs, sess.ro)
+	a.k2.Set(a.k2raw[:])
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
 	a.ts.Add(in)
 	wire.PutScratch(in)
 	a.tsHash = a.ts.Hash()
-	if !suite.VerifyMAC(a.k2, suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
+	if !a.k2.VerifyMAC(suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
 		o.tel.que2Result(resultRejected)
-		return que2Auth{}, false // corrupted, or not the ticket's holder: stay pending
+		return false // corrupted, or not the ticket's holder: stay pending
 	}
-	return a, true
+	return true
 }
 
 // refuseQUE2 answers a short QUE2 whose ticket the object cannot honour.
@@ -644,13 +659,11 @@ func (o *Object) refuseQUE2(from transport.Addr, sess *objSession) {
 // resumed session: the fellowship trial, the double-faced RES2 at constant
 // length, the equalised compute charge — and, under an enabled policy, the
 // ticket for the next session.
-func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2, a que2Auth) {
-	k2, ts, tsHash := a.k2, a.ts, a.tsHash
-
+func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2, a *que2Auth) {
 	// Level 3: test fellowship by verifying MAC_{S,3} against each group
-	// key the object serves (§VI-A, §VI-C).
+	// key the object serves (§VI-A, §VI-C). Every trial prepares its
+	// candidate K3 and verifies under it; the fellow's is the RES2's key.
 	fellow := -1 // index of the covert variant whose group key the subject holds
-	var k3 []byte
 	trials := 0
 	switch {
 	case len(m.MACS3) == 0 || o.version == wire.V10:
@@ -661,9 +674,9 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 			if !v.IsCovert() {
 				continue
 			}
-			cand := suite.SessionKey3(k2, v.GroupKey, sess.rs, sess.ro)
-			if suite.VerifyMAC(cand, suite.LabelSubjectFinished, tsHash, m.MACS3) {
-				fellow, k3 = i, cand
+			a.setK3(v.GroupKey, sess)
+			if a.k3.VerifyMAC(suite.LabelSubjectFinished, a.tsHash, m.MACS3) {
+				fellow = i
 				break
 			}
 		}
@@ -675,7 +688,8 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		// it runs the one trial a Level 3 object serving one group runs, under
 		// a key nobody holds, and fails it.
 		trials = 1
-		suite.VerifyMAC(suite.SessionKey3(k2, k2, sess.rs, sess.ro), suite.LabelSubjectFinished, tsHash, m.MACS3)
+		a.setK3(a.k2raw[:], sess)
+		a.k3.VerifyMAC(suite.LabelSubjectFinished, a.tsHash, m.MACS3)
 	}
 
 	// Build the response. The virtual compute cost is charged identically on
@@ -712,7 +726,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 	switch {
 	case fellow >= 0:
 		// Level 3 face: MAC_{O,3} and PROF encrypted under K3.
-		res = o.buildRES2(ts, m, k3, fellow)
+		res = o.buildRES2(a.ts, m, &a.k3, fellow)
 		o.tel.que2Result(resultFellow)
 	default:
 		// Level 2 face (for true Level 2 objects and for Level 3 objects
@@ -726,8 +740,8 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 				o.markAnswered(sess) // remembered silence: duplicates stay silent
 				return
 			}
-			kFirst := suite.SessionKey3(k2, o.prov.Variants[first].GroupKey, sess.rs, sess.ro)
-			res = o.buildRES2(ts, m, kFirst, first)
+			a.setK3(o.prov.Variants[first].GroupKey, sess)
+			res = o.buildRES2(a.ts, m, &a.k3, first)
 			o.tel.que2Result(resultFellow)
 			break
 		}
@@ -737,7 +751,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 			o.markAnswered(sess) // remembered silence: duplicates stay silent
 			return               // no policy admits this subject: silence, not a hint
 		}
-		res = o.buildRES2(ts, m, k2, match)
+		res = o.buildRES2(a.ts, m, &a.k2, match)
 		o.tel.que2Result(resultL2)
 	}
 	if res == nil {
@@ -755,7 +769,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		} else {
 			o.tel.resumption(resultMinted)
 		}
-		o.tickets.put(from, a.next.minted(k2, tsHash))
+		o.tickets.mint(from, &a.next, &a.k2, a.tsHash)
 	}
 	o.tel.response(cost, len(res.Ciphertext))
 	o.ep.Compute(cost, func() {
@@ -781,6 +795,20 @@ func (o *Object) markAnswered(sess *objSession) {
 	}
 }
 
+// setK3 prepares a.k3 = PRF(K2 ‖ groupKey, "session key" ‖ R_S ‖ R_O).
+func (a *que2Auth) setK3(groupKey []byte, sess *objSession) {
+	var k3 [suite.KeySize]byte
+	suite.SessionKey3To(&k3, a.k2raw[:], groupKey, sess.rs, sess.ro)
+	a.k3.Set(k3[:])
+}
+
+// wipe zeroes the session keys.
+func (a *que2Auth) wipe() {
+	a.k2.Wipe()
+	a.k3.Wipe()
+	a.k2raw = [suite.KeySize]byte{}
+}
+
 // scheduleGC collects a session still awaiting its QUE2 a TTL after its QUE1.
 // (An answered one can only age out too — the object never learns whether the
 // subject received RES2 — but does so from the resend cache, half a TTL after
@@ -791,21 +819,23 @@ func (o *Object) scheduleGC(sess *objSession) {
 	if !o.retry.Enabled() {
 		return
 	}
-	sess.expiry = o.wheel.schedule(o.retry.ttl(), func() {
-		o.remove(sess)
-		o.tel.sessionExpired()
-	})
+	o.wheel.scheduleIn(&sess.expiry, o.retry.ttl(), sess)
 }
 
 // buildRES2 encrypts profile variant i under the session key and computes
-// MAC_{O,X} over the object-side transcript cut.
-func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key []byte, i int) *wire.RES2 {
-	ct, err := suite.EncryptProfile(key, o.variantEnc[i], nil)
+// MAC_{O,X} over the object-side transcript cut, into storage the RES2 owns.
+func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key *suite.Key, i int) *wire.RES2 {
+	ct, err := key.EncryptProfile(nil, o.variantEnc[i], nil)
 	if err != nil {
 		return nil
 	}
-	mac := suite.FinishedMAC(key, suite.LabelObjectFinished, transcriptOHash(ts, m, ct))
-	return &wire.RES2{Version: o.version, Ciphertext: ct, MACO: mac}
+	res := &struct {
+		wire.RES2
+		mac [suite.MACSize]byte
+	}{RES2: wire.RES2{Version: o.version, Ciphertext: ct}}
+	key.FinishedMAC(&res.mac, suite.LabelObjectFinished, transcriptOHash(ts, m, ct))
+	res.MACO = res.mac[:]
+	return &res.RES2
 }
 
 // matchVariant returns the index of the first Level 2 variant whose predicate

@@ -43,7 +43,7 @@ type ticketID = [suite.TicketIDSize]byte
 // ticket in its place.
 type ticket struct {
 	id     ticketID
-	secret []byte
+	secret suite.Key // zero in a binding (a session's copy): only a filed ticket holds one
 	// The joint validity window of the credentials verified at minting
 	// (peer CERT chain and PROF); a ratchet step carries it over unchanged,
 	// so no chain of resumptions outlives it.
@@ -75,16 +75,11 @@ func (t *ticket) boundProfile(digest [32]byte, now time.Time) *cert.Profile {
 	return t.prof
 }
 
-// minted returns the ticket for the next session of the pairing t describes,
-// derived from the session key and transcript hash of the one that just
-// completed. t itself is the binding (peer, credentials, window) and is not
-// modified: after a full handshake it is a draft without secret, after a
-// resumed session it is the ticket just used — the ratchet. Both ends file the
-// result under the peer's address, so a pairing holds one ticket at a time.
-func (t *ticket) minted(k2 []byte, tsHash [32]byte) *ticket {
-	next := *t
-	next.secret, next.id = suite.ResumptionTicket(k2, tsHash)
-	return &next
+// binding returns what a session keeps of t: everything but the secret.
+func (t *ticket) binding() ticket {
+	b := *t
+	b.secret = suite.Key{}
+	return b
 }
 
 // narrowTo intersects the ticket's window with [nb, na].
@@ -102,8 +97,10 @@ func (t *ticket) narrowTo(nb, na time.Time) {
 // the round): the short QUE2 it yields matches nothing, which is what makes
 // the object fall back to the signed RES1.
 func decoyTicket() *ticket {
-	t := &ticket{secret: make([]byte, suite.KeySize)}
-	rand.Read(t.secret)
+	var secret [suite.KeySize]byte
+	rand.Read(secret[:])
+	t := &ticket{}
+	t.secret.Set(secret[:])
 	rand.Read(t.id[:])
 	return t
 }
@@ -121,32 +118,49 @@ func (tt *ticketTable) size() int { return int(tt.n.Load()) }
 
 func (tt *ticketTable) get(k transport.Addr) *ticket { return tt.m[k] }
 
-// put files t under k, first evicting the longest-unused ticket if the table
-// is full. The scan is linear, and paid only by a full handshake — a ratchet
-// step replaces a ticket — that finds maxTickets other peers on file.
-func (tt *ticketTable) put(k transport.Addr, t *ticket) {
+// mint files under k the ticket for the next session of the pairing binding
+// describes, derived from the session key and transcript hash of the one that
+// just completed, and returns it. binding (peer, credentials, window) is a
+// draft after a full handshake and the ticket just used after a resumed
+// session — the ratchet. Both ends file under the peer's address, so a
+// pairing holds one ticket at a time, and a ratchet step overwrites the one
+// on file in place, its secret included. A new peer first evicts the
+// longest-unused ticket if the table is full: the scan is linear, and paid
+// only by a full handshake that finds maxTickets other peers on file.
+func (tt *ticketTable) mint(k transport.Addr, binding *ticket, k2 *suite.Key, tsHash [32]byte) *ticket {
 	if tt.m == nil {
 		tt.m = make(map[transport.Addr]*ticket)
 	}
-	if _, replace := tt.m[k]; !replace && len(tt.m) >= maxTickets {
-		var oldest transport.Addr
-		least := tt.clock + 1
-		for key, cand := range tt.m {
-			if cand.used < least {
-				oldest, least = key, cand.used
+	t := tt.m[k]
+	if t == nil {
+		if len(tt.m) >= maxTickets {
+			var oldest transport.Addr
+			least := tt.clock + 1
+			for key, cand := range tt.m {
+				if cand.used < least {
+					oldest, least = key, cand.used
+				}
 			}
+			tt.drop(oldest)
 		}
-		delete(tt.m, oldest)
+		t = new(ticket)
+		tt.m[k] = t
+		tt.n.Store(int64(len(tt.m)))
 	}
+	*t = *binding
+	t.id = k2.ResumptionTicket(&t.secret, tsHash)
 	tt.clock++
 	t.used = tt.clock
-	tt.m[k] = t
-	tt.n.Store(int64(len(tt.m)))
+	return t
 }
 
+// drop forgets the ticket filed under k and wipes its secret.
 func (tt *ticketTable) drop(k transport.Addr) {
-	delete(tt.m, k)
-	tt.n.Store(int64(len(tt.m)))
+	if t := tt.m[k]; t != nil {
+		t.secret.Wipe()
+		delete(tt.m, k)
+		tt.n.Store(int64(len(tt.m)))
+	}
 }
 
 // recent returns the (at most) len(buf) most recently filed tickets whose
@@ -171,8 +185,11 @@ func (tt *ticketTable) recent(buf []*ticket, now time.Time) []*ticket {
 	return out
 }
 
-// flush forgets every ticket.
+// flush forgets every ticket and wipes every secret.
 func (tt *ticketTable) flush() {
+	for _, t := range tt.m {
+		t.secret.Wipe()
+	}
 	clear(tt.m)
 	tt.n.Store(0)
 }

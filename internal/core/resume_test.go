@@ -318,8 +318,9 @@ func TestRefreshInvalidatesTickets(t *testing.T) {
 func TestTicketNeverOutlivesValidityWindow(t *testing.T) {
 	f := newResumeFixture(t, 1)
 	o := f.only()
-	st, ot := onlyTicket(t, &f.subject.tickets), onlyTicket(t, &o.tickets)
-	if st.id != ot.id || string(st.secret) != string(ot.secret) {
+	// Copies: a ratchet step overwrites the filed ticket in place.
+	st, ot := *onlyTicket(t, &f.subject.tickets), *onlyTicket(t, &o.tickets)
+	if st.id != ot.id || st.secret != ot.secret {
 		t.Fatal("the two ends minted different tickets")
 	}
 	sInfo, err := cert.VerifyCert(f.subject.prov.CACert, f.subject.prov.CertDER, suite.S128)
@@ -338,7 +339,7 @@ func TestTicketNeverOutlivesValidityWindow(t *testing.T) {
 	}
 	f.round(t)
 	st2, ot2 := onlyTicket(t, &f.subject.tickets), onlyTicket(t, &o.tickets)
-	if st2.id == st.id || string(st2.secret) == string(st.secret) {
+	if st2.id == st.id || st2.secret == st.secret {
 		t.Fatal("a completed resumed session did not ratchet the ticket")
 	}
 	if !st2.notAfter.Equal(st.notAfter) || !ot2.notAfter.Equal(ot.notAfter) || !ot2.notBefore.Equal(ot.notBefore) {
@@ -691,11 +692,14 @@ func TestTicketTableBounded(t *testing.T) {
 	if tt.get(at(1)) != nil || tt.size() != 0 {
 		t.Fatal("empty table is not empty")
 	}
+	var k2 suite.Key
+	k2.Set([]byte("K2"))
+	file := func(i int) { tt.mint(at(i), &ticket{}, &k2, [32]byte{}) }
 	for i := 0; i < maxTickets; i++ {
-		tt.put(at(i), &ticket{})
+		file(i)
 	}
-	tt.put(at(0), &ticket{}) // refiled: now the newest
-	tt.put(at(maxTickets), &ticket{})
+	file(0) // refiled: now the newest
+	file(maxTickets)
 	if tt.size() != maxTickets || len(tt.m) != maxTickets {
 		t.Fatalf("table grew to %d, bound is %d", tt.size(), maxTickets)
 	}
@@ -742,7 +746,7 @@ func TestHintSlotDoesNotFollowRank(t *testing.T) {
 	for draw := 0; draw < 64; draw++ {
 		block := f.subject.hints(rs)
 		for rank, tk := range byRank {
-			h, at := suite.Hint(tk.secret, rs), -1
+			h, at := tk.secret.Hint(rs), -1
 			for i := 0; i < wire.HintSlots; i++ {
 				if [wire.HintSize]byte(block[i*wire.HintSize:]) == h {
 					if at >= 0 {
@@ -884,7 +888,9 @@ func TestDeadEndMatrix(t *testing.T) {
 			// The object a ratchet step ahead, as after a RES2 lost for good.
 			var h [32]byte
 			rand.Read(h[:])
-			o.tickets.put(f.subject.ep.Addr(), o.tickets.get(f.subject.ep.Addr()).minted(h[:], h))
+			var k suite.Key
+			k.Set(h[:])
+			o.tickets.mint(f.subject.ep.Addr(), o.tickets.get(f.subject.ep.Addr()), &k, h)
 		}, false, [3]int{6, 6, 6}},
 	}
 	// Links on which the longest exchange of the matrix, six frames, is over
@@ -1187,4 +1193,107 @@ func TestShortExchangeSurvivesLoss(t *testing.T) {
 		}
 		f.want(t, "after the lost refusal", 2, 0, 1)
 	})
+}
+
+// TestSessionKeysWipedOnRelease: a session holds its prepared K2 and K3 while
+// it may still need them and not a moment longer. A resumed Level 3 round
+// whose first RES2 is lost keeps the subject's keys across the QUE2
+// retransmission; once the resent RES2 completes it, no session of either
+// engine holds a key, a session's copy of its ticket holds no secret, and
+// the only nonzero Keys are the secrets of filed tickets — each the ticket on
+// file before the round, ratcheted in place. (An object session has no key to
+// hold: K2 and K3 live on the stack of the QUE2 handler.) A session given up —
+// expired, or superseded by a restart — and a ticket that is dropped are
+// wiped as well.
+func TestSessionKeysWipedOnRelease(t *testing.T) {
+	f := newResumeFixtureAt(t, 1, L3, netsim.DefaultWiFi())
+	o := f.only()
+	sAddr, oAddr := f.subject.ep.Addr(), o.ep.Addr()
+	filedS, filedO := f.subject.tickets.get(oAddr), o.tickets.get(sAddr)
+	before := filedS.secret
+
+	lost := false
+	f.net.SetDropFilter(func(_, _ netsim.NodeID, p []byte) bool {
+		if !lost && len(p) > 0 && p[0] == byte(wire.TRES2) {
+			lost = true
+			return true
+		}
+		return false
+	})
+	f.inRound = 0
+	seen := len(f.subject.Results())
+	if err := f.subject.Discover(1); err != nil {
+		t.Fatal(err)
+	}
+	for end := f.net.Now() + time.Second; !lost && f.net.Now() < end; {
+		f.net.Run(f.net.Now() + time.Millisecond)
+	}
+	if !lost || len(f.subject.sessions) != 1 {
+		t.Fatalf("RES2 lost: %v, subject sessions pending: %d, want true and 1", lost, len(f.subject.sessions))
+	}
+	var pending *subjSession
+	for _, sess := range f.subject.sessions {
+		pending = sess
+	}
+	if !pending.resumed || pending.k2 == (suite.Key{}) || pending.k3 == (suite.Key{}) {
+		t.Fatal("the pending resumed session does not hold K2 and K3")
+	}
+	f.net.Run(0)
+	if got := f.subject.Results()[seen:]; len(got) != 1 || got[0].Level != L3 {
+		t.Fatalf("round with a lost RES2: %d discoveries, want 1 at Level 3", len(got))
+	}
+	if f.retransmissions(t) == 0 {
+		t.Fatal("the lost RES2 was recovered without a retransmission")
+	}
+
+	if pending.k2 != (suite.Key{}) || pending.k3 != (suite.Key{}) {
+		t.Error("the completed session's keys were not wiped")
+	}
+	if len(f.subject.sessions) != 0 {
+		t.Errorf("%d subject sessions left in the table", len(f.subject.sessions))
+	}
+	if pending.next.secret != (suite.Key{}) {
+		t.Error("the session's copy of its ticket holds the secret")
+	}
+	for _, tt := range []*ticketTable{&f.subject.tickets, &o.tickets} {
+		for _, tk := range tt.m {
+			if tk.secret == (suite.Key{}) {
+				t.Error("a filed ticket holds no secret")
+			}
+		}
+	}
+	if f.subject.tickets.get(oAddr) != filedS || o.tickets.get(sAddr) != filedO {
+		t.Error("the ratchet filed a new ticket instead of overwriting the one on file")
+	}
+	if filedS.secret == before || filedS.secret != filedO.secret {
+		t.Error("the ratchet did not move both ends to the same new secret")
+	}
+
+	// Every RES2 lost: the session is given up, and goes wiped.
+	dropType(f.net, wire.TRES2)
+	if err := f.subject.Discover(1); err != nil {
+		t.Fatal(err)
+	}
+	for end := f.net.Now() + time.Second; len(f.subject.sessions) == 0 && f.net.Now() < end; {
+		f.net.Run(f.net.Now() + time.Millisecond)
+	}
+	pending = nil
+	for _, sess := range f.subject.sessions {
+		pending = sess
+	}
+	if pending == nil {
+		t.Fatal("the second round opened no session")
+	}
+	f.net.Run(f.net.Now() + 2*DefaultRetry().ttl())
+	if f.subject.sessions[pending.key] == pending || pending.k2 != (suite.Key{}) || pending.k3 != (suite.Key{}) {
+		t.Error("an expired session is still filed or holds its keys")
+	}
+	f.net.SetDropFilter(nil)
+
+	// A dropped ticket is wiped.
+	f.subject.tickets.drop(oAddr)
+	o.tickets.flush()
+	if filedS.secret != (suite.Key{}) || filedO.secret != (suite.Key{}) {
+		t.Error("a dropped or flushed ticket keeps its secret")
+	}
 }

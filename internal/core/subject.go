@@ -107,10 +107,9 @@ type Subject struct {
 }
 
 type subjSession struct {
-	objAddr transport.Addr
-	ro      []byte // object nonce (borrowed from RES1), distinguishes RES1 resends from restarts
-	k2      []byte
-	k3      []byte
+	s       *Subject
+	key     sessionKey // the object's address and the round's R_S
+	ro      []byte     // object nonce (borrowed from RES1), distinguishes RES1 resends from restarts
 	group   groups.ID
 	ts      wire.Transcript // subject-cut transcript
 	que2    *wire.QUE2
@@ -118,14 +117,22 @@ type subjSession struct {
 	round   int
 	stamps  phaseStamps
 
-	// Wheel entries for the pending retransmission and the TTL expiry, the
-	// transport time of the last QUE2 (re)send the RTO horizon is measured
+	// The session keys, prepared (K3 zero when QUE2 carries no MAC_{S,3}),
+	// and the finished MACs QUE2 carries, which q.MACS2 and q.MACS3 view.
+	// Wiped when the session leaves the table (wipe).
+	k2, k3       suite.Key
+	macS2, macS3 [suite.MACSize]byte
+
+	// Wheel entries for the pending retransmission and the TTL expiry (the
+	// session is their task: due), the attempt the retransmission fires as,
+	// the transport time of the last QUE2 (re)send the RTO horizon is measured
 	// from, and whether QUE2 was ever resent (then RES2 is no RTT sample).
-	// All nil/zero under the zero policy.
-	que2Timer *wheelEntry
-	expiry    *wheelEntry
-	sentAt    time.Duration
-	resent    bool
+	// Never scheduled under the zero policy.
+	que2Timer   wheelEntry
+	expiry      wheelEntry
+	que2Attempt int
+	sentAt      time.Duration
+	resent      bool
 
 	// Resumption state, enabled policies only. next is the binding of the
 	// ticket a verified RES2 will mint: a draft after a full QUE2, the ticket
@@ -260,15 +267,13 @@ func (s *Subject) Discover(ttl int) error {
 		return err
 	}
 	s.round++
-	for k, sess := range s.sessions {
+	for _, sess := range s.sessions {
 		if sess.round < s.round-1 {
-			s.dropSessionTimers(sess)
-			delete(s.sessions, k)
+			s.dropSession(sess)
 		}
 	}
 	s.que1Timer.cancel()
 	s.que1Timer = nil
-	s.syncPending()
 	s.rs = rs
 	s.que1At = s.ep.Now()
 	s.probed = false
@@ -314,7 +319,7 @@ func (s *Subject) hints(rs []byte) []byte {
 	var buf [wire.HintSlots]*ticket
 	known := s.tickets.recent(buf[:], time.Now())
 	for i, t := range known {
-		h := suite.Hint(t.secret, rs)
+		h := t.secret.Hint(rs)
 		copy(block[slot[i]*wire.HintSize:], h[:])
 	}
 	s.tel.count(opsHMAC, int64(len(known)))
@@ -459,9 +464,22 @@ func (s *Subject) noteRES1() {
 // dropSessionTimers cancels a session's pending wheel entries.
 func (s *Subject) dropSessionTimers(sess *subjSession) {
 	sess.que2Timer.cancel()
-	sess.que2Timer = nil
 	sess.expiry.cancel()
-	sess.expiry = nil
+}
+
+// dropSession takes sess out of the table for good: its deadlines go, and its
+// keys are wiped.
+func (s *Subject) dropSession(sess *subjSession) {
+	s.dropSessionTimers(sess)
+	delete(s.sessions, sess.key)
+	s.syncPending()
+	sess.wipe()
+}
+
+// wipe zeroes the session keys.
+func (sess *subjSession) wipe() {
+	sess.k2.Wipe()
+	sess.k3.Wipe()
 }
 
 // CompleteRound tells the engine the caller knows the current round is done
@@ -484,7 +502,6 @@ func (s *Subject) CompleteRound() {
 	for _, sess := range s.sessions {
 		if sess.round == s.round {
 			sess.que2Timer.cancel()
-			sess.que2Timer = nil
 		}
 	}
 }
@@ -669,7 +686,9 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 	}
 	// The QUE2 signature input doubles as the transcript prefix: build it
 	// once in pooled scratch, sign it, hash it into the session's transcript.
-	sess := &subjSession{k2: suite.SessionKey2(preK, s.rs, m.RO)}
+	var k2 [suite.KeySize]byte
+	suite.SessionKey2To(&k2, preK, s.rs, m.RO)
+	sess := &subjSession{}
 	sigIn := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
 	sig, err := s.prov.Key.Sign(sigIn)
 	sess.ts.Add(sigIn, sig)
@@ -690,7 +709,7 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 		s.tel.count(opsKexShared, 1)
 		s.tel.count(opsSign, 1)
 	}
-	s.sendQUE2(from, m.RO, q, sess, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
+	s.sendQUE2(from, m.RO, q, sess, &k2, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
 	return true
 }
 
@@ -701,13 +720,14 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 // the MAC_O that completes the session — until then nothing the RES1 claimed
 // is believed, and nothing but HMACs was spent on it.
 func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *ticket) {
-	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: t.id[:]}
-	sess := &subjSession{k2: suite.SessionKey2(t.secret, s.rs, m.RO), next: *t, resumed: true, res1: raw,
-		short: m.Mode == wire.ModeResume}
+	sess := &subjSession{next: t.binding(), resumed: true, res1: raw, short: m.Mode == wire.ModeResume}
+	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: sess.next.id[:]}
+	var k2 [suite.KeySize]byte
+	t.secret.SessionKey2(&k2, s.rs, m.RO)
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
 	sess.ts.Add(in)
 	wire.PutScratch(in)
-	s.sendQUE2(from, m.RO, q, sess, 0)
+	s.sendQUE2(from, m.RO, q, sess, &k2, 0)
 }
 
 // sendQUE2 is the subject's phase 2 downstream of K2, the same for a full and
@@ -715,11 +735,15 @@ func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *
 // round's active group key), the session and its expiry, and — after the
 // modeled compute time — the frame and its retransmission deadline. cost is
 // what establishing K2 took; the key derivation and the MACs are added here.
-func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *subjSession, cost time.Duration) {
+// k2 is the raw K2, which K3 is derived from; sendQUE2 wipes it.
+func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *subjSession, k2 *[suite.KeySize]byte, cost time.Duration) {
 	tsHash := sess.ts.Hash()
 	sess.tsHash = tsHash
-	q.MACS2 = suite.FinishedMAC(sess.k2, suite.LabelSubjectFinished, tsHash)
-	sess.objAddr, sess.ro, sess.round, sess.que2 = from, ro, s.round, q
+	sess.k2.Set(k2[:])
+	sess.k2.FinishedMAC(&sess.macS2, suite.LabelSubjectFinished, tsHash)
+	q.MACS2 = sess.macS2[:]
+	key := mkSessionKey(from, s.rs)
+	sess.s, sess.key, sess.ro, sess.round, sess.que2 = s, key, ro, s.round, q
 	sess.stamps = phaseStamps{session: s.tel.session(), secure: true, que1At: s.que1At, res1At: s.ep.Now()}
 	hmacs := 2 // K2 derivation + MAC_{S,2}
 	if s.version != wire.V10 && len(s.prov.Memberships) > 0 {
@@ -730,20 +754,23 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 		// looks the same.
 		mem := s.prov.Memberships[s.activeGroup%len(s.prov.Memberships)]
 		if s.version == wire.V30 || !mem.CoverUp {
-			sess.k3 = suite.SessionKey3(sess.k2, mem.Key, s.rs, ro)
-			q.MACS3 = suite.FinishedMAC(sess.k3, suite.LabelSubjectFinished, tsHash)
+			var k3 [suite.KeySize]byte
+			suite.SessionKey3To(&k3, k2[:], mem.Key, s.rs, ro)
+			sess.k3.Set(k3[:])
+			sess.k3.FinishedMAC(&sess.macS3, suite.LabelSubjectFinished, tsHash)
+			q.MACS3 = sess.macS3[:]
 			sess.group = mem.Group
 			hmacs += 2 // K3 derivation + MAC_{S,3}
 		}
 	}
-	key := mkSessionKey(from, s.rs)
+	*k2 = [suite.KeySize]byte{}
 	if old, ok := s.sessions[key]; ok {
-		s.dropSessionTimers(old) // superseded (handleSecureRES1)
+		s.dropSession(old) // superseded (handleSecureRES1)
 	}
 	s.sessions[key] = sess
 	s.syncPending()
 	if s.retry.Enabled() {
-		s.scheduleExpiry(key, sess)
+		s.wheel.scheduleIn(&sess.expiry, s.retry.ttl(), sess)
 	}
 	s.tel.count(opsHMAC, int64(hmacs))
 	s.ep.Compute(cost+time.Duration(hmacs)*s.costs.HMAC, func() {
@@ -753,7 +780,7 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 		sess.sentAt = s.ep.Now()
 		s.ep.Send(from, enc)
 		if s.retry.Enabled() && s.retry.Que2Retries > 0 {
-			s.armQue2(key, sess, 1, s.rtt.rto(s.retry.delay(1)))
+			s.armQue2(sess, 1, s.rtt.rto(s.retry.delay(1)))
 		}
 	})
 }
@@ -764,33 +791,46 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 // re-arms for the remainder instead of retransmitting — on a lossless
 // network the verified RES2 cancels the entry first and the wire never sees
 // a duplicate QUE2.
-func (s *Subject) armQue2(key sessionKey, sess *subjSession, attempt int, wait time.Duration) {
+func (s *Subject) armQue2(sess *subjSession, attempt int, wait time.Duration) {
 	if s.completedRound == s.round && sess.round == s.round {
 		return // round declared done: the answer is either in flight or refused
 	}
-	sess.que2Timer = s.wheel.schedule(wait, func() {
-		sess.que2Timer = nil
-		if cur, ok := s.sessions[key]; !ok || cur != sess || sess.que2Enc == nil {
-			return
-		}
-		horizon := s.rtt.rto(s.retry.delay(attempt))
-		if due := sess.sentAt + horizon; due > s.ep.Now() {
-			s.armQue2(key, sess, attempt, due-s.ep.Now())
-			return
-		}
-		s.tel.retransmit(msgQUE2)
-		s.ep.Send(sess.objAddr, sess.que2Enc)
-		sess.sentAt = s.ep.Now()
-		sess.resent = true
-		if attempt < s.retry.Que2Retries {
-			next := attempt + 1
-			s.armQue2(key, sess, next, s.rtt.rto(s.retry.delay(next)))
-		}
-	})
+	sess.que2Attempt = attempt
+	s.wheel.scheduleIn(&sess.que2Timer, wait, sess)
 }
 
-// scheduleExpiry garbage-collects the session at SessionTTL if it has not
-// completed: under total loss nothing else would ever delete it, and a
+// due runs whichever of the session's deadlines fell due.
+func (sess *subjSession) due(e *wheelEntry) {
+	if e == &sess.expiry {
+		sess.s.expire(sess)
+	} else {
+		sess.s.que2Due(sess)
+	}
+}
+
+// que2Due is the QUE2 retransmission deadline armQue2 armed.
+func (s *Subject) que2Due(sess *subjSession) {
+	if cur, ok := s.sessions[sess.key]; !ok || cur != sess || sess.que2Enc == nil {
+		return
+	}
+	attempt := sess.que2Attempt
+	horizon := s.rtt.rto(s.retry.delay(attempt))
+	if due := sess.sentAt + horizon; due > s.ep.Now() {
+		s.armQue2(sess, attempt, due-s.ep.Now())
+		return
+	}
+	s.tel.retransmit(msgQUE2)
+	s.ep.Send(sess.key.peer, sess.que2Enc)
+	sess.sentAt = s.ep.Now()
+	sess.resent = true
+	if attempt < s.retry.Que2Retries {
+		next := attempt + 1
+		s.armQue2(sess, next, s.rtt.rto(s.retry.delay(next)))
+	}
+}
+
+// expire garbage-collects the session at SessionTTL (armed in sendQUE2) if it
+// has not completed: under total loss nothing else would ever delete it, and a
 // leaked session both holds memory and blocks the object's duplicate
 // suppression from converging. The pointer comparison protects a newer
 // session that reused the key (same peer, same R_S — only possible across
@@ -799,15 +839,11 @@ func (s *Subject) armQue2(key sessionKey, sess *subjSession, attempt int, wait t
 // The expiry is a heap entry, not a live transport timer, and completion
 // cancels it — 20k concurrent sessions hold one armed timer instead of 20k.
 // Expiries are never deferred.
-func (s *Subject) scheduleExpiry(key sessionKey, sess *subjSession) {
-	sess.expiry = s.wheel.schedule(s.retry.ttl(), func() {
-		if cur, ok := s.sessions[key]; ok && cur == sess {
-			s.dropSessionTimers(sess)
-			delete(s.sessions, key)
-			s.syncPending()
-			s.tel.sessionExpired()
-		}
-	})
+func (s *Subject) expire(sess *subjSession) {
+	if cur, ok := s.sessions[sess.key]; ok && cur == sess {
+		s.dropSession(sess)
+		s.tel.sessionExpired()
+	}
 }
 
 // handleRES2 completes the handshake: determine which key the object used
@@ -817,11 +853,10 @@ func (s *Subject) scheduleExpiry(key sessionKey, sess *subjSession) {
 func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	// RES2 carries no R_S echo, so locate the pending session by peer,
 	// preferring the most recent round if several are outstanding.
-	var key sessionKey
 	var sess *subjSession
-	for k, c := range s.sessions {
-		if c.objAddr == from && (sess == nil || c.round > sess.round) {
-			key, sess = k, c
+	for _, c := range s.sessions {
+		if c.key.peer == from && (sess == nil || c.round > sess.round) {
+			sess = c
 		}
 	}
 	if sess == nil {
@@ -833,12 +868,14 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		return
 	}
 	if sess.resumed && !sess.short && m.Refusal() {
-		s.refused(key, sess)
+		s.refused(sess)
 		return
 	}
 	if !s.retry.Enabled() {
-		delete(s.sessions, key)
+		// The zero policy consumes the session with its first RES2.
+		delete(s.sessions, sess.key)
 		s.syncPending()
+		defer sess.wipe()
 	}
 	sess.stamps.res2At = s.ep.Now()
 	s.noteActivity()
@@ -846,14 +883,14 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	toHash := transcriptOHash(sess.ts, sess.que2, m.Ciphertext)
 
 	var level Level
-	var sk []byte
+	var sk *suite.Key
 	var group groups.ID
 	switch {
 	// "S first tries to verify it with K2 ... Otherwise she uses K3" (§VI-A).
-	case suite.VerifyMAC(sess.k2, suite.LabelObjectFinished, toHash, m.MACO):
-		level, sk = L2, sess.k2
-	case sess.k3 != nil && suite.VerifyMAC(sess.k3, suite.LabelObjectFinished, toHash, m.MACO):
-		level, sk, group = L3, sess.k3, sess.group
+	case sess.k2.VerifyMAC(suite.LabelObjectFinished, toHash, m.MACO):
+		level, sk = L2, &sess.k2
+	case sess.que2.MACS3 != nil && sess.k3.VerifyMAC(suite.LabelObjectFinished, toHash, m.MACO):
+		level, sk, group = L3, &sess.k3, sess.group
 	default:
 		// Neither key verifies: corrupted or not for us. Under retry the
 		// session stays pending — a QUE2 retransmission will fetch a clean
@@ -870,11 +907,16 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 			s.credit(from)
 		}
 	}
+	// The keys are wiped when the session's last use of them, the next
+	// ticket, is done.
 	s.dropSessionTimers(sess)
-	delete(s.sessions, key)
+	delete(s.sessions, sess.key)
 	s.syncPending()
+	defer sess.wipe()
 
-	plain, err := suite.DecryptProfile(sk, m.Ciphertext)
+	// The plaintext lives in pooled scratch: what is kept of it is its hash
+	// and the decoded profile, which copies.
+	plain, err := sk.DecryptProfile(wire.GetScratch(), m.Ciphertext)
 	if err != nil {
 		return
 	}
@@ -891,24 +933,24 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	verifies := 0
 	if prof == nil {
 		prof, err = s.vcache.DecodeProfile(plain, s.prov.CACert, s.prov.AdminPub, now)
-		if err != nil || prof.Kind != cert.RoleObject {
-			return
-		}
 		verifies = 1
+	}
+	wire.PutScratch(plain)
+	if err != nil || prof.Kind != cert.RoleObject {
+		return
 	}
 
 	hmacs := 2
 	if s.retry.Enabled() {
 		// The handshake is complete and everything it carried is verified:
 		// file the ticket for the next one. After a resumed session this is
-		// the ratchet step — the ticket just used is overwritten. A reused
-		// profile narrowed the window when it was bound.
-		next := sess.next.minted(sess.k2, sess.tsHash)
+		// the ratchet step — the ticket just used is overwritten in place. A
+		// reused profile narrowed the window when it was bound.
+		next := s.tickets.mint(from, &sess.next, &sess.k2, sess.tsHash)
 		if verifies > 0 {
 			next.narrowTo(prof.Window())
 			next.profO, next.prof = digest, prof
 		}
-		s.tickets.put(from, next)
 		if sess.resumed {
 			s.tel.resumption(resultResumed)
 		} else {
@@ -942,27 +984,25 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 // the session kept. The object left its half of the session pending for
 // exactly this, so the round loses one round trip and waits for no timer. A
 // forged refusal buys an attacker nothing more than that full handshake.
-func (s *Subject) refused(key sessionKey, sess *subjSession) {
+func (s *Subject) refused(sess *subjSession) {
 	s.tel.resumption(resultRefused)
 	s.dropTicket(sess)
-	s.dropSessionTimers(sess)
-	delete(s.sessions, key)
-	s.syncPending()
+	s.dropSession(sess)
 	s.noteActivity()
 	if sess.round != s.round {
 		return // R_S has moved on; the new round handshakes for itself
 	}
 	m, _ := wire.Decode(sess.res1)
 	if res1, ok := m.(*wire.RES1); ok {
-		s.fullQUE2(sess.objAddr, res1, sess.res1)
+		s.fullQUE2(sess.key.peer, res1, sess.res1)
 	}
 }
 
 // dropTicket forgets the ticket a refused session presented, unless a newer
 // one has replaced it since.
 func (s *Subject) dropTicket(sess *subjSession) {
-	if t := s.tickets.get(sess.objAddr); t != nil && t.id == sess.next.id {
-		s.tickets.drop(sess.objAddr)
+	if t := s.tickets.get(sess.key.peer); t != nil && t.id == sess.next.id {
+		s.tickets.drop(sess.key.peer)
 	}
 }
 

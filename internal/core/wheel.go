@@ -31,13 +31,27 @@ type timerWheel struct {
 }
 
 // wheelEntry is one pending deadline. Callers hold the pointer to cancel or
-// defer it; index tracks the heap slot so deferral can heap.Fix in place.
+// defer it; index tracks the heap slot so deferral can heap.Fix in place. The
+// zero value is an entry not scheduled, so a session can embed its entries
+// and arm them with no allocation (scheduleIn).
 type wheelEntry struct {
 	w     *timerWheel
 	at    time.Duration
-	fn    func()
-	index int // heap slot; -1 once fired or canceled
+	task  wheelTask
+	index int  // heap slot while live
+	live  bool // in the heap: neither fired nor canceled since scheduled
 }
+
+// wheelTask is the work of a due entry. The entry is handed back, so that an
+// owner of several entries — a session with a retransmission and an expiry —
+// knows which one fell due.
+type wheelTask interface{ due(e *wheelEntry) }
+
+// wheelFunc is a closure as a task, for deadlines armed once a round or
+// less often.
+type wheelFunc func()
+
+func (f wheelFunc) due(*wheelEntry) { f() }
 
 func newTimerWheel(ep transport.Endpoint) *timerWheel {
 	return &timerWheel{ep: ep, armedAt: -1}
@@ -46,23 +60,32 @@ func newTimerWheel(ep transport.Endpoint) *timerWheel {
 // schedule registers fn to run d from now and returns a handle to cancel or
 // deferTo. The callback runs on the engine's event loop.
 func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
-	e := &wheelEntry{w: w, at: w.ep.Now() + d, fn: fn}
-	heap.Push(&w.h, e)
-	w.arm()
+	e := new(wheelEntry)
+	w.scheduleIn(e, d, wheelFunc(fn))
 	return e
 }
 
-// cancel takes the entry out of the heap and lets go of its callback. No
+// scheduleIn arms e, which the caller owns, to run task d from now: the form
+// for the deadlines every session arms, which embed their entries and are
+// their own task. Re-arming a live entry cancels it first.
+func (w *timerWheel) scheduleIn(e *wheelEntry, d time.Duration, task wheelTask) {
+	e.cancel()
+	e.w, e.at, e.task = w, w.ep.Now()+d, task
+	heap.Push(&w.h, e)
+	w.arm()
+}
+
+// cancel takes the entry out of the heap and lets go of its task. No
 // transport timer is touched: an After armed for it fires, finds nothing due
 // and re-arms. Engines under the zero policy (no wheel, no entries) cancel
-// unconditionally: a nil entry is a no-op, as is one that fired or was
-// canceled before.
+// unconditionally: a nil entry is a no-op, as is one never scheduled, or that
+// fired or was canceled before.
 func (e *wheelEntry) cancel() {
-	if e == nil || e.index < 0 {
+	if e == nil || !e.live {
 		return
 	}
 	heap.Remove(&e.w.h, e.index)
-	e.fn = nil
+	e.task = nil
 }
 
 // deferTo pushes the entry's deadline out to at (never earlier). Used to
@@ -70,7 +93,7 @@ func (e *wheelEntry) cancel() {
 // still plausibly in flight. The outstanding After is left alone: when it
 // fires it finds the entry not yet due and re-arms.
 func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
-	if e == nil || e.index < 0 || at <= e.at {
+	if e == nil || !e.live || at <= e.at {
 		return
 	}
 	e.at = at
@@ -108,9 +131,9 @@ func (w *timerWheel) fire(target time.Duration) {
 			break
 		}
 		heap.Pop(&w.h)
-		fn := e.fn
-		e.fn = nil
-		fn()
+		task := e.task
+		e.task = nil
+		task.due(e)
 		now = w.ep.Now()
 	}
 	w.arm()
@@ -125,13 +148,17 @@ type wheelHeap []*wheelEntry
 func (h wheelHeap) Len() int           { return len(h) }
 func (h wheelHeap) Less(i, j int) bool { return h[i].at < h[j].at }
 func (h wheelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *wheelHeap) Push(x any)        { e := x.(*wheelEntry); e.index = len(*h); *h = append(*h, e) }
+func (h *wheelHeap) Push(x any) {
+	e := x.(*wheelEntry)
+	e.index, e.live = len(*h), true
+	*h = append(*h, e)
+}
 func (h *wheelHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.live = false
 	*h = old[:n-1]
 	return e
 }

@@ -4,8 +4,10 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"errors"
 	"io"
+	"slices"
 )
 
 // Profile encryption: AES-256-CBC with a random 16-byte IV followed by a
@@ -30,38 +32,65 @@ func CiphertextLen(n int) int {
 // profileTag absorbs covered (IV ‖ ciphertext) under the MAC key: the tag,
 // ready to be appended or compared. Both of the cipher's keys are one-block
 // PRFs of the session key; this one never leaves the state.
-func profileTag(sessionKey, covered []byte) *macState {
-	m := oneBlock(startMAC(sessionKey), "profile integrity", nil, nil)
+func (k *Key) profileTag(covered []byte) *macState {
+	m := oneBlock(k.start(), "profile integrity", nil, nil)
 	m.finish()
-	m.rekey(m.buf[:])
+	m.prepare(m.buf[:])
 	m.write(covered)
 	return m
+}
+
+// profileBlock returns the AES-256 cipher under the encryption key.
+func (k *Key) profileBlock() (cipher.Block, error) {
+	m := oneBlock(k.start(), "profile encryption", nil, nil)
+	m.finish()
+	block, err := aes.NewCipher(m.buf[:])
+	m.release()
+	return block, err
 }
 
 // EncryptProfile encrypts plaintext under the session key. rng supplies the
 // IV (crypto/rand.Reader if nil).
 func EncryptProfile(sessionKey, plaintext []byte, rng io.Reader) ([]byte, error) {
+	var k Key
+	k.Set(sessionKey)
+	defer k.Wipe()
+	return k.EncryptProfile(nil, plaintext, rng)
+}
+
+// EncryptProfile is EncryptProfile under the prepared session key, appending
+// the ciphertext to dst. Beside the AES key schedule it allocates only what
+// dst lacks: CBC runs block by block in the output, padding included.
+func (k *Key) EncryptProfile(dst, plaintext []byte, rng io.Reader) ([]byte, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	pad := aes.BlockSize - len(plaintext)%aes.BlockSize
-	body := make([]byte, len(plaintext)+pad)
-	copy(body, plaintext)
-	for i := len(plaintext); i < len(body); i++ {
-		body[i] = byte(pad)
-	}
-	out := make([]byte, aes.BlockSize+len(body)+MACSize)
+	n := CiphertextLen(len(plaintext))
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
 	iv := out[:aes.BlockSize]
 	if _, err := io.ReadFull(rng, iv); err != nil {
 		return nil, err
 	}
-	block, err := aes.NewCipher(oneBlock(startMAC(sessionKey), "profile encryption", nil, nil).sum(nil))
+	block, err := k.profileBlock()
 	if err != nil {
 		return nil, err
 	}
-	macStart := aes.BlockSize + len(body)
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[aes.BlockSize:macStart], body)
-	return profileTag(sessionKey, out[:macStart]).sum(out[:macStart]), nil
+	macStart := n - MACSize
+	body := out[aes.BlockSize:macStart]
+	pad := body[copy(body, plaintext):]
+	for i := range pad {
+		pad[i] = byte(len(pad))
+	}
+	for prev, i := iv, 0; i < len(body); i += aes.BlockSize {
+		b := body[i : i+aes.BlockSize]
+		subtle.XORBytes(b, b, prev)
+		block.Encrypt(b, b)
+		prev = b
+	}
+	k.profileTag(out[:macStart]).sumTo((*[MACSize]byte)(out[macStart:]))
+	return dst, nil
 }
 
 // DecryptProfile verifies and decrypts a profile ciphertext. It returns
@@ -69,25 +98,43 @@ func EncryptProfile(sessionKey, plaintext []byte, rng io.Reader) ([]byte, error)
 // subject detects she derived the wrong key (e.g. tried K2 against a Level 3
 // fellow response).
 func DecryptProfile(sessionKey, ciphertext []byte) ([]byte, error) {
+	var k Key
+	k.Set(sessionKey)
+	defer k.Wipe()
+	return k.DecryptProfile(nil, ciphertext)
+}
+
+// DecryptProfile is DecryptProfile under the prepared session key, appending
+// the plaintext to dst, which must not overlap ciphertext. Beside the AES key
+// schedule it allocates only what dst lacks, and a ciphertext whose tag does
+// not verify costs nothing at all.
+func (k *Key) DecryptProfile(dst, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) < aes.BlockSize+aes.BlockSize+MACSize {
 		return nil, errCipher
 	}
 	macStart := len(ciphertext) - MACSize
-	if !profileTag(sessionKey, ciphertext[:macStart]).equal(ciphertext[macStart:]) {
+	if !k.profileTag(ciphertext[:macStart]).equal(ciphertext[macStart:]) {
 		return nil, errCipher
 	}
 	body := ciphertext[aes.BlockSize:macStart]
 	if len(body)%aes.BlockSize != 0 {
 		return nil, errCipher
 	}
-	block, err := aes.NewCipher(oneBlock(startMAC(sessionKey), "profile encryption", nil, nil).sum(nil))
+	block, err := k.profileBlock()
 	if err != nil {
 		return nil, err
 	}
-	plain := make([]byte, len(body))
-	cipher.NewCBCDecrypter(block, ciphertext[:aes.BlockSize]).CryptBlocks(plain, body)
+	start := len(dst)
+	dst = slices.Grow(dst, len(body))[:start+len(body)]
+	plain := dst[start:]
+	for prev, i := ciphertext[:aes.BlockSize], 0; i < len(body); i += aes.BlockSize {
+		p, c := plain[i:i+aes.BlockSize], body[i:i+aes.BlockSize]
+		block.Decrypt(p, c)
+		subtle.XORBytes(p, p, prev)
+		prev = c
+	}
 	pad := int(plain[len(plain)-1])
-	if pad < 1 || pad > aes.BlockSize || pad > len(plain) {
+	if pad < 1 || pad > aes.BlockSize {
 		return nil, errCipher
 	}
 	for _, b := range plain[len(plain)-pad:] {
@@ -95,7 +142,7 @@ func DecryptProfile(sessionKey, ciphertext []byte) ([]byte, error) {
 			return nil, errCipher
 		}
 	}
-	return plain[:len(plain)-pad], nil
+	return dst[:len(dst)-pad], nil
 }
 
 // NewNonce returns a fresh NonceSize-byte random value (R_S or R_O). rng

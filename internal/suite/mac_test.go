@@ -2,6 +2,8 @@ package suite
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
@@ -130,10 +132,172 @@ func FuzzMACMatchesStdlib(f *testing.F) {
 		m := startMAC(key[:kc], key[kc:])
 		m.writeString(string(msg[:mc]))
 		m.write(msg[mc:])
-		if got, want := m.sum(nil), stdMAC(key, msg); !bytes.Equal(got, want) {
+		want := stdMAC(key, msg)
+		if got := m.sum(nil); !bytes.Equal(got, want) {
 			t.Fatalf("key %x message %x cut %d: got %x, crypto/hmac says %x", key, msg, cut, got, want)
 		}
+		var k Key
+		k.Set(key[:kc], key[kc:])
+		m = k.start()
+		m.writeString(string(msg[:mc]))
+		m.write(msg[mc:])
+		if got := m.sum(nil); !bytes.Equal(got, want) {
+			t.Fatalf("key %x message %x cut %d: keyed state gives %x, crypto/hmac says %x", key, msg, cut, got, want)
+		}
 	})
+}
+
+// TestKeyMatchesStdlib: every method of a prepared Key computes what
+// crypto/hmac computes over the raw key, and what the []byte form computes,
+// at key lengths around the block boundary.
+func TestKeyMatchesStdlib(t *testing.T) {
+	rs, ro := pattern(NonceSize, 5), pattern(NonceSize, 6)
+	grp := pattern(KeySize, 4)
+	th := sha256.Sum256([]byte("transcript"))
+	plain := pattern(200, 7)
+	for _, n := range []int{0, 1, sha256.BlockSize - 1, sha256.BlockSize, sha256.BlockSize + 1, 200} {
+		raw := pattern(n, 3)
+		var k Key
+		k.Set(raw)
+		if k == (Key{}) {
+			t.Fatalf("key %d B: Set left the zero Key", n)
+		}
+		var parts Key
+		parts.Set(raw[:n/2], raw[n/2:])
+		if parts != k {
+			t.Errorf("key %d B: a key set in parts differs from the whole", n)
+		}
+
+		want := stdMAC(raw, []byte(LabelObjectFinished), th[:])
+		var mac [MACSize]byte
+		k.FinishedMAC(&mac, LabelObjectFinished, th)
+		if !bytes.Equal(mac[:], want) || !bytes.Equal(FinishedMAC(raw, LabelObjectFinished, th), want) {
+			t.Errorf("key %d B: FinishedMAC differs from crypto/hmac", n)
+		}
+		if !k.VerifyMAC(LabelObjectFinished, th, want) {
+			t.Errorf("key %d B: VerifyMAC rejects the reference MAC", n)
+		}
+		if k.VerifyMAC(LabelSubjectFinished, th, want) || k.VerifyMAC(LabelObjectFinished, th, want[:MACSize-1]) {
+			t.Errorf("key %d B: VerifyMAC accepts a MAC under another label, or a truncated one", n)
+		}
+
+		var k2 [KeySize]byte
+		k.SessionKey2(&k2, rs, ro)
+		if !bytes.Equal(k2[:], SessionKey2(raw, rs, ro)) {
+			t.Errorf("key %d B: Key.SessionKey2 differs from SessionKey2", n)
+		}
+		var to [KeySize]byte
+		if SessionKey2To(&to, raw, rs, ro); to != k2 {
+			t.Errorf("key %d B: SessionKey2To differs from SessionKey2", n)
+		}
+		if SessionKey3To(&to, raw, grp, rs, ro); !bytes.Equal(to[:], SessionKey3(raw, grp, rs, ro)) {
+			t.Errorf("key %d B: SessionKey3To differs from SessionKey3", n)
+		}
+
+		if h := k.Hint(rs); h != Hint(raw, rs) || !bytes.Equal(h[:], stdMAC(raw, []byte(LabelHint), rs)[:HintSize]) {
+			t.Errorf("key %d B: Key.Hint differs from Hint or crypto/hmac", n)
+		}
+
+		secretRaw, idRaw := ResumptionTicket(raw, th)
+		var secret, wantSecret Key
+		wantSecret.Set(secretRaw)
+		if id := k.ResumptionTicket(&secret, th); id != idRaw || secret != wantSecret {
+			t.Errorf("key %d B: Key.ResumptionTicket differs from ResumptionTicket", n)
+		}
+
+		iv := pattern(16, 9)
+		ct, err := k.EncryptProfile([]byte("prefix"), plain, bytes.NewReader(iv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := EncryptProfile(raw, plain, bytes.NewReader(iv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(ct[:6]) != "prefix" || !bytes.Equal(ct[6:], ref) {
+			t.Errorf("key %d B: Key.EncryptProfile does not append what EncryptProfile returns", n)
+		}
+		got, err := k.DecryptProfile([]byte("prefix"), ref)
+		if err != nil || string(got[:6]) != "prefix" || !bytes.Equal(got[6:], plain) {
+			t.Errorf("key %d B: Key.DecryptProfile does not append the plaintext (%v)", n, err)
+		}
+
+		k.Wipe()
+		if k != (Key{}) {
+			t.Errorf("key %d B: Wipe left key material", n)
+		}
+	}
+}
+
+// cbcReference is the profile cipher spelled out with crypto/hmac and
+// crypto/cipher's CBC mode: IV ‖ AES-256-CBC(PKCS#7(plain)) ‖ tag.
+func cbcReference(t *testing.T, sessionKey, iv, plain []byte) []byte {
+	t.Helper()
+	block, err := aes.NewCipher(stdMAC(sessionKey, []byte("profile encryption"), []byte{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := aes.BlockSize - len(plain)%aes.BlockSize
+	body := append(append([]byte(nil), plain...), bytes.Repeat([]byte{byte(pad)}, pad)...)
+	ct := append([]byte(nil), iv...)
+	ct = append(ct, make([]byte, len(body))...)
+	cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct[aes.BlockSize:], body)
+	return append(ct, stdMAC(stdMAC(sessionKey, []byte("profile integrity"), []byte{1}), ct)...)
+}
+
+// TestProfileCBCMatchesStdlib: the hand-rolled CBC is byte for byte
+// crypto/cipher's under a fixed IV, and what it decrypts is rejected whole
+// when any byte is tampered with or the padding is not PKCS#7.
+func TestProfileCBCMatchesStdlib(t *testing.T) {
+	raw, iv := pattern(KeySize, 1), pattern(aes.BlockSize, 2)
+	var k Key
+	k.Set(raw)
+	for _, n := range []int{0, 1, 15, 16, 17, 200} {
+		plain := pattern(n, 3)
+		want := cbcReference(t, raw, iv, plain)
+		ct, err := k.EncryptProfile(nil, plain, bytes.NewReader(iv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ct, want) {
+			t.Fatalf("%d B: ciphertext differs from crypto/cipher's CBC", n)
+		}
+		if got, err := k.DecryptProfile(nil, want); err != nil || !bytes.Equal(got, plain) {
+			t.Fatalf("%d B: the reference ciphertext does not decrypt (%v)", n, err)
+		}
+		for i := range want {
+			bad := append([]byte(nil), want...)
+			bad[i] ^= 0x80
+			if _, err := k.DecryptProfile(nil, bad); err == nil {
+				t.Fatalf("%d B: tampered byte %d accepted", n, i)
+			}
+		}
+	}
+
+	// Bodies that decrypt under a valid tag but do not end in PKCS#7 padding,
+	// or are no whole number of blocks.
+	block, err := aes.NewCipher(stdMAC(raw, []byte("profile encryption"), []byte{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagKey := stdMAC(raw, []byte("profile integrity"), []byte{1})
+	seal := func(body []byte) []byte {
+		ct := append(append([]byte(nil), iv...), make([]byte, len(body))...)
+		if len(body)%aes.BlockSize == 0 {
+			cipher.NewCBCEncrypter(block, iv).CryptBlocks(ct[aes.BlockSize:], body)
+		}
+		return append(ct, stdMAC(tagKey, ct)...)
+	}
+	for name, body := range map[string][]byte{
+		"pad 0":          append(pattern(15, 4), 0),
+		"pad 17":         append(pattern(31, 4), 17),
+		"pad bytes vary": append(pattern(13, 4), 2, 3, 3),
+		"partial block":  pattern(20, 4),
+	} {
+		if _, err := k.DecryptProfile(nil, seal(body)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 }
 
 // TestMACStateHoldsNoKeyAfterRelease: what goes back into the pool is a
@@ -144,25 +308,46 @@ func TestMACStateHoldsNoKeyAfterRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out [MACSize]byte
 	for _, key := range [][]byte{pattern(KeySize, 0x55), pattern(200, 0x66)} {
-		for _, end := range []func(m *macState){
-			func(m *macState) { m.sum(nil) },
-			func(m *macState) { m.equal(make([]byte, MACSize)) },
+		var k Key
+		k.Set(key)
+		for _, start := range []func() *macState{
+			func() *macState { return startMAC(key) },
+			k.start,
 		} {
-			m := startMAC(key)
-			m.writeString(LabelSubjectFinished)
-			end(m) // m is back in the pool; nothing else runs, so it is still ours to read
-			if m.pad != [sha256.BlockSize]byte{} || m.buf != [sha256.Size]byte{} {
-				t.Fatalf("released state keeps pad %x buf %x", m.pad, m.buf)
-			}
-			state, err := m.h.(encoding.BinaryMarshaler).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(state, fresh) {
-				t.Fatalf("released digest is not reset: %x", state)
+			for _, end := range []func(m *macState){
+				func(m *macState) { m.sum(nil) },
+				func(m *macState) { m.sumTo(&out) },
+				func(m *macState) { m.equal(make([]byte, MACSize)) },
+			} {
+				m := start()
+				m.writeString(LabelSubjectFinished)
+				end(m) // m is back in the pool; nothing else runs, so it is still ours to read
+				assertReleased(t, m, fresh)
 			}
 		}
+	}
+	var k Key
+	k.Set(pattern(200, 0x77))
+	m := macPool.Get().(*macState) // Set's state, as it went back
+	macPool.Put(m)
+	assertReleased(t, m, fresh)
+}
+
+// assertReleased fails unless m holds no key, no staged digest, no result
+// and a reset digest.
+func assertReleased(t *testing.T, m *macState, fresh []byte) {
+	t.Helper()
+	if m.key != (Key{}) || m.pad != [sha256.BlockSize]byte{} || m.buf != [sha256.Size]byte{} || m.state != [digestStateLen]byte{} {
+		t.Fatalf("released state keeps key %x pad %x buf %x staged digest %x", m.key, m.pad, m.buf, m.state)
+	}
+	state, err := m.h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state, fresh) {
+		t.Fatalf("released digest is not reset: %x", state)
 	}
 }
 
@@ -193,7 +378,13 @@ func TestMACAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct[len(ct)-1] ^= 1 // the tag check fails, and is all DecryptProfile does
+	plain := make([]byte, 0, len(ct))
+	var key, secret Key
+	key.Set(k2)
+	var out [KeySize]byte
+	dst := make([]byte, 0, len(ct))
+	bad := append([]byte(nil), ct...)
+	bad[len(bad)-1] ^= 1 // the tag check fails, and is all DecryptProfile does
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -205,7 +396,20 @@ func TestMACAllocations(t *testing.T) {
 		{"ResumptionTicket", 1, func() { ResumptionTicket(k2, th) }},
 		{"VerifyMAC", 0, func() { VerifyMAC(k2, LabelSubjectFinished, th, mac) }},
 		{"Hint", 0, func() { Hint(k2, rs) }},
-		{"DecryptProfile tag check", 0, func() { _, _ = DecryptProfile(k2, ct) }},
+		{"DecryptProfile tag check", 0, func() { _, _ = DecryptProfile(k2, bad) }},
+		{"Key.Set", 0, func() { key.Set(k2) }},
+		{"Key.FinishedMAC", 0, func() { key.FinishedMAC(&out, LabelSubjectFinished, th) }},
+		{"Key.VerifyMAC", 0, func() { key.VerifyMAC(LabelSubjectFinished, th, mac) }},
+		{"Key.Hint", 0, func() { key.Hint(rs) }},
+		{"Key.SessionKey2", 0, func() { key.SessionKey2(&out, rs, ro) }},
+		{"SessionKey2To", 0, func() { SessionKey2To(&out, k2, rs, ro) }},
+		{"SessionKey3To", 0, func() { SessionKey3To(&out, k2, grp, rs, ro) }},
+		{"Key.ResumptionTicket", 0, func() { key.ResumptionTicket(&secret, th) }},
+		{"Key.DecryptProfile tag check", 0, func() { _, _ = key.DecryptProfile(plain, bad) }},
+		// What is left is the AES key schedule: no mode object, no padded
+		// copy, no key slice.
+		{"Key.DecryptProfile", 1, func() { _, _ = key.DecryptProfile(plain, ct) }},
+		{"Key.EncryptProfile", 1, func() { _, _ = key.EncryptProfile(dst, plain[:200], nil) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
 			t.Errorf("%s: %.0f allocs/op, want at most %.0f", c.name, got, c.max)

@@ -60,6 +60,19 @@ func SessionKey2(preK, rs, ro []byte) []byte {
 	return oneBlock(startMAC(preK), LabelSessionKey, rs, ro).sum(nil)
 }
 
+// SessionKey2To is SessionKey2 writing K2 into the caller's array.
+func SessionKey2To(k2 *[KeySize]byte, preK, rs, ro []byte) {
+	oneBlock(startMAC(preK), LabelSessionKey, rs, ro).sumTo(k2)
+}
+
+// SessionKey2 derives the session key of a resumed session from the ticket
+// secret k is prepared from, which stands in for the ECDH premaster:
+//
+//	K2′ = HMAC(secret, "session key" ‖ R_S ‖ R_O)
+func (k *Key) SessionKey2(k2 *[KeySize]byte, rs, ro []byte) {
+	oneBlock(k.start(), LabelSessionKey, rs, ro).sumTo(k2)
+}
+
 // SessionKey3 derives Level 3's session key
 //
 //	K3 = HMAC(K2 ‖ K_i^grp, "session key" ‖ R_S ‖ R_O)
@@ -68,6 +81,11 @@ func SessionKey2(preK, rs, ro []byte) []byte {
 // derive the same K3.
 func SessionKey3(k2, groupKey, rs, ro []byte) []byte {
 	return oneBlock(startMAC(k2, groupKey), LabelSessionKey, rs, ro).sum(nil)
+}
+
+// SessionKey3To is SessionKey3 writing K3 into the caller's array.
+func SessionKey3To(k3 *[KeySize]byte, k2, groupKey, rs, ro []byte) {
+	oneBlock(startMAC(k2, groupKey), LabelSessionKey, rs, ro).sumTo(k3)
 }
 
 // ResumptionTicket derives what both ends of a completed handshake keep for
@@ -82,12 +100,34 @@ func SessionKey3(k2, groupKey, rs, ro []byte) []byte {
 // every step is one-way, so a secret read off a compromised device opens no
 // earlier session, and the public id reveals nothing of the secret it hashes.
 func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byte, id [TicketIDSize]byte) {
-	secret = FinishedMAC(k2, LabelResumption, transcriptHash)
-	var in [len(LabelTicketID) + sha256.Size]byte
-	copy(in[copy(in[:], LabelTicketID):], secret)
+	m := finished(startMAC(k2), LabelResumption, transcriptHash)
+	m.finish()
+	id = ticketID(&m.buf)
+	secret = append([]byte(nil), m.buf[:]...)
+	m.release()
+	return secret, id
+}
+
+// ResumptionTicket is ResumptionTicket under the prepared K2: it prepares the
+// secret into the caller's Key and returns the id.
+func (k *Key) ResumptionTicket(secret *Key, transcriptHash [sha256.Size]byte) (id [TicketIDSize]byte) {
+	m := finished(k.start(), LabelResumption, transcriptHash)
+	m.finish()
+	id = ticketID(&m.buf)
+	m.prepare(m.buf[:])
+	*secret = m.key
+	m.h.Reset()
+	m.release()
+	return id
+}
+
+// ticketID hashes a ticket secret into its public id.
+func ticketID(secret *[KeySize]byte) (id [TicketIDSize]byte) {
+	var in [len(LabelTicketID) + KeySize]byte
+	copy(in[copy(in[:], LabelTicketID):], secret[:])
 	sum := sha256.Sum256(in[:])
 	copy(id[:], sum[:])
-	return secret, id
+	return id
 }
 
 // Hint derives the tag by which a subject's QUE1 tells one object — and nobody
@@ -97,19 +137,26 @@ func ResumptionTicket(k2 []byte, transcriptHash [sha256.Size]byte) (secret []byt
 //
 // R_S is fresh per round and the secret ratchets per session, so no two hints
 // of a pairing are alike, and without the secret a hint is random bytes.
-func Hint(secret, rs []byte) (hint [HintSize]byte) {
-	m := startMAC(secret)
+func Hint(secret, rs []byte) [HintSize]byte {
+	return hint(startMAC(secret), rs)
+}
+
+// Hint is Hint under the prepared ticket secret.
+func (k *Key) Hint(rs []byte) [HintSize]byte {
+	return hint(k.start(), rs)
+}
+
+func hint(m *macState, rs []byte) (h [HintSize]byte) {
 	m.writeString(LabelHint)
 	m.write(rs)
 	m.finish()
-	copy(hint[:], m.buf[:])
+	copy(h[:], m.buf[:])
 	m.release()
-	return hint
+	return h
 }
 
-// finished absorbs label ‖ transcriptHash under sessionKey.
-func finished(sessionKey []byte, label string, transcriptHash [sha256.Size]byte) *macState {
-	m := startMAC(sessionKey)
+// finished absorbs label ‖ transcriptHash into m.
+func finished(m *macState, label string, transcriptHash [sha256.Size]byte) *macState {
 	m.writeString(label)
 	m.buf = transcriptHash
 	m.write(m.buf[:])
@@ -123,11 +170,22 @@ func finished(sessionKey []byte, label string, transcriptHash [sha256.Size]byte)
 // where label is LabelSubjectFinished or LabelObjectFinished and transcript
 // is "*": all the content sent and received so far (§V).
 func FinishedMAC(sessionKey []byte, label string, transcriptHash [sha256.Size]byte) []byte {
-	return finished(sessionKey, label, transcriptHash).sum(nil)
+	return finished(startMAC(sessionKey), label, transcriptHash).sum(nil)
 }
 
 // VerifyMAC reports whether mac is the finished MAC for the given key, label
 // and transcript hash, in constant time.
 func VerifyMAC(sessionKey []byte, label string, transcriptHash [sha256.Size]byte, mac []byte) bool {
-	return finished(sessionKey, label, transcriptHash).equal(mac)
+	return finished(startMAC(sessionKey), label, transcriptHash).equal(mac)
+}
+
+// FinishedMAC is FinishedMAC under the prepared session key, written into the
+// caller's array.
+func (k *Key) FinishedMAC(mac *[MACSize]byte, label string, transcriptHash [sha256.Size]byte) {
+	finished(k.start(), label, transcriptHash).sumTo(mac)
+}
+
+// VerifyMAC is VerifyMAC under the prepared session key.
+func (k *Key) VerifyMAC(label string, transcriptHash [sha256.Size]byte, mac []byte) bool {
+	return finished(k.start(), label, transcriptHash).equal(mac)
 }

@@ -25,11 +25,14 @@
 #
 # It gates `allocs_per_session` the same way. `warm` and `cold` differ only in
 # their verify caches, and a resumed session looks nothing up, so both measure
-# 40.0–42.0 and share the ceiling 46; the `lossy` and `churn` ceilings sit 7 %
-# above the most they measured (45.4–45.7 over 13 seeds, 48.1–50.4 over 15). A
-# resumed RES2 that admin-verifies its PROF_O again (`cold` read 84 while every
-# one did), or any per-session allocation the size of a credential check,
-# fails it.
+# 22.4–23.5 (26 runs) and share the ceiling 25; the `lossy` and `churn`
+# ceilings sit 7–8 % above the most they measured (28.0–28.3 and 27.5–30.2,
+# 8 runs each).
+# They were 46 / 49 / 54 while session keys, MACs, tickets and wheel entries
+# were allocations of their own: a resumed RES2 that admin-verifies its PROF_O
+# again (`cold` read 84 while every one did), a session record that goes back
+# to allocating its keys, or any per-session allocation the size of a
+# credential check, fails it.
 #
 #   scripts/bench_failcheck.sh                       # 4 workloads × seeds 1–5, ~10 min
 #   WORKLOADS=churn SEEDS="1 2" scripts/bench_failcheck.sh
@@ -67,9 +70,9 @@ max_frames() {
 # max_allocs <workload>: the allocs_per_session ceiling, likewise.
 max_allocs() {
 	case "$1" in
-	warm | cold) echo 46 ;;
-	lossy) echo 49 ;;
-	churn) echo 54 ;;
+	warm | cold) echo 25 ;;
+	lossy) echo 30.5 ;;
+	churn) echo 32.5 ;;
 	esac
 }
 

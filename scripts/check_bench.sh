@@ -15,25 +15,30 @@
 #   EncodeQUE2      1 alloc/op   — thin wrapper: one buffer per Encode
 #   DecodeQUE2      1 alloc/op   — the message struct; its fields are windows
 #                                  on the payload (8 when they were copies)
-#   WarmHandshake/first-contact 345 allocs/op — full L2 round under the default
-#                                  retry policy, ticket minted; 329 measured
-#                                  + 5 % (482 before PR 14; 345 with QUE1's
-#                                  hint block, before a known PROF_O stopped
-#                                  being decoded again)
-#   WarmHandshake/resumed 74 allocs/op — the same round on a ticket: hinted
-#                                  QUE1, short RES1, short QUE2; 71 measured
-#                                  + 5 % (87 while every RES2 decoded PROF_O
-#                                  afresh and every answer armed a timer of
-#                                  its own, 168 while the object still
+#   WarmHandshake/first-contact 325 allocs/op — full L2 round under the default
+#                                  retry policy, ticket minted; 310 measured
+#                                  + 5 % (329 before session keys were held
+#                                  prepared and wheel entries embedded, 482
+#                                  before PR 14)
+#   WarmHandshake/resumed 51 allocs/op — the same round on a ticket: hinted
+#                                  QUE1, short RES1, short QUE2; 49 measured
+#                                  + 5 % (69 while keys, MACs, tickets and
+#                                  wheel entries were allocations of their own
+#                                  and the profile cipher built a CBC mode
+#                                  object a side; 87 while every RES2 decoded
+#                                  PROF_O afresh, 168 while the object still
 #                                  generated a key and signed RES1 for it, 303
-#                                  before PR 14). What is left: the simulator's
-#                                  event queue and the timer wheel ≈20, the
-#                                  keys, MACs and frames a session keeps or
-#                                  sends ≈20, the hint block, and session,
-#                                  ticket and result records
-#   WarmHandshake/uncached-resumed 74 allocs/op — resumed with no verify cache
+#                                  before PR 14). What is left: the
+#                                  simulator's event queue and deliveries ≈18,
+#                                  the wheel's armed timers and the round's
+#                                  QUE1 and resend-cache entries ≈7, the
+#                                  frames, decoded messages, nonces, records
+#                                  and compute callbacks a round sends or
+#                                  keeps ≈20, the ciphertext and the two AES
+#                                  key schedules
+#   WarmHandshake/uncached-resumed 51 allocs/op — resumed with no verify cache
 #                                  on either engine, so a lookup is a real
-#                                  P-256 verification; 69 measured + 5 % (109
+#                                  P-256 verification; 49 measured + 5 % (109
 #                                  while every resumed RES2 admin-verified the
 #                                  PROF_O bytes its ticket was minted on). Its
 #                                  name must not start with "resumed": check
@@ -61,9 +66,9 @@ check() {
 check BenchmarkAppendToQUE2 0
 check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
-check BenchmarkWarmHandshake/first-contact 345
-check BenchmarkWarmHandshake/resumed 74
-check BenchmarkWarmHandshake/uncached-resumed 74
+check BenchmarkWarmHandshake/first-contact 325
+check BenchmarkWarmHandshake/resumed 51
+check BenchmarkWarmHandshake/uncached-resumed 51
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
