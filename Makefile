@@ -12,8 +12,9 @@ FUZZTIME ?= 15s
 # by BENCHMARK.json: four workloads, eleven end-to-end metrics with bounds, a
 # per-layer budget); a claimed gain takes ten alternated pairs. Beside it:
 #
-#   make bench-check   allocs/op ceilings of the codec and the warm handshake
-#                      (internal/wire, internal/core; scripts/check_bench.sh)
+#   make bench-check   allocs/op ceilings of the codec, the warm handshake and
+#                      certificate issuance (internal/wire, internal/core,
+#                      internal/cert; scripts/check_bench.sh)
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
 #                      `failed` 0, `correct` true and `frames_per_session`
 #                      and `allocs_per_session` ceilings on every run
@@ -120,8 +121,8 @@ bench:
 bench-obs:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/obs
 
-# Hot-path allocation gate: wire codec + warm-handshake microbenchmarks
-# against the committed allocs/op ceilings (scripts/check_bench.sh, ~10 s).
+# Hot-path allocation gate: wire codec, warm-handshake and certificate
+# issuance microbenchmarks against the committed allocs/op ceilings (scripts/check_bench.sh, ~10 s).
 # Throughput/retransmission ceilings are gated at runtime by the load
 # profiles' SLO blocks.
 bench-check:

@@ -468,10 +468,7 @@ func (b *Backend) RevokeSubject(id cert.ID) (UpdateReport, error) {
 	// bulk revocation the per-removal re-sort of γ fellows was the single
 	// hottest non-crypto path in the churn profile.
 	var rekeyedLists [][]cert.ID
-	for _, gid := range b.Groups.Groups() {
-		if !b.Groups.IsMember(gid, id) {
-			continue
-		}
+	for _, gid := range b.Groups.GroupsOf(id) {
 		rekeyed, err := b.Groups.RemoveMember(gid, id)
 		if err != nil {
 			return UpdateReport{}, err

@@ -21,6 +21,7 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/asn1"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -38,7 +39,7 @@ import (
 // uniform below the curve order n, so the longest minimal encoding has
 // ceil(bitlen(n)/8) content octets, plus a 0x00 sign octet when bitlen(n) is
 // a multiple of 8 (only then can the top bit be set) — reached with
-// probability ~1/2 per integer either way.
+// probability ~1/2 per integer (~3/4 on P-521, whose top octet holds one bit).
 func maxSigLen(s suite.Strength) int {
 	bits := s.Curve().Params().N.BitLen()
 	content := (bits + 7) / 8
@@ -59,16 +60,15 @@ func maxSigLen(s suite.Strength) int {
 // and s as minimal-length INTEGERs, so a freshly signed certificate's size
 // otherwise varies with the random nonce (±2 B), which would make fixed-seed
 // simulation runs non-reproducible at the byte level: RES1 carries this DER
-// verbatim, and message size drives virtual airtime. Both r and s are maximal
-// with probability 1/4, so this takes 4 signatures on average, at issuance
-// time only — inside the signer, so the TBS marshal and x509's check of its
-// own signature are paid once per certificate, not once per try.
+// verbatim, and message size drives virtual airtime. The width is pinned
+// inside the signer (see sizedSigner.sign), so the TBS marshal and x509's
+// check of its own signature are paid once per certificate, not once per try.
 func createSizedCert(tmpl, parent *x509.Certificate, pub any, priv *ecdsa.PrivateKey, s suite.Strength) ([]byte, error) {
 	return x509.CreateCertificate(rand.Reader, tmpl, parent, pub, sizedSigner{priv, maxSigLen(s)})
 }
 
-// sizedSigner is an ECDSA crypto.Signer that re-signs until the DER signature
-// is exactly want bytes long.
+// sizedSigner is an ECDSA crypto.Signer whose DER signatures are exactly want
+// bytes long.
 type sizedSigner struct {
 	key  *ecdsa.PrivateKey
 	want int
@@ -77,17 +77,49 @@ type sizedSigner struct {
 func (s sizedSigner) Public() crypto.PublicKey { return &s.key.PublicKey }
 
 func (s sizedSigner) Sign(rng io.Reader, digest []byte, opts crypto.SignerOpts) ([]byte, error) {
-	for attempt := 0; attempt < 256; attempt++ {
+	sig, _, err := s.sign(rng, digest, opts)
+	return sig, err
+}
+
+// sign returns a want-byte signature and the number of ECDSA signatures it
+// took. Only a short r costs another signature (see pinWidth), so that is 2
+// on average (4/3 on P-521).
+func (s sizedSigner) sign(rng io.Reader, digest []byte, opts crypto.SignerOpts) ([]byte, int, error) {
+	n := s.key.Curve.Params().N
+	for attempt := 1; attempt <= 256; attempt++ {
 		sig, err := s.key.Sign(rng, digest, opts)
 		if err != nil {
-			return nil, err
+			return nil, attempt, err
 		}
-		if len(sig) == s.want {
-			return sig, nil
+		if sig, ok := pinWidth(sig, n, s.want); ok {
+			return sig, attempt, nil
 		}
 	}
-	return nil, errors.New("cert: could not produce a fixed-size signature")
+	return nil, 256, errors.New("cert: could not produce a fixed-size signature")
 }
+
+// pinWidth returns the want-byte form of the DER ECDSA signature sig over a
+// curve of order n, if it has one. ECDSA verification accepts (r, s) and
+// (r, n−s) alike, and when s falls short of the full width n−s reaches it
+// (but for a sliver of s at the middle of the range, ≤ 2^-32 of it): only
+// r's width is left to chance.
+func pinWidth(sig []byte, n *big.Int, want int) ([]byte, bool) {
+	if len(sig) == want {
+		return sig, true
+	}
+	var rs struct{ R, S *big.Int }
+	if _, err := asn1.Unmarshal(sig, &rs); err != nil || derIntLen(rs.R) != derIntLen(n) {
+		return nil, false
+	}
+	rs.S.Sub(n, rs.S)
+	out, err := asn1.Marshal(rs)
+	return out, err == nil && len(out) == want
+}
+
+// derIntLen returns the content length of the minimal DER INTEGER encoding
+// of a positive x: a 0x00 sign octet is needed exactly when the top bit of
+// the leading octet is set.
+func derIntLen(x *big.Int) int { return x.BitLen()/8 + 1 }
 
 // Role distinguishes the two registered entity kinds.
 type Role byte

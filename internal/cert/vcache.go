@@ -108,6 +108,9 @@ type vcTelemetry struct {
 	certHits, certMisses, profHits, profMisses *obs.Counter
 }
 
+// vcTelemetryKey names the cache block in its registry's memo.
+type vcTelemetryKey struct{}
+
 // DefaultVerifyCacheCapacity bounds a cache created with capacity <= 0:
 // roomy enough for a full §VIII category (10³ peers, two credentials each)
 // on the subject side while staying a few hundred KiB of index state.
@@ -146,7 +149,9 @@ func NewVerifyCache(capacity int) *VerifyCache {
 }
 
 // Instrument attaches hit/miss counters to the registry (nil detaches). Like
-// all telemetry, counters never affect cache behavior.
+// all telemetry, counters never affect cache behavior. The handles are
+// resolved once per registry: every cache instrumented on reg shares one
+// read-only block.
 func (c *VerifyCache) Instrument(reg *obs.Registry) {
 	if c == nil {
 		return
@@ -155,15 +160,17 @@ func (c *VerifyCache) Instrument(reg *obs.Registry) {
 		c.tel.Store(nil)
 		return
 	}
-	h := func(kind, result string) *obs.Counter {
-		return reg.Counter(obs.MVerifyCacheEvents,
-			"Credential verification cache lookups, by credential kind and result.",
-			obs.L("kind", kind), obs.L("result", result))
-	}
-	c.tel.Store(&vcTelemetry{
-		certHits: h("cert", "hit"), certMisses: h("cert", "miss"),
-		profHits: h("prof", "hit"), profMisses: h("prof", "miss"),
-	})
+	c.tel.Store(obs.Shared(reg, vcTelemetryKey{}, func() *vcTelemetry {
+		h := func(kind, result string) *obs.Counter {
+			return reg.Counter(obs.MVerifyCacheEvents,
+				"Credential verification cache lookups, by credential kind and result.",
+				obs.L("kind", kind), obs.L("result", result))
+		}
+		return &vcTelemetry{
+			certHits: h("cert", "hit"), certMisses: h("cert", "miss"),
+			profHits: h("prof", "hit"), profMisses: h("prof", "miss"),
+		}
+	}))
 }
 
 // Stats returns the lifetime hit/miss totals and the current entry count.

@@ -186,7 +186,7 @@ func (o *Object) instrument(reg *obs.Registry) {
 		o.tel = nil
 		return
 	}
-	o.tel = newObjectTelemetry(reg)
+	o.tel = objectTelemetryFor(reg)
 }
 
 // ID returns the object's registered identity.

@@ -203,7 +203,7 @@ func (s *Subject) instrument(reg *obs.Registry, tr *obs.Tracer) {
 		s.tel = nil
 		return
 	}
-	s.tel = newSubjectTelemetry(reg, tr, s.version)
+	s.tel = subjectTelemetryFor(reg, tr, s.version)
 }
 
 // ID returns the subject's registered identity.

@@ -10,8 +10,10 @@ import (
 	"argus/internal/wire"
 )
 
-// Telemetry for the discovery engines. Metric handles are resolved once at
-// Instrument time so the per-message cost is a few atomic operations; every
+// Telemetry for the discovery engines. Metric handles are resolved once per
+// registry (obs.Shared) and the block is shared by every engine bound to it,
+// so the per-message cost is a few atomic operations and a fleet holds one
+// copy of the handles, not one per engine; every
 // helper is a no-op on a nil receiver, so an uninstrumented engine executes
 // the exact same event sequence (fixed-seed runs stay byte-identical — see
 // internal/exp's determinism test).
@@ -42,8 +44,18 @@ func newCryptoOps(reg *obs.Registry, role string) cryptoOps {
 	}
 }
 
-// phaseNames is the fixed phase vocabulary, in wire order.
-var phaseNames = []string{obs.PhaseQUE1, obs.PhaseRES1, obs.PhaseQUE2, obs.PhaseRES2, obs.PhaseAll}
+// Phase indices of subjectTelemetry.phases, in wire order; phaseNames holds
+// their label values.
+const (
+	phaseQUE1 = iota
+	phaseRES1
+	phaseQUE2
+	phaseRES2
+	phaseAll
+	nPhases
+)
+
+var phaseNames = [nPhases]string{obs.PhaseQUE1, obs.PhaseRES1, obs.PhaseQUE2, obs.PhaseRES2, obs.PhaseAll}
 
 // Message label values of obs.MRetransmissions: which message a role resent.
 const (
@@ -113,15 +125,31 @@ func (r *robustness) resumption(result string) *obs.Counter {
 	return r.minted
 }
 
-// subjectTelemetry instruments the subject engine.
+// subjectTelemetry instruments the subject engine. It is read-only once
+// built, so every subject bound to one registry, tracer and version shares
+// one block (subjectTelemetryFor).
 type subjectTelemetry struct {
 	tracer      *obs.Tracer
 	rounds      *obs.Counter
-	probes      *obs.Counter                 // blind-round QUE1 rebroadcasts with nobody silent
-	discoveries [4]*obs.Counter              // indexed by Level (1..3)
-	phases      [4]map[string]*obs.Histogram // [level][phase]
+	probes      *obs.Counter               // blind-round QUE1 rebroadcasts with nobody silent
+	discoveries [4]*obs.Counter            // indexed by Level (1..3)
+	phases      [4][nPhases]*obs.Histogram // [level][phase index]
 	ops         cryptoOps
 	rob         robustness
+}
+
+// subjectTelemetryKey names a subject block in its registry's memo.
+type subjectTelemetryKey struct {
+	tracer  *obs.Tracer
+	version wire.Version
+}
+
+// subjectTelemetryFor returns the block shared by the subjects bound to reg
+// with tracer tr that speak version.
+func subjectTelemetryFor(reg *obs.Registry, tr *obs.Tracer, version wire.Version) *subjectTelemetry {
+	return obs.Shared(reg, subjectTelemetryKey{tr, version}, func() *subjectTelemetry {
+		return newSubjectTelemetry(reg, tr, version)
+	})
 }
 
 func newSubjectTelemetry(reg *obs.Registry, tr *obs.Tracer, version wire.Version) *subjectTelemetry {
@@ -137,9 +165,8 @@ func newSubjectTelemetry(reg *obs.Registry, tr *obs.Tracer, version wire.Version
 		lv := obs.L("level", strconv.Itoa(int(level)))
 		t.discoveries[level] = reg.Counter(obs.MDiscoveries,
 			"Verified discoveries, by perceived visibility level.", lv)
-		t.phases[level] = make(map[string]*obs.Histogram, len(phaseNames))
-		for _, ph := range phaseNames {
-			t.phases[level][ph] = reg.Histogram(obs.MDiscoveryPhaseSeconds,
+		for i, ph := range phaseNames {
+			t.phases[level][i] = reg.Histogram(obs.MDiscoveryPhaseSeconds,
 				"Virtual time spent per discovery protocol phase.",
 				obs.LatencyBuckets(), lv, obs.L("phase", ph), obs.L("version", ver))
 		}
@@ -167,31 +194,42 @@ type phaseStamps struct {
 
 // sessionDone records the per-phase histograms and tracer spans of one
 // completed discovery at doneAt. Only phases the session actually crossed
-// are emitted (Level 1 skips phase 2 entirely).
+// are emitted (Level 1 skips phase 2 entirely). The span detail is formatted
+// only when a tracer is attached.
 func (t *subjectTelemetry) sessionDone(st phaseStamps, level Level, peer transport.Addr, version wire.Version, doneAt time.Duration) {
 	if t == nil || !level.Valid() {
 		return
 	}
 	t.discoveries[level].Inc()
-	phases := t.phases[level]
-	detail := fmt.Sprintf("%v peer=%s", version, peer)
-	emit := func(phase string, from, to time.Duration) {
-		phases[phase].ObserveDuration(to - from)
-		t.tracer.Record(obs.Span{
-			Session: st.session, Name: "discover", Phase: phase,
-			Level: int(level), Detail: detail, Start: from, End: to,
-		})
+	type phaseSpan struct {
+		phase    int
+		from, to time.Duration
 	}
-	emit(obs.PhaseQUE1, st.que1At, st.res1At)
+	var buf [nPhases]phaseSpan
+	spans := append(buf[:0], phaseSpan{phaseQUE1, st.que1At, st.res1At})
 	if st.secure {
-		emit(obs.PhaseRES1, st.res1At, st.que2At)
-		emit(obs.PhaseQUE2, st.que2At, st.res2At)
-		emit(obs.PhaseRES2, st.res2At, doneAt)
+		spans = append(spans,
+			phaseSpan{phaseRES1, st.res1At, st.que2At},
+			phaseSpan{phaseQUE2, st.que2At, st.res2At},
+			phaseSpan{phaseRES2, st.res2At, doneAt})
 	} else {
 		// Level 1: RES1 arrival → verified is the whole tail.
-		emit(obs.PhaseRES2, st.res1At, doneAt)
+		spans = append(spans, phaseSpan{phaseRES2, st.res1At, doneAt})
 	}
-	emit(obs.PhaseAll, st.que1At, doneAt)
+	spans = append(spans, phaseSpan{phaseAll, st.que1At, doneAt})
+	for _, sp := range spans {
+		t.phases[level][sp.phase].ObserveDuration(sp.to - sp.from)
+	}
+	if t.tracer == nil {
+		return
+	}
+	detail := fmt.Sprintf("%v peer=%s", version, peer)
+	for _, sp := range spans {
+		t.tracer.Record(obs.Span{
+			Session: st.session, Name: "discover", Phase: phaseNames[sp.phase],
+			Level: int(level), Detail: detail, Start: sp.from, End: sp.to,
+		})
+	}
 }
 
 // count records n crypto operations on the given counter.
@@ -245,7 +283,8 @@ func (t *subjectTelemetry) malformedDrop() {
 	t.rob.malformed.Inc()
 }
 
-// objectTelemetry instruments the object engine.
+// objectTelemetry instruments the object engine. Read-only once built: the
+// objects bound to one registry share one block (objectTelemetryFor).
 type objectTelemetry struct {
 	que1      map[string]*obs.Counter
 	que2      map[string]*obs.Counter
@@ -268,6 +307,14 @@ const (
 	resultSilent    = "silent"    // no policy admits the subject
 	resultOrphan    = "orphan"    // QUE2 with no live session (replay or late arrival)
 )
+
+// objectTelemetryKey names the object block in its registry's memo.
+type objectTelemetryKey struct{}
+
+// objectTelemetryFor returns the block shared by the objects bound to reg.
+func objectTelemetryFor(reg *obs.Registry) *objectTelemetry {
+	return obs.Shared(reg, objectTelemetryKey{}, func() *objectTelemetry { return newObjectTelemetry(reg) })
+}
 
 func newObjectTelemetry(reg *obs.Registry) *objectTelemetry {
 	t := &objectTelemetry{

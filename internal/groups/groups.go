@@ -197,21 +197,33 @@ func (m *Manager) IsMember(gid ID, entity cert.ID) bool {
 	return g.subjects[entity] || g.objects[entity]
 }
 
+// GroupsOf returns the IDs of the groups the entity belongs to, in ascending
+// order. It walks the group map once and sorts only the matches, not every
+// group ID as Groups does.
+func (m *Manager) GroupsOf(entity cert.ID) []ID {
+	var ids []ID
+	for id, g := range m.groups {
+		if g.subjects[entity] || g.objects[entity] {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // MembershipsFor returns the current group material for an entity: one
 // Membership per real group, sorted by group ID. If the entity belongs to no
 // group and role is RoleSubject, a stable cover-up membership is issued
 // instead — every subject leaves bootstrapping with at least one key (§VI-B).
 func (m *Manager) MembershipsFor(entity cert.ID, role cert.Role) ([]Membership, error) {
 	var out []Membership
-	for _, gid := range m.Groups() {
+	for _, gid := range m.GroupsOf(entity) {
 		g := m.groups[gid]
-		if g.subjects[entity] || g.objects[entity] {
-			out = append(out, Membership{
-				Group:      gid,
-				Key:        append([]byte(nil), g.key...),
-				KeyVersion: g.keyVersion,
-			})
-		}
+		out = append(out, Membership{
+			Group:      gid,
+			Key:        append([]byte(nil), g.key...),
+			KeyVersion: g.keyVersion,
+		})
 	}
 	if len(out) == 0 && role == cert.RoleSubject {
 		cu, err := m.coverUpFor(entity)

@@ -69,6 +69,11 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// shared holds the handle blocks built by Shared, keyed by their
+	// owners' key types. memoMu is taken before mu, never after.
+	memoMu sync.Mutex
+	shared map[any]any
 }
 
 // NewRegistry creates an empty registry.
@@ -78,7 +83,30 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		shared:   make(map[any]any),
 	}
+}
+
+// Shared returns the value memoized in r under key, calling build to create
+// it on first use. It lets every component bound to one registry share one
+// read-only block of metric handles instead of resolving the same handles
+// into a private copy each: the block lives as long as the registry. key must
+// be comparable, and should be of a type unexported by its caller's package
+// (as with context keys) so two packages never collide. build may register
+// metrics on r but must not call Shared. A nil registry memoizes nothing:
+// every call returns a fresh build().
+func Shared[T any](r *Registry, key any, build func() T) T {
+	if r == nil {
+		return build()
+	}
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	if v, ok := r.shared[key]; ok {
+		return v.(T)
+	}
+	v := build()
+	r.shared[key] = v
+	return v
 }
 
 func (r *Registry) setHelp(name, help string) {

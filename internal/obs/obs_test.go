@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -102,5 +103,59 @@ func TestConcurrentHammer(t *testing.T) {
 	h := r.Histogram("argus_hammer_seconds", "", LatencyBuckets())
 	if got := h.Count(); got != want {
 		t.Fatalf("histogram count = %d, want %d", got, want)
+	}
+}
+
+// TestShared: a registry memoizes one value per key, calling build once;
+// keys of distinct types never collide; a nil registry memoizes nothing.
+func TestShared(t *testing.T) {
+	type keyA struct{}
+	type keyB struct{}
+	r := NewRegistry()
+	builds := 0
+	build := func() *int { builds++; v := builds; return &v }
+	a := Shared(r, keyA{}, build)
+	if Shared(r, keyA{}, build) != a || builds != 1 {
+		t.Fatalf("second lookup rebuilt: %d builds", builds)
+	}
+	if Shared(r, keyB{}, build) == a || builds != 2 {
+		t.Fatal("a second key type shares the first one's value")
+	}
+	if Shared(NewRegistry(), keyA{}, build) == a {
+		t.Fatal("a second registry shares the first one's value")
+	}
+	var nilReg *Registry
+	if Shared(nilReg, keyA{}, build) == Shared(nilReg, keyA{}, build) {
+		t.Fatal("a nil registry memoized")
+	}
+}
+
+// TestSharedConcurrent: goroutines racing to build one key all receive the
+// one value, built once.
+func TestSharedConcurrent(t *testing.T) {
+	type key struct{}
+	r := NewRegistry()
+	var builds atomic.Int32
+	const n = 8
+	got := make([]*Counter, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = Shared(r, key{}, func() *Counter {
+				builds.Add(1)
+				return r.Counter("argus_shared_total", "")
+			})
+		}(i)
+	}
+	wg.Wait()
+	if builds.Load() != 1 {
+		t.Fatalf("%d builds, want 1", builds.Load())
+	}
+	for _, c := range got {
+		if c != got[0] || c == nil {
+			t.Fatal("goroutines received different values")
+		}
 	}
 }
