@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeQUE2$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeRES2$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeFromReused$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/suite -run='^$$' -fuzz='^FuzzMACMatchesStdlib$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/backend -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/realtime -run='^$$' -fuzz='^FuzzTailDecode$$' -fuzztime=$(FUZZTIME)

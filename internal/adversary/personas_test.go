@@ -105,12 +105,26 @@ func (r *rig) await(what string, cond func() bool) {
 	transporttest.WaitUntil(r.t, 5*time.Second, cond, what)
 }
 
-// discover runs one honest discovery round and waits for it to complete.
+// discover runs one honest discovery round and waits for it to be over at
+// both ends: the discovery recorded, the round declared complete, and every
+// QUE1 it broadcast handled by the object. A subject's first round is blind —
+// its rebroadcasts run whoever answered — so without the declaration its
+// probes keep reaching the object, and one would land among the frames a test
+// injects next and count as theirs.
 func (r *rig) discover() {
 	r.t.Helper()
+	handled0 := r.counter(obs.MObjectQue1, "", "")
+	resent0 := r.counter(obs.MRetransmissions, "msg", "que1")
 	r.subjEP.Do(func() { _ = r.subj.Discover(1) })
 	r.await("honest discovery", func() bool {
 		return r.counter(obs.MDiscoveries, "", "") >= 1
+	})
+	done := make(chan struct{})
+	r.subjEP.Do(func() { r.subj.CompleteRound(); close(done) })
+	<-done
+	sent := 1 + r.counter(obs.MRetransmissions, "msg", "que1") - resent0
+	r.await("the round's QUE1s handled", func() bool {
+		return r.counter(obs.MObjectQue1, "", "")-handled0 == sent
 	})
 }
 

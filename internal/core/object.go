@@ -46,10 +46,11 @@ type Object struct {
 	// query (Level 1's RES1, an answered handshake's RES2), oldest first,
 	// linked through objSession.next. They expire in the order they were
 	// cached, so the head is always the next to go and one wheel entry, armed
-	// for the head, serves them all.
+	// for the head, serves them all: cacheTimer, whose task is the Object
+	// (due).
 	cached, cachedTail *objSession
 	cachedN            int
-	cacheArmed         bool
+	cacheTimer         wheelEntry
 
 	// publicRES1 and variantEnc are the wire encodings of a Level 1 object's
 	// one answer and of each prov.Variants[i].Profile, made when the provision
@@ -79,10 +80,13 @@ type objSession struct {
 	o       *Object
 	key     sessionKey
 	rs      []byte
-	ro      []byte
+	ro      [suite.NonceSize]byte
 	kex     *suite.KeyExchange
 	que1Enc []byte
 	res1Enc []byte
+	// owed is the RES1 or RES2 the session sends once the modeled compute time
+	// of building it has passed; the session is that continuation's task (Run).
+	owed []byte
 
 	// short marks a session whose RES1 was the short form, answering a QUE1
 	// hint under the ticket of subject. It has no kex until a short QUE2 the
@@ -112,6 +116,23 @@ type objSession struct {
 func (sess *objSession) due(*wheelEntry) {
 	sess.o.remove(sess)
 	sess.o.tel.sessionExpired()
+}
+
+// Run sends the frame the session owes: its RES1 while the handshake waits for
+// QUE2, its RES2 once answered. From then on the frame is the cached copy a
+// duplicate query is answered with.
+func (sess *objSession) Run() {
+	out := sess.owed
+	if out == nil {
+		return // a second RES1 for the session superseded this one, and went
+	}
+	sess.owed = nil
+	if sess.answered {
+		sess.res2Enc = out
+	} else {
+		sess.res1Enc = out
+	}
+	sess.o.ep.Send(sess.key.peer, out)
 }
 
 // NewObject creates an engine from a backend provision, applying any
@@ -233,24 +254,29 @@ func (o *Object) Revoke(subject cert.ID) {
 	}
 }
 
-// Handle implements transport.Handler.
+// Handle implements transport.Handler. The message is decoded into a value on
+// the stack; its byte fields are windows on payload.
 func (o *Object) Handle(from transport.Addr, payload []byte) {
-	if len(payload) > 0 && payload[0] != byte(wire.TQUE1) && payload[0] != byte(wire.TQUE2) {
+	switch {
+	case len(payload) == 0:
+	case payload[0] == byte(wire.TQUE1):
+		var m wire.QUE1
+		if m.DecodeFrom(payload) == nil {
+			o.handleQUE1(from, &m, payload)
+			return
+		}
+	case payload[0] == byte(wire.TQUE2):
+		var m wire.QUE2
+		if m.DecodeFrom(payload) == nil {
+			o.handleQUE2(from, &m)
+			return
+		}
+	default:
 		return // an overheard RES1 or RES2: not worth a decode
 	}
-	msg, err := wire.Decode(payload)
-	if err != nil {
-		// Malformed traffic (noise, or fault-injected corruption) is dropped,
-		// but not silently: the counter makes corruption storms visible.
-		o.tel.malformedDrop()
-		return
-	}
-	switch m := msg.(type) {
-	case *wire.QUE1:
-		o.handleQUE1(from, m, payload)
-	case *wire.QUE2:
-		o.handleQUE2(from, m)
-	}
+	// Malformed traffic (noise, or fault-injected corruption) is dropped, but
+	// not silently: the counter makes corruption storms visible.
+	o.tel.malformedDrop()
 }
 
 func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
@@ -335,18 +361,15 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		o.tel.que1Result(resultHandshake)
 		return
 	}
-	ro, err := suite.NewNonce(nil)
-	if err != nil {
+	if err := suite.FillNonce(&sess.ro, nil); err != nil {
 		o.remove(sess)
 		return
 	}
-	sess.ro, sess.short, sess.subject = ro, true, t.subject
+	sess.short, sess.subject = true, t.subject
 	o.tel.que1Result(resultResume)
-	res := &wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: ro}
-	o.ep.Compute(o.costs.HMAC, func() {
-		sess.res1Enc = res.Encode()
-		o.ep.Send(from, sess.res1Enc)
-	})
+	res := wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: sess.ro[:]}
+	sess.owed = res.Encode()
+	o.ep.Compute(o.costs.HMAC, sess)
 }
 
 // hintedTicket returns the ticket held for the subject at from if the QUE1
@@ -372,18 +395,17 @@ func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, int) 
 // cannot honour. It becomes the session's res1Enc once the modeled compute
 // time — extra plus one key generation and one signature — has passed.
 func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
-	ro, err := suite.NewNonce(nil)
-	if err != nil {
+	if err := suite.FillNonce(&sess.ro, nil); err != nil {
 		return false
 	}
 	kex, err := suite.NewKeyExchange(o.prov.Strength, nil)
 	if err != nil {
 		return false
 	}
-	res := &wire.RES1{
+	res := wire.RES1{
 		Version: o.version,
 		Mode:    wire.ModeSecure,
-		RO:      ro,
+		RO:      sess.ro[:],
 		CertO:   o.prov.CertDER,
 		KEXMO:   kex.Public(),
 	}
@@ -394,13 +416,11 @@ func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
 		return false
 	}
 	res.Sig = sig
-	sess.ro, sess.kex, sess.res1Enc = ro, kex, nil
+	sess.kex, sess.res1Enc = kex, nil
+	sess.owed = res.Encode()
 	o.tel.count(opsKexGen, 1)
 	o.tel.count(opsSign, 1)
-	o.ep.Compute(extra+o.costs.KexGen+o.costs.Sign, func() {
-		sess.res1Enc = res.Encode()
-		o.ep.Send(sess.key.peer, sess.res1Enc)
-	})
+	o.ep.Compute(extra+o.costs.KexGen+o.costs.Sign, sess)
 	return true
 }
 
@@ -418,7 +438,7 @@ func (o *Object) remove(sess *objSession) {
 	delete(o.sessions, sess.key)
 	o.syncPending()
 	sess.gone = true
-	sess.expiry.cancel()
+	o.wheel.cancel(&sess.expiry)
 	if sess.public || sess.answered {
 		// In the resend cache: a session in the table is public or answered
 		// exactly when cache took it (the zero policy, which caches nothing,
@@ -434,7 +454,7 @@ func (o *Object) remove(sess *objSession) {
 // resend cache for half a TTL, shedding the oldest answer if the cache is
 // full.
 func (o *Object) cache(sess *objSession) {
-	sess.expiry.cancel()
+	o.wheel.cancel(&sess.expiry)
 	sess.until = o.ep.Now() + o.retry.ttl()/2
 	o.cachedN++
 	if o.cached == nil {
@@ -454,17 +474,18 @@ func (o *Object) cache(sess *objSession) {
 // and re-arms. An answer leaving the cache is no session expiry: only the
 // handshakes that never got their QUE2 count as one (scheduleGC).
 func (o *Object) armCache() {
-	if o.cacheArmed || o.cached == nil {
+	if o.cacheTimer.live || o.cached == nil {
 		return
 	}
-	o.cacheArmed = true
-	o.wheel.schedule(o.cached.until-o.ep.Now(), func() {
-		o.cacheArmed = false
-		for now := o.ep.Now(); o.cached != nil && o.cached.until <= now; {
-			o.remove(o.cached)
-		}
-		o.armCache()
-	})
+	o.wheel.scheduleIn(&o.cacheTimer, o.cached.until-o.ep.Now(), o)
+}
+
+// due drops the cached answers whose time is up (armCache).
+func (o *Object) due(*wheelEntry) {
+	for now := o.ep.Now(); o.cached != nil && o.cached.until <= now; {
+		o.remove(o.cached)
+	}
+	o.armCache()
 }
 
 func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
@@ -571,7 +592,7 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	if err != nil {
 		return reject()
 	}
-	suite.SessionKey2To(&a.k2raw, preK, sess.rs, sess.ro)
+	suite.SessionKey2To(&a.k2raw, preK, sess.rs, sess.ro[:])
 	a.k2.Set(a.k2raw[:])
 	a.tsHash = a.ts.Hash()
 	if !a.k2.VerifyMAC(suite.LabelSubjectFinished, a.tsHash, m.MACS2) {
@@ -622,7 +643,7 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		return false // silence, as for the full QUE2 of a revoked subject
 	}
 	a.next, a.resumed = t.binding(), true
-	t.secret.SessionKey2(&a.k2raw, sess.rs, sess.ro)
+	t.secret.SessionKey2(&a.k2raw, sess.rs, sess.ro[:])
 	a.k2.Set(a.k2raw[:])
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), sess.que1Enc, sess.res1Enc, m)
 	a.ts.Add(in)
@@ -722,11 +743,12 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 	o.tel.count(opsHMAC, int64(hmacs))
 	o.tel.count(opsCipher, 1)
 
-	var res *wire.RES2
+	var key *suite.Key
+	variant := fellow
 	switch {
 	case fellow >= 0:
 		// Level 3 face: MAC_{O,3} and PROF encrypted under K3.
-		res = o.buildRES2(a.ts, m, &a.k3, fellow)
+		key = &a.k3
 		o.tel.que2Result(resultFellow)
 	default:
 		// Level 2 face (for true Level 2 objects and for Level 3 objects
@@ -741,19 +763,20 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 				return
 			}
 			a.setK3(o.prov.Variants[first].GroupKey, sess)
-			res = o.buildRES2(a.ts, m, &a.k3, first)
+			key, variant = &a.k3, first
 			o.tel.que2Result(resultFellow)
 			break
 		}
-		match := o.matchVariant(a.next.attrs)
-		if match < 0 {
+		variant = o.matchVariant(a.next.attrs)
+		if variant < 0 {
 			o.tel.que2Result(resultSilent)
 			o.markAnswered(sess) // remembered silence: duplicates stay silent
 			return               // no policy admits this subject: silence, not a hint
 		}
-		res = o.buildRES2(a.ts, m, &a.k2, match)
+		key = &a.k2
 		o.tel.que2Result(resultL2)
 	}
+	res := o.buildRES2(a.ts, m, key, variant)
 	if res == nil {
 		return
 	}
@@ -771,12 +794,9 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		}
 		o.tickets.mint(from, &a.next, &a.k2, a.tsHash)
 	}
-	o.tel.response(cost, len(res.Ciphertext))
-	o.ep.Compute(cost, func() {
-		enc := res.Encode()
-		sess.res2Enc = enc
-		o.ep.Send(from, enc)
-	})
+	o.tel.response(cost, suite.CiphertextLen(len(o.variantEnc[variant])))
+	sess.owed = res
+	o.ep.Compute(cost, sess)
 }
 
 // markAnswered fixes the handshake outcome and moves the session to the resend
@@ -789,7 +809,7 @@ func (o *Object) markAnswered(sess *objSession) {
 	sess.answered = true
 	// Only the cached RES2 is ever read again: let the handshake material go
 	// now rather than hold it for the rest of the resend window.
-	sess.rs, sess.ro, sess.kex, sess.que1Enc, sess.res1Enc = nil, nil, nil, nil, nil
+	sess.rs, sess.ro, sess.kex, sess.que1Enc, sess.res1Enc = nil, [suite.NonceSize]byte{}, nil, nil, nil
 	if o.retry.Enabled() {
 		o.cache(sess)
 	}
@@ -798,7 +818,7 @@ func (o *Object) markAnswered(sess *objSession) {
 // setK3 prepares a.k3 = PRF(K2 ‖ groupKey, "session key" ‖ R_S ‖ R_O).
 func (a *que2Auth) setK3(groupKey []byte, sess *objSession) {
 	var k3 [suite.KeySize]byte
-	suite.SessionKey3To(&k3, a.k2raw[:], groupKey, sess.rs, sess.ro)
+	suite.SessionKey3To(&k3, a.k2raw[:], groupKey, sess.rs, sess.ro[:])
 	a.k3.Set(k3[:])
 }
 
@@ -822,20 +842,17 @@ func (o *Object) scheduleGC(sess *objSession) {
 	o.wheel.scheduleIn(&sess.expiry, o.retry.ttl(), sess)
 }
 
-// buildRES2 encrypts profile variant i under the session key and computes
-// MAC_{O,X} over the object-side transcript cut, into storage the RES2 owns.
-func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key *suite.Key, i int) *wire.RES2 {
-	ct, err := key.EncryptProfile(nil, o.variantEnc[i], nil)
-	if err != nil {
+// buildRES2 returns the encoded RES2 answering with profile variant i:
+// encrypted under the session key and MAC_{O,X} over the object-side
+// transcript cut after it, both written straight into the frame.
+func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key *suite.Key, i int) []byte {
+	plain := o.variantEnc[i]
+	frame, ct, mac := wire.NewRES2Frame(o.version, suite.CiphertextLen(len(plain)), suite.MACSize)
+	if _, err := key.EncryptProfile(ct[:0], plain, nil); err != nil {
 		return nil
 	}
-	res := &struct {
-		wire.RES2
-		mac [suite.MACSize]byte
-	}{RES2: wire.RES2{Version: o.version, Ciphertext: ct}}
-	key.FinishedMAC(&res.mac, suite.LabelObjectFinished, transcriptOHash(ts, m, ct))
-	res.MACO = res.mac[:]
-	return &res.RES2
+	key.FinishedMAC((*[suite.MACSize]byte)(mac), suite.LabelObjectFinished, transcriptOHash(ts, m, ct))
+	return frame
 }
 
 // matchVariant returns the index of the first Level 2 variant whose predicate

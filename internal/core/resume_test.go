@@ -738,13 +738,15 @@ func TestHintSlotDoesNotFollowRank(t *testing.T) {
 	if len(byRank) != n {
 		t.Fatalf("subject holds %d tickets, want %d", len(byRank), n)
 	}
-	rs, _ := suite.NewNonce(nil)
+	suite.FillNonce(&f.subject.rs, nil)
+	rs := f.subject.rs[:]
 	slots := make([]map[int]bool, n) // rank → slots its tag was seen at
 	for i := range slots {
 		slots[i] = map[int]bool{}
 	}
 	for draw := 0; draw < 64; draw++ {
-		block := f.subject.hints(rs)
+		var fill [wire.HintBlockSize + 8]byte
+		block := f.subject.hints(&fill)
 		for rank, tk := range byRank {
 			h, at := tk.secret.Hint(rs), -1
 			for i := 0; i < wire.HintSlots; i++ {

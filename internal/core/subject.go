@@ -29,14 +29,14 @@ var errUnbound = errors.New("core: engine not bound to a transport endpoint")
 type Subject struct {
 	prov    *backend.SubjectProvision
 	version wire.Version
+	rs      [suite.NonceSize]byte // the current round's R_S
 	costs   Costs
 	ep      transport.Endpoint
 
 	// activeGroup indexes prov.Memberships: the group key used for
 	// MAC_{S,3} this round. Devices rotate keys across rounds (§VI-C).
 	activeGroup int
-	round       int
-	rs          []byte
+	round       int // 0 until the first Discover
 	que1Enc     []byte
 	que1At      time.Duration // transport time of the current round's broadcast
 
@@ -61,10 +61,11 @@ type Subject struct {
 	// wheel holds every retry and expiry deadline of an enabled policy; nil
 	// under the zero policy, which arms no timers. rtt feeds its deadlines
 	// with the observed handshake round-trip, and que1Timer is the current
-	// round's pending rebroadcast (deferred while responses keep arriving).
+	// round's pending rebroadcast (deferred while responses keep arriving),
+	// whose task is the Subject (due): Discover cancels it for the next round.
 	wheel     *timerWheel
 	rtt       rttEstimator
-	que1Timer *wheelEntry
+	que1Timer wheelEntry
 	// que1Attempt is the probe-chain position the pending rebroadcast will
 	// fire at. Round activity resets it to 1: Que1Retries bounds CONSECUTIVE
 	// silent probes, not total probes per round, so a round stalled behind a
@@ -106,16 +107,24 @@ type Subject struct {
 	OnDiscovery func(Discovery)
 }
 
+// subjSession is the subject's record of one phase-2 handshake. It is the
+// task of the handshake's two compute steps (Run): it owes the object its QUE2,
+// and once RES2 verified, the discovery its record.
 type subjSession struct {
 	s       *Subject
-	key     sessionKey // the object's address and the round's R_S
+	key     sessionKey // the object's address and the round's R_S, which que2.RS views
 	ro      []byte     // object nonce (borrowed from RES1), distinguishes RES1 resends from restarts
 	group   groups.ID
 	ts      wire.Transcript // subject-cut transcript
-	que2    *wire.QUE2
+	que2    wire.QUE2
 	que2Enc []byte // cached encoding, resent verbatim on timeout/duplicate RES1
 	round   int
 	stamps  phaseStamps
+
+	// What a verified RES2 found: the level it verified at and the decoded
+	// PROF_O. Set, the session owes its record rather than its QUE2.
+	level Level
+	prof  *cert.Profile
 
 	// The session keys, prepared (K3 zero when QUE2 carries no MAC_{S,3}),
 	// and the finished MACs QUE2 carries, which q.MACS2 and q.MACS3 view.
@@ -262,8 +271,7 @@ func (s *Subject) Discover(ttl int) error {
 	if s.ep == nil {
 		return errUnbound
 	}
-	rs, err := suite.NewNonce(nil)
-	if err != nil {
+	if err := suite.FillNonce(&s.rs, nil); err != nil {
 		return err
 	}
 	s.round++
@@ -272,17 +280,16 @@ func (s *Subject) Discover(ttl int) error {
 			s.dropSession(sess)
 		}
 	}
-	s.que1Timer.cancel()
-	s.que1Timer = nil
-	s.rs = rs
+	s.wheel.cancel(&s.que1Timer)
 	s.que1At = s.ep.Now()
 	s.probed = false
 	s.lastTTL = ttl
 	s.expect()
 	s.tel.roundStarted()
-	q := &wire.QUE1{Version: s.version, RS: rs}
+	q := wire.QUE1{Version: s.version, RS: s.rs[:]}
+	var hints [wire.HintBlockSize + 8]byte
 	if s.retry.Enabled() {
-		q.Hints = s.hints(rs)
+		q.Hints = s.hints(&hints)
 	}
 	s.que1Enc = q.Encode()
 	s.ep.Broadcast(s.que1Enc, ttl)
@@ -300,10 +307,10 @@ func (s *Subject) Discover(ttl int) error {
 // at uniformly permuted slots: the object that finds its own tag would
 // otherwise read its recency rank — how many objects the subject met since —
 // off the slot index. (Only the counters are charged: Discover has no modeled
-// compute step to add to.)
-func (s *Subject) hints(rs []byte) []byte {
-	fill := make([]byte, wire.HintBlockSize+8)
-	rand.Read(fill)
+// compute step to add to.) The block is built in fill, whose last 8 bytes are
+// the permutation's randomness.
+func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
+	rand.Read(fill[:])
 	block := fill[:wire.HintBlockSize:wire.HintBlockSize]
 	// Fisher–Yates off the spare 64 bits: HintSlots! is far below 2^64.
 	var slot [wire.HintSlots]int
@@ -319,7 +326,7 @@ func (s *Subject) hints(rs []byte) []byte {
 	var buf [wire.HintSlots]*ticket
 	known := s.tickets.recent(buf[:], time.Now())
 	for i, t := range known {
-		h := t.secret.Hint(rs)
+		h := t.secret.Hint(s.rs[:])
 		copy(block[slot[i]*wire.HintSize:], h[:])
 	}
 	s.tel.count(opsHMAC, int64(len(known)))
@@ -372,8 +379,7 @@ func (s *Subject) credit(from transport.Addr) {
 	}
 	s.answered[from] = s.round
 	if !s.probing() {
-		s.que1Timer.cancel()
-		s.que1Timer = nil
+		s.wheel.cancel(&s.que1Timer)
 	}
 }
 
@@ -404,30 +410,32 @@ func (s *Subject) probing() bool {
 // Level 3 object answers as a Level 2 one on the air, so when a subject
 // rebroadcasts tells an observer nothing the answers did not (§VII Case 7).
 //
-// The fire reads s.que1Attempt rather than its captured attempt so that
-// noteActivity's chain reset takes effect on an already-armed rebroadcast.
+// The fire reads s.que1Attempt rather than the attempt it was armed with, so
+// that noteActivity's chain reset takes effect on an already-armed
+// rebroadcast.
 func (s *Subject) armQue1(attempt int) {
 	if !s.probing() {
 		return
 	}
 	s.que1Attempt = attempt
-	round := s.round
-	s.que1Timer = s.wheel.schedule(s.retry.delay(attempt), func() {
-		s.que1Timer = nil
-		if s.round != round || !s.probing() {
-			return // superseded by a newer round, or past its lifetime
-		}
-		s.probed = true
-		if s.silent > 0 {
-			s.tel.retransmit(msgQUE1)
-		} else {
-			s.tel.probe()
-		}
-		s.ep.Broadcast(s.que1Enc, s.lastTTL)
-		if s.que1Attempt < s.retry.Que1Retries {
-			s.armQue1(s.que1Attempt + 1)
-		}
-	})
+	s.wheel.scheduleIn(&s.que1Timer, s.retry.delay(attempt), s)
+}
+
+// due is the rebroadcast armQue1 armed falling due.
+func (s *Subject) due(*wheelEntry) {
+	if !s.probing() {
+		return // past the round's lifetime
+	}
+	s.probed = true
+	if s.silent > 0 {
+		s.tel.retransmit(msgQUE1)
+	} else {
+		s.tel.probe()
+	}
+	s.ep.Broadcast(s.que1Enc, s.lastTTL)
+	if s.que1Attempt < s.retry.Que1Retries {
+		s.armQue1(s.que1Attempt + 1)
+	}
 }
 
 // noteActivity records that current-round discovery traffic is still
@@ -445,8 +453,8 @@ func (s *Subject) noteActivity() {
 	}
 	s.que1Attempt = 1
 	switch {
-	case s.que1Timer != nil:
-		s.wheel.deferTo(s.que1Timer, s.ep.Now()+s.rtt.rto(s.retry.Timeout))
+	case s.que1Timer.live:
+		s.wheel.deferTo(&s.que1Timer, s.ep.Now()+s.rtt.rto(s.retry.Timeout))
 	case s.retry.Que1Retries > 0:
 		s.armQue1(1)
 	}
@@ -463,8 +471,8 @@ func (s *Subject) noteRES1() {
 
 // dropSessionTimers cancels a session's pending wheel entries.
 func (s *Subject) dropSessionTimers(sess *subjSession) {
-	sess.que2Timer.cancel()
-	sess.expiry.cancel()
+	s.wheel.cancel(&sess.que2Timer)
+	s.wheel.cancel(&sess.expiry)
 }
 
 // dropSession takes sess out of the table for good: its deadlines go, and its
@@ -497,11 +505,10 @@ func (sess *subjSession) wipe() {
 // as without the call. Event-loop only, like every state-mutating method.
 func (s *Subject) CompleteRound() {
 	s.completedRound = s.round
-	s.que1Timer.cancel()
-	s.que1Timer = nil
+	s.wheel.cancel(&s.que1Timer)
 	for _, sess := range s.sessions {
 		if sess.round == s.round {
-			sess.que2Timer.cancel()
+			s.wheel.cancel(&sess.que2Timer)
 		}
 	}
 }
@@ -525,22 +532,27 @@ func (s *Subject) DiscoverAll(ttl int, settle func()) error {
 	return nil
 }
 
-// Handle implements transport.Handler.
+// Handle implements transport.Handler. The message is decoded into a value on
+// the stack; its byte fields are windows on payload.
 func (s *Subject) Handle(from transport.Addr, payload []byte) {
-	if len(payload) > 0 && payload[0] != byte(wire.TRES1) && payload[0] != byte(wire.TRES2) {
+	switch {
+	case len(payload) == 0:
+	case payload[0] == byte(wire.TRES1):
+		var m wire.RES1
+		if m.DecodeFrom(payload) == nil {
+			s.handleRES1(from, &m, payload)
+			return
+		}
+	case payload[0] == byte(wire.TRES2):
+		var m wire.RES2
+		if m.DecodeFrom(payload) == nil {
+			s.handleRES2(from, &m)
+			return
+		}
+	default:
 		return // an overheard QUE1 or QUE2: not worth a decode
 	}
-	msg, err := wire.Decode(payload)
-	if err != nil {
-		s.tel.malformedDrop()
-		return
-	}
-	switch m := msg.(type) {
-	case *wire.RES1:
-		s.handleRES1(from, m, payload)
-	case *wire.RES2:
-		s.handleRES2(from, m)
-	}
+	s.tel.malformedDrop()
 }
 
 func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
@@ -575,7 +587,7 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	s.noteRES1()
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
-	s.ep.Compute(s.costs.Verify, func() {
+	s.ep.Compute(s.costs.Verify, transport.Func(func() {
 		s.tel.sessionDone(st, L1, from, s.version, s.ep.Now())
 		s.record(Discovery{
 			Object:  prof.Entity,
@@ -585,19 +597,19 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 			At:      s.ep.Now(),
 			Round:   s.round,
 		})
-	})
+	}))
 }
 
 // handleSecureRES1 runs the subject side of phase 2: authenticate the
 // object, establish K2 (and K3 from the active group key), and send QUE2.
 func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte) {
-	if s.rs == nil {
+	if s.round == 0 {
 		return // no discovery in progress
 	}
 	if s.answered[from] == s.round {
 		return // already credited this object this round: stale restart echo
 	}
-	old, live := s.sessions[mkSessionKey(from, s.rs)]
+	old, live := s.sessions[mkSessionKey(from, s.rs[:])]
 	if live && (!s.retry.Enabled() || bytes.Equal(old.ro, m.RO)) {
 		// Duplicate RES1 for a live handshake (link-layer duplication, or
 		// the object resent it after a QUE1 rebroadcast). Deriving a fresh
@@ -662,7 +674,7 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 	if err != nil || info.Role != cert.RoleObject {
 		return false
 	}
-	signed := m.AppendSignedPart(wire.GetScratch(), s.rs)
+	signed := m.AppendSignedPart(wire.GetScratch(), s.rs[:])
 	sigOK := info.Public.Verify(signed, m.Sig)
 	wire.PutScratch(signed)
 	if !sigOK {
@@ -677,18 +689,13 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 		return false
 	}
 
-	q := &wire.QUE2{
-		Version: s.version,
-		RS:      s.rs,
-		ProfS:   s.prov.Profile.Encode(),
-		CertS:   s.prov.CertDER,
-		KEXMS:   kex.Public(),
-	}
+	sess := s.newSession(from)
+	q := &sess.que2
+	q.ProfS, q.CertS, q.KEXMS = s.prov.Profile.Encode(), s.prov.CertDER, kex.Public()
 	// The QUE2 signature input doubles as the transcript prefix: build it
 	// once in pooled scratch, sign it, hash it into the session's transcript.
 	var k2 [suite.KeySize]byte
-	suite.SessionKey2To(&k2, preK, s.rs, m.RO)
-	sess := &subjSession{}
+	suite.SessionKey2To(&k2, preK, s.rs[:], m.RO)
 	sigIn := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
 	sig, err := s.prov.Key.Sign(sigIn)
 	sess.ts.Add(sigIn, sig)
@@ -709,8 +716,17 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 		s.tel.count(opsKexShared, 1)
 		s.tel.count(opsSign, 1)
 	}
-	s.sendQUE2(from, m.RO, q, sess, &k2, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
+	s.sendQUE2(sess, m.RO, &k2, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
 	return true
+}
+
+// newSession starts the record of a handshake with the object at from in the
+// current round. Its QUE2 echoes R_S from the record's own key, which outlives
+// the round's.
+func (s *Subject) newSession(from transport.Addr) *subjSession {
+	sess := &subjSession{s: s, key: mkSessionKey(from, s.rs[:]), round: s.round}
+	sess.que2 = wire.QUE2{Version: s.version, RS: sess.key.rs[:]}
+	return sess
 }
 
 // resumedQUE2 answers a RES1 — signed or short — from an object the subject
@@ -720,14 +736,15 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 // the MAC_O that completes the session — until then nothing the RES1 claimed
 // is believed, and nothing but HMACs was spent on it.
 func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *ticket) {
-	sess := &subjSession{next: t.binding(), resumed: true, res1: raw, short: m.Mode == wire.ModeResume}
-	q := &wire.QUE2{Version: s.version, RS: s.rs, Ticket: sess.next.id[:]}
+	sess := s.newSession(from)
+	sess.next, sess.resumed, sess.res1, sess.short = t.binding(), true, raw, m.Mode == wire.ModeResume
+	sess.que2.Ticket = sess.next.id[:]
 	var k2 [suite.KeySize]byte
-	t.secret.SessionKey2(&k2, s.rs, m.RO)
-	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, q)
+	t.secret.SessionKey2(&k2, s.rs[:], m.RO)
+	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, &sess.que2)
 	sess.ts.Add(in)
 	wire.PutScratch(in)
-	s.sendQUE2(from, m.RO, q, sess, &k2, 0)
+	s.sendQUE2(sess, m.RO, &k2, 0)
 }
 
 // sendQUE2 is the subject's phase 2 downstream of K2, the same for a full and
@@ -736,14 +753,14 @@ func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *
 // modeled compute time — the frame and its retransmission deadline. cost is
 // what establishing K2 took; the key derivation and the MACs are added here.
 // k2 is the raw K2, which K3 is derived from; sendQUE2 wipes it.
-func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *subjSession, k2 *[suite.KeySize]byte, cost time.Duration) {
+func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte, cost time.Duration) {
+	q := &sess.que2
 	tsHash := sess.ts.Hash()
 	sess.tsHash = tsHash
 	sess.k2.Set(k2[:])
 	sess.k2.FinishedMAC(&sess.macS2, suite.LabelSubjectFinished, tsHash)
 	q.MACS2 = sess.macS2[:]
-	key := mkSessionKey(from, s.rs)
-	sess.s, sess.key, sess.ro, sess.round, sess.que2 = s, key, ro, s.round, q
+	sess.ro = ro
 	sess.stamps = phaseStamps{session: s.tel.session(), secure: true, que1At: s.que1At, res1At: s.ep.Now()}
 	hmacs := 2 // K2 derivation + MAC_{S,2}
 	if s.version != wire.V10 && len(s.prov.Memberships) > 0 {
@@ -755,7 +772,7 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 		mem := s.prov.Memberships[s.activeGroup%len(s.prov.Memberships)]
 		if s.version == wire.V30 || !mem.CoverUp {
 			var k3 [suite.KeySize]byte
-			suite.SessionKey3To(&k3, k2[:], mem.Key, s.rs, ro)
+			suite.SessionKey3To(&k3, k2[:], mem.Key, s.rs[:], ro)
 			sess.k3.Set(k3[:])
 			sess.k3.FinishedMAC(&sess.macS3, suite.LabelSubjectFinished, tsHash)
 			q.MACS3 = sess.macS3[:]
@@ -764,25 +781,47 @@ func (s *Subject) sendQUE2(from transport.Addr, ro []byte, q *wire.QUE2, sess *s
 		}
 	}
 	*k2 = [suite.KeySize]byte{}
-	if old, ok := s.sessions[key]; ok {
+	if old, ok := s.sessions[sess.key]; ok {
 		s.dropSession(old) // superseded (handleSecureRES1)
 	}
-	s.sessions[key] = sess
+	s.sessions[sess.key] = sess
 	s.syncPending()
 	if s.retry.Enabled() {
 		s.wheel.scheduleIn(&sess.expiry, s.retry.ttl(), sess)
 	}
 	s.tel.count(opsHMAC, int64(hmacs))
-	s.ep.Compute(cost+time.Duration(hmacs)*s.costs.HMAC, func() {
-		sess.stamps.que2At = s.ep.Now()
-		enc := q.Encode()
-		sess.que2Enc = enc
-		sess.sentAt = s.ep.Now()
-		s.ep.Send(from, enc)
-		if s.retry.Enabled() && s.retry.Que2Retries > 0 {
-			s.armQue2(sess, 1, s.rtt.rto(s.retry.delay(1)))
+	s.ep.Compute(cost+time.Duration(hmacs)*s.costs.HMAC, sess)
+}
+
+// Run is the session's continuation once a compute step's modeled time has
+// passed: after sendQUE2 it sends the QUE2 and arms its retransmission, after
+// a verified RES2 (handleRES2) it records the discovery.
+func (sess *subjSession) Run() {
+	s := sess.s
+	if sess.prof != nil {
+		s.tel.sessionDone(sess.stamps, sess.level, sess.key.peer, s.version, s.ep.Now())
+		d := Discovery{
+			Object:  sess.prof.Entity,
+			Node:    sess.key.peer,
+			Level:   sess.level,
+			Profile: sess.prof,
+			At:      s.ep.Now(),
+			Round:   sess.round,
 		}
-	})
+		if sess.level == L3 {
+			d.Group = uint64(sess.group)
+		}
+		s.record(d)
+		return
+	}
+	sess.stamps.que2At = s.ep.Now()
+	enc := sess.que2.Encode()
+	sess.que2Enc = enc
+	sess.sentAt = s.ep.Now()
+	s.ep.Send(sess.key.peer, enc)
+	if s.retry.Enabled() && s.retry.Que2Retries > 0 {
+		s.armQue2(sess, 1, s.rtt.rto(s.retry.delay(1)))
+	}
 }
 
 // armQue2 arms a QUE2 retransmission deadline on the wheel. The wait starts
@@ -880,17 +919,16 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	sess.stamps.res2At = s.ep.Now()
 	s.noteActivity()
 
-	toHash := transcriptOHash(sess.ts, sess.que2, m.Ciphertext)
+	toHash := transcriptOHash(sess.ts, &sess.que2, m.Ciphertext)
 
 	var level Level
 	var sk *suite.Key
-	var group groups.ID
 	switch {
 	// "S first tries to verify it with K2 ... Otherwise she uses K3" (§VI-A).
 	case sess.k2.VerifyMAC(suite.LabelObjectFinished, toHash, m.MACO):
 		level, sk = L2, &sess.k2
 	case sess.que2.MACS3 != nil && sess.k3.VerifyMAC(suite.LabelObjectFinished, toHash, m.MACO):
-		level, sk, group = L3, &sess.k3, sess.group
+		level, sk = L3, &sess.k3
 	default:
 		// Neither key verifies: corrupted or not for us. Under retry the
 		// session stays pending — a QUE2 retransmission will fetch a clean
@@ -964,18 +1002,8 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		s.tel.count(opsCipher, 1)
 		s.tel.count(opsVerify, int64(verifies))
 	}
-	s.ep.Compute(cost, func() {
-		s.tel.sessionDone(sess.stamps, level, from, s.version, s.ep.Now())
-		s.record(Discovery{
-			Object:  prof.Entity,
-			Node:    from,
-			Level:   level,
-			Group:   uint64(group),
-			Profile: prof,
-			At:      s.ep.Now(),
-			Round:   sess.round,
-		})
-	})
+	sess.level, sess.prof = level, prof
+	s.ep.Compute(cost, sess)
 }
 
 // refused handles the empty RES2 by which an object declines the ticket of a
@@ -992,9 +1020,9 @@ func (s *Subject) refused(sess *subjSession) {
 	if sess.round != s.round {
 		return // R_S has moved on; the new round handshakes for itself
 	}
-	m, _ := wire.Decode(sess.res1)
-	if res1, ok := m.(*wire.RES1); ok {
-		s.fullQUE2(sess.key.peer, res1, sess.res1)
+	var res1 wire.RES1
+	if res1.DecodeFrom(sess.res1) == nil {
+		s.fullQUE2(sess.key.peer, &res1, sess.res1)
 	}
 }
 

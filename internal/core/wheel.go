@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"slices"
 	"time"
 
 	"argus/internal/transport"
@@ -24,22 +25,31 @@ import (
 type timerWheel struct {
 	ep transport.Endpoint
 	h  wheelHeap
-	// armedAt is the deadline the outstanding After targets, -1 when none.
-	// Stale wakeups (an After superseded by an earlier arm) are dropped by
-	// comparing their captured target against this.
+	// armedAt is the deadline the live After targets, -1 when none. Stale
+	// wakeups (an After superseded by an earlier arm) are dropped by comparing
+	// their target against this.
 	armedAt time.Duration
+	// wakes holds every outstanding After, live or stale, in the order the
+	// transport runs them: by deadline, ties in the order armed. Each runs
+	// wake, the one callback built at construction, which takes the head for
+	// its own — so arming allocates no closure.
+	wakes []wakeup
+	wake  func()
 }
+
+// wakeup is one outstanding After: when the transport runs it, and the
+// deadline it was armed for.
+type wakeup struct{ at, target time.Duration }
 
 // wheelEntry is one pending deadline. Callers hold the pointer to cancel or
 // defer it; index tracks the heap slot so deferral can heap.Fix in place. The
 // zero value is an entry not scheduled, so a session can embed its entries
 // and arm them with no allocation (scheduleIn).
 type wheelEntry struct {
-	w     *timerWheel
 	at    time.Duration
 	task  wheelTask
-	index int  // heap slot while live
-	live  bool // in the heap: neither fired nor canceled since scheduled
+	index int32 // heap slot while live
+	live  bool  // in the heap: neither fired nor canceled since scheduled
 }
 
 // wheelTask is the work of a due entry. The entry is handed back, so that an
@@ -47,30 +57,19 @@ type wheelEntry struct {
 // knows which one fell due.
 type wheelTask interface{ due(e *wheelEntry) }
 
-// wheelFunc is a closure as a task, for deadlines armed once a round or
-// less often.
-type wheelFunc func()
-
-func (f wheelFunc) due(*wheelEntry) { f() }
-
 func newTimerWheel(ep transport.Endpoint) *timerWheel {
-	return &timerWheel{ep: ep, armedAt: -1}
+	w := &timerWheel{ep: ep, armedAt: -1}
+	w.wake = w.wakeNext
+	return w
 }
 
-// schedule registers fn to run d from now and returns a handle to cancel or
-// deferTo. The callback runs on the engine's event loop.
-func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
-	e := new(wheelEntry)
-	w.scheduleIn(e, d, wheelFunc(fn))
-	return e
-}
-
-// scheduleIn arms e, which the caller owns, to run task d from now: the form
-// for the deadlines every session arms, which embed their entries and are
-// their own task. Re-arming a live entry cancels it first.
+// scheduleIn arms e, which the caller owns, to run task d from now. Every
+// deadline is an entry embedded in its owner — a session, the subject's round,
+// the object's resend cache — and the owner is its task, so arming allocates
+// nothing. Re-arming a live entry cancels it first.
 func (w *timerWheel) scheduleIn(e *wheelEntry, d time.Duration, task wheelTask) {
-	e.cancel()
-	e.w, e.at, e.task = w, w.ep.Now()+d, task
+	w.cancel(e)
+	e.at, e.task = w.ep.Now()+d, task
 	heap.Push(&w.h, e)
 	w.arm()
 }
@@ -78,13 +77,13 @@ func (w *timerWheel) scheduleIn(e *wheelEntry, d time.Duration, task wheelTask) 
 // cancel takes the entry out of the heap and lets go of its task. No
 // transport timer is touched: an After armed for it fires, finds nothing due
 // and re-arms. Engines under the zero policy (no wheel, no entries) cancel
-// unconditionally: a nil entry is a no-op, as is one never scheduled, or that
-// fired or was canceled before.
-func (e *wheelEntry) cancel() {
-	if e == nil || !e.live {
+// unconditionally: on a nil wheel, as for an entry never scheduled, or that
+// fired or was canceled before, it is a no-op.
+func (w *timerWheel) cancel(e *wheelEntry) {
+	if !e.live {
 		return
 	}
-	heap.Remove(&e.w.h, e.index)
+	heap.Remove(&w.h, int(e.index))
 	e.task = nil
 }
 
@@ -93,11 +92,11 @@ func (e *wheelEntry) cancel() {
 // still plausibly in flight. The outstanding After is left alone: when it
 // fires it finds the entry not yet due and re-arms.
 func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
-	if e == nil || !e.live || at <= e.at {
+	if !e.live || at <= e.at {
 		return
 	}
 	e.at = at
-	heap.Fix(&w.h, e.index)
+	heap.Fix(&w.h, int(e.index))
 }
 
 // arm ensures an After is outstanding for the earliest live deadline.
@@ -110,12 +109,25 @@ func (w *timerWheel) arm() {
 		return // the outstanding After fires early enough
 	}
 	w.armedAt = earliest
-	d := earliest - w.ep.Now()
-	if d < 0 {
-		d = 0
+	now := w.ep.Now()
+	d := max(earliest-now, 0)
+	wk := wakeup{at: now + d, target: earliest}
+	i := len(w.wakes)
+	for i > 0 && w.wakes[i-1].at > wk.at {
+		i--
 	}
-	target := earliest
-	w.ep.After(d, func() { w.fire(target) })
+	w.wakes = slices.Insert(w.wakes, i, wk)
+	w.ep.After(d, w.wake)
+}
+
+// wakeNext is every After's callback: the transport ran the head of wakes.
+// On the simulator that is exact. A wall-clock transport may run two timers
+// due together out of order, and each then takes the other's target; both
+// have expired by then, so the live deadline is still served on time.
+func (w *timerWheel) wakeNext() {
+	target := w.wakes[0].target
+	w.wakes = append(w.wakes[:0], w.wakes[1:]...)
+	w.fire(target)
 }
 
 // fire runs every due entry, then re-arms for the next deadline.
@@ -147,10 +159,13 @@ type wheelHeap []*wheelEntry
 
 func (h wheelHeap) Len() int           { return len(h) }
 func (h wheelHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h wheelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
+func (h wheelHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = int32(i), int32(j)
+}
 func (h *wheelHeap) Push(x any) {
 	e := x.(*wheelEntry)
-	e.index, e.live = len(*h), true
+	e.index, e.live = int32(len(*h)), true
 	*h = append(*h, e)
 }
 func (h *wheelHeap) Pop() any {

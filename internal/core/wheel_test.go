@@ -13,6 +13,7 @@ import (
 type fakeClockEP struct {
 	now    time.Duration
 	timers []fakeTimer
+	armed  int // After calls, ever
 }
 
 type fakeTimer struct {
@@ -20,16 +21,17 @@ type fakeTimer struct {
 	fn func()
 }
 
-func (f *fakeClockEP) Addr() transport.Addr               { return "fake" }
-func (f *fakeClockEP) Now() time.Duration                 { return f.now }
-func (f *fakeClockEP) Send(transport.Addr, []byte)        {}
-func (f *fakeClockEP) Broadcast([]byte, int)              {}
-func (f *fakeClockEP) Compute(_ time.Duration, fn func()) { fn() }
-func (f *fakeClockEP) Do(fn func())                       { fn() }
-func (f *fakeClockEP) Bind(transport.Handler)             {}
-func (f *fakeClockEP) Close() error                       { return nil }
+func (f *fakeClockEP) Addr() transport.Addr                      { return "fake" }
+func (f *fakeClockEP) Now() time.Duration                        { return f.now }
+func (f *fakeClockEP) Send(transport.Addr, []byte)               {}
+func (f *fakeClockEP) Broadcast([]byte, int)                     {}
+func (f *fakeClockEP) Compute(_ time.Duration, t transport.Task) { t.Run() }
+func (f *fakeClockEP) Do(fn func())                              { fn() }
+func (f *fakeClockEP) Bind(transport.Handler)                    {}
+func (f *fakeClockEP) Close() error                              { return nil }
 
 func (f *fakeClockEP) After(d time.Duration, fn func()) {
+	f.armed++
 	f.timers = append(f.timers, fakeTimer{at: f.now + d, fn: fn})
 }
 
@@ -56,6 +58,18 @@ func (f *fakeClockEP) advanceTo(t time.Duration) {
 	if t > f.now {
 		f.now = t
 	}
+}
+
+// wheelFunc is a closure as a task.
+type wheelFunc func()
+
+func (f wheelFunc) due(*wheelEntry) { f() }
+
+// schedule registers fn to run d from now in an entry of its own.
+func (w *timerWheel) schedule(d time.Duration, fn func()) *wheelEntry {
+	e := new(wheelEntry)
+	w.scheduleIn(e, d, wheelFunc(fn))
+	return e
 }
 
 func TestTimerWheelFiresInDeadlineOrder(t *testing.T) {
@@ -90,10 +104,10 @@ func TestTimerWheelCancel(t *testing.T) {
 	w.schedule(10*time.Millisecond, func() { fired = append(fired, 1) })
 	e2 := w.schedule(20*time.Millisecond, func() { fired = append(fired, 2) })
 	w.schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
-	e2.cancel()
-	e2.cancel()                 // again: a no-op
-	(*wheelEntry)(nil).cancel() // nil-safe
-	if w.pending() != 2 {       // the heap holds live entries only
+	w.cancel(e2)
+	w.cancel(e2)                               // again: a no-op
+	(*timerWheel)(nil).cancel(new(wheelEntry)) // the zero policy's: a no-op
+	if w.pending() != 2 {                      // the heap holds live entries only
 		t.Fatalf("pending after cancel = %d, want 2", w.pending())
 	}
 	ep.advanceTo(time.Second)
@@ -143,6 +157,12 @@ func TestTimerWheelStaleWakeupsAreBenign(t *testing.T) {
 	}
 	if len(ep.timers) != 0 {
 		t.Fatalf("%d transport timers left unfired", len(ep.timers))
+	}
+	// 20 and 10 arm one each, 15 is covered; the passes at 10 and 15 arm the
+	// next deadline. At 20 the first wakeup runs the pass and the second is
+	// stale: it must not arm another.
+	if ep.armed != 4 {
+		t.Fatalf("%d transport timers armed, want 4", ep.armed)
 	}
 }
 

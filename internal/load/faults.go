@@ -109,10 +109,10 @@ func (f *faultEndpoint) Broadcast(payload []byte, ttl int) {
 	f.transmit(payload, func(p []byte) { f.inner.Broadcast(p, ttl) })
 }
 
-func (f *faultEndpoint) Addr() transport.Addr               { return f.inner.Addr() }
-func (f *faultEndpoint) Now() time.Duration                 { return f.inner.Now() }
-func (f *faultEndpoint) After(d time.Duration, fn func())   { f.inner.After(d, fn) }
-func (f *faultEndpoint) Compute(c time.Duration, fn func()) { f.inner.Compute(c, fn) }
-func (f *faultEndpoint) Do(fn func())                       { f.inner.Do(fn) }
-func (f *faultEndpoint) Bind(h transport.Handler)           { f.inner.Bind(h) }
-func (f *faultEndpoint) Close() error                       { return f.inner.Close() }
+func (f *faultEndpoint) Addr() transport.Addr                      { return f.inner.Addr() }
+func (f *faultEndpoint) Now() time.Duration                        { return f.inner.Now() }
+func (f *faultEndpoint) After(d time.Duration, fn func())          { f.inner.After(d, fn) }
+func (f *faultEndpoint) Compute(c time.Duration, t transport.Task) { f.inner.Compute(c, t) }
+func (f *faultEndpoint) Do(fn func())                              { f.inner.Do(fn) }
+func (f *faultEndpoint) Bind(h transport.Handler)                  { f.inner.Bind(h) }
+func (f *faultEndpoint) Close() error                              { return f.inner.Close() }

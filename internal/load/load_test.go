@@ -438,11 +438,11 @@ func (r *recordingEndpoint) Broadcast(p []byte, ttl int) {
 	r.bcast = append(r.bcast, append([]byte(nil), p...))
 	r.mu.Unlock()
 }
-func (r *recordingEndpoint) After(d time.Duration, fn func())   { time.AfterFunc(d, fn) }
-func (r *recordingEndpoint) Compute(c time.Duration, fn func()) { fn() }
-func (r *recordingEndpoint) Do(fn func())                       { fn() }
-func (r *recordingEndpoint) Bind(h transport.Handler)           {}
-func (r *recordingEndpoint) Close() error                       { r.closed.Store(true); return nil }
+func (r *recordingEndpoint) After(d time.Duration, fn func())          { time.AfterFunc(d, fn) }
+func (r *recordingEndpoint) Compute(c time.Duration, t transport.Task) { t.Run() }
+func (r *recordingEndpoint) Do(fn func())                              { fn() }
+func (r *recordingEndpoint) Bind(h transport.Handler)                  {}
+func (r *recordingEndpoint) Close() error                              { r.closed.Store(true); return nil }
 
 func (r *recordingEndpoint) counts() (sent, bcast int) {
 	r.mu.Lock()

@@ -62,11 +62,11 @@ func (s *sleepyEndpoint) Bind(h transport.Handler) {
 	}))
 }
 
-func (s *sleepyEndpoint) Send(to transport.Addr, payload []byte) { s.inner.Send(to, payload) }
-func (s *sleepyEndpoint) Broadcast(payload []byte, ttl int)      { s.inner.Broadcast(payload, ttl) }
-func (s *sleepyEndpoint) Addr() transport.Addr                   { return s.inner.Addr() }
-func (s *sleepyEndpoint) Now() time.Duration                     { return s.inner.Now() }
-func (s *sleepyEndpoint) After(d time.Duration, fn func())       { s.inner.After(d, fn) }
-func (s *sleepyEndpoint) Compute(c time.Duration, fn func())     { s.inner.Compute(c, fn) }
-func (s *sleepyEndpoint) Do(fn func())                           { s.inner.Do(fn) }
-func (s *sleepyEndpoint) Close() error                           { return s.inner.Close() }
+func (s *sleepyEndpoint) Send(to transport.Addr, payload []byte)    { s.inner.Send(to, payload) }
+func (s *sleepyEndpoint) Broadcast(payload []byte, ttl int)         { s.inner.Broadcast(payload, ttl) }
+func (s *sleepyEndpoint) Addr() transport.Addr                      { return s.inner.Addr() }
+func (s *sleepyEndpoint) Now() time.Duration                        { return s.inner.Now() }
+func (s *sleepyEndpoint) After(d time.Duration, fn func())          { s.inner.After(d, fn) }
+func (s *sleepyEndpoint) Compute(c time.Duration, t transport.Task) { s.inner.Compute(c, t) }
+func (s *sleepyEndpoint) Do(fn func())                              { s.inner.Do(fn) }
+func (s *sleepyEndpoint) Close() error                              { return s.inner.Close() }

@@ -86,8 +86,8 @@ func (e *SimEndpoint) After(d time.Duration, fn func()) { e.net.After(d, fn) }
 
 // Compute implements transport.Endpoint: charges cost on the node's
 // serialized virtual CPU.
-func (e *SimEndpoint) Compute(cost time.Duration, fn func()) {
-	e.net.Compute(e.node, cost, fn)
+func (e *SimEndpoint) Compute(cost time.Duration, t transport.Task) {
+	e.net.compute(e.node, cost, t)
 }
 
 // Do implements transport.Endpoint. The caller owns the event loop between

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"argus/internal/obs"
+	"argus/internal/transport"
 )
 
 // NodeID identifies a node in the ground network.
@@ -176,9 +177,9 @@ func (t *netTelemetry) link(k LinkKey) *obs.Counter {
 }
 
 type event struct {
-	at  time.Duration
-	seq int64
-	fn  func()
+	at   time.Duration
+	seq  int64
+	task transport.Task
 }
 
 type eventQueue []*event
@@ -385,6 +386,11 @@ func (n *Network) After(d time.Duration, fn func()) {
 // queues per node: a second Compute on the same node starts only when the
 // first finishes — this is what serializes the subject's per-object crypto.
 func (n *Network) Compute(id NodeID, cost time.Duration, fn func()) {
+	n.compute(id, cost, transport.Func(fn))
+}
+
+// compute is Compute for a task (SimEndpoint.Compute).
+func (n *Network) compute(id NodeID, cost time.Duration, t transport.Task) {
 	nd := n.nodes[id]
 	start := n.now
 	if nd.cpuFree > start {
@@ -392,12 +398,16 @@ func (n *Network) Compute(id NodeID, cost time.Duration, fn func()) {
 	}
 	done := start + cost
 	nd.cpuFree = done
-	n.schedule(done, fn)
+	n.scheduleTask(done, t)
 }
 
 func (n *Network) schedule(at time.Duration, fn func()) {
+	n.scheduleTask(at, transport.Func(fn))
+}
+
+func (n *Network) scheduleTask(at time.Duration, t transport.Task) {
 	n.seq++
-	n.queue.push(&event{at: at, seq: n.seq, fn: fn})
+	n.queue.push(&event{at: at, seq: n.seq, task: t})
 }
 
 func (n *Network) recomputeDist() {
@@ -661,7 +671,7 @@ func (n *Network) Run(limit time.Duration) time.Duration {
 		if e.at > n.now {
 			n.now = e.at
 		}
-		e.fn()
+		e.task.Run()
 	}
 	return n.now
 }

@@ -148,14 +148,23 @@ func (k *Key) DecryptProfile(dst, ciphertext []byte) ([]byte, error) {
 // NewNonce returns a fresh NonceSize-byte random value (R_S or R_O). rng
 // defaults to crypto/rand.Reader.
 func NewNonce(rng io.Reader) ([]byte, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	n := make([]byte, NonceSize)
-	if _, err := io.ReadFull(rng, n); err != nil {
+	n := new([NonceSize]byte)
+	if err := FillNonce(n, rng); err != nil {
 		return nil, err
 	}
-	return n, nil
+	return n[:], nil
+}
+
+// FillNonce is NewNonce into storage the caller owns — the engines keep R_S
+// and R_O inline in the records that hold them. rng defaults to
+// crypto/rand.Reader.
+func FillNonce(n *[NonceSize]byte, rng io.Reader) error {
+	if rng == nil {
+		_, err := rand.Read(n[:])
+		return err
+	}
+	_, err := io.ReadFull(rng, n[:])
+	return err
 }
 
 // NewGroupKey returns a fresh KeySize-byte symmetric secret-group key (or

@@ -360,7 +360,7 @@ func TestConformanceLoopSerialization(t *testing.T) {
 				}
 			}
 			eps[0].Send(eps[1].Addr(), []byte("frame"))
-			eps[1].Do(func() { eps[1].Compute(time.Microsecond, func() { counter++ }) })
+			eps[1].Do(func() { eps[1].Compute(time.Microsecond, transport.Func(func() { counter++ })) })
 
 			want := workers*perWorker + 2
 			read := func() (v int) {

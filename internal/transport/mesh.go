@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"argus/internal/obs"
@@ -19,8 +20,11 @@ import (
 // no airtime model and no hop structure; any Broadcast ttl >= 1 reaches all
 // peers.
 type Mesh struct {
-	mu      sync.RWMutex
-	eps     map[Addr]*MeshEndpoint
+	mu  sync.RWMutex
+	eps map[Addr]*MeshEndpoint
+	// all is every endpoint in eps, rebuilt under mu by Join and Close and
+	// read without it: Broadcast walks a snapshot and allocates none.
+	all     atomic.Pointer[[]*MeshEndpoint]
 	seq     int
 	start   time.Time
 	reg     *obs.Registry
@@ -73,20 +77,30 @@ func (m *Mesh) Join() *MeshEndpoint {
 	}
 	ep.mb.instrument(m.reg, addr)
 	m.eps[addr] = ep
+	m.snapshot()
 	return ep
+}
+
+// snapshot republishes all from eps; the caller holds mu. A published slice
+// is never written again.
+func (m *Mesh) snapshot() {
+	all := make([]*MeshEndpoint, 0, len(m.eps))
+	for _, ep := range m.eps {
+		all = append(all, ep)
+	}
+	m.all.Store(&all)
 }
 
 // Close shuts down every endpoint and waits for their actor loops to drain.
 func (m *Mesh) Close() {
 	m.mu.Lock()
 	m.closed = true
-	eps := make([]*MeshEndpoint, 0, len(m.eps))
-	for _, ep := range m.eps {
-		eps = append(eps, ep)
-	}
+	all := m.all.Swap(nil)
 	m.mu.Unlock()
-	for _, ep := range eps {
-		ep.Close()
+	if all != nil {
+		for _, ep := range *all {
+			ep.Close()
+		}
 	}
 }
 
@@ -96,20 +110,6 @@ func (m *Mesh) lookup(a Addr) (*MeshEndpoint, bool) {
 	defer m.mu.RUnlock()
 	ep, ok := m.eps[a]
 	return ep, ok
-}
-
-// peers snapshots every endpoint except self. self may already be gone: an
-// endpoint detaches before its loop stops, and a timer can broadcast between.
-func (m *Mesh) peers(self Addr) []*MeshEndpoint {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*MeshEndpoint, 0, len(m.eps))
-	for a, ep := range m.eps {
-		if a != self {
-			out = append(out, ep)
-		}
-	}
-	return out
 }
 
 // MeshEndpoint is one node on a Mesh. It implements Endpoint.
@@ -158,8 +158,14 @@ func (e *MeshEndpoint) Broadcast(payload []byte, ttl int) {
 	if ttl < 1 {
 		return
 	}
-	for _, peer := range e.mesh.peers(e.addr) {
-		peer.mb.enqueueMsg(e.addr, payload)
+	all := e.mesh.all.Load()
+	if all == nil {
+		return
+	}
+	for _, peer := range *all {
+		if peer != e { // e may already be gone: it detaches before its loop stops
+			peer.mb.enqueueMsg(e.addr, payload)
+		}
 	}
 }
 
@@ -167,9 +173,9 @@ func (e *MeshEndpoint) Broadcast(payload []byte, ttl int) {
 func (e *MeshEndpoint) After(d time.Duration, fn func()) { e.mb.after(d, fn) }
 
 // Compute implements Endpoint: wall-clock transports charge no modeled cost —
-// the real crypto already spent real time — so fn runs immediately on the
+// the real crypto already spent real time — so t runs immediately on the
 // caller's (loop) goroutine.
-func (e *MeshEndpoint) Compute(cost time.Duration, fn func()) { fn() }
+func (e *MeshEndpoint) Compute(cost time.Duration, t Task) { t.Run() }
 
 // Do implements Endpoint: the entry point for external goroutines.
 func (e *MeshEndpoint) Do(fn func()) { e.mb.enqueueCtrl(fn) }
@@ -190,6 +196,9 @@ func (e *MeshEndpoint) Close() error {
 
 	e.mesh.mu.Lock()
 	delete(e.mesh.eps, e.addr)
+	if !e.mesh.closed { // Mesh.Close took the whole snapshot down at once
+		e.mesh.snapshot()
+	}
 	e.mesh.mu.Unlock()
 
 	e.mb.close()

@@ -54,6 +54,18 @@ type HandlerFunc func(from Addr, payload []byte)
 // Handle implements Handler.
 func (f HandlerFunc) Handle(from Addr, payload []byte) { f(from, payload) }
 
+// Task is work run on an endpoint's event loop once its modeled compute time
+// has passed (Endpoint.Compute). The engines' hot continuations are session
+// records that owe a frame: a pointer converts to the interface without
+// allocating, where a closure over the same state is an allocation per call.
+type Task interface{ Run() }
+
+// Func adapts a closure to Task, for the paths that run once a round or less.
+type Func func()
+
+// Run implements Task.
+func (f Func) Run() { f() }
+
 // Endpoint is one node's port into a transport — everything the protocol
 // engines need from a network: send/broadcast with a hop TTL, timers, a
 // clock, a local address, and a way onto the node's event loop.
@@ -85,11 +97,11 @@ type Endpoint interface {
 	// control work: they are never shed by mailbox backpressure.
 	After(d time.Duration, fn func())
 
-	// Compute runs fn on the event loop after charging cost of modeled CPU
+	// Compute runs t on the event loop after charging cost of modeled CPU
 	// time. Only virtual-clock transports charge the cost (the simulator
-	// serializes it per node); wall-clock transports run fn immediately —
+	// serializes it per node); wall-clock transports run t immediately —
 	// the real crypto already spent real time.
-	Compute(cost time.Duration, fn func())
+	Compute(cost time.Duration, t Task)
 
 	// Do injects fn onto the event loop, serialized with deliveries and
 	// timers. This is the only safe entry point for external goroutines

@@ -172,9 +172,9 @@ func (e *UDPEndpoint) Broadcast(payload []byte, ttl int) {
 // After implements Endpoint: fn runs on the actor loop, never shed.
 func (e *UDPEndpoint) After(d time.Duration, fn func()) { e.mb.after(d, fn) }
 
-// Compute implements Endpoint: no modeled cost on real hardware; fn runs
+// Compute implements Endpoint: no modeled cost on real hardware; t runs
 // immediately on the caller's (loop) goroutine.
-func (e *UDPEndpoint) Compute(cost time.Duration, fn func()) { fn() }
+func (e *UDPEndpoint) Compute(cost time.Duration, t Task) { t.Run() }
 
 // Do implements Endpoint: the entry point for external goroutines.
 func (e *UDPEndpoint) Do(fn func()) { e.mb.enqueueCtrl(fn) }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -182,6 +183,56 @@ func FuzzDecodeRES2(f *testing.F) {
 		enc := r.Encode()
 		if !bytes.Equal(enc, mustDecode(t, enc).Encode()) {
 			t.Fatal("RES2 encoding not canonical")
+		}
+	})
+}
+
+// decoder is a message that decodes in place.
+type decoder interface {
+	Message
+	DecodeFrom(b []byte) error
+}
+
+// FuzzDecodeFromReused: a value decoded into again must come out exactly as a
+// fresh Decode of the same frame — accepted and rejected alike, equal field by
+// field — whatever it held before. The engines decode every frame into a
+// value they reuse, so a field the new frame does not carry must not survive
+// from the last one: an unhinted QUE1 after a hinted one has no Hints, a full
+// QUE2 after a short one no Ticket. Every golden frame of the type is the
+// previous decode in turn.
+func FuzzDecodeFromReused(f *testing.F) {
+	golden := goldenEncodings()
+	for _, b := range golden {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, wantErr := Decode(b)
+		for _, prev := range golden {
+			var v decoder
+			switch MsgType(prev[0]) {
+			case TQUE1:
+				v = new(QUE1)
+			case TRES1:
+				v = new(RES1)
+			case TQUE2:
+				v = new(QUE2)
+			case TRES2:
+				v = new(RES2)
+			}
+			if err := v.DecodeFrom(prev); err != nil {
+				t.Fatalf("golden %v frame rejected: %v", v.Type(), err)
+			}
+			err := v.DecodeFrom(b)
+			switch {
+			case wantErr != nil || want.Type() != v.Type():
+				if err == nil {
+					t.Fatalf("%v.DecodeFrom accepted %x, which Decode reads as %v, %v", v.Type(), b, want, wantErr)
+				}
+			case err != nil:
+				t.Fatalf("%v.DecodeFrom after %x rejected %x: %v", v.Type(), prev, b, err)
+			case !reflect.DeepEqual(v, want):
+				t.Fatalf("%v.DecodeFrom after %x differs from Decode:\nreused %+v\nfresh  %+v", v.Type(), prev, v, want)
+			}
 		}
 	})
 }

@@ -371,87 +371,172 @@ func (m *RES2) Encode() []byte {
 	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
 }
 
-// Decode parses any wire message. Its byte fields are slices of b, not copies:
-// b must be immutable from here on — as every delivered payload is
-// (transport.Handler) — and the message may be retained as long as b may.
+// NewRES2Frame returns the encoding of a RES2 with a ctLen-byte ciphertext and
+// a macLen-byte MAC_O, everything written but those two fields, and the
+// windows they go in. An object encrypts and MACs straight into its answer,
+// so the frame is the answer's only allocation.
+func NewRES2Frame(v Version, ctLen, macLen int) (frame, ct, mac []byte) {
+	if ctLen > 0xFFFF || macLen > 0xFFFF {
+		panic(fmt.Sprintf("enc: field too long (%d bytes)", max(ctLen, macLen)))
+	}
+	frame = make([]byte, 0, (&RES2{}).EncodedSize()+ctLen+macLen)
+	frame = append(frame, byte(TRES2), byte(v))
+	frame = binary.BigEndian.AppendUint16(frame, uint16(ctLen))
+	ctAt := len(frame)
+	frame = binary.BigEndian.AppendUint16(frame[:ctAt+ctLen], uint16(macLen))
+	frame = frame[:cap(frame)]
+	return frame, frame[ctAt : ctAt+ctLen : ctAt+ctLen], frame[len(frame)-macLen:]
+}
+
+// Decode parses any wire message into a fresh value: the form for tools and
+// tests. The engines decode each frame into a value of their own with the
+// type's DecodeFrom, which Decode dispatches to, so there is one parser. Its
+// byte fields are slices of b, not copies: b must be immutable from here on —
+// as every delivered payload is (transport.Handler) — and the message may be
+// retained as long as b may.
 func Decode(b []byte) (Message, error) {
 	if len(b) < 2 {
 		return nil, enc.ErrTruncated
 	}
-	ver := Version(b[1])
-	if !ver.Valid() {
-		return nil, fmt.Errorf("wire: unknown version %d", b[1])
+	var m interface {
+		Message
+		DecodeFrom(b []byte) error
 	}
-	r := enc.NewReader(b[2:])
 	switch MsgType(b[0]) {
 	case TQUE1:
-		m := &QUE1{Version: ver}
-		if n := r.U8(); n&que1Hinted != 0 {
-			m.RS = r.View(int(n &^ que1Hinted))
-			m.Hints = r.View(HintBlockSize)
-		} else {
-			m.RS = r.View(int(n))
-		}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		if len(m.RS) == 0 {
-			return nil, errors.New("wire: QUE1 missing R_S")
-		}
-		return m, nil
+		m = new(QUE1)
 	case TRES1:
-		m := &RES1{Version: ver}
-		m.Mode = ResponseMode(r.U8())
-		switch m.Mode {
-		case ModePublic:
-			m.Prof = r.View16()
-		case ModeSecure:
-			m.RO = r.View16()
-			m.CertO = r.View16()
-			m.KEXMO = r.View16()
-			m.Sig = r.View16()
-		case ModeResume:
-			m.RO = r.View16()
-		default:
-			return nil, fmt.Errorf("wire: unknown RES1 mode %d", m.Mode)
-		}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = new(RES1)
 	case TQUE2:
-		m := &QUE2{Version: ver}
-		if n := r.U8(); n&que2Short != 0 {
-			m.RS = r.View(int(n &^ que2Short))
-			if m.Ticket = r.View16(); len(m.Ticket) == 0 && r.Err() == nil {
-				return nil, errors.New("wire: short QUE2 missing ticket")
-			}
-		} else {
-			m.RS = r.View(int(n))
-			m.ProfS = r.View16()
-			m.CertS = r.View16()
-			m.KEXMS = r.View16()
-			m.Sig = r.View16()
-		}
-		m.MACS2 = r.View16()
-		if ver != V10 {
-			m.MACS3 = r.View16()
-		}
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = new(QUE2)
 	case TRES2:
-		m := &RES2{Version: ver}
-		m.Ciphertext = r.View16()
-		m.MACO = r.View16()
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		return m, nil
+		m = new(RES2)
+	default:
+		return nil, fmt.Errorf("wire: unknown message type %d", b[0])
 	}
-	return nil, fmt.Errorf("wire: unknown message type %d", b[0])
+	if err := m.DecodeFrom(b); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
+
+// header checks a frame's length, version and type tag, and returns its
+// version; the body starts at b[2:].
+func header(b []byte, t MsgType) (Version, error) {
+	if len(b) < 2 {
+		return 0, enc.ErrTruncated
+	}
+	ver := Version(b[1])
+	if !ver.Valid() {
+		return 0, fmt.Errorf("wire: unknown version %d", b[1])
+	}
+	if MsgType(b[0]) != t {
+		return 0, fmt.Errorf("wire: %v frame decoded as %v", MsgType(b[0]), t)
+	}
+	return ver, nil
+}
+
+// DecodeFrom parses a QUE1 frame into m, which it resets first: a value
+// decoded into again keeps nothing of its last frame. Byte fields are windows
+// on b, as with Decode. On error m holds no message.
+func (m *QUE1) DecodeFrom(b []byte) error {
+	*m = QUE1{}
+	ver, err := header(b, TQUE1)
+	if err != nil {
+		return err
+	}
+	m.Version = ver
+	r := enc.NewReader(b[2:])
+	if n := r.U8(); n&que1Hinted != 0 {
+		m.RS = r.View(int(n &^ que1Hinted))
+		m.Hints = r.View(HintBlockSize)
+	} else {
+		m.RS = r.View(int(n))
+	}
+	if err := r.Done(); err != nil {
+		return err
+	}
+	if len(m.RS) == 0 {
+		return errQUE1NoRS
+	}
+	return nil
+}
+
+// DecodeFrom parses a RES1 frame into m, which it resets first (see
+// QUE1.DecodeFrom).
+func (m *RES1) DecodeFrom(b []byte) error {
+	*m = RES1{}
+	ver, err := header(b, TRES1)
+	if err != nil {
+		return err
+	}
+	m.Version = ver
+	r := enc.NewReader(b[2:])
+	m.Mode = ResponseMode(r.U8())
+	switch m.Mode {
+	case ModePublic:
+		m.Prof = r.View16()
+	case ModeSecure:
+		m.RO = r.View16()
+		m.CertO = r.View16()
+		m.KEXMO = r.View16()
+		m.Sig = r.View16()
+	case ModeResume:
+		m.RO = r.View16()
+	default:
+		return fmt.Errorf("wire: unknown RES1 mode %d", m.Mode)
+	}
+	return r.Done()
+}
+
+// DecodeFrom parses a QUE2 frame into m, which it resets first (see
+// QUE1.DecodeFrom).
+func (m *QUE2) DecodeFrom(b []byte) error {
+	*m = QUE2{}
+	ver, err := header(b, TQUE2)
+	if err != nil {
+		return err
+	}
+	m.Version = ver
+	r := enc.NewReader(b[2:])
+	if n := r.U8(); n&que2Short != 0 {
+		m.RS = r.View(int(n &^ que2Short))
+		if m.Ticket = r.View16(); len(m.Ticket) == 0 && r.Err() == nil {
+			return errQUE2NoTicket
+		}
+	} else {
+		m.RS = r.View(int(n))
+		m.ProfS = r.View16()
+		m.CertS = r.View16()
+		m.KEXMS = r.View16()
+		m.Sig = r.View16()
+	}
+	m.MACS2 = r.View16()
+	if ver != V10 {
+		m.MACS3 = r.View16()
+	}
+	return r.Done()
+}
+
+// DecodeFrom parses a RES2 frame into m, which it resets first (see
+// QUE1.DecodeFrom).
+func (m *RES2) DecodeFrom(b []byte) error {
+	*m = RES2{}
+	ver, err := header(b, TRES2)
+	if err != nil {
+		return err
+	}
+	m.Version = ver
+	r := enc.NewReader(b[2:])
+	m.Ciphertext = r.View16()
+	m.MACO = r.View16()
+	return r.Done()
+}
+
+var (
+	errQUE1NoRS     = errors.New("wire: QUE1 missing R_S")
+	errQUE2NoTicket = errors.New("wire: short QUE2 missing ticket")
+)
 
 // Transcript is "*": all the content sent and received so far, in order, on
 // either side of a discovery session, as a running SHA-256. Both sides must

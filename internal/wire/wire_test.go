@@ -269,6 +269,19 @@ func TestRES2RoundTripAndShape(t *testing.T) {
 	if len(m.Encode()) != len(m2.Encode()) {
 		t.Error("RES2 shapes differ")
 	}
+	// Built in place, the frame is the encoding: ciphertext appended into its
+	// window stays there, and cannot run into MAC_O's length prefix.
+	for _, n := range []int{0, 64, 256} {
+		want := &RES2{Version: V20, Ciphertext: bytes.Repeat([]byte{3}, n), MACO: bytes.Repeat([]byte{4}, 32)}
+		frame, ct, mac := NewRES2Frame(V20, n, 32)
+		if cap(ct) != n || len(append(ct[:0], want.Ciphertext...)) != n {
+			t.Fatalf("ciphertext window of %d B has cap %d", n, cap(ct))
+		}
+		copy(mac, want.MACO)
+		if !bytes.Equal(frame, want.Encode()) {
+			t.Errorf("%d B ciphertext: frame\n%x\nwant\n%x", n, frame, want.Encode())
+		}
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -286,6 +299,11 @@ func TestDecodeErrors(t *testing.T) {
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: Decode succeeded, want error", name)
+		}
+		for _, m := range []decoder{new(QUE1), new(RES1), new(QUE2), new(RES2)} {
+			if m.DecodeFrom(b) == nil {
+				t.Errorf("%s: %v.DecodeFrom succeeded, want error", name, m.Type())
+			}
 		}
 	}
 }
@@ -385,7 +403,8 @@ func TestVersionAndTypeStrings(t *testing.T) {
 }
 
 // TestDecodeBorrowsPayload: a decoded message is one allocation — the struct —
-// and its byte fields are windows on the payload, each closed at its own end.
+// and its byte fields are windows on the payload, each closed at its own end;
+// decoded into a value the caller holds, it is none.
 func TestDecodeBorrowsPayload(t *testing.T) {
 	within := func(field, raw []byte) bool {
 		return len(field) > 0 && cap(field) == len(field) &&
@@ -425,6 +444,10 @@ func TestDecodeBorrowsPayload(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { _, _ = Decode(raw) }); n != 1 {
 			t.Errorf("%v: Decode costs %.0f allocs, want 1", m.Type(), n)
+		}
+		into := got.(decoder)
+		if n := testing.AllocsPerRun(100, func() { _ = into.DecodeFrom(raw) }); n != 0 {
+			t.Errorf("%v: DecodeFrom costs %.0f allocs, want 0", m.Type(), n)
 		}
 	}
 }

@@ -25,14 +25,17 @@
 #
 # It gates `allocs_per_session` the same way. `warm` and `cold` differ only in
 # their verify caches, and a resumed session looks nothing up, so both measure
-# 22.4–23.5 (26 runs) and share the ceiling 25; the `lossy` and `churn`
-# ceilings sit 7–8 % above the most they measured (28.0–28.3 and 27.5–30.2,
-# 8 runs each).
-# They were 46 / 49 / 54 while session keys, MACs, tickets and wheel entries
-# were allocations of their own: a resumed RES2 that admin-verifies its PROF_O
-# again (`cold` read 84 while every one did), a session record that goes back
-# to allocating its keys, or any per-session allocation the size of a
-# credential check, fails it.
+# 7.45–7.68 (15 runs) and share the ceiling 8.3; the `lossy` and `churn`
+# ceilings sit 8–10 % above the most they measured (11.0–11.5 and 10.7–11.3,
+# 5 runs each). A session keeps its frames, its two records and its two AES
+# key schedules, and the wheels arm about one `time.AfterFunc` a session.
+# The ceilings were 25 / 30.5 / 32.5 (measured ≈ 20.4 / 26.0 / 24.5) while
+# every frame decoded onto the heap, compute continuations closed over their
+# sessions, nonces, the hint block and the wheel's closures were allocations
+# of their own, and 46 / 49 / 54 while session keys, MACs, tickets and wheel
+# entries were too: any of those coming back, a resumed RES2 that
+# admin-verifies its PROF_O again (`cold` read 84 while every one did), or any
+# per-session allocation the size of a credential check, fails it.
 #
 #   scripts/bench_failcheck.sh                       # 4 workloads × seeds 1–5, ~10 min
 #   WORKLOADS=churn SEEDS="1 2" scripts/bench_failcheck.sh
@@ -70,9 +73,9 @@ max_frames() {
 # max_allocs <workload>: the allocs_per_session ceiling, likewise.
 max_allocs() {
 	case "$1" in
-	warm | cold) echo 25 ;;
-	lossy) echo 30.5 ;;
-	churn) echo 32.5 ;;
+	warm | cold) echo 8.3 ;;
+	lossy) echo 12.5 ;;
+	churn) echo 12.5 ;;
 	esac
 }
 

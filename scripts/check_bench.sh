@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check_bench.sh — gate the hot-path allocation ceilings (ISSUE 9).
 #
-# Runs the wire codec and warm-handshake microbenchmarks and fails if any
-# allocs/op figure exceeds its committed ceiling, so the zero-alloc codec
-# seam can never silently regress. Throughput ceilings are gated separately,
+# Runs the wire codec, warm-handshake and mesh-session microbenchmarks and
+# fails if any allocs/op figure exceeds its committed ceiling, so the
+# zero-alloc codec seam can never silently regress. Throughput ceilings are gated separately,
 # at runtime, by the load profiles' SLO blocks (retransmissions, latency,
 # lost sessions) — allocation is the only axis a microbenchmark measures
 # deterministically on shared CI hardware.
@@ -15,34 +15,43 @@
 #   EncodeQUE2      1 alloc/op   — thin wrapper: one buffer per Encode
 #   DecodeQUE2      1 alloc/op   — the message struct; its fields are windows
 #                                  on the payload (8 when they were copies)
-#   WarmHandshake/first-contact 325 allocs/op — full L2 round under the default
-#                                  retry policy, ticket minted; 310 measured
-#                                  + 5 % (329 before session keys were held
+#   WarmHandshake/first-contact 302 allocs/op — full L2 round under the default
+#                                  retry policy, ticket minted; 288 measured
+#                                  + 5 % (310 while messages decoded onto the
+#                                  heap and compute continuations were
+#                                  closures, 329 before session keys were held
 #                                  prepared and wheel entries embedded, 482
 #                                  before PR 14)
-#   WarmHandshake/resumed 51 allocs/op — the same round on a ticket: hinted
-#                                  QUE1, short RES1, short QUE2; 49 measured
-#                                  + 5 % (69 while keys, MACs, tickets and
-#                                  wheel entries were allocations of their own
-#                                  and the profile cipher built a CBC mode
-#                                  object a side; 87 while every RES2 decoded
-#                                  PROF_O afresh, 168 while the object still
-#                                  generated a key and signed RES1 for it, 303
-#                                  before PR 14). What is left: the
-#                                  simulator's event queue and deliveries ≈18,
-#                                  the wheel's armed timers and the round's
-#                                  QUE1 and resend-cache entries ≈7, the
-#                                  frames, decoded messages, nonces, records
-#                                  and compute callbacks a round sends or
-#                                  keeps ≈20, the ciphertext and the two AES
-#                                  key schedules
-#   WarmHandshake/uncached-resumed 51 allocs/op — resumed with no verify cache
+#   WarmHandshake/resumed 29 allocs/op — the same round on a ticket: hinted
+#                                  QUE1, short RES1, short QUE2; 27 measured
+#                                  + 5 % (49 while every frame decoded onto
+#                                  the heap, continuations closed over their
+#                                  sessions, nonces and the hint block were
+#                                  allocations of their own and the wheel
+#                                  armed a closure a timer; 69 while keys,
+#                                  MACs, tickets and wheel entries were too;
+#                                  303 before the symmetric half came off
+#                                  the allocator). What is left: the
+#                                  simulator's event queue and deliveries
+#                                  ≈18 (the wheel's timers among them), the
+#                                  four frames and two session records a
+#                                  round sends or keeps, the two AES key
+#                                  schedules
+#   WarmHandshake/uncached-resumed 29 allocs/op — resumed with no verify cache
 #                                  on either engine, so a lookup is a real
-#                                  P-256 verification; 49 measured + 5 % (109
+#                                  P-256 verification; 27 measured + 5 % (109
 #                                  while every resumed RES2 admin-verified the
 #                                  PROF_O bytes its ticket was minted on). Its
 #                                  name must not start with "resumed": check
 #                                  matches on a prefix
+#   MeshSession/resumed 16 allocs/op — one resumed L2 and one L3 session between
+#                                  engines on a transport.Mesh, the path
+#                                  argus-node ships; 15 measured + 5 %: each
+#                                  session's frames, records and AES key
+#                                  schedules, and the round's QUE1 (46 before
+#                                  the message values, continuations, nonces,
+#                                  hint block, wheel closures and broadcast
+#                                  peer lists came off the allocator)
 #   IssueCertChain 455 allocs/op — one S128 entity certificate: template,
 #                                  TBS marshal, the pinned-width signature
 #                                  and x509's check of it; 433 measured + 5 %
@@ -56,7 +65,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -bench='QUE2|WarmHandshake' -benchmem -run='^$' -benchtime=100x \
+out=$(go test -bench='QUE2|WarmHandshake|MeshSession' -benchmem -run='^$' -benchtime=100x \
 	./internal/wire ./internal/core)
 out+=$'\n'$(go test -bench='IssueCertChain' -benchmem -run='^$' -benchtime=1000x ./internal/cert)
 echo "$out"
@@ -77,9 +86,10 @@ check() {
 check BenchmarkAppendToQUE2 0
 check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
-check BenchmarkWarmHandshake/first-contact 325
-check BenchmarkWarmHandshake/resumed 51
-check BenchmarkWarmHandshake/uncached-resumed 51
+check BenchmarkWarmHandshake/first-contact 302
+check BenchmarkWarmHandshake/resumed 29
+check BenchmarkWarmHandshake/uncached-resumed 29
+check BenchmarkMeshSession/resumed 16
 check BenchmarkIssueCertChain 455
 
 if [ "$fail" -ne 0 ]; then
