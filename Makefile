@@ -12,9 +12,10 @@ FUZZTIME ?= 15s
 # by BENCHMARK.json: four workloads, eleven end-to-end metrics with bounds, a
 # per-layer budget); a claimed gain takes ten alternated pairs. Beside it:
 #
-#   make bench-check   allocs/op ceilings of the codec, the warm handshake and
-#                      certificate issuance (internal/wire, internal/core,
-#                      internal/cert; scripts/check_bench.sh)
+#   make bench-check   allocs/op ceilings of the codec, the warm handshake,
+#                      certificate issuance and a revocation push
+#                      (internal/wire, internal/core, internal/cert,
+#                      internal/update; scripts/check_bench.sh)
 #   make bench-failcheck  the benchmark over workloads × seeds, gated on
 #                      `failed` 0, `correct` true and `frames_per_session`
 #                      and `allocs_per_session` ceilings on every run
@@ -79,7 +80,7 @@ cover-check:
 # Full gate: everything CI and the verify skill run.
 verify: build vet fmt-check deps-check docs-check test bench-build race
 
-# Codec and key-schedule fuzzing (one target per invocation: go test allows a single
+# Codec, key-schedule and update-agent fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/realtime -run='^$$' -fuzz='^FuzzTailDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/backendsvc -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/obs -run='^$$' -fuzz='^FuzzMergeSnapshots$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/update -run='^$$' -fuzz='^FuzzAgentHandle$$' -fuzztime=$(FUZZTIME)
 
 # Live ops-plane smoke: argus-load serves /events while the ci-soak profile
 # runs and argus-ops tails it with the same SLO gates (scripts/ops_smoke.sh).

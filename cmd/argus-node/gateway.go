@@ -83,7 +83,9 @@ func runGateway(snapshot, targets, offline, dlqLog string, every, reattachAfter,
 		}
 	}
 	if len(restored) > 0 {
-		dist.RestoreParked(restored)
+		if err := dist.RestoreParked(restored); err != nil {
+			return fmt.Errorf("-dlq-log: %w", err)
+		}
 		// Restored destinations are offline until reattached; fold them into
 		// the -offline set so the reattach paths drain their backlog too.
 		n := 0

@@ -8,6 +8,7 @@ import (
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/core"
+	"argus/internal/enc"
 	"argus/internal/netsim"
 	"argus/internal/suite"
 	"argus/internal/update"
@@ -23,6 +24,7 @@ type dlqCrashRig struct {
 	net     *netsim.Network
 	hub     netsim.NodeID
 	sid     cert.ID
+	sid2    cert.ID // a second subject, for a second revocation
 	oid     cert.ID
 	ep      *netsim.SimEndpoint
 	applied []uint64
@@ -38,6 +40,7 @@ func newDLQCrashRig(t *testing.T) *dlqCrashRig {
 		t.Fatal(err)
 	}
 	r.sid, _, _ = r.b.RegisterSubject("alice", attr.MustSet("position=staff"))
+	r.sid2, _, _ = r.b.RegisterSubject("bob", attr.MustSet("position=staff"))
 	r.net = netsim.New(netsim.DefaultWiFi(), 17)
 	r.hub = r.net.AddNode(nil)
 
@@ -92,7 +95,7 @@ func TestDLQJournalCrashReattach(t *testing.T) {
 	if err := dist.Reprovision([]cert.ID{r.oid}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dist.RevokeSubject(r.sid, []cert.ID{r.oid}); err != nil {
+	if err := dist.RevokeSubject(r.sid2, []cert.ID{r.oid}); err != nil {
 		t.Fatal(err)
 	}
 	if got := dist.DLQDepth(); got != 3 {
@@ -123,7 +126,9 @@ func TestDLQJournalCrashReattach(t *testing.T) {
 	}
 
 	dist2 := r.distributor(jl2)
-	dist2.RestoreParked(parked2)
+	if err := dist2.RestoreParked(parked2); err != nil {
+		t.Fatal(err)
+	}
 	if got := dist2.DLQDepth(); got != 3 {
 		t.Fatalf("depth after restore = %d, want 3", got)
 	}
@@ -175,6 +180,80 @@ func TestDLQJournalCrashReattach(t *testing.T) {
 	defer jl3.Close()
 	if len(parked3) != 0 {
 		t.Fatalf("journal not drained: %d destinations survive reattach", len(parked3))
+	}
+}
+
+// TestDLQJournalRestoresPerPushSignedRevocations: a journal written while
+// every revocation was signed per push, over magic ‖ kind ‖ Seq ‖ subject,
+// still redelivers after this restore. RestoreParked re-attaches the admin's
+// revocation signature, and the object applies every letter once, in order.
+func TestDLQJournalRestoresPerPushSignedRevocations(t *testing.T) {
+	r := newDLQCrashRig(t)
+	path := filepath.Join(t.TempDir(), "dlq.log")
+
+	oldLetter := func(kind update.Kind, seq uint64, subject cert.ID) []byte {
+		w := enc.NewWriter(92)
+		w.U8(0xA5) // envelope magic
+		w.U8(byte(kind))
+		w.U64(seq)
+		w.Raw(subject[:])
+		sig, err := r.b.Admin().Sign(w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Bytes16(sig)
+		return w.Bytes()
+	}
+	wal, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range [][]byte{
+		oldLetter(update.KindRevokeSubject, 1, r.sid),
+		oldLetter(update.KindReprovision, 2, cert.ID{}),
+		oldLetter(update.KindRevokeSubject, 3, r.sid2),
+	} {
+		if _, err := wal.Append(encodeDLQRecord(dlqOpPark, r.oid, l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal.Close()
+
+	jl, parked, err := OpenDLQLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	q := parked[r.oid]
+	if len(q) != 3 {
+		t.Fatalf("restored %d letters, want 3", len(q))
+	}
+	if q[0].Verify(r.b.AdminPublic()) {
+		t.Fatal("a per-push revocation signature verifies as a revocation statement")
+	}
+	dist := r.distributor(jl)
+	if err := dist.RestoreParked(parked); err != nil {
+		t.Fatal(err)
+	}
+	if got := dist.Reattach(r.oid, ""); got != 3 {
+		t.Fatalf("reattach redelivered %d, want 3", got)
+	}
+	r.net.Run(0)
+	wantKinds := []update.Kind{update.KindRevokeSubject, update.KindReprovision, update.KindRevokeSubject}
+	if len(r.applied) != 3 {
+		t.Fatalf("agent applied %d, want 3: %v", len(r.applied), r.applied)
+	}
+	for i, seq := range r.applied {
+		if seq != uint64(i+1) || r.kinds[i] != wantKinds[i] {
+			t.Fatalf("applied seqs %v kinds %v, want [1 2 3] %v", r.applied, r.kinds, wantKinds)
+		}
+	}
+	if got := dist.Reattach(r.oid, ""); got != 0 {
+		t.Fatalf("second reattach redelivered %d, want 0", got)
+	}
+	r.net.Run(0)
+	if len(r.applied) != 3 {
+		t.Fatalf("double effectuation after second reattach: %v", r.applied)
 	}
 }
 

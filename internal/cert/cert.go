@@ -189,6 +189,16 @@ type Admin struct {
 	// to, but excluding, the root — empty for the root admin. See
 	// hierarchy.go (§II-A: the backend is a hierarchy of servers).
 	chain [][]byte
+
+	onceMu sync.Mutex
+	once   map[string]*onceSig // SignOnce's signatures, by message
+}
+
+// onceSig is one SignOnce entry; its mutex makes concurrent first callers
+// wait for one signature instead of each making their own.
+type onceSig struct {
+	mu  sync.Mutex
+	sig []byte
 }
 
 // NewAdmin creates the admin identity with a self-signed CA certificate.
@@ -231,6 +241,36 @@ func (a *Admin) CACert() []byte { return append([]byte(nil), a.caDER...) }
 // notifications pushed to the ground network, §IV-A). Verify against
 // Public().
 func (a *Admin) Sign(msg []byte) ([]byte, error) { return a.key.Sign(msg) }
+
+// SignOnce returns the admin's signature over msg, made the first time any
+// caller asks for these exact bytes and returned unchanged to every later
+// caller. It is for statements that hold for good and reach many devices —
+// "subject X is revoked" — where one signature can serve every copy. Each
+// distinct message keeps its signature for the admin's lifetime.
+// The returned slice is shared: callers must not modify it.
+func (a *Admin) SignOnce(msg []byte) ([]byte, error) {
+	a.onceMu.Lock()
+	if a.once == nil {
+		a.once = make(map[string]*onceSig)
+	}
+	e := a.once[string(msg)]
+	if e == nil {
+		e = &onceSig{}
+		a.once[string(msg)] = e
+	}
+	a.onceMu.Unlock()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.sig == nil {
+		sig, err := a.key.Sign(msg)
+		if err != nil {
+			return nil, err
+		}
+		e.sig = sig
+	}
+	return e.sig, nil
+}
 
 // Export returns the admin's persistent state: private key, CA certificate,
 // issuance serial and intermediate chain. For the backend's store only.

@@ -270,3 +270,41 @@ func BenchmarkIssueCertChain(b *testing.B) {
 		}
 	}
 }
+
+// TestSignOnce: concurrent first callers of one message share one signature
+// (P-256 signing is randomized, so a second signature would differ), a
+// different message gets its own, and both verify under the admin key.
+func TestSignOnce(t *testing.T) {
+	a, err := NewAdmin(suite.S128, "admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, other := []byte("subject 1 is revoked"), []byte("subject 2 is revoked")
+	const callers = 8
+	sigs := make([][]byte, callers)
+	done := make(chan struct{})
+	for i := range sigs {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			sigs[i], _ = a.SignOnce(append([]byte(nil), msg...))
+		}()
+	}
+	for range sigs {
+		<-done
+	}
+	for i, sig := range sigs {
+		if !bytes.Equal(sig, sigs[0]) {
+			t.Fatalf("caller %d got a second signature", i)
+		}
+	}
+	if !a.Public().Verify(msg, sigs[0]) {
+		t.Fatal("SignOnce signature does not verify")
+	}
+	sig2, err := a.SignOnce(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(sig2, sigs[0]) || !a.Public().Verify(other, sig2) || a.Public().Verify(msg, sig2) {
+		t.Fatal("a second message did not get its own signature")
+	}
+}

@@ -23,9 +23,12 @@ import (
 //     preserves push order, and Reattach drains the whole queue under the
 //     same lock that serializes pushes — so a destination always observes
 //     strictly increasing sequence numbers.
-//   - Exactly-once effectuation. In-order redelivery composes with the
-//     agent's replay check (Seq <= lastSeq rejected): each notification is
-//     applied exactly once even across repeated Reattach calls.
+//   - Exactly-once effectuation. The agent applies a revocation only if it
+//     has not applied that subject's revocation before, and a reprovision
+//     only if its signed Seq is above the last reprovision it applied; in
+//     push order both hold for every letter the first time and for none of
+//     them again, so each notification is applied exactly once even across
+//     repeated Reattach calls.
 
 // DefaultDLQCapacity is the per-destination dead-letter bound.
 const DefaultDLQCapacity = 256
@@ -52,7 +55,7 @@ func WithDLQJournal(j Journal) DistributorOption {
 	return func(d *Distributor) { d.journal = j }
 }
 
-// letter is one parked notification: fully signed, sequence assigned.
+// letter is one parked notification: signed, sequence assigned.
 type letter struct {
 	n  *Notification
 	at time.Duration // ep.Now() at park time, for redelivery lag
@@ -147,10 +150,24 @@ func (d *Distributor) Reattach(id cert.ID, addr transport.Addr) int {
 // with parked letters comes back offline (it missed those notifications for
 // a reason, and redelivery must wait for an explicit Reattach), queue order
 // is preserved, and the distributor's sequence counter fast-forwards past
-// the highest restored Seq so post-restart pushes never collide with a
-// parked letter — the agent replay check (Seq <= lastSeq) depends on it.
+// the highest restored Seq so post-restart reprovisions never collide with a
+// parked letter — the agent's Seq check depends on it. Each restored
+// revocation gets the admin's revocation signature, so a letter journaled
+// while revocations were signed per push, over their Seq, still applies.
 // Restored letters are NOT re-journaled: the journal already holds them.
-func (d *Distributor) RestoreParked(parked map[cert.ID][]*Notification) {
+func (d *Distributor) RestoreParked(parked map[cert.ID][]*Notification) error {
+	for _, ns := range parked {
+		for _, n := range ns {
+			if n.Kind != KindRevokeSubject {
+				continue
+			}
+			sig, err := d.revocationSig(n.Subject)
+			if err != nil {
+				return err
+			}
+			n.Sig = sig
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.ep.Now()
@@ -170,6 +187,7 @@ func (d *Distributor) RestoreParked(parked map[cert.ID][]*Notification) {
 		}
 		d.dlq[to] = q
 	}
+	return nil
 }
 
 // DLQDepth returns the total number of parked letters across destinations.

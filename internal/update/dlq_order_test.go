@@ -22,30 +22,30 @@ import (
 func TestDLQOfflineWindowInterleaving(t *testing.T) {
 	r := newDLQRig(t)
 
-	push := func(k Kind) {
+	revoke := func(subject cert.ID) {
 		t.Helper()
-		var err error
-		if k == KindRevokeSubject {
-			err = r.dist.RevokeSubject(r.sid, []cert.ID{r.off})
-		} else {
-			err = r.dist.Reprovision([]cert.ID{r.off})
+		if err := r.dist.RevokeSubject(subject, []cert.ID{r.off}); err != nil {
+			t.Fatal(err)
 		}
-		if err != nil {
+	}
+	reprovision := func() {
+		t.Helper()
+		if err := r.dist.Reprovision([]cert.ID{r.off}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	want := []Kind{KindReprovision, KindRevokeSubject, KindReprovision, KindReprovision, KindRevokeSubject}
-	push(KindReprovision) // live
+	reprovision() // live
 	r.dist.MarkOffline(r.off)
-	push(KindRevokeSubject) // parked
+	revoke(r.sid) // parked
 	if got := r.dist.Reattach(r.off, ""); got != 1 {
 		t.Fatalf("first reattach redelivered %d, want 1", got)
 	}
-	push(KindReprovision) // live again
+	reprovision() // live again
 	r.dist.MarkOffline(r.off)
-	push(KindReprovision)   // parked
-	push(KindRevokeSubject) // parked
+	reprovision()  // parked
+	revoke(r.sid2) // parked
 	if got := r.dist.Reattach(r.off, ""); got != 2 {
 		t.Fatalf("second reattach redelivered %d, want 2", got)
 	}

@@ -1,12 +1,14 @@
 package update
 
 import (
+	"fmt"
 	"testing"
 
 	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/core"
+	"argus/internal/enc"
 	"argus/internal/netsim"
 	"argus/internal/obs"
 	"argus/internal/suite"
@@ -21,6 +23,7 @@ type dlqRig struct {
 	reg     *obs.Registry
 	dist    *Distributor
 	sid     cert.ID
+	sid2    cert.ID // a second subject, for a second revocation
 	on, off cert.ID // object IDs
 	onAg    *Agent  // agent of the always-online object
 	offAg   *Agent  // agent of the offline-able object
@@ -39,6 +42,7 @@ func newDLQRig(t *testing.T, opts ...DistributorOption) *dlqRig {
 	}
 	r.b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("type=='lock'"), []string{"open"})
 	r.sid, _, _ = r.b.RegisterSubject("alice", attr.MustSet("position=staff"))
+	r.sid2, _, _ = r.b.RegisterSubject("bob", attr.MustSet("position=staff"))
 
 	r.reg = obs.NewRegistry()
 	r.net = netsim.New(netsim.DefaultWiFi(), 17)
@@ -160,7 +164,7 @@ func TestDLQInOrderExactlyOnce(t *testing.T) {
 	if err := r.dist.Reprovision([]cert.ID{r.off}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.dist.RevokeSubject(r.sid, []cert.ID{r.off}); err != nil {
+	if err := r.dist.RevokeSubject(r.sid2, []cert.ID{r.off}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.dist.Reprovision([]cert.ID{r.off}); err != nil {
@@ -273,5 +277,38 @@ func TestReattachUpdatesAddress(t *testing.T) {
 	}
 	if r.offAg.Applied() != 0 {
 		t.Fatal("old address still received the backlog")
+	}
+}
+
+// TestRestoreParkedResignsRevocations: letters restored after a restart come
+// back offline and in order, the sequence counter resumes past them, and a
+// revocation restored with a signature over its Seq — how revocations were
+// signed before they were signed once — gets the admin's revocation
+// signature and applies.
+func TestRestoreParkedResignsRevocations(t *testing.T) {
+	r := newDLQRig(t)
+	perPush := &Notification{Kind: KindRevokeSubject, Seq: 1, Subject: r.sid}
+	w := enc.NewWriter(26)
+	w.U8(envelopeMagic)
+	w.U8(byte(perPush.Kind))
+	w.U64(perPush.Seq)
+	w.Raw(perPush.Subject[:])
+	perPush.Sig, _ = r.b.Admin().Sign(w.Bytes())
+	reprov := &Notification{Kind: KindReprovision, Seq: 2}
+	reprov.Sig, _ = r.b.Admin().Sign(reprov.signedBody())
+
+	if err := r.dist.RestoreParked(map[cert.ID][]*Notification{r.off: {perPush, reprov}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.dist.Reprovision([]cert.ID{r.off}); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.dist.DLQDepth(); got != 3 {
+		t.Fatalf("depth = %d, want 3 (restored destination not offline?)", got)
+	}
+	r.dist.Reattach(r.off, "")
+	r.net.Run(0)
+	if fmt.Sprint(r.applied) != "[1 2 3]" || r.offAg.Rejected() != 0 {
+		t.Fatalf("applied seqs %v with %d rejected, want [1 2 3] and 0", r.applied, r.offAg.Rejected())
 	}
 }

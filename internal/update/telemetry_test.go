@@ -77,7 +77,7 @@ func TestPropagationTelemetry(t *testing.T) {
 
 	// A replayed notification is rejected and counted as such.
 	replay := &Notification{Kind: KindRevokeSubject, Seq: 1, Subject: sid}
-	sig, _ := b.Admin().Sign(replay.body())
+	sig, _ := b.Admin().Sign(replay.signedBody())
 	replay.Sig = sig
 	agents[0].Handle(netsim.AddrOf(hub), replay.Encode())
 	if m := reg.Snapshot().Get(obs.MUpdateRejected); m == nil || m.Value != 1 {

@@ -4,13 +4,31 @@
 // newly authorized subjects can discover services, or de-authorized subjects
 // stop seeing previously visible services."
 //
-// The backend signs every notification with the admin key; devices verify the
-// signature and a strictly increasing sequence number before applying it, so
-// notifications cannot be forged or replayed even though they travel the same
-// radios as discovery traffic. Per the §VII threat model the backend↔device
-// channel is confidential; sensitive payloads (rotated group keys) are
-// therefore carried symbolically — the device re-pulls its provision through
-// the ApplyFunc callback, which models the secure channel.
+// Every notification carries an admin signature that each device verifies
+// itself before applying it, so notifications cannot be forged even though
+// they travel the same radios as discovery traffic. What the signature covers
+// depends on the kind:
+//
+//   - A revocation is a signed fact, "subject X is revoked": the signature
+//     covers magic ‖ kind ‖ subject and nothing else. The admin signs it once
+//     (cert.Admin.SignOnce), the first time any gateway pushes it, and every
+//     copy to every object, from every distributor built on that admin,
+//     relays the one signature. A device applies a given revocation once: a
+//     replay or a second redelivery hits its set of applied revocations.
+//   - A reprovision is signed per push over magic ‖ kind ‖ Seq ‖ subject, and
+//     a device applies it only when Seq is above the last reprovision it
+//     applied.
+//
+// Seq travels on every frame. On a revocation it is unsigned: it orders the
+// dead-letter queue and keys the propagation-lag measurement, and rewriting
+// it can neither replay the revocation nor move the reprovision watermark.
+// Neither kind names its target device, so a copy pushed to one device is
+// valid at any other; every producer revokes a subject fleet-wide, and a
+// reprovision only makes a device re-pull its own provision. Per the §VII
+// threat model the backend↔device channel is confidential; sensitive payloads
+// (rotated group keys) are therefore carried symbolically — the device
+// re-pulls its provision through the ApplyFunc callback, which models the
+// secure channel.
 //
 // The Distributor's delivery counts are exactly the updating overhead of
 // Table I, and the propagation experiment (`argus-bench -exp propagation`)
@@ -59,13 +77,20 @@ const envelopeMagic byte = 0xA5
 // Notification is one admin-signed update.
 type Notification struct {
 	Kind    Kind
-	Seq     uint64  // strictly increasing per deployment; replay protection
+	Seq     uint64  // strictly increasing per distributor; signed on a reprovision only
 	Subject cert.ID // KindRevokeSubject: who to blacklist
 	Sig     []byte
 }
 
-func (n *Notification) body() []byte {
-	w := enc.NewWriter(32)
+// signedBody returns the bytes the admin signature covers: magic ‖ kind ‖
+// subject for a revocation, magic ‖ kind ‖ Seq ‖ subject for a reprovision.
+// The kind byte sits at the same offset in both, so neither signature
+// verifies as the other kind.
+func (n *Notification) signedBody() []byte {
+	if n.Kind == KindRevokeSubject {
+		return revocationBody(n.Subject)
+	}
+	w := enc.NewWriter(2 + 8 + len(cert.ID{}))
 	w.U8(envelopeMagic)
 	w.U8(byte(n.Kind))
 	w.U64(n.Seq)
@@ -73,10 +98,21 @@ func (n *Notification) body() []byte {
 	return w.Bytes()
 }
 
-// Encode returns the signed wire form.
+// revocationBody is the statement "subject is revoked" the admin signs once.
+func revocationBody(subject cert.ID) []byte {
+	b := make([]byte, 0, 2+len(subject))
+	b = append(b, envelopeMagic, byte(KindRevokeSubject))
+	return append(b, subject[:]...)
+}
+
+// Encode returns the wire form: magic ‖ kind ‖ Seq ‖ subject ‖ sig (92 B at
+// S128), the same layout for both kinds.
 func (n *Notification) Encode() []byte {
-	w := enc.NewWriter(64 + len(n.Sig))
-	w.Raw(n.body())
+	w := enc.NewWriter(2 + 8 + len(cert.ID{}) + 2 + len(n.Sig))
+	w.U8(envelopeMagic)
+	w.U8(byte(n.Kind))
+	w.U64(n.Seq)
+	w.Raw(n.Subject[:])
 	w.Bytes16(n.Sig)
 	return w.Bytes()
 }
@@ -106,11 +142,11 @@ func Decode(b []byte) (n *Notification, ok bool, err error) {
 
 // Verify checks the admin signature.
 func (n *Notification) Verify(adminPub suite.PublicKey) bool {
-	return adminPub.Verify(n.body(), n.Sig)
+	return adminPub.Verify(n.signedBody(), n.Sig)
 }
 
 // Agent wraps a device's discovery engine: it intercepts admin notifications
-// (verify signature → check sequence → apply) and passes every other message
+// (replay check → verify signature → apply) and passes every other message
 // through. It is a transport.Handler middleware: either install it as the
 // endpoint handler directly (with inner set), or — the usual way — bind the
 // engine to Wrap(ep) so the agent interposes transparently.
@@ -119,7 +155,8 @@ type Agent struct {
 	inner    transport.Handler
 	apply    func(*Notification)
 	now      func() time.Duration
-	lastSeq  uint64
+	lastSeq  uint64               // Seq of the last reprovision applied
+	revoked  map[cert.ID]struct{} // subjects whose revocation was applied
 	applied  int
 	rejected int
 
@@ -167,7 +204,7 @@ func (a *Agent) Instrument(reg *obs.Registry, sentAt func(seq uint64) (time.Dura
 		return
 	}
 	a.appliedC = reg.Counter(obs.MUpdateApplied, "Admin notifications verified and effectuated.")
-	a.rejectedC = reg.Counter(obs.MUpdateRejected, "Admin notifications rejected (bad signature or replayed sequence).")
+	a.rejectedC = reg.Counter(obs.MUpdateRejected, "Admin notifications rejected (bad signature or replay).")
 	a.propagation = reg.Histogram(obs.MUpdatePropagation,
 		"Virtual lag from backend push to on-device effectuation.", obs.LatencyBuckets())
 	a.sentAt = sentAt
@@ -180,6 +217,16 @@ func (a *Agent) Applied() int { return a.applied }
 // checks.
 func (a *Agent) Rejected() int { return a.rejected }
 
+// replayed reports whether n was applied before: a revocation of a subject
+// already revoked here, or a reprovision at or below the last applied Seq.
+func (a *Agent) replayed(n *Notification) bool {
+	if n.Kind == KindRevokeSubject {
+		_, ok := a.revoked[n.Subject]
+		return ok
+	}
+	return n.Seq <= a.lastSeq
+}
+
 // Handle implements transport.Handler.
 func (a *Agent) Handle(from transport.Addr, payload []byte) {
 	n, isUpdate, err := Decode(payload)
@@ -189,12 +236,19 @@ func (a *Agent) Handle(from transport.Addr, payload []byte) {
 		}
 		return
 	}
-	if err != nil || !n.Verify(a.adminPub) || n.Seq <= a.lastSeq {
+	if err != nil || a.replayed(n) || !n.Verify(a.adminPub) {
 		a.rejected++
 		a.rejectedC.Inc()
 		return
 	}
-	a.lastSeq = n.Seq
+	if n.Kind == KindRevokeSubject {
+		if a.revoked == nil {
+			a.revoked = make(map[cert.ID]struct{})
+		}
+		a.revoked[n.Subject] = struct{}{}
+	} else {
+		a.lastSeq = n.Seq
+	}
 	a.applied++
 	a.appliedC.Inc()
 	if a.sentAt != nil && a.now != nil {
@@ -207,11 +261,12 @@ func (a *Agent) Handle(from transport.Addr, payload []byte) {
 	}
 }
 
-// Distributor is the backend's ground gateway: it signs notifications and
-// unicasts them to affected devices over its transport endpoint. Destinations
-// marked offline have their notifications parked in a bounded per-destination
-// dead-letter queue (see dlq.go) and redelivered in push order on Reattach.
-// All methods are safe for concurrent use.
+// Distributor is the backend's ground gateway: it signs notifications (a
+// revocation once per admin, a reprovision per push) and unicasts them to
+// affected devices over its transport endpoint. Destinations marked offline
+// have their notifications parked in a bounded per-destination dead-letter
+// queue (see dlq.go) and redelivered in push order on Reattach. All methods
+// are safe for concurrent use.
 type Distributor struct {
 	admin *cert.Admin
 	ep    transport.Endpoint
@@ -308,8 +363,10 @@ func (d *Distributor) countSent(k Kind) {
 		obs.L("kind", k.String())).Inc()
 }
 
-// push signs one notification, then either unicasts it or — when the
-// destination is offline — parks it for redelivery.
+// push assigns n the next Seq, then either unicasts it or — when the
+// destination is offline — parks it for redelivery. A reprovision is signed
+// here, over its Seq; a revocation arrives carrying the admin's one
+// signature.
 func (d *Distributor) push(to cert.ID, n *Notification) error {
 	d.mu.Lock()
 	addr, ok := d.addr[to]
@@ -319,12 +376,14 @@ func (d *Distributor) push(to cert.ID, n *Notification) error {
 	}
 	d.seq++
 	n.Seq = d.seq
-	sig, err := d.admin.Sign(n.body())
-	if err != nil {
-		d.mu.Unlock()
-		return err
+	if n.Kind == KindReprovision {
+		sig, err := d.admin.Sign(n.signedBody())
+		if err != nil {
+			d.mu.Unlock()
+			return err
+		}
+		n.Sig = sig
 	}
-	n.Sig = sig
 	if d.reg != nil {
 		d.sentAts[d.seq] = d.ep.Now()
 	}
@@ -339,8 +398,8 @@ func (d *Distributor) push(to cert.ID, n *Notification) error {
 	// lock, so the wire order must be decided under it too. Unlocking first
 	// would let a concurrent push — or a MarkOffline/Reattach cycle, which
 	// redelivers under the lock — put a higher sequence on the wire before
-	// this one, and the agents' replay check would then drop this
-	// notification as a replay: silently lost, not reordered. Transport sends
+	// this one; were both reprovisions, the agent's Seq check would then drop
+	// this one as a replay: silently lost, not reordered. Transport sends
 	// are asynchronous (mailbox enqueue / socket write), so no callback can
 	// re-enter the distributor here.
 	d.ep.Send(addr, n.Encode())
@@ -348,11 +407,25 @@ func (d *Distributor) push(to cert.ID, n *Notification) error {
 	return nil
 }
 
+// revocationSig returns the admin's one signature over "subject is revoked",
+// shared by every distributor built on the same admin.
+func (d *Distributor) revocationSig(subject cert.ID) ([]byte, error) {
+	return d.admin.SignOnce(revocationBody(subject))
+}
+
 // RevokeSubject notifies each listed object to blacklist the subject —
-// the N notifications of Table I's "Rmv a subject" row.
+// the N notifications of Table I's "Rmv a subject" row. All N carry the
+// same admin signature, made before any lock is taken.
 func (d *Distributor) RevokeSubject(subject cert.ID, objects []cert.ID) error {
+	if len(objects) == 0 {
+		return nil
+	}
+	sig, err := d.revocationSig(subject)
+	if err != nil {
+		return err
+	}
 	for _, oid := range objects {
-		if err := d.push(oid, &Notification{Kind: KindRevokeSubject, Subject: subject}); err != nil {
+		if err := d.push(oid, &Notification{Kind: KindRevokeSubject, Subject: subject, Sig: sig}); err != nil {
 			return err
 		}
 	}

@@ -20,12 +20,15 @@ func TestNotificationCodecAndSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := &Notification{Kind: KindRevokeSubject, Seq: 7, Subject: cert.IDFromName("alice")}
-	sig, err := admin.Sign(n.body())
+	sig, err := admin.Sign(revocationBody(n.Subject))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Sig = sig
 
+	if len(n.Encode()) != 92 {
+		t.Fatalf("frame is %d B, want 92 at S128", len(n.Encode()))
+	}
 	got, isUpdate, err := Decode(n.Encode())
 	if !isUpdate || err != nil {
 		t.Fatalf("Decode: %v %v", isUpdate, err)
@@ -72,7 +75,7 @@ func TestAgentVerifiesAndDeduplicates(t *testing.T) {
 
 	mk := func(seq uint64, signer *cert.Admin) []byte {
 		n := &Notification{Kind: KindReprovision, Seq: seq}
-		sig, _ := signer.Sign(n.body())
+		sig, _ := signer.Sign(n.signedBody())
 		n.Sig = sig
 		return n.Encode()
 	}

@@ -62,12 +62,19 @@
 #                                  ≈ 60 allocations, so the figure moves with
 #                                  the attempt count: 1000 iterations keep
 #                                  its spread near ±3
+#   RevocationPush 710 allocs/op — one revocation pushed to 300 objects
+#                                  through 200 distributors sharing an admin:
+#                                  each push's notification and frame, one
+#                                  statement per distributor, one signature;
+#                                  676 measured + 5 %. A signature per push
+#                                  (≈ 60 allocations each) reads 22 729
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out=$(go test -bench='QUE2|WarmHandshake|MeshSession' -benchmem -run='^$' -benchtime=100x \
 	./internal/wire ./internal/core)
 out+=$'\n'$(go test -bench='IssueCertChain' -benchmem -run='^$' -benchtime=1000x ./internal/cert)
+out+=$'\n'$(go test -bench='RevocationPush' -benchmem -run='^$' -benchtime=100x ./internal/update)
 echo "$out"
 
 fail=0
@@ -91,6 +98,7 @@ check BenchmarkWarmHandshake/resumed 29
 check BenchmarkWarmHandshake/uncached-resumed 29
 check BenchmarkMeshSession/resumed 16
 check BenchmarkIssueCertChain 455
+check BenchmarkRevocationPush 710
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
