@@ -81,7 +81,7 @@ func (t *tapEndpoint) Broadcast(payload []byte, ttl int) {
 	t.inner.Broadcast(payload, ttl)
 }
 
-func (t *tapEndpoint) After(d time.Duration, fn func()) { t.inner.After(d, fn) }
+func (t *tapEndpoint) NewTimer(fn func()) transport.Timer { return t.inner.NewTimer(fn) }
 func (t *tapEndpoint) Compute(cost time.Duration, task transport.Task) {
 	t.inner.Compute(cost, task)
 }

@@ -279,7 +279,7 @@ func (c *VerifyCache) VerifyProfileAnchored(p *Profile, raw, anchorDER []byte, r
 	if c == nil {
 		return p.VerifyAnchored(anchorDER, rootPub, now)
 	}
-	key := vcKey(vcKindProf, anchorDER, rootPub.Bytes(), raw)
+	key := profKey(anchorDER, rootPub, raw)
 	if e := c.lookup(key, now); e != nil {
 		c.hit(vcKindProf)
 		return nil
@@ -294,7 +294,7 @@ func (c *VerifyCache) VerifyProfileAnchored(p *Profile, raw, anchorDER []byte, r
 // a thousand times over. The profile is shared: callers must not modify it.
 func (c *VerifyCache) DecodeProfile(raw, anchorDER []byte, rootPub suite.PublicKey, now time.Time) (*Profile, error) {
 	if c != nil {
-		key := vcKey(vcKindProf, anchorDER, rootPub.Bytes(), raw)
+		key := profKey(anchorDER, rootPub, raw)
 		if e := c.lookup(key, now); e != nil {
 			c.hit(vcKindProf)
 			return e.prof, nil
@@ -414,17 +414,27 @@ func (c *VerifyCache) miss(kind byte) {
 
 // vcKey hashes length-prefixed parts under a kind domain separator, so no
 // two distinct (anchor, key, credential) triples can collide by
-// concatenation ambiguity.
+// concatenation ambiguity. The parts are framed in pooled scratch and hashed
+// in one call, so that a lookup allocates nothing.
 func vcKey(kind byte, parts ...[]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{'v', 'c', kind})
-	var lb [8]byte
+	bp := vcKeyScratch.Get().(*[]byte)
+	b := append((*bp)[:0], 'v', 'c', kind)
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(lb[:], uint64(len(p)))
-		h.Write(lb[:])
-		h.Write(p)
+		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+		b = append(b, p...)
 	}
-	var key [32]byte
-	h.Sum(key[:0])
+	key := sha256.Sum256(b)
+	*bp = b
+	vcKeyScratch.Put(bp)
 	return key
+}
+
+// vcKeyScratch holds vcKey's framing buffers.
+var vcKeyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// profKey is the key of a PROF credential under an anchor and the admin key
+// that signed it.
+func profKey(anchorDER []byte, rootPub suite.PublicKey, raw []byte) [32]byte {
+	var pb [2 * 66]byte // a P-521 point, the largest encoding
+	return vcKey(vcKindProf, anchorDER, rootPub.AppendBytes(pb[:0]), raw)
 }

@@ -473,9 +473,10 @@ func TestNewcomerUnderLoss(t *testing.T) {
 				found[disc.Round]++
 				lastFound[disc.Round] = max(lastFound[disc.Round], disc.At)
 			}
-			// A rebroadcast in flight when the last answer lands is heard a
-			// few milliseconds after it; the next one would be 250 ms later.
-			const inFlight = 50 * time.Millisecond
+			// A rebroadcast in flight when the last answer lands is heard up
+			// to one QUE1 airtime (≈ 55 ms on these links) after it; one
+			// decided after it would wait a light horizon (≥ 50 ms) more.
+			const inFlight = 80 * time.Millisecond
 			id := out.Deployment.Subject.ID()
 			phase, quiet := int(id[len(id)-1])%within, 0 // blind when round%8 == phase
 			for round := 2; round <= sweeps; round++ {

@@ -12,23 +12,26 @@ import (
 	"argus/internal/wire"
 )
 
-// meshSessionBudget is the allocation ceiling of one resumed L2 or L3 session
-// between engines on a transport.Mesh, the path cmd/argus-node ships: 7.5
-// measured (the four frames, the two session records, the two AES key
-// schedules, and the timers the wheels arm through time.AfterFunc, less the
-// frames a round shares), plus one.
-const meshSessionBudget = 8.5
+// meshSessionBudget is the allocation ceiling of one session between engines
+// on a transport.Mesh, the path cmd/argus-node ships, measured plus one. A
+// resumed L2 or L3 session measured 7.5: the four frames, the two session
+// records and the two AES key schedules, less the frames a round shares. A
+// Level 1 session measured 2.0: its QUE1 and the object's session record (4.0
+// while the subject's Level 1 continuation was a closure and a verify-cache
+// lookup copied the admin key and built a hasher).
+var meshSessionBudget = map[Level]float64{L1: 3, L2: 8.5}
 
-// meshPair is one subject and two objects on a fresh Mesh, under the default
-// retry policy and one verify cache: a Level 2 object and a Level 3 one whose
-// secret group the subject belongs to, so every round is one L2 and one L3
-// session. round starts a round and waits until both are recorded.
+// meshPair is one subject and the given objects on a fresh Mesh, under the
+// default retry policy and one verify cache. A Level 3 object's secret group
+// is one the subject belongs to, so every round is one session per object at
+// its level. round starts a round and waits until every one is recorded.
 type meshPair struct {
 	subj  *Subject
+	n     int // sessions a round
 	round func()
 }
 
-func newMeshPair(tb testing.TB) *meshPair {
+func newMeshPair(tb testing.TB, levels ...Level) *meshPair {
 	tb.Helper()
 	b, err := backend.New(suite.S128)
 	if err != nil {
@@ -46,22 +49,24 @@ func newMeshPair(tb testing.TB) *meshPair {
 	if err := b.AddSubjectToGroup(sid, g.ID()); err != nil {
 		tb.Fatal(err)
 	}
-	l2, _, err := b.RegisterObject("printer", L2, attr.MustSet("type=device"), []string{"use"})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	l3, _, err := b.RegisterObject("locker", L3, attr.MustSet("type=device"), []string{"use"})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := b.AddCovertService(l3, g.ID(), []string{"open"}); err != nil {
-		tb.Fatal(err)
+	var oids []cert.ID
+	for i, level := range levels {
+		oid, _, err := b.RegisterObject(level.String()+"-"+string(rune('a'+i)), level, attr.MustSet("type=device"), []string{"use"})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if level == L3 {
+			if err := b.AddCovertService(oid, g.ID(), []string{"open"}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		oids = append(oids, oid)
 	}
 
 	mesh := transport.NewMesh()
 	tb.Cleanup(mesh.Close)
 	vc := cert.NewVerifyCache(0)
-	for _, oid := range []cert.ID{l2, l3} {
+	for _, oid := range oids {
 		prov, err := b.ProvisionObject(oid)
 		if err != nil {
 			tb.Fatal(err)
@@ -78,7 +83,7 @@ func newMeshPair(tb testing.TB) *meshPair {
 	done := make(chan struct{}, 1)
 	found := 0
 	subj.OnDiscovery = func(Discovery) {
-		if found++; found == 2 {
+		if found++; found == len(levels) {
 			subj.CompleteRound()
 			done <- struct{}{}
 		}
@@ -89,7 +94,7 @@ func newMeshPair(tb testing.TB) *meshPair {
 			panic(err)
 		}
 	}
-	p := &meshPair{subj: subj, round: func() {
+	p := &meshPair{subj: subj, n: len(levels), round: func() {
 		sep.Do(start)
 		<-done
 	}}
@@ -98,32 +103,38 @@ func newMeshPair(tb testing.TB) *meshPair {
 }
 
 // TestMeshSessionAllocations holds the real path to its allocation budget:
-// 1 000 resumed L2 and L3 sessions between engines on a transport.Mesh, every
-// allocation of every goroutine counted, the test's own round closure
-// included. A continuation that closes over its session again, a message
-// decoded onto the heap, a nonce or a peer list made per frame shows here.
+// 1 000 resumed L2 and L3 sessions, and 500 Level 1 ones, between engines on
+// a transport.Mesh, every allocation of every goroutine counted, the test's
+// own round closure included. A continuation that closes over its session
+// again, a message decoded onto the heap, a nonce, a peer list or a cache key
+// made per frame shows here.
 func TestMeshSessionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	p := newMeshPair(t)
-	const rounds = 500
-	for i := 0; i < 20; i++ { // resumed from here on; let the queues grow to size
-		p.round()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		p.round()
-	}
-	runtime.ReadMemStats(&after)
-	perSession := float64(after.Mallocs-before.Mallocs) / (2 * rounds)
-	t.Logf("%.2f allocations per resumed session (budget %.1f)", perSession, meshSessionBudget)
-	if perSession > meshSessionBudget {
-		t.Fatalf("a resumed session on a Mesh allocates %.2f times, budget %.1f", perSession, meshSessionBudget)
-	}
-	if got := len(p.subj.Results()); got != 2*(1+20+rounds) {
-		t.Fatalf("%d discoveries, want %d", got, 2*(1+20+rounds))
+	for name, levels := range map[string][]Level{"resumed": {L2, L3}, "level-1": {L1}} {
+		t.Run(name, func(t *testing.T) {
+			p := newMeshPair(t, levels...)
+			budget := meshSessionBudget[levels[0]]
+			const rounds = 500
+			for i := 0; i < 20; i++ { // resumed from here on; let the queues grow to size
+				p.round()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				p.round()
+			}
+			runtime.ReadMemStats(&after)
+			perSession := float64(after.Mallocs-before.Mallocs) / float64(p.n*rounds)
+			t.Logf("%.2f allocations per session (budget %.1f)", perSession, budget)
+			if perSession > budget {
+				t.Fatalf("a session on a Mesh allocates %.2f times, budget %.1f", perSession, budget)
+			}
+			if got := len(p.subj.Results()); got != p.n*(1+20+rounds) {
+				t.Fatalf("%d discoveries, want %d", got, p.n*(1+20+rounds))
+			}
+		})
 	}
 }
 
@@ -131,7 +142,7 @@ func TestMeshSessionAllocations(t *testing.T) {
 // — between engines on a transport.Mesh, each node its own goroutine.
 func BenchmarkMeshSession(b *testing.B) {
 	b.Run("resumed", func(b *testing.B) {
-		p := newMeshPair(b)
+		p := newMeshPair(b, L2, L3)
 		p.round()
 		b.ReportAllocs()
 		b.ResetTimer()

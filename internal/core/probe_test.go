@@ -18,17 +18,20 @@ import (
 
 // probeFixture is one staff subject, a fellow of the covert group, in a cell
 // with a Level 1, a Level 2 and a Level 3 device under the default policy, on
-// links that finish the longest exchange long before the first deadline.
+// links that finish the longest exchange before the earliest deadline, a
+// light leg's lightFloor.
 type probeFixture struct {
 	*deployment
 	reg   *obs.Registry
 	opts  []Option
 	group groups.ID
 
-	// Frames of the round in flight: when each QUE1 went out, and how many
-	// frames of any type (a broadcast is one, however many hear it).
-	que1At []time.Duration
-	frames int
+	// Frames of the round in flight: when each QUE1 went out, the subject's
+	// light horizon then, and how many frames of any type (a broadcast is one,
+	// however many hear it).
+	que1At  []time.Duration
+	horizon []time.Duration
+	frames  int
 	// drop, when set, is the round's loss: it sees every frame on its way.
 	drop func(from, to netsim.NodeID, m wire.Message) bool
 }
@@ -48,6 +51,7 @@ func newProbeFixture(t *testing.T, subject string, levels ...Level) *probeFixtur
 		case len(f.que1At) == 0 || f.que1At[len(f.que1At)-1] != now:
 			f.frames++
 			f.que1At = append(f.que1At, now)
+			f.horizon = append(f.horizon, f.subject.rtt.light(1))
 		}
 	})
 	f.net.SetDropFilter(func(from, to netsim.NodeID, p []byte) bool {
@@ -112,7 +116,7 @@ func (f *probeFixture) node(o *Object) netsim.NodeID {
 func (f *probeFixture) round() []Discovery {
 	f.t.Helper()
 	seen := len(f.subject.Results())
-	f.que1At, f.frames = nil, 0
+	f.que1At, f.horizon, f.frames = nil, nil, 0
 	if err := f.subject.Discover(1); err != nil {
 		f.t.Fatal(err)
 	}
@@ -148,21 +152,26 @@ var (
 	que1Probe   = []obs.Label{obs.L("msg", msgQUE1), obs.L("cause", obs.CauseProbe)}
 )
 
-// wantChain asserts the round in flight rebroadcast QUE1 on the full
-// schedule: Que1Retries copies behind the first, each one policy delay after
-// the one before — the first of them after the round's last answer.
-func (f *probeFixture) wantChain(when string) {
+// wantChain asserts the round in flight rebroadcast QUE1 on the full chain:
+// Que1Retries copies behind the first, each one wait after the one before —
+// the first of them after the round's last answer. The wait is the policy's
+// delay, or with light set the subject's light horizon, doubled per attempt.
+func (f *probeFixture) wantChain(when string, light bool) {
 	f.t.Helper()
 	p := DefaultRetry()
 	if len(f.que1At) != 1+p.Que1Retries {
 		f.t.Fatalf("%s: %d QUE1 on the air, want %d", when, len(f.que1At), 1+p.Que1Retries)
 	}
-	if first := f.que1At[1] - f.que1At[0]; first < p.delay(1) || first > p.delay(1)+50*time.Millisecond {
-		f.t.Errorf("%s: first rebroadcast %v after the QUE1, want %v after the last answer", when, first, p.delay(1))
+	wait := p.delay
+	if light {
+		wait = func(attempt int) time.Duration { return backoff(f.horizon[1], attempt) }
+	}
+	if first := f.que1At[1] - f.que1At[0]; first < wait(1) || first > wait(1)+50*time.Millisecond {
+		f.t.Errorf("%s: first rebroadcast %v after the QUE1, want %v after the last answer", when, first, wait(1))
 	}
 	for i := 2; i < len(f.que1At); i++ {
-		if gap := f.que1At[i] - f.que1At[i-1]; gap != p.delay(i) {
-			f.t.Errorf("%s: rebroadcast %d came %v after the one before, want %v", when, i, gap, p.delay(i))
+		if gap := f.que1At[i] - f.que1At[i-1]; gap != wait(i) {
+			f.t.Errorf("%s: rebroadcast %d came %v after the one before, want %v", when, i, gap, wait(i))
 		}
 	}
 }
@@ -189,7 +198,7 @@ func TestFirstRoundIsBlind(t *testing.T) {
 	if got := f.round(); len(got) != 3 {
 		t.Fatalf("first round found %d devices, want 3", len(got))
 	}
-	f.wantChain("first round")
+	f.wantChain("first round", false)
 	if probes, timeouts := f.retransmitted(que1Probe...), f.retransmitted(que1Timeout...); probes != 5 || timeouts != 0 {
 		t.Errorf("first round: %d probes and %d timeouts, want 5 and 0", probes, timeouts)
 	}
@@ -227,18 +236,22 @@ func TestQuietRoundSendsNothingMore(t *testing.T) {
 }
 
 // TestSilentExpectedPeerDrawsOneRebroadcast: the frame an expected peer's
-// discovery hangs on is lost. One rebroadcast goes out one RTO later, as a
-// timeout; the peer answers it (a Level 1 device from its cache), and the
-// chain ends there.
+// discovery hangs on is lost. One rebroadcast goes out, as a timeout, one
+// horizon after the last answer; the peer answers it (a Level 1 device from
+// its cache), and the chain ends there. The Level 2 and 3 devices were
+// hinted, so theirs is a light leg: the measured horizon, well before
+// Timeout. The Level 1 device's answer is not a short RES1, so its leg is
+// full: one RTO, Timeout at least.
 func TestSilentExpectedPeerDrawsOneRebroadcast(t *testing.T) {
 	rows := []struct {
 		name  string
 		level Level
 		lost  wire.MsgType
+		light bool
 	}{
-		{"the Level 1 device's RES1 is lost", L1, wire.TRES1},
-		{"the Level 2 device never hears QUE1", L2, wire.TQUE1},
-		{"the Level 3 device never hears QUE1", L3, wire.TQUE1},
+		{"the Level 1 device's RES1 is lost", L1, wire.TRES1, false},
+		{"the Level 2 device never hears QUE1", L2, wire.TQUE1, true},
+		{"the Level 3 device never hears QUE1", L3, wire.TQUE1, true},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -260,9 +273,14 @@ func TestSilentExpectedPeerDrawsOneRebroadcast(t *testing.T) {
 			if len(f.que1At) != 2 {
 				t.Fatalf("%d QUE1 on the air, want 2", len(f.que1At))
 			}
-			rto := f.subject.rtt.rto(DefaultRetry().Timeout)
-			if gap := f.que1At[1] - f.que1At[0]; gap < rto || gap > rto+50*time.Millisecond {
-				t.Errorf("rebroadcast after %v, want one RTO (%v) after the last answer", gap, rto)
+			h := f.subject.rtt.rto(DefaultRetry().Timeout)
+			if r.light {
+				if h = f.horizon[1]; h >= DefaultRetry().Timeout {
+					t.Errorf("light horizon %v, want it under Timeout (%v)", h, DefaultRetry().Timeout)
+				}
+			}
+			if gap := f.que1At[1] - f.que1At[0]; gap < h || gap > h+50*time.Millisecond {
+				t.Errorf("rebroadcast after %v, want one horizon (%v) after the last answer", gap, h)
 			}
 			if timeouts, probes = f.retransmitted(que1Timeout...)-timeouts, f.retransmitted(que1Probe...)-probes; timeouts != 1 || probes != 0 {
 				t.Errorf("%d timeouts and %d probes, want 1 and 0", timeouts, probes)
@@ -313,7 +331,8 @@ func TestRebroadcastRestartsAnEvictedSession(t *testing.T) {
 // refuses this subject since a revocation, which on the air is the same
 // silence — draws the full chain, as timeouts, in each of the next blindEvery
 // rounds, and then nothing: the rounds after that are one QUE1 and the
-// answers of who is left.
+// answers of who is left. The leaver held a ticket, so its chain runs at the
+// light horizon.
 func TestLeaverCostsEightRounds(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -344,7 +363,7 @@ func TestLeaverCostsEightRounds(t *testing.T) {
 				timeouts, probes = f.retransmitted(que1Timeout...)-timeouts, f.retransmitted(que1Probe...)-probes
 				switch {
 				case i <= blindEvery && r.chain:
-					f.wantChain("while the leaver is expected")
+					f.wantChain("while the leaver is expected", true)
 					fallthrough
 				case i <= blindEvery:
 					if timeouts < 5 || probes != 0 {
@@ -369,9 +388,10 @@ func TestLeaverCostsEightRounds(t *testing.T) {
 
 // TestNewcomerIsHeard: a device that joins a known cell is found by the next
 // round's first QUE1, without a rebroadcast. One that is asleep whenever a
-// round begins — it hears nothing in a round's first 100 ms — is out of every
-// first QUE1's reach and is found by a blind round's chain, within blindEvery
-// rounds; from then on it is expected, and found every round.
+// round begins — it hears nothing in a round's first lightFloor/2, less than
+// any light horizon — is out of every first QUE1's reach and is found by a
+// blind round's chain, within blindEvery rounds; from then on it is
+// expected, and found every round by one rebroadcast.
 func TestNewcomerIsHeard(t *testing.T) {
 	f := newProbeFixture(t, "alice", L1, L2)
 	f.round()
@@ -382,7 +402,7 @@ func TestNewcomerIsHeard(t *testing.T) {
 
 	sleepy := f.node(f.join(L3))
 	f.drop = func(_, to netsim.NodeID, _ wire.Message) bool {
-		return to == sleepy && f.net.Now()-f.subject.que1At < 100*time.Millisecond
+		return to == sleepy && f.net.Now()-f.subject.que1At < lightFloor/2
 	}
 	for i := 1; ; i++ {
 		if i > blindEvery {
@@ -482,7 +502,7 @@ func TestCompleteRoundStillSilencesEverything(t *testing.T) {
 		if err := f.subject.Discover(1); err != nil {
 			t.Fatal(err)
 		}
-		f.net.Run(f.net.Now() + 100*time.Millisecond)
+		f.net.Run(f.net.Now() + lightFloor - time.Millisecond) // before any deadline
 		f.subject.CompleteRound()
 		f.net.Run(0)
 		if len(f.que1At) != 1 {

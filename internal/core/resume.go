@@ -50,9 +50,10 @@ type ticket struct {
 	notBefore, notAfter time.Time
 	used                uint64 // table clock at filing, for eviction
 
-	certO [32]byte      // subject side: SHA-256 of the CERT_O bytes it was minted under
-	profO [32]byte      // subject side: SHA-256 of the PROF_O plaintext verified at minting
-	prof  *cert.Profile // subject side: that PROF_O, decoded (shared, read-only)
+	certO  [32]byte      // subject side: SHA-256 of the CERT_O bytes it was minted under
+	profO  [32]byte      // subject side: SHA-256 of the PROF_O plaintext verified at minting
+	prof   *cert.Profile // subject side: that PROF_O, decoded (shared, read-only)
+	hinted int           // subject side: the last round whose QUE1 carried a hint under it
 
 	subject cert.ID  // object side: the verified subject identity
 	attrs   attr.Set // object side: the attributes of the verified PROF_S, for matchVariant

@@ -837,7 +837,9 @@ func TestDiscoverAllOverResumedSessions(t *testing.T) {
 // could finish a full handshake from, so whatever takes the ticket away from
 // either end in the middle of a round — at any of the three gaps between the
 // frames of the short exchange — must still end the round at once, with no
-// retransmission and no timer: a refusal that is itself the way forward.
+// retransmission and no timer: a refusal that is itself the way forward. A
+// revoked subject is refused for good, and its chains run out on their
+// budgets.
 
 // gap names the frame of the short exchange an injection overtakes: it is
 // applied when that frame has been sent and before its receiver handles it.
@@ -896,8 +898,9 @@ func TestDeadEndMatrix(t *testing.T) {
 		}, false, [3]int{6, 6, 6}},
 	}
 	// Links on which the longest exchange of the matrix, six frames, is over
-	// long before the first retransmission deadline: what has happened by then
-	// happened without a timer.
+	// before the earliest retransmission deadline — a light leg's, lightFloor
+	// after the last activity: what has happened by then happened without a
+	// timer.
 	fast := netsim.LinkModel{PerMessage: time.Millisecond, BytesPerSecond: 10_000_000, PropagationDelay: time.Millisecond}
 	ttl := DefaultRetry().ttl()
 	for _, level := range []Level{L2, L3} {
@@ -908,18 +911,20 @@ func TestDeadEndMatrix(t *testing.T) {
 					o := f.only()
 					f.at(g, func() { r.inject(f, o) })
 					start, expired := f.net.Now(), counterValue(t, f.reg, obs.MSessionsExpired)
+					que1 := []obs.Label{obs.L("msg", msgQUE1), obs.L("cause", obs.CauseTimeout)}
+					que2 := []obs.Label{obs.L("msg", msgQUE2)}
+					q1, q2 := counterValue(t, f.reg, obs.MRetransmissions, que1...), counterValue(t, f.reg, obs.MRetransmissions, que2...)
 					seen, onAir := len(f.subject.Results()), len(f.air.msgs)
 					f.inRound = 0
 					if err := f.subject.Discover(1); err != nil {
 						t.Fatal(err)
 					}
-					f.net.Run(start + DefaultRetry().Timeout - 50*time.Millisecond)
+					f.net.Run(start + lightFloor - time.Millisecond)
 					got, frames := f.subject.Results()[seen:], f.air.msgs[onAir:]
 					if r.revoked {
 						if len(got) != 0 {
 							t.Fatalf("revoked subject discovered %d services", len(got))
 						}
-						f.subject.CompleteRound() // silence is final: do not probe it
 					} else if len(got) != 1 || got[0].Level != level || got[0].Object != o.ID() {
 						t.Fatalf("round ended in %+v, want one discovery of the device at %v", got, level)
 					}
@@ -931,6 +936,19 @@ func TestDeadEndMatrix(t *testing.T) {
 					}
 					if n := counterValue(t, f.reg, obs.MSessionsExpired) - expired; n != 0 {
 						t.Errorf("%d sessions expired before the round ended", n)
+					}
+					if r.revoked {
+						// The silence is final, and left to run the round spends
+						// its budgets and no more: what a rebroadcast draws from
+						// the object's session, its RES1 again, does not restart
+						// the chain.
+						f.net.Run(0)
+						p := DefaultRetry()
+						q1 = counterValue(t, f.reg, obs.MRetransmissions, que1...) - q1
+						q2 = counterValue(t, f.reg, obs.MRetransmissions, que2...) - q2
+						if q1 == 0 || q1 > int64(p.Que1Retries) || q2 > int64(p.Que2Retries) {
+							t.Errorf("%d QUE1 and %d QUE2 retransmissions, want the QUE1 chain and budgets %d and %d", q1, q2, p.Que1Retries, p.Que2Retries)
+						}
 					}
 					f.net.SetDropFilter(nil)
 					f.net.Run(0)

@@ -6,12 +6,23 @@ import "time"
 // paper's testbed runs over real WiFi (§IX) where QUE/RES frames are lost,
 // duplicated and reordered, and a protocol that hangs a session on one lost
 // frame cannot reproduce its results there. An enabled policy drives bounded
-// RFC 6298 retransmission on the subject side (every deadline on one timer
-// wheel, timeouts floored at Timeout and stretched to the observed
-// round-trip horizon srtt + 4·rttvar), answer-caching idempotency on the
-// object side, and session-table expiry on both — all on the transport's
-// clock, so fixed-seed simulator runs stay deterministic. On a lossless
-// network an answered session cancels its deadlines before they fire.
+// RFC 6298 retransmission on the subject side, answer-caching idempotency on
+// the object side, and session-table expiry on both — all on the transport's
+// clock, so fixed-seed simulator runs stay deterministic. Every deadline sits
+// on one timer wheel. How long a retransmission waits depends on what the
+// answer costs the peer:
+//
+//   - a light leg — a QUE1 rebroadcast while every silent peer was hinted
+//     and answers with a short RES1, and a resumed QUE2 — costs it no
+//     public-key operation, and once a round trip has been measured waits
+//     max(srtt + 4·rttvar, G)·2^(attempt−1), G = lightFloor;
+//   - a full leg — first contact, a signed RES1, a full QUE2, a rebroadcast
+//     while a Level 1 or an unhinted peer is silent — and every leg before
+//     the first sample wait Timeout·2^(attempt−1), stretched to the observed
+//     horizon srtt + 4·rttvar.
+//
+// On a lossless network an answered session cancels its deadlines before
+// they fire.
 //
 // The zero value disables everything: engines behave exactly like the
 // pre-retry protocol (one shot per message, no timers, sessions pruned by
@@ -27,8 +38,9 @@ type RetryPolicy struct {
 	// session is still pending (no verified RES2 yet).
 	Que2Retries int
 	// Timeout is the initial retransmission timeout and the floor under
-	// every later one. Zero disables the whole policy (Enabled reports
-	// false).
+	// every later one of a full leg, and of a light one until the first
+	// round trip is measured. Zero disables the whole policy (Enabled
+	// reports false).
 	Timeout time.Duration
 	// SessionTTL bounds the lifetime of a pending or answered session; after
 	// it, the session is garbage-collected and counted as expired. Zero means
@@ -40,16 +52,26 @@ type RetryPolicy struct {
 func (p RetryPolicy) Enabled() bool { return p.Timeout > 0 }
 
 // delay returns the floor of the wait before retransmission attempt
-// (1-based): Timeout doubled per attempt (RFC 6298 §5.5), capped at 10s so a
-// large Timeout cannot stall the virtual clock.
-func (p RetryPolicy) delay(attempt int) time.Duration {
+// (1-based) of a full leg: Timeout, doubled per attempt.
+func (p RetryPolicy) delay(attempt int) time.Duration { return backoff(p.Timeout, attempt) }
+
+// backoff returns d doubled per attempt (1-based) after the first (RFC 6298
+// §5.5), capped at 10s so a large Timeout cannot stall the virtual clock.
+func backoff(d time.Duration, attempt int) time.Duration {
 	const maxDelay = 10 * time.Second
-	d := p.Timeout
 	for i := 1; i < attempt && d < maxDelay; i++ {
 		d *= 2
 	}
 	return min(d, maxDelay)
 }
+
+// lightFloor (G) is the floor under a light leg's retransmission horizon
+// (rttEstimator.light). A light leg costs the peer a few HMACs, so once a
+// round trip has been measured the subject retransmits at that horizon
+// (RFC 6298 §2, RFC 9002 §6.2) rather than at Timeout. The floor sits above
+// the 15–30 ms p99 of a loss-free round on a saturated 2-vCPU host, so a
+// loss-free round does not retransmit because its answer sat in a queue.
+const lightFloor = 50 * time.Millisecond
 
 // Schedule returns the earliest cumulative transmission offsets of one
 // message leg: the initial send at 0, then each of the retries attempts at
@@ -82,9 +104,10 @@ func (p RetryPolicy) ttl() time.Duration {
 // still completes discovery. Six consecutive silent QUE1 broadcasts put the
 // all-lost tail at 0.2^6 ≈ 6e-5; a Level 1 exchange, whose only recovery
 // channel is rebroadcast→RES1-resend (~64% per attempt at 20% loss), still
-// fails less than ~0.3% of the time. The silent-probe schedule (250, 750,
-// 1750, 3750, 7750 ms) fits inside SessionTTL, so a fully partitioned
-// network settles in one SessionTTL.
+// fails less than ~0.3% of the time. The full-leg schedule (250, 750, 1750,
+// 3750, 7750 ms) fits inside SessionTTL, so a fully partitioned network
+// settles in one SessionTTL; a light leg's schedule starts at the measured
+// round trip, no earlier than G = 50 ms, and ends sooner.
 func DefaultRetry() RetryPolicy {
 	return RetryPolicy{
 		Que1Retries: 5,

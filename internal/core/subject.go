@@ -91,20 +91,67 @@ type Subject struct {
 	// discoveries are entered under an enabled policy only: the zero policy
 	// never rebroadcasts) — and it is the population the QUE1 rebroadcast
 	// decision reads (armQue1). It holds addresses and rounds, never a level.
-	// silent counts its entries the current round has not recorded yet; blind
-	// marks a round whose rebroadcast chain runs whoever answers.
-	answered map[transport.Addr]int
-	silent   int
-	blind    bool
+	// silent counts its entries the current round has not recorded yet, and
+	// silentFull those of them whose answer is a full leg; blind marks a round
+	// whose rebroadcast chain runs whoever answers.
+	answered   map[transport.Addr]answer
+	silent     int
+	silentFull int
+	blind      bool
 
 	// tickets holds one resumption ticket per object address (resume.go).
 	tickets ticketTable
+
+	// l1 holds the Level 1 discoveries whose verification is being charged,
+	// in the order they went to Compute, which runs them in that order (see
+	// l1Task); l1Head indexes the next.
+	l1     []l1Done
+	l1Head int
 
 	tel *subjectTelemetry
 
 	// OnDiscovery, if set, is invoked for every verified discovery, on the
 	// engine's event loop.
 	OnDiscovery func(Discovery)
+}
+
+// answer is one entry of the answer ledger (Subject.answered).
+type answer struct {
+	round int  // the last round a discovery from the peer was recorded
+	light bool // the current round hinted it: its answer is a short RES1 (expect)
+}
+
+// l1Done is a verified Level 1 answer waiting out its modeled verification
+// (handlePublicRES1).
+type l1Done struct {
+	st   phaseStamps
+	from transport.Addr
+	prof *cert.Profile
+}
+
+// l1Task is the Subject as the continuation of its Level 1 verifications: each
+// run records the oldest pending one. A pointer conversion, so handing it to
+// Compute allocates nothing where a closure per discovery would.
+type l1Task Subject
+
+// Run implements transport.Task.
+func (t *l1Task) Run() {
+	s := (*Subject)(t)
+	p := &s.l1[s.l1Head]
+	done := *p
+	*p = l1Done{}
+	if s.l1Head++; s.l1Head == len(s.l1) {
+		s.l1, s.l1Head = s.l1[:0], 0
+	}
+	s.tel.sessionDone(done.st, L1, done.from, s.version, s.ep.Now())
+	s.record(Discovery{
+		Object:  done.prof.Entity,
+		Node:    done.from,
+		Level:   L1,
+		Profile: done.prof,
+		At:      s.ep.Now(),
+		Round:   s.round,
+	})
 }
 
 // subjSession is the subject's record of one phase-2 handshake. It is the
@@ -164,7 +211,7 @@ func NewSubject(prov *backend.SubjectProvision, version wire.Version, costs Cost
 		version:  version,
 		costs:    costs,
 		sessions: make(map[sessionKey]*subjSession),
-		answered: make(map[transport.Addr]int),
+		answered: make(map[transport.Addr]answer),
 	}
 	eo := applyOptions(opts)
 	if eo.hasRetry {
@@ -284,13 +331,13 @@ func (s *Subject) Discover(ttl int) error {
 	s.que1At = s.ep.Now()
 	s.probed = false
 	s.lastTTL = ttl
-	s.expect()
 	s.tel.roundStarted()
 	q := wire.QUE1{Version: s.version, RS: s.rs[:]}
 	var hints [wire.HintBlockSize + 8]byte
 	if s.retry.Enabled() {
 		q.Hints = s.hints(&hints)
 	}
+	s.expect()
 	s.que1Enc = q.Encode()
 	s.ep.Broadcast(s.que1Enc, ttl)
 	if s.retry.Enabled() && s.retry.Que1Retries > 0 {
@@ -308,7 +355,8 @@ func (s *Subject) Discover(ttl int) error {
 // otherwise read its recency rank — how many objects the subject met since —
 // off the slot index. (Only the counters are charged: Discover has no modeled
 // compute step to add to.) The block is built in fill, whose last 8 bytes are
-// the permutation's randomness.
+// the permutation's randomness. Each ticket that made the block is marked with
+// the round: its peer's answer is a short RES1 (expect).
 func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
 	rand.Read(fill[:])
 	block := fill[:wire.HintBlockSize:wire.HintBlockSize]
@@ -328,6 +376,7 @@ func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
 	for i, t := range known {
 		h := t.secret.Hint(s.rs[:])
 		copy(block[slot[i]*wire.HintSize:], h[:])
+		t.hinted = s.round
 	}
 	s.tel.count(opsHMAC, int64(len(known)))
 	return block
@@ -354,14 +403,26 @@ const blindEvery = 8
 
 // expect opens the ledger for the round Discover just started: peers that
 // answered none of the last blindEvery rounds are forgotten, everyone left is
-// expected and silent. The engine's first round is blind, and every
+// expected and silent. An expected peer whose ticket made this round's hint
+// block is expected on a light leg: its answer, a short RES1, costs it no
+// public-key operation. The engine's first round is blind, and every
 // blindEvery-th after it at a phase taken from the subject's ID, so that a
 // fleet started together does not rebroadcast together and a fixed-seed run
 // repeats.
 func (s *Subject) expect() {
-	for a, last := range s.answered {
-		if last < s.round-blindEvery {
+	s.silentFull = 0
+	for a, e := range s.answered {
+		if e.round < s.round-blindEvery {
 			delete(s.answered, a)
+			continue
+		}
+		t := s.tickets.get(a)
+		if light := t != nil && t.hinted == s.round; light != e.light {
+			e.light = light
+			s.answered[a] = e
+		}
+		if !e.light {
+			s.silentFull++
 		}
 	}
 	s.silent = len(s.answered)
@@ -372,16 +433,27 @@ func (s *Subject) expect() {
 // callers have checked it is the round's first from there). When the last
 // expected peer is heard the round has nothing left to ask for, and the
 // pending rebroadcast goes; a blind round keeps it, for the peers no ledger
-// shows.
+// shows. Otherwise the discovery is round activity, and it may have changed
+// which horizon the rebroadcast waits at.
 func (s *Subject) credit(from transport.Addr) {
-	if _, known := s.answered[from]; known {
+	e, known := s.answered[from]
+	if known {
 		s.silent--
+		if !e.light {
+			s.silentFull--
+		}
 	}
-	s.answered[from] = s.round
-	if !s.probing() {
+	s.answered[from] = answer{round: s.round, light: e.light}
+	if s.probing() {
+		s.noteActivity()
+	} else {
 		s.wheel.cancel(&s.que1Timer)
 	}
 }
+
+// heard reports whether a discovery from the object at from is recorded for
+// the current round.
+func (s *Subject) heard(from transport.Addr) bool { return s.answered[from].round == s.round }
 
 // probing reports whether the current round may still arm, fire or defer
 // QUE1 rebroadcasts: never under the zero policy, not after CompleteRound,
@@ -393,6 +465,24 @@ func (s *Subject) probing() bool {
 		s.ep.Now()-s.que1At < roundLifetimeTTLs*s.retry.ttl()
 }
 
+// que1Wait returns how long the attempt-th QUE1 rebroadcast waits: the light
+// horizon while every silent expected peer was hinted, the policy's schedule
+// otherwise — in a round where an unhinted or a Level 1 peer is silent, and
+// for a blind round's probes once everyone expected has answered.
+func (s *Subject) que1Wait(attempt int) time.Duration {
+	if s.que1Light() {
+		return s.rtt.light(attempt)
+	}
+	return s.retry.delay(attempt)
+}
+
+// que1Light reports whether the round's rebroadcast waits at the light
+// horizon: an expected peer is silent, every silent one answers on a light
+// leg, and the estimator holds a sample.
+func (s *Subject) que1Light() bool {
+	return s.silent > 0 && s.silentFull == 0 && s.rtt.valid
+}
+
 // armQue1 arms the attempt-th QUE1 rebroadcast on the timer wheel. A subject
 // cannot know which objects exist, but it knows which ones answered lately
 // (the answer ledger), and the rebroadcast is conditional on exactly that:
@@ -402,12 +492,15 @@ func (s *Subject) probing() bool {
 // for that peer; every response handled this round defers it to now + RTO
 // (see noteActivity), and the discovery of the last silent peer cancels it
 // (credit). A round that has heard everyone it expected sends nothing more.
+// The wait is the light horizon while every silent peer was hinted, and the
+// policy's schedule otherwise (que1Wait).
 // What the ledger cannot show — an object never heard — gets every round's
 // first QUE1 and, in a blind round, the whole chain regardless of who
 // answered. Either way a rebroadcast is cheap for whoever did answer: objects
 // suppress the duplicate via R_S, and objects with a stalled handshake use it
-// as a cue to resend RES1. The decision reads (address, answered) only: a
-// Level 3 object answers as a Level 2 one on the air, so when a subject
+// as a cue to resend RES1. The decision reads (address, answered) only, and
+// its timing whether a silent peer was hinted: a Level 3 object answers as a
+// Level 2 one on the air and holds a ticket as one does, so when a subject
 // rebroadcasts tells an observer nothing the answers did not (§VII Case 7).
 //
 // The fire reads s.que1Attempt rather than the attempt it was armed with, so
@@ -418,7 +511,7 @@ func (s *Subject) armQue1(attempt int) {
 		return
 	}
 	s.que1Attempt = attempt
-	s.wheel.scheduleIn(&s.que1Timer, s.retry.delay(attempt), s)
+	s.wheel.scheduleIn(&s.que1Timer, s.que1Wait(attempt), s)
 }
 
 // due is the rebroadcast armQue1 armed falling due.
@@ -444,29 +537,47 @@ func (s *Subject) due(*wheelEntry) {
 // retry budget guards consecutive silence, not a round's total. If the budget
 // was already exhausted while the network (or a compute backlog) sat on the
 // responses, the chain is re-armed: late traffic revives recovery for whatever
-// sessions expired during the stall. The configured schedule remains the floor
-// — deferTo never moves a deadline earlier. None of it happens in a round
-// with nobody left to hear (probing).
+// sessions expired during the stall. On a full leg the configured schedule
+// remains the floor — deferTo never moves a deadline earlier; on a light one
+// the deadline is now + the light horizon, earlier than before if the peer
+// that was holding it at the full horizon has just answered. None of it
+// happens in a round with nobody left to hear (probing).
 func (s *Subject) noteActivity() {
 	if !s.probing() {
 		return
 	}
 	s.que1Attempt = 1
 	switch {
-	case s.que1Timer.live:
+	case s.que1Timer.live && !s.que1Light():
 		s.wheel.deferTo(&s.que1Timer, s.ep.Now()+s.rtt.rto(s.retry.Timeout))
-	case s.retry.Que1Retries > 0:
+	case s.que1Timer.live || s.retry.Que1Retries > 0:
 		s.armQue1(1)
 	}
 }
 
-// noteRES1 is noteActivity for a first-seen RES1, which also times the
-// QUE1→RES1 leg unless a probe made the sample ambiguous (Karn's rule).
-func (s *Subject) noteRES1() {
+// noteEcho is noteActivity for a RES1 an object resent for a live session —
+// what a rebroadcast draws from a peer that kept its half. On a full leg it is
+// activity like any other. On a light leg it moves the pending rebroadcast to
+// now + the horizon of the chain's current attempt, and neither resets nor
+// revives the chain: the peer's handshake is stalled past QUE1, where the
+// QUE2 retransmission owns recovery, and a peer that echoes every rebroadcast
+// — one that refuses this subject since a revocation — would otherwise draw
+// one a light horizon for the round's whole lifetime.
+func (s *Subject) noteEcho() {
+	switch {
+	case !s.que1Light():
+		s.noteActivity()
+	case s.probing() && s.que1Timer.live:
+		s.armQue1(s.que1Attempt)
+	}
+}
+
+// sampleRES1 times the QUE1→RES1 leg of a first-seen RES1, unless a probe
+// made the sample ambiguous (Karn's rule).
+func (s *Subject) sampleRES1() {
 	if !s.probed {
 		s.rtt.observe(s.ep.Now() - s.que1At)
 	}
-	s.noteActivity()
 }
 
 // dropSessionTimers cancels a session's pending wheel entries.
@@ -572,7 +683,7 @@ func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
 // on the plaintext profile (the subject's only compute-intensive operation in
 // Level 1, Fig 6b).
 func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
-	if s.answered[from] == s.round {
+	if s.heard(from) {
 		// Duplicate delivery of this round's plaintext RES1 (every
 		// rebroadcast draws one). Tested before the verification it would
 		// otherwise pay for nothing; the entry is only ever made after one
@@ -583,21 +694,12 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	if err != nil || prof.Kind != cert.RoleObject {
 		return
 	}
+	s.sampleRES1()
 	s.credit(from)
-	s.noteRES1()
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
-	s.ep.Compute(s.costs.Verify, transport.Func(func() {
-		s.tel.sessionDone(st, L1, from, s.version, s.ep.Now())
-		s.record(Discovery{
-			Object:  prof.Entity,
-			Node:    from,
-			Level:   L1,
-			Profile: prof,
-			At:      s.ep.Now(),
-			Round:   s.round,
-		})
-	}))
+	s.l1 = append(s.l1, l1Done{st: st, from: from, prof: prof})
+	s.ep.Compute(s.costs.Verify, (*l1Task)(s))
 }
 
 // handleSecureRES1 runs the subject side of phase 2: authenticate the
@@ -606,7 +708,7 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	if s.round == 0 {
 		return // no discovery in progress
 	}
-	if s.answered[from] == s.round {
+	if s.heard(from) {
 		return // already credited this object this round: stale restart echo
 	}
 	old, live := s.sessions[mkSessionKey(from, s.rs[:])]
@@ -619,8 +721,8 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 		// timer owns that, and answering every duplicate too turns one
 		// congested-start rebroadcast into a QUE1→RES1→QUE2→RES2 echo
 		// storm across the whole fleet. The duplicate is recorded as
-		// round activity and nothing more.
-		s.noteActivity()
+		// round activity and nothing more (noteEcho).
+		s.noteEcho()
 		return
 	}
 	// Otherwise, over a live session, this is a fresh R_O under the same R_S:
@@ -628,7 +730,8 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	// refused a short QUE2. The state the cached QUE2 covers no longer exists
 	// — resending it can only be rejected — so the QUE2 answering this RES1
 	// supersedes the doomed session (sendQUE2).
-	s.noteRES1()
+	s.sampleRES1()
+	s.noteActivity()
 	switch {
 	case m.Mode == wire.ModeResume:
 		t := s.tickets.get(from)
@@ -820,16 +923,26 @@ func (sess *subjSession) Run() {
 	sess.sentAt = s.ep.Now()
 	s.ep.Send(sess.key.peer, enc)
 	if s.retry.Enabled() && s.retry.Que2Retries > 0 {
-		s.armQue2(sess, 1, s.rtt.rto(s.retry.delay(1)))
+		s.armQue2(sess, 1, s.que2Wait(sess, 1))
 	}
 }
 
-// armQue2 arms a QUE2 retransmission deadline on the wheel. The wait starts
-// at the configured backoff but never undercuts the observed round-trip
-// horizon, and a deadline that fires early (the estimator grew after arming)
-// re-arms for the remainder instead of retransmitting — on a lossless
-// network the verified RES2 cancels the entry first and the wire never sees
-// a duplicate QUE2.
+// que2Wait returns how long the attempt-th QUE2 retransmission of sess
+// waits. A resumed session's RES2 costs the object HMACs and one cipher pass,
+// so once a round trip has been measured it waits the light horizon. A full
+// one keeps the configured backoff as its floor, stretched to the observed
+// round-trip horizon.
+func (s *Subject) que2Wait(sess *subjSession, attempt int) time.Duration {
+	if sess.resumed && s.rtt.valid {
+		return s.rtt.light(attempt)
+	}
+	return s.rtt.rto(s.retry.delay(attempt))
+}
+
+// armQue2 arms a QUE2 retransmission deadline on the wheel (que2Wait). A
+// deadline that fires early (the estimator grew after arming) re-arms for the
+// remainder instead of retransmitting — on a lossless network the verified
+// RES2 cancels the entry first and the wire never sees a duplicate QUE2.
 func (s *Subject) armQue2(sess *subjSession, attempt int, wait time.Duration) {
 	if s.completedRound == s.round && sess.round == s.round {
 		return // round declared done: the answer is either in flight or refused
@@ -853,8 +966,7 @@ func (s *Subject) que2Due(sess *subjSession) {
 		return
 	}
 	attempt := sess.que2Attempt
-	horizon := s.rtt.rto(s.retry.delay(attempt))
-	if due := sess.sentAt + horizon; due > s.ep.Now() {
+	if due := sess.sentAt + s.que2Wait(sess, attempt); due > s.ep.Now() {
 		s.armQue2(sess, attempt, due-s.ep.Now())
 		return
 	}
@@ -863,8 +975,7 @@ func (s *Subject) que2Due(sess *subjSession) {
 	sess.sentAt = s.ep.Now()
 	sess.resent = true
 	if attempt < s.retry.Que2Retries {
-		next := attempt + 1
-		s.armQue2(sess, next, s.rtt.rto(s.retry.delay(next)))
+		s.armQue2(sess, attempt+1, s.que2Wait(sess, attempt+1))
 	}
 }
 

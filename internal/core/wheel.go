@@ -2,44 +2,35 @@ package core
 
 import (
 	"container/heap"
-	"slices"
 	"time"
 
 	"argus/internal/transport"
 )
 
 // timerWheel coalesces an engine's pending deadlines — retransmissions and
-// session expiries — onto a single armed transport timer. One Endpoint.After
-// per attempt per session would be tens of thousands of live timers at 20k
+// session expiries — onto the one transport timer it owns. A timer per
+// attempt per session would be tens of thousands of live timers at 20k
 // concurrent sessions, and every one that fires after its session completed
 // is a spurious retransmission. The wheel instead keeps deadlines in a min-heap
-// (event-loop-only, no locks) and arms at most one After for the earliest;
-// entries can be canceled or deferred in O(log n) without touching the
-// transport. The heap holds live deadlines only: at tens of thousands of
-// sessions a second nearly every entry is canceled long before it is due, and
-// one left in place until then is memory the collector walks for nothing.
+// (event-loop-only, no locks) and sets its timer for the earliest: reset when
+// that deadline moves earlier, stopped when the heap empties, and otherwise
+// left alone — a timer that fires before the head is due finds nothing to run
+// and is set again. Entries can be canceled or deferred in O(log n), and no
+// arm, cancel or re-arm allocates. The heap holds live deadlines only: at tens
+// of thousands of sessions a second nearly every entry is canceled long before
+// it is due, and one left in place until then is memory the collector walks
+// for nothing.
 //
 // Everything here runs on the engine's event loop (see the concurrency
-// contract in core.go); the After callback is delivered on the same loop, so
+// contract in core.go); the timer's callback is delivered on the same loop, so
 // no synchronization is needed.
 type timerWheel struct {
-	ep transport.Endpoint
-	h  wheelHeap
-	// armedAt is the deadline the live After targets, -1 when none. Stale
-	// wakeups (an After superseded by an earlier arm) are dropped by comparing
-	// their target against this.
+	ep    transport.Endpoint
+	h     wheelHeap
+	timer transport.Timer
+	// armedAt is the time the timer is set for, -1 while it is stopped.
 	armedAt time.Duration
-	// wakes holds every outstanding After, live or stale, in the order the
-	// transport runs them: by deadline, ties in the order armed. Each runs
-	// wake, the one callback built at construction, which takes the head for
-	// its own — so arming allocates no closure.
-	wakes []wakeup
-	wake  func()
 }
-
-// wakeup is one outstanding After: when the transport runs it, and the
-// deadline it was armed for.
-type wakeup struct{ at, target time.Duration }
 
 // wheelEntry is one pending deadline. Callers hold the pointer to cancel or
 // defer it; index tracks the heap slot so deferral can heap.Fix in place. The
@@ -59,38 +50,44 @@ type wheelTask interface{ due(e *wheelEntry) }
 
 func newTimerWheel(ep transport.Endpoint) *timerWheel {
 	w := &timerWheel{ep: ep, armedAt: -1}
-	w.wake = w.wakeNext
+	w.timer = ep.NewTimer(w.fire)
 	return w
 }
 
 // scheduleIn arms e, which the caller owns, to run task d from now. Every
 // deadline is an entry embedded in its owner — a session, the subject's round,
 // the object's resend cache — and the owner is its task, so arming allocates
-// nothing. Re-arming a live entry cancels it first.
+// nothing. A live entry is moved in place, earlier or later: the timer is
+// reset only if the earliest deadline moved earlier.
 func (w *timerWheel) scheduleIn(e *wheelEntry, d time.Duration, task wheelTask) {
-	w.cancel(e)
 	e.at, e.task = w.ep.Now()+d, task
-	heap.Push(&w.h, e)
+	if e.live {
+		heap.Fix(&w.h, int(e.index))
+	} else {
+		heap.Push(&w.h, e)
+	}
 	w.arm()
 }
 
-// cancel takes the entry out of the heap and lets go of its task. No
-// transport timer is touched: an After armed for it fires, finds nothing due
-// and re-arms. Engines under the zero policy (no wheel, no entries) cancel
-// unconditionally: on a nil wheel, as for an entry never scheduled, or that
-// fired or was canceled before, it is a no-op.
+// cancel takes the entry out of the heap and lets go of its task; the last
+// entry out stops the timer. Engines under the zero policy (no wheel, no
+// entries) cancel unconditionally: on a nil wheel, as for an entry never
+// scheduled, or that fired or was canceled before, it is a no-op.
 func (w *timerWheel) cancel(e *wheelEntry) {
 	if !e.live {
 		return
 	}
 	heap.Remove(&w.h, int(e.index))
 	e.task = nil
+	if len(w.h) == 0 {
+		w.arm()
+	}
 }
 
 // deferTo pushes the entry's deadline out to at (never earlier). Used to
 // extend a retransmission deadline when observed RTT says the answer is
-// still plausibly in flight. The outstanding After is left alone: when it
-// fires it finds the entry not yet due and re-arms.
+// still plausibly in flight. The timer is left alone: when it fires it finds
+// the entry not yet due and is set again.
 func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
 	if !e.live || at <= e.at {
 		return
@@ -99,42 +96,27 @@ func (w *timerWheel) deferTo(e *wheelEntry, at time.Duration) {
 	heap.Fix(&w.h, int(e.index))
 }
 
-// arm ensures an After is outstanding for the earliest live deadline.
+// arm sets the timer for the earliest live deadline if it is not set early
+// enough already, and stops it when nothing is left.
 func (w *timerWheel) arm() {
 	if len(w.h) == 0 {
+		if w.armedAt >= 0 {
+			w.timer.Stop()
+			w.armedAt = -1
+		}
 		return
 	}
 	earliest := w.h[0].at
 	if w.armedAt >= 0 && w.armedAt <= earliest {
-		return // the outstanding After fires early enough
+		return // the timer fires early enough
 	}
 	w.armedAt = earliest
-	now := w.ep.Now()
-	d := max(earliest-now, 0)
-	wk := wakeup{at: now + d, target: earliest}
-	i := len(w.wakes)
-	for i > 0 && w.wakes[i-1].at > wk.at {
-		i--
-	}
-	w.wakes = slices.Insert(w.wakes, i, wk)
-	w.ep.After(d, w.wake)
+	w.timer.Reset(earliest - w.ep.Now())
 }
 
-// wakeNext is every After's callback: the transport ran the head of wakes.
-// On the simulator that is exact. A wall-clock transport may run two timers
-// due together out of order, and each then takes the other's target; both
-// have expired by then, so the live deadline is still served on time.
-func (w *timerWheel) wakeNext() {
-	target := w.wakes[0].target
-	w.wakes = append(w.wakes[:0], w.wakes[1:]...)
-	w.fire(target)
-}
-
-// fire runs every due entry, then re-arms for the next deadline.
-func (w *timerWheel) fire(target time.Duration) {
-	if w.armedAt != target {
-		return // superseded by an earlier arm; that wakeup owns the heap
-	}
+// fire is the timer's callback: run every due entry, then set the timer for
+// the next deadline.
+func (w *timerWheel) fire() {
 	w.armedAt = -1
 	now := w.ep.Now()
 	for len(w.h) > 0 {
@@ -210,6 +192,14 @@ func (e *rttEstimator) observe(sample time.Duration) {
 	}
 	e.rttvar += (diff - e.rttvar) / 4
 	e.srtt += (sample - e.srtt) / 8
+}
+
+// light returns the wait before retransmission attempt (1-based) of a light
+// leg — one whose answer costs the peer no public-key operation, a short RES1
+// or a resumed RES2: the measured horizon, floored at lightFloor and doubled
+// per attempt. Only meaningful once the estimator holds a sample (valid).
+func (e *rttEstimator) light(attempt int) time.Duration {
+	return backoff(max(e.srtt+4*e.rttvar, lightFloor), attempt)
 }
 
 // rto returns the retransmission horizon, never below floor. Before any

@@ -12,13 +12,16 @@ import (
 // without a transport behind it.
 type fakeClockEP struct {
 	now    time.Duration
-	timers []fakeTimer
-	armed  int // After calls, ever
+	timers []*fakeTimer
+	resets int // Reset calls, ever
+	stops  int // Stop calls on an armed timer, ever
 }
 
 type fakeTimer struct {
-	at time.Duration
-	fn func()
+	ep    *fakeClockEP
+	at    time.Duration
+	armed bool
+	fn    func()
 }
 
 func (f *fakeClockEP) Addr() transport.Addr                      { return "fake" }
@@ -30,33 +33,55 @@ func (f *fakeClockEP) Do(fn func())                              { fn() }
 func (f *fakeClockEP) Bind(transport.Handler)                    {}
 func (f *fakeClockEP) Close() error                              { return nil }
 
-func (f *fakeClockEP) After(d time.Duration, fn func()) {
-	f.armed++
-	f.timers = append(f.timers, fakeTimer{at: f.now + d, fn: fn})
+func (f *fakeClockEP) NewTimer(fn func()) transport.Timer {
+	t := &fakeTimer{ep: f, fn: fn}
+	f.timers = append(f.timers, t)
+	return t
 }
 
-// advanceTo moves the clock and runs every due transport timer in deadline
-// order, including ones armed by the callbacks themselves.
-func (f *fakeClockEP) advanceTo(t time.Duration) {
+func (t *fakeTimer) Reset(d time.Duration) {
+	t.ep.resets++
+	t.at, t.armed = t.ep.now+max(d, 0), true
+}
+
+func (t *fakeTimer) Stop() {
+	if t.armed {
+		t.ep.stops++
+	}
+	t.armed = false
+}
+
+// armedTimers counts the timers with an expiry pending.
+func (f *fakeClockEP) armedTimers() (n int) {
+	for _, t := range f.timers {
+		if t.armed {
+			n++
+		}
+	}
+	return n
+}
+
+// advanceTo moves the clock and runs every due timer in deadline order,
+// including ones reset by the callbacks themselves.
+func (f *fakeClockEP) advanceTo(at time.Duration) {
 	for {
-		best := -1
-		for i, tm := range f.timers {
-			if tm.at <= t && (best == -1 || tm.at < f.timers[best].at) {
-				best = i
+		var next *fakeTimer
+		for _, t := range f.timers {
+			if t.armed && t.at <= at && (next == nil || t.at < next.at) {
+				next = t
 			}
 		}
-		if best == -1 {
+		if next == nil {
 			break
 		}
-		tm := f.timers[best]
-		f.timers = append(f.timers[:best], f.timers[best+1:]...)
-		if tm.at > f.now {
-			f.now = tm.at
+		next.armed = false
+		if next.at > f.now {
+			f.now = next.at
 		}
-		tm.fn()
+		next.fn()
 	}
-	if t > f.now {
-		f.now = t
+	if at > f.now {
+		f.now = at
 	}
 }
 
@@ -82,11 +107,10 @@ func TestTimerWheelFiresInDeadlineOrder(t *testing.T) {
 	if w.pending() != 3 {
 		t.Fatalf("pending = %d, want 3", w.pending())
 	}
-	// Three deadlines, at most two armed transport timers: the 10 ms
-	// schedule re-arms past the outstanding 30 ms one; the 20 ms schedule
-	// is covered by it.
-	if len(ep.timers) != 2 {
-		t.Fatalf("armed %d transport timers, want 2", len(ep.timers))
+	// Three deadlines, one transport timer, set twice: the 10 ms schedule
+	// resets it past the 30 ms one; the 20 ms schedule is covered by it.
+	if len(ep.timers) != 1 || ep.resets != 2 {
+		t.Fatalf("%d transport timers set %d times, want 1 set twice", len(ep.timers), ep.resets)
 	}
 	ep.advanceTo(50 * time.Millisecond)
 	if len(order) != 3 || order[0] != 10 || order[1] != 20 || order[2] != 30 {
@@ -139,9 +163,9 @@ func TestTimerWheelDeferTo(t *testing.T) {
 	}
 }
 
-// A wakeup superseded by an earlier arm must not double-run the heap: every
-// entry fires exactly once even when several transport timers target the
-// same pass.
+// A timer set for a deadline that has since moved must not double-run the
+// heap: every entry fires exactly once, each pass sets the timer for the next
+// deadline, and a timer that fires with nothing due only sets itself again.
 func TestTimerWheelStaleWakeupsAreBenign(t *testing.T) {
 	ep := &fakeClockEP{}
 	w := newTimerWheel(ep)
@@ -155,14 +179,50 @@ func TestTimerWheelStaleWakeupsAreBenign(t *testing.T) {
 			t.Fatalf("entry %dms fired %d times, want exactly once", at, counts[at])
 		}
 	}
-	if len(ep.timers) != 0 {
-		t.Fatalf("%d transport timers left unfired", len(ep.timers))
+	if n := ep.armedTimers(); n != 0 {
+		t.Fatalf("%d transport timers left armed", n)
 	}
-	// 20 and 10 arm one each, 15 is covered; the passes at 10 and 15 arm the
-	// next deadline. At 20 the first wakeup runs the pass and the second is
-	// stale: it must not arm another.
-	if ep.armed != 4 {
-		t.Fatalf("%d transport timers armed, want 4", ep.armed)
+	// 20 and 10 set the timer, 15 is covered; the passes at 10 and 15 set it
+	// for the next deadline, and the pass at 20 leaves it stopped.
+	if ep.resets != 4 {
+		t.Fatalf("the timer was set %d times, want 4", ep.resets)
+	}
+
+	// The head deferred past the timer: it fires early, runs nothing, and
+	// sets itself for the deferred deadline.
+	fired := 0
+	e := w.schedule(10*time.Millisecond, func() { fired++ })
+	w.deferTo(e, ep.now+30*time.Millisecond)
+	ep.advanceTo(ep.now + 20*time.Millisecond)
+	if fired != 0 || ep.armedTimers() != 1 {
+		t.Fatalf("after the early fire: %d runs, %d timers armed; want 0 and 1", fired, ep.armedTimers())
+	}
+	ep.advanceTo(ep.now + 10*time.Millisecond)
+	if fired != 1 {
+		t.Fatalf("the deferred entry ran %d times, want 1", fired)
+	}
+}
+
+// TestTimerWheelStopsWhenEmpty: the wheel leaves no transport timer armed
+// once its heap is empty — not after the last cancel, not after the last
+// fire — and an empty wheel that is armed again sets the timer it has.
+func TestTimerWheelStopsWhenEmpty(t *testing.T) {
+	ep := &fakeClockEP{}
+	w := newTimerWheel(ep)
+	a := w.schedule(10*time.Millisecond, func() {})
+	b := w.schedule(20*time.Millisecond, func() {})
+	w.cancel(a)
+	if ep.armedTimers() != 1 || ep.stops != 0 {
+		t.Fatalf("one entry left: %d timers armed, %d stops; want 1 and 0", ep.armedTimers(), ep.stops)
+	}
+	w.cancel(b)
+	if ep.armedTimers() != 0 || ep.stops != 1 {
+		t.Fatalf("heap empty: %d timers armed, %d stops; want 0 and 1", ep.armedTimers(), ep.stops)
+	}
+	w.schedule(5*time.Millisecond, func() {})
+	ep.advanceTo(time.Second)
+	if len(ep.timers) != 1 || ep.armedTimers() != 0 || w.pending() != 0 {
+		t.Fatalf("after the last fire: %d timers, %d armed, %d entries; want 1, 0, 0", len(ep.timers), ep.armedTimers(), w.pending())
 	}
 }
 

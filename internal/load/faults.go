@@ -111,7 +111,7 @@ func (f *faultEndpoint) Broadcast(payload []byte, ttl int) {
 
 func (f *faultEndpoint) Addr() transport.Addr                      { return f.inner.Addr() }
 func (f *faultEndpoint) Now() time.Duration                        { return f.inner.Now() }
-func (f *faultEndpoint) After(d time.Duration, fn func())          { f.inner.After(d, fn) }
+func (f *faultEndpoint) NewTimer(fn func()) transport.Timer        { return f.inner.NewTimer(fn) }
 func (f *faultEndpoint) Compute(c time.Duration, t transport.Task) { f.inner.Compute(c, t) }
 func (f *faultEndpoint) Do(fn func())                              { f.inner.Do(fn) }
 func (f *faultEndpoint) Bind(h transport.Handler)                  { f.inner.Bind(h) }

@@ -296,7 +296,7 @@ func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook
 		}
 
 		for k := 0; k < p.SubjectsPerCell; k++ {
-			if err := f.addSubject(c, sids[si], subjSpecs[si].Name, false, hook); err != nil {
+			if _, err := f.addSubject(c, sids[si], subjSpecs[si].Name, false, hook); err != nil {
 				return nil, err
 			}
 			si++
@@ -343,14 +343,14 @@ func (f *fleet) openCell(c *cell) (func() (transport.Endpoint, error), error) {
 // addSubject provisions and attaches one subject engine to the cell. Used
 // at build time and for mid-run add-churn; staleGroup is true when the
 // covert group key has rotated since the objects were provisioned.
-func (f *fleet) addSubject(c *cell, id cert.ID, name string, staleGroup bool, hook discoveryHook) error {
+func (f *fleet) addSubject(c *cell, id cert.ID, name string, staleGroup bool, hook discoveryHook) (*subjectSlot, error) {
 	prov, err := f.svc.ProvisionSubject(context.Background(), id)
 	if err != nil {
-		return fmt.Errorf("provision %s: %w", name, err)
+		return nil, fmt.Errorf("provision %s: %w", name, err)
 	}
 	ep, err := c.join()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ep = WrapFaults(ep, f.p.Faults, f.p.FaultSeed+f.subjectCount.Load()*2+2, f.reg)
 	subj := core.NewSubject(prov, f.p.engineVersion(), core.Costs{},
@@ -366,7 +366,7 @@ func (f *fleet) addSubject(c *cell, id cert.ID, name string, staleGroup bool, ho
 	c.subjects = append(c.subjects, slot)
 	f.mu.Unlock()
 	f.subjectCount.Add(1)
-	return nil
+	return slot, nil
 }
 
 // levelOf returns the object population's level map for mismatch checks.

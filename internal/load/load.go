@@ -410,7 +410,8 @@ func (p *Profile) validate() error {
 		// expects the cell it left, and that silence keeps the chain running
 		// in the cell it entered. Both legs hold while the subject's
 		// round-trip horizon SRTT + 4·RTTVAR stays at or under Timeout: a
-		// larger horizon stretches the offsets the proof reasons over.
+		// larger horizon stretches the offsets the proof reasons over. They
+		// are full legs: a sleeping object is Level 1 (below).
 		q1 := p.Retry.Schedule(p.Retry.Que1Retries)
 		q2 := p.Retry.Schedule(p.Retry.Que2Retries)
 		if !dutyCycleCovered(q1[1:], p.SleepPeriod, p.SleepAwake) {
@@ -420,6 +421,15 @@ func (p *Profile) validate() error {
 		if !dutyCycleCovered(q2, p.SleepPeriod, p.SleepAwake) {
 			return fmt.Errorf("load: QUE2 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every QUE2",
 				q2, p.SleepAwake, p.SleepPeriod)
+		}
+		// Only Level 1 objects sleep. A secure object the subject holds a
+		// ticket for answers its hint with a short RES1, a light leg, whose
+		// rebroadcasts follow the round trip measured with awake peers —
+		// down to 50 ms — and no duty cycle is proved against that.
+		for i := 0; i < p.Cells*p.ObjectsPerCell; i++ {
+			if i%p.ObjectsPerCell < p.sleepyPerCell() && p.ObjectLevel(i) != backend.L1 {
+				return fmt.Errorf("load: sleepy object %d of each cell is %v; only Level 1 objects may sleep", i%p.ObjectsPerCell, p.ObjectLevel(i))
+			}
 		}
 		ttl := p.Retry.SessionTTL
 		if ttl <= 0 {
@@ -479,6 +489,7 @@ func Profiles() map[string]Profile {
 			Levels: []backend.Level{backend.L1, backend.L2, backend.L3, backend.L2},
 			Fellow: true,
 			Waves:  3, ThinkTime: 50 * time.Millisecond,
+			ArmWindow:  250 * time.Millisecond,
 			RevokeFrac: 0.25, AddFrac: 0.25,
 			CrashFrac:    0.5, // one of each cell's two objects rides the DLQ
 			Retry:        quickRetry,

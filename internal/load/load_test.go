@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -438,7 +439,7 @@ func (r *recordingEndpoint) Broadcast(p []byte, ttl int) {
 	r.bcast = append(r.bcast, append([]byte(nil), p...))
 	r.mu.Unlock()
 }
-func (r *recordingEndpoint) After(d time.Duration, fn func())          { time.AfterFunc(d, fn) }
+func (r *recordingEndpoint) NewTimer(func()) transport.Timer           { return nil }
 func (r *recordingEndpoint) Compute(c time.Duration, t transport.Task) { t.Run() }
 func (r *recordingEndpoint) Do(fn func())                              { fn() }
 func (r *recordingEndpoint) Bind(h transport.Handler)                  {}
@@ -650,6 +651,25 @@ func TestProfileValidate(t *testing.T) {
 				t.Fatal("want validation error")
 			}
 		})
+	}
+}
+
+// TestOnlyLevel1ObjectsSleep: a duty cycle the schedules provably cover is
+// still refused when a secure object would sleep — its rebroadcasts are a
+// light leg's, timed by the measured round trip, which the proof cannot see.
+func TestOnlyLevel1ObjectsSleep(t *testing.T) {
+	p := Profiles()["ci-soak"]
+	p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
+	p.SleepyFrac = 0.5 // the first object of each cell: L1 in even cells, L3 in odd ones
+	p.SleepPeriod, p.SleepAwake = 260*time.Millisecond, 150*time.Millisecond
+	p.Retry.SessionTTL = 4 * time.Second
+	_, err := Run(p)
+	if err == nil || !strings.Contains(err.Error(), "only Level 1 objects may sleep") {
+		t.Fatalf("Run = %v, want the Level 1 refusal", err)
+	}
+	p.Levels = []backend.Level{backend.L1, backend.L2}
+	if err := p.validate(); err != nil {
+		t.Fatalf("a fleet whose sleepy objects are all Level 1: %v", err)
 	}
 }
 

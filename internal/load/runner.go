@@ -39,6 +39,7 @@ type runner struct {
 	predictedSubjExpiries int64
 	revokedCount          int
 	addedCount            int
+	added                 []*Slot // the subjects churn added, cold until their first round
 	crashedCount          int
 	redeliveredCount      int
 	roamedCount           int
@@ -217,17 +218,28 @@ func (r *runner) runClosedLoop() error {
 		wave := slo.WaveStats{Index: w, Subjects: len(slots)}
 		snapBefore := r.counterTotals()
 		waveStart := time.Now()
-		wave.Armed, wave.Lost = r.drv.Wave(slots, p.ArmWindow, p.DrainTimeout)
+		if w == churnWave && len(r.added) > 0 {
+			// The subjects churn added have never met their cell: their
+			// first round is blind, runs full handshakes and starts an
+			// unsampled estimator, and beside the warm rounds it would be
+			// the compute backlog they time out behind. It runs first, on
+			// its own, and counts as cold; the gated rounds that follow are
+			// the whole population's, warm.
+			wave.Armed, wave.Lost = r.drv.Wave(r.added, p.ArmWindow, p.DrainTimeout)
+			wave.ColdRetransmissions = r.counterTotals().retrans - snapBefore.retrans
+		}
+		armed, lost := r.drv.Wave(slots, p.ArmWindow, p.DrainTimeout)
+		wave.Armed, wave.Lost = wave.Armed+armed, wave.Lost+lost
 		wave.Seconds = time.Since(waveStart).Seconds()
 		snapAfter := r.counterTotals()
 		wave.VCacheHits = snapAfter.vcacheHits - snapBefore.vcacheHits
 		wave.VCacheMisses = snapAfter.vcacheMisses - snapBefore.vcacheMisses
-		wave.Retransmissions = snapAfter.retrans - snapBefore.retrans
+		wave.Retransmissions = snapAfter.retrans - snapBefore.retrans - wave.ColdRetransmissions
 		r.waves = append(r.waves, wave)
 		r.publish("wave", wave)
 		r.publishSnapshot()
-		p.logf("load: wave %d — %d sessions in %.2fs (lost %d, vcache %d hit / %d miss, %d retrans)",
-			w, wave.Armed, wave.Seconds, wave.Lost, wave.VCacheHits, wave.VCacheMisses, wave.Retransmissions)
+		p.logf("load: wave %d — %d sessions in %.2fs (lost %d, vcache %d hit / %d miss, %d retrans, %d cold)",
+			w, wave.Armed, wave.Seconds, wave.Lost, wave.VCacheHits, wave.VCacheMisses, wave.Retransmissions, wave.ColdRetransmissions)
 		if p.ThinkTime > 0 && w < p.Waves-1 {
 			time.Sleep(p.ThinkTime)
 		}
@@ -368,9 +380,11 @@ func (r *runner) churn() error {
 						return err
 					}
 				}
-				if err := r.fleet.addSubject(c, id, name, rotated, r.onDiscovery); err != nil {
+				slot, err := r.fleet.addSubject(c, id, name, rotated, r.onDiscovery)
+				if err != nil {
 					return err
 				}
+				r.added = append(r.added, slot.Slot)
 				r.addedCount++
 			}
 		}
@@ -439,7 +453,7 @@ func (r *runner) roam(wave int) error {
 	f.mu.Unlock()
 	for _, m := range movers {
 		m.slot.ep.Close()
-		if err := f.addSubject(m.dst, m.slot.id, m.slot.name, m.slot.staleGroup, r.onDiscovery); err != nil {
+		if _, err := f.addSubject(m.dst, m.slot.id, m.slot.name, m.slot.staleGroup, r.onDiscovery); err != nil {
 			return fmt.Errorf("roam %s: %w", m.slot.name, err)
 		}
 		r.roamedCount++

@@ -81,8 +81,8 @@ func (e *SimEndpoint) Broadcast(payload []byte, ttl int) {
 	e.net.Broadcast(e.node, payload, ttl)
 }
 
-// After implements transport.Endpoint: a virtual-clock timer.
-func (e *SimEndpoint) After(d time.Duration, fn func()) { e.net.After(d, fn) }
+// NewTimer implements transport.Endpoint: a virtual-clock timer.
+func (e *SimEndpoint) NewTimer(fn func()) transport.Timer { return e.net.newTimer(fn) }
 
 // Compute implements transport.Endpoint: charges cost on the node's
 // serialized virtual CPU.

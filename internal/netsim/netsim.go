@@ -177,9 +177,10 @@ func (t *netTelemetry) link(k LinkKey) *obs.Counter {
 }
 
 type event struct {
-	at   time.Duration
-	seq  int64
-	task transport.Task
+	at    time.Duration
+	seq   int64
+	task  transport.Task
+	index int // heap slot while queued, -1 otherwise
 }
 
 type eventQueue []*event
@@ -191,9 +192,24 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)  { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)    { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any      { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+func (q eventQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index, q[j].index = i, j
+}
+func (q *eventQueue) Push(x any) {
+	e := x.(*event)
+	e.index = len(*q)
+	*q = append(*q, e)
+}
+func (q *eventQueue) Pop() any {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.index = -1
+	*q = old[:n-1]
+	return e
+}
 func (q eventQueue) peek() *event   { return q[0] }
 func (q *eventQueue) push(e *event) { heap.Push(q, e) }
 func (q *eventQueue) pop() *event   { return heap.Pop(q).(*event) }
@@ -406,9 +422,47 @@ func (n *Network) schedule(at time.Duration, fn func()) {
 }
 
 func (n *Network) scheduleTask(at time.Duration, t transport.Task) {
-	n.seq++
-	n.queue.push(&event{at: at, seq: n.seq, task: t})
+	n.queueEvent(&event{at: at, task: t})
 }
+
+// queueEvent queues e at e.at, behind every event already queued for then.
+func (n *Network) queueEvent(e *event) {
+	n.seq++
+	e.seq = n.seq
+	n.queue.push(e)
+}
+
+// timer is a virtual-clock transport.Timer (SimEndpoint.NewTimer): one event,
+// re-queued by Reset and taken out of the queue by Stop, so a stopped timer
+// leaves nothing behind for Run to advance the clock to.
+type timer struct {
+	n  *Network
+	ev event
+	fn func()
+}
+
+func (n *Network) newTimer(fn func()) *timer {
+	t := &timer{n: n, fn: fn}
+	t.ev = event{task: t, index: -1}
+	return t
+}
+
+// Reset implements transport.Timer: the expiry is queued as if scheduled now.
+func (t *timer) Reset(d time.Duration) {
+	t.Stop()
+	t.ev.at = t.n.now + max(d, 0)
+	t.n.queueEvent(&t.ev)
+}
+
+// Stop implements transport.Timer.
+func (t *timer) Stop() {
+	if t.ev.index >= 0 {
+		heap.Remove(&t.n.queue, t.ev.index)
+	}
+}
+
+// Run implements transport.Task: the expiry.
+func (t *timer) Run() { t.fn() }
 
 func (n *Network) recomputeDist() {
 	if !n.distDirty {

@@ -201,6 +201,34 @@ func TestAfterOrdering(t *testing.T) {
 	}
 }
 
+// TestTimerLeavesNothingBehind: a reset timer has one queued expiry, queued
+// behind whatever was scheduled for the same instant before the Reset, and a
+// stopped one none — Run ends at the last live event, not at a stale one.
+func TestTimerLeavesNothingBehind(t *testing.T) {
+	nw := New(DefaultWiFi(), 1)
+	var order []string
+	tm := nw.newTimer(func() { order = append(order, "timer") })
+	tm.Reset(time.Hour)
+	tm.Reset(10 * time.Millisecond)
+	nw.After(10*time.Millisecond, func() { order = append(order, "after") })
+	tm.Reset(10 * time.Millisecond) // re-queued behind the After
+	stopped := nw.newTimer(func() { order = append(order, "stopped") })
+	stopped.Reset(2 * time.Hour)
+	stopped.Stop()
+	stopped.Stop() // again: a no-op
+	if end := nw.Run(0); end != 10*time.Millisecond {
+		t.Fatalf("run ended at %v, want the last live deadline, 10ms", end)
+	}
+	if len(order) != 2 || order[0] != "after" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [after timer]", order)
+	}
+	tm.Reset(0) // fired timers are set again
+	nw.Run(0)
+	if len(order) != 3 {
+		t.Fatalf("the re-armed timer fired %d times, want once more", len(order)-2)
+	}
+}
+
 func TestRunLimit(t *testing.T) {
 	nw := New(DefaultWiFi(), 1)
 	fired := false

@@ -18,9 +18,11 @@ func Profiles() map[string]SLO {
 			// blind and rebroadcasts QUE1 into the backlog, and each
 			// object's cached answer to that is a timeout resend (2–105
 			// on wave 0 over six -race runs, 0 without -race). Once the
-			// estimator has samples nothing times out: the warm waves,
-			// wave 2's live-added subjects and post-revocation cache
-			// misses included, held 0 in all six.
+			// estimator has samples nothing times out: the profile paces
+			// each wave over ArmWindow, so no round waits behind a herd
+			// its estimator never measured, and the live-added subjects'
+			// first rounds run before the rest of wave 2 and count as cold
+			// (WaveStats.ColdRetransmissions). 0/20 -race runs failed.
 			MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 		},
 		"standard": {

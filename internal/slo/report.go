@@ -87,6 +87,10 @@ type WaveStats struct {
 	VCacheHits      int64   `json:"vcache_hits"`
 	VCacheMisses    int64   `json:"vcache_misses"`
 	Retransmissions int64   `json:"retransmissions"` // cause="timeout" only
+	// ColdRetransmissions are the timeout retransmissions of the wave's cold
+	// rounds: the first round of every subject churn added, run before the
+	// rest of the wave. The warm-wave gate does not read them.
+	ColdRetransmissions int64 `json:"cold_retransmissions,omitempty"`
 }
 
 // Totals aggregates the whole run.

@@ -48,8 +48,9 @@ type SLO struct {
 	// the object's answer to a first-round rebroadcast is a timeout resend,
 	// which is inherently noisy under a deep compute backlog — but once the
 	// wheel has observed round trips, a lossless run must time out exactly
-	// zero times, so the headline profile pins this at 0. -1 disables (lossy
-	// profiles, where retransmission is recovery).
+	// zero times, so the headline profile pins this at 0. A wave's cold
+	// rounds (WaveStats.ColdRetransmissions) are not counted. -1 disables
+	// (lossy profiles, where retransmission is recovery).
 	MaxWarmRetransmissions int64
 	// MaxExpiredExtra bounds subject-side session expiries beyond the
 	// harness's prediction (revoked subjects' silently refused handshakes

@@ -139,6 +139,10 @@ func (p PublicKey) Strength() Strength { return p.strength }
 // Bytes returns the X‖Y encoding (2×CoordinateSize bytes).
 func (p PublicKey) Bytes() []byte { return append([]byte(nil), p.bytes...) }
 
+// AppendBytes appends the X‖Y encoding to dst: Bytes without the copy, for a
+// caller that hashes the key into a buffer it already has.
+func (p PublicKey) AppendBytes(dst []byte) []byte { return append(dst, p.bytes...) }
+
 // IsZero reports whether p is the zero value (no key).
 func (p PublicKey) IsZero() bool { return len(p.bytes) == 0 }
 

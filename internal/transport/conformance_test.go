@@ -285,6 +285,51 @@ func TestConformanceBroadcastScope(t *testing.T) {
 	}
 }
 
+// onLoop runs fn on ep's event loop and waits for it: through Do, pumping
+// settle until it has run (the simulator runs Do inline).
+func onLoop(t *testing.T, ep transport.Endpoint, settle func(), fn func()) {
+	t.Helper()
+	var mu sync.Mutex
+	ran := false
+	ep.Do(func() {
+		fn()
+		mu.Lock()
+		ran = true
+		mu.Unlock()
+	})
+	waitFor(t, settle, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return ran
+	}, "Do")
+}
+
+// firings records, safe to read from any goroutine, when a timer's callback
+// ran by the endpoint's clock.
+type firings struct {
+	mu sync.Mutex
+	at []time.Duration
+}
+
+// fire returns the callback. busy is shared, unsynchronized, with every other
+// callback and Do closure of the test: the race detector reports it unless
+// they all run on the one loop.
+func (f *firings) fire(ep transport.Endpoint, busy *int) func() {
+	return func() {
+		*busy++
+		f.mu.Lock()
+		f.at = append(f.at, ep.Now())
+		f.mu.Unlock()
+		*busy--
+	}
+}
+
+func (f *firings) times() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Duration(nil), f.at...)
+}
+
 func TestConformanceClockAndTimers(t *testing.T) {
 	for _, fx := range fixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -292,25 +337,16 @@ func TestConformanceClockAndTimers(t *testing.T) {
 			ep := eps[0]
 			ep.Bind(newRecorder(t))
 
-			before := ep.Now()
-			var mu sync.Mutex
-			var firedAt time.Duration
-			fired := false
-			ep.After(5*time.Millisecond, func() {
-				mu.Lock()
-				firedAt = ep.Now()
-				fired = true
-				mu.Unlock()
+			var fired firings
+			var busy int
+			var before time.Duration
+			onLoop(t, ep, settle, func() {
+				before = ep.Now()
+				ep.NewTimer(fired.fire(ep, &busy)).Reset(5 * time.Millisecond)
 			})
-			waitFor(t, settle, func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				return fired
-			}, "timer fire")
+			waitFor(t, settle, func() bool { return len(fired.times()) >= 1 }, "timer fire")
 
-			mu.Lock()
-			at := firedAt
-			mu.Unlock()
+			at := fired.times()[0]
 			// The clock never runs backwards, and a timer never fires early.
 			if at < before {
 				t.Fatalf("clock went backwards: Now()=%v before scheduling, %v at fire", before, at)
@@ -321,6 +357,73 @@ func TestConformanceClockAndTimers(t *testing.T) {
 			if now := ep.Now(); now < at {
 				t.Fatalf("clock not monotone: %v after fire at %v", now, at)
 			}
+		})
+	}
+}
+
+// TestConformanceTimerResetAndStop is the Timer contract the retry wheel
+// stands on: Reset replaces the pending expiry, earlier or later; Stop
+// prevents it; a stopped timer can be set again; and the callback runs on the
+// event loop, never beside a Do closure, and is never shed — on the
+// concurrent transports not even when it falls due behind a blocked loop and
+// a burst of frames, on a Mesh one that overflows the mailbox.
+func TestConformanceTimerResetAndStop(t *testing.T) {
+	for _, fx := range fixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			eps, settle := fx.build(t, 2)
+			ep := eps[0]
+			ep.Bind(transport.HandlerFunc(func(transport.Addr, []byte) {}))
+			eps[1].Bind(newRecorder(t))
+
+			var fired, stopped, pumped firings
+			busy := 0
+			var never transport.Timer
+			var start time.Duration
+			onLoop(t, ep, settle, func() {
+				start = ep.Now()
+				tm := ep.NewTimer(fired.fire(ep, &busy))
+				tm.Reset(time.Hour)             // replaced by a later Reset...
+				tm.Reset(40 * time.Millisecond) // ...and by an earlier one:
+				tm.Reset(20 * time.Millisecond) // this is the one that counts
+				never = ep.NewTimer(stopped.fire(ep, &busy))
+				never.Reset(10 * time.Millisecond)
+				never.Stop()
+				// Past every deadline above: once it has run, nothing more may.
+				ep.NewTimer(pumped.fire(ep, &busy)).Reset(60 * time.Millisecond)
+			})
+			if fx.concurrent {
+				// Hold the loop while every deadline passes and frames pile
+				// up behind it: on a Mesh until the mailbox sheds them (a
+				// socket may drop the excess in the kernel instead).
+				release := make(chan struct{})
+				var once sync.Once
+				free := func() { once.Do(func() { close(release) }) }
+				t.Cleanup(free) // before the endpoints close, which waits for the loop
+				ep.Do(func() { busy++; <-release; busy-- })
+				for i := 0; i < 2*transport.DefaultMailbox+100; i++ {
+					eps[1].Send(ep.Addr(), []byte{byte(i)})
+				}
+				if m, ok := ep.(*transport.MeshEndpoint); ok {
+					waitFor(t, settle, func() bool { return m.Drops() > 0 }, "a full mailbox")
+				}
+				time.Sleep(70 * time.Millisecond)
+				free()
+			}
+			waitFor(t, settle, func() bool { return len(pumped.times()) == 1 }, "the last deadline")
+			got := fired.times()
+			if len(got) != 1 {
+				t.Fatalf("a timer reset three times fired %d times, want once", len(got))
+			}
+			if at := got[0] - start; at < 20*time.Millisecond || at >= time.Hour {
+				t.Fatalf("timer fired %v after arming, want the last Reset's 20ms", at)
+			}
+			if n := len(stopped.times()); n != 0 {
+				t.Fatalf("a stopped timer fired %d times", n)
+			}
+
+			// Stopped, then set again: it fires.
+			onLoop(t, ep, settle, func() { never.Reset(time.Millisecond) })
+			waitFor(t, settle, func() bool { return len(stopped.times()) == 1 }, "re-armed timer fire")
 		})
 	}
 }

@@ -204,11 +204,53 @@ func (mb *mailbox) run(h Handler) {
 	}
 }
 
-// after arms a wall-clock timer whose callback runs on the actor loop.
-func (mb *mailbox) after(d time.Duration, fn func()) {
-	if d <= 0 {
-		mb.enqueueCtrl(fn)
+// timer is the Timer of a mailbox endpoint: one time.Timer, made on the first
+// Reset, whose expiry queues fire as control work. Reset and Stop run on the
+// loop, so armed and at need no lock; an expiry queued before a Reset or Stop
+// reached the loop finds them changed and does nothing (or re-arms, should
+// the wall clock fire a hair early).
+type timer struct {
+	mb    *mailbox
+	fn    func()
+	t     *time.Timer
+	at    time.Time // deadline of the pending expiry
+	armed bool
+	fire  func() // run, built once, so an expiry queues no new closure
+}
+
+func (mb *mailbox) newTimer(fn func()) *timer {
+	t := &timer{mb: mb, fn: fn}
+	t.fire = t.run
+	return t
+}
+
+// Reset implements Timer.
+func (t *timer) Reset(d time.Duration) {
+	t.at, t.armed = time.Now().Add(d), true
+	if t.t == nil {
+		t.t = time.AfterFunc(d, func() { t.mb.enqueueCtrl(t.fire) })
 		return
 	}
-	time.AfterFunc(d, func() { mb.enqueueCtrl(fn) })
+	t.t.Reset(d)
+}
+
+// Stop implements Timer.
+func (t *timer) Stop() {
+	t.armed = false
+	if t.t != nil {
+		t.t.Stop()
+	}
+}
+
+// run is an expiry reaching the loop.
+func (t *timer) run() {
+	if !t.armed {
+		return
+	}
+	if d := time.Until(t.at); d > 0 {
+		t.t.Reset(d)
+		return
+	}
+	t.armed = false
+	t.fn()
 }

@@ -169,8 +169,8 @@ func (e *MeshEndpoint) Broadcast(payload []byte, ttl int) {
 	}
 }
 
-// After implements Endpoint: fn runs on the actor loop, never shed.
-func (e *MeshEndpoint) After(d time.Duration, fn func()) { e.mb.after(d, fn) }
+// NewTimer implements Endpoint: fn runs on the actor loop, never shed.
+func (e *MeshEndpoint) NewTimer(fn func()) Timer { return e.mb.newTimer(fn) }
 
 // Compute implements Endpoint: wall-clock transports charge no modeled cost —
 // the real crypto already spent real time — so t runs immediately on the

@@ -17,7 +17,7 @@
 // state is mutated without locks, on one logical event loop. The simulator
 // provides that loop for free. Real transports receive frames and fire
 // timers from many goroutines, so every concurrent Endpoint owns a mailbox
-// and a single actor goroutine that drains it; Handler invocations, After
+// and a single actor goroutine that drains it; Handler invocations, Timer
 // callbacks and Do closures all execute on that one goroutine, restoring the
 // single-writer guarantee without adding locks to the engines.
 //
@@ -66,11 +66,24 @@ type Func func()
 // Run implements Task.
 func (f Func) Run() { f() }
 
+// Timer is one resettable deadline on an endpoint's clock (Endpoint.NewTimer).
+// At most one expiry is pending: Reset replaces it, Stop cancels it, and a
+// callback whose expiry was replaced or canceled before it ran never runs.
+// Its methods, like the callback, belong to the event loop. Reset and Stop
+// allocate nothing, so an engine can move one deadline per message.
+type Timer interface {
+	// Reset arms the timer to expire d from now (at once if d <= 0),
+	// replacing any pending expiry.
+	Reset(d time.Duration)
+	// Stop cancels the pending expiry, if any.
+	Stop()
+}
+
 // Endpoint is one node's port into a transport — everything the protocol
 // engines need from a network: send/broadcast with a hop TTL, timers, a
 // clock, a local address, and a way onto the node's event loop.
 //
-// Send, Broadcast, After, Compute and Now are safe from the event loop;
+// Send, Broadcast, NewTimer, Compute and Now are safe from the event loop;
 // external goroutines must enter through Do. Delivery is best-effort
 // (radio semantics): frames may be lost, and unreachable destinations are
 // dropped silently.
@@ -93,14 +106,16 @@ type Endpoint interface {
 	// ttl >= 1. payload is the transport's from the call on, as for Send.
 	Broadcast(payload []byte, ttl int)
 
-	// After schedules fn on the event loop at Now()+d. Timer callbacks are
-	// control work: they are never shed by mailbox backpressure.
-	After(d time.Duration, fn func())
+	// NewTimer returns a stopped timer that runs fn on the event loop each
+	// time it expires. Timer callbacks are control work: they are never shed
+	// by mailbox backpressure.
+	NewTimer(fn func()) Timer
 
 	// Compute runs t on the event loop after charging cost of modeled CPU
 	// time. Only virtual-clock transports charge the cost (the simulator
 	// serializes it per node); wall-clock transports run t immediately —
-	// the real crypto already spent real time.
+	// the real crypto already spent real time. Either way an endpoint runs
+	// its tasks in the order they were handed to it.
 	Compute(cost time.Duration, t Task)
 
 	// Do injects fn onto the event loop, serialized with deliveries and

@@ -169,8 +169,8 @@ func (e *UDPEndpoint) Broadcast(payload []byte, ttl int) {
 	}
 }
 
-// After implements Endpoint: fn runs on the actor loop, never shed.
-func (e *UDPEndpoint) After(d time.Duration, fn func()) { e.mb.after(d, fn) }
+// NewTimer implements Endpoint: fn runs on the actor loop, never shed.
+func (e *UDPEndpoint) NewTimer(fn func()) Timer { return e.mb.newTimer(fn) }
 
 // Compute implements Endpoint: no modeled cost on real hardware; t runs
 // immediately on the caller's (loop) goroutine.

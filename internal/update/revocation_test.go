@@ -23,7 +23,7 @@ type sink struct {
 func (s *sink) Addr() transport.Addr                  { return "gw" }
 func (s *sink) Now() time.Duration                    { return 0 }
 func (s *sink) Broadcast([]byte, int)                 {}
-func (s *sink) After(time.Duration, func())           {}
+func (s *sink) NewTimer(func()) transport.Timer       { return nil }
 func (s *sink) Compute(time.Duration, transport.Task) {}
 func (s *sink) Do(fn func())                          { fn() }
 func (s *sink) Bind(transport.Handler)                {}

@@ -62,6 +62,13 @@
 #                                  ≈ 60 allocations, so the figure moves with
 #                                  the attempt count: 1000 iterations keep
 #                                  its spread near ±3
+#   WheelRearm 0 allocs/op       — a retry wheel on a transport.Mesh endpoint
+#                                  arming, canceling and re-arming a deadline
+#                                  twice: the wheel owns one resettable timer,
+#                                  set and stopped in place (each arm that
+#                                  moved the earliest deadline built a
+#                                  time.AfterFunc while the wheel armed a new
+#                                  timer per deadline)
 #   RevocationPush 710 allocs/op — one revocation pushed to 300 objects
 #                                  through 200 distributors sharing an admin:
 #                                  each push's notification and frame, one
@@ -71,7 +78,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -bench='QUE2|WarmHandshake|MeshSession' -benchmem -run='^$' -benchtime=100x \
+out=$(go test -bench='QUE2|WarmHandshake|MeshSession|WheelRearm' -benchmem -run='^$' -benchtime=100x \
 	./internal/wire ./internal/core)
 out+=$'\n'$(go test -bench='IssueCertChain' -benchmem -run='^$' -benchtime=1000x ./internal/cert)
 out+=$'\n'$(go test -bench='RevocationPush' -benchmem -run='^$' -benchtime=100x ./internal/update)
@@ -97,6 +104,7 @@ check BenchmarkWarmHandshake/first-contact 302
 check BenchmarkWarmHandshake/resumed 29
 check BenchmarkWarmHandshake/uncached-resumed 29
 check BenchmarkMeshSession/resumed 16
+check BenchmarkWheelRearm 0
 check BenchmarkIssueCertChain 455
 check BenchmarkRevocationPush 710
 
