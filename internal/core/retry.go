@@ -81,11 +81,26 @@ const lightFloor = 50 * time.Millisecond
 // receiver's awake windows cover the schedule, or to wait out the retry tail
 // of a drained wave.
 func (p RetryPolicy) Schedule(retries int) []time.Duration {
+	return schedule(p.Timeout, retries)
+}
+
+// LightSchedule is Schedule for a light leg at its shortest: the offsets the
+// wheel fires while the measured horizon sits at the floor G (lightFloor). A
+// light leg waits anywhere from there up to a full one's wait, so a harness
+// proving a duty cycle covered for a peer that answers on light legs checks
+// both schedules.
+func (p RetryPolicy) LightSchedule(retries int) []time.Duration {
+	return schedule(lightFloor, retries)
+}
+
+// schedule returns the cumulative offsets of a leg whose first retransmission
+// waits first, doubled per attempt.
+func schedule(first time.Duration, retries int) []time.Duration {
 	out := make([]time.Duration, 0, retries+1)
 	var cum time.Duration
 	out = append(out, 0)
 	for i := 1; i <= retries; i++ {
-		cum += p.delay(i)
+		cum += backoff(first, i)
 		out = append(out, cum)
 	}
 	return out

@@ -47,6 +47,7 @@ func TestRetryPolicySchedule(t *testing.T) {
 		name    string
 		policy  RetryPolicy
 		retries int
+		light   bool            // LightSchedule, not Schedule
 		want    []time.Duration // cumulative offsets including the initial send
 	}{
 		{
@@ -64,10 +65,18 @@ func TestRetryPolicySchedule(t *testing.T) {
 			policy: DefaultRetry(), retries: 0,
 			want: []time.Duration{0},
 		},
+		{
+			name:   "a light leg at the floor G, whatever the Timeout",
+			policy: DefaultRetry(), retries: 3, light: true,
+			want: []time.Duration{0, lightFloor, 3 * lightFloor, 7 * lightFloor},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := tc.policy.Schedule(tc.retries)
+			if tc.light {
+				got = tc.policy.LightSchedule(tc.retries)
+			}
 			if len(got) != len(tc.want) {
 				t.Fatalf("Schedule(%d) = %v, want %v", tc.retries, got, tc.want)
 			}

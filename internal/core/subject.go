@@ -102,11 +102,9 @@ type Subject struct {
 	// tickets holds one resumption ticket per object address (resume.go).
 	tickets ticketTable
 
-	// l1 holds the Level 1 discoveries whose verification is being charged,
-	// in the order they went to Compute, which runs them in that order (see
-	// l1Task); l1Head indexes the next.
-	l1     []l1Done
-	l1Head int
+	// l1Free holds the Level 1 answer records (l1Answer) no verification is
+	// being charged for, for the next one to reuse.
+	l1Free []*l1Answer
 
 	tel *subjectTelemetry
 
@@ -121,34 +119,28 @@ type answer struct {
 	light bool // the current round hinted it: its answer is a short RES1 (expect)
 }
 
-// l1Done is a verified Level 1 answer waiting out its modeled verification
-// (handlePublicRES1).
-type l1Done struct {
+// l1Answer is a verified Level 1 answer waiting out its modeled verification
+// (handlePublicRES1), and the task that records it. A record is taken from the
+// subject's free list and goes back to it when it runs, so a discovery hands
+// Compute a pointer and allocates nothing where a closure per discovery would.
+type l1Answer struct {
+	s    *Subject
 	st   phaseStamps
 	from transport.Addr
 	prof *cert.Profile
 }
 
-// l1Task is the Subject as the continuation of its Level 1 verifications: each
-// run records the oldest pending one. A pointer conversion, so handing it to
-// Compute allocates nothing where a closure per discovery would.
-type l1Task Subject
-
 // Run implements transport.Task.
-func (t *l1Task) Run() {
-	s := (*Subject)(t)
-	p := &s.l1[s.l1Head]
-	done := *p
-	*p = l1Done{}
-	if s.l1Head++; s.l1Head == len(s.l1) {
-		s.l1, s.l1Head = s.l1[:0], 0
-	}
-	s.tel.sessionDone(done.st, L1, done.from, s.version, s.ep.Now())
+func (a *l1Answer) Run() {
+	s, st, from, prof := a.s, a.st, a.from, a.prof
+	*a = l1Answer{s: s}
+	s.l1Free = append(s.l1Free, a)
+	s.tel.sessionDone(st, L1, from, s.version, s.ep.Now())
 	s.record(Discovery{
-		Object:  done.prof.Entity,
-		Node:    done.from,
+		Object:  prof.Entity,
+		Node:    from,
 		Level:   L1,
-		Profile: done.prof,
+		Profile: prof,
 		At:      s.ep.Now(),
 		Round:   s.round,
 	})
@@ -698,8 +690,14 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	s.credit(from)
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
-	s.l1 = append(s.l1, l1Done{st: st, from: from, prof: prof})
-	s.ep.Compute(s.costs.Verify, (*l1Task)(s))
+	var a *l1Answer
+	if n := len(s.l1Free); n > 0 {
+		a, s.l1Free = s.l1Free[n-1], s.l1Free[:n-1]
+	} else {
+		a = &l1Answer{s: s}
+	}
+	a.st, a.from, a.prof = st, from, prof
+	s.ep.Compute(s.costs.Verify, a)
 }
 
 // handleSecureRES1 runs the subject side of phase 2: authenticate the

@@ -333,6 +333,31 @@ func dutyCycleCovered(offsets []time.Duration, period, awake time.Duration) bool
 	return maxGap < awake
 }
 
+// dutyCycleProof checks that a sleepy object misses neither every QUE1
+// rebroadcast (q1 without its initial broadcast) nor every QUE2 (q2) of one
+// schedule; kind names the schedule in the refusal.
+func dutyCycleProof(kind string, q1, q2 []time.Duration, period, awake time.Duration) error {
+	if !dutyCycleCovered(q1[1:], period, awake) {
+		return fmt.Errorf("load: %sQUE1 rebroadcast schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
+			kind, q1[1:], awake, period)
+	}
+	if !dutyCycleCovered(q2, period, awake) {
+		return fmt.Errorf("load: %sQUE2 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every QUE2",
+			kind, q2, awake, period)
+	}
+	return nil
+}
+
+// secureSleeper reports whether any sleepy object is Level 2 or 3.
+func (p *Profile) secureSleeper() bool {
+	for i := 0; i < p.Cells*p.ObjectsPerCell; i++ {
+		if i%p.ObjectsPerCell < p.sleepyPerCell() && p.ObjectLevel(i) != backend.L1 {
+			return true
+		}
+	}
+	return false
+}
+
 // validate rejects shapes the engines cannot serve losslessly.
 func (p *Profile) validate() error {
 	switch p.Transport {
@@ -410,25 +435,22 @@ func (p *Profile) validate() error {
 		// expects the cell it left, and that silence keeps the chain running
 		// in the cell it entered. Both legs hold while the subject's
 		// round-trip horizon SRTT + 4·RTTVAR stays at or under Timeout: a
-		// larger horizon stretches the offsets the proof reasons over. They
-		// are full legs: a sleeping object is Level 1 (below).
+		// larger horizon stretches the offsets the proof reasons over.
+		// Those are full legs. A secure sleeper the subject holds a ticket
+		// for answers on light legs too — its hint draws a short RES1, its
+		// resumed QUE2 a RES2 — which wait the measured horizon, down to the
+		// floor G: both legs are proved again at that floor
+		// (RetryPolicy.LightSchedule).
 		q1 := p.Retry.Schedule(p.Retry.Que1Retries)
 		q2 := p.Retry.Schedule(p.Retry.Que2Retries)
-		if !dutyCycleCovered(q1[1:], p.SleepPeriod, p.SleepAwake) {
-			return fmt.Errorf("load: QUE1 rebroadcast schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every broadcast",
-				q1[1:], p.SleepAwake, p.SleepPeriod)
+		if err := dutyCycleProof("", q1, q2, p.SleepPeriod, p.SleepAwake); err != nil {
+			return err
 		}
-		if !dutyCycleCovered(q2, p.SleepPeriod, p.SleepAwake) {
-			return fmt.Errorf("load: QUE2 schedule %v does not cover a %v/%v duty cycle; a sleepy object could miss every QUE2",
-				q2, p.SleepAwake, p.SleepPeriod)
-		}
-		// Only Level 1 objects sleep. A secure object the subject holds a
-		// ticket for answers its hint with a short RES1, a light leg, whose
-		// rebroadcasts follow the round trip measured with awake peers —
-		// down to 50 ms — and no duty cycle is proved against that.
-		for i := 0; i < p.Cells*p.ObjectsPerCell; i++ {
-			if i%p.ObjectsPerCell < p.sleepyPerCell() && p.ObjectLevel(i) != backend.L1 {
-				return fmt.Errorf("load: sleepy object %d of each cell is %v; only Level 1 objects may sleep", i%p.ObjectsPerCell, p.ObjectLevel(i))
+		if p.secureSleeper() {
+			lq1 := p.Retry.LightSchedule(p.Retry.Que1Retries)
+			lq2 := p.Retry.LightSchedule(p.Retry.Que2Retries)
+			if err := dutyCycleProof("light ", lq1, lq2, p.SleepPeriod, p.SleepAwake); err != nil {
+				return err
 			}
 		}
 		ttl := p.Retry.SessionTTL
@@ -489,7 +511,6 @@ func Profiles() map[string]Profile {
 			Levels: []backend.Level{backend.L1, backend.L2, backend.L3, backend.L2},
 			Fellow: true,
 			Waves:  3, ThinkTime: 50 * time.Millisecond,
-			ArmWindow:  250 * time.Millisecond,
 			RevokeFrac: 0.25, AddFrac: 0.25,
 			CrashFrac:    0.5, // one of each cell's two objects rides the DLQ
 			Retry:        quickRetry,

@@ -613,6 +613,7 @@ func TestProfileValidate(t *testing.T) {
 		{"sleepy uncovered schedule", func(p *Profile) {
 			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
 			p.SleepyFrac = 0.5
+			p.Levels = []backend.Level{backend.L1, backend.L2} // every sleeper is Level 1
 			p.SleepPeriod = 10 * time.Second
 			p.SleepAwake = 100 * time.Millisecond
 		}},
@@ -622,9 +623,21 @@ func TestProfileValidate(t *testing.T) {
 			// the broadcast's phase, so offset 0 may not count.
 			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
 			p.SleepyFrac = 0.5
+			p.Levels = []backend.Level{backend.L1, backend.L2} // every sleeper is Level 1
 			p.SleepPeriod = 260 * time.Millisecond
 			p.SleepAwake = 100 * time.Millisecond
 			p.Retry.SessionTTL = 4 * time.Second // outlives the recovery tail
+		}},
+		{"secure sleeper uncovered at the light floor", func(p *Profile) {
+			// The Timeout schedule's probes {100, 300, 700} ms mod 260 leave
+			// at most 120 ms asleep, the light floor's {50, 150, 350} 160 ms:
+			// a Level 3 sleeper's hinted rounds could miss every rebroadcast.
+			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
+			p.SleepyFrac = 0.5
+			p.Levels = []backend.Level{backend.L3, backend.L2}
+			p.SleepPeriod = 260 * time.Millisecond
+			p.SleepAwake = 150 * time.Millisecond
+			p.Retry.SessionTTL = 4 * time.Second
 		}},
 		{"replay persona with faults", func(p *Profile) {
 			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
@@ -643,33 +656,51 @@ func TestProfileValidate(t *testing.T) {
 			p.Levels = []backend.Level{backend.L2}
 		}},
 	}
+	// The duty-cycle cases share a check with others: each is held to its own
+	// refusal.
+	wants := map[string]string{
+		"sleepy uncovered schedule":                   "load: QUE1 rebroadcast schedule",
+		"sleepy covered only by the broadcast":        "load: QUE1 rebroadcast schedule",
+		"secure sleeper uncovered at the light floor": "load: light QUE1 rebroadcast schedule",
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Profiles()["ci-soak"]
 			tc.mut(&p)
-			if _, err := Run(p); err == nil {
-				t.Fatal("want validation error")
+			if _, err := Run(p); err == nil || !strings.Contains(err.Error(), wants[tc.name]) {
+				t.Fatalf("Run = %v, want a validation error containing %q", err, wants[tc.name])
 			}
 		})
 	}
 }
 
-// TestOnlyLevel1ObjectsSleep: a duty cycle the schedules provably cover is
-// still refused when a secure object would sleep — its rebroadcasts are a
-// light leg's, timed by the measured round trip, which the proof cannot see.
-func TestOnlyLevel1ObjectsSleep(t *testing.T) {
+// TestSecureSleepersServed: a Level 3 sleeper answers its hints on light
+// legs, so its duty cycle is proved at the light floor as well as at Timeout;
+// one covered by both is served losslessly — found every wave, by
+// retransmission, with frames it slept through.
+func TestSecureSleepersServed(t *testing.T) {
 	p := Profiles()["ci-soak"]
+	p.Cells, p.SubjectsPerCell = 4, 4
 	p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
-	p.SleepyFrac = 0.5 // the first object of each cell: L1 in even cells, L3 in odd ones
-	p.SleepPeriod, p.SleepAwake = 260*time.Millisecond, 150*time.Millisecond
+	p.SleepyFrac = 0.5
+	p.Levels = []backend.Level{backend.L3, backend.L1} // the first object of every cell: L3
+	// Timeout's probes {100, 300, 700} ms and the light floor's {50, 150,
+	// 350} mod 240 each leave under 150 ms asleep.
+	p.SleepPeriod, p.SleepAwake = 240*time.Millisecond, 150*time.Millisecond
 	p.Retry.SessionTTL = 4 * time.Second
-	_, err := Run(p)
-	if err == nil || !strings.Contains(err.Error(), "only Level 1 objects may sleep") {
-		t.Fatalf("Run = %v, want the Level 1 refusal", err)
+	p.Logf = t.Logf
+	rep, err := Run(p)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	p.Levels = []backend.Level{backend.L1, backend.L2}
-	if err := p.validate(); err != nil {
-		t.Fatalf("a fleet whose sleepy objects are all Level 1: %v", err)
+	if rep.Fleet.Sleepy != p.Cells {
+		t.Fatalf("sleepy objects %d, want %d", rep.Fleet.Sleepy, p.Cells)
+	}
+	if rep.Totals.Lost != 0 || rep.Totals.Completed != rep.Totals.Armed {
+		t.Fatalf("lost %d, completed %d of %d", rep.Totals.Lost, rep.Totals.Completed, rep.Totals.Armed)
+	}
+	if rep.Counters["sleepy_drops"] == 0 {
+		t.Fatal("the duty cycle never gated a frame")
 	}
 }
 

@@ -17,12 +17,15 @@ func Profiles() map[string]SLO {
 			// outlasts the 100 ms initial RTO: a subject's first round is
 			// blind and rebroadcasts QUE1 into the backlog, and each
 			// object's cached answer to that is a timeout resend (2–105
-			// on wave 0 over six -race runs, 0 without -race). Once the
-			// estimator has samples nothing times out: the profile paces
-			// each wave over ArmWindow, so no round waits behind a herd
-			// its estimator never measured, and the live-added subjects'
-			// first rounds run before the rest of wave 2 and count as cold
-			// (WaveStats.ColdRetransmissions). 0/20 -race runs failed.
+			// on wave 0 over six -race runs, 0 without -race). The
+			// live-added subjects' first rounds run before the rest of
+			// wave 2 and count as cold (WaveStats.ColdRetransmissions).
+			// The warm gate still fails under -race on a 2-vCPU host,
+			// where a whole wave fired at once leaves frames 25–40 ms in
+			// mailboxes two to eight deep and a light leg's answer arrives
+			// after its 50 ms horizon: 13 of 20 runs, against 12 of 20 at
+			// the 100 ms floor before light legs. Without -race it held in
+			// 59 of 60.
 			MaxRetransmissions: -1, MaxWarmRetransmissions: 0,
 		},
 		"standard": {

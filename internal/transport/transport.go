@@ -114,8 +114,7 @@ type Endpoint interface {
 	// Compute runs t on the event loop after charging cost of modeled CPU
 	// time. Only virtual-clock transports charge the cost (the simulator
 	// serializes it per node); wall-clock transports run t immediately —
-	// the real crypto already spent real time. Either way an endpoint runs
-	// its tasks in the order they were handed to it.
+	// the real crypto already spent real time.
 	Compute(cost time.Duration, t Task)
 
 	// Do injects fn onto the event loop, serialized with deliveries and
