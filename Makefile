@@ -91,7 +91,6 @@ fuzz:
 	$(GO) test ./internal/backend -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/realtime -run='^$$' -fuzz='^FuzzTailDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/backendsvc -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/obs -run='^$$' -fuzz='^FuzzMergeSnapshots$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/update -run='^$$' -fuzz='^FuzzAgentHandle$$' -fuzztime=$(FUZZTIME)
 
 # Live ops-plane smoke: argus-load serves /events while the ci-soak profile

@@ -13,25 +13,81 @@ import (
 )
 
 // meshSessionBudget is the allocation ceiling of one session between engines
-// on a transport.Mesh, the path cmd/argus-node ships, measured plus one. A
-// resumed L2 or L3 session measured 7.5: the four frames, the two session
-// records and the two AES key schedules, less the frames a round shares. A
-// Level 1 session measured 2.0: its QUE1 and the object's session record (4.0
-// while the subject's Level 1 continuation was a closure and a verify-cache
-// lookup copied the admin key and built a hasher).
-var meshSessionBudget = map[Level]float64{L1: 3, L2: 8.5}
+// on a transport.Mesh, measured plus a half. Session records come from the
+// engines' free lists, so a resumed L2 or L3 session measured 5.5: its three
+// frames of its own, its half of the round's QUE1 and the two AES key
+// schedules (7.5 while both session records were allocated per session). A
+// Level 1 session measured 1.0: its QUE1 (2.0 while the object allocated its
+// resend entry, 4.0 while the subject's Level 1 continuation was a closure and
+// a verify-cache lookup copied the admin key and built a hasher).
+var meshSessionBudget = map[Level]float64{L1: 1.5, L2: 6}
 
-// meshPair is one subject and the given objects on a fresh Mesh, under the
-// default retry policy and one verify cache. A Level 3 object's secret group
-// is one the subject belongs to, so every round is one session per object at
-// its level. round starts a round and waits until every one is recorded.
+// udpSessionBudget is the same ceiling between engines on UDP sockets on
+// loopback — transport.UDPEndpoint, the path cmd/argus-node ships — measured
+// plus one. A resumed session measured 25.5 and a Level 1 one 11.0 (28.0 and
+// 13.0 while the session records were allocated per session). What the socket
+// adds is per frame: the sender's *UDPAddr (ReadFromUDP), its string Addr and
+// the read loop's payload copy.
+var udpSessionBudget = map[Level]float64{L1: 12, L2: 26.5}
+
+// pairNet is a transport a meshPair runs on: open starts a fresh network of
+// it and returns how to join it, with the endpoints a new one's broadcasts
+// reach. prefix names its subtests and sub-benchmarks.
+type pairNet struct {
+	prefix string
+	budget map[Level]float64
+	open   func(tb testing.TB) func(peers []transport.Addr) transport.Endpoint
+}
+
+// pairNets are the transports a session's allocations are measured on: the
+// in-process Mesh, and UDP sockets on loopback.
+var pairNets = []pairNet{
+	{"", meshSessionBudget, func(tb testing.TB) func([]transport.Addr) transport.Endpoint {
+		mesh := transport.NewMesh()
+		tb.Cleanup(mesh.Close)
+		return func([]transport.Addr) transport.Endpoint { return mesh.Join() }
+	}},
+	{"udp-", udpSessionBudget, func(tb testing.TB) func([]transport.Addr) transport.Endpoint {
+		return func(peers []transport.Addr) transport.Endpoint {
+			cfg := transport.UDPConfig{Listen: "127.0.0.1:0"}
+			for _, p := range peers {
+				cfg.Peers = append(cfg.Peers, string(p))
+			}
+			ep, err := transport.ListenUDP(cfg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { ep.Close() })
+			return ep
+		}
+	}},
+}
+
+// meshPair is one subject and the given objects on a fresh transport, under
+// the default retry policy and one verify cache. A Level 3 object's secret
+// group is one the subject belongs to, so every round is one session per
+// object at its level. round starts a round and waits until every one is
+// recorded.
 type meshPair struct {
 	subj  *Subject
 	n     int // sessions a round
 	round func()
 }
 
-func newMeshPair(tb testing.TB, levels ...Level) *meshPair {
+// warmRounds is how many rounds warm runs: enough for the objects' resend
+// caches to fill.
+const warmRounds = maxResendCache + 20
+
+// warm runs the resumed rounds that let the queues grow to size and the
+// objects' resend caches fill, so that from then on every answer cached sheds
+// one whose record the next session reuses.
+func (p *meshPair) warm() {
+	for i := 0; i < warmRounds; i++ {
+		p.round()
+	}
+}
+
+func newMeshPair(tb testing.TB, pn pairNet, levels ...Level) *meshPair {
 	tb.Helper()
 	b, err := backend.New(suite.S128)
 	if err != nil {
@@ -63,21 +119,23 @@ func newMeshPair(tb testing.TB, levels ...Level) *meshPair {
 		oids = append(oids, oid)
 	}
 
-	mesh := transport.NewMesh()
-	tb.Cleanup(mesh.Close)
+	join := pn.open(tb)
 	vc := cert.NewVerifyCache(0)
+	var addrs []transport.Addr
 	for _, oid := range oids {
 		prov, err := b.ProvisionObject(oid)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		NewObject(prov, wire.V30, Costs{}, WithEndpoint(mesh.Join()), WithRetry(DefaultRetry()), WithVerifyCache(vc))
+		ep := join(nil)
+		NewObject(prov, wire.V30, Costs{}, WithEndpoint(ep), WithRetry(DefaultRetry()), WithVerifyCache(vc))
+		addrs = append(addrs, ep.Addr())
 	}
 	sprov, err := b.ProvisionSubject(sid)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sep := mesh.Join()
+	sep := join(addrs)
 	subj := NewSubject(sprov, wire.V30, Costs{}, WithEndpoint(sep), WithRetry(DefaultRetry()), WithVerifyCache(vc))
 
 	done := make(chan struct{}, 1)
@@ -104,50 +162,58 @@ func newMeshPair(tb testing.TB, levels ...Level) *meshPair {
 
 // TestMeshSessionAllocations holds the real path to its allocation budget:
 // 1 000 resumed L2 and L3 sessions, and 500 Level 1 ones, between engines on
-// a transport.Mesh, every allocation of every goroutine counted, the test's
-// own round closure included. A continuation that closes over its session
-// again, a message decoded onto the heap, a nonce, a peer list or a cache key
-// made per frame shows here.
+// a transport.Mesh and between UDP sockets on loopback, every allocation of
+// every goroutine counted, the test's own round closure included. A
+// continuation that closes over its session again, a session record made per
+// session again, a message decoded onto the heap, a nonce, a peer list or a
+// cache key made per frame shows here.
 func TestMeshSessionAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	for name, levels := range map[string][]Level{"resumed": {L2, L3}, "level-1": {L1}} {
-		t.Run(name, func(t *testing.T) {
-			p := newMeshPair(t, levels...)
-			budget := meshSessionBudget[levels[0]]
-			const rounds = 500
-			for i := 0; i < 20; i++ { // resumed from here on; let the queues grow to size
-				p.round()
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < rounds; i++ {
-				p.round()
-			}
-			runtime.ReadMemStats(&after)
-			perSession := float64(after.Mallocs-before.Mallocs) / float64(p.n*rounds)
-			t.Logf("%.2f allocations per session (budget %.1f)", perSession, budget)
-			if perSession > budget {
-				t.Fatalf("a session on a Mesh allocates %.2f times, budget %.1f", perSession, budget)
-			}
-			if got := len(p.subj.Results()); got != p.n*(1+20+rounds) {
-				t.Fatalf("%d discoveries, want %d", got, p.n*(1+20+rounds))
-			}
-		})
+	for _, pn := range pairNets {
+		for name, levels := range map[string][]Level{"resumed": {L2, L3}, "level-1": {L1}} {
+			t.Run(pn.prefix+name, func(t *testing.T) {
+				sessionAllocations(t, newMeshPair(t, pn, levels...), pn.budget[levels[0]])
+			})
+		}
+	}
+}
+
+// sessionAllocations fails t if a session of p allocates more than budget
+// times once p is warm.
+func sessionAllocations(t *testing.T, p *meshPair, budget float64) {
+	const rounds = 500
+	p.warm()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		p.round()
+	}
+	runtime.ReadMemStats(&after)
+	perSession := float64(after.Mallocs-before.Mallocs) / float64(p.n*rounds)
+	t.Logf("%.2f allocations per session (budget %.1f)", perSession, budget)
+	if perSession > budget {
+		t.Fatalf("a session allocates %.2f times, budget %.1f", perSession, budget)
+	}
+	if want := p.n * (1 + warmRounds + rounds); len(p.subj.Results()) != want {
+		t.Fatalf("%d discoveries, want %d", len(p.subj.Results()), want)
 	}
 }
 
 // BenchmarkMeshSession measures one resumed round — one L2 and one L3 session
-// — between engines on a transport.Mesh, each node its own goroutine.
+// — between engines on a transport.Mesh (resumed) and between UDP sockets on
+// loopback (udp-resumed), each node its own goroutine.
 func BenchmarkMeshSession(b *testing.B) {
-	b.Run("resumed", func(b *testing.B) {
-		p := newMeshPair(b, L2, L3)
-		p.round()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.round()
-		}
-	})
+	for _, pn := range pairNets {
+		b.Run(pn.prefix+"resumed", func(b *testing.B) {
+			p := newMeshPair(b, pn, L2, L3)
+			p.warm()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.round()
+			}
+		})
+	}
 }

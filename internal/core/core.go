@@ -118,6 +118,44 @@ func mkSessionKey(peer transport.Addr, rs []byte) sessionKey {
 	return k
 }
 
+// freeListCap bounds every free list: about what one busy round hands back.
+// A burst's surplus goes to the collector, so an idle engine holds no more
+// than this many spare records of each kind.
+const freeListCap = 16
+
+// freeList is an engine's stack of records nothing references any more —
+// session records and Level 1 answers — for the next one to reuse instead of
+// allocating. put zeroes the record, keys included, so neither state nor key
+// material crosses from one session to the next. The list starts empty, so a
+// new engine holds nothing it has not used. Event-loop only, like the
+// records it holds.
+type freeList[T any] struct{ recs []*T }
+
+// get returns a zero record: a reused one if the list holds any.
+func (l *freeList[T]) get() *T {
+	n := len(l.recs)
+	if n == 0 {
+		return new(T)
+	}
+	r := l.recs[n-1]
+	l.recs[n-1] = nil
+	l.recs = l.recs[:n-1]
+	return r
+}
+
+// put zeroes r and keeps it for the next get, unless the list is full. The
+// caller must hold the last reference to r.
+func (l *freeList[T]) put(r *T) {
+	var zero T
+	*r = zero
+	if l.recs == nil {
+		l.recs = make([]*T, 0, freeListCap)
+	}
+	if len(l.recs) < freeListCap {
+		l.recs = append(l.recs, r)
+	}
+}
+
 // transcriptOHash extends the subject's transcript cut — QUE1 ‖ RES1 ‖ QUE2
 // core fields ‖ subject signature (§V) — with the finished MACs of QUE2 and
 // the RES2 ciphertext, "*" when the object finishes, and hashes that. ts is a

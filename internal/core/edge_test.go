@@ -339,11 +339,14 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 			first = last
 		}
 	}
-	if got := len(pub.sessions); got != maxResendCache || pub.cachedN != got {
-		t.Fatalf("resend cache holds %d answers (%d counted), bound %d", got, pub.cachedN, maxResendCache)
+	if got := len(pub.answers); got != maxResendCache || pub.order.n != got || len(pub.sessions) != 0 {
+		t.Fatalf("resend cache holds %d answers (%d in order, %d sessions), bound %d", got, pub.order.n, len(pub.sessions), maxResendCache)
 	}
-	if pub.sessions[first] != nil || pub.sessions[last] == nil {
-		t.Fatal("the cache shed an answer other than the oldest")
+	if _, ok := pub.answers[first]; ok {
+		t.Fatal("the cache kept the oldest answer")
+	}
+	if _, ok := pub.answers[last]; !ok {
+		t.Fatal("the cache shed the newest answer")
 	}
 	// One timer serves the whole cache, and what it shed left nothing behind.
 	if got := pub.wheel.pending(); got != 1 {
@@ -360,8 +363,8 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 	}
 	d.net.Run(d.net.Now() + time.Second)
 	d.subject.CompleteRound()
-	if o.cachedN != 1 || len(o.sessions) != 1 {
-		t.Fatalf("lock holds %d sessions, %d of them answers; want the one answered", len(o.sessions), o.cachedN)
+	if len(o.answers) != 1 || len(o.sessions) != 0 {
+		t.Fatalf("lock holds %d sessions and %d answers; want the one answer", len(o.sessions), len(o.answers))
 	}
 	for i := 0; i < maxPendingSessions; i++ {
 		rs, _ := suite.NewNonce(nil)
@@ -371,8 +374,8 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 		t.Fatalf("an answered session cost %d handshakes their place", got-refused)
 	}
 	d.net.Run(0)
-	if len(o.sessions)+len(pub.sessions) != 0 || o.cachedN != 0 || pub.cachedN != 0 || o.cached != nil || pub.cached != nil {
-		t.Fatalf("tables did not drain: %d + %d sessions, %d + %d counted", len(o.sessions), len(pub.sessions), o.cachedN, pub.cachedN)
+	if len(o.sessions)+len(pub.sessions) != 0 || len(o.answers)+len(pub.answers) != 0 || o.order.n+pub.order.n != 0 {
+		t.Fatalf("tables did not drain: %d + %d sessions, %d + %d answers", len(o.sessions), len(pub.sessions), len(o.answers), len(pub.answers))
 	}
 	// Nor is anything else kept per query: no timer of a session that is gone,
 	// and no mark beside the session table (the zero policy's o.seen).

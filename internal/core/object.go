@@ -23,8 +23,8 @@ type Object struct {
 	costs   Costs
 	ep      transport.Endpoint
 
-	sessions map[sessionKey]*objSession
-	seen     map[sessionKey]bool // duplicate-query suppression via R_S (§IV-B), zero policy
+	sessions map[sessionKey]*objSession // the Level 2/3 handshakes awaiting their QUE2
+	seen     map[sessionKey]bool        // duplicate-query suppression via R_S (§IV-B), zero policy
 	revoked  map[cert.ID]bool
 	retry    RetryPolicy // zero value: one-shot seed behavior (see RetryPolicy)
 	tel      *objectTelemetry
@@ -33,8 +33,9 @@ type Object struct {
 	// zero policy, which arms none.
 	wheel *timerWheel
 
-	// pendingN mirrors len(sessions) for cross-goroutine reads (core.go
-	// contract); vcache memoizes credential verifications (WithVerifyCache).
+	// pendingN mirrors len(sessions)+len(answers) for cross-goroutine reads
+	// (core.go contract); vcache memoizes credential verifications
+	// (WithVerifyCache).
 	pendingN atomic.Int64
 	vcache   *cert.VerifyCache
 
@@ -42,15 +43,20 @@ type Object struct {
 	// address (resume.go).
 	tickets ticketTable
 
-	// The resend cache: sessions that only hold an answer for a duplicate
-	// query (Level 1's RES1, an answered handshake's RES2), oldest first,
-	// linked through objSession.next. They expire in the order they were
-	// cached, so the head is always the next to go and one wheel entry, armed
-	// for the head, serves them all: cacheTimer, whose task is the Object
-	// (due).
-	cached, cachedTail *objSession
-	cachedN            int
-	cacheTimer         wheelEntry
+	// The resend cache, under an enabled policy: the answers kept for a
+	// duplicate query (Level 1's RES1, an answered handshake's RES2) by query,
+	// and their deadlines oldest first (order). They expire in the order they
+	// were cached, so the head is always the next to go and one wheel entry,
+	// armed for the head, serves them all: cacheTimer, whose task is the
+	// Object (due). A cached answer is a value, not a session: a handshake's
+	// record leaves the table when it is answered.
+	answers    map[sessionKey]cachedAnswer
+	order      cacheRing
+	cacheTimer wheelEntry
+
+	// free holds the session records nothing references any more, for the
+	// next session to reuse (freeList).
+	free freeList[objSession]
 
 	// publicRES1 and variantEnc are the wire encodings of a Level 1 object's
 	// one answer and of each prov.Variants[i].Profile, made when the provision
@@ -76,8 +82,14 @@ const (
 	maxSeenQueries     = 4096
 )
 
+// objSession is the object's record of one Level 2/3 handshake, from its QUE1
+// to the RES2 answering its QUE2. It is the task of the handshake's compute
+// steps (Run) and of its expiry (due). The record comes from the object's free
+// list and goes back to it (release) once it is gone from the table, its
+// expiry canceled and no compute step pending.
 type objSession struct {
 	o       *Object
+	pending int // compute steps handed to Compute whose Run has not run yet
 	key     sessionKey
 	rs      []byte
 	ro      [suite.NonceSize]byte
@@ -94,17 +106,8 @@ type objSession struct {
 	short   bool
 	subject cert.ID
 
-	// Retry-mode state: a duplicate query means the subject lost our answer,
-	// so the cached encoding is resent verbatim — resends must be
-	// byte-identical or MACs over the transcript would break, and re-running
-	// the response path would leak through timing.
-	public   bool   // Level 1 session, cached only for RES1 resends
-	answered bool   // QUE2 consumed; the handshake outcome is fixed
-	res2Enc  []byte // cached RES2 (nil while pending, and for silent answers)
-
-	gone  bool          // removed from the table; a stale link of the cache list
-	next  *objSession   // resend-cache order
-	until time.Duration // when the cached answer is dropped
+	answered bool // QUE2 consumed; the handshake outcome is fixed
+	gone     bool // removed from the table
 
 	// expiry collects the session if no QUE2 answers it within the TTL;
 	// canceled when one does, or when the session is removed. What has left
@@ -114,25 +117,57 @@ type objSession struct {
 
 // due collects a session no QUE2 answered within the TTL (scheduleGC).
 func (sess *objSession) due(*wheelEntry) {
-	sess.o.remove(sess)
-	sess.o.tel.sessionExpired()
+	o := sess.o
+	o.remove(sess)
+	o.tel.sessionExpired()
+	o.release(sess)
 }
 
 // Run sends the frame the session owes: its RES1 while the handshake waits for
-// QUE2, its RES2 once answered. From then on the frame is the cached copy a
-// duplicate query is answered with.
+// QUE2, its RES2 once answered. From then on the frame is the copy a
+// duplicate query is answered with: the session's RES1, the resend cache's
+// RES2. A session removed while the step was pending still sends it; its
+// record is released once its last step has run.
 func (sess *objSession) Run() {
-	out := sess.owed
-	if out == nil {
-		return // a second RES1 for the session superseded this one, and went
+	o := sess.o
+	sess.pending--
+	// out is nil when a second RES1 for the session superseded this one, and
+	// went.
+	if out := sess.owed; out != nil {
+		sess.owed = nil
+		if !sess.answered {
+			sess.res1Enc = out
+		} else if a, ok := o.answers[sess.key]; ok && a.sess == sess {
+			a.enc, a.sess = out, nil
+			o.answers[sess.key] = a
+		}
+		o.ep.Send(sess.key.peer, out)
 	}
-	sess.owed = nil
-	if sess.answered {
-		sess.res2Enc = out
-	} else {
-		sess.res1Enc = out
+	o.release(sess)
+}
+
+// newSession returns a record from the free list for the QUE1 of key.
+func (o *Object) newSession(key sessionKey) *objSession {
+	sess := o.free.get()
+	sess.o, sess.key = o, key
+	return sess
+}
+
+// release returns sess to the free list if nothing references it any more:
+// it is out of the table, its expiry is canceled and no compute step is
+// pending (the simulator runs a step's Run later; a cached answer refers to
+// its session only until then). A record already released is zero, not gone,
+// and is left alone.
+func (o *Object) release(sess *objSession) {
+	if sess.gone && sess.pending == 0 && !sess.expiry.live {
+		o.free.put(sess)
 	}
-	sess.o.ep.Send(sess.key.peer, out)
+}
+
+// compute hands Compute the session as the task of its next step.
+func (o *Object) compute(cost time.Duration, sess *objSession) {
+	sess.pending++
+	o.ep.Compute(cost, sess)
 }
 
 // NewObject creates an engine from a backend provision, applying any
@@ -188,13 +223,14 @@ func (o *Object) encodeProfiles() {
 	}
 }
 
-// PendingSessions returns the number of sessions held (pending + answered).
-// Safe to call from any goroutine (it reads a mirror the event loop
-// maintains).
+// PendingSessions returns the number of sessions held: the handshakes
+// pending, and the answers cached for duplicates. Safe to call from any
+// goroutine (it reads a mirror the event loop maintains).
 func (o *Object) PendingSessions() int { return int(o.pendingN.Load()) }
 
-// syncPending republishes len(sessions) after a mutation; event-loop only.
-func (o *Object) syncPending() { o.pendingN.Store(int64(len(o.sessions))) }
+// syncPending republishes len(sessions)+len(answers) after a mutation;
+// event-loop only.
+func (o *Object) syncPending() { o.pendingN.Store(int64(len(o.sessions) + len(o.answers))) }
 
 // Tickets returns the number of resumption tickets held for subjects. Safe to
 // call from any goroutine.
@@ -294,10 +330,19 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		// forever (both sides expired, nothing left to resend); it runs the
 		// full fresh-QUE1 path, with QUE2 signature freshness as the real
 		// replay guard. The same serves a QUE1 that was refused at a full
-		// session table once the table has room.
+		// session table once the table has room. A Level 1 object keeps no
+		// session, only its answer.
+		if a, ok := o.answers[key]; ok {
+			o.tel.que1Result(resultDuplicate)
+			if a.public {
+				o.tel.retransmit(msgRES1)
+				o.ep.Send(from, a.enc)
+			}
+			return
+		}
 		if sess, ok := o.sessions[key]; ok {
 			o.tel.que1Result(resultDuplicate)
-			if !sess.answered && sess.res1Enc != nil {
+			if sess.res1Enc != nil {
 				o.tel.retransmit(msgRES1)
 				o.ep.Send(from, sess.res1Enc)
 			}
@@ -318,7 +363,7 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		}
 		o.seen[key] = true
 	}
-	if len(o.sessions)-o.cachedN >= maxPendingSessions {
+	if len(o.sessions) >= maxPendingSessions {
 		o.tel.que1Result(resultRefused)
 		return // refuse new handshakes until pending ones complete
 	}
@@ -331,12 +376,10 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		enc := o.publicRES1
 		if o.retry.Enabled() {
 			// Cache the answer so a duplicate QUE1 can resend it (the
-			// public path has no QUE2 to drive retransmission otherwise). It is
-			// never marked answered — handleQUE2 ignores a public session — so
-			// the collection armed here, at TTL/2, bounds the resend window.
-			sess := &objSession{key: key, public: true, res1Enc: enc}
-			o.open(sess)
-			o.cache(sess)
+			// public path has no QUE2 to drive retransmission otherwise); it
+			// goes at TTL/2, which bounds the resend window. handleQUE2
+			// ignores a QUE2 that finds it.
+			o.cache(key, cachedAnswer{enc: enc, public: true})
 		}
 		o.ep.Send(from, enc)
 		return
@@ -344,32 +387,28 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 
 	// Level 2/3: respond with a nonce, and with handshake material unless the
 	// subject holds a ticket, and await QUE2.
-	sess := &objSession{
-		o:       o,
-		key:     key,
-		rs:      m.RS, // a window on raw, like every decoded field
-		que1Enc: raw,
-	}
+	sess := o.newSession(key)
+	sess.rs, sess.que1Enc = m.RS, raw // windows on raw, like every decoded field
 	o.open(sess)
 	o.scheduleGC(sess)
 	t, hmacs := o.hintedTicket(from, m)
 	if t == nil {
 		if !o.signRES1(sess, time.Duration(hmacs)*o.costs.HMAC) {
-			o.remove(sess)
+			o.drop(sess)
 			return
 		}
 		o.tel.que1Result(resultHandshake)
 		return
 	}
 	if err := suite.FillNonce(&sess.ro, nil); err != nil {
-		o.remove(sess)
+		o.drop(sess)
 		return
 	}
 	sess.short, sess.subject = true, t.subject
 	o.tel.que1Result(resultResume)
 	res := wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: sess.ro[:]}
 	sess.owed = res.Encode()
-	o.ep.Compute(o.costs.HMAC, sess)
+	o.compute(o.costs.HMAC, sess)
 }
 
 // hintedTicket returns the ticket held for the subject at from if the QUE1
@@ -420,53 +459,66 @@ func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
 	sess.owed = res.Encode()
 	o.tel.count(opsKexGen, 1)
 	o.tel.count(opsSign, 1)
-	o.ep.Compute(extra+o.costs.KexGen+o.costs.Sign, sess)
+	o.compute(extra+o.costs.KexGen+o.costs.Sign, sess)
 	return true
 }
 
 // open files sess in the session table, over whatever the key held.
 func (o *Object) open(sess *objSession) {
 	if old, ok := o.sessions[sess.key]; ok {
-		o.remove(old)
+		o.drop(old)
 	}
 	o.sessions[sess.key] = sess
 	o.syncPending()
 }
 
-// remove takes sess out of the session table.
+// drop removes sess and releases its record. The caller reads nothing of it
+// afterwards.
+func (o *Object) drop(sess *objSession) {
+	o.remove(sess)
+	o.release(sess)
+}
+
+// remove takes sess out of the session table; the record stays the caller's.
 func (o *Object) remove(sess *objSession) {
 	delete(o.sessions, sess.key)
 	o.syncPending()
 	sess.gone = true
 	o.wheel.cancel(&sess.expiry)
-	if sess.public || sess.answered {
-		// In the resend cache: a session in the table is public or answered
-		// exactly when cache took it (the zero policy, which caches nothing,
-		// removes a session before it answers it).
-		o.cachedN--
-	}
-	for o.cached != nil && o.cached.gone {
-		o.cached = o.cached.next
-	}
 }
 
-// cache moves sess, which from here on only holds an answer to resend, to the
-// resend cache for half a TTL, shedding the oldest answer if the cache is
-// full.
-func (o *Object) cache(sess *objSession) {
-	o.wheel.cancel(&sess.expiry)
-	sess.until = o.ep.Now() + o.retry.ttl()/2
-	o.cachedN++
-	if o.cached == nil {
-		o.cached = sess
-	} else {
-		o.cachedTail.next = sess
+// cachedAnswer is a reply kept in the resend cache and resent verbatim to a
+// duplicate query — a duplicate means the subject lost it. Resends must be
+// byte-identical or MACs over the transcript would break, and re-running the
+// response path would leak through timing.
+type cachedAnswer struct {
+	// enc is the frame: a Level 1 RES1 (public), or a RES2 — nil for a
+	// remembered silence, and while sess, whose compute step sends it, has not
+	// run.
+	enc    []byte
+	sess   *objSession
+	public bool
+}
+
+// cache keeps a as the answer to the query of key for half a TTL, shedding the
+// oldest answer if the cache is full.
+func (o *Object) cache(key sessionKey, a cachedAnswer) {
+	if o.answers == nil {
+		o.answers = make(map[sessionKey]cachedAnswer)
 	}
-	o.cachedTail = sess
-	for o.cachedN > maxResendCache {
-		o.remove(o.cached)
+	if o.order.n == maxResendCache {
+		o.dropOldest()
 	}
+	o.answers[key] = a
+	o.order.push(cacheSlot{key: key, until: o.ep.Now() + o.retry.ttl()/2})
+	o.syncPending()
 	o.armCache()
+}
+
+// dropOldest takes the oldest answer out of the resend cache.
+func (o *Object) dropOldest() {
+	delete(o.answers, o.order.pop().key)
+	o.syncPending()
 }
 
 // armCache keeps one wheel entry armed for the oldest cached answer. An entry
@@ -474,22 +526,74 @@ func (o *Object) cache(sess *objSession) {
 // and re-arms. An answer leaving the cache is no session expiry: only the
 // handshakes that never got their QUE2 count as one (scheduleGC).
 func (o *Object) armCache() {
-	if o.cacheTimer.live || o.cached == nil {
+	if o.cacheTimer.live || o.order.n == 0 {
 		return
 	}
-	o.wheel.scheduleIn(&o.cacheTimer, o.cached.until-o.ep.Now(), o)
+	o.wheel.scheduleIn(&o.cacheTimer, o.order.head().until-o.ep.Now(), o)
 }
 
 // due drops the cached answers whose time is up (armCache).
 func (o *Object) due(*wheelEntry) {
-	for now := o.ep.Now(); o.cached != nil && o.cached.until <= now; {
-		o.remove(o.cached)
+	for now := o.ep.Now(); o.order.n > 0 && o.order.head().until <= now; {
+		o.dropOldest()
 	}
 	o.armCache()
 }
 
+// cacheRing is the resend cache's order: the queries of the cached answers and
+// when each is dropped, oldest first, in a ring that doubles when it is full.
+// The cache sheds its oldest answer at maxResendCache, so the ring never
+// grows past that.
+type cacheRing struct {
+	slots []cacheSlot
+	first int // the oldest slot
+	n     int
+}
+
+type cacheSlot struct {
+	key   sessionKey
+	until time.Duration
+}
+
+func (r *cacheRing) push(s cacheSlot) {
+	if r.n == len(r.slots) {
+		slots := make([]cacheSlot, max(8, 2*len(r.slots)))
+		for i := 0; i < r.n; i++ {
+			slots[i] = r.slots[(r.first+i)%len(r.slots)]
+		}
+		r.slots, r.first = slots, 0
+	}
+	r.slots[(r.first+r.n)%len(r.slots)] = s
+	r.n++
+}
+
+// head returns the oldest slot; the ring must not be empty.
+func (r *cacheRing) head() *cacheSlot { return &r.slots[r.first] }
+
+// pop removes and returns the oldest slot; the ring must not be empty.
+func (r *cacheRing) pop() cacheSlot {
+	s := r.slots[r.first]
+	r.slots[r.first] = cacheSlot{}
+	r.first = (r.first + 1) % len(r.slots)
+	r.n--
+	return s
+}
+
 func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 	key := mkSessionKey(from, m.RS)
+	if a, ok := o.answers[key]; ok {
+		// Duplicate QUE2: our RES2 was lost (or is still in flight). The
+		// outcome is already fixed — resend the cached bytes verbatim; a
+		// remembered silence stays silent, and a Level 1 object has no QUE2
+		// to answer. Never re-run the response path: fresh crypto would
+		// desync the transcript MACs, and a second compute charge would be a
+		// timing tell.
+		if a.enc != nil && !a.public {
+			o.tel.retransmit(msgRES2)
+			o.ep.Send(from, a.enc)
+		}
+		return
+	}
 	sess, ok := o.sessions[key]
 	if !ok {
 		// No live session for (peer, R_S): a replayed transcript, or a QUE2
@@ -499,23 +603,12 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		o.tel.que2Result(resultOrphan)
 		return
 	}
-	if o.prov.Level == L1 || sess.public {
-		return
-	}
-	if sess.answered {
-		// Duplicate QUE2: our RES2 was lost (or is still in flight). The
-		// outcome is already fixed — resend the cached bytes verbatim; a
-		// remembered silence stays silent. Never re-run the response path:
-		// fresh crypto would desync the transcript MACs, and a second
-		// compute charge would be a timing tell.
-		if sess.res2Enc != nil {
-			o.tel.retransmit(msgRES2)
-			o.ep.Send(from, sess.res2Enc)
-		}
-		return
-	}
 	var a que2Auth
 	defer a.wipe()
+	// The session may leave the table below (the zero policy consumes it,
+	// an answer moves it to the resend cache); whatever becomes of the QUE2,
+	// the record is released once no compute step is pending.
+	defer o.release(sess)
 	if len(m.Ticket) > 0 {
 		ok = o.resumeQUE2(from, sess, m, &a)
 	} else {
@@ -759,7 +852,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 			first := o.firstCovertVariant()
 			if first < 0 {
 				o.tel.que2Result(resultSilent)
-				o.markAnswered(sess) // remembered silence: duplicates stay silent
+				o.markAnswered(sess, nil) // remembered silence: duplicates stay silent
 				return
 			}
 			a.setK3(o.prov.Variants[first].GroupKey, sess)
@@ -770,8 +863,8 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		variant = o.matchVariant(a.next.attrs)
 		if variant < 0 {
 			o.tel.que2Result(resultSilent)
-			o.markAnswered(sess) // remembered silence: duplicates stay silent
-			return               // no policy admits this subject: silence, not a hint
+			o.markAnswered(sess, nil) // remembered silence: duplicates stay silent
+			return                    // no policy admits this subject: silence, not a hint
 		}
 		key = &a.k2
 		o.tel.que2Result(resultL2)
@@ -780,7 +873,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 	if res == nil {
 		return
 	}
-	o.markAnswered(sess)
+	o.markAnswered(sess, res)
 	if o.retry.Enabled() {
 		// Ratchet: the presented ticket is spent — the next one replaces it —
 		// whether or not RES2 arrives. If it does not, and the subject's
@@ -795,24 +888,28 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		o.tickets.mint(from, &a.next, &a.k2, a.tsHash)
 	}
 	o.tel.response(cost, suite.CiphertextLen(len(o.variantEnc[variant])))
-	sess.owed = res
-	o.ep.Compute(cost, sess)
+	o.compute(cost, sess)
 }
 
-// markAnswered fixes the handshake outcome and moves the session to the resend
-// cache. An answered session holds no handshake liveness — it exists solely to
-// serve idempotent duplicate resends — so its retention is a resend-service
-// window of half the TTL, not a liveness window; halving it halves how long
-// the fleet's session tables (and a drain barrier waiting on them) trail the
-// last wave. The zero policy consumed the session with its QUE2.
-func (o *Object) markAnswered(sess *objSession) {
-	sess.answered = true
-	// Only the cached RES2 is ever read again: let the handshake material go
-	// now rather than hold it for the rest of the resend window.
-	sess.rs, sess.ro, sess.kex, sess.que1Enc, sess.res1Enc = nil, [suite.NonceSize]byte{}, nil, nil, nil
-	if o.retry.Enabled() {
-		o.cache(sess)
+// markAnswered fixes the handshake outcome: res is the RES2 the session's next
+// compute step sends, nil for a silence. Under an enabled policy the session
+// leaves the table and its answer goes to the resend cache. An answer holds no
+// handshake liveness — it exists solely to serve idempotent duplicate resends
+// — so its retention is a resend-service window of half the TTL, not a
+// liveness window; halving it halves how long the fleet's tables (and a drain
+// barrier waiting on them) trail the last wave. The zero policy consumed the
+// session with its QUE2.
+func (o *Object) markAnswered(sess *objSession, res []byte) {
+	sess.answered, sess.owed = true, res
+	if !o.retry.Enabled() {
+		return
 	}
+	o.remove(sess)
+	a := cachedAnswer{}
+	if res != nil {
+		a.sess = sess // until its step has sent res (Run)
+	}
+	o.cache(sess.key, a)
 }
 
 // setK3 prepares a.k3 = PRF(K2 ‖ groupKey, "session key" ‖ R_S ‖ R_O).

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -1224,7 +1225,9 @@ func TestShortExchangeSurvivesLoss(t *testing.T) {
 // file before the round, ratcheted in place. (An object session has no key to
 // hold: K2 and K3 live on the stack of the QUE2 handler.) A session given up —
 // expired, or superseded by a restart — and a ticket that is dropped are
-// wiped as well.
+// wiped as well, and a record on either engine's free list is all zero: no
+// K2, K3, MAC, ticket binding or nonce crosses into the session that reuses
+// it.
 func TestSessionKeysWipedOnRelease(t *testing.T) {
 	f := newResumeFixtureAt(t, 1, L3, netsim.DefaultWiFi())
 	o := f.only()
@@ -1275,6 +1278,11 @@ func TestSessionKeysWipedOnRelease(t *testing.T) {
 	if pending.next.secret != (suite.Key{}) {
 		t.Error("the session's copy of its ticket holds the secret")
 	}
+	if len(f.subject.sessFree.recs) == 0 || len(o.free.recs) == 0 {
+		t.Errorf("free records: subject %d, object %d; want the round's back on both lists",
+			len(f.subject.sessFree.recs), len(o.free.recs))
+	}
+	assertFreeRecordsZero(t, f.subject, o)
 	for _, tt := range []*ticketTable{&f.subject.tickets, &o.tickets} {
 		for _, tk := range tt.m {
 			if tk.secret == (suite.Key{}) {
@@ -1304,10 +1312,16 @@ func TestSessionKeysWipedOnRelease(t *testing.T) {
 	if pending == nil {
 		t.Fatal("the second round opened no session")
 	}
+	// The record may be reused once the session is given up: what must be
+	// gone are its keys, from every record either engine holds.
+	k2, k3 := pending.k2, pending.k3
 	f.net.Run(f.net.Now() + 2*DefaultRetry().ttl())
-	if f.subject.sessions[pending.key] == pending || pending.k2 != (suite.Key{}) || pending.k3 != (suite.Key{}) {
-		t.Error("an expired session is still filed or holds its keys")
+	for _, sess := range f.subject.sessions {
+		if sess.k2 == k2 || sess.k3 == k3 {
+			t.Error("a given-up session's keys are still filed")
+		}
 	}
+	assertFreeRecordsZero(t, f.subject, o)
 	f.net.SetDropFilter(nil)
 
 	// A dropped ticket is wiped.
@@ -1315,5 +1329,23 @@ func TestSessionKeysWipedOnRelease(t *testing.T) {
 	o.tickets.flush()
 	if filedS.secret != (suite.Key{}) || filedO.secret != (suite.Key{}) {
 		t.Error("a dropped or flushed ticket keeps its secret")
+	}
+}
+
+// assertFreeRecordsZero fails t if a record on a free list of the engines is
+// not the zero value.
+func assertFreeRecordsZero(t *testing.T, s *Subject, objects ...*Object) {
+	t.Helper()
+	for _, r := range s.sessFree.recs {
+		if !reflect.ValueOf(*r).IsZero() {
+			t.Errorf("a free subject session record is not zero: k2 %v, macS2 %x, ticket %x", r.k2 != (suite.Key{}), r.macS2, r.next.id)
+		}
+	}
+	for _, o := range objects {
+		for _, r := range o.free.recs {
+			if !reflect.ValueOf(*r).IsZero() {
+				t.Errorf("a free object session record is not zero: R_O %x", r.ro)
+			}
+		}
 	}
 }

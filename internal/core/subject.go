@@ -102,9 +102,10 @@ type Subject struct {
 	// tickets holds one resumption ticket per object address (resume.go).
 	tickets ticketTable
 
-	// l1Free holds the Level 1 answer records (l1Answer) no verification is
-	// being charged for, for the next one to reuse.
-	l1Free []*l1Answer
+	// The records no session and no Level 1 answer references any more, for
+	// the next one to reuse (freeList).
+	sessFree freeList[subjSession]
+	l1Free   freeList[l1Answer]
 
 	tel *subjectTelemetry
 
@@ -133,8 +134,7 @@ type l1Answer struct {
 // Run implements transport.Task.
 func (a *l1Answer) Run() {
 	s, st, from, prof := a.s, a.st, a.from, a.prof
-	*a = l1Answer{s: s}
-	s.l1Free = append(s.l1Free, a)
+	s.l1Free.put(a)
 	s.tel.sessionDone(st, L1, from, s.version, s.ep.Now())
 	s.record(Discovery{
 		Object:  prof.Entity,
@@ -148,9 +148,13 @@ func (a *l1Answer) Run() {
 
 // subjSession is the subject's record of one phase-2 handshake. It is the
 // task of the handshake's two compute steps (Run): it owes the object its QUE2,
-// and once RES2 verified, the discovery its record.
+// and once RES2 verified, the discovery its record. The record comes from the
+// subject's free list and goes back to it (release) once it is gone from the
+// table, its wheel entries are canceled and no compute step is pending.
 type subjSession struct {
 	s       *Subject
+	gone    bool       // out of the table for good, or never filed
+	pending int        // compute steps handed to Compute whose Run has not run yet
 	key     sessionKey // the object's address and the round's R_S, which que2.RS views
 	ro      []byte     // object nonce (borrowed from RES1), distinguishes RES1 resends from restarts
 	group   groups.ID
@@ -578,13 +582,43 @@ func (s *Subject) dropSessionTimers(sess *subjSession) {
 	s.wheel.cancel(&sess.expiry)
 }
 
-// dropSession takes sess out of the table for good: its deadlines go, and its
-// keys are wiped.
+// dropSession takes sess out of the table for good: its deadlines go, its
+// keys are wiped, and the record is released. The caller reads nothing of it
+// afterwards.
 func (s *Subject) dropSession(sess *subjSession) {
+	s.unfile(sess)
+	s.discard(sess)
+}
+
+// unfile takes sess out of the table for good, with its deadlines; the record
+// and its keys stay the caller's.
+func (s *Subject) unfile(sess *subjSession) {
 	s.dropSessionTimers(sess)
 	delete(s.sessions, sess.key)
 	s.syncPending()
+	sess.gone = true
+}
+
+// discard wipes the keys of a session that is gone and releases its record.
+func (s *Subject) discard(sess *subjSession) {
 	sess.wipe()
+	s.release(sess)
+}
+
+// release returns sess to the free list if nothing references it any more:
+// it is out of the table, neither wheel entry is live and no compute step is
+// pending (the simulator runs a step's Run later). A record already released
+// is zero, not gone, and is left alone.
+func (s *Subject) release(sess *subjSession) {
+	if sess.gone && sess.pending == 0 && !sess.que2Timer.live && !sess.expiry.live {
+		s.sessFree.put(sess)
+	}
+}
+
+// compute hands Compute the session as the task of its next step.
+func (s *Subject) compute(cost time.Duration, sess *subjSession) {
+	sess.pending++
+	s.ep.Compute(cost, sess)
 }
 
 // wipe zeroes the session keys.
@@ -690,13 +724,8 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	s.credit(from)
 	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
 	s.tel.count(opsVerify, 1)
-	var a *l1Answer
-	if n := len(s.l1Free); n > 0 {
-		a, s.l1Free = s.l1Free[n-1], s.l1Free[:n-1]
-	} else {
-		a = &l1Answer{s: s}
-	}
-	a.st, a.from, a.prof = st, from, prof
+	a := s.l1Free.get()
+	a.s, a.st, a.from, a.prof = s, st, from, prof
 	s.ep.Compute(s.costs.Verify, a)
 }
 
@@ -740,10 +769,12 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	case live && old.short:
 		// The signed RES1 is the object's refusal of the short QUE2 that
 		// answered its short RES1 (Object.resumeQUE2). Once SIG_O shows it is
-		// the object's, the ticket goes.
+		// the object's, the ticket goes. (The QUE2 supersedes old, whose
+		// record may be reused from then on: its ticket is read first.)
+		id := old.next.id
 		if s.fullQUE2(from, m, raw) {
 			s.tel.resumption(resultRefused)
-			s.dropTicket(old)
+			s.dropTicket(from, id)
 		}
 	default:
 		if t := s.ticketFor(from, m.CertO); t != nil {
@@ -802,6 +833,8 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 	sess.ts.Add(sigIn, sig)
 	wire.PutScratch(sigIn)
 	if err != nil {
+		sess.gone = true // never filed
+		s.discard(sess)
 		return false
 	}
 	q.Sig = sig
@@ -822,10 +855,11 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 }
 
 // newSession starts the record of a handshake with the object at from in the
-// current round. Its QUE2 echoes R_S from the record's own key, which outlives
-// the round's.
+// current round, on a record from the free list. Its QUE2 echoes R_S from the
+// record's own key, which outlives the round's.
 func (s *Subject) newSession(from transport.Addr) *subjSession {
-	sess := &subjSession{s: s, key: mkSessionKey(from, s.rs[:]), round: s.round}
+	sess := s.sessFree.get()
+	sess.s, sess.key, sess.round = s, mkSessionKey(from, s.rs[:]), s.round
 	sess.que2 = wire.QUE2{Version: s.version, RS: sess.key.rs[:]}
 	return sess
 }
@@ -891,14 +925,18 @@ func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte
 		s.wheel.scheduleIn(&sess.expiry, s.retry.ttl(), sess)
 	}
 	s.tel.count(opsHMAC, int64(hmacs))
-	s.ep.Compute(cost+time.Duration(hmacs)*s.costs.HMAC, sess)
+	s.compute(cost+time.Duration(hmacs)*s.costs.HMAC, sess)
 }
 
 // Run is the session's continuation once a compute step's modeled time has
 // passed: after sendQUE2 it sends the QUE2 and arms its retransmission, after
-// a verified RES2 (handleRES2) it records the discovery.
+// a verified RES2 (handleRES2) it records the discovery. A session dropped
+// while the step was pending still sends its QUE2, but arms nothing: no
+// retransmission of it could be answered. The record is released once the
+// last step of a session out of the table has run.
 func (sess *subjSession) Run() {
 	s := sess.s
+	sess.pending--
 	if sess.prof != nil {
 		s.tel.sessionDone(sess.stamps, sess.level, sess.key.peer, s.version, s.ep.Now())
 		d := Discovery{
@@ -912,6 +950,7 @@ func (sess *subjSession) Run() {
 		if sess.level == L3 {
 			d.Group = uint64(sess.group)
 		}
+		s.release(sess)
 		s.record(d)
 		return
 	}
@@ -920,9 +959,10 @@ func (sess *subjSession) Run() {
 	sess.que2Enc = enc
 	sess.sentAt = s.ep.Now()
 	s.ep.Send(sess.key.peer, enc)
-	if s.retry.Enabled() && s.retry.Que2Retries > 0 {
+	if !sess.gone && s.retry.Enabled() && s.retry.Que2Retries > 0 {
 		s.armQue2(sess, 1, s.que2Wait(sess, 1))
 	}
+	s.release(sess)
 }
 
 // que2Wait returns how long the attempt-th QUE2 retransmission of sess
@@ -1021,9 +1061,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	}
 	if !s.retry.Enabled() {
 		// The zero policy consumes the session with its first RES2.
-		delete(s.sessions, sess.key)
-		s.syncPending()
-		defer sess.wipe()
+		s.unfile(sess)
 	}
 	sess.stamps.res2At = s.ep.Now()
 	s.noteActivity()
@@ -1042,6 +1080,9 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		// Neither key verifies: corrupted or not for us. Under retry the
 		// session stays pending — a QUE2 retransmission will fetch a clean
 		// copy; the MAC guarantees any verified RES2 is byte-authentic.
+		if sess.gone {
+			s.discard(sess)
+		}
 		return
 	}
 	// An authenticated RES2 completes the session; a later duplicate finds
@@ -1053,18 +1094,16 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		if sess.round == s.round {
 			s.credit(from)
 		}
+		s.unfile(sess)
 	}
 	// The keys are wiped when the session's last use of them, the next
 	// ticket, is done.
-	s.dropSessionTimers(sess)
-	delete(s.sessions, sess.key)
-	s.syncPending()
-	defer sess.wipe()
 
 	// The plaintext lives in pooled scratch: what is kept of it is its hash
 	// and the decoded profile, which copies.
 	plain, err := sk.DecryptProfile(wire.GetScratch(), m.Ciphertext)
 	if err != nil {
+		s.discard(sess)
 		return
 	}
 	// Service information is admin-signed end to end. A resumed session whose
@@ -1084,6 +1123,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	}
 	wire.PutScratch(plain)
 	if err != nil || prof.Kind != cert.RoleObject {
+		s.discard(sess)
 		return
 	}
 
@@ -1111,8 +1151,9 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		s.tel.count(opsCipher, 1)
 		s.tel.count(opsVerify, int64(verifies))
 	}
+	sess.wipe()
 	sess.level, sess.prof = level, prof
-	s.ep.Compute(cost, sess)
+	s.compute(cost, sess)
 }
 
 // refused handles the empty RES2 by which an object declines the ticket of a
@@ -1123,23 +1164,24 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 // forged refusal buys an attacker nothing more than that full handshake.
 func (s *Subject) refused(sess *subjSession) {
 	s.tel.resumption(resultRefused)
-	s.dropTicket(sess)
+	peer, round, raw := sess.key.peer, sess.round, sess.res1
+	s.dropTicket(peer, sess.next.id)
 	s.dropSession(sess)
 	s.noteActivity()
-	if sess.round != s.round {
+	if round != s.round {
 		return // R_S has moved on; the new round handshakes for itself
 	}
 	var res1 wire.RES1
-	if res1.DecodeFrom(sess.res1) == nil {
-		s.fullQUE2(sess.key.peer, &res1, sess.res1)
+	if res1.DecodeFrom(raw) == nil {
+		s.fullQUE2(peer, &res1, raw)
 	}
 }
 
-// dropTicket forgets the ticket a refused session presented, unless a newer
-// one has replaced it since.
-func (s *Subject) dropTicket(sess *subjSession) {
-	if t := s.tickets.get(sess.key.peer); t != nil && t.id == sess.next.id {
-		s.tickets.drop(sess.key.peer)
+// dropTicket forgets the ticket with the given id a refused session presented
+// to the object at peer, unless a newer one has replaced it since.
+func (s *Subject) dropTicket(peer transport.Addr, id ticketID) {
+	if t := s.tickets.get(peer); t != nil && t.id == id {
+		s.tickets.drop(peer)
 	}
 }
 

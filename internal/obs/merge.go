@@ -3,71 +3,8 @@ package obs
 import "sort"
 
 // This file implements snapshot algebra: a window of one registry is
-// after − before (DiffSnapshots), and windows scraped from several processes
-// sum into one fleet-wide view (MergeSnapshots) that slo.SnapshotReport and
-// the SLO gates consume unchanged.
-//
-// Merge semantics, by metric type:
-//
-//   - counters add;
-//   - gauges take the value from the last argument holding the series
-//     ("last writer wins" — gauges are point-in-time levels, and summing a
-//     depth gauge across processes would be a different metric);
-//   - histograms add bucket-by-bucket. Inputs with different bucket layouts
-//     merge over the union of their bounds (every input bound appears in the
-//     union, so each bucket's count lands exactly at its own bound); Count,
-//     Sum and Overflow add, and the quantile estimates are recomputed from
-//     the merged buckets.
-//
-// A series whose type disagrees with an earlier snapshot's series of the
-// same identity is skipped — first type wins, deterministically — so merge
-// is total over arbitrary (fuzzed, hostile) inputs and never panics.
-
-// MergeSnapshots folds per-process snapshots into a single fleet-wide
-// snapshot. The result is sorted like Registry.Snapshot output; inputs are
-// not modified. Nil snapshots are ignored; with no usable input the result
-// is empty. Nothing ships it today: its tests and FuzzMergeSnapshots hold
-// the algebra for a fleet view in argus-ops over several obs planes.
-func MergeSnapshots(snaps ...*Snapshot) *Snapshot {
-	merged := map[string]*Metric{}
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for i := range s.Metrics {
-			m := &s.Metrics[i]
-			key := m.id()
-			prev, ok := merged[key]
-			if !ok {
-				c := copyMetric(m)
-				if c.Type == "histogram" {
-					normalizeHistogram(c)
-				}
-				merged[key] = c
-				continue
-			}
-			if prev.Type != m.Type {
-				continue // first type wins
-			}
-			switch m.Type {
-			case "counter":
-				prev.Value += m.Value
-			case "gauge":
-				prev.Value = m.Value // last writer wins
-			case "histogram":
-				mergeHistogram(prev, m)
-			}
-		}
-	}
-	out := &Snapshot{Metrics: make([]Metric, 0, len(merged))}
-	for _, m := range merged {
-		out.Metrics = append(out.Metrics, *m)
-	}
-	sort.Slice(out.Metrics, func(i, j int) bool {
-		return out.Metrics[i].id() < out.Metrics[j].id()
-	})
-	return out
-}
+// after − before (DiffSnapshots), which slo.SnapshotReport and the SLO gates
+// consume like any snapshot.
 
 // DiffSnapshots returns after − before, series by series: counter values and
 // histogram bucket counts subtract (clamped at zero, so a restarted process
@@ -128,9 +65,9 @@ func copyMetric(m *Metric) *Metric {
 // buckets, repairing non-monotone counts and a Count that disagrees with
 // buckets+overflow. A registry-produced snapshot is already consistent and
 // passes through bit-identically (quantiles recompute to the same values);
-// the repair exists because merge promises totality over arbitrary parsed
-// input, where a series seen by exactly one snapshot would otherwise skip
-// every other consistency path.
+// the repair exists because a diff's input may be any parsed snapshot, where
+// a series with no earlier value would otherwise skip every other consistency
+// path.
 func normalizeHistogram(m *Metric) {
 	bounds, counts := bucketCounts(m)
 	sum := m.Sum
@@ -173,35 +110,6 @@ func rebuild(m *Metric, bounds []float64, counts []uint64, overflow uint64) {
 	m.P50 = bucketQuantile(0.50, bounds, all, m.Count)
 	m.P95 = bucketQuantile(0.95, bounds, all, m.Count)
 	m.P99 = bucketQuantile(0.99, bounds, all, m.Count)
-}
-
-// mergeHistogram folds src into dst over the union of their bucket bounds.
-func mergeHistogram(dst, src *Metric) {
-	db, dc := bucketCounts(dst)
-	sb, sc := bucketCounts(src)
-	seen := map[float64]bool{}
-	var union []float64
-	for _, b := range append(append([]float64(nil), db...), sb...) {
-		if !seen[b] {
-			seen[b] = true
-			union = append(union, b)
-		}
-	}
-	sort.Float64s(union)
-	at := make(map[float64]int, len(union))
-	for i, b := range union {
-		at[b] = i
-	}
-	counts := make([]uint64, len(union))
-	for i, b := range db {
-		counts[at[b]] += dc[i]
-	}
-	for i, b := range sb {
-		counts[at[b]] += sc[i]
-	}
-	sum := dst.Sum + src.Sum
-	rebuild(dst, union, counts, dst.Overflow+src.Overflow)
-	dst.Sum = sum
 }
 
 // diffHistogram subtracts prev's window from m in place. Layout changes

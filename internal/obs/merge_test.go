@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -36,108 +34,6 @@ func mkHist(name string, bounds []float64, counts []uint64, overflow uint64, sum
 }
 
 func snap(ms ...Metric) *Snapshot { return &Snapshot{Metrics: ms} }
-
-func TestMergeSnapshotsTable(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []*Snapshot
-		want []Metric
-	}{
-		{
-			name: "counters sum across processes and label sets stay distinct",
-			in: []*Snapshot{
-				snap(mkCounter("c", 3, map[string]string{"role": "subject"}), mkCounter("c", 1, map[string]string{"role": "object"})),
-				snap(mkCounter("c", 4, map[string]string{"role": "subject"})),
-				nil,
-				snap(mkCounter("c", 2, map[string]string{"role": "subject"})),
-			},
-			want: []Metric{
-				mkCounter("c", 1, map[string]string{"role": "object"}),
-				mkCounter("c", 9, map[string]string{"role": "subject"}),
-			},
-		},
-		{
-			name: "gauges take the last writer",
-			in: []*Snapshot{
-				snap(mkGauge("depth", 7)),
-				snap(mkGauge("depth", 3)),
-				snap(mkCounter("other", 1, nil)),
-			},
-			want: []Metric{mkGauge("depth", 3), mkCounter("other", 1, nil)},
-		},
-		{
-			name: "histograms with identical bounds add bucket-wise incl. overflow",
-			in: []*Snapshot{
-				snap(mkHist("h", []float64{1, 2, 4}, []uint64{1, 2, 0}, 1, 5)),
-				snap(mkHist("h", []float64{1, 2, 4}, []uint64{0, 1, 3}, 2, 20)),
-			},
-			want: []Metric{mkHist("h", []float64{1, 2, 4}, []uint64{1, 3, 3}, 3, 25)},
-		},
-		{
-			name: "histograms with different bounds merge over the union",
-			in: []*Snapshot{
-				snap(mkHist("h", []float64{1, 4}, []uint64{2, 1}, 0, 4)),
-				snap(mkHist("h", []float64{2, 4, 8}, []uint64{1, 1, 1}, 1, 30)),
-			},
-			// union bounds {1,2,4,8}: 2@1 from the first input, 1@2 from the
-			// second, 1+1@4 from both, 1@8, overflow 0+1.
-			want: []Metric{mkHist("h", []float64{1, 2, 4, 8}, []uint64{2, 1, 2, 1}, 1, 34)},
-		},
-		{
-			name: "type conflict: first seen wins, later series skipped",
-			in: []*Snapshot{
-				snap(mkCounter("x", 5, nil)),
-				snap(mkGauge("x", 100)),
-			},
-			want: []Metric{mkCounter("x", 5, nil)},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := MergeSnapshots(tc.in...)
-			if len(got.Metrics) != len(tc.want) {
-				t.Fatalf("got %d metrics, want %d: %+v", len(got.Metrics), len(tc.want), got.Metrics)
-			}
-			for i := range tc.want {
-				if !metricEq(&got.Metrics[i], &tc.want[i]) {
-					t.Errorf("metric %d:\n got  %+v\n want %+v", i, got.Metrics[i], tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestMergeMatchesSingleRegistry(t *testing.T) {
-	// Two registries observing disjoint halves of a workload must merge to
-	// the same snapshot one registry observing everything produces.
-	obsv := [][]float64{{0.001, 0.002, 0.5}, {0.004, 30}}
-	var regs []*Registry
-	all := NewRegistry()
-	allH := all.Histogram("h", "lat", LatencyBuckets())
-	allC := all.Counter("c", "count")
-	for _, part := range obsv {
-		r := NewRegistry()
-		h := r.Histogram("h", "lat", LatencyBuckets())
-		c := r.Counter("c", "count")
-		for _, v := range part {
-			h.Observe(v)
-			allH.Observe(v)
-			c.Inc()
-			allC.Inc()
-		}
-		regs = append(regs, r)
-	}
-	merged := MergeSnapshots(regs[0].Snapshot(), regs[1].Snapshot())
-	want := all.Snapshot()
-	if len(merged.Metrics) != len(want.Metrics) {
-		t.Fatalf("metric count %d != %d", len(merged.Metrics), len(want.Metrics))
-	}
-	for i := range want.Metrics {
-		if !metricEq(&merged.Metrics[i], &want.Metrics[i]) {
-			t.Errorf("metric %d:\n got  %+v\n want %+v", i, merged.Metrics[i], want.Metrics[i])
-		}
-	}
-}
 
 func TestDiffSnapshots(t *testing.T) {
 	before := snap(
@@ -199,6 +95,38 @@ func TestDiffThenReportWindow(t *testing.T) {
 	}
 }
 
+// TestDiffRepairsParsedInput: a diff's input may be any parsed snapshot. A
+// histogram with no earlier series is normalized — cumulative buckets made
+// monotone, Count re-derived — one whose bucket layout changed is kept as it
+// is, and labels are copied, not shared.
+func TestDiffRepairsParsedInput(t *testing.T) {
+	broken := Metric{Name: "h", Type: "histogram", Count: 99, Overflow: 1, Sum: 3,
+		Buckets: []Bucket{{LE: 1, Count: 4}, {LE: 2, Count: 2}, {LE: 4, Count: 5}}}
+	relaid := mkHist("r", []float64{1, 8}, []uint64{1, 1}, 0, 2)
+	labels := map[string]string{"role": "object"}
+	got := DiffSnapshots(
+		snap(broken, relaid, mkCounter("c", 5, labels)),
+		snap(mkHist("r", []float64{1, 2}, []uint64{1, 0}, 0, 1), mkCounter("c", 2, labels)),
+	)
+	want := []Metric{
+		mkCounter("c", 3, labels),
+		mkHist("h", []float64{1, 2, 4}, []uint64{4, 0, 1}, 1, 3),
+		relaid,
+	}
+	if len(got.Metrics) != len(want) {
+		t.Fatalf("got %d metrics, want %d: %+v", len(got.Metrics), len(want), got.Metrics)
+	}
+	for i := range want {
+		if !metricEq(&got.Metrics[i], &want[i]) {
+			t.Errorf("metric %d:\n got  %+v\n want %+v", i, got.Metrics[i], want[i])
+		}
+	}
+	got.Metrics[0].Labels["role"] = "changed"
+	if labels["role"] != "object" {
+		t.Error("the diff shares its input's labels")
+	}
+}
+
 // metricEq compares two metrics with float tolerance on the derived
 // quantiles.
 func metricEq(a, b *Metric) bool {
@@ -213,85 +141,4 @@ func metricEq(a, b *Metric) bool {
 		return false
 	}
 	return feq(a.P50, b.P50) && feq(a.P95, b.P95) && feq(a.P99, b.P99)
-}
-
-// FuzzMergeSnapshots checks merge totality and conservation over arbitrary
-// parsed snapshot pairs: never panic, cumulative buckets stay monotone,
-// histogram Count equals buckets + overflow, and counters conserve their
-// inputs' sum.
-func FuzzMergeSnapshots(f *testing.F) {
-	seed := func(s *Snapshot) {
-		var buf bytes.Buffer
-		if err := s.WriteJSON(&buf); err == nil {
-			f.Add(buf.Bytes(), buf.Bytes())
-		}
-	}
-	seed(snap(mkCounter("c", 3, map[string]string{"role": "subject"}), mkGauge("g", 1)))
-	seed(snap(mkHist("h", []float64{1, 2, 4}, []uint64{1, 2, 0}, 1, 5)))
-	seed(snap(mkHist("h", []float64{2, 8}, []uint64{4, 1}, 0, 9)))
-	f.Add([]byte(`{"metrics":[]}`), []byte(`not json`))
-
-	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
-		var a, b Snapshot
-		okA := json.Unmarshal(aRaw, &a) == nil
-		okB := json.Unmarshal(bRaw, &b) == nil
-		var in []*Snapshot
-		if okA {
-			in = append(in, &a)
-		}
-		if okB {
-			in = append(in, &b)
-		}
-		got := MergeSnapshots(in...)
-
-		// Expected counter totals: first-seen type wins per id.
-		wantCounter := map[string]float64{}
-		typeOf := map[string]string{}
-		for _, s := range in {
-			for i := range s.Metrics {
-				m := &s.Metrics[i]
-				id := m.id()
-				if prev, ok := typeOf[id]; ok && prev != m.Type {
-					continue
-				}
-				typeOf[id] = m.Type
-				if m.Type == "counter" {
-					wantCounter[id] += m.Value
-				}
-			}
-		}
-		for i := range got.Metrics {
-			m := &got.Metrics[i]
-			switch m.Type {
-			case "counter":
-				if want := wantCounter[m.id()]; math.Abs(m.Value-want) > 1e-6*(1+math.Abs(want)) {
-					t.Errorf("counter %s: merged %v, inputs sum to %v", m.id(), m.Value, want)
-				}
-			case "histogram":
-				var prev uint64
-				for _, b := range m.Buckets {
-					if b.Count < prev {
-						t.Errorf("histogram %s: cumulative buckets not monotone: %v", m.id(), m.Buckets)
-						break
-					}
-					prev = b.Count
-				}
-				if len(m.Buckets) > 0 && m.Count != m.Buckets[len(m.Buckets)-1].Count+m.Overflow {
-					t.Errorf("histogram %s: Count %d != last bucket %d + overflow %d",
-						m.id(), m.Count, m.Buckets[len(m.Buckets)-1].Count, m.Overflow)
-				}
-			}
-		}
-
-		// Diff of the merge against one input must not panic and must keep
-		// counters non-negative.
-		if len(in) > 0 {
-			d := DiffSnapshots(got, in[0])
-			for i := range d.Metrics {
-				if m := &d.Metrics[i]; m.Type == "counter" && m.Value < 0 {
-					t.Errorf("diff counter %s negative: %v", m.id(), m.Value)
-				}
-			}
-		}
-	})
 }

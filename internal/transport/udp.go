@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"argus/internal/obs"
@@ -42,12 +43,24 @@ type UDPEndpoint struct {
 	start time.Time
 	max   int
 
+	// peers is the broadcast set, rebuilt under mu by AddPeer and read
+	// without it: Broadcast walks a snapshot and allocates none. A published
+	// slice is never written again.
+	peers atomic.Pointer[[]*net.UDPAddr]
+
 	mu     sync.Mutex
-	peers  []*net.UDPAddr
-	dst    map[Addr]*net.UDPAddr // resolved unicast destinations
+	dst    map[Addr]*net.UDPAddr // resolved unicast destinations, at most maxDestinations
 	bound  bool
 	closed bool
 }
+
+// maxDestinations bounds the resolved-destination cache. Every address a node
+// answers is cached, so without a bound a flood from spoofed source ports
+// would grow it without limit. Past it the cache is reset wholesale, as the
+// object's duplicate-query table is: an address in use is resolved again on
+// its next Send, which for the numeric host:port a frame arrives from costs a
+// parse, not a lookup.
+const maxDestinations = 1024
 
 var _ Endpoint = (*UDPEndpoint)(nil)
 
@@ -73,14 +86,16 @@ func ListenUDP(cfg UDPConfig) (*UDPEndpoint, error) {
 	if ep.max <= 0 {
 		ep.max = 64<<10 - 1
 	}
+	peers := make([]*net.UDPAddr, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp", p)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("transport: peer %q: %w", p, err)
 		}
-		ep.peers = append(ep.peers, ua)
+		peers = append(peers, ua)
 	}
+	ep.peers.Store(&peers)
 	ep.mb.instrument(cfg.Registry, ep.addr)
 	return ep, nil
 }
@@ -94,7 +109,10 @@ func (e *UDPEndpoint) AddPeer(addr string) error {
 		return fmt.Errorf("transport: peer %q: %w", addr, err)
 	}
 	e.mu.Lock()
-	e.peers = append(e.peers, ua)
+	old := *e.peers.Load()
+	peers := append(make([]*net.UDPAddr, 0, len(old)+1), old...)
+	peers = append(peers, ua)
+	e.peers.Store(&peers)
 	e.mu.Unlock()
 	return nil
 }
@@ -132,7 +150,8 @@ func (e *UDPEndpoint) readLoop() {
 	}
 }
 
-// resolve caches the destination lookup for an Addr.
+// resolve caches the destination lookup for an Addr, in at most
+// maxDestinations entries.
 func (e *UDPEndpoint) resolve(to Addr) *net.UDPAddr {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -142,6 +161,9 @@ func (e *UDPEndpoint) resolve(to Addr) *net.UDPAddr {
 	ua, err := net.ResolveUDPAddr("udp", string(to))
 	if err != nil {
 		return nil
+	}
+	if len(e.dst) >= maxDestinations {
+		e.dst = make(map[Addr]*net.UDPAddr)
 	}
 	e.dst[to] = ua
 	return ua
@@ -161,10 +183,7 @@ func (e *UDPEndpoint) Broadcast(payload []byte, ttl int) {
 	if ttl < 1 {
 		return
 	}
-	e.mu.Lock()
-	peers := append([]*net.UDPAddr(nil), e.peers...)
-	e.mu.Unlock()
-	for _, ua := range peers {
+	for _, ua := range *e.peers.Load() {
 		e.conn.WriteToUDP(payload, ua)
 	}
 }

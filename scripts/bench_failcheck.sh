@@ -25,12 +25,15 @@
 #
 # It gates `allocs_per_session` the same way. `warm` and `cold` differ only in
 # their verify caches, and a resumed session looks nothing up, so both measure
-# 7.45–7.68 (15 runs) and share the ceiling 8.3; the `lossy` and `churn`
-# ceilings sit 8–10 % above the most they measured (6.92–7.03, 12 runs, and
-# 10.7–11.3, 5 runs). A session keeps its frames, its two records and its two
-# AES key schedules; each wheel resets the one timer it owns. `lossy` read
-# 11.0–11.8 while a lost frame waited 250 ms for its retransmission and each
-# wheel armed a `time.AfterFunc` whenever its earliest deadline moved earlier.
+# 5.20–5.40 (13 runs) and share the ceiling 5.9; the `lossy` and `churn`
+# ceilings sit 8–10 % above the most they measured (5.33–5.34, 3 runs, and
+# 6.86–7.30, 8 runs). A session keeps its frames and its two AES key
+# schedules; its records come from the engines' free lists, a cached answer
+# is a value, and each wheel resets the one timer it owns. Allocating both
+# session records per session again (≈ 7.0 / 7.1 / 8.8, when the ceilings
+# were 8.3 / 7.6 / 12.5) fails them. `lossy` read 11.0–11.8 while
+# a lost frame waited 250 ms for its retransmission and each wheel armed a
+# `time.AfterFunc` whenever its earliest deadline moved earlier.
 # The ceilings were 25 / 30.5 / 32.5 (measured ≈ 20.4 / 26.0 / 24.5) while
 # every frame decoded onto the heap, compute continuations closed over their
 # sessions, nonces, the hint block and the wheel's closures were allocations
@@ -75,9 +78,9 @@ max_frames() {
 # max_allocs <workload>: the allocs_per_session ceiling, likewise.
 max_allocs() {
 	case "$1" in
-	warm | cold) echo 8.3 ;;
-	lossy) echo 7.6 ;;
-	churn) echo 12.5 ;;
+	warm | cold) echo 5.9 ;;
+	lossy) echo 5.8 ;;
+	churn) echo 7.9 ;;
 	esac
 }
 

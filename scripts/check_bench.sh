@@ -22,36 +22,48 @@
 #                                  closures, 329 before session keys were held
 #                                  prepared and wheel entries embedded, 482
 #                                  before PR 14)
-#   WarmHandshake/resumed 29 allocs/op — the same round on a ticket: hinted
-#                                  QUE1, short RES1, short QUE2; 27 measured
-#                                  + 5 % (49 while every frame decoded onto
-#                                  the heap, continuations closed over their
-#                                  sessions, nonces and the hint block were
-#                                  allocations of their own and the wheel
-#                                  armed a closure a timer; 69 while keys,
-#                                  MACs, tickets and wheel entries were too;
-#                                  303 before the symmetric half came off
-#                                  the allocator). What is left: the
-#                                  simulator's event queue and deliveries
-#                                  ≈18 (the wheel's timers among them), the
-#                                  four frames and two session records a
-#                                  round sends or keeps, the two AES key
-#                                  schedules
-#   WarmHandshake/uncached-resumed 29 allocs/op — resumed with no verify cache
+#   WarmHandshake/resumed 23 allocs/op — the same round on a ticket: hinted
+#                                  QUE1, short RES1, short QUE2; 22 measured
+#                                  + 5 % (24 while both session records were
+#                                  allocated per session; 49 while every
+#                                  frame decoded onto the heap, continuations
+#                                  closed over their sessions, nonces and the
+#                                  hint block were allocations of their own
+#                                  and the wheel armed a closure a timer; 69
+#                                  while keys, MACs, tickets and wheel
+#                                  entries were too; 303 before the
+#                                  symmetric half came off the allocator).
+#                                  What is left: the simulator's event queue
+#                                  and deliveries (the wheel's timers among
+#                                  them), the four frames a round sends, the
+#                                  two AES key schedules. The session
+#                                  records come from the engines' free lists
+#   WarmHandshake/uncached-resumed 23 allocs/op — resumed with no verify cache
 #                                  on either engine, so a lookup is a real
-#                                  P-256 verification; 27 measured + 5 % (109
-#                                  while every resumed RES2 admin-verified the
-#                                  PROF_O bytes its ticket was minted on). Its
-#                                  name must not start with "resumed": check
+#                                  P-256 verification; 22 measured + 5 % (24
+#                                  with per-session records; 109 while every
+#                                  resumed RES2 admin-verified the PROF_O
+#                                  bytes its ticket was minted on). Its name
+#                                  must not start with "resumed": check
 #                                  matches on a prefix
-#   MeshSession/resumed 16 allocs/op — one resumed L2 and one L3 session between
-#                                  engines on a transport.Mesh, the path
-#                                  argus-node ships; 15 measured + 5 %: each
-#                                  session's frames, records and AES key
-#                                  schedules, and the round's QUE1 (46 before
-#                                  the message values, continuations, nonces,
+#   MeshSession/resumed 12 allocs/op — one resumed L2 and one L3 session between
+#                                  engines on a transport.Mesh, once the
+#                                  objects' resend caches are full; 11
+#                                  measured + 5 %: each session's frames and
+#                                  AES key schedules, and the round's QUE1
+#                                  (15 while both session records were
+#                                  allocated per session, 46 before the
+#                                  message values, continuations, nonces,
 #                                  hint block, wheel closures and broadcast
 #                                  peer lists came off the allocator)
+#   MeshSession/udp-resumed 53 allocs/op — the same round between engines on
+#                                  UDP sockets on loopback
+#                                  (transport.UDPEndpoint), the path
+#                                  argus-node ships; 51 measured + 5 % (56
+#                                  with per-session records). The socket's
+#                                  share is per frame: the sender's *UDPAddr,
+#                                  its string Addr, the read loop's payload
+#                                  copy
 #   IssueCertChain 455 allocs/op — one S128 entity certificate: template,
 #                                  TBS marshal, the pinned-width signature
 #                                  and x509's check of it; 433 measured + 5 %
@@ -101,9 +113,10 @@ check BenchmarkAppendToQUE2 0
 check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
 check BenchmarkWarmHandshake/first-contact 302
-check BenchmarkWarmHandshake/resumed 29
-check BenchmarkWarmHandshake/uncached-resumed 29
-check BenchmarkMeshSession/resumed 16
+check BenchmarkWarmHandshake/resumed 23
+check BenchmarkWarmHandshake/uncached-resumed 23
+check BenchmarkMeshSession/resumed 12
+check BenchmarkMeshSession/udp-resumed 53
 check BenchmarkWheelRearm 0
 check BenchmarkIssueCertChain 455
 check BenchmarkRevocationPush 710
