@@ -13,22 +13,27 @@ import (
 )
 
 // meshSessionBudget is the allocation ceiling of one session between engines
-// on a transport.Mesh, measured plus a half. Session records come from the
-// engines' free lists, so a resumed L2 or L3 session measured 5.5: its three
-// frames of its own, its half of the round's QUE1 and the two AES key
-// schedules (7.5 while both session records were allocated per session). A
-// Level 1 session measured 1.0: its QUE1 (2.0 while the object allocated its
-// resend entry, 4.0 while the subject's Level 1 continuation was a closure and
-// a verify-cache lookup copied the admin key and built a hasher).
-var meshSessionBudget = map[Level]float64{L1: 1.5, L2: 6}
+// on a transport.Mesh, measured plus a half. A resumed L2 or L3 session
+// measured 2.15: the two AES key schedules (aes.NewCipher returns an
+// interface, so the schedule escapes) and its share of the chunks its frames
+// are carved from (transport.Slab). It measured 5.5 while each of its frames
+// and its half of the round's QUE1 were allocations of their own, and 7.5
+// while both session records were allocated per session. A Level 1 session
+// measured 0.03, its share of the subject's chunks (1.0 while its QUE1 was
+// allocated, 2.0 while the object allocated its resend entry, 4.0 while the
+// subject's Level 1 continuation was a closure and a verify-cache lookup
+// copied the admin key and built a hasher).
+var meshSessionBudget = map[Level]float64{L1: 0.5, L2: 2.65}
 
 // udpSessionBudget is the same ceiling between engines on UDP sockets on
 // loopback — transport.UDPEndpoint, the path cmd/argus-node ships — measured
-// plus one. A resumed session measured 25.5 and a Level 1 one 11.0 (28.0 and
-// 13.0 while the session records were allocated per session). What the socket
-// adds is per frame: the sender's *UDPAddr (ReadFromUDP), its string Addr and
-// the read loop's payload copy.
-var udpSessionBudget = map[Level]float64{L1: 12, L2: 26.5}
+// plus one. A resumed session measured 2.30 and a Level 1 one 0.12: what the
+// socket adds is its read loops' chunks, since a read loop carves each
+// payload from its slab and interns each source's Addr. They measured 25.5
+// and 11.0 while the read loop allocated the sender's *UDPAddr, its string
+// Addr and a payload copy per frame, and 28.0 and 13.0 while the session
+// records were allocated per session.
+var udpSessionBudget = map[Level]float64{L1: 1.1, L2: 3.3}
 
 // pairNet is a transport a meshPair runs on: open starts a fresh network of
 // it and returns how to join it, with the endpoints a new one's broadcasts
@@ -70,6 +75,7 @@ var pairNets = []pairNet{
 // recorded.
 type meshPair struct {
 	subj  *Subject
+	objs  []*Object
 	n     int // sessions a round
 	round func()
 }
@@ -122,13 +128,14 @@ func newMeshPair(tb testing.TB, pn pairNet, levels ...Level) *meshPair {
 	join := pn.open(tb)
 	vc := cert.NewVerifyCache(0)
 	var addrs []transport.Addr
+	var objs []*Object
 	for _, oid := range oids {
 		prov, err := b.ProvisionObject(oid)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		ep := join(nil)
-		NewObject(prov, wire.V30, Costs{}, WithEndpoint(ep), WithRetry(DefaultRetry()), WithVerifyCache(vc))
+		objs = append(objs, NewObject(prov, wire.V30, Costs{}, WithEndpoint(ep), WithRetry(DefaultRetry()), WithVerifyCache(vc)))
 		addrs = append(addrs, ep.Addr())
 	}
 	sprov, err := b.ProvisionSubject(sid)
@@ -152,7 +159,7 @@ func newMeshPair(tb testing.TB, pn pairNet, levels ...Level) *meshPair {
 			panic(err)
 		}
 	}
-	p := &meshPair{subj: subj, n: len(levels), round: func() {
+	p := &meshPair{subj: subj, objs: objs, n: len(levels), round: func() {
 		sep.Do(start)
 		<-done
 	}}
@@ -192,9 +199,9 @@ func sessionAllocations(t *testing.T, p *meshPair, budget float64) {
 	}
 	runtime.ReadMemStats(&after)
 	perSession := float64(after.Mallocs-before.Mallocs) / float64(p.n*rounds)
-	t.Logf("%.2f allocations per session (budget %.1f)", perSession, budget)
+	t.Logf("%.2f allocations per session (budget %.2f)", perSession, budget)
 	if perSession > budget {
-		t.Fatalf("a session allocates %.2f times, budget %.1f", perSession, budget)
+		t.Fatalf("a session allocates %.2f times, budget %.2f", perSession, budget)
 	}
 	if want := p.n * (1 + warmRounds + rounds); len(p.subj.Results()) != want {
 		t.Fatalf("%d discoveries, want %d", len(p.subj.Results()), want)
@@ -202,18 +209,24 @@ func sessionAllocations(t *testing.T, p *meshPair, budget float64) {
 }
 
 // BenchmarkMeshSession measures one resumed round — one L2 and one L3 session
-// — between engines on a transport.Mesh (resumed) and between UDP sockets on
-// loopback (udp-resumed), each node its own goroutine.
+// — and one Level 1 round between engines on a transport.Mesh (resumed,
+// level-1) and between UDP sockets on loopback (udp-resumed, udp-level-1),
+// each node its own goroutine.
 func BenchmarkMeshSession(b *testing.B) {
 	for _, pn := range pairNets {
-		b.Run(pn.prefix+"resumed", func(b *testing.B) {
-			p := newMeshPair(b, pn, L2, L3)
-			p.warm()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.round()
-			}
-		})
+		for _, round := range []struct {
+			name   string
+			levels []Level
+		}{{"resumed", []Level{L2, L3}}, {"level-1", []Level{L1}}} {
+			b.Run(pn.prefix+round.name, func(b *testing.B) {
+				p := newMeshPair(b, pn, round.levels...)
+				p.warm()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.round()
+				}
+			})
+		}
 	}
 }

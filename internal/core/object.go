@@ -58,6 +58,9 @@ type Object struct {
 	// next session to reuse (freeList).
 	free freeList[objSession]
 
+	// frames carves the frames the object sends (transport.Slab).
+	frames transport.Slab
+
 	// publicRES1 and variantEnc are the wire encodings of a Level 1 object's
 	// one answer and of each prov.Variants[i].Profile, made when the provision
 	// arrives, not per answer.
@@ -407,7 +410,7 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	sess.short, sess.subject = true, t.subject
 	o.tel.que1Result(resultResume)
 	res := wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: sess.ro[:]}
-	sess.owed = res.Encode()
+	sess.owed = res.AppendTo(o.frames.Take(res.EncodedSize()))
 	o.compute(o.costs.HMAC, sess)
 }
 
@@ -456,7 +459,7 @@ func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
 	}
 	res.Sig = sig
 	sess.kex, sess.res1Enc = kex, nil
-	sess.owed = res.Encode()
+	sess.owed = res.AppendTo(o.frames.Take(res.EncodedSize()))
 	o.tel.count(opsKexGen, 1)
 	o.tel.count(opsSign, 1)
 	o.compute(extra+o.costs.KexGen+o.costs.Sign, sess)
@@ -758,7 +761,8 @@ func (o *Object) refuseQUE2(from transport.Addr, sess *objSession) {
 		o.tel.que2Result(resultRejected)
 	case !sess.short:
 		o.tel.resumption(resultRefused)
-		o.ep.Send(from, (&wire.RES2{Version: o.version}).Encode())
+		refusal := wire.RES2{Version: o.version}
+		o.ep.Send(from, refusal.AppendTo(o.frames.Take(refusal.EncodedSize())))
 	case sess.kex == nil:
 		o.tel.resumption(resultRefused)
 		o.signRES1(sess, 0)
@@ -944,7 +948,8 @@ func (o *Object) scheduleGC(sess *objSession) {
 // transcript cut after it, both written straight into the frame.
 func (o *Object) buildRES2(ts wire.Transcript, m *wire.QUE2, key *suite.Key, i int) []byte {
 	plain := o.variantEnc[i]
-	frame, ct, mac := wire.NewRES2Frame(o.version, suite.CiphertextLen(len(plain)), suite.MACSize)
+	n := suite.CiphertextLen(len(plain))
+	frame, ct, mac := wire.NewRES2Frame(o.frames.Take(wire.RES2Size(n, suite.MACSize)), o.version, n, suite.MACSize)
 	if _, err := key.EncryptProfile(ct[:0], plain, nil); err != nil {
 		return nil
 	}

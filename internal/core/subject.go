@@ -107,6 +107,9 @@ type Subject struct {
 	sessFree freeList[subjSession]
 	l1Free   freeList[l1Answer]
 
+	// frames carves the frames the subject sends (transport.Slab).
+	frames transport.Slab
+
 	tel *subjectTelemetry
 
 	// OnDiscovery, if set, is invoked for every verified discovery, on the
@@ -334,7 +337,7 @@ func (s *Subject) Discover(ttl int) error {
 		q.Hints = s.hints(&hints)
 	}
 	s.expect()
-	s.que1Enc = q.Encode()
+	s.que1Enc = q.AppendTo(s.frames.Take(q.EncodedSize()))
 	s.ep.Broadcast(s.que1Enc, ttl)
 	if s.retry.Enabled() && s.retry.Que1Retries > 0 {
 		s.armQue1(1)
@@ -955,7 +958,7 @@ func (sess *subjSession) Run() {
 		return
 	}
 	sess.stamps.que2At = s.ep.Now()
-	enc := sess.que2.Encode()
+	enc := sess.que2.AppendTo(s.frames.Take(sess.que2.EncodedSize()))
 	sess.que2Enc = enc
 	sess.sentAt = s.ep.Now()
 	s.ep.Send(sess.key.peer, enc)

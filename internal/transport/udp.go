@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,20 +47,25 @@ type UDPEndpoint struct {
 	// peers is the broadcast set, rebuilt under mu by AddPeer and read
 	// without it: Broadcast walks a snapshot and allocates none. A published
 	// slice is never written again.
-	peers atomic.Pointer[[]*net.UDPAddr]
+	peers atomic.Pointer[[]netip.AddrPort]
+
+	// in is the slab the read loop carves inbound payloads from.
+	in Slab
 
 	mu     sync.Mutex
-	dst    map[Addr]*net.UDPAddr // resolved unicast destinations, at most maxDestinations
+	from   map[netip.AddrPort]Addr // the Addr of each source heard, at most maxDestinations
+	dst    map[Addr]netip.AddrPort // resolved unicast destinations, at most maxDestinations
 	bound  bool
 	closed bool
 }
 
-// maxDestinations bounds the resolved-destination cache. Every address a node
-// answers is cached, so without a bound a flood from spoofed source ports
-// would grow it without limit. Past it the cache is reset wholesale, as the
-// object's duplicate-query table is: an address in use is resolved again on
-// its next Send, which for the numeric host:port a frame arrives from costs a
-// parse, not a lookup.
+// maxDestinations bounds the resolved-destination cache and the table of
+// source Addrs. Every address a node hears from is interned and every address
+// it answers is resolved, so without a bound a flood from spoofed source ports
+// would grow both without limit. Past it a table is reset wholesale, as the
+// object's duplicate-query table is: an address in use is interned or resolved
+// again on its next frame, which for the numeric host:port a frame arrives
+// from costs a string or a parse, not a lookup.
 const maxDestinations = 1024
 
 var _ Endpoint = (*UDPEndpoint)(nil)
@@ -81,19 +87,20 @@ func ListenUDP(cfg UDPConfig) (*UDPEndpoint, error) {
 		mb:    newMailbox(cfg.Mailbox),
 		start: time.Now(),
 		max:   cfg.MaxFrame,
-		dst:   make(map[Addr]*net.UDPAddr),
+		from:  make(map[netip.AddrPort]Addr),
+		dst:   make(map[Addr]netip.AddrPort),
 	}
 	if ep.max <= 0 {
 		ep.max = 64<<10 - 1
 	}
-	peers := make([]*net.UDPAddr, 0, len(cfg.Peers))
+	peers := make([]netip.AddrPort, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
-		ua, err := net.ResolveUDPAddr("udp", p)
+		ap, err := resolveUDP(p)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("transport: peer %q: %w", p, err)
 		}
-		peers = append(peers, ua)
+		peers = append(peers, ap)
 	}
 	ep.peers.Store(&peers)
 	ep.mb.instrument(cfg.Registry, ep.addr)
@@ -104,14 +111,14 @@ func ListenUDP(cfg UDPConfig) (*UDPEndpoint, error) {
 // is bound — ports chosen by the OS (":0") are only knowable once every
 // participant is listening, so mutual peer sets need a second pass.
 func (e *UDPEndpoint) AddPeer(addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
+	ap, err := resolveUDP(addr)
 	if err != nil {
 		return fmt.Errorf("transport: peer %q: %w", addr, err)
 	}
 	e.mu.Lock()
 	old := *e.peers.Load()
-	peers := append(make([]*net.UDPAddr, 0, len(old)+1), old...)
-	peers = append(peers, ua)
+	peers := append(make([]netip.AddrPort, 0, len(old)+1), old...)
+	peers = append(peers, ap)
 	e.peers.Store(&peers)
 	e.mu.Unlock()
 	return nil
@@ -135,45 +142,84 @@ func (e *UDPEndpoint) Bind(h Handler) {
 	go e.readLoop()
 }
 
-// readLoop copies each datagram into a fresh buffer and enqueues it; it
-// exits when Close shuts the socket down.
+// readLoop copies each datagram out of the receive buffer into a frame of
+// the endpoint's slab and enqueues it; it exits when Close shuts the socket
+// down.
 func (e *UDPEndpoint) readLoop() {
 	buf := make([]byte, e.max)
 	for {
-		n, src, err := e.conn.ReadFromUDP(buf)
+		n, src, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
-		e.mb.enqueueMsg(Addr(src.String()), payload)
+		e.mb.enqueueMsg(e.source(src), append(e.in.Take(n), buf[:n]...))
 	}
+}
+
+// source returns the Addr of src, interned in at most maxDestinations
+// entries: the string ReadFromUDP's *UDPAddr printed, so an IPv4 source on a
+// dual-stack socket is the plain dotted quad. A new source is a resolved
+// destination too, so answering it parses nothing.
+func (e *UDPEndpoint) source(src netip.AddrPort) Addr {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if a, ok := e.from[src]; ok {
+		return a
+	}
+	if len(e.from) >= maxDestinations {
+		e.from = make(map[netip.AddrPort]Addr)
+	}
+	ap := netip.AddrPortFrom(src.Addr().Unmap(), src.Port())
+	a := Addr(ap.String())
+	e.from[src] = a
+	e.remember(a, ap)
+	return a
+}
+
+// remember files ap as the destination of to; the caller holds mu.
+func (e *UDPEndpoint) remember(to Addr, ap netip.AddrPort) {
+	if len(e.dst) >= maxDestinations {
+		e.dst = make(map[Addr]netip.AddrPort)
+	}
+	e.dst[to] = ap
+}
+
+// resolveUDP resolves a host:port to the form the socket writes to: IPv4 as
+// four bytes, which an IPv4 socket requires and a dual-stack one maps, and a
+// missing host (":port") as this host, as WriteToUDP takes a nil IP.
+func resolveUDP(addr string) (netip.AddrPort, error) {
+	ua, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	ip := ua.AddrPort().Addr().Unmap()
+	if !ip.IsValid() {
+		ip = netip.IPv4Unspecified()
+	}
+	return netip.AddrPortFrom(ip, uint16(ua.Port)), nil
 }
 
 // resolve caches the destination lookup for an Addr, in at most
 // maxDestinations entries.
-func (e *UDPEndpoint) resolve(to Addr) *net.UDPAddr {
+func (e *UDPEndpoint) resolve(to Addr) (netip.AddrPort, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ua, ok := e.dst[to]; ok {
-		return ua
+	if ap, ok := e.dst[to]; ok {
+		return ap, true
 	}
-	ua, err := net.ResolveUDPAddr("udp", string(to))
+	ap, err := resolveUDP(string(to))
 	if err != nil {
-		return nil
+		return ap, false
 	}
-	if len(e.dst) >= maxDestinations {
-		e.dst = make(map[Addr]*net.UDPAddr)
-	}
-	e.dst[to] = ua
-	return ua
+	e.remember(to, ap)
+	return ap, true
 }
 
 // Send implements Endpoint: one datagram, best-effort (radio semantics —
 // resolution or write failures drop the frame silently).
 func (e *UDPEndpoint) Send(to Addr, payload []byte) {
-	if ua := e.resolve(to); ua != nil {
-		e.conn.WriteToUDP(payload, ua)
+	if ap, ok := e.resolve(to); ok {
+		e.conn.WriteToUDPAddrPort(payload, ap)
 	}
 }
 
@@ -183,8 +229,8 @@ func (e *UDPEndpoint) Broadcast(payload []byte, ttl int) {
 	if ttl < 1 {
 		return
 	}
-	for _, ua := range *e.peers.Load() {
-		e.conn.WriteToUDP(payload, ua)
+	for _, ap := range *e.peers.Load() {
+		e.conn.WriteToUDPAddrPort(payload, ap)
 	}
 }
 

@@ -41,9 +41,11 @@ func TestUDPBroadcastAllocatesNothing(t *testing.T) {
 }
 
 // TestUDPDestinationsBounded: a node answers frames from 10 000 distinct
-// source ports, one socket at a time — a flood from spoofed ports — and its
-// table of resolved destinations never holds more than maxDestinations. The
-// configured peer stays reachable, by Broadcast and by Send.
+// source ports, one socket at a time — a flood from spoofed ports — and
+// neither its table of source Addrs nor its table of resolved destinations
+// ever holds more than maxDestinations. Each frame arrives from the Addr its
+// socket prints. The configured peer stays reachable, by Broadcast and by
+// Send.
 func TestUDPDestinationsBounded(t *testing.T) {
 	const flood = 10_000
 	peer := listenLoopback(t)
@@ -51,10 +53,10 @@ func TestUDPDestinationsBounded(t *testing.T) {
 	peer.Bind(handlerFunc(func(_ Addr, p []byte) { heard <- p }))
 
 	ep := listenLoopback(t, string(peer.Addr()))
-	answered := make(chan struct{}, 1)
+	answered := make(chan Addr, 1)
 	ep.Bind(handlerFunc(func(from Addr, p []byte) {
 		ep.Send(from, p) // what an engine does: answer the sender
-		answered <- struct{}{}
+		answered <- from
 	}))
 	to := ep.conn.LocalAddr().(*net.UDPAddr)
 
@@ -74,16 +76,19 @@ func TestUDPDestinationsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case <-answered:
+		case from := <-answered:
+			if want := Addr(c.LocalAddr().String()); from != want {
+				t.Fatalf("frame %d arrived from %q, sent from %q", len(ports), from, want)
+			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("frame %d was not answered", len(ports))
 		}
 		c.Close()
 		ep.mu.Lock()
-		n := len(ep.dst)
+		nf, nd := len(ep.from), len(ep.dst)
 		ep.mu.Unlock()
-		if n > maxDestinations {
-			t.Fatalf("after %d sources the destination table holds %d, cap %d", len(ports), n, maxDestinations)
+		if nf > maxDestinations || nd > maxDestinations {
+			t.Fatalf("after %d sources the source table holds %d and the destination table %d, cap %d", len(ports), nf, nd, maxDestinations)
 		}
 	}
 

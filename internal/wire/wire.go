@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 
 	"argus/internal/enc"
@@ -357,7 +358,11 @@ func (m *RES2) Type() MsgType { return TRES2 }
 func (m *RES2) Refusal() bool { return len(m.Ciphertext) == 0 && len(m.MACO) == 0 }
 
 // EncodedSize implements Message.
-func (m *RES2) EncodedSize() int { return 2 + 4 + len(m.Ciphertext) + len(m.MACO) }
+func (m *RES2) EncodedSize() int { return RES2Size(len(m.Ciphertext), len(m.MACO)) }
+
+// RES2Size returns the encoded length of a RES2 with a ctLen-byte ciphertext
+// and a macLen-byte MAC_O.
+func RES2Size(ctLen, macLen int) int { return 2 + 4 + ctLen + macLen }
 
 // AppendTo implements Message.
 func (m *RES2) AppendTo(buf []byte) []byte {
@@ -371,21 +376,23 @@ func (m *RES2) Encode() []byte {
 	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
 }
 
-// NewRES2Frame returns the encoding of a RES2 with a ctLen-byte ciphertext and
-// a macLen-byte MAC_O, everything written but those two fields, and the
-// windows they go in. An object encrypts and MACs straight into its answer,
-// so the frame is the answer's only allocation.
-func NewRES2Frame(v Version, ctLen, macLen int) (frame, ct, mac []byte) {
+// NewRES2Frame appends to buf the encoding of a RES2 with a ctLen-byte
+// ciphertext and a macLen-byte MAC_O, everything written but those two fields,
+// and returns it with the windows they go in. An object encrypts and MACs
+// straight into its answer, so a buf with room for RES2Size bytes makes the
+// answer cost no allocation of its own.
+func NewRES2Frame(buf []byte, v Version, ctLen, macLen int) (frame, ct, mac []byte) {
 	if ctLen > 0xFFFF || macLen > 0xFFFF {
 		panic(fmt.Sprintf("enc: field too long (%d bytes)", max(ctLen, macLen)))
 	}
-	frame = make([]byte, 0, (&RES2{}).EncodedSize()+ctLen+macLen)
+	frame = slices.Grow(buf, RES2Size(ctLen, macLen))
 	frame = append(frame, byte(TRES2), byte(v))
 	frame = binary.BigEndian.AppendUint16(frame, uint16(ctLen))
 	ctAt := len(frame)
 	frame = binary.BigEndian.AppendUint16(frame[:ctAt+ctLen], uint16(macLen))
-	frame = frame[:cap(frame)]
-	return frame, frame[ctAt : ctAt+ctLen : ctAt+ctLen], frame[len(frame)-macLen:]
+	macAt := len(frame)
+	frame = frame[:macAt+macLen]
+	return frame, frame[ctAt : ctAt+ctLen : ctAt+ctLen], frame[macAt : macAt+macLen : macAt+macLen]
 }
 
 // Decode parses any wire message into a fresh value: the form for tools and

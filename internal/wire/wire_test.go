@@ -270,16 +270,26 @@ func TestRES2RoundTripAndShape(t *testing.T) {
 		t.Error("RES2 shapes differ")
 	}
 	// Built in place, the frame is the encoding: ciphertext appended into its
-	// window stays there, and cannot run into MAC_O's length prefix.
+	// window stays there, and cannot run into MAC_O's length prefix. Into a
+	// buffer with room for exactly RES2Size bytes the frame is that buffer;
+	// into none it is allocated.
 	for _, n := range []int{0, 64, 256} {
 		want := &RES2{Version: V20, Ciphertext: bytes.Repeat([]byte{3}, n), MACO: bytes.Repeat([]byte{4}, 32)}
-		frame, ct, mac := NewRES2Frame(V20, n, 32)
-		if cap(ct) != n || len(append(ct[:0], want.Ciphertext...)) != n {
-			t.Fatalf("ciphertext window of %d B has cap %d", n, cap(ct))
-		}
-		copy(mac, want.MACO)
-		if !bytes.Equal(frame, want.Encode()) {
-			t.Errorf("%d B ciphertext: frame\n%x\nwant\n%x", n, frame, want.Encode())
+		for _, buf := range [][]byte{nil, make([]byte, 0, RES2Size(n, 32))} {
+			frame, ct, mac := NewRES2Frame(buf, V20, n, 32)
+			if cap(ct) != n || len(append(ct[:0], want.Ciphertext...)) != n {
+				t.Fatalf("ciphertext window of %d B has cap %d", n, cap(ct))
+			}
+			if cap(mac) != 32 {
+				t.Fatalf("MAC_O window has cap %d", cap(mac))
+			}
+			copy(mac, want.MACO)
+			if !bytes.Equal(frame, want.Encode()) {
+				t.Errorf("%d B ciphertext: frame\n%x\nwant\n%x", n, frame, want.Encode())
+			}
+			if buf != nil && &frame[0] != &buf[:1][0] {
+				t.Errorf("%d B ciphertext: the frame was not built in the buffer given", n)
+			}
 		}
 	}
 }

@@ -24,16 +24,18 @@
 # ISSUE 24 (5.22 / 5.22 / 5.25 / 6.46), cannot come back unnoticed.
 #
 # It gates `allocs_per_session` the same way. `warm` and `cold` differ only in
-# their verify caches, and a resumed session looks nothing up, so both measure
-# 5.20–5.40 (13 runs) and share the ceiling 5.9; the `lossy` and `churn`
-# ceilings sit 8–10 % above the most they measured (5.33–5.34, 3 runs, and
-# 6.86–7.30, 8 runs). A session keeps its frames and its two AES key
-# schedules; its records come from the engines' free lists, a cached answer
-# is a value, and each wheel resets the one timer it owns. Allocating both
-# session records per session again (≈ 7.0 / 7.1 / 8.8, when the ceilings
-# were 8.3 / 7.6 / 12.5) fails them. `lossy` read 11.0–11.8 while
-# a lost frame waited 250 ms for its retransmission and each wheel armed a
-# `time.AfterFunc` whenever its earliest deadline moved earlier.
+# their verify caches, and a resumed session looks nothing up, so they
+# measure alike (2.48–2.64 in 15 runs and 2.53–2.69 in 8) and share the
+# ceiling 2.95; the `lossy` and `churn` ceilings sit 8–9 % above the most
+# they measured (2.48–2.67 and 3.98–4.46, 8 runs each). A session keeps its
+# frames, carved from its engines' slabs (transport.Slab), and allocates its
+# two AES key schedules; its records come from the engines' free lists, a
+# cached answer is a value, and each wheel resets the one timer it owns. Each
+# frame an allocation of its own again (5.15–5.33 / 5.18–5.25 / 6.34–6.96,
+# when the ceilings were 5.9 / 5.8 / 7.9) fails them, and so does allocating
+# both session records per session (≈ 7.0 / 7.1 / 8.8). `lossy` read
+# 11.0–11.8 while a lost frame waited 250 ms for its retransmission and each
+# wheel armed a `time.AfterFunc` whenever its earliest deadline moved earlier.
 # The ceilings were 25 / 30.5 / 32.5 (measured ≈ 20.4 / 26.0 / 24.5) while
 # every frame decoded onto the heap, compute continuations closed over their
 # sessions, nonces, the hint block and the wheel's closures were allocations
@@ -78,9 +80,9 @@ max_frames() {
 # max_allocs <workload>: the allocs_per_session ceiling, likewise.
 max_allocs() {
 	case "$1" in
-	warm | cold) echo 5.9 ;;
-	lossy) echo 5.8 ;;
-	churn) echo 7.9 ;;
+	warm | cold) echo 2.95 ;;
+	lossy) echo 2.9 ;;
+	churn) echo 4.85 ;;
 	esac
 }
 

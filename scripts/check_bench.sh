@@ -22,48 +22,60 @@
 #                                  closures, 329 before session keys were held
 #                                  prepared and wheel entries embedded, 482
 #                                  before PR 14)
-#   WarmHandshake/resumed 23 allocs/op — the same round on a ticket: hinted
-#                                  QUE1, short RES1, short QUE2; 22 measured
-#                                  + 5 % (24 while both session records were
-#                                  allocated per session; 49 while every
-#                                  frame decoded onto the heap, continuations
-#                                  closed over their sessions, nonces and the
-#                                  hint block were allocations of their own
-#                                  and the wheel armed a closure a timer; 69
-#                                  while keys, MACs, tickets and wheel
-#                                  entries were too; 303 before the
-#                                  symmetric half came off the allocator).
-#                                  What is left: the simulator's event queue
-#                                  and deliveries (the wheel's timers among
-#                                  them), the four frames a round sends, the
-#                                  two AES key schedules. The session
-#                                  records come from the engines' free lists
-#   WarmHandshake/uncached-resumed 23 allocs/op — resumed with no verify cache
+#   WarmHandshake/resumed 19 allocs/op — the same round on a ticket: hinted
+#                                  QUE1, short RES1, short QUE2; 18 measured
+#                                  + 5 % (22 while each frame was an
+#                                  allocation of its own; 24 while both
+#                                  session records were allocated per
+#                                  session; 49 while every frame decoded onto
+#                                  the heap, continuations closed over their
+#                                  sessions, nonces and the hint block were
+#                                  allocations of their own and the wheel
+#                                  armed a closure a timer; 69 while keys,
+#                                  MACs, tickets and wheel entries were too;
+#                                  303 before the symmetric half came off the
+#                                  allocator). What is left: the simulator's
+#                                  event queue and deliveries (the wheel's
+#                                  timers among them), the two AES key
+#                                  schedules and the engines' slab chunks
+#                                  (transport.Slab) the frames are carved
+#                                  from. The session records come from the
+#                                  engines' free lists
+#   WarmHandshake/uncached-resumed 19 allocs/op — resumed with no verify cache
 #                                  on either engine, so a lookup is a real
-#                                  P-256 verification; 22 measured + 5 % (24
-#                                  with per-session records; 109 while every
+#                                  P-256 verification; 18 measured + 5 % (22
+#                                  with a frame an allocation, 24 with
+#                                  per-session records; 109 while every
 #                                  resumed RES2 admin-verified the PROF_O
 #                                  bytes its ticket was minted on). Its name
 #                                  must not start with "resumed": check
 #                                  matches on a prefix
-#   MeshSession/resumed 12 allocs/op — one resumed L2 and one L3 session between
+#   MeshSession/resumed 5 allocs/op — one resumed L2 and one L3 session between
 #                                  engines on a transport.Mesh, once the
-#                                  objects' resend caches are full; 11
-#                                  measured + 5 %: each session's frames and
-#                                  AES key schedules, and the round's QUE1
-#                                  (15 while both session records were
-#                                  allocated per session, 46 before the
-#                                  message values, continuations, nonces,
-#                                  hint block, wheel closures and broadcast
-#                                  peer lists came off the allocator)
-#   MeshSession/udp-resumed 53 allocs/op — the same round between engines on
+#                                  objects' resend caches are full; 4
+#                                  measured + 5 %, rounded up: each session's
+#                                  two AES key schedules, the frames carved
+#                                  from the engines' slabs (11 while each
+#                                  frame was an allocation of its own, 15
+#                                  while both session records were allocated
+#                                  per session, 46 before the message values,
+#                                  continuations, nonces, hint block, wheel
+#                                  closures and broadcast peer lists came off
+#                                  the allocator)
+#   MeshSession/udp-resumed 5 allocs/op — the same round between engines on
 #                                  UDP sockets on loopback
 #                                  (transport.UDPEndpoint), the path
-#                                  argus-node ships; 51 measured + 5 % (56
-#                                  with per-session records). The socket's
-#                                  share is per frame: the sender's *UDPAddr,
-#                                  its string Addr, the read loop's payload
-#                                  copy
+#                                  argus-node ships; 4 measured + 5 %,
+#                                  rounded up. The read loop interns each
+#                                  source's Addr and carves each payload from
+#                                  its slab (51 while it allocated the
+#                                  sender's *UDPAddr, its string Addr and a
+#                                  payload copy per frame, 56 with
+#                                  per-session records)
+#   MeshSession/udp-level-1 1 alloc/op — one Level 1 round over UDP on
+#                                  loopback; 0 measured (0.12 a round: slab
+#                                  chunks), 11 while the read loop allocated
+#                                  per frame
 #   IssueCertChain 455 allocs/op — one S128 entity certificate: template,
 #                                  TBS marshal, the pinned-width signature
 #                                  and x509's check of it; 433 measured + 5 %
@@ -113,10 +125,11 @@ check BenchmarkAppendToQUE2 0
 check BenchmarkEncodeQUE2 1
 check BenchmarkDecodeQUE2 1
 check BenchmarkWarmHandshake/first-contact 302
-check BenchmarkWarmHandshake/resumed 23
-check BenchmarkWarmHandshake/uncached-resumed 23
-check BenchmarkMeshSession/resumed 12
-check BenchmarkMeshSession/udp-resumed 53
+check BenchmarkWarmHandshake/resumed 19
+check BenchmarkWarmHandshake/uncached-resumed 19
+check BenchmarkMeshSession/resumed 5
+check BenchmarkMeshSession/udp-resumed 5
+check BenchmarkMeshSession/udp-level-1 1
 check BenchmarkWheelRearm 0
 check BenchmarkIssueCertChain 455
 check BenchmarkRevocationPush 710
