@@ -26,7 +26,7 @@ FUZZTIME ?= 15s
 # The BENCH_N.json files are frozen history, each in its PR's schema
 # (EXPERIMENTS.md says what measures each one now).
 
-.PHONY: build bench-build test race vet fmt-check deps-check docs-check verify cover cover-check fuzz chaos bench bench-obs bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
+.PHONY: build bench-build test race vet fmt-check deps-check docs-check size-check verify cover cover-check fuzz chaos bench bench-obs bench-check bench-failcheck load soak capacity ops-smoke backend-smoke capacity-smoke clean
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,10 @@ bench-build:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Race-enabled run of the packages with real concurrency: the telemetry
-# registry is hammered from many goroutines, cert's verification cache and
-# batch issuance fan out across worker pools, backend provisioning does the
-# same, and core's Results/PendingSessions are read cross-goroutine.
+# registry is hammered from many goroutines, cert's verification cache is
+# shared across engines, backend registration and provisioning fan out
+# across a worker pool, and core's Results/PendingSessions are read
+# cross-goroutine.
 race:
 	$(GO) test -race ./internal/obs ./internal/core ./internal/netsim ./internal/cert ./internal/backend ./internal/transport ./internal/load ./internal/realtime ./internal/update ./internal/adversary ./internal/backendsvc ./internal/backendclient ./internal/wire ./internal/suite
 
@@ -66,6 +67,13 @@ deps-check:
 docs-check:
 	scripts/check_docs.sh
 
+# Size ratchet: fails if any package's non-test Go lines (benchmark/ aside)
+# exceed its line in scripts/size_baseline.txt. A change that grows a
+# package raises its line in the same diff; `scripts/check_size.sh update`
+# lowers the lines after a cut.
+size-check:
+	scripts/check_size.sh
+
 # Per-package statement coverage (the human-readable view).
 cover:
 	$(GO) test -count=1 -cover ./...
@@ -78,7 +86,7 @@ cover-check:
 	scripts/check_coverage.sh
 
 # Full gate: everything CI and the verify skill run.
-verify: build vet fmt-check deps-check docs-check test bench-build race
+verify: build vet fmt-check deps-check docs-check size-check test bench-build race
 
 # Codec, key-schedule and update-agent fuzzing (one target per invocation: go test allows a single
 # -fuzz pattern at a time). FUZZTIME=2m make fuzz for a longer campaign.

@@ -1,5 +1,5 @@
 // Command argus-backend hosts the enterprise backend as a long-running
-// service: a sharded, multi-tenant store behind the versioned /v1 HTTP API
+// service: a multi-tenant store behind the versioned /v1 HTTP API
 // (internal/backendsvc). Each tenant is one enterprise — its own trust
 // anchor, policy set and secret groups — durably persisted through a
 // write-ahead log with snapshot compaction, so a crash mid-churn replays to
@@ -54,17 +54,16 @@ func main() {
 		data     = flag.String("data", "argus-data", "state directory (per-tenant WAL and snapshot files)")
 		adminKey = flag.String("admin-key", "", "key guarding tenant administration (empty generates one and prints it)")
 		initDemo = flag.Bool("init-demo", false, "ensure the demo tenant exists and print its auth key")
-		shards   = flag.Int("shards", 0, "worker shards per new tenant (0 = serial)")
 		duration = flag.Duration("duration", 0, "serve this long then exit (0 = until SIGTERM)")
 	)
 	flag.Parse()
-	if err := run(*listen, *data, *adminKey, *initDemo, *shards, *duration); err != nil {
+	if err := run(*listen, *data, *adminKey, *initDemo, *duration); err != nil {
 		fmt.Fprintf(os.Stderr, "argus-backend: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, data, adminKey string, initDemo bool, shards int, duration time.Duration) error {
+func run(listen, data, adminKey string, initDemo bool, duration time.Duration) error {
 	reg := obs.NewRegistry()
 	store, err := backendsvc.OpenStore(data, reg)
 	if err != nil {
@@ -79,7 +78,7 @@ func run(listen, data, adminKey string, initDemo bool, shards int, duration time
 		fmt.Printf("admin-key %s\n", adminKey)
 	}
 	if initDemo {
-		key, err := ensureDemoTenant(store, shards)
+		key, err := ensureDemoTenant(store)
 		if err != nil {
 			return err
 		}
@@ -122,13 +121,13 @@ func run(listen, data, adminKey string, initDemo bool, shards int, duration time
 // ensureDemoTenant creates (or reuses) the "demo" tenant holding the same
 // enterprise argus-node -init writes to a snapshot file, so the quickstart
 // and the smoke test work against either state source.
-func ensureDemoTenant(store *backendsvc.Store, shards int) (authKey string, err error) {
+func ensureDemoTenant(store *backendsvc.Store) (authKey string, err error) {
 	if tn, err := store.Tenant("demo"); err == nil {
 		return tn.AuthKey(), nil // already provisioned on a previous run
 	} else if !errors.Is(err, backendsvc.ErrNoTenant) {
 		return "", err
 	}
-	tn, err := store.Create("demo", suite.S128, shards)
+	tn, err := store.Create("demo", suite.S128)
 	if err != nil {
 		return "", err
 	}

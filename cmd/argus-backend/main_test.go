@@ -90,7 +90,7 @@ func TestE2ECrashMidChurnReplaysFingerprint(t *testing.T) {
 
 	// Tenant administration and churn happen over the versioned API only.
 	admin := backendclient.NewAdmin(base, "root")
-	acmeKey, err := admin.CreateTenant(ctx, "acme", suite.S128, 2)
+	acmeKey, err := admin.CreateTenant(ctx, "acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestE2EDiscoveryFromBackendHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := store.Create("demo", suite.S128, 0)
+	tn, err := store.Create("demo", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}

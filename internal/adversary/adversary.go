@@ -54,42 +54,33 @@ func WrapTap(ep transport.Endpoint, taps ...Tap) transport.Endpoint {
 	if len(taps) == 0 {
 		return ep
 	}
-	return &tapEndpoint{inner: ep, taps: taps}
+	return &tapEndpoint{Endpoint: ep, taps: taps}
 }
 
 type tapEndpoint struct {
-	inner transport.Endpoint
-	taps  []Tap
+	transport.Endpoint
+	taps []Tap
 }
 
-func (t *tapEndpoint) Addr() transport.Addr { return t.inner.Addr() }
-func (t *tapEndpoint) Now() time.Duration   { return t.inner.Now() }
-
 func (t *tapEndpoint) Send(to transport.Addr, payload []byte) {
-	at := t.inner.Now()
+	at := t.Now()
 	for _, tap := range t.taps {
 		tap.Outbound(to, payload, at)
 	}
-	t.inner.Send(to, payload)
+	t.Endpoint.Send(to, payload)
 }
 
 func (t *tapEndpoint) Broadcast(payload []byte, ttl int) {
-	at := t.inner.Now()
+	at := t.Now()
 	for _, tap := range t.taps {
 		tap.Outbound("", payload, at)
 	}
-	t.inner.Broadcast(payload, ttl)
+	t.Endpoint.Broadcast(payload, ttl)
 }
 
-func (t *tapEndpoint) NewTimer(fn func()) transport.Timer { return t.inner.NewTimer(fn) }
-func (t *tapEndpoint) Compute(cost time.Duration, task transport.Task) {
-	t.inner.Compute(cost, task)
-}
-func (t *tapEndpoint) Do(fn func()) { t.inner.Do(fn) }
-func (t *tapEndpoint) Close() error { return t.inner.Close() }
 func (t *tapEndpoint) Bind(h transport.Handler) {
-	t.inner.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
-		at := t.inner.Now()
+	t.Endpoint.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
+		at := t.Now()
 		for _, tap := range t.taps {
 			tap.Inbound(from, payload, at)
 		}
@@ -137,14 +128,12 @@ func (r *recorder) total() int {
 // awaitFrom polls until at least n frames arrived from addr or the deadline
 // passes, returning the snapshot either way.
 func (r *recorder) awaitFrom(addr transport.Addr, n int, timeout time.Duration) [][]byte {
-	deadline := time.Now().Add(timeout)
-	for {
-		fs := r.from(addr)
-		if len(fs) >= n || time.Now().After(deadline) {
-			return fs
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	var fs [][]byte
+	transport.Poll(timeout, 0, func() bool {
+		fs = r.from(addr)
+		return len(fs) >= n
+	})
+	return fs
 }
 
 // settle polls until the total frame count stops growing for one quiet

@@ -61,15 +61,8 @@ func (b *Backend) InstallObject(id cert.ID, name string, level Level, attrs attr
 	}
 	b.keys[id] = key
 	b.certs[id] = certDER
-	b.objects[id] = &ObjectRecord{
-		ID: id, Name: name, Level: level,
-		Attrs:     attrs.Clone(),
-		Functions: append([]string(nil), functions...),
-		covert:    make(map[groups.ID][]string),
-		revoked:   make(map[cert.ID]bool),
-	}
 	b.admin.RestoreSerial(adminSerial)
-	b.countChurn("register_object", UpdateReport{NotifiedObjects: []cert.ID{id}})
+	b.addObject(id, ObjectSpec{Name: name, Level: level, Attrs: attrs, Functions: functions})
 	return nil
 }
 

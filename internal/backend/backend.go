@@ -116,11 +116,7 @@ type Backend struct {
 	certs     map[cert.ID][]byte
 	profSizes int
 
-	// shards is the cell/building partition count: batch provisioning and
-	// policy recompilation run one worker pool per shard (parallel.go), and
-	// the service layer fans churn fan-out across shards. 1 = unsharded.
-	shards int
-	now    func() time.Time // profile-validity clock; nil = time.Now
+	now func() time.Time // profile-validity clock; nil = time.Now
 
 	reg *obs.Registry // optional churn telemetry; nil = off
 }
@@ -136,21 +132,9 @@ type Option func(*Backend)
 func WithTelemetry(reg *obs.Registry) Option { return func(b *Backend) { b.reg = reg } }
 
 // WithClock overrides the profile-validity clock (issuance and expiry
-// stamps on provisioned PROFs). Tests and WAL replay use a fixed clock so
-// re-provisioned credentials are byte-identical.
+// stamps on provisioned PROFs). Tests use a fixed clock to pin the validity
+// window of re-provisioned credentials.
 func WithClock(now func() time.Time) Option { return func(b *Backend) { b.now = now } }
-
-// WithShards partitions the backend's entity space into n cell/building
-// shards (ShardOf). Batch provisioning and recompilation then run one
-// worker pool per shard concurrently. Values < 1 keep the single-shard
-// default.
-func WithShards(n int) Option {
-	return func(b *Backend) {
-		if n >= 1 {
-			b.shards = n
-		}
-	}
-}
 
 // countChurn records one churn operation and its propagation fan-out. The
 // backend is not a hot path, so handles are resolved per call (the registry
@@ -181,7 +165,6 @@ func newBackend(admin *cert.Admin, anchor []byte, s suite.Strength, opts []Optio
 		keys:      make(map[cert.ID]*suite.SigningKey),
 		certs:     make(map[cert.ID][]byte),
 		profSizes: DefaultProfileSize,
-		shards:    1,
 	}
 	for _, o := range opts {
 		o(b)
@@ -224,74 +207,27 @@ func (b *Backend) AdminPublic() suite.PublicKey { return b.admin.Public() }
 // devices — the hierarchy root, not necessarily this backend's own CA.
 func (b *Backend) CACert() []byte { return append([]byte(nil), b.anchor...) }
 
-// Shards returns the configured cell/building shard count.
-func (b *Backend) Shards() int { return b.shards }
-
-// ShardOf maps an entity to its cell/building shard: a stable hash of the
-// ID, so assignment survives restarts and is identical on every replica.
-func (b *Backend) ShardOf(id cert.ID) int {
-	if b.shards <= 1 {
-		return 0
-	}
-	// IDs are SHA-256-derived (cert.IDFromName), so the first bytes are
-	// already uniform.
-	h := uint64(id[0])<<24 | uint64(id[1])<<16 | uint64(id[2])<<8 | uint64(id[3])
-	return int(h % uint64(b.shards))
-}
-
-func (b *Backend) register(name string, role cert.Role) (cert.ID, error) {
-	id := cert.IDFromName(name)
-	if _, dup := b.keys[id]; dup {
-		return cert.ID{}, fmt.Errorf("%w: %q", ErrDuplicate, name)
-	}
-	key, err := suite.GenerateSigningKey(b.strength, nil)
-	if err != nil {
-		return cert.ID{}, err
-	}
-	der, err := b.admin.IssueCertChain(id, name, role, key.Public())
-	if err != nil {
-		return cert.ID{}, err
-	}
-	b.keys[id] = key
-	b.certs[id] = der
-	return id, nil
-}
-
 // RegisterSubject registers a new subject with the given non-sensitive
 // attributes and issues her credentials. Per Table I ("Add a subject"), the
 // returned report is empty: a newcomer only contacts the backend once for her
 // attribute profile; no object needs updating (overhead 1 at the backend,
 // 0 on the ground).
 func (b *Backend) RegisterSubject(name string, attrs attr.Set) (cert.ID, UpdateReport, error) {
-	id, err := b.register(name, cert.RoleSubject)
+	ids, err := b.RegisterSubjects([]SubjectSpec{{Name: name, Attrs: attrs}}, 1)
 	if err != nil {
 		return cert.ID{}, UpdateReport{}, err
 	}
-	b.subjects[id] = &SubjectRecord{ID: id, Name: name, Attrs: attrs.Clone()}
-	b.countChurn("register_subject", UpdateReport{})
-	return id, UpdateReport{}, nil
+	return ids[0], UpdateReport{}, nil
 }
 
 // RegisterObject registers a new object at the given level. Overhead: only
 // the new object itself is provisioned.
 func (b *Backend) RegisterObject(name string, level Level, attrs attr.Set, functions []string) (cert.ID, UpdateReport, error) {
-	if !level.Valid() {
-		return cert.ID{}, UpdateReport{}, fmt.Errorf("%w: %d", ErrInvalidLevel, int(level))
-	}
-	id, err := b.register(name, cert.RoleObject)
+	ids, err := b.RegisterObjects([]ObjectSpec{{Name: name, Level: level, Attrs: attrs, Functions: functions}}, 1)
 	if err != nil {
 		return cert.ID{}, UpdateReport{}, err
 	}
-	b.objects[id] = &ObjectRecord{
-		ID: id, Name: name, Level: level,
-		Attrs:     attrs.Clone(),
-		Functions: append([]string(nil), functions...),
-		covert:    make(map[groups.ID][]string),
-		revoked:   make(map[cert.ID]bool),
-	}
-	rep := UpdateReport{NotifiedObjects: []cert.ID{id}}
-	b.countChurn("register_object", rep)
-	return id, rep, nil
+	return ids[0], UpdateReport{NotifiedObjects: ids[:1]}, nil
 }
 
 // Subject returns the record for a registered subject.

@@ -109,14 +109,13 @@ func TestTypedErrors(t *testing.T) {
 	_ = fmt.Sprint() // keep fmt imported if cases change
 }
 
-func TestOptionsClockAndTelemetryShards(t *testing.T) {
+// TestWithClock: a fixed clock stamps provisioned PROFs and pins their
+// validity window across re-provisioning.
+func TestWithClock(t *testing.T) {
 	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	b, err := New(suite.S128, WithClock(func() time.Time { return fixed }), WithShards(4))
+	b, err := New(suite.S128, WithClock(func() time.Time { return fixed }))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", b.Shards())
 	}
 	sid, _, err := b.RegisterSubject("clocked", attr.MustSet("position=staff"))
 	if err != nil {
@@ -137,64 +136,5 @@ func TestOptionsClockAndTelemetryShards(t *testing.T) {
 	}
 	if !p1.Profile.Issued.Equal(p2.Profile.Issued) || !p1.Profile.Expires.Equal(p2.Profile.Expires) {
 		t.Fatal("fixed-clock reprovision drifted the validity window")
-	}
-	// ShardOf is stable and in range.
-	for i := 0; i < 64; i++ {
-		id := cert.IDFromName(fmt.Sprintf("entity-%d", i))
-		s := b.ShardOf(id)
-		if s < 0 || s >= 4 {
-			t.Fatalf("ShardOf out of range: %d", s)
-		}
-		if s != b.ShardOf(id) {
-			t.Fatal("ShardOf unstable")
-		}
-	}
-}
-
-// TestShardedProvisionMatchesSerial proves the per-shard pools produce the
-// same bundles (modulo nothing: state is read-only during provisioning) as
-// the flat sequential path.
-func TestShardedProvisionMatchesSerial(t *testing.T) {
-	fixed := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	b, err := New(suite.S128, WithClock(func() time.Time { return fixed }), WithShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.AddPolicy(attr.MustParse("position=='staff'"),
-		attr.MustParse("type=='device'"), []string{"use"}); err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]ObjectSpec, 24)
-	for i := range specs {
-		specs[i] = ObjectSpec{
-			Name:      fmt.Sprintf("dev-%d", i),
-			Level:     L2,
-			Attrs:     attr.MustSet("type=device"),
-			Functions: []string{"use"},
-		}
-	}
-	ids, err := b.RegisterObjects(specs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := b.ProvisionObjects(ids, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		serial, err := b.ProvisionObject(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := parallel[i]
-		if p.ID != serial.ID || p.Name != serial.Name || p.Level != serial.Level ||
-			len(p.Variants) != len(serial.Variants) || len(p.Revoked) != len(serial.Revoked) {
-			t.Fatalf("object %d: sharded bundle differs from serial: %+v vs %+v", i, p, serial)
-		}
-		for j := range p.Variants {
-			if !p.Variants[j].Profile.Issued.Equal(serial.Variants[j].Profile.Issued) {
-				t.Fatalf("object %d variant %d: issued time drift", i, j)
-			}
-		}
 	}
 }

@@ -1,7 +1,10 @@
 package backend
 
 import (
+	"crypto/x509"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"argus/internal/attr"
@@ -82,6 +85,9 @@ func TestRegisterObjectsMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRegisterObjectsRejectsDuplicates: a batch holding a taken name, or one
+// name twice, fails with ErrDuplicate before any serial is reserved and
+// leaves the backend's state as it was.
 func TestRegisterObjectsRejectsDuplicates(t *testing.T) {
 	b, err := New(suite.S128)
 	if err != nil {
@@ -90,17 +96,17 @@ func TestRegisterObjectsRejectsDuplicates(t *testing.T) {
 	if _, _, err := b.RegisterObject("taken", L1, attr.MustSet("type=x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	specs := []ObjectSpec{{Name: "fresh", Level: L1}, {Name: "taken", Level: L1}}
-	if _, err := b.RegisterObjects(specs, 2); err == nil {
-		t.Fatal("existing name accepted")
-	}
-	// The failed batch must not have partially registered anything.
-	if _, err := b.Object(cert.IDFromName("fresh")); err == nil {
-		t.Fatal("partial batch state leaked")
-	}
-	dup := []ObjectSpec{{Name: "twin", Level: L1}, {Name: "twin", Level: L1}}
-	if _, err := b.RegisterObjects(dup, 2); err == nil {
-		t.Fatal("intra-batch duplicate accepted")
+	fp, serial := b.StateFingerprint(), b.AdminSerial()
+	for _, specs := range [][]ObjectSpec{
+		{{Name: "fresh", Level: L1}, {Name: "taken", Level: L1}},
+		{{Name: "twin", Level: L1}, {Name: "twin", Level: L1}},
+	} {
+		if _, err := b.RegisterObjects(specs, 2); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("batch %q: err %v, want ErrDuplicate", specs[1].Name, err)
+		}
+		if b.StateFingerprint() != fp || b.AdminSerial() != serial {
+			t.Fatalf("batch %q: failed batch changed the backend's state", specs[1].Name)
+		}
 	}
 }
 
@@ -191,6 +197,82 @@ func TestProvisionObjectsSerialParallelEquivalence(t *testing.T) {
 		}
 		if len(s.Revoked) != len(p.Revoked) {
 			t.Fatalf("provision %d blacklist diverged", i)
+		}
+	}
+}
+
+// TestBatchIssuanceIndependentOfWorkers: registering and provisioning the
+// same objects on one worker and on eight, each on a subordinate of one
+// root, gives the same serials in spec order, the same records and the same
+// credential sizes, and every chain verifies against the root.
+func TestBatchIssuanceIndependentOfWorkers(t *testing.T) {
+	root, err := New(suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := batchSpecs(12)
+	type run struct {
+		b     *Backend
+		ids   []cert.ID
+		provs []*ObjectProvision
+	}
+	runs := make([]run, 2)
+	for r, workers := range []int{1, 8} {
+		b, err := root.NewSubordinate(fmt.Sprintf("building-%d", workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := b.AddPolicy(attr.MustParse("position=='staff'"),
+			attr.MustParse("type=='device'"), []string{"use"}); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := b.RegisterObjects(specs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		provs, err := b.ProvisionObjects(ids, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[r] = run{b, ids, provs}
+	}
+	one, eight := runs[0], runs[1]
+	for i, sp := range specs {
+		if one.ids[i] != cert.IDFromName(sp.Name) || eight.ids[i] != one.ids[i] {
+			t.Fatalf("id %d out of spec order", i)
+		}
+		so, _ := one.b.Object(one.ids[i])
+		eo, _ := eight.b.Object(eight.ids[i])
+		if !reflect.DeepEqual(so, eo) {
+			t.Fatalf("record %d diverged: %+v vs %+v", i, so, eo)
+		}
+		sp1, sp8 := one.provs[i], eight.provs[i]
+		if len(sp1.CertDER) != len(sp8.CertDER) || len(sp1.Variants) != len(sp8.Variants) ||
+			(sp1.PublicProfile == nil) != (sp8.PublicProfile == nil) {
+			t.Fatalf("bundle %d diverged: %+v vs %+v", i, sp1, sp8)
+		}
+		for j := range sp1.Variants {
+			if sp1.Variants[j].Profile.EncodedLen() != sp8.Variants[j].Profile.EncodedLen() {
+				t.Fatalf("bundle %d variant %d sizes diverged", i, j)
+			}
+		}
+		for _, r := range runs {
+			chain := r.provs[i].CertDER
+			info, err := cert.VerifyCertChain(root.CACert(), chain, root.Strength())
+			if err != nil {
+				t.Fatalf("chain %d: %v", i, err)
+			}
+			if info.ID != r.ids[i] || info.Role != cert.RoleObject {
+				t.Fatalf("chain %d bound the wrong identity", i)
+			}
+			leaf, err := x509.ParseCertificates(chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each subordinate's admin starts at serial 1.
+			if got := leaf[0].SerialNumber.Int64(); got != int64(i)+2 {
+				t.Fatalf("chain %d carries serial %d, want %d", i, got, i+2)
+			}
 		}
 	}
 }

@@ -151,8 +151,7 @@ func readIDList(r *enc.Reader) map[cert.ID]bool {
 }
 
 // Restore reconstructs a backend from a Snapshot blob. Options apply after
-// reconstruction (telemetry, clock, shard layout — none of them are part of
-// the persisted state).
+// reconstruction (telemetry and clock are not part of the persisted state).
 func Restore(blob []byte, opts ...Option) (*Backend, error) {
 	r := enc.NewReader(blob)
 	if v := r.U8(); v != snapshotVersion && r.Err() == nil {
@@ -177,22 +176,9 @@ func Restore(blob []byte, opts ...Option) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{
-		admin:     admin,
-		anchor:    anchor,
-		strength:  strength,
-		subjects:  make(map[cert.ID]*SubjectRecord),
-		objects:   make(map[cert.ID]*ObjectRecord),
-		policies:  make(map[uint64]*Policy),
-		nextPol:   nextPol,
-		keys:      make(map[cert.ID]*suite.SigningKey),
-		certs:     make(map[cert.ID][]byte),
-		profSizes: profSizes,
-		shards:    1,
-	}
-	for _, o := range opts {
-		o(b)
-	}
+	b := newBackend(admin, anchor, strength, opts)
+	b.nextPol = nextPol
+	b.profSizes = profSizes
 
 	nSubjects := int(r.U32())
 	for i := 0; i < nSubjects && r.Err() == nil; i++ {

@@ -325,10 +325,8 @@ func NewAdmin(base, adminKey string, opts ...Option) *Admin {
 }
 
 // CreateTenant provisions a tenant namespace, returning its bearer key.
-func (a *Admin) CreateTenant(ctx context.Context, name string, strength suite.Strength, shards int) (authKey string, err error) {
-	blob, err := json.Marshal(map[string]any{
-		"name": name, "strength": int(strength), "shards": shards,
-	})
+func (a *Admin) CreateTenant(ctx context.Context, name string, strength suite.Strength) (authKey string, err error) {
+	blob, err := json.Marshal(map[string]any{"name": name, "strength": int(strength)})
 	if err != nil {
 		return "", err
 	}

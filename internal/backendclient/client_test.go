@@ -2,8 +2,11 @@ package backendclient
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,15 +18,14 @@ import (
 )
 
 // harness spins a real backendsvc.Server over httptest and returns an
-// authenticated client plus the underlying tenant (with the given number of
-// worker shards, 0 = serial) for cross-checking.
-func harness(t *testing.T, shards int) (*Client, *backendsvc.Tenant) {
+// authenticated client plus the underlying tenant for cross-checking.
+func harness(t *testing.T) (*Client, *backendsvc.Tenant) {
 	t.Helper()
 	store, err := backendsvc.OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := store.Create("acme", suite.S128, shards)
+	tn, err := store.Create("acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func harness(t *testing.T, shards int) (*Client, *backendsvc.Tenant) {
 // TestClientServiceRoundTrip drives the full Service surface over the wire
 // and checks the remote state matches what the same calls produce locally.
 func TestClientServiceRoundTrip(t *testing.T) {
-	c, tn := harness(t, 0)
+	c, tn := harness(t)
 	ctx := context.Background()
 	var svc backend.Service = c
 
@@ -125,7 +127,7 @@ func TestClientServiceRoundTrip(t *testing.T) {
 // TestClientErrorMapping pins the wire error contract: every sentinel
 // survives the HTTP round trip for errors.Is, with the server's message.
 func TestClientErrorMapping(t *testing.T) {
-	c, _ := harness(t, 0)
+	c, _ := harness(t)
 	ctx := context.Background()
 	ghost := cert.IDFromName("nobody")
 
@@ -194,7 +196,7 @@ func TestClientErrorMapping(t *testing.T) {
 // TestClientAuth pins the auth surface: wrong tenant key, missing tenant,
 // wrong admin key.
 func TestClientAuth(t *testing.T) {
-	c, _ := harness(t, 0)
+	c, _ := harness(t)
 	ctx := context.Background()
 
 	bad := New(c.base, "acme", "wrong-key", WithHTTPClient(c.hc))
@@ -216,7 +218,7 @@ func TestClientAuth(t *testing.T) {
 	}
 
 	admin := NewAdmin(c.base, "root-key")
-	key, err := admin.CreateTenant(ctx, "beta", suite.S128, 4)
+	key, err := admin.CreateTenant(ctx, "beta", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,14 +227,45 @@ func TestClientAuth(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrongAdmin := NewAdmin(c.base, "not-root")
-	if _, err := wrongAdmin.CreateTenant(ctx, "gamma", suite.S128, 0); !errors.Is(err, backendsvc.ErrUnauthorized) {
+	if _, err := wrongAdmin.CreateTenant(ctx, "gamma", suite.S128); !errors.Is(err, backendsvc.ErrUnauthorized) {
 		t.Fatalf("wrong admin key: %v", err)
+	}
+}
+
+// TestCreateTenantRejectsUnknownFields: the create-tenant body has two
+// fields, and one that carries any other — "shards", which older clients
+// sent — is a 400 that creates nothing.
+func TestCreateTenantRejectsUnknownFields(t *testing.T) {
+	c, _ := harness(t)
+	post := func(body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/tenants", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer root-key")
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var eb struct {
+			Code string `json:"code"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		return resp.StatusCode, eb.Code
+	}
+	if status, code := post(`{"name":"delta","strength":128,"shards":2}`); status != http.StatusBadRequest || code != "bad_predicate" {
+		t.Fatalf("body with shards: %d %q, want 400 bad_predicate", status, code)
+	}
+	if status, _ := post(`{"name":"delta","strength":128}`); status != http.StatusCreated {
+		t.Fatalf("plain body after the rejected one: %d, want 201", status)
 	}
 }
 
 // TestClientContextCancellation: a canceled context aborts the RPC.
 func TestClientContextCancellation(t *testing.T) {
-	c, _ := harness(t, 0)
+	c, _ := harness(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.TrustAnchor(ctx); err == nil {

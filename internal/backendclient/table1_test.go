@@ -13,7 +13,7 @@ import (
 
 // TestTable1OverheadOverService holds the backend service to §VIII's updating
 // overhead (Table I): each churn operation, driven through backend.Service on
-// a tenant with two worker shards, touches exactly as many entities as
+// a tenant, touches exactly as many entities as
 // scale.Of(SchemeArgus, …) says — in process and over /v1 alike.
 func TestTable1OverheadOverService(t *testing.T) {
 	const n, beta, gamma = 12, 5, 4
@@ -26,7 +26,7 @@ func TestTable1OverheadOverService(t *testing.T) {
 			placement = "over-v1"
 		}
 		t.Run(placement, func(t *testing.T) {
-			c, tn := harness(t, 2)
+			c, tn := harness(t)
 			var svc backend.Service = tn
 			if remote {
 				svc = c

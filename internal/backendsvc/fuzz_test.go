@@ -21,7 +21,7 @@ func fuzzSeedWAL(f *testing.F) (walBlob, snapBlob []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tn, err := s.Create("seed", suite.S128, 0)
+	tn, err := s.Create("seed", suite.S128)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -301,7 +301,6 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Name     string `json:"name"`
 		Strength int    `json:"strength"`
-		Shards   int    `json:"shards"`
 	}
 	if err := decodeBody(r, &body); err != nil {
 		s.writeError(w, err)
@@ -310,7 +309,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	if body.Strength == 0 {
 		body.Strength = int(suite.S128)
 	}
-	t, err := s.store.Create(body.Name, suite.Strength(body.Strength), body.Shards)
+	t, err := s.store.Create(body.Name, suite.Strength(body.Strength))
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -29,7 +29,6 @@ type tenantMeta struct {
 	Name     string `json:"name"`
 	AuthKey  string `json:"auth_key"`
 	Strength int    `json:"strength"`
-	Shards   int    `json:"shards,omitempty"`
 }
 
 // Store is the daemon's root: a directory of tenants, each in its own
@@ -82,14 +81,8 @@ func OpenStore(dir string, reg *obs.Registry) (*Store, error) {
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "tenants.json") }
 
 func (s *Store) open(m tenantMeta) (*Tenant, error) {
-	opts := []backend.Option{}
-	if s.reg != nil {
-		opts = append(opts, backend.WithTelemetry(s.reg))
-	}
-	if m.Shards > 1 {
-		opts = append(opts, backend.WithShards(m.Shards))
-	}
-	return openTenant(m.Name, m.AuthKey, filepath.Join(s.dir, m.Name), suite.Strength(m.Strength), s.reg, opts...)
+	return openTenant(m.Name, m.AuthKey, filepath.Join(s.dir, m.Name), suite.Strength(m.Strength), s.reg,
+		backend.WithTelemetry(s.reg))
 }
 
 func (s *Store) gauge() {
@@ -128,9 +121,8 @@ func validTenantName(name string) bool {
 }
 
 // Create provisions a new tenant namespace with a fresh random bearer key
-// and a fresh enterprise backend, persisted immediately. shards < 1 keeps
-// the single-shard default.
-func (s *Store) Create(name string, strength suite.Strength, shards int) (*Tenant, error) {
+// and a fresh enterprise backend, persisted immediately.
+func (s *Store) Create(name string, strength suite.Strength) (*Tenant, error) {
 	if !validTenantName(name) {
 		return nil, fmt.Errorf("%w: invalid tenant name %q", backend.ErrBadPredicate, name)
 	}
@@ -146,7 +138,7 @@ func (s *Store) Create(name string, strength suite.Strength, shards int) (*Tenan
 	if _, err := rand.Read(raw[:]); err != nil {
 		return nil, err
 	}
-	m := tenantMeta{Name: name, AuthKey: hex.EncodeToString(raw[:]), Strength: int(strength), Shards: shards}
+	m := tenantMeta{Name: name, AuthKey: hex.EncodeToString(raw[:]), Strength: int(strength)}
 	t, err := s.open(m)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package backendsvc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -83,7 +84,7 @@ func TestTenantReplayFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := s.Create("acme", suite.S128, 0)
+	tn, err := s.Create("acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestCompactionCrashWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := s.Create("acme", suite.S128, 0)
+	tn, err := s.Create("acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestChurnAfterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := s.Create("acme", suite.S128, 0)
+	tn, err := s.Create("acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +250,11 @@ func TestStoreMultiTenantIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Create("alpha", suite.S128, 0)
+	a, err := s.Create("alpha", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Create("beta", suite.S128, 2)
+	b, err := s.Create("beta", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +283,9 @@ func TestStoreMultiTenantIsolation(t *testing.T) {
 	if a.AuthKey() == b.AuthKey() {
 		t.Fatal("tenants share an auth key")
 	}
-	if b.Backend().Shards() != 2 {
-		t.Fatalf("beta shards = %d, want 2", b.Backend().Shards())
-	}
 
 	// Duplicate namespace and auth failures carry typed errors.
-	if _, err := s.Create("alpha", suite.S128, 0); !errors.Is(err, backend.ErrDuplicate) {
+	if _, err := s.Create("alpha", suite.S128); !errors.Is(err, backend.ErrDuplicate) {
 		t.Fatalf("duplicate tenant: %v", err)
 	}
 	if _, err := s.Auth("alpha", "wrong-key"); !errors.Is(err, ErrUnauthorized) {
@@ -296,11 +294,11 @@ func TestStoreMultiTenantIsolation(t *testing.T) {
 	if _, err := s.Auth("ghost", "x"); !errors.Is(err, ErrNoTenant) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
-	if _, err := s.Create("../evil", suite.S128, 0); !errors.Is(err, backend.ErrBadPredicate) {
+	if _, err := s.Create("../evil", suite.S128); !errors.Is(err, backend.ErrBadPredicate) {
 		t.Fatalf("path-traversal name: %v", err)
 	}
 
-	// Restart reloads both tenants (shard config included).
+	// Restart reloads both tenants.
 	s2, err := OpenStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -309,12 +307,46 @@ func TestStoreMultiTenantIsolation(t *testing.T) {
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
 		t.Fatalf("reloaded tenants %v", names)
 	}
-	b2, err := s2.Tenant("beta")
+}
+
+// TestTenantsIndexIgnoresShards: a tenants.json whose rows carry the
+// "shards" key older stores wrote still opens, and its tenant replays to
+// the state it had.
+func TestTenantsIndexIgnoresShards(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.Backend().Shards() != 2 {
-		t.Fatal("shard config lost across restart")
+	tn, err := s.Create("acme", suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, tn)
+	want := fingerprint(t, tn)
+
+	index := filepath.Join(dir, "tenants.json")
+	blob, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = bytes.ReplaceAll(blob, []byte(`"strength": 128`), []byte(`"strength": 128, "shards": 2`))
+	if !bytes.Contains(blob, []byte(`"shards": 2`)) {
+		t.Fatalf("tenants.json has no strength field to extend:\n%s", blob)
+	}
+	if err := os.WriteFile(index, blob, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn2, err := s2.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, tn2); got != want {
+		t.Fatalf("replayed fingerprint differs:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -326,7 +358,7 @@ func TestAutoCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := s.Create("acme", suite.S128, 0)
+	tn, err := s.Create("acme", suite.S128)
 	if err != nil {
 		t.Fatal(err)
 	}

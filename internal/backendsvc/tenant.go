@@ -65,8 +65,7 @@ func (t *Tenant) walPath() string  { return filepath.Join(t.dir, "wal.log") }
 
 // openTenant loads (or initializes) a tenant under dir: restore the
 // snapshot if present, then replay every WAL record past the snapshot's
-// sequence. Options apply to the restored backend (shards, clock,
-// telemetry).
+// sequence. Options apply to the restored backend (clock, telemetry).
 func openTenant(name, authKey, dir string, strength suite.Strength, reg *obs.Registry, opts ...backend.Option) (*Tenant, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package backendsvc promotes the in-process enterprise backend
-// (internal/backend) to a durable, sharded, multi-tenant service: the §II-A
+// (internal/backend) to a durable, multi-tenant service: the §II-A
 // "hierarchy of servers" run as one daemon. Each tenant (one enterprise
 // namespace — a building, a campus, a customer) owns an isolated
 // backend.Backend guarded by a bearer key, made durable by a write-ahead

@@ -28,7 +28,6 @@ import (
 	"io"
 	"math/big"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"argus/internal/suite"
@@ -315,17 +314,27 @@ func ImportAdmin(keyBytes, caDER []byte, serial int64, chain [][]byte) (*Admin, 
 	}, nil
 }
 
-// IssueCert creates an admin-signed X.509 certificate for an entity's public
-// key. The returned DER bytes are the CERT_X wire field.
-func (a *Admin) IssueCert(id ID, name string, role Role, pub suite.PublicKey) ([]byte, error) {
-	a.serial++
-	return a.issueCertWithSerial(a.serial, id, name, role, pub)
+// ReserveSerials reserves n consecutive certificate serials and returns the
+// first. Bulk issuance reserves a batch's serials in order up front, then
+// issues each with IssueCertChainAt on any goroutine.
+func (a *Admin) ReserveSerials(n int) int64 {
+	first := a.serial + 1
+	a.serial += int64(n)
+	return first
 }
 
-// issueCertWithSerial issues a certificate under an already-reserved serial
-// number. It mutates no Admin state, so distinct serials may be issued
-// concurrently (the batch issuance path below).
-func (a *Admin) issueCertWithSerial(serial int64, id ID, name string, role Role, pub suite.PublicKey) ([]byte, error) {
+// IssueCertChain issues an admin-signed X.509 certificate for an entity's
+// public key and returns the chain encoding: entity DER followed by the
+// admin's intermediate DERs, concatenated (x509.ParseCertificates consumes
+// this form). A root admin returns the entity DER alone.
+func (a *Admin) IssueCertChain(id ID, name string, role Role, pub suite.PublicKey) ([]byte, error) {
+	return a.IssueCertChainAt(a.ReserveSerials(1), id, name, role, pub)
+}
+
+// IssueCertChainAt is IssueCertChain under a serial reserved by
+// ReserveSerials. It mutates no Admin state, so distinct serials may be
+// issued concurrently.
+func (a *Admin) IssueCertChainAt(serial int64, id ID, name string, role Role, pub suite.PublicKey) ([]byte, error) {
 	std, err := pub.Std()
 	if err != nil {
 		return nil, err
@@ -348,86 +357,14 @@ func (a *Admin) issueCertWithSerial(serial int64, id ID, name string, role Role,
 		SubjectKeyId: ski[:20],
 		OCSPServer:   []string{"https://backend.argus.example/ocsp"},
 	}
-	return createSizedCert(tmpl, a.caCert, std, a.key.StdPrivate(), a.strength)
-}
-
-// CertRequest describes one certificate in a batch issuance.
-type CertRequest struct {
-	ID   ID
-	Name string
-	Role Role
-	Pub  suite.PublicKey
-}
-
-// IssueCertChainBatch issues one certificate chain per request on a worker
-// pool of the given size (workers <= 1 issues sequentially). Serial numbers
-// are reserved in request order before any signing starts and results merge
-// by index, so the issued certificates are indistinguishable from sequential
-// IssueCertChain calls — only the wall-clock time changes. Signing uses only
-// immutable Admin state, making the fan-out safe.
-func (a *Admin) IssueCertChainBatch(reqs []CertRequest, workers int) ([][]byte, error) {
-	serials := make([]int64, len(reqs))
-	for i := range reqs {
-		a.serial++
-		serials[i] = a.serial
-	}
-	out := make([][]byte, len(reqs))
-	err := forEachIndex(len(reqs), workers, func(i int) error {
-		leaf, err := a.issueCertWithSerial(serials[i], reqs[i].ID, reqs[i].Name, reqs[i].Role, reqs[i].Pub)
-		if err != nil {
-			return err
-		}
-		chain := append([]byte(nil), leaf...)
-		for _, inter := range a.chain {
-			chain = append(chain, inter...)
-		}
-		out[i] = chain
-		return nil
-	})
+	leaf, err := createSizedCert(tmpl, a.caCert, std, a.key.StdPrivate(), a.strength)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// forEachIndex runs fn(0..n-1) on up to `workers` goroutines (sequentially
-// for workers <= 1) and returns the first error by index order. Workers
-// write only to distinct indices, so results merge deterministically.
-func forEachIndex(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
+	for _, inter := range a.chain {
+		leaf = append(leaf, inter...)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return leaf, nil
 }
 
 // CertInfo is the verified content of a CERT.

@@ -22,9 +22,9 @@ func TestIssueAndVerifyCert(t *testing.T) {
 	admin := newTestAdmin(t)
 	key, _ := suite.GenerateSigningKey(suite.S128, nil)
 	id := IDFromName("door-lock-conf-101")
-	der, err := admin.IssueCert(id, "door-lock-conf-101", RoleObject, key.Public())
+	der, err := admin.IssueCertChain(id, "door-lock-conf-101", RoleObject, key.Public())
 	if err != nil {
-		t.Fatalf("IssueCert: %v", err)
+		t.Fatalf("IssueCertChain: %v", err)
 	}
 	info, err := VerifyCert(admin.CACert(), der, suite.S128)
 	if err != nil {
@@ -50,7 +50,7 @@ func TestCertSizeMatchesPaper(t *testing.T) {
 	// the same range (DER lengths vary slightly with integer encodings).
 	admin := newTestAdmin(t)
 	key, _ := suite.GenerateSigningKey(suite.S128, nil)
-	der, err := admin.IssueCert(IDFromName("x"), "thermometer-07", RoleObject, key.Public())
+	der, err := admin.IssueCertChain(IDFromName("x"), "thermometer-07", RoleObject, key.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestVerifyCertRejectsForeignAdmin(t *testing.T) {
 	adminA := newTestAdmin(t)
 	adminB := newTestAdmin(t)
 	key, _ := suite.GenerateSigningKey(suite.S128, nil)
-	der, _ := adminA.IssueCert(IDFromName("e"), "e", RoleSubject, key.Public())
+	der, _ := adminA.IssueCertChain(IDFromName("e"), "e", RoleSubject, key.Public())
 	if _, err := VerifyCert(adminB.CACert(), der, suite.S128); err == nil {
 		t.Fatal("certificate from foreign admin accepted — external attackers have no backend-signed keys (§VII)")
 	}
@@ -73,7 +73,7 @@ func TestVerifyCertRejectsForeignAdmin(t *testing.T) {
 func TestVerifyCertRejectsTampering(t *testing.T) {
 	admin := newTestAdmin(t)
 	key, _ := suite.GenerateSigningKey(suite.S128, nil)
-	der, _ := admin.IssueCert(IDFromName("e"), "entity", RoleSubject, key.Public())
+	der, _ := admin.IssueCertChain(IDFromName("e"), "entity", RoleSubject, key.Public())
 	for _, i := range []int{len(der) / 2, len(der) - 1} {
 		bad := append([]byte(nil), der...)
 		bad[i] ^= 0x40
@@ -89,7 +89,7 @@ func TestVerifyCertRejectsTampering(t *testing.T) {
 func TestVerifyCertWrongStrength(t *testing.T) {
 	admin := newTestAdmin(t)
 	key, _ := suite.GenerateSigningKey(suite.S128, nil)
-	der, _ := admin.IssueCert(IDFromName("e"), "entity", RoleSubject, key.Public())
+	der, _ := admin.IssueCertChain(IDFromName("e"), "entity", RoleSubject, key.Public())
 	if _, err := VerifyCert(admin.CACert(), der, suite.S192); err == nil {
 		t.Fatal("P-256 certificate accepted at 192-bit strength")
 	}

@@ -41,9 +41,8 @@ func (a *Admin) NewSubordinate(name string) (*Admin, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.serial++
 	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(a.serial),
+		SerialNumber:          big.NewInt(a.ReserveSerials(1)),
 		Subject:               pkix.Name{CommonName: name, Organization: []string{"Argus Enterprise Backend"}},
 		NotBefore:             time.Now().Add(-time.Hour),
 		NotAfter:              time.Now().Add(5 * 365 * 24 * time.Hour),
@@ -69,22 +68,6 @@ func (a *Admin) NewSubordinate(name string) (*Admin, error) {
 		serial:   1,
 		chain:    childChain,
 	}, nil
-}
-
-// IssueCertChain issues an entity certificate like IssueCert but returns the
-// full chain encoding: entity DER followed by the admin's intermediate DERs,
-// concatenated (x509.ParseCertificates consumes this form). Single-level
-// admins return exactly IssueCert's output.
-func (a *Admin) IssueCertChain(id ID, name string, role Role, pub suite.PublicKey) ([]byte, error) {
-	leaf, err := a.IssueCert(id, name, role, pub)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), leaf...)
-	for _, inter := range a.chain {
-		out = append(out, inter...)
-	}
-	return out, nil
 }
 
 // VerifyCertChain parses certDER (an entity certificate optionally followed

@@ -59,7 +59,7 @@ func TestIssuedSignaturesPinnedAtEveryStrength(t *testing.T) {
 			want := maxSigLen(s)
 			for i := 0; i < n; i++ {
 				id := IDFromName("entity")
-				der, err := admin.IssueCert(id, "entity", RoleObject, key.Public())
+				der, err := admin.IssueCertChain(id, "entity", RoleObject, key.Public())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestPinWidthRewritesShortS(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := IDFromName("lamp")
-			issued, err := admin.IssueCert(id, "lamp", RoleObject, key.Public())
+			issued, err := admin.IssueCertChain(id, "lamp", RoleObject, key.Public())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,7 @@ func TestIssuedCertSizesFixed(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := IDFromName("entity")
-		der, err := admin.IssueCert(id, "entity", RoleObject, key.Public())
+		der, err := admin.IssueCertChain(id, "entity", RoleObject, key.Public())
 		if err != nil {
 			t.Fatal(err)
 		}

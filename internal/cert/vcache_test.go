@@ -451,57 +451,6 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	}
 }
 
-func TestIssueCertChainBatchMatchesSequential(t *testing.T) {
-	s := suite.S128
-	admin, err := NewAdmin(s, "batch-root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := admin.NewSubordinate("batch-sub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 6
-	reqs := make([]CertRequest, n)
-	for i := range reqs {
-		key, err := suite.GenerateSigningKey(s, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := string(rune('a' + i))
-		reqs[i] = CertRequest{ID: IDFromName(name), Name: name, Role: RoleObject, Pub: key.Public()}
-	}
-	chains, err := sub.IssueCertChainBatch(reqs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chains) != n {
-		t.Fatalf("got %d chains", len(chains))
-	}
-	// Every chain verifies against the root, binds the right identity, and
-	// carries the serial reserved for its index (request order).
-	for i, chain := range chains {
-		info, err := VerifyCertChain(admin.CACert(), chain, s)
-		if err != nil {
-			t.Fatalf("chain %d: %v", i, err)
-		}
-		if info.ID != reqs[i].ID || info.Name != reqs[i].Name {
-			t.Fatalf("chain %d bound to %q, want %q", i, info.Name, reqs[i].Name)
-		}
-	}
-	// Sizes equal the sequential path's (fixed-size signatures), so virtual
-	// airtime is identical regardless of worker count.
-	seq, err := sub.IssueCertChain(IDFromName("z"), "z", RoleObject, reqs[0].Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, chain := range chains {
-		if len(chain) != len(seq) {
-			t.Fatalf("chain %d is %d bytes, sequential is %d", i, len(chain), len(seq))
-		}
-	}
-}
-
 func statsOf(c *VerifyCache) (hits, misses int64, entries int) { return c.Stats() }
 
 // The miss-path singleflight must coalesce concurrent verifications of the

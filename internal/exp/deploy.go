@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"argus/internal/attr"
 	"argus/internal/backend"
@@ -61,15 +62,9 @@ type DeployConfig struct {
 	// Retry, when enabled, is installed on the subject and every object so
 	// the protocol survives Faults (see core.RetryPolicy).
 	Retry core.RetryPolicy
-	// Workers bounds the worker pool used for registration and provisioning
-	// crypto (key generation, certificate and profile signing). <= 1 runs
-	// fully sequentially. Parallelism changes wall-clock time only: the
-	// provisioned deployment, and therefore any fixed-seed simulation run on
-	// it, is identical for every worker count (see backend batch docs).
-	Workers int
 	// VerifyCache, when set, is shared by the subject and every object so
 	// repeat handshakes skip credential re-verification (core.WithVerifyCache).
-	// Like Workers it affects real CPU time only, never virtual-time results.
+	// It affects real CPU time only, never virtual-time results.
 	// Instrumented under Registry when both are set.
 	VerifyCache *cert.VerifyCache
 }
@@ -160,10 +155,11 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	}
 
 	// Object bootstrapping in three phases: batch registration (keygen and
-	// certificate signing fan out across cfg.Workers), serial covert-service
-	// wiring (mutates shared group state), batch provisioning (profile
-	// signing fans out). Attachment stays serial so node IDs are assigned in
-	// index order — the same ground network the sequential path builds.
+	// certificate signing fan out across GOMAXPROCS workers), serial
+	// covert-service wiring (mutates shared group state), batch provisioning
+	// (profile signing fans out). Attachment stays serial so node IDs are
+	// assigned in index order: the ground network, like the provisioned
+	// credentials, is the same for any worker count.
 	specs := make([]backend.ObjectSpec, len(cfg.Levels))
 	for i, level := range cfg.Levels {
 		specs[i] = backend.ObjectSpec{
@@ -173,7 +169,7 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 			Functions: []string{"use"},
 		}
 	}
-	oids, err := b.RegisterObjects(specs, cfg.Workers)
+	oids, err := b.RegisterObjects(specs, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +180,7 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 			}
 		}
 	}
-	provs, err := b.ProvisionObjects(oids, cfg.Workers)
+	provs, err := b.ProvisionObjects(oids, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}

@@ -42,28 +42,6 @@ func TestCacheDoesNotPerturbDiscovery(t *testing.T) {
 	}
 }
 
-// TestParallelProvisioningDeterministic: Deploy with a worker pool yields the
-// same fixed-seed fingerprint as fully sequential provisioning — serials,
-// node IDs and credential sizes are pinned, so parallelism moves only
-// wall-clock time.
-func TestParallelProvisioningDeterministic(t *testing.T) {
-	serialCfg := fastpathConfig()
-	serialCfg.Workers = 1
-	serial, err := RunFingerprint(serialCfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCfg := fastpathConfig()
-	parCfg.Workers = 8
-	parallel, err := RunFingerprint(parCfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		t.Fatalf("worker count changed the run:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestDeployCacheInstrumented: Deploy wires the shared cache into every
 // engine and instruments it under the deployment registry.
 func TestDeployCacheInstrumented(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 // timer goroutine — legal on Mesh and UDP endpoints, whose senders are
 // thread-safe (and a no-op after Close, which both tolerate).
 type faultEndpoint struct {
-	inner transport.Endpoint
+	transport.Endpoint
 	model netsim.FaultModel
 
 	mu  sync.Mutex
@@ -39,7 +39,7 @@ func WrapFaults(ep transport.Endpoint, m netsim.FaultModel, seed int64, reg *obs
 	if !m.Active() {
 		return ep
 	}
-	f := &faultEndpoint{inner: ep, model: m, rng: rand.New(rand.NewSource(seed))}
+	f := &faultEndpoint{Endpoint: ep, model: m, rng: rand.New(rand.NewSource(seed))}
 	if reg != nil {
 		f.lost = reg.Counter(obs.MNetFaultLost, "frames dropped by injected loss")
 		f.corrupted = reg.Counter(obs.MNetFaultCorrupted, "frames corrupted in flight")
@@ -102,17 +102,9 @@ func (f *faultEndpoint) transmit(payload []byte, deliver func([]byte)) {
 }
 
 func (f *faultEndpoint) Send(to transport.Addr, payload []byte) {
-	f.transmit(payload, func(p []byte) { f.inner.Send(to, p) })
+	f.transmit(payload, func(p []byte) { f.Endpoint.Send(to, p) })
 }
 
 func (f *faultEndpoint) Broadcast(payload []byte, ttl int) {
-	f.transmit(payload, func(p []byte) { f.inner.Broadcast(p, ttl) })
+	f.transmit(payload, func(p []byte) { f.Endpoint.Broadcast(p, ttl) })
 }
-
-func (f *faultEndpoint) Addr() transport.Addr                      { return f.inner.Addr() }
-func (f *faultEndpoint) Now() time.Duration                        { return f.inner.Now() }
-func (f *faultEndpoint) NewTimer(fn func()) transport.Timer        { return f.inner.NewTimer(fn) }
-func (f *faultEndpoint) Compute(c time.Duration, t transport.Task) { f.inner.Compute(c, t) }
-func (f *faultEndpoint) Do(fn func())                              { f.inner.Do(fn) }
-func (f *faultEndpoint) Bind(h transport.Handler)                  { f.inner.Bind(h) }
-func (f *faultEndpoint) Close() error                              { return f.inner.Close() }

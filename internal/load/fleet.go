@@ -121,7 +121,7 @@ type discoveryHook func(*subjectSlot, core.Discovery)
 // distributor. hook receives completion events on engine event loops;
 // observer, when non-nil, is tapped onto every secure object.
 func buildFleet(p Profile, reg *obs.Registry, observer *adversary.Observer, hook discoveryHook) (*fleet, error) {
-	b, err := backend.New(suite.S128, backend.WithTelemetry(reg), backend.WithShards(p.Cells))
+	b, err := backend.New(suite.S128, backend.WithTelemetry(reg))
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,10 @@ import (
 // whose exact injected-vs-rejected accounting cannot tolerate a target that
 // slept through a forged frame).
 type sleepyEndpoint struct {
-	inner  transport.Endpoint
+	transport.Endpoint
 	period time.Duration
 	awake  time.Duration
-	start  time.Duration // inner.Now() at creation, minus the phase offset
+	start  time.Duration // Now() at creation, minus the phase offset
 	forced atomic.Bool   // stay-awake override
 	drops  *obs.Counter
 }
@@ -33,10 +33,10 @@ type sleepyEndpoint struct {
 // offset, counting missed frames under obs.MLoadSleepyDrops.
 func wrapSleepy(ep transport.Endpoint, period, awake, phase time.Duration, reg *obs.Registry) *sleepyEndpoint {
 	return &sleepyEndpoint{
-		inner:  ep,
-		period: period,
-		awake:  awake,
-		start:  ep.Now() - phase,
+		Endpoint: ep,
+		period:   period,
+		awake:    awake,
+		start:    ep.Now() - phase,
 		drops: reg.Counter(obs.MLoadSleepyDrops,
 			"inbound frames missed by duty-cycled (sleepy) objects"),
 	}
@@ -49,11 +49,11 @@ func (s *sleepyEndpoint) asleep() bool {
 	if s.forced.Load() {
 		return false
 	}
-	return (s.inner.Now()-s.start)%s.period >= s.awake
+	return (s.Now()-s.start)%s.period >= s.awake
 }
 
 func (s *sleepyEndpoint) Bind(h transport.Handler) {
-	s.inner.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
+	s.Endpoint.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
 		if s.asleep() {
 			s.drops.Inc()
 			return
@@ -61,12 +61,3 @@ func (s *sleepyEndpoint) Bind(h transport.Handler) {
 		h.Handle(from, payload)
 	}))
 }
-
-func (s *sleepyEndpoint) Send(to transport.Addr, payload []byte)    { s.inner.Send(to, payload) }
-func (s *sleepyEndpoint) Broadcast(payload []byte, ttl int)         { s.inner.Broadcast(payload, ttl) }
-func (s *sleepyEndpoint) Addr() transport.Addr                      { return s.inner.Addr() }
-func (s *sleepyEndpoint) Now() time.Duration                        { return s.inner.Now() }
-func (s *sleepyEndpoint) NewTimer(fn func()) transport.Timer        { return s.inner.NewTimer(fn) }
-func (s *sleepyEndpoint) Compute(c time.Duration, t transport.Task) { s.inner.Compute(c, t) }
-func (s *sleepyEndpoint) Do(fn func())                              { s.inner.Do(fn) }
-func (s *sleepyEndpoint) Close() error                              { return s.inner.Close() }

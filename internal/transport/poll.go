@@ -15,8 +15,7 @@ import "time"
 //     completion) is only ever hit on genuine failure, so its size adds no
 //     latency to passing runs.
 //
-// cmd/argus-node, the internal/load driver and the fleet coordinator wait
-// with Poll; tests wait with transporttest.WaitUntil, which is Poll plus a
+// cmd/argus-node and the internal/load driver wait with Poll; tests wait with transporttest.WaitUntil, which is Poll plus a
 // test failure.
 
 // DefaultPollStep is the polling interval used when step <= 0: short enough
