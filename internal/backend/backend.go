@@ -118,7 +118,9 @@ type Backend struct {
 
 	now func() time.Time // profile-validity clock; nil = time.Now
 
-	reg *obs.Registry // optional churn telemetry; nil = off
+	// Optional churn telemetry, resolved once by WithTelemetry; nil = off.
+	churnC                  map[string]*obs.Counter // by op
+	notifiedObj, notifiedSj *obs.Counter
 }
 
 // Option customizes New and NewSubordinate, mirroring the functional-options
@@ -129,26 +131,41 @@ type Option func(*Backend)
 // counted (argus_backend_churn_ops_total by op, and the notified ground
 // entities behind Table I's updating overhead as
 // argus_backend_notified_total by kind).
-func WithTelemetry(reg *obs.Registry) Option { return func(b *Backend) { b.reg = reg } }
+func WithTelemetry(reg *obs.Registry) Option {
+	return func(b *Backend) {
+		b.churnC, b.notifiedObj, b.notifiedSj = nil, nil, nil
+		if reg == nil {
+			return
+		}
+		b.churnC = make(map[string]*obs.Counter, len(churnOps))
+		for _, op := range churnOps {
+			b.churnC[op] = reg.Counter(obs.MBackendChurnOps, "Backend churn operations, by kind.", obs.L("op", op))
+		}
+		notified := func(kind string) *obs.Counter {
+			return reg.Counter(obs.MBackendNotified, "Ground entities notified by churn operations, by kind.", obs.L("kind", kind))
+		}
+		b.notifiedObj, b.notifiedSj = notified("object"), notified("subject")
+	}
+}
+
+// churnOps are the op labels of argus_backend_churn_ops_total.
+var churnOps = []string{
+	"register_subject", "register_object", "add_policy", "remove_policy",
+	"revoke_subject", "update_subject_attrs", "update_object_attrs", "remove_object",
+}
 
 // WithClock overrides the profile-validity clock (issuance and expiry
 // stamps on provisioned PROFs). Tests use a fixed clock to pin the validity
 // window of re-provisioned credentials.
 func WithClock(now func() time.Time) Option { return func(b *Backend) { b.now = now } }
 
-// countChurn records one churn operation and its propagation fan-out. The
-// backend is not a hot path, so handles are resolved per call (the registry
-// deduplicates); with no registry attached this is a nil-receiver no-op
+// countChurn records one churn operation and its propagation fan-out on the
+// counters WithTelemetry resolved; with none this is a nil-receiver no-op
 // inside the obs package.
 func (b *Backend) countChurn(op string, rep UpdateReport) {
-	if b.reg == nil {
-		return
-	}
-	b.reg.Counter(obs.MBackendChurnOps, "Backend churn operations, by kind.", obs.L("op", op)).Inc()
-	b.reg.Counter(obs.MBackendNotified, "Ground entities notified by churn operations, by kind.",
-		obs.L("kind", "object")).Add(int64(len(rep.NotifiedObjects)))
-	b.reg.Counter(obs.MBackendNotified, "Ground entities notified by churn operations, by kind.",
-		obs.L("kind", "subject")).Add(int64(len(rep.NotifiedSubjects)))
+	b.churnC[op].Inc()
+	b.notifiedObj.Add(int64(len(rep.NotifiedObjects)))
+	b.notifiedSj.Add(int64(len(rep.NotifiedSubjects)))
 }
 
 // newBackend builds the shared skeleton and applies options.

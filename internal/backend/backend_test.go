@@ -6,6 +6,7 @@ import (
 
 	"argus/internal/attr"
 	"argus/internal/cert"
+	"argus/internal/obs"
 	"argus/internal/suite"
 )
 
@@ -401,5 +402,53 @@ func TestUpdateObjectAttrs(t *testing.T) {
 	}
 	if _, err := b.UpdateObjectAttrs(cert.IDFromName("ghost"), attr.Set{}); err == nil {
 		t.Fatal("unknown object updated")
+	}
+}
+
+// TestChurnCountersResolvedOnce: every churn operation lands on a counter
+// WithTelemetry resolved, with its fan-out, and counting one resolves nothing
+// (the registry holds the same series before and after).
+func TestChurnCountersResolvedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	b, err := New(suite.S128, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := len(reg.Snapshot().Metrics)
+	sid, _, err := b.RegisterSubject("alice", attr.MustSet("position=staff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, _, err := b.RegisterObject("printer", L2, attr.MustSet("type=printer"), []string{"print"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid, _, err := b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("type=='printer'"), []string{"print"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []func() (UpdateReport, error){
+		func() (UpdateReport, error) { return b.UpdateSubjectAttrs(sid, attr.MustSet("position=staff,floor=2")) },
+		func() (UpdateReport, error) { return b.UpdateObjectAttrs(oid, attr.MustSet("type=printer,floor=2")) },
+		func() (UpdateReport, error) { return b.RemovePolicy(pid) },
+		func() (UpdateReport, error) { return b.RevokeSubject(sid) },
+		func() (UpdateReport, error) { return b.RemoveObject(oid) },
+	}
+	for _, step := range steps {
+		if _, err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if len(snap.Metrics) != series {
+		t.Errorf("counting churn added %d series", len(snap.Metrics)-series)
+	}
+	for _, op := range churnOps {
+		if m := snap.Get(obs.MBackendChurnOps, obs.L("op", op)); m == nil || m.Value != 1 {
+			t.Errorf("op %s counted %+v, want 1", op, m)
+		}
+	}
+	if m := snap.Get(obs.MBackendNotified, obs.L("kind", "object")); m == nil || m.Value == 0 {
+		t.Errorf("notified objects %+v, want the fan-out", m)
 	}
 }

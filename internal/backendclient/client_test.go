@@ -255,8 +255,8 @@ func TestCreateTenantRejectsUnknownFields(t *testing.T) {
 		_ = json.NewDecoder(resp.Body).Decode(&eb)
 		return resp.StatusCode, eb.Code
 	}
-	if status, code := post(`{"name":"delta","strength":128,"shards":2}`); status != http.StatusBadRequest || code != "bad_predicate" {
-		t.Fatalf("body with shards: %d %q, want 400 bad_predicate", status, code)
+	if status, code := post(`{"name":"delta","strength":128,"shards":2}`); status != http.StatusBadRequest || code != "bad_request" {
+		t.Fatalf("body with shards: %d %q, want 400 bad_request", status, code)
 	}
 	if status, _ := post(`{"name":"delta","strength":128}`); status != http.StatusCreated {
 		t.Fatalf("plain body after the rejected one: %d, want 201", status)

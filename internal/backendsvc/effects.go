@@ -20,9 +20,10 @@ import (
 //     the post-op admin serial; replay installs them verbatim
 //     (backend.InstallSubject / InstallObject + cert.Admin.RestoreSerial).
 //   - Operations whose group side effects draw randomness (group creation,
-//     membership changes, the re-key on revocation) carry the post-op
-//     exported group registry; replay performs the structural change through
-//     the public entry point, then overwrites group state from the blob.
+//     membership changes, the re-key on revocation, the cover-up membership a
+//     subject's first provision draws) carry the post-op exported group
+//     registry; replay performs the structural change through the public
+//     entry point, if any, then overwrites group state from the blob.
 //   - Purely deterministic operations (policy add/remove, attribute updates)
 //     replay through the public entry points unchanged.
 //
@@ -39,6 +40,7 @@ const (
 	opCreateGroup        byte = 7
 	opAddSubjectToGroup  byte = 8
 	opAddCovertService   byte = 9
+	opProvisionSubject   byte = 10
 )
 
 func opName(op byte) string {
@@ -61,6 +63,8 @@ func opName(op byte) string {
 		return "add_subject_to_group"
 	case opAddCovertService:
 		return "add_covert_service"
+	case opProvisionSubject:
+		return "provision_subject"
 	}
 	return fmt.Sprintf("op(%d)", op)
 }
@@ -161,6 +165,16 @@ func encodeAddCovertService(b *backend.Backend, object cert.ID, gid groups.ID, f
 	w.Raw(object[:])
 	w.U64(uint64(gid))
 	writeStrings(w, functions)
+	w.Bytes32(b.ExportGroups())
+	return w.Bytes()
+}
+
+// encodeProvisionSubject serializes a provision that drew the subject's
+// cover-up membership: the subject and the post-op group registry.
+func encodeProvisionSubject(b *backend.Backend, subject cert.ID) []byte {
+	w := enc.NewWriter(512)
+	w.U8(opProvisionSubject)
+	w.Raw(subject[:])
 	w.Bytes32(b.ExportGroups())
 	return w.Bytes()
 }
@@ -282,6 +296,16 @@ func applyRecord(b *backend.Backend, payload []byte) (string, error) {
 		var id cert.ID
 		copy(id[:], r.Raw(len(id)))
 		_ = groups.ID(r.U64()) // structural membership comes from the blob
+		blob := r.Bytes32()
+		if err := r.Done(); err != nil {
+			return fail(err)
+		}
+		if err := b.ImportGroups(blob); err != nil {
+			return fail(err)
+		}
+
+	case opProvisionSubject:
+		_ = r.Raw(len(cert.ID{})) // the subject: carried for audit; state comes from the blob
 		blob := r.Bytes32()
 		if err := r.Done(); err != nil {
 			return fail(err)

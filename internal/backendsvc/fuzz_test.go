@@ -58,6 +58,13 @@ func fuzzSeedWAL(f *testing.F) (walBlob, snapBlob []byte) {
 	if _, err := tn.RemovePolicy(ctx, pid); err != nil {
 		f.Fatal(err)
 	}
+	bob, _, err := tn.RegisterSubject(ctx, "bob", attr.MustSet("position=staff"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := tn.ProvisionSubject(ctx, bob); err != nil { // draws bob's cover-up membership
+		f.Fatal(err)
+	}
 	if _, err := tn.RevokeSubject(ctx, alice); err != nil {
 		f.Fatal(err)
 	}

@@ -59,6 +59,8 @@ func ErrorCode(err error) (code string, status int) {
 		return "revoked", http.StatusGone
 	case errors.Is(err, backend.ErrBadPredicate):
 		return "bad_predicate", http.StatusBadRequest
+	case errors.Is(err, ErrBadRequest):
+		return "bad_request", http.StatusBadRequest
 	case errors.Is(err, backend.ErrInvalidLevel):
 		return "invalid_level", http.StatusBadRequest
 	case errors.Is(err, backend.ErrNotCovert):
@@ -86,6 +88,8 @@ func SentinelFor(code string) error {
 		return backend.ErrRevoked
 	case "bad_predicate":
 		return backend.ErrBadPredicate
+	case "bad_request":
+		return ErrBadRequest
 	case "invalid_level":
 		return backend.ErrInvalidLevel
 	case "not_covert":
@@ -279,7 +283,7 @@ func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: request body: %v", backend.ErrBadPredicate, err)
+		return fmt.Errorf("%w: request body: %v", ErrBadRequest, err)
 	}
 	return nil
 }

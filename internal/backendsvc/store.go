@@ -22,6 +22,10 @@ var ErrUnauthorized = errors.New("backendsvc: unauthorized")
 // ErrNoTenant marks an unknown tenant namespace.
 var ErrNoTenant = errors.New("backendsvc: no such tenant")
 
+// ErrBadRequest marks a /v1 request body that is malformed or carries a field
+// the endpoint does not take.
+var ErrBadRequest = errors.New("backendsvc: bad request")
+
 // tenantMeta is one row of tenants.json — the store's directory of
 // namespaces. Auth keys live here (0600) alongside the snapshots, which
 // already hold every private key the enterprise owns.

@@ -63,6 +63,13 @@ func churn(t *testing.T, svc backend.Service) (subject cert.ID) {
 	if _, err := svc.RevokeSubject(ctx, bob); err != nil {
 		t.Fatal(err)
 	}
+	erin, _, err := svc.RegisterSubject(ctx, "erin", attr.MustSet("position=staff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.ProvisionSubject(ctx, erin); err != nil { // draws erin's cover-up membership
+		t.Fatal(err)
+	}
 	return alice
 }
 
@@ -110,6 +117,65 @@ func TestTenantReplayFingerprint(t *testing.T) {
 	// And the auth key survived.
 	if tn2.AuthKey() != tn.AuthKey() {
 		t.Fatal("auth key lost across restart")
+	}
+}
+
+// TestProvisionSurvivesRestart: the first provision of a subject in no group
+// draws its cover-up membership, which the WAL records, so a reopened tenant
+// has the same fingerprint and hands the subject the same cover-up key. A
+// second provision draws nothing and appends nothing.
+func TestProvisionSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := s.Create("acme", suite.S128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dave, _, err := tn.RegisterSubject(ctx, "dave", attr.MustSet("position=staff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := tn.ProvisionSubject(ctx, dave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prov.Memberships) != 1 || !prov.Memberships[0].CoverUp {
+		t.Fatalf("memberships %+v, want one cover-up", prov.Memberships)
+	}
+	seq := tn.wal.Seq()
+	if _, err := tn.ProvisionSubject(ctx, dave); err != nil {
+		t.Fatal(err)
+	}
+	if tn.wal.Seq() != seq {
+		t.Errorf("a second provision appended %d records", tn.wal.Seq()-seq)
+	}
+	want := fingerprint(t, tn)
+
+	s2, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn2, err := s2.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(t, tn2); got != want {
+		t.Fatalf("replayed fingerprint differs:\n got %s\nwant %s", got, want)
+	}
+	prov2, err := tn2.ProvisionSubject(ctx, dave)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prov2.Memberships) != 1 || !bytes.Equal(prov2.Memberships[0].Key, prov.Memberships[0].Key) ||
+		prov2.Memberships[0].Group != prov.Memberships[0].Group {
+		t.Fatal("the cover-up key changed across a restart")
+	}
+	if tn2.wal.Seq() != seq {
+		t.Errorf("provisioning after the restart appended %d records", tn2.wal.Seq()-seq)
 	}
 }
 

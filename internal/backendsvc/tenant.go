@@ -236,10 +236,18 @@ func (t *Tenant) RegisterObject(_ context.Context, name string, level backend.Le
 	return id, rep, t.logEffect(payload, "register_object")
 }
 
+// ProvisionSubject logs an effect record when the provision drew the
+// subject's cover-up membership — its first, for a subject in no group — and
+// only then: that draw is random, so a replay could not repeat it.
 func (t *Tenant) ProvisionSubject(_ context.Context, id cert.ID) (*backend.SubjectProvision, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.b.ProvisionSubject(id)
+	coverUps := t.b.Groups.CoverUps()
+	prov, err := t.b.ProvisionSubject(id)
+	if err != nil || t.b.Groups.CoverUps() == coverUps {
+		return prov, err
+	}
+	return prov, t.logEffect(encodeProvisionSubject(t.b, id), "provision_subject")
 }
 
 func (t *Tenant) ProvisionObject(_ context.Context, id cert.ID) (*backend.ObjectProvision, error) {

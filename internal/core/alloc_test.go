@@ -95,6 +95,13 @@ func (p *meshPair) warm() {
 
 func newMeshPair(tb testing.TB, pn pairNet, levels ...Level) *meshPair {
 	tb.Helper()
+	return newMeshPairWith(tb, pn, nil, levels...)
+}
+
+// newMeshPairWith is newMeshPair with the subject's endpoint passed through
+// wrap, when not nil.
+func newMeshPairWith(tb testing.TB, pn pairNet, wrap func(transport.Endpoint) transport.Endpoint, levels ...Level) *meshPair {
+	tb.Helper()
 	b, err := backend.New(suite.S128)
 	if err != nil {
 		tb.Fatal(err)
@@ -143,6 +150,9 @@ func newMeshPair(tb testing.TB, pn pairNet, levels ...Level) *meshPair {
 		tb.Fatal(err)
 	}
 	sep := join(addrs)
+	if wrap != nil {
+		sep = wrap(sep)
+	}
 	subj := NewSubject(sprov, wire.V30, Costs{}, WithEndpoint(sep), WithRetry(DefaultRetry()), WithVerifyCache(vc))
 
 	done := make(chan struct{}, 1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync/atomic"
 	"time"
 
@@ -63,9 +64,17 @@ type Object struct {
 
 	// publicRES1 and variantEnc are the wire encodings of a Level 1 object's
 	// one answer and of each prov.Variants[i].Profile, made when the provision
-	// arrives, not per answer.
+	// arrives, not per answer; knownRES1 is the known answer that stands for
+	// publicRES1 (wire.ModePublicKnown), of fixed length.
 	publicRES1 []byte
+	knownRES1  *[wire.KnownRES1Size]byte
 	variantEnc [][]byte
+
+	// known holds, by address, the subjects a Level 1 object sent publicRES1
+	// in answer to a hinted QUE1, each with the R_S tag of the last QUE1 it
+	// answered from there (knownAnswer). Nil until the first; Refresh empties
+	// it, since what its members verified is the old publicRES1.
+	known map[transport.Addr]uint64
 }
 
 // Resource bounds. DoS resistance is a non-goal of the paper (§III), but an
@@ -214,13 +223,18 @@ func (o *Object) Bind(ep transport.Endpoint) {
 	ep.Bind(o)
 }
 
-// encodeProfiles fills publicRES1 and variantEnc from the current provision.
+// encodeProfiles fills publicRES1, knownRES1 and variantEnc from the current
+// provision.
 func (o *Object) encodeProfiles() {
 	res := &wire.RES1{Version: o.version, Mode: wire.ModePublic}
 	if p := o.prov.PublicProfile; p != nil {
 		res.Prof = p.Encode()
 	}
-	o.publicRES1, o.variantEnc = res.Encode(), make([][]byte, 0, len(o.prov.Variants))
+	digest := wire.ProfileDigest(res.Prof)
+	known := &wire.RES1{Version: o.version, Mode: wire.ModePublicKnown, ProfDigest: digest[:]}
+	o.publicRES1, o.knownRES1 = res.Encode(), new([wire.KnownRES1Size]byte)
+	known.AppendTo(o.knownRES1[:0])
+	o.variantEnc = make([][]byte, 0, len(o.prov.Variants))
 	for _, v := range o.prov.Variants {
 		o.variantEnc = append(o.variantEnc, v.Profile.Encode())
 	}
@@ -266,11 +280,14 @@ func (o *Object) Level() Level { return o.prov.Level }
 // credentials can never satisfy the next handshake. Resumption tickets are
 // dropped wholesale: what they vouch for was checked against the old
 // provision, and every subject pays one full handshake against the new one.
+// So does every Level 1 known answer: the next answer to each subject is the
+// full RES1 of the new provision.
 func (o *Object) Refresh(prov *backend.ObjectProvision) {
 	if !bytes.Equal(o.prov.CACert, prov.CACert) {
 		o.vcache.Flush()
 	}
 	o.tickets.flush()
+	o.known = nil
 	o.prov = prov
 	o.encodeProfiles()
 	o.revoked = make(map[cert.ID]bool, len(prov.Revoked))
@@ -282,15 +299,12 @@ func (o *Object) Refresh(prov *backend.ObjectProvision) {
 
 // Revoke adds a subject to the object's local blacklist (a backend
 // notification arriving on the ground, §VIII) and drops the subject's cached
-// credential verifications and resumption tickets.
+// credential verifications. Its resumption tickets stay on file until they
+// expire, are evicted or Refresh flushes them: a hint under one is how the
+// object recognises the subject's QUE1 and leaves it unanswered, for one HMAC.
 func (o *Object) Revoke(subject cert.ID) {
 	o.revoked[subject] = true
 	o.vcache.InvalidateEntity(subject)
-	for peer, t := range o.tickets.m {
-		if t.subject == subject {
-			o.tickets.drop(peer)
-		}
-	}
 }
 
 // Handle implements transport.Handler. The message is decoded into a value on
@@ -375,26 +389,35 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		// Level 1: return the signed profile in plaintext. No
 		// compute-intensive operation on the object (Fig 6b), and the same
 		// bytes to every subject.
-		o.tel.que1Result(resultPublic)
-		enc := o.publicRES1
+		enc, result := o.publicRES1, resultPublic
 		if o.retry.Enabled() {
 			// Cache the answer so a duplicate QUE1 can resend it (the
 			// public path has no QUE2 to drive retransmission otherwise); it
 			// goes at TTL/2, which bounds the resend window. handleQUE2
-			// ignores a QUE2 that finds it.
+			// ignores a QUE2 that finds it. What goes out first may be the
+			// known answer; a duplicate always gets the full one.
 			o.cache(key, cachedAnswer{enc: enc, public: true})
+			if len(m.Hints) > 0 && o.knownSubject(from, m.RS) {
+				enc, result = o.knownRES1[:], resultKnown
+			}
 		}
+		o.tel.que1Result(result)
 		o.ep.Send(from, enc)
 		return
 	}
 
 	// Level 2/3: respond with a nonce, and with handshake material unless the
-	// subject holds a ticket, and await QUE2.
+	// subject holds a ticket, and await QUE2 — or, to a revoked subject the
+	// hint names, not at all: the silence its QUE2 would meet, for one HMAC.
+	t, hmacs := o.hintedTicket(from, m)
+	if t != nil && o.revoked[t.subject] {
+		o.tel.que1Result(resultRejected)
+		return
+	}
 	sess := o.newSession(key)
 	sess.rs, sess.que1Enc = m.RS, raw // windows on raw, like every decoded field
 	o.open(sess)
 	o.scheduleGC(sess)
-	t, hmacs := o.hintedTicket(from, m)
 	if t == nil {
 		if !o.signRES1(sess, time.Duration(hmacs)*o.costs.HMAC) {
 			o.drop(sess)
@@ -418,17 +441,39 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 // carries its hint — the subject still holds it too, a ratchet step neither
 // ahead nor behind — and how many HMACs finding out took: one when there is a
 // ticket on file for the address, none for a stranger, a Level 1 object or the
-// zero policy, which files no tickets and is sent no hints.
+// zero policy, which files no tickets and is sent no hints. The ticket of a
+// revoked subject is returned like any other; the caller answers it silence.
 func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, int) {
 	t := o.tickets.get(from)
 	if t == nil || len(m.Hints) == 0 {
 		return nil, 0
 	}
 	o.tel.count(opsHMAC, 1)
-	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(time.Now()) || o.revoked[t.subject] {
+	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(time.Now()) {
 		return nil, 1
 	}
 	return t, 1
+}
+
+// knownSubject reports whether a Level 1 object answers the first copy of a
+// hinted QUE1 with R_S rs from the subject at from with the known answer
+// (DESIGN.md §15): whether it sent that subject its current publicRES1 before,
+// for another QUE1. Either way the subject is known from here on. The tag of
+// rs kept per subject tells a duplicate the resend cache no longer holds from
+// a new round's QUE1, so every duplicate gets the full answer. The set is
+// bounded like seen: past maxSeenQueries subjects it starts over, and each
+// subject it forgot gets the full answer once more.
+func (o *Object) knownSubject(from transport.Addr, rs []byte) bool {
+	tag := binary.LittleEndian.Uint64(rs)
+	last, member := o.known[from]
+	if !member && len(o.known) >= maxSeenQueries {
+		o.known = nil
+	}
+	if o.known == nil {
+		o.known = make(map[transport.Addr]uint64)
+	}
+	o.known[from] = tag
+	return member && last != tag
 }
 
 // signRES1 gives sess a fresh R_O and ephemeral key and sends the RES1 that
@@ -734,7 +779,6 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		return false
 	}
 	if o.revoked[t.subject] {
-		o.tickets.drop(from)
 		o.tel.que2Result(resultRejected)
 		return false // silence, as for the full QUE2 of a revoked subject
 	}
@@ -756,8 +800,8 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 func (o *Object) refuseQUE2(from transport.Addr, sess *objSession) {
 	switch {
 	case sess.short && o.revoked[sess.subject]:
-		// The revocation took the ticket after the short RES1 went out:
-		// silence, as above.
+		// The ticket went (a flush, an eviction) after the short RES1 to a
+		// subject revoked since: silence, as above.
 		o.tel.que2Result(resultRejected)
 	case !sess.short:
 		o.tel.resumption(resultRefused)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"sync/atomic"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"argus/internal/cert"
 	"argus/internal/suite"
 	"argus/internal/transport"
+	"argus/internal/wire"
 )
 
 // Session resumption (DESIGN.md §15). Two ends that completed a Level 2/3
@@ -20,7 +22,9 @@ import (
 // finds its own answers with the short RES1 — a nonce — instead of generating
 // a key and signing for a peer that will look at neither. Every engine with
 // an enabled RetryPolicy resumes; the zero policy stays the paper's one-shot
-// protocol.
+// protocol. A Level 1 pairing has no handshake to mint a ticket from: the
+// subject keeps the profile it verified (knownTable), and the object answers
+// it with that profile's digest (Object.knownSubject).
 
 // maxTickets bounds each engine's ticket table, like maxPendingSessions bounds
 // its session table: the §VIII scale of one category (10³ peers). Past it the
@@ -135,14 +139,7 @@ func (tt *ticketTable) mint(k transport.Addr, binding *ticket, k2 *suite.Key, ts
 	t := tt.m[k]
 	if t == nil {
 		if len(tt.m) >= maxTickets {
-			var oldest transport.Addr
-			least := tt.clock + 1
-			for key, cand := range tt.m {
-				if cand.used < least {
-					oldest, least = key, cand.used
-				}
-			}
-			tt.drop(oldest)
+			tt.drop(leastUsed(tt.m, func(t *ticket) uint64 { return t.used }))
 		}
 		t = new(ticket)
 		tt.m[k] = t
@@ -194,3 +191,68 @@ func (tt *ticketTable) flush() {
 	clear(tt.m)
 	tt.n.Store(0)
 }
+
+// leastUsed returns the key of the entry of m whose table clock, used, is the
+// oldest; m must not be empty.
+func leastUsed[V any](m map[transport.Addr]V, used func(V) uint64) transport.Addr {
+	var oldest transport.Addr
+	least := ^uint64(0)
+	for k, v := range m {
+		if u := used(v); u <= least {
+			oldest, least = k, u
+		}
+	}
+	return oldest
+}
+
+// knownProfile is a Level 1 answer a subject verified: the digest of the
+// PROF_O bytes (wire.ProfileDigest), the decoded profile (shared, read-only)
+// and its window, with the last round it was filed or used in.
+type knownProfile struct {
+	digest              [wire.ProfileDigestSize]byte
+	prof                *cert.Profile
+	notBefore, notAfter time.Time
+	round               int
+}
+
+// knownTable is a subject's Level 1 profiles verified, by object address,
+// against which it checks the objects' known answers (DESIGN.md §15). Nil
+// until the first is filed, and bounded like the ticket table: past
+// maxTickets addresses an entry of the longest-unused round goes, and its
+// object's next known answer is dropped. Event-loop only.
+type knownTable struct {
+	m map[transport.Addr]knownProfile
+}
+
+// file records prof, verified in round from the PROF_O bytes raw, as the
+// profile of the object at k.
+func (kt *knownTable) file(k transport.Addr, raw []byte, prof *cert.Profile, round int) {
+	if kt.m == nil {
+		kt.m = make(map[transport.Addr]knownProfile)
+	} else if _, ok := kt.m[k]; !ok && len(kt.m) >= maxTickets {
+		delete(kt.m, leastUsed(kt.m, func(e knownProfile) uint64 { return uint64(e.round) }))
+	}
+	e := knownProfile{digest: wire.ProfileDigest(raw), prof: prof, round: round}
+	e.notBefore, e.notAfter = prof.Window()
+	kt.m[k] = e
+}
+
+// lookup returns the profile on file for the object at k if digest names it
+// and now lies inside its window, nil otherwise; a match is a use in round.
+func (kt *knownTable) lookup(k transport.Addr, digest []byte, now time.Time, round int) *cert.Profile {
+	e, ok := kt.m[k]
+	if !ok || !bytes.Equal(digest, e.digest[:]) {
+		return nil
+	}
+	if now.Before(e.notBefore) || now.After(e.notAfter) {
+		return nil
+	}
+	if e.round != round {
+		e.round = round
+		kt.m[k] = e
+	}
+	return e.prof
+}
+
+// flush forgets every profile.
+func (kt *knownTable) flush() { clear(kt.m) }

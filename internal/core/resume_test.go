@@ -38,8 +38,8 @@ func newResumeFixture(t *testing.T, n int) *resumeFixture {
 }
 
 // newResumeFixtureAt is newResumeFixture with the devices at the given level —
-// at Level 3 alice is a fellow of the group they serve — and on the given
-// links.
+// at Level 3 alice is a fellow of the group they serve, at Level 1 the first
+// round verified each device's public profile — and on the given links.
 func newResumeFixtureAt(t *testing.T, n int, level Level, link netsim.LinkModel) *resumeFixture {
 	t.Helper()
 	f := &resumeFixture{deployment: newDeployment(t), reg: obs.NewRegistry(), air: &tap{}}
@@ -83,7 +83,11 @@ func newResumeFixtureAt(t *testing.T, n int, level Level, link netsim.LinkModel)
 	if got := len(f.run()); got != n {
 		t.Fatalf("first round: %d discoveries, want %d", got, n)
 	}
-	f.want(t, "after the first round", int64(n), 0, 0)
+	minted := int64(n)
+	if level == L1 {
+		minted = 0 // a Level 1 pairing has no handshake to mint a ticket
+	}
+	f.want(t, "after the first round", minted, 0, 0)
 	return f
 }
 
@@ -232,11 +236,14 @@ func TestZeroPolicyNeverResumes(t *testing.T) {
 
 // TestRevokedSubjectWithTicketGetsSilence: a live ticket is no way around the
 // blacklist, whether the revocation arrives as a notification or in a
-// re-provision.
+// re-provision. A notification leaves the ticket on file, so the hint of the
+// revoked subject's QUE1 is recognised and the QUE1 draws no frame at all; a
+// re-provision flushes the tickets, and the full QUE2 meets the silence.
 func TestRevokedSubjectWithTicketGetsSilence(t *testing.T) {
 	for _, via := range []string{"Revoke", "Refresh"} {
 		f := newResumeFixture(t, 1)
 		o := f.only()
+		wantTickets := 1
 		if via == "Revoke" {
 			o.Revoke(f.subject.ID())
 		} else {
@@ -244,9 +251,10 @@ func TestRevokedSubjectWithTicketGetsSilence(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.refreshObject(o.Name())
+			wantTickets = 0
 		}
-		if o.Tickets() != 0 {
-			t.Errorf("%s: object still holds the revoked subject's ticket", via)
+		if o.Tickets() != wantTickets {
+			t.Errorf("%s: object holds %d tickets, want %d", via, o.Tickets(), wantTickets)
 		}
 		got, frames := f.round(t)
 		if len(got) != 0 {
@@ -256,15 +264,58 @@ func TestRevokedSubjectWithTicketGetsSilence(t *testing.T) {
 			if r, ok := fr.msg.(*wire.RES2); ok && !r.Refusal() {
 				t.Fatalf("%s: object answered a revoked subject", via)
 			}
+			if fr.msg.Type() == wire.TRES1 && via == "Revoke" {
+				t.Fatalf("%s: object answered the hinted QUE1 of a revoked subject", via)
+			}
 		}
 	}
-	// Belt and braces: even a ticket that survived (say, a notification that
-	// raced the table) is checked against the blacklist when presented.
+	// Belt and braces: a ticket presented in a short QUE2 is checked against
+	// the blacklist too, and stays on file.
 	f := newResumeFixture(t, 1)
 	o := f.only()
-	o.revoked[f.subject.ID()] = true
-	if got, _ := f.round(t); len(got) != 0 || o.Tickets() != 0 {
+	f.at(gaps[1], func() { o.revoked[f.subject.ID()] = true }) // the short RES1 is out
+	if got, _ := f.round(t); len(got) != 0 || o.Tickets() != 1 {
 		t.Fatalf("blacklisted ticket honoured: %d discoveries, %d tickets left", len(got), o.Tickets())
+	}
+}
+
+// TestRevokedRoundsCostHMACsOnly: the rounds of a subject revoked by a
+// notification cost a Level 2 and a Level 3 object alike one HMAC a QUE1 —
+// the hint check that recognises it — and no key generation, signature or
+// frame.
+func TestRevokedRoundsCostHMACsOnly(t *testing.T) {
+	for _, level := range []Level{L2, L3} {
+		f := newResumeFixtureAt(t, 1, level, netsim.DefaultWiFi())
+		o := f.only()
+		o.Revoke(f.subject.ID())
+		before := map[string]int64{}
+		for _, op := range []string{opSign, opKexGen, opHMAC} {
+			before[op] = f.ops(t, "object", op)
+		}
+		que1s := 0
+		for r := 0; r < 3; r++ {
+			got, frames := f.round(t)
+			if len(got) != 0 {
+				t.Fatalf("%v: revoked subject discovered %d services", level, len(got))
+			}
+			for _, fr := range frames {
+				if fr.msg.Type() != wire.TQUE1 {
+					t.Fatalf("%v: a revoked subject's round drew a %v", level, fr.msg.Type())
+				}
+				que1s++
+			}
+		}
+		for _, op := range []string{opSign, opKexGen} {
+			if d := f.ops(t, "object", op) - before[op]; d != 0 {
+				t.Errorf("%v: revoked rounds cost the object %d %s ops", level, d, op)
+			}
+		}
+		if d := f.ops(t, "object", opHMAC) - before[opHMAC]; d != int64(que1s) {
+			t.Errorf("%v: %d object HMACs for %d QUE1s, want one each", level, d, que1s)
+		}
+		if n := counterValue(t, f.reg, obs.MObjectQue1, obs.L("result", resultRejected)); n != int64(que1s) {
+			t.Errorf("%v: %d QUE1s counted rejected, want %d", level, n, que1s)
+		}
 	}
 }
 
@@ -876,7 +927,7 @@ func TestDeadEndMatrix(t *testing.T) {
 	}
 	rows := []row{
 		{"object Refresh", func(f *resumeFixture, o *Object) { f.refreshObject(o.Name()) }, false, [3]int{6, 6, 6}},
-		{"object Revoke", func(f *resumeFixture, o *Object) { o.Revoke(f.subject.ID()) }, true, [3]int{5, 3, 3}},
+		{"object Revoke", func(f *resumeFixture, o *Object) { o.Revoke(f.subject.ID()) }, true, [3]int{1, 3, 3}},
 		{"object ticket eviction", func(f *resumeFixture, o *Object) { o.tickets.drop(f.subject.ep.Addr()) }, false, [3]int{6, 6, 6}},
 		{"object ticket expiry", func(f *resumeFixture, o *Object) {
 			o.tickets.get(f.subject.ep.Addr()).notAfter = time.Now().Add(-time.Second)

@@ -73,9 +73,6 @@ type Subject struct {
 	// late responses finally arrived) gets its recovery chain back instead of
 	// being stranded with expired sessions and an exhausted budget.
 	que1Attempt int
-	// probed is set once the current round rebroadcast QUE1: from then on a
-	// RES1 cannot be matched to one transmission and is no RTT sample.
-	probed bool
 	// completedRound is the last round a harness declared done via
 	// CompleteRound: handshake traffic still processes normally, but no new
 	// retry deadlines are armed for it (a responder answering after the
@@ -98,9 +95,15 @@ type Subject struct {
 	silent     int
 	silentFull int
 	blind      bool
+	// probed is set once the current round rebroadcast QUE1: from then on a
+	// RES1 cannot be matched to one transmission and is no RTT sample. (Beside
+	// blind, it shares blind's word.)
+	probed bool
 
-	// tickets holds one resumption ticket per object address (resume.go).
+	// tickets holds one resumption ticket per object address (resume.go), and
+	// known the Level 1 profiles verified, by object address.
 	tickets ticketTable
+	known   knownTable
 
 	// The records no session and no Level 1 answer references any more, for
 	// the next one to reuse (freeList).
@@ -265,12 +268,14 @@ func (s *Subject) instrument(reg *obs.Registry, tr *obs.Tracer) {
 func (s *Subject) ID() cert.ID { return s.prov.ID }
 
 // Refresh applies a re-provision (new PROF, rotated group keys). A changed
-// trust anchor (backend re-keying) flushes the verification cache: results
-// proven against the old anchor say nothing about the new one. Resumption
-// tickets go either way: the objects hold the PROF_S each was minted with.
+// trust anchor (backend re-keying) flushes the verification cache and the
+// Level 1 profiles verified: results proven against the old anchor say
+// nothing about the new one. Resumption tickets go either way: the objects
+// hold the PROF_S each was minted with.
 func (s *Subject) Refresh(prov *backend.SubjectProvision) {
 	if !bytes.Equal(s.prov.CACert, prov.CACert) {
 		s.vcache.Flush()
+		s.known.flush()
 	}
 	s.tickets.flush()
 	s.prov = prov
@@ -705,12 +710,17 @@ func (s *Subject) handleRES1(from transport.Addr, m *wire.RES1, raw []byte) {
 		if s.retry.Enabled() { // the zero policy sends no hint to answer
 			s.handleSecureRES1(from, m, raw)
 		}
+	case wire.ModePublicKnown:
+		if s.retry.Enabled() {
+			s.handleKnownRES1(from, m)
+		}
 	}
 }
 
 // handlePublicRES1 processes a Level 1 response: verify the admin signature
 // on the plaintext profile (the subject's only compute-intensive operation in
-// Level 1, Fig 6b).
+// Level 1, Fig 6b). Under an enabled policy the verified profile is filed for
+// the object's known answers.
 func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	if s.heard(from) {
 		// Duplicate delivery of this round's plaintext RES1 (every
@@ -723,13 +733,40 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	if err != nil || prof.Kind != cert.RoleObject {
 		return
 	}
+	if s.retry.Enabled() {
+		s.known.file(from, m.Prof, prof, s.round)
+	}
+	s.tel.count(opsVerify, 1)
+	s.discoverL1(from, prof, s.costs.Verify)
+}
+
+// handleKnownRES1 processes a Level 1 known answer (DESIGN.md §15): the
+// digest of a profile this subject verified from the same address is the
+// round's discovery of it, inside the profile's window, with no verification.
+// Anything else is dropped and counted; the peer stays silent, and the
+// round's rebroadcast draws the full RES1, which the object gives every
+// duplicate.
+func (s *Subject) handleKnownRES1(from transport.Addr, m *wire.RES1) {
+	if s.heard(from) {
+		return
+	}
+	prof := s.known.lookup(from, m.ProfDigest, time.Now(), s.round)
+	if prof == nil {
+		s.tel.knownDrop()
+		return
+	}
+	s.discoverL1(from, prof, 0)
+}
+
+// discoverL1 credits the round's Level 1 discovery of prof from the object at
+// from and records it once cost, what checking the answer took, has passed.
+func (s *Subject) discoverL1(from transport.Addr, prof *cert.Profile, cost time.Duration) {
 	s.sampleRES1()
 	s.credit(from)
-	st := phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
-	s.tel.count(opsVerify, 1)
 	a := s.l1Free.get()
-	a.s, a.st, a.from, a.prof = s, st, from, prof
-	s.ep.Compute(s.costs.Verify, a)
+	a.s, a.from, a.prof = s, from, prof
+	a.st = phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
+	s.ep.Compute(cost, a)
 }
 
 // handleSecureRES1 runs the subject side of phase 2: authenticate the

@@ -132,6 +132,7 @@ type subjectTelemetry struct {
 	tracer      *obs.Tracer
 	rounds      *obs.Counter
 	probes      *obs.Counter               // blind-round QUE1 rebroadcasts with nobody silent
+	knownDrops  *obs.Counter               // Level 1 known answers matching no verified profile
 	discoveries [4]*obs.Counter            // indexed by Level (1..3)
 	phases      [4][nPhases]*obs.Histogram // [level][phase index]
 	ops         cryptoOps
@@ -157,8 +158,10 @@ func newSubjectTelemetry(reg *obs.Registry, tr *obs.Tracer, version wire.Version
 		tracer: tr,
 		rounds: reg.Counter(obs.MDiscoveryRounds, "Discovery rounds started (QUE1 broadcasts)."),
 		probes: retransCounter(reg, "subject", msgQUE1, obs.CauseProbe),
-		ops:    newCryptoOps(reg, "subject"),
-		rob:    newRobustness(reg, "subject", []string{msgQUE1, msgQUE2}),
+		knownDrops: reg.Counter(obs.MKnownAnswerDrops,
+			"Level 1 known answers dropped: no verified profile on file from the sender matches the digest inside its window."),
+		ops: newCryptoOps(reg, "subject"),
+		rob: newRobustness(reg, "subject", []string{msgQUE1, msgQUE2}),
 	}
 	ver := "v" + strconv.Itoa(int(version))
 	for level := L1; level <= L3; level++ {
@@ -262,6 +265,13 @@ func (t *subjectTelemetry) probe() {
 	t.probes.Inc()
 }
 
+func (t *subjectTelemetry) knownDrop() {
+	if t == nil {
+		return
+	}
+	t.knownDrops.Inc()
+}
+
 func (t *subjectTelemetry) resumption(result string) {
 	if t == nil {
 		return
@@ -297,13 +307,14 @@ type objectTelemetry struct {
 // QUE1/QUE2 outcome label values.
 const (
 	resultPublic    = "public"    // Level 1 plaintext profile returned
+	resultKnown     = "known"     // Level 1 known answer: the digest of the profile the subject verified
 	resultHandshake = "handshake" // secure RES1 sent, awaiting QUE2
 	resultResume    = "resume"    // hint matched a ticket: short RES1 sent, awaiting QUE2
 	resultDuplicate = "duplicate" // flooded QUE1 seen via another path
 	resultRefused   = "refused"   // session table full
 	resultFellow    = "fellow"    // RES2 under K3 (Level 3 face)
 	resultL2        = "l2"        // RES2 under K2 (Level 2 face)
-	resultRejected  = "rejected"  // authentication/verification failed
+	resultRejected  = "rejected"  // authentication/verification failed, or a revoked subject's hint
 	resultSilent    = "silent"    // no policy admits the subject
 	resultOrphan    = "orphan"    // QUE2 with no live session (replay or late arrival)
 )
@@ -329,7 +340,7 @@ func newObjectTelemetry(reg *obs.Registry) *objectTelemetry {
 		ops: newCryptoOps(reg, "object"),
 		rob: newRobustness(reg, "object", []string{msgRES1, msgRES2}),
 	}
-	for _, r := range []string{resultPublic, resultHandshake, resultResume, resultDuplicate, resultRefused} {
+	for _, r := range []string{resultPublic, resultKnown, resultHandshake, resultResume, resultDuplicate, resultRefused, resultRejected} {
 		t.que1[r] = reg.Counter(obs.MObjectQue1, "QUE1 messages handled, by outcome.", obs.L("result", r))
 	}
 	for _, r := range []string{resultFellow, resultL2, resultRejected, resultSilent, resultOrphan} {

@@ -235,6 +235,10 @@ func (m *Manager) MembershipsFor(entity cert.ID, role cert.Role) ([]Membership, 
 	return out, nil
 }
 
+// CoverUps returns how many cover-up memberships have been issued: it moves
+// when MembershipsFor draws one.
+func (m *Manager) CoverUps() int { return len(m.coverUps) }
+
 // coverUpFor returns the entity's cover-up membership, creating it on first
 // use. The key is a unique random value: no second entity owns it, so the
 // MAC_{S,3} it produces never completes a handshake, yet is indistinguishable

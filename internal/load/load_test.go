@@ -88,12 +88,14 @@ func TestCISoak(t *testing.T) {
 	if rep.Waves[0].Armed != int64(96*2) {
 		t.Fatalf("wave 0 armed %d, want %d", rep.Waves[0].Armed, 96*2)
 	}
-	// Cold → warm: the first wave must miss, later waves must hit.
+	// Cold → warm: the first wave must miss; the second verifies nothing
+	// anew — its Level 2/3 sessions resume on tickets and its Level 1 answers
+	// are known answers, so it looks nothing up that could miss.
 	if rep.Waves[0].VCacheMisses == 0 {
 		t.Fatal("wave 0 saw no verify-cache misses (cold phase missing)")
 	}
-	if rep.Waves[1].VCacheHits == 0 {
-		t.Fatal("wave 1 saw no verify-cache hits (warm phase missing)")
+	if rep.Waves[1].VCacheMisses != 0 {
+		t.Fatalf("wave 1 saw %d verify-cache misses (warm phase missing)", rep.Waves[1].VCacheMisses)
 	}
 	// A freshly added subject's first handshake is cold again.
 	if rep.Waves[2].VCacheMisses == 0 {

@@ -17,6 +17,7 @@ const (
 	MDiscoveries           = "argus_discoveries_total"       // level
 	MDiscoveryPhaseSeconds = "argus_discovery_phase_seconds" // level, phase, version
 	MCryptoOps             = "argus_crypto_ops_total"        // op, role
+	MKnownAnswerDrops      = "argus_known_answer_drops_total"
 
 	// internal/core — object side.
 	MObjectQue1           = "argus_object_que1_total" // result

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"argus/internal/cert"
-	"argus/internal/obs"
 	"argus/internal/transport"
 )
 
@@ -93,9 +92,7 @@ func (d *Distributor) park(to cert.ID, n *Notification) {
 	if d.journal != nil {
 		d.journal.Park(to, n.Encode())
 	}
-	d.reg.Counter(obs.MUpdateUndeliverable,
-		"Notifications not deliverable because the destination was offline, by kind.",
-		obs.L("kind", n.Kind.String())).Inc()
+	d.counters(n.Kind).undelivered.Inc()
 	// Delta, not Set: several distributors (one per cell in the load
 	// harness) may share a registry, and the family gauge is their sum.
 	d.depthG.Add(1)
@@ -133,10 +130,11 @@ func (d *Distributor) Reattach(id cert.ID, addr transport.Addr) int {
 	}
 	now := d.ep.Now()
 	for _, l := range q {
-		d.countSent(l.n.Kind)
-		d.reg.Counter(obs.MUpdateRedelivered,
-			"Parked notifications redelivered after reattach, by kind.",
-			obs.L("kind", l.n.Kind.String())).Inc()
+		// The letter's lag is measured from its park time (SentAt).
+		d.stamp(l.n.Seq, l.at)
+		c := d.counters(l.n.Kind)
+		c.sent.Inc()
+		c.redelivered.Inc()
 		d.lagH.ObserveDuration(now - l.at)
 		d.sent++
 		d.ep.Send(dst, l.n.Encode())

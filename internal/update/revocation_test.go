@@ -186,32 +186,98 @@ func TestSignatureBoundToKind(t *testing.T) {
 // objects through 200 distributors that share an admin: 100 distributors of
 // two targets and 100 of one, as the benchmark fleet's cells hold them. An
 // op signs once; a signature per push would add ≈ 60 allocations a target.
+// The instrumented distributors share one registry, as the benchmark fleet's
+// and argus-node's gateways have one, and nobody reads their push stamps.
 func BenchmarkRevocationPush(b *testing.B) {
-	admin, err := cert.NewAdmin(suite.S128, "admin")
-	if err != nil {
-		b.Fatal(err)
-	}
-	type cell struct {
-		dist    *Distributor
-		targets []cert.ID
-	}
-	cells := make([]cell, 200)
-	for c := range cells {
-		cells[c].dist = NewDistributor(admin, &sink{})
-		for k := 0; k < 1+c%2; k++ {
-			id := cert.IDFromName(fmt.Sprintf("lock-%d-%d", c, k))
-			cells[c].dist.Register(id, transport.Addr(id.String()))
-			cells[c].targets = append(cells[c].targets, id)
+	for _, instrumented := range []bool{false, true} {
+		name := "plain"
+		if instrumented {
+			name = "instrumented"
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		subject := cert.IDFromName(fmt.Sprintf("subject-%d", i))
-		for _, c := range cells {
-			if err := c.dist.RevokeSubject(subject, c.targets); err != nil {
+		b.Run(name, func(b *testing.B) {
+			admin, err := cert.NewAdmin(suite.S128, "admin")
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			type cell struct {
+				dist    *Distributor
+				targets []cert.ID
+			}
+			reg := obs.NewRegistry()
+			cells := make([]cell, 200)
+			for c := range cells {
+				cells[c].dist = NewDistributor(admin, &sink{})
+				if instrumented {
+					cells[c].dist.Instrument(reg)
+				}
+				for k := 0; k < 1+c%2; k++ {
+					id := cert.IDFromName(fmt.Sprintf("lock-%d-%d", c, k))
+					cells[c].dist.Register(id, transport.Addr(id.String()))
+					cells[c].targets = append(cells[c].targets, id)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				subject := cert.IDFromName(fmt.Sprintf("subject-%d", i))
+				for _, c := range cells {
+					if err := c.dist.RevokeSubject(subject, c.targets); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
+
+// TestSentAtsBounded: the push stamps of an instrumented distributor nobody
+// reads stay under maxSentAts, however many pushes go out; a stamp that is
+// read goes with the read; and a letter parked before the older stamps were
+// dropped is stamped again, from its park time, when it is redelivered.
+func TestSentAtsBounded(t *testing.T) {
+	admin, err := cert.NewAdmin(suite.S128, "admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := &clockSink{}
+	d := NewDistributor(admin, ep)
+	d.Instrument(obs.NewRegistry())
+	lock, away := cert.IDFromName("lock"), cert.IDFromName("away")
+	d.Register(lock, "lock")
+	d.Register(away, "away")
+	d.MarkOffline(away)
+	ep.now = time.Second
+	if err := d.RevokeSubject(cert.IDFromName("parked"), []cert.ID{away}); err != nil {
+		t.Fatal(err)
+	}
+	parkedSeq, subject := d.seq, cert.IDFromName("subject") // one signature serves every push
+	for i := 0; i < 100_000; i++ {
+		ep.now = time.Duration(i+2) * time.Second
+		if err := d.RevokeSubject(subject, []cert.ID{lock}); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(d.sentAts); n > maxSentAts {
+			t.Fatalf("%d stamps after push %d, cap %d", n, i, maxSentAts)
+		}
+	}
+	if at, ok := d.SentAt(d.seq); !ok || at != 100_001*time.Second {
+		t.Fatalf("last push stamped %v, %v", at, ok)
+	}
+	if _, ok := d.SentAt(d.seq); ok {
+		t.Error("a stamp survived its read")
+	}
+	if d.Reattach(away, "") != 1 {
+		t.Fatal("parked letter not redelivered")
+	}
+	if at, ok := d.SentAt(parkedSeq); !ok || at != time.Second {
+		t.Errorf("redelivered letter stamped %v, %v; want its park time 1s", at, ok)
+	}
+}
+
+// clockSink is a sink whose clock the test sets.
+type clockSink struct {
+	sink
+	now time.Duration
+}
+
+func (s *clockSink) Now() time.Duration { return s.now }

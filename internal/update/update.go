@@ -282,12 +282,26 @@ type Distributor struct {
 	redelivered int
 	journal     Journal
 
-	reg     *obs.Registry
-	sentAts map[uint64]time.Duration // seq → virtual push time, for lag measurement
+	// Instrumentation, resolved once by Instrument: the counters by Kind, and
+	// the push time of every notification on the wire by Seq until its agent
+	// reads it (SentAt). Nobody may ever read one — an agent not instrumented,
+	// a notification lost or rejected — so the table is capped: past
+	// maxSentAts the older half goes.
+	sentAts map[uint64]time.Duration
 	depthG  *obs.Gauge
 	evictC  *obs.Counter
 	lagH    *obs.Histogram
+	kindC   [KindReprovision]kindCounters // by Kind-1
 }
+
+// kindCounters are a distributor's counters of one Kind.
+type kindCounters struct{ sent, undelivered, redelivered *obs.Counter }
+
+// counters returns the counters of notifications of kind k.
+func (d *Distributor) counters(k Kind) *kindCounters { return &d.kindC[k-1] }
+
+// maxSentAts caps Distributor.sentAts: the push stamps no agent has read.
+const maxSentAts = 4096
 
 // NewDistributor builds a backend gateway sending through ep (the gateway
 // itself receives nothing, so ep stays unbound). Under the simulator, pass
@@ -317,7 +331,7 @@ func (d *Distributor) Addr() transport.Addr { return d.ep.Addr() }
 func (d *Distributor) Instrument(reg *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.reg = reg
+	d.kindC = [KindReprovision]kindCounters{}
 	if reg == nil {
 		d.sentAts, d.depthG, d.evictC, d.lagH = nil, nil, nil, nil
 		return
@@ -328,10 +342,21 @@ func (d *Distributor) Instrument(reg *obs.Registry) {
 		"Parked notifications discarded at the per-destination DLQ bound.")
 	d.lagH = reg.Histogram(obs.MUpdateRedeliveryLag,
 		"Lag from parking an undeliverable notification to its redelivery.", obs.LatencyBuckets())
+	for _, k := range []Kind{KindRevokeSubject, KindReprovision} {
+		kind := obs.L("kind", k.String())
+		*d.counters(k) = kindCounters{
+			sent: reg.Counter(obs.MUpdateSent, "Admin notifications pushed to the ground, by kind.", kind),
+			undelivered: reg.Counter(obs.MUpdateUndeliverable,
+				"Notifications not deliverable because the destination was offline, by kind.", kind),
+			redelivered: reg.Counter(obs.MUpdateRedelivered,
+				"Parked notifications redelivered after reattach, by kind.", kind),
+		}
+	}
 }
 
 // SentAt returns the virtual time the notification with the given sequence
-// number was pushed (only tracked while instrumented). For a parked
+// number was pushed (only tracked while instrumented), once: the stamp goes
+// with the read, as each notification has one destination. For a parked
 // notification this is the park time, so agent-side propagation lag includes
 // the destination's offline window. Pass this method to (*Agent).Instrument
 // to wire the propagation-lag histogram.
@@ -339,7 +364,27 @@ func (d *Distributor) SentAt(seq uint64) (time.Duration, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t, ok := d.sentAts[seq]
+	delete(d.sentAts, seq)
 	return t, ok
+}
+
+// stamp records at as the push time of the notification with sequence seq,
+// first dropping the stamps of the older half of the last maxSentAts
+// sequence numbers if the table is full: each sweep takes at least half of
+// it, so a push pays for it in amortized constant time. Caller holds d.mu.
+func (d *Distributor) stamp(seq uint64, at time.Duration) {
+	if d.sentAts == nil {
+		return
+	}
+	if len(d.sentAts) >= maxSentAts {
+		floor := d.seq - min(d.seq, maxSentAts/2)
+		for s := range d.sentAts {
+			if s <= floor {
+				delete(d.sentAts, s)
+			}
+		}
+	}
+	d.sentAts[seq] = at
 }
 
 // Register maps a device identity to its transport address.
@@ -356,11 +401,6 @@ func (d *Distributor) Sent() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sent
-}
-
-func (d *Distributor) countSent(k Kind) {
-	d.reg.Counter(obs.MUpdateSent, "Admin notifications pushed to the ground, by kind.",
-		obs.L("kind", k.String())).Inc()
 }
 
 // push assigns n the next Seq, then either unicasts it or — when the
@@ -384,15 +424,13 @@ func (d *Distributor) push(to cert.ID, n *Notification) error {
 		}
 		n.Sig = sig
 	}
-	if d.reg != nil {
-		d.sentAts[d.seq] = d.ep.Now()
-	}
 	if d.offline[to] {
 		d.park(to, n)
 		d.mu.Unlock()
 		return nil
 	}
-	d.countSent(n.Kind)
+	d.stamp(n.Seq, d.ep.Now())
+	d.counters(n.Kind).sent.Inc()
 	d.sent++
 	// Send while still holding d.mu: sequence numbers are assigned under the
 	// lock, so the wire order must be decided under it too. Unlocking first

@@ -44,6 +44,8 @@ func legacyEncode(m Message) []byte {
 			w.Bytes16(m.Sig)
 		case ModeResume: // the short form, not in the pre-refactor codec
 			w.Bytes16(m.RO)
+		case ModePublicKnown: // the known answer, not in the pre-refactor codec
+			w.Bytes16(m.ProfDigest)
 		}
 		return w.Bytes()
 	case *QUE2:
@@ -88,6 +90,9 @@ func goldenCorpusMessages() []Message {
 		res1Short(V20),
 		res1Short(V30),
 		&RES1{Version: V30, Mode: ModeResume},
+		res1Known(V10),
+		res1Known(V30),
+		&RES1{Version: V30, Mode: ModePublicKnown},
 		&RES1{Version: V30, Mode: ModePublic, Prof: bytes.Repeat([]byte{3}, 200)},
 		&RES1{Version: V10, Mode: ModePublic},
 		&RES1{Version: V20, Mode: ModeSecure, RO: bytes.Repeat([]byte{4}, 28),

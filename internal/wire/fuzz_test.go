@@ -27,6 +27,8 @@ func TestDecodeNeverPanics(t *testing.T) {
 		(&QUE1{Version: V30, RS: make([]byte, 28)}).Encode(),
 		que1HintedFor(V30).Encode(),
 		res1Short(V30).Encode(),
+		res1Known(V20).Encode(),
+		res1Known(V30).Encode(),
 		(&RES1{Version: V30, Mode: ModePublic, Prof: make([]byte, 200)}).Encode(),
 		(&RES1{Version: V20, Mode: ModeSecure, RO: make([]byte, 28),
 			CertO: make([]byte, 500), KEXMO: make([]byte, 64), Sig: make([]byte, 64)}).Encode(),

@@ -97,7 +97,27 @@ const (
 	// subject by a QUE1 hint (DESIGN.md §15): R_O only. The ticket secret both
 	// ends hold stands in for CERT_O, KEXM_O and SIG.
 	ModeResume ResponseMode = 3
+	// ModePublicKnown is the short RES1 of a Level 1 object to a subject it
+	// already sent its current profile to (DESIGN.md §15): ProfileDigest of
+	// PROF_O only. The profile the subject verified then stands in for it.
+	ModePublicKnown ResponseMode = 4
 )
+
+// ProfileDigestSize is the length of a ModePublicKnown body, and
+// KnownRES1Size the encoded length of a ModePublicKnown RES1.
+const (
+	ProfileDigestSize = 16
+	KnownRES1Size     = 3 + 2 + ProfileDigestSize
+)
+
+// ProfileDigest returns the body of the ModePublicKnown RES1 that stands for
+// a ModePublic one carrying prof: the first ProfileDigestSize bytes of
+// SHA-256 over the PROF_O encoding.
+func ProfileDigest(prof []byte) (d [ProfileDigestSize]byte) {
+	sum := sha256.Sum256(prof)
+	copy(d[:], sum[:])
+	return d
+}
 
 // Message is implemented by all four wire messages.
 type Message interface {
@@ -184,14 +204,16 @@ func (m *QUE1) Encode() []byte {
 	return m.AppendTo(make([]byte, 0, m.EncodedSize()))
 }
 
-// RES1 is the per-object response to QUE1. Exactly one of the two bodies is
-// present, selected by Mode.
+// RES1 is the per-object response to QUE1. Exactly one body is present,
+// selected by Mode.
 type RES1 struct {
 	Version Version
 	Mode    ResponseMode
 
 	// ModePublic (Level 1): the plaintext admin-signed profile.
 	Prof []byte
+	// ModePublicKnown (Level 1): the ProfileDigest of that profile.
+	ProfDigest []byte
 
 	// ModeSecure (Level 2/3): object nonce, certificate, ephemeral ECDH
 	// public value, and the object's signature over R_S ‖ R_O ‖ KEXM_O.
@@ -228,6 +250,8 @@ func (m *RES1) EncodedSize() int {
 		return 3 + 8 + len(m.RO) + len(m.CertO) + len(m.KEXMO) + len(m.Sig)
 	case ModeResume:
 		return 3 + 2 + len(m.RO)
+	case ModePublicKnown:
+		return 3 + 2 + len(m.ProfDigest)
 	}
 	return 3
 }
@@ -245,6 +269,8 @@ func (m *RES1) AppendTo(buf []byte) []byte {
 		buf = appendBytes16(buf, m.Sig)
 	case ModeResume:
 		buf = appendBytes16(buf, m.RO)
+	case ModePublicKnown:
+		buf = appendBytes16(buf, m.ProfDigest)
 	}
 	return buf
 }
@@ -490,6 +516,8 @@ func (m *RES1) DecodeFrom(b []byte) error {
 		m.Sig = r.View16()
 	case ModeResume:
 		m.RO = r.View16()
+	case ModePublicKnown:
+		m.ProfDigest = r.View16()
 	default:
 		return fmt.Errorf("wire: unknown RES1 mode %d", m.Mode)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -203,6 +204,46 @@ func TestHintedQUE1AndShortRES1RoundTripAndShape(t *testing.T) {
 	}
 	if _, err := Decode(append(bad, 0)); err == nil {
 		t.Error("hinted QUE1 with a trailing byte decoded")
+	}
+}
+
+// res1Known is the known answer of a Level 1 object: the digest of a
+// 264-byte profile.
+func res1Known(v Version) *RES1 {
+	d := ProfileDigest(bytes.Repeat([]byte{3}, 264))
+	return &RES1{Version: v, Mode: ModePublicKnown, ProfDigest: d[:]}
+}
+
+func TestKnownRES1RoundTripAndShape(t *testing.T) {
+	prof := bytes.Repeat([]byte{3}, 264)
+	sum := sha256.Sum256(prof)
+	if d := ProfileDigest(prof); !bytes.Equal(d[:], sum[:ProfileDigestSize]) {
+		t.Fatalf("ProfileDigest %x is not the SHA-256 prefix %x", d, sum[:ProfileDigestSize])
+	}
+	for _, v := range []Version{V10, V20, V30} {
+		r := res1Known(v)
+		enc := r.Encode()
+		if enc[0] != byte(TRES1) || enc[2] != byte(ModePublicKnown) || len(enc) != r.EncodedSize() || len(enc) != KnownRES1Size || len(enc) != 21 {
+			t.Fatalf("%v: known RES1 is %d B, EncodedSize %d, want 21", v, len(enc), r.EncodedSize())
+		}
+		full := (&RES1{Version: v, Mode: ModePublic, Prof: prof}).Encode()
+		if len(full) != 269 {
+			t.Fatalf("%v: the full RES1 it stands for is %d B, want 269", v, len(full))
+		}
+		got, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if g := got.(*RES1); g.Version != v || g.Mode != ModePublicKnown || !bytes.Equal(g.ProfDigest, r.ProfDigest) ||
+			g.Prof != nil || g.RO != nil || g.CertO != nil || g.KEXMO != nil || g.Sig != nil {
+			t.Errorf("%v: known RES1 round trip mismatch: %+v", v, g)
+		}
+		if _, err := Decode(enc[:len(enc)-1]); err == nil {
+			t.Errorf("%v: truncated known RES1 decoded", v)
+		}
+		if _, err := Decode(append(enc, 0)); err == nil {
+			t.Errorf("%v: known RES1 with a trailing byte decoded", v)
+		}
 	}
 }
 
