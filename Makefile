@@ -57,7 +57,7 @@ fmt-check:
 # Import-graph gate: what ships links only what it runs — argus-node no
 # harness package, argus-ops obs + realtime + slo, argus-load no backend-service
 # package, no *test package in a non-test file (scripts/check_deps.sh;
-# DESIGN.md §1).
+# DESIGN.md §1) — and no core file but ledger.go charges compute.
 deps-check:
 	scripts/check_deps.sh
 

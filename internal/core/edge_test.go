@@ -378,9 +378,10 @@ func TestSessionCapBoundsMemory(t *testing.T) {
 		t.Fatalf("tables did not drain: %d + %d sessions, %d + %d answers", len(o.sessions), len(pub.sessions), len(o.answers), len(pub.answers))
 	}
 	// Nor is anything else kept per query: no timer of a session that is gone,
-	// and no mark beside the session table (the zero policy's o.seen).
-	if n := o.wheel.pending() + pub.wheel.pending() + len(o.seen) + len(pub.seen); n != 0 {
-		t.Fatalf("%d wheel entries or seen marks outlive the sessions", n)
+	// and no mark beside the session table (the zero policy's o.seen, never
+	// made under an enabled one).
+	if n := o.wheel.pending() + pub.wheel.pending(); n != 0 || o.seen != nil || pub.seen != nil {
+		t.Fatalf("%d wheel entries outlive the sessions, or a seen map was made", n)
 	}
 }
 

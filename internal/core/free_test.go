@@ -212,7 +212,7 @@ func TestPendingStepHoldsRecord(t *testing.T) {
 				// What a restart RES1 does: a new session under the key.
 				n := s.newSession(sess.key.peer)
 				var k2 [suite.KeySize]byte
-				s.sendQUE2(n, sess.ro, &k2, 0)
+				s.sendQUE2(n, sess.ro, &k2, ops{})
 				if s.sessions[sess.key] != n {
 					t.Fatal("the new session was not filed over the old")
 				}

@@ -47,7 +47,7 @@ func TestKnownAnswerRound(t *testing.T) {
 		t.Fatalf("first round's RES1s: %v B, want one of %d", got, fullRES1Size)
 	}
 	first := f.subject.Results()[0]
-	verifies := f.ops(t, "subject", opVerify)
+	verifies := f.ops(t, "subject", verify)
 	for r := 0; r < 5; r++ {
 		got, frames := f.round(t)
 		if len(got) != 1 || got[0].Level != L1 || got[0].Object != o.ID() || got[0].Profile != first.Profile {
@@ -61,7 +61,7 @@ func TestKnownAnswerRound(t *testing.T) {
 			t.Fatalf("round %d: %d frames, want the %d B QUE1 and the %d B known answer", r, len(frames), hintedQUE1Size, knownRES1Size)
 		}
 	}
-	if d := f.ops(t, "subject", opVerify) - verifies; d != 0 {
+	if d := f.ops(t, "subject", verify) - verifies; d != 0 {
 		t.Errorf("known answers cost the subject %d verifications, want 0", d)
 	}
 	if n := counterValue(t, f.reg, obs.MObjectQue1, obs.L("result", resultKnown)); n != 5 {
@@ -260,7 +260,7 @@ func TestForgedKnownAnswer(t *testing.T) {
 	mallory := transport.Addr("mallory")
 
 	drops := func() int64 { return counterValue(t, f.reg, obs.MKnownAnswerDrops) }
-	heavy := []string{opSign, opVerify, opKexGen, opKexShared}
+	heavy := []int{sign, verify, kexGen, kexShared}
 	cost := func() (n int64) {
 		for _, op := range heavy {
 			n += f.ops(t, "subject", op)

@@ -21,11 +21,10 @@ import (
 type Object struct {
 	prov    *backend.ObjectProvision
 	version wire.Version
-	costs   Costs
-	ep      transport.Endpoint
+	ledger  // ep, the cost table and the op counters
 
 	sessions map[sessionKey]*objSession // the Level 2/3 handshakes awaiting their QUE2
-	seen     map[sessionKey]bool        // duplicate-query suppression via R_S (§IV-B), zero policy
+	seen     map[sessionKey]bool        // duplicate-query suppression via R_S (§IV-B), zero policy; nil until used
 	revoked  map[cert.ID]bool
 	retry    RetryPolicy // zero value: one-shot seed behavior (see RetryPolicy)
 	tel      *objectTelemetry
@@ -176,12 +175,6 @@ func (o *Object) release(sess *objSession) {
 	}
 }
 
-// compute hands Compute the session as the task of its next step.
-func (o *Object) compute(cost time.Duration, sess *objSession) {
-	sess.pending++
-	o.ep.Compute(cost, sess)
-}
-
 // NewObject creates an engine from a backend provision, applying any
 // construction options (see Option). version selects the protocol iteration
 // (v3.0 for the full system).
@@ -189,9 +182,8 @@ func NewObject(prov *backend.ObjectProvision, version wire.Version, costs Costs,
 	o := &Object{
 		prov:     prov,
 		version:  version,
-		costs:    costs,
+		ledger:   ledger{costs: costs},
 		sessions: make(map[sessionKey]*objSession),
-		seen:     make(map[sessionKey]bool),
 		revoked:  make(map[cert.ID]bool),
 	}
 	for _, id := range prov.Revoked {
@@ -256,11 +248,10 @@ func (o *Object) Tickets() int { return o.tickets.size() }
 // instrument attaches a metrics registry. Like the subject's, object
 // telemetry is purely observational and preserves fixed-seed runs.
 func (o *Object) instrument(reg *obs.Registry) {
-	if reg == nil {
-		o.tel = nil
-		return
+	if reg != nil {
+		o.tel = objectTelemetryFor(reg)
+		o.tally = &o.tel.ops
 	}
-	o.tel = objectTelemetryFor(reg)
 }
 
 // ID returns the object's registered identity.
@@ -373,9 +364,9 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 			o.tel.que1Result(resultDuplicate)
 			return
 		}
-		if len(o.seen) >= maxSeenQueries {
-			// Coarse reset: old R_S values have long completed or timed out;
-			// replays of them are still caught by the signature freshness check.
+		if o.seen == nil || len(o.seen) >= maxSeenQueries {
+			// Made on first use, reset coarsely: old R_S values have long
+			// completed or timed out; signature freshness catches replays.
 			o.seen = make(map[sessionKey]bool)
 		}
 		o.seen[key] = true
@@ -409,9 +400,10 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	// Level 2/3: respond with a nonce, and with handshake material unless the
 	// subject holds a ticket, and await QUE2 — or, to a revoked subject the
 	// hint names, not at all: the silence its QUE2 would meet, for one HMAC.
-	t, hmacs := o.hintedTicket(from, m)
+	t, spent := o.hintedTicket(from, m)
 	if t != nil && o.revoked[t.subject] {
 		o.tel.que1Result(resultRejected)
+		o.spend(spent, nop{})
 		return
 	}
 	sess := o.newSession(key)
@@ -419,7 +411,7 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	o.open(sess)
 	o.scheduleGC(sess)
 	if t == nil {
-		if !o.signRES1(sess, time.Duration(hmacs)*o.costs.HMAC) {
+		if !o.signRES1(sess, spent) {
 			o.drop(sess)
 			return
 		}
@@ -434,25 +426,24 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	o.tel.que1Result(resultResume)
 	res := wire.RES1{Version: o.version, Mode: wire.ModeResume, RO: sess.ro[:]}
 	sess.owed = res.AppendTo(o.frames.Take(res.EncodedSize()))
-	o.compute(o.costs.HMAC, sess)
+	o.spend(spent, sess)
 }
 
 // hintedTicket returns the ticket held for the subject at from if the QUE1
 // carries its hint — the subject still holds it too, a ratchet step neither
-// ahead nor behind — and how many HMACs finding out took: one when there is a
-// ticket on file for the address, none for a stranger, a Level 1 object or the
-// zero policy, which files no tickets and is sent no hints. The ticket of a
+// ahead nor behind — and what finding out took: one HMAC when there is a
+// ticket on file for the address, nothing for a stranger, a Level 1 object or
+// the zero policy, which files no tickets and is sent no hints. The ticket of a
 // revoked subject is returned like any other; the caller answers it silence.
-func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, int) {
+func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, ops) {
 	t := o.tickets.get(from)
 	if t == nil || len(m.Hints) == 0 {
-		return nil, 0
+		return nil, ops{}
 	}
-	o.tel.count(opsHMAC, 1)
 	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(time.Now()) {
-		return nil, 1
+		t = nil
 	}
-	return t, 1
+	return t, ops{hmac: 1}
 }
 
 // knownSubject reports whether a Level 1 object answers the first copy of a
@@ -480,8 +471,8 @@ func (o *Object) knownSubject(from transport.Addr, rs []byte) bool {
 // carries them under the object's signature (§V): the answer to a QUE1 from a
 // subject the object holds no ticket with, and the refusal of a short QUE2 it
 // cannot honour. It becomes the session's res1Enc once the modeled compute
-// time — extra plus one key generation and one signature — has passed.
-func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
+// time — spent plus one key generation and one signature — has passed.
+func (o *Object) signRES1(sess *objSession, spent ops) bool {
 	if err := suite.FillNonce(&sess.ro, nil); err != nil {
 		return false
 	}
@@ -505,9 +496,9 @@ func (o *Object) signRES1(sess *objSession, extra time.Duration) bool {
 	res.Sig = sig
 	sess.kex, sess.res1Enc = kex, nil
 	sess.owed = res.AppendTo(o.frames.Take(res.EncodedSize()))
-	o.tel.count(opsKexGen, 1)
-	o.tel.count(opsSign, 1)
-	o.compute(extra+o.costs.KexGen+o.costs.Sign, sess)
+	spent[kexGen]++
+	spent[sign]++
+	o.spend(spent, sess)
 	return true
 }
 
@@ -809,7 +800,7 @@ func (o *Object) refuseQUE2(from transport.Addr, sess *objSession) {
 		o.ep.Send(from, refusal.AppendTo(o.frames.Take(refusal.EncodedSize())))
 	case sess.kex == nil:
 		o.tel.resumption(resultRefused)
-		o.signRES1(sess, 0)
+		o.signRES1(sess, ops{})
 	case sess.res1Enc != nil:
 		// A duplicate: the session was upgraded by the first copy.
 		o.tel.retransmit(msgRES1)
@@ -861,64 +852,46 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 	// the three verifications and the ECDH, and is charged and counted for
 	// what it did — but which of the two a session is shows in the length of
 	// its QUE2 anyway, and says nothing about the object's level.
-	hmacs := 2 // MAC_{S,2} verify + MAC_{O,X}
+	spent := ops{hmac: 2, cipher: 1} // MAC_{S,2} verify + MAC_{O,X}; RES2 ciphertext
 	if a.resumed {
-		hmacs += trials * 2 // K3 derivations + MAC_{S,3} trials
-	} else if o.version != wire.V10 && o.prov.Level == L3 {
-		hmacs += o.covertVariantCount() * 2
+		spent[hmac] += trials*2 + 1 // K3 derivations + MAC_{S,3} trials; K2′
+	} else {
+		spent[verify] = 3 // CERT_S, SIG_S, PROF_S admin signature
+		spent[kexShared] = 1
+		if o.version != wire.V10 && o.prov.Level == L3 {
+			spent[hmac] += o.covertVariantCount() * 2
+		}
 	}
 	if o.retry.Enabled() {
-		hmacs++ // the next ticket
+		spent[hmac]++ // the next ticket
 	}
-	cost := o.costs.Cipher // RES2 ciphertext
-	if a.resumed {
-		hmacs++ // K2′
-	} else {
-		cost += 2*o.costs.Verify + // CERT_S, SIG_S
-			o.costs.Verify + // PROF_S admin signature
-			o.costs.KexShared
-		o.tel.count(opsVerify, 3)
-		o.tel.count(opsKexShared, 1)
-	}
-	cost += time.Duration(hmacs) * o.costs.HMAC
-	o.tel.count(opsHMAC, int64(hmacs))
-	o.tel.count(opsCipher, 1)
 
-	var key *suite.Key
-	variant := fellow
+	// The face: Level 3 (MAC_{O,3} and PROF encrypted under K3) to a fellow,
+	// Level 2 (under K2) to everyone else a policy admits — true Level 2
+	// objects, and Level 3 objects answering non-fellows in v3.0 — and silence
+	// to the rest. v2.0 Level 3 objects instead answer with their Level 3 face
+	// unconditionally — the composition leak the paper describes (§VI-B) and
+	// our attack tests exploit.
+	key, variant, result := &a.k3, fellow, resultFellow
 	switch {
 	case fellow >= 0:
-		// Level 3 face: MAC_{O,3} and PROF encrypted under K3.
-		key = &a.k3
-		o.tel.que2Result(resultFellow)
+	case o.version == wire.V20 && o.prov.Level == L3:
+		if variant = o.firstCovertVariant(); variant >= 0 {
+			a.setK3(o.prov.Variants[variant].GroupKey, sess)
+		}
 	default:
-		// Level 2 face (for true Level 2 objects and for Level 3 objects
-		// answering non-fellows in v3.0). v2.0 Level 3 objects instead answer
-		// with their Level 3 face unconditionally — the composition leak the
-		// paper describes (§VI-B) and our attack tests exploit.
-		if o.version == wire.V20 && o.prov.Level == L3 {
-			first := o.firstCovertVariant()
-			if first < 0 {
-				o.tel.que2Result(resultSilent)
-				o.markAnswered(sess, nil) // remembered silence: duplicates stay silent
-				return
-			}
-			a.setK3(o.prov.Variants[first].GroupKey, sess)
-			key, variant = &a.k3, first
-			o.tel.que2Result(resultFellow)
-			break
-		}
-		variant = o.matchVariant(a.next.attrs)
-		if variant < 0 {
-			o.tel.que2Result(resultSilent)
-			o.markAnswered(sess, nil) // remembered silence: duplicates stay silent
-			return                    // no policy admits this subject: silence, not a hint
-		}
-		key = &a.k2
-		o.tel.que2Result(resultL2)
+		key, variant, result = &a.k2, o.matchVariant(a.next.attrs), resultL2
 	}
+	if variant < 0 {
+		o.tel.que2Result(resultSilent)
+		o.markAnswered(sess, nil) // remembered silence: duplicates stay silent
+		o.spend(spent, nop{})
+		return // no policy admits this subject: silence, not a hint
+	}
+	o.tel.que2Result(result)
 	res := o.buildRES2(a.ts, m, key, variant)
 	if res == nil {
+		o.spend(spent, nop{})
 		return
 	}
 	o.markAnswered(sess, res)
@@ -935,8 +908,7 @@ func (o *Object) answerQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 		}
 		o.tickets.mint(from, &a.next, &a.k2, a.tsHash)
 	}
-	o.tel.response(cost, suite.CiphertextLen(len(o.variantEnc[variant])))
-	o.compute(cost, sess)
+	o.tel.response(o.spend(spent, sess), suite.CiphertextLen(len(o.variantEnc[variant])))
 }
 
 // markAnswered fixes the handshake outcome: res is the RES2 the session's next

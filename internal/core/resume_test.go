@@ -92,8 +92,8 @@ func newResumeFixtureAt(t *testing.T, n int, level Level, link netsim.LinkModel)
 }
 
 // ops reads one crypto-op counter of one role.
-func (f *resumeFixture) ops(t *testing.T, role, op string) int64 {
-	return counterValue(t, f.reg, obs.MCryptoOps, obs.L("role", role), obs.L("op", op))
+func (f *resumeFixture) ops(t *testing.T, role string, kind int) int64 {
+	return counterValue(t, f.reg, obs.MCryptoOps, obs.L("role", role), obs.L("op", opLabels[kind]))
 }
 
 // want asserts the resumption outcome counters, which both sides must agree on.
@@ -156,10 +156,13 @@ func TestResumedSessionCost(t *testing.T) {
 			t.Fatalf("%s holds %d tickets, want 1", name, o.Tickets())
 		}
 	}
-	type key struct{ role, op string }
+	type key struct {
+		role string
+		op   int
+	}
 	before := map[key]int64{}
 	for _, role := range []string{"subject", "object"} {
-		for _, op := range []string{opSign, opVerify, opKexGen, opKexShared, opHMAC, opCipher} {
+		for _, op := range []int{sign, verify, kexGen, kexShared, hmac, cipher} {
 			before[key{role, op}] = f.ops(t, role, op)
 		}
 	}
@@ -195,18 +198,18 @@ func TestResumedSessionCost(t *testing.T) {
 		}
 	}
 	want := map[key]int64{
-		{"subject", opSign}: 0, {"subject", opKexGen}: 0, {"subject", opKexShared}: 0,
-		{"subject", opVerify}: 0, // the PROF_O bytes verified at minting
-		{"subject", opCipher}: n,
-		{"subject", opHMAC}:   n * (1 + 4 + 3),            // hint | K2′ MAC_S2 K3 MAC_S3 | two MAC_O trials, next ticket
-		{"object", opSign}:    0, {"object", opKexGen}: 0, // the hint found the ticket: nothing to sign for
-		{"object", opVerify}: 0, {"object", opKexShared}: 0,
-		{"object", opCipher}: n,
-		{"object", opHMAC}:   n * (1 + 4 + 2), // hint | K2′, MAC_S2, MAC_O, next ticket | a Level 2 object's one dummy trial
+		{"subject", sign}: 0, {"subject", kexGen}: 0, {"subject", kexShared}: 0,
+		{"subject", verify}: 0, // the PROF_O bytes verified at minting
+		{"subject", cipher}: n,
+		{"subject", hmac}:   n * (1 + 4 + 3),          // hint | K2′ MAC_S2 K3 MAC_S3 | two MAC_O trials, next ticket
+		{"object", sign}:    0, {"object", kexGen}: 0, // the hint found the ticket: nothing to sign for
+		{"object", verify}: 0, {"object", kexShared}: 0,
+		{"object", cipher}: n,
+		{"object", hmac}:   n * (1 + 4 + 2), // hint | K2′, MAC_S2, MAC_O, next ticket | a Level 2 object's one dummy trial
 	}
 	for k, w := range want {
 		if d := f.ops(t, k.role, k.op) - before[k]; d != w {
-			t.Errorf("resumed round: %s %s ops = %d, want %d", k.role, k.op, d, w)
+			t.Errorf("resumed round: %s %s ops = %d, want %d", k.role, opLabels[k.op], d, w)
 		}
 	}
 	if r := f.retransmissions(t); r != 0 {
@@ -288,8 +291,8 @@ func TestRevokedRoundsCostHMACsOnly(t *testing.T) {
 		f := newResumeFixtureAt(t, 1, level, netsim.DefaultWiFi())
 		o := f.only()
 		o.Revoke(f.subject.ID())
-		before := map[string]int64{}
-		for _, op := range []string{opSign, opKexGen, opHMAC} {
+		before := map[int]int64{}
+		for _, op := range []int{sign, kexGen, hmac} {
 			before[op] = f.ops(t, "object", op)
 		}
 		que1s := 0
@@ -305,12 +308,12 @@ func TestRevokedRoundsCostHMACsOnly(t *testing.T) {
 				que1s++
 			}
 		}
-		for _, op := range []string{opSign, opKexGen} {
+		for _, op := range []int{sign, kexGen} {
 			if d := f.ops(t, "object", op) - before[op]; d != 0 {
-				t.Errorf("%v: revoked rounds cost the object %d %s ops", level, d, op)
+				t.Errorf("%v: revoked rounds cost the object %d %s ops", level, d, opLabels[op])
 			}
 		}
-		if d := f.ops(t, "object", opHMAC) - before[opHMAC]; d != int64(que1s) {
+		if d := f.ops(t, "object", hmac) - before[hmac]; d != int64(que1s) {
 			t.Errorf("%v: %d object HMACs for %d QUE1s, want one each", level, d, que1s)
 		}
 		if n := counterValue(t, f.reg, obs.MObjectQue1, obs.L("result", resultRejected)); n != int64(que1s) {
@@ -352,12 +355,12 @@ func TestRefreshInvalidatesTickets(t *testing.T) {
 	}
 	// No ticket, so no bound PROF_O: a rotated trust anchor is a re-provision
 	// too, and the next RES2 is verified against it.
-	verifies := f.ops(t, "subject", opVerify)
+	verifies := f.ops(t, "subject", verify)
 	got, frames = f.round(t)
 	if len(got) != 1 || len(frames) != 4 {
 		t.Fatalf("round after subject Refresh: %d discoveries over %d frames, want 1 over 4", len(got), len(frames))
 	}
-	if n := f.ops(t, "subject", opVerify) - verifies; n != 3 { // CERT_O, SIG_O, PROF_O
+	if n := f.ops(t, "subject", verify) - verifies; n != 3 { // CERT_O, SIG_O, PROF_O
 		t.Errorf("full handshake after subject Refresh: %d verifications, want 3", n)
 	}
 	wantBound(t, onlyTicket(t, &f.subject.tickets), f.only().variantEnc[0])
@@ -451,7 +454,7 @@ func TestResumedRES2OtherFaceReverified(t *testing.T) {
 		if step.rotate {
 			f.subject.NextGroup()
 		}
-		before := f.ops(t, "subject", opVerify)
+		before := f.ops(t, "subject", verify)
 		got, _ := f.round(t)
 		if len(got) != 1 {
 			t.Fatalf("resumed round: %d discoveries, want 1", len(got))
@@ -460,7 +463,7 @@ func TestResumedRES2OtherFaceReverified(t *testing.T) {
 			t.Fatalf("rotate=%v: face went %v → %v", step.rotate, last, got[0].Level)
 		}
 		last = got[0].Level
-		if n := f.ops(t, "subject", opVerify) - before; n != step.verifies {
+		if n := f.ops(t, "subject", verify) - before; n != step.verifies {
 			t.Errorf("rotate=%v: the subject verified %d times, want %d", step.rotate, n, step.verifies)
 		}
 		face := 0
@@ -489,11 +492,11 @@ func TestResumedRES2ResignedProfileReverified(t *testing.T) {
 	}
 	o.variantEnc[0] = resigned
 	for i, want := range []int64{1, 0} {
-		before := f.ops(t, "subject", opVerify)
+		before := f.ops(t, "subject", verify)
 		if got, _ := f.round(t); len(got) != 1 {
 			t.Fatalf("round %d: %d discoveries, want 1", i, len(got))
 		}
-		if n := f.ops(t, "subject", opVerify) - before; n != want {
+		if n := f.ops(t, "subject", verify) - before; n != want {
 			t.Errorf("round %d: the subject verified %d times, want %d", i, n, want)
 		}
 		wantBound(t, onlyTicket(t, &f.subject.tickets), resigned)
@@ -531,12 +534,12 @@ func TestResumedRES2ClosedWindowReverified(t *testing.T) {
 	closed := *st.prof
 	closed.Expires = time.Now().Add(-time.Second)
 	st.prof = &closed
-	before := f.ops(t, "subject", opVerify)
+	before := f.ops(t, "subject", verify)
 	got, _ := f.round(t)
 	if len(got) != 1 {
 		t.Fatalf("round: %d discoveries, want 1", len(got))
 	}
-	if n := f.ops(t, "subject", opVerify) - before; n != 1 {
+	if n := f.ops(t, "subject", verify) - before; n != 1 {
 		t.Errorf("the subject verified %d times, want 1", n)
 	}
 	if got[0].Profile == &closed {
@@ -657,8 +660,8 @@ func TestForgedRES1CostsHMACsOnly(t *testing.T) {
 		RO: make([]byte, suite.NonceSize), KEXMO: make([]byte, suite.S128.PointSize()), Sig: make([]byte, suite.S128.SignatureSize())}
 	rand.Read(forged.RO)
 
-	before := map[string]int64{}
-	for _, op := range []string{opSign, opVerify, opKexGen, opKexShared} {
+	before := map[int]int64{}
+	for _, op := range []int{sign, verify, kexGen, kexShared} {
 		before[op] = f.ops(t, "subject", op)
 	}
 	seen := len(f.subject.Results())
@@ -666,9 +669,9 @@ func TestForgedRES1CostsHMACsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.subject.Handle(o.ep.Addr(), forged.Encode()) // beats the genuine RES1 to the subject
-	for _, op := range []string{opSign, opVerify, opKexGen, opKexShared} {
+	for _, op := range []int{sign, verify, kexGen, kexShared} {
 		if d := f.ops(t, "subject", op) - before[op]; d != 0 {
-			t.Errorf("forged RES1 cost the subject %d %s ops", d, op)
+			t.Errorf("forged RES1 cost the subject %d %s ops", d, opLabels[op])
 		}
 	}
 	f.net.Run(0)
@@ -680,7 +683,7 @@ func TestForgedRES1CostsHMACsOnly(t *testing.T) {
 		t.Errorf("object rejected %d QUE2s, want 1 (the one answering the forgery)", rej)
 	}
 	f.want(t, "after the forgery", 1, 1, 0)
-	if d := f.ops(t, "subject", opSign) - before[opSign]; d != 0 {
+	if d := f.ops(t, "subject", sign) - before[sign]; d != 0 {
 		t.Errorf("the round cost the subject %d signatures, want 0", d)
 	}
 }
@@ -712,7 +715,7 @@ func TestDesyncAndEvictionCostOneFullHandshake(t *testing.T) {
 			o.tickets.drop(f.subject.ep.Addr())
 		}
 		retrans := f.retransmissions(t)
-		signs := f.ops(t, "subject", opSign)
+		signs := f.ops(t, "subject", sign)
 		refused := counterValue(t, f.reg, obs.MResumptions, obs.L("side", "subject"), obs.L("result", resultRefused))
 		// The hint finds no ticket, or one a step ahead: signed RES1, short
 		// QUE2, the empty RES2, full QUE2, RES2.
@@ -723,14 +726,14 @@ func TestDesyncAndEvictionCostOneFullHandshake(t *testing.T) {
 		if d := f.retransmissions(t) - retrans; d != 0 {
 			t.Errorf("%s: recovery cost %d retransmissions, want 0", how, d)
 		}
-		if d := f.ops(t, "subject", opSign) - signs; d != 1 {
+		if d := f.ops(t, "subject", sign) - signs; d != 1 {
 			t.Errorf("%s: recovery cost %d full handshakes, want 1", how, d)
 		}
 		if d := counterValue(t, f.reg, obs.MResumptions, obs.L("side", "subject"), obs.L("result", resultRefused)) - refused; d != 1 {
 			t.Errorf("%s: %d refusals, want 1", how, d)
 		}
-		signs = f.ops(t, "subject", opSign)
-		if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 || f.ops(t, "subject", opSign) != signs {
+		signs = f.ops(t, "subject", sign)
+		if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 || f.ops(t, "subject", sign) != signs {
 			t.Errorf("%s: the pairing did not resume after recovering", how)
 		}
 	}
@@ -861,12 +864,12 @@ func TestDiscoverAllOverResumedSessions(t *testing.T) {
 	if seen := sweep(); !seen["support-1"] || !seen["support-2"] {
 		t.Fatalf("first sweep missed covert services: %v", seen)
 	}
-	signs := counterValue(t, reg, obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", opSign))
+	signs := counterValue(t, reg, obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", opLabels[sign]))
 	air.install(d.net)
 	if seen := sweep(); !seen["support-1"] || !seen["support-2"] {
 		t.Fatalf("resumed sweep missed covert services: %v", seen)
 	}
-	if got := counterValue(t, reg, obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", opSign)); got != signs {
+	if got := counterValue(t, reg, obs.MCryptoOps, obs.L("role", "subject"), obs.L("op", opLabels[sign])); got != signs {
 		t.Errorf("resumed sweep signed %d QUE2s, want 0", got-signs)
 	}
 	que2s, res2s := air.byType(wire.TQUE2), air.byType(wire.TRES2)
@@ -1017,10 +1020,10 @@ func TestDeadEndMatrix(t *testing.T) {
 						return
 					}
 					// And the pairing is whole again: the next round is the short one.
-					signs := f.ops(t, "object", opSign)
-					if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 || f.ops(t, "object", opSign) != signs {
+					signs := f.ops(t, "object", sign)
+					if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 || f.ops(t, "object", sign) != signs {
 						t.Errorf("next round: %d discoveries over %d frames, %d object signatures; want 1, 4, 0",
-							len(got), len(frames), f.ops(t, "object", opSign)-signs)
+							len(got), len(frames), f.ops(t, "object", sign)-signs)
 					}
 				})
 			}
@@ -1037,8 +1040,8 @@ func TestForgedShortRES1CostsHMACsOnly(t *testing.T) {
 	o := f.only()
 	forged := &wire.RES1{Version: wire.V30, Mode: wire.ModeResume, RO: make([]byte, suite.NonceSize)}
 	rand.Read(forged.RO)
-	heavy := []string{opSign, opVerify, opKexGen, opKexShared}
-	before := map[string]int64{}
+	heavy := []int{sign, verify, kexGen, kexShared}
+	before := map[int]int64{}
 	for _, op := range heavy {
 		before[op] = f.ops(t, "subject", op)
 	}
@@ -1049,7 +1052,7 @@ func TestForgedShortRES1CostsHMACsOnly(t *testing.T) {
 	f.subject.Handle(o.ep.Addr(), forged.Encode()) // beats the genuine RES1 to the subject
 	for _, op := range heavy {
 		if d := f.ops(t, "subject", op) - before[op]; d != 0 {
-			t.Errorf("forged short RES1 cost the subject %d %s ops", d, op)
+			t.Errorf("forged short RES1 cost the subject %d %s ops", d, opLabels[op])
 		}
 	}
 	f.net.Run(0)
@@ -1060,7 +1063,7 @@ func TestForgedShortRES1CostsHMACsOnly(t *testing.T) {
 		t.Errorf("object rejected %d QUE2s, want 1 (the one answering the forgery)", rej)
 	}
 	f.want(t, "after the forgery", 1, 1, 0)
-	if d := f.ops(t, "subject", opSign) - before[opSign]; d != 0 {
+	if d := f.ops(t, "subject", sign) - before[sign]; d != 0 {
 		t.Errorf("the round cost the subject %d signatures, want 0", d)
 	}
 	// The other order. A forgery that arrives after the genuine short RES1
@@ -1084,7 +1087,7 @@ func TestForgedShortRES1CostsHMACsOnly(t *testing.T) {
 	f.net.Run(start + DefaultRetry().Timeout - 50*time.Millisecond)
 	for _, op := range heavy {
 		if d := f.ops(t, "subject", op) - before[op]; d != 0 {
-			t.Errorf("forged short RES1 after the genuine one cost the subject %d %s ops", d, op)
+			t.Errorf("forged short RES1 after the genuine one cost the subject %d %s ops", d, opLabels[op])
 		}
 	}
 	if f.subject.Tickets() != 1 {
@@ -1098,7 +1101,7 @@ func TestForgedShortRES1CostsHMACsOnly(t *testing.T) {
 	if took, bound := f.subject.Results()[seen].At-start, DefaultRetry().ttl(); took > bound {
 		t.Errorf("displaced round recovered after %v, bound %v", took, bound)
 	}
-	if d := f.ops(t, "subject", opSign) - before[opSign]; d != 1 {
+	if d := f.ops(t, "subject", sign) - before[sign]; d != 1 {
 		t.Errorf("recovery cost the subject %d full handshakes, want 1", d)
 	}
 	// Under the zero policy nobody hints, so nobody believes a short RES1.
@@ -1150,7 +1153,7 @@ func TestHintIsWorthNothingElsewhere(t *testing.T) {
 	}
 	type cost struct{ hmac, sign, kexGen, resume, handshake int64 }
 	read := func() cost {
-		return cost{f.ops(t, "object", opHMAC), f.ops(t, "object", opSign), f.ops(t, "object", opKexGen),
+		return cost{f.ops(t, "object", hmac), f.ops(t, "object", sign), f.ops(t, "object", kexGen),
 			counterValue(t, f.reg, obs.MObjectQue1, obs.L("result", resultResume)),
 			counterValue(t, f.reg, obs.MObjectQue1, obs.L("result", resultHandshake))}
 	}
@@ -1231,7 +1234,7 @@ func TestShortExchangeSurvivesLoss(t *testing.T) {
 		// No hint matches an evicted ticket, so evict after the short RES1.
 		f := newResumeFixture(t, 1)
 		o := f.only()
-		signs := f.ops(t, "object", opSign)
+		signs := f.ops(t, "object", sign)
 		var lost []byte
 		f.net.SetDropFilter(func(_, _ netsim.NodeID, p []byte) bool {
 			m, err := wire.Decode(p)
@@ -1250,7 +1253,7 @@ func TestShortExchangeSurvivesLoss(t *testing.T) {
 		if len(got) != 1 || lost == nil {
 			t.Fatalf("%d discoveries after a lost refusal", len(got))
 		}
-		if d := f.ops(t, "object", opSign) - signs; d != 1 {
+		if d := f.ops(t, "object", sign) - signs; d != 1 {
 			t.Errorf("the object signed %d RES1s, want 1: a duplicate short QUE2 must get the same bytes", d)
 		}
 		var again int

@@ -30,8 +30,7 @@ type Subject struct {
 	prov    *backend.SubjectProvision
 	version wire.Version
 	rs      [suite.NonceSize]byte // the current round's R_S
-	costs   Costs
-	ep      transport.Endpoint
+	ledger                        // ep, the cost table and the op counters
 
 	// activeGroup indexes prov.Memberships: the group key used for
 	// MAC_{S,3} this round. Devices rotate keys across rounds (§VI-C).
@@ -211,7 +210,7 @@ func NewSubject(prov *backend.SubjectProvision, version wire.Version, costs Cost
 	s := &Subject{
 		prov:     prov,
 		version:  version,
-		costs:    costs,
+		ledger:   ledger{costs: costs},
 		sessions: make(map[sessionKey]*subjSession),
 		answered: make(map[transport.Addr]answer),
 	}
@@ -257,11 +256,10 @@ func (s *Subject) Tickets() int { return s.tickets.size() }
 // schedules no events, so instrumented and uninstrumented runs of the same
 // seed are identical.
 func (s *Subject) instrument(reg *obs.Registry, tr *obs.Tracer) {
-	if reg == nil && tr == nil {
-		s.tel = nil
-		return
+	if reg != nil || tr != nil {
+		s.tel = subjectTelemetryFor(reg, tr, s.version)
+		s.tally = &s.tel.ops
 	}
-	s.tel = subjectTelemetryFor(reg, tr, s.version)
 }
 
 // ID returns the subject's registered identity.
@@ -357,9 +355,8 @@ func (s *Subject) Discover(ttl int) error {
 // whose ticket did not make the block answers as to a stranger. The tags sit
 // at uniformly permuted slots: the object that finds its own tag would
 // otherwise read its recency rank — how many objects the subject met since —
-// off the slot index. (Only the counters are charged: Discover has no modeled
-// compute step to add to.) The block is built in fill, whose last 8 bytes are
-// the permutation's randomness. Each ticket that made the block is marked with
+// off the slot index. The block is built in fill, whose last 8 bytes are the
+// permutation's randomness. Each ticket that made the block is marked with
 // the round: its peer's answer is a short RES1 (expect).
 func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
 	rand.Read(fill[:])
@@ -382,7 +379,7 @@ func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
 		copy(block[slot[i]*wire.HintSize:], h[:])
 		t.hinted = s.round
 	}
-	s.tel.count(opsHMAC, int64(len(known)))
+	s.spend(ops{hmac: len(known)}, nop{})
 	return block
 }
 
@@ -623,12 +620,6 @@ func (s *Subject) release(sess *subjSession) {
 	}
 }
 
-// compute hands Compute the session as the task of its next step.
-func (s *Subject) compute(cost time.Duration, sess *subjSession) {
-	sess.pending++
-	s.ep.Compute(cost, sess)
-}
-
 // wipe zeroes the session keys.
 func (sess *subjSession) wipe() {
 	sess.k2.Wipe()
@@ -736,8 +727,7 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 	if s.retry.Enabled() {
 		s.known.file(from, m.Prof, prof, s.round)
 	}
-	s.tel.count(opsVerify, 1)
-	s.discoverL1(from, prof, s.costs.Verify)
+	s.discoverL1(from, prof, ops{verify: 1})
 }
 
 // handleKnownRES1 processes a Level 1 known answer (DESIGN.md §15): the
@@ -755,18 +745,18 @@ func (s *Subject) handleKnownRES1(from transport.Addr, m *wire.RES1) {
 		s.tel.knownDrop()
 		return
 	}
-	s.discoverL1(from, prof, 0)
+	s.discoverL1(from, prof, ops{})
 }
 
 // discoverL1 credits the round's Level 1 discovery of prof from the object at
-// from and records it once cost, what checking the answer took, has passed.
-func (s *Subject) discoverL1(from transport.Addr, prof *cert.Profile, cost time.Duration) {
+// from and records it once spent, what checking the answer took, has passed.
+func (s *Subject) discoverL1(from transport.Addr, prof *cert.Profile, spent ops) {
 	s.sampleRES1()
 	s.credit(from)
 	a := s.l1Free.get()
 	a.s, a.from, a.prof = s, from, prof
 	a.st = phaseStamps{session: s.tel.session(), que1At: s.que1At, res1At: s.ep.Now()}
-	s.ep.Compute(cost, a)
+	s.spend(spent, a)
 }
 
 // handleSecureRES1 runs the subject side of phase 2: authenticate the
@@ -884,13 +874,7 @@ func (s *Subject) fullQUE2(from transport.Addr, m *wire.RES1, raw []byte) bool {
 	// Fig 6b subject cost in Level 2/3: 1 signing, 3 verifications (CERT_O,
 	// KEXM_O signature, and later PROF_O), 2 ECDH operations. The PROF_O
 	// verification and decryption are charged at RES2 time.
-	if s.tel != nil {
-		s.tel.count(opsVerify, 2)
-		s.tel.count(opsKexGen, 1)
-		s.tel.count(opsKexShared, 1)
-		s.tel.count(opsSign, 1)
-	}
-	s.sendQUE2(sess, m.RO, &k2, 2*s.costs.Verify+s.costs.KexGen+s.costs.KexShared+s.costs.Sign)
+	s.sendQUE2(sess, m.RO, &k2, ops{sign: 1, verify: 2, kexGen: 1, kexShared: 1})
 	return true
 }
 
@@ -919,16 +903,16 @@ func (s *Subject) resumedQUE2(from transport.Addr, m *wire.RES1, raw []byte, t *
 	in := wire.AppendSigInputQUE2(wire.GetScratch(), s.que1Enc, raw, &sess.que2)
 	sess.ts.Add(in)
 	wire.PutScratch(in)
-	s.sendQUE2(sess, m.RO, &k2, 0)
+	s.sendQUE2(sess, m.RO, &k2, ops{})
 }
 
 // sendQUE2 is the subject's phase 2 downstream of K2, the same for a full and
 // a resumed session: the finished MACs over the transcript cut (K3 from the
 // round's active group key), the session and its expiry, and — after the
-// modeled compute time — the frame and its retransmission deadline. cost is
+// modeled compute time — the frame and its retransmission deadline. spent is
 // what establishing K2 took; the key derivation and the MACs are added here.
 // k2 is the raw K2, which K3 is derived from; sendQUE2 wipes it.
-func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte, cost time.Duration) {
+func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte, spent ops) {
 	q := &sess.que2
 	tsHash := sess.ts.Hash()
 	sess.tsHash = tsHash
@@ -937,7 +921,7 @@ func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte
 	q.MACS2 = sess.macS2[:]
 	sess.ro = ro
 	sess.stamps = phaseStamps{session: s.tel.session(), secure: true, que1At: s.que1At, res1At: s.ep.Now()}
-	hmacs := 2 // K2 derivation + MAC_{S,2}
+	spent[hmac] += 2 // K2 derivation + MAC_{S,2}
 	if s.version != wire.V10 && len(s.prov.Memberships) > 0 {
 		// v2.0: MAC_{S,3} is attached only when performing Level 3 discovery,
 		// i.e. when the subject actually holds a real group key — the
@@ -952,7 +936,7 @@ func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte
 			sess.k3.FinishedMAC(&sess.macS3, suite.LabelSubjectFinished, tsHash)
 			q.MACS3 = sess.macS3[:]
 			sess.group = mem.Group
-			hmacs += 2 // K3 derivation + MAC_{S,3}
+			spent[hmac] += 2 // K3 derivation + MAC_{S,3}
 		}
 	}
 	*k2 = [suite.KeySize]byte{}
@@ -964,8 +948,7 @@ func (s *Subject) sendQUE2(sess *subjSession, ro []byte, k2 *[suite.KeySize]byte
 	if s.retry.Enabled() {
 		s.wheel.scheduleIn(&sess.expiry, s.retry.ttl(), sess)
 	}
-	s.tel.count(opsHMAC, int64(hmacs))
-	s.compute(cost+time.Duration(hmacs)*s.costs.HMAC, sess)
+	s.spend(spent, sess)
 }
 
 // Run is the session's continuation once a compute step's modeled time has
@@ -1156,10 +1139,10 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		digest = sha256.Sum256(plain)
 		prof = sess.next.boundProfile(digest, now)
 	}
-	verifies := 0
+	spent := ops{hmac: 2, cipher: 1}
 	if prof == nil {
 		prof, err = s.vcache.DecodeProfile(plain, s.prov.CACert, s.prov.AdminPub, now)
-		verifies = 1
+		spent[verify] = 1
 	}
 	wire.PutScratch(plain)
 	if err != nil || prof.Kind != cert.RoleObject {
@@ -1167,14 +1150,13 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		return
 	}
 
-	hmacs := 2
 	if s.retry.Enabled() {
 		// The handshake is complete and everything it carried is verified:
 		// file the ticket for the next one. After a resumed session this is
 		// the ratchet step — the ticket just used is overwritten in place. A
 		// reused profile narrowed the window when it was bound.
 		next := s.tickets.mint(from, &sess.next, &sess.k2, sess.tsHash)
-		if verifies > 0 {
+		if spent[verify] > 0 {
 			next.narrowTo(prof.Window())
 			next.profO, next.prof = digest, prof
 		}
@@ -1183,17 +1165,11 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 		} else {
 			s.tel.resumption(resultMinted)
 		}
-		hmacs++
-	}
-	cost := time.Duration(hmacs)*s.costs.HMAC + s.costs.Cipher + time.Duration(verifies)*s.costs.Verify
-	if s.tel != nil {
-		s.tel.count(opsHMAC, int64(hmacs))
-		s.tel.count(opsCipher, 1)
-		s.tel.count(opsVerify, int64(verifies))
+		spent[hmac]++
 	}
 	sess.wipe()
 	sess.level, sess.prof = level, prof
-	s.compute(cost, sess)
+	s.spend(spent, sess)
 }
 
 // refused handles the empty RES2 by which an object declines the ticket of a

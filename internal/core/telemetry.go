@@ -18,32 +18,6 @@ import (
 // the exact same event sequence (fixed-seed runs stay byte-identical — see
 // internal/exp's determinism test).
 
-// Crypto-op label values of obs.MCryptoOps, matching the Costs fields.
-const (
-	opSign      = "sign"
-	opVerify    = "verify"
-	opKexGen    = "kex_gen"
-	opKexShared = "kex_shared"
-	opHMAC      = "hmac"
-	opCipher    = "cipher"
-)
-
-// cryptoOps is the per-role operation counter block.
-type cryptoOps struct {
-	sign, verify, kexGen, kexShared, hmac, cipher *obs.Counter
-}
-
-func newCryptoOps(reg *obs.Registry, role string) cryptoOps {
-	c := func(op string) *obs.Counter {
-		return reg.Counter(obs.MCryptoOps, "Cryptographic operations performed, by operation and role.",
-			obs.L("op", op), obs.L("role", role))
-	}
-	return cryptoOps{
-		sign: c(opSign), verify: c(opVerify), kexGen: c(opKexGen),
-		kexShared: c(opKexShared), hmac: c(opHMAC), cipher: c(opCipher),
-	}
-}
-
 // Phase indices of subjectTelemetry.phases, in wire order; phaseNames holds
 // their label values.
 const (
@@ -235,14 +209,6 @@ func (t *subjectTelemetry) sessionDone(st phaseStamps, level Level, peer transpo
 	}
 }
 
-// count records n crypto operations on the given counter.
-func (t *subjectTelemetry) count(c func(cryptoOps) *obs.Counter, n int64) {
-	if t == nil {
-		return
-	}
-	c(t.ops).Add(n)
-}
-
 // session allocates a tracer session ID (0 when tracing is off).
 func (t *subjectTelemetry) session() uint64 {
 	if t == nil {
@@ -371,13 +337,6 @@ func (t *objectTelemetry) response(cost time.Duration, ciphertextLen int) {
 	t.res2Bytes.Observe(float64(ciphertextLen))
 }
 
-func (t *objectTelemetry) count(c func(cryptoOps) *obs.Counter, n int64) {
-	if t == nil {
-		return
-	}
-	c(t.ops).Add(n)
-}
-
 func (t *objectTelemetry) retransmit(msg string) {
 	if t == nil {
 		return
@@ -405,11 +364,3 @@ func (t *objectTelemetry) malformedDrop() {
 	}
 	t.rob.malformed.Inc()
 }
-
-// Counter selectors shared by both roles.
-func opsSign(o cryptoOps) *obs.Counter      { return o.sign }
-func opsVerify(o cryptoOps) *obs.Counter    { return o.verify }
-func opsKexGen(o cryptoOps) *obs.Counter    { return o.kexGen }
-func opsKexShared(o cryptoOps) *obs.Counter { return o.kexShared }
-func opsHMAC(o cryptoOps) *obs.Counter      { return o.hmac }
-func opsCipher(o cryptoOps) *obs.Counter    { return o.cipher }

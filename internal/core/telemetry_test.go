@@ -201,8 +201,10 @@ func TestSharedTelemetryCountsLikePrivate(t *testing.T) {
 			[]Option{WithTelemetry(reg, nil), WithRetry(DefaultRetry())})
 		if private {
 			d.subject.tel = newSubjectTelemetry(reg, nil, wire.V30)
+			d.subject.tally = &d.subject.tel.ops
 			for _, o := range d.objects {
 				o.tel = newObjectTelemetry(reg)
+				o.tally = &o.tel.ops
 			}
 		} else if o := d.objects["printer"]; o.tel != d.objects["machine"].tel {
 			t.Fatal("objects on one registry hold different blocks")

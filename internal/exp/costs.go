@@ -114,7 +114,8 @@ func SubjectComputeLevel23(c core.Costs) time.Duration {
 }
 
 // ObjectComputeLevel23 returns the object's total per-discovery computation
-// in Level 2/3 (same public-key operations as the subject, Fig 6b).
+// in Level 2/3 (same public-key operations as the subject, Fig 6b), as a Level
+// 3 object serving one covert group; a Level 2 object does 2 HMACs fewer.
 func ObjectComputeLevel23(c core.Costs) time.Duration {
 	return c.Sign + 3*c.Verify + c.KexGen + c.KexShared + 4*c.HMAC + c.Cipher
 }

@@ -8,6 +8,7 @@ import (
 
 	"argus/internal/backend"
 	"argus/internal/core"
+	"argus/internal/obs"
 	"argus/internal/suite"
 )
 
@@ -43,6 +44,63 @@ func TestCalibratedCostsMatchPaper(t *testing.T) {
 	l23o := ObjectComputeLevel23(pi)
 	if l23o < 74*time.Millisecond || l23o > 83*time.Millisecond {
 		t.Errorf("L2/3 object compute = %v, want ≈78.2 ms", l23o)
+	}
+}
+
+// TestFig6FormulasPriceTheEngines pins the Fig 6 formulas to the engines: on
+// one v3.0 first-contact discovery per level, the ops each role counts, priced
+// at its cost table, are what SubjectComputeLevel1, SubjectComputeLevel23 and
+// ObjectComputeLevel23 say a discovery costs it. A Level 2 object does the
+// Level 3 object's work less one group trial (ObjectComputeLevel23).
+func TestFig6FormulasPriceTheEngines(t *testing.T) {
+	phone, pi := PhoneCosts(), PiCosts()
+	rows := []struct {
+		level           backend.Level
+		subject, object time.Duration
+	}{
+		{backend.L1, SubjectComputeLevel1(phone), 0},
+		{backend.L2, SubjectComputeLevel23(phone), ObjectComputeLevel23(pi) - 2*pi.HMAC},
+		{backend.L3, SubjectComputeLevel23(phone), ObjectComputeLevel23(pi)},
+	}
+	for _, r := range rows {
+		reg := obs.NewRegistry()
+		d, err := Deploy(DeployConfig{
+			Levels:       []backend.Level{r.level},
+			SubjectCosts: phone,
+			ObjectCosts:  pi,
+			Fellow:       r.level == backend.L3,
+			Seed:         1,
+			Registry:     reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Level != r.level {
+			t.Fatalf("level %d cell: discoveries %+v, want one at its level", r.level, res)
+		}
+		snap := reg.Snapshot()
+		price := func(role string, c core.Costs) time.Duration {
+			var sum time.Duration
+			for op, cost := range map[string]time.Duration{
+				"sign": c.Sign, "verify": c.Verify, "kex_gen": c.KexGen,
+				"kex_shared": c.KexShared, "hmac": c.HMAC, "cipher": c.Cipher,
+			} {
+				if m := snap.Get(obs.MCryptoOps, obs.L("role", role), obs.L("op", op)); m != nil {
+					sum += time.Duration(m.Value) * cost
+				}
+			}
+			return sum
+		}
+		if got := price("subject", phone); got != r.subject {
+			t.Errorf("level %d: the subject's counted ops cost %v, the formula says %v", r.level, got, r.subject)
+		}
+		if got := price("object", pi); got != r.object {
+			t.Errorf("level %d: the object's counted ops cost %v, the formula says %v", r.level, got, r.object)
+		}
 	}
 }
 

@@ -11,7 +11,10 @@
 #      ends in "test" (a test-helper package in a shipped binary), or
 #   5. the load harness, ./cmd/argus-load, links the backend service
 #      (internal/{backendsvc,backendclient,scale}): it drives backend.Service
-#      in process.
+#      in process, or
+#   6. a non-test file of internal/core other than ledger.go charges compute
+#      (`ep.Compute(`) or reads a cost table (`.costs.`): the op ledger is the
+#      one place a step is counted and charged.
 #
 # Run it locally with `make deps-check`; `make verify` and CI include it.
 set -eu
@@ -74,7 +77,13 @@ if [ -n "$testimports" ]; then
 	status=1
 fi
 
+ledger=$(grep -nE 'ep\.Compute\(|\.costs\.' internal/core/*.go | grep -v -e '_test\.go:' -e '^internal/core/ledger\.go:' || true)
+if [ -n "$ledger" ]; then
+	echo "$ledger" | sed 's/^/FAIL outside the op ledger: /'
+	status=1
+fi
+
 if [ $status -eq 0 ]; then
-	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo; argus-load $(echo "$load_deps" | wc -l | tr -d ' '), none of the backend service)"
+	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo; argus-load $(echo "$load_deps" | wc -l | tr -d ' '), none of the backend service; core charges compute only in ledger.go)"
 fi
 exit $status
