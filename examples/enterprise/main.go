@@ -85,7 +85,7 @@ func main() {
 	aliceNode, aliceEngine := attach(buildingA, alice, true)
 	printerNode, _ := attach(buildingA, printer, false)
 	sensorNode, _ := attach(annex, sensor, false)
-	bridge := net.AddNode(nil) // the WiFi↔BLE bridging device
+	bridge := net.AddNode() // the WiFi↔BLE bridging device
 
 	net.LinkOn(aliceNode, printerNode, 0, wifi)
 	net.LinkOn(aliceNode, bridge, 0, wifi)

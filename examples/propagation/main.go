@@ -17,6 +17,7 @@ import (
 	"argus/internal/core"
 	"argus/internal/netsim"
 	"argus/internal/suite"
+	"argus/internal/transport"
 	"argus/internal/update"
 	"argus/internal/wire"
 )
@@ -50,7 +51,7 @@ func main() {
 	net.Link(home, dep.Node())
 
 	agents := make([]*update.Agent, 0, nObjects)
-	objNodes := make([]netsim.NodeID, 0, nObjects)
+	objAddrs := make([]transport.Addr, 0, nObjects)
 	for i := 0; i < nObjects; i++ {
 		oid, _, err := b.RegisterObject(fmt.Sprintf("lock-%d", i), backend.L2,
 			attr.MustSet("type=lock"), []string{"open"})
@@ -68,12 +69,11 @@ func main() {
 			}
 		})
 		oep := net.NewEndpoint()
-		node := oep.Node()
 		eng.Bind(agent.Wrap(oep))
-		net.Link(home, node)
+		net.Link(home, oep.Node())
 		dist.Register(oid, oep.Addr())
 		agents = append(agents, agent)
-		objNodes = append(objNodes, node)
+		objAddrs = append(objAddrs, oep.Addr())
 	}
 
 	subj.Discover(1)
@@ -87,10 +87,10 @@ func main() {
 	// The forger signs with its own key (it has no access to the real one).
 	sig, _ := forger.Sign([]byte("whatever"))
 	fake.Sig = sig
-	atk := net.AddNode(nil)
-	net.Link(home, atk)
-	for _, node := range objNodes {
-		net.Send(atk, node, fake.Encode())
+	atk := net.NewEndpoint() // a bare radio: it sends, and binds no handler
+	net.Link(home, atk.Node())
+	for _, addr := range objAddrs {
+		atk.Send(addr, fake.Encode())
 	}
 	net.Run(0)
 	rejected := 0

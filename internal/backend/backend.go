@@ -557,6 +557,9 @@ func (b *Backend) RevokedFor(object cert.ID) ([]cert.ID, error) {
 	return ids, nil
 }
 
+// ProfLifetime is how long a PROF stays valid from its issue.
+const ProfLifetime = 365 * 24 * time.Hour
+
 // profValidity returns the profile validity anchor from the backend's
 // clock (WithClock; time.Now by default).
 func (b *Backend) profValidity() (issued, expires time.Time) {
@@ -565,5 +568,5 @@ func (b *Backend) profValidity() (issued, expires time.Time) {
 		now = b.now
 	}
 	n := now().Truncate(time.Second).UTC()
-	return n, n.Add(365 * 24 * time.Hour)
+	return n, n.Add(ProfLifetime)
 }

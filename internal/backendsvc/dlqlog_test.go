@@ -42,7 +42,7 @@ func newDLQCrashRig(t *testing.T) *dlqCrashRig {
 	r.sid, _, _ = r.b.RegisterSubject("alice", attr.MustSet("position=staff"))
 	r.sid2, _, _ = r.b.RegisterSubject("bob", attr.MustSet("position=staff"))
 	r.net = netsim.New(netsim.DefaultWiFi(), 17)
-	r.hub = r.net.AddNode(nil)
+	r.hub = r.net.AddNode()
 
 	r.oid, _, err = r.b.RegisterObject("lock", backend.L2, attr.MustSet("type=lock"), []string{"open"})
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package baseline implements the two alternative discovery schemes the
 // paper builds for comparison (§IX): Level 2 discovery on ciphertext-policy
 // ABE, and Level 3 discovery on pairing-based secret handshakes (the
-// MASHaBLE adaptation). Both run on the same ground-network simulator as
-// Argus, with their *real* cryptographic cost injected into the virtual
-// clock, so end-to-end discovery times are directly comparable
-// (`argus-bench -exp comparison`).
+// MASHaBLE adaptation). Like the Argus engines, each side is a
+// transport.Handler bound to a transport.Endpoint: both run on the same
+// ground-network simulator as Argus, their *real* cryptographic cost charged
+// to the virtual clock through Endpoint.Compute, so end-to-end discovery
+// times are directly comparable (`argus-bench -exp comparison`).
 package baseline
 
 import (
@@ -13,8 +14,8 @@ import (
 
 	"argus/internal/abe"
 	"argus/internal/enc"
-	"argus/internal/netsim"
 	"argus/internal/suite"
+	"argus/internal/transport"
 )
 
 // Message magic bytes: distinct from wire (1–4) and update (0xA5).
@@ -32,7 +33,7 @@ const (
 // needs no revocation list, but revoking one subject forces the backend to
 // re-encrypt everything the subject's attributes could open.
 type ABEObject struct {
-	node netsim.NodeID
+	ep transport.Endpoint
 	// Variants are the encrypted PROFs: ABE ciphertext plus the profile
 	// encrypted under the KEM key.
 	Variants []ABEVariant
@@ -62,12 +63,12 @@ func EncryptVariant(pk *abe.PublicKey, policy *abe.Policy, profile []byte) (ABEV
 	return ABEVariant{CT: ctBytes, Payload: payload}, nil
 }
 
-// Attach records the object's network address.
-func (o *ABEObject) Attach(node netsim.NodeID) { o.node = node }
+// Bind attaches the object to ep as the endpoint's handler.
+func (o *ABEObject) Bind(ep transport.Endpoint) { o.ep = ep; ep.Bind(o) }
 
-// HandleMessage implements netsim.Handler: any query gets all variants
-// (2-way discovery; the ciphertexts do the scoping).
-func (o *ABEObject) HandleMessage(net *netsim.Network, from netsim.NodeID, payload []byte) {
+// Handle implements transport.Handler: any query gets all variants (2-way
+// discovery; the ciphertexts do the scoping).
+func (o *ABEObject) Handle(from transport.Addr, payload []byte) {
 	if len(payload) == 0 || payload[0] != abeQueryMagic {
 		return
 	}
@@ -79,12 +80,12 @@ func (o *ABEObject) HandleMessage(net *netsim.Network, from netsim.NodeID, paylo
 		w.Bytes16(v.Payload)
 	}
 	// No object-side computation: ciphertexts were prepared by the backend.
-	net.Send(o.node, from, w.Bytes())
+	o.ep.Send(from, w.Bytes())
 }
 
 // ABEDiscovery is one successful decryption at the subject.
 type ABEDiscovery struct {
-	Node    netsim.NodeID
+	Node    transport.Addr
 	Profile []byte
 	At      time.Duration
 }
@@ -93,23 +94,21 @@ type ABEDiscovery struct {
 // decryption of every returned variant. The real decryption time is charged
 // to the virtual clock — this is where the scheme loses (Fig 6c).
 type ABESubject struct {
-	node netsim.NodeID
-	PK   *abe.PublicKey
-	SK   *abe.PrivateKey
+	ep transport.Endpoint
+	PK *abe.PublicKey
+	SK *abe.PrivateKey
 
 	Results []ABEDiscovery
 }
 
-// Attach records the subject's network address.
-func (s *ABESubject) Attach(node netsim.NodeID) { s.node = node }
+// Bind attaches the subject to ep as the endpoint's handler.
+func (s *ABESubject) Bind(ep transport.Endpoint) { s.ep = ep; ep.Bind(s) }
 
 // Discover broadcasts the query.
-func (s *ABESubject) Discover(net *netsim.Network, ttl int) {
-	net.Broadcast(s.node, []byte{abeQueryMagic}, ttl)
-}
+func (s *ABESubject) Discover(ttl int) { s.ep.Broadcast([]byte{abeQueryMagic}, ttl) }
 
-// HandleMessage implements netsim.Handler.
-func (s *ABESubject) HandleMessage(net *netsim.Network, from netsim.NodeID, payload []byte) {
+// Handle implements transport.Handler.
+func (s *ABESubject) Handle(from transport.Addr, payload []byte) {
 	if len(payload) == 0 || payload[0] != abeResponseMagic {
 		return
 	}
@@ -126,12 +125,12 @@ func (s *ABESubject) HandleMessage(net *netsim.Network, from netsim.NodeID, payl
 			// Unauthorized for this variant; the failed attempt still cost
 			// real time (satisfiability is checked first, so mismatches are
 			// cheap — mirroring real CP-ABE implementations).
-			net.Compute(s.node, elapsed, func() {})
+			s.ep.Compute(elapsed, transport.Func(func() {}))
 			continue
 		}
-		net.Compute(s.node, elapsed, func() {
-			s.Results = append(s.Results, ABEDiscovery{Node: from, Profile: profile, At: net.Now()})
-		})
+		s.ep.Compute(elapsed, transport.Func(func() {
+			s.Results = append(s.Results, ABEDiscovery{Node: from, Profile: profile, At: s.ep.Now()})
+		}))
 	}
 }
 

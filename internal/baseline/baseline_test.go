@@ -7,7 +7,25 @@ import (
 	"argus/internal/abe"
 	"argus/internal/netsim"
 	"argus/internal/pbc"
+	"argus/internal/transport"
 )
+
+// binder is either side of either scheme.
+type binder interface{ Bind(transport.Endpoint) }
+
+// star binds subject and each object to a fresh endpoint of one network, every
+// object one hop from the subject.
+func star(subject binder, objects ...binder) *netsim.Network {
+	net := netsim.New(netsim.DefaultWiFi(), 1)
+	sep := net.NewEndpoint()
+	subject.Bind(sep)
+	for _, o := range objects {
+		oep := net.NewEndpoint()
+		o.Bind(oep)
+		net.Link(sep.Node(), oep.Node())
+	}
+	return net
+}
 
 func TestABEDiscoveryAuthorized(t *testing.T) {
 	pk, mk, err := abe.Setup()
@@ -20,17 +38,11 @@ func TestABEDiscoveryAuthorized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	net := netsim.New(netsim.DefaultWiFi(), 1)
 	sk, _ := abe.KeyGen(pk, mk, []string{"position:staff", "department:X"})
 	subj := &ABESubject{PK: pk, SK: sk}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
-	obj := &ABEObject{Variants: []ABEVariant{v}}
-	on := net.AddNode(obj)
-	obj.Attach(on)
-	net.Link(sn, on)
+	net := star(subj, &ABEObject{Variants: []ABEVariant{v}})
 
-	subj.Discover(net, 1)
+	subj.Discover(1)
 	net.Run(0)
 	if len(subj.Results) != 1 {
 		t.Fatalf("results = %d, want 1", len(subj.Results))
@@ -52,17 +64,11 @@ func TestABEDiscoveryUnauthorized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := netsim.New(netsim.DefaultWiFi(), 1)
 	sk, _ := abe.KeyGen(pk, mk, []string{"position:staff"})
 	subj := &ABESubject{PK: pk, SK: sk}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
-	obj := &ABEObject{Variants: []ABEVariant{v}}
-	on := net.AddNode(obj)
-	obj.Attach(on)
-	net.Link(sn, on)
+	net := star(subj, &ABEObject{Variants: []ABEVariant{v}})
 
-	subj.Discover(net, 1)
+	subj.Discover(1)
 	net.Run(0)
 	if len(subj.Results) != 0 {
 		t.Fatalf("unauthorized subject decrypted %d variants", len(subj.Results))
@@ -75,17 +81,10 @@ func TestPBCDiscoveryFellow(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := []byte("covert support service")
-	net := netsim.New(netsim.DefaultWiFi(), 1)
-
 	subj := &PBCSubject{Cred: auth.Issue("subject-S"), Candidates: []string{"kiosk-1"}}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
-	obj := &PBCObject{Cred: auth.Issue("kiosk-1"), Profile: profile}
-	on := net.AddNode(obj)
-	obj.Attach(on)
-	net.Link(sn, on)
+	net := star(subj, &PBCObject{Cred: auth.Issue("kiosk-1"), Profile: profile})
 
-	if err := subj.Discover(net, 1); err != nil {
+	if err := subj.Discover(1); err != nil {
 		t.Fatal(err)
 	}
 	net.Run(0)
@@ -104,17 +103,10 @@ func TestPBCDiscoveryFellow(t *testing.T) {
 func TestPBCDiscoveryOutsiderFails(t *testing.T) {
 	authA, _ := pbc.NewAuthority()
 	authB, _ := pbc.NewAuthority() // different community
-	net := netsim.New(netsim.DefaultWiFi(), 1)
-
 	subj := &PBCSubject{Cred: authB.Issue("outsider"), Candidates: []string{"kiosk-1"}}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
-	obj := &PBCObject{Cred: authA.Issue("kiosk-1"), Profile: []byte("covert")}
-	on := net.AddNode(obj)
-	obj.Attach(on)
-	net.Link(sn, on)
+	net := star(subj, &PBCObject{Cred: authA.Issue("kiosk-1"), Profile: []byte("covert")})
 
-	subj.Discover(net, 1)
+	subj.Discover(1)
 	net.Run(0)
 	if len(subj.Results) != 0 {
 		t.Fatalf("outsider discovered %d covert services", len(subj.Results))
@@ -125,20 +117,12 @@ func TestPBCAddressedProbes(t *testing.T) {
 	// A probe addressed to kiosk-1 must not cost kiosk-2 a pairing, and
 	// kiosk-2 must not answer it.
 	auth, _ := pbc.NewAuthority()
-	net := netsim.New(netsim.DefaultWiFi(), 1)
 	subj := &PBCSubject{Cred: auth.Issue("s"), Candidates: []string{"kiosk-1"}}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
-	o1 := &PBCObject{Cred: auth.Issue("kiosk-1"), Profile: []byte("p1")}
-	n1 := net.AddNode(o1)
-	o1.Attach(n1)
-	net.Link(sn, n1)
-	o2 := &PBCObject{Cred: auth.Issue("kiosk-2"), Profile: []byte("p2")}
-	n2 := net.AddNode(o2)
-	o2.Attach(n2)
-	net.Link(sn, n2)
+	net := star(subj,
+		&PBCObject{Cred: auth.Issue("kiosk-1"), Profile: []byte("p1")},
+		&PBCObject{Cred: auth.Issue("kiosk-2"), Profile: []byte("p2")})
 
-	subj.Discover(net, 1)
+	subj.Discover(1)
 	net.Run(0)
 	if len(subj.Results) != 1 || subj.Results[0].PeerID != "kiosk-1" {
 		t.Fatalf("results = %+v, want kiosk-1 only", subj.Results)
@@ -148,23 +132,19 @@ func TestPBCAddressedProbes(t *testing.T) {
 func TestMalformedBaselineTraffic(t *testing.T) {
 	pk, mk, _ := abe.Setup()
 	sk, _ := abe.KeyGen(pk, mk, nil)
-	net := netsim.New(netsim.DefaultWiFi(), 1)
+	auth, _ := pbc.NewAuthority()
 	subj := &ABESubject{PK: pk, SK: sk}
-	sn := net.AddNode(subj)
-	subj.Attach(sn)
+	obj := &PBCObject{Cred: auth.Issue("o"), Profile: []byte("p")}
+	net := star(subj, obj)
 	// Garbage and wrong-magic payloads are ignored without panics.
 	for _, p := range [][]byte{nil, {0xFF}, {abeResponseMagic}, {abeResponseMagic, 0, 5, 1, 2}} {
-		subj.HandleMessage(net, 0, p)
+		subj.Handle(netsim.AddrOf(1), p)
 	}
+	for _, p := range [][]byte{nil, {0xEE}, {pbcQueryMagic, 0, 1}} {
+		obj.Handle(netsim.AddrOf(0), p)
+	}
+	net.Run(0)
 	if len(subj.Results) != 0 {
 		t.Fatal("garbage produced results")
-	}
-
-	auth, _ := pbc.NewAuthority()
-	obj := &PBCObject{Cred: auth.Issue("o"), Profile: []byte("p")}
-	on := net.AddNode(obj)
-	obj.Attach(on)
-	for _, p := range [][]byte{nil, {0xEE}, {pbcQueryMagic, 0, 1}} {
-		obj.HandleMessage(net, sn, p)
 	}
 }

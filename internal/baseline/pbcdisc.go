@@ -4,9 +4,9 @@ import (
 	"time"
 
 	"argus/internal/enc"
-	"argus/internal/netsim"
 	"argus/internal/pbc"
 	"argus/internal/suite"
+	"argus/internal/transport"
 )
 
 // PBC-based Level 3 discovery, adapted from MASHaBLE-style secret handshakes
@@ -18,18 +18,18 @@ import (
 
 // PBCObject is a community member serving a covert profile.
 type PBCObject struct {
-	node    netsim.NodeID
+	ep      transport.Endpoint
 	Cred    *pbc.Credential
 	Profile []byte
 }
 
-// Attach records the object's network address.
-func (o *PBCObject) Attach(node netsim.NodeID) { o.node = node }
+// Bind attaches the object to ep as the endpoint's handler.
+func (o *PBCObject) Bind(ep transport.Endpoint) { o.ep = ep; ep.Bind(o) }
 
-// HandleMessage implements netsim.Handler: on query, derive the pairwise key
+// Handle implements transport.Handler: on query, derive the pairwise key
 // (one pairing — measured and charged), verify the subject's proof, respond
 // with proof + encrypted profile.
-func (o *PBCObject) HandleMessage(net *netsim.Network, from netsim.NodeID, payload []byte) {
+func (o *PBCObject) Handle(from transport.Addr, payload []byte) {
 	if len(payload) == 0 || payload[0] != pbcQueryMagic {
 		return
 	}
@@ -53,7 +53,7 @@ func (o *PBCObject) HandleMessage(net *netsim.Network, from netsim.NodeID, paylo
 	if !pbc.Verify(key, transcript, proof) {
 		// Not a fellow: silence. The failed verification still cost the
 		// pairing — charge it.
-		net.Compute(o.node, elapsed, func() {})
+		o.ep.Compute(elapsed, transport.Func(func() {}))
 		return
 	}
 	ct, err := suite.EncryptProfile(key[:], o.Profile, nil)
@@ -68,14 +68,12 @@ func (o *PBCObject) HandleMessage(net *netsim.Network, from netsim.NodeID, paylo
 	w.String16(o.Cred.ID)
 	w.Bytes16(respProof)
 	w.Bytes16(ct)
-	net.Compute(o.node, elapsed, func() {
-		net.Send(o.node, from, w.Bytes())
-	})
+	o.ep.Compute(elapsed, transport.Func(func() { o.ep.Send(from, w.Bytes()) }))
 }
 
 // PBCDiscovery is one covert service found via secret handshake.
 type PBCDiscovery struct {
-	Node    netsim.NodeID
+	Node    transport.Addr
 	PeerID  string
 	Profile []byte
 	At      time.Duration
@@ -87,7 +85,7 @@ type PBCDiscovery struct {
 // peer (one pairing each — the cost the paper contrasts with Argus's two
 // HMACs).
 type PBCSubject struct {
-	node netsim.NodeID
+	ep   transport.Endpoint
 	Cred *pbc.Credential
 	// Candidates are the object identities to probe (MASHaBLE discovers
 	// community members by identity set).
@@ -98,12 +96,12 @@ type PBCSubject struct {
 	Results []PBCDiscovery
 }
 
-// Attach records the subject's network address.
-func (s *PBCSubject) Attach(node netsim.NodeID) { s.node = node }
+// Bind attaches the subject to ep as the endpoint's handler.
+func (s *PBCSubject) Bind(ep transport.Endpoint) { s.ep = ep; ep.Bind(s) }
 
 // Discover derives pairwise keys for all candidates (pairings, measured and
 // charged) and broadcasts the proof.
-func (s *PBCSubject) Discover(net *netsim.Network, ttl int) error {
+func (s *PBCSubject) Discover(ttl int) error {
 	rs, err := suite.NewNonce(nil)
 	if err != nil {
 		return err
@@ -117,7 +115,7 @@ func (s *PBCSubject) Discover(net *netsim.Network, ttl int) error {
 	}
 	elapsed := time.Since(start)
 
-	net.Compute(s.node, elapsed, func() {
+	s.ep.Compute(elapsed, transport.Func(func() {
 		for _, cand := range s.Candidates {
 			key := s.keys[cand]
 			transcript := append([]byte(s.Cred.ID), rs...)
@@ -127,14 +125,14 @@ func (s *PBCSubject) Discover(net *netsim.Network, ttl int) error {
 			w.String16(s.Cred.ID)
 			w.Bytes16(rs)
 			w.Bytes16(pbc.Prove(key, transcript))
-			net.Broadcast(s.node, w.Bytes(), ttl)
+			s.ep.Broadcast(w.Bytes(), ttl)
 		}
-	})
+	}))
 	return nil
 }
 
-// HandleMessage implements netsim.Handler.
-func (s *PBCSubject) HandleMessage(net *netsim.Network, from netsim.NodeID, payload []byte) {
+// Handle implements transport.Handler.
+func (s *PBCSubject) Handle(from transport.Addr, payload []byte) {
 	if len(payload) == 0 || payload[0] != pbcResponseMagic {
 		return
 	}
@@ -158,5 +156,5 @@ func (s *PBCSubject) HandleMessage(net *netsim.Network, from netsim.NodeID, payl
 	if err != nil {
 		return
 	}
-	s.Results = append(s.Results, PBCDiscovery{Node: from, PeerID: peerID, Profile: profile, At: net.Now()})
+	s.Results = append(s.Results, PBCDiscovery{Node: from, PeerID: peerID, Profile: profile, At: s.ep.Now()})
 }

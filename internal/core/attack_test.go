@@ -10,12 +10,14 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/netsim"
 	"argus/internal/suite"
+	"argus/internal/transport"
 	"argus/internal/wire"
 )
 
@@ -28,6 +30,7 @@ type tapped struct {
 	from, to netsim.NodeID
 	payload  []byte
 	msg      wire.Message
+	at       time.Duration // virtual delivery time
 }
 
 func (t *tap) install(net *netsim.Network) {
@@ -36,7 +39,7 @@ func (t *tap) install(net *netsim.Network) {
 		if err != nil {
 			return
 		}
-		t.msgs = append(t.msgs, tapped{from, to, append([]byte(nil), payload...), m})
+		t.msgs = append(t.msgs, tapped{from, to, append([]byte(nil), payload...), m, net.Now()})
 	})
 }
 
@@ -181,13 +184,13 @@ func TestCase2ReplayedRES1Rejected(t *testing.T) {
 
 	// The attacker replays the captured RES1 whenever it hears a new QUE1.
 	replayed := captured[0].payload
-	var replayer netsim.NodeID
-	replayer = d.net.AddNode(netsim.HandlerFunc(func(net *netsim.Network, from netsim.NodeID, p []byte) {
+	replayer := d.net.NewEndpoint()
+	replayer.Bind(transport.HandlerFunc(func(from transport.Addr, p []byte) {
 		if m, err := wire.Decode(p); err == nil && m.Type() == wire.TQUE1 {
-			net.Send(replayer, from, replayed)
+			replayer.Send(from, replayed)
 		}
 	}))
-	d.net.Link(d.subjNode, replayer)
+	d.net.Link(d.subjNode, replayer.Node())
 
 	before := len(d.subject.Results())
 	d.run()
@@ -195,7 +198,7 @@ func TestCase2ReplayedRES1Rejected(t *testing.T) {
 	// signature verification against the fresh R_S.
 	after := d.subject.Results()[before:]
 	for _, r := range after {
-		if r.Node == netsim.AddrOf(replayer) {
+		if r.Node == replayer.Addr() {
 			t.Fatal("replayed RES1 accepted")
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"argus/internal/attr"
 	"argus/internal/backend"
@@ -25,9 +26,9 @@ type deployment struct {
 	objects map[string]*Object
 }
 
-func newDeployment(t *testing.T) *deployment {
+func newDeployment(t *testing.T, opts ...backend.Option) *deployment {
 	t.Helper()
-	b, err := backend.New(suite.S128)
+	b, err := backend.New(suite.S128, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +96,33 @@ func (d *deployment) refreshObject(name string) {
 		d.t.Fatal(err)
 	}
 	o.Refresh(prov)
+}
+
+// refreshSubject re-provisions the subject and applies it.
+func (d *deployment) refreshSubject() {
+	d.t.Helper()
+	prov, err := d.b.ProvisionSubject(d.subject.ID())
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.subject.Refresh(prov)
+}
+
+// idleUntil advances the virtual clock to at with nothing on the air: a timer
+// on a spare endpoint holds the run open until then.
+func (d *deployment) idleUntil(at time.Duration) {
+	d.t.Helper()
+	if at < d.net.Now() {
+		d.t.Fatalf("idle until %v: the clock already reads %v", at, d.net.Now())
+	}
+	d.net.NewEndpoint().NewTimer(func() {}).Reset(at - d.net.Now())
+	d.net.Run(at)
+}
+
+// closesAt is the instant on the simulator's clock at which the network's
+// calendar, the validity clock of every engine on it, passes edge.
+func (d *deployment) closesAt(edge time.Time) time.Duration {
+	return d.net.Now() + edge.Sub(d.net.Date())
 }
 
 // run performs one discovery round and drains the network.
@@ -417,7 +445,7 @@ func TestDuplicateQUE1Suppressed(t *testing.T) {
 	o := d.addObject("thermo", L1, attr.MustSet("type=thermometer"), []string{"read"}, wire.V30)
 	// Add a relay path subject → relay → object so the flood reaches the
 	// object twice.
-	relay := d.net.AddNode(nil)
+	relay := d.net.AddNode()
 	d.net.Link(d.subjNode, relay)
 	objNode := netsim.NodeID(1) // first object added after subject
 	_ = o

@@ -408,7 +408,7 @@ func TestDiscoveryAcrossBridgedRadios(t *testing.T) {
 	sep := net.NewEndpoint()
 	s := NewSubject(sprov, wire.V30, Costs{}, WithEndpoint(sep))
 	sn := sep.Node()
-	bridge := net.AddNode(nil)
+	bridge := net.AddNode()
 	oprov, _ := b.ProvisionObject(oid)
 	oep := net.NewEndpoint()
 	NewObject(oprov, wire.V30, Costs{}, WithEndpoint(oep))

@@ -160,17 +160,21 @@ func TestKnownAnswerOnlyForFirstHintedCopy(t *testing.T) {
 
 // TestKnownAnswerDeadEnds: whatever makes a known answer useless — the
 // subject forgot the profile, the object forgot the subject, the answer was
-// lost, the window closed, the digest names another profile — the round ends
-// in its one Level 1 discovery: at once when the object answers in full, and
-// otherwise after one rebroadcast, which draws the full RES1 every duplicate
-// gets. Nothing expires, and the next round is the known one again.
+// lost, the digest names another profile — the round ends in its one Level 1
+// discovery: at once when the object answers in full, and otherwise after one
+// rebroadcast, which draws the full RES1 every duplicate gets. Nothing
+// expires, and the next round is the known one again. A known answer whose
+// window closed on the clock is dropped the same way, but the full RES1 then
+// carries the closed profile: nothing is discovered, and the rebroadcast chain
+// runs out on its budget.
 func TestKnownAnswerDeadEnds(t *testing.T) {
 	rows := []struct {
 		name        string
 		inject      func(f *resumeFixture, o *Object)
 		rebroadcast int64
+		closed      bool // the profile closed: no discovery
 	}{
-		{"subject entry evicted", func(f *resumeFixture, o *Object) { delete(f.subject.known.m, o.ep.Addr()) }, 1},
+		{"subject entry evicted", func(f *resumeFixture, o *Object) { delete(f.subject.known.m, o.ep.Addr()) }, 1, false},
 		{"subject CA refresh", func(f *resumeFixture, o *Object) {
 			prov := f.subject.prov
 			rotated := *prov
@@ -178,9 +182,9 @@ func TestKnownAnswerDeadEnds(t *testing.T) {
 			rotated.CACert[len(rotated.CACert)-1] ^= 0xFF
 			f.subject.Refresh(&rotated)
 			f.subject.Refresh(prov)
-		}, 1},
-		{"object Refresh", func(f *resumeFixture, o *Object) { f.refreshObject(o.Name()) }, 0},
-		{"object set reset", func(f *resumeFixture, o *Object) { o.known = nil }, 0},
+		}, 1, false},
+		{"object Refresh", func(f *resumeFixture, o *Object) { f.refreshObject(o.Name()) }, 0, false},
+		{"object set reset", func(f *resumeFixture, o *Object) { o.known = nil }, 0, false},
 		{"known answer lost", func(f *resumeFixture, o *Object) {
 			lost := false
 			f.net.SetDropFilter(func(_, _ netsim.NodeID, p []byte) bool {
@@ -190,17 +194,22 @@ func TestKnownAnswerDeadEnds(t *testing.T) {
 				}
 				return false
 			})
-		}, 1},
+		}, 1, false},
 		{"bound window closed", func(f *resumeFixture, o *Object) {
-			e := f.subject.known.m[o.ep.Addr()]
-			e.notAfter = time.Now().Add(-time.Second)
-			f.subject.known.m[o.ep.Addr()] = e
-		}, 1},
+			// A public profile that closes 30 s on, verified in full and then
+			// known; the clock runs past its edge.
+			f.withLife(30*time.Second, func() { f.refreshObject(o.Name()) })
+			f.round(f.t)
+			if _, frames := f.round(f.t); len(frames) != 2 || len(frames[1].payload) != knownRES1Size {
+				f.t.Fatalf("known round under the short profile: %d frames", len(frames))
+			}
+			f.idleUntil(max(f.net.Now(), f.closesAt(f.subject.known.m[o.ep.Addr()].notAfter)+time.Second))
+		}, int64(DefaultRetry().Que1Retries), true},
 		{"digest mismatch", func(f *resumeFixture, o *Object) {
 			e := f.subject.known.m[o.ep.Addr()]
 			e.digest[0] ^= 0xFF
 			f.subject.known.m[o.ep.Addr()] = e
-		}, 1},
+		}, 1, false},
 	}
 	que1 := []obs.Label{obs.L("msg", msgQUE1), obs.L("cause", obs.CauseTimeout)}
 	for _, r := range rows {
@@ -215,10 +224,13 @@ func TestKnownAnswerDeadEnds(t *testing.T) {
 			q1 := counterValue(t, f.reg, obs.MRetransmissions, que1...)
 			got, frames := f.round(t)
 			f.net.SetDropFilter(nil)
-			if len(got) != 1 || got[0].Level != L1 || got[0].Object != o.ID() {
+			if r.closed {
+				if len(got) != 0 {
+					t.Fatalf("round past the profile's edge discovered %+v", got)
+				}
+			} else if len(got) != 1 || got[0].Level != L1 || got[0].Object != o.ID() {
 				t.Fatalf("round ended in %+v, want one Level 1 discovery of %v", got, o.ID())
-			}
-			if took := got[0].At - start; took > DefaultRetry().ttl() {
+			} else if took := got[0].At - start; took > DefaultRetry().ttl() {
 				t.Errorf("discovery after %v, past the round's session lifetime", took)
 			}
 			if n := counterValue(t, f.reg, obs.MRetransmissions, que1...) - q1; n != r.rebroadcast {
@@ -229,6 +241,9 @@ func TestKnownAnswerDeadEnds(t *testing.T) {
 			}
 			if sizes := res1Sizes(frames); sizes[len(sizes)-1] != fullRES1Size {
 				t.Errorf("round's RES1s %v B: the discovery did not come from the full answer", sizes)
+			}
+			if r.closed {
+				return
 			}
 			if got, frames := f.round(t); len(got) != 1 || len(frames) != 2 || len(frames[1].payload) != knownRES1Size {
 				t.Errorf("next round: %d discoveries over %d frames, want 1 over the known exchange", len(got), len(frames))

@@ -19,9 +19,9 @@ const (
 )
 
 // ops is the op ledger of one compute step: how many operations of each kind
-// it performs. It is written down once, and its engine's spend both counts it
-// into argus_crypto_ops_total and charges Costs.Of it to the clock, so what is
-// counted is what is charged.
+// it performs, or waits out to keep its response time constant. It is written
+// down once, and its engine's spend both counts it into argus_crypto_ops_total
+// and charges Costs.Of it to the clock, so what is counted is what is charged.
 type ops [nOpKinds]int
 
 // Of returns the modeled compute time of o on the device class c.
@@ -43,7 +43,7 @@ type cryptoOps [nOpKinds]*obs.Counter
 func newCryptoOps(reg *obs.Registry, role string) cryptoOps {
 	var c cryptoOps
 	for k, op := range opLabels {
-		c[k] = reg.Counter(obs.MCryptoOps, "Cryptographic operations performed, by operation and role.",
+		c[k] = reg.Counter(obs.MCryptoOps, "Cryptographic operations charged, by operation and role: performed, or waited out to keep response time constant.",
 			obs.L("op", op), obs.L("role", role))
 	}
 	return c
@@ -64,14 +64,21 @@ type nop struct{}
 
 func (nop) Run() {}
 
-// ledger is where an engine spends compute: the endpoint its steps are
-// charged to, its device class's costs and, when instrumented, its role's
-// argus_crypto_ops_total series (tally). Each engine embeds one.
+// ledger is an engine's hold on its endpoint: where it spends compute — the
+// endpoint its steps are charged to, its device class's costs and, when
+// instrumented, its role's argus_crypto_ops_total series (tally) — and what
+// time it is. Each engine embeds one.
 type ledger struct {
 	ep    transport.Endpoint
 	costs Costs
 	tally *cryptoOps
 }
+
+// now is the validity clock, the endpoint's time of day (transport.Date):
+// every window an engine checks (tickets, bound and known profiles, PROF)
+// closes on it, on the simulator in virtual time, on Mesh and UDP on the wall
+// clock read at the check. x509 checks CERT chains on the wall.
+func (l *ledger) now() time.Time { return transport.Date(l.ep) }
 
 // spend counts o and runs t once its modeled time, which it returns, has
 // passed; a session task has one more step pending until then. A step nothing

@@ -9,7 +9,6 @@ import (
 	"argus/internal/attr"
 	"argus/internal/backend"
 	"argus/internal/cert"
-	"argus/internal/obs"
 	"argus/internal/suite"
 	"argus/internal/transport"
 	"argus/internal/wire"
@@ -191,11 +190,10 @@ func NewObject(prov *backend.ObjectProvision, version wire.Version, costs Costs,
 	}
 	o.encodeProfiles()
 	eo := applyOptions(opts)
-	if eo.hasRetry {
-		o.retry = eo.retry
-	}
-	if eo.hasTel {
-		o.instrument(eo.reg)
+	o.retry = eo.retry
+	if eo.reg != nil {
+		o.tel = objectTelemetryFor(eo.reg)
+		o.tally = &o.tel.ops
 	}
 	o.vcache = eo.vcache
 	if eo.ep != nil {
@@ -244,15 +242,6 @@ func (o *Object) syncPending() { o.pendingN.Store(int64(len(o.sessions) + len(o.
 // Tickets returns the number of resumption tickets held for subjects. Safe to
 // call from any goroutine.
 func (o *Object) Tickets() int { return o.tickets.size() }
-
-// instrument attaches a metrics registry. Like the subject's, object
-// telemetry is purely observational and preserves fixed-seed runs.
-func (o *Object) instrument(reg *obs.Registry) {
-	if reg != nil {
-		o.tel = objectTelemetryFor(reg)
-		o.tally = &o.tel.ops
-	}
-}
 
 // ID returns the object's registered identity.
 func (o *Object) ID() cert.ID { return o.prov.ID }
@@ -440,7 +429,7 @@ func (o *Object) hintedTicket(from transport.Addr, m *wire.QUE1) (*ticket, ops) 
 	if t == nil || len(m.Hints) == 0 {
 		return nil, ops{}
 	}
-	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(time.Now()) {
+	if !m.HasHint(t.secret.Hint(m.RS)) || !t.valid(o.now()) {
 		t = nil
 	}
 	return t, ops{hmac: 1}
@@ -715,7 +704,7 @@ func (o *Object) authenticateQUE2(from transport.Addr, sess *objSession, m *wire
 	if err != nil || prof.Kind != cert.RoleSubject || prof.Entity != info.ID {
 		return reject()
 	}
-	if err := o.vcache.VerifyProfileAnchored(prof, m.ProfS, o.prov.CACert, o.prov.AdminPub, time.Now()); err != nil {
+	if err := o.vcache.VerifyProfileAnchored(prof, m.ProfS, o.prov.CACert, o.prov.AdminPub, o.now()); err != nil {
 		return reject() // PROF must be admin-signed: attributes cannot be self-claimed
 	}
 
@@ -761,7 +750,7 @@ func (o *Object) resumeQUE2(from transport.Addr, sess *objSession, m *wire.QUE2,
 	if t != nil && !bytes.Equal(m.Ticket, t.id[:]) {
 		t = nil
 	}
-	if t != nil && !t.valid(time.Now()) {
+	if t != nil && !t.valid(o.now()) {
 		o.tickets.drop(from)
 		t = nil
 	}

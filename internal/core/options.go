@@ -17,12 +17,10 @@ type Option func(*engineOptions)
 type engineOptions struct {
 	ep transport.Endpoint
 
-	retry    RetryPolicy
-	hasRetry bool
+	retry RetryPolicy
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	hasTel bool
 
 	vcache *cert.VerifyCache
 }
@@ -49,7 +47,7 @@ func WithEndpoint(ep transport.Endpoint) Option {
 // The zero policy disables retransmission, duplicate-response resends and
 // TTL-based session expiry, reproducing the one-shot seed protocol exactly.
 func WithRetry(p RetryPolicy) Option {
-	return func(eo *engineOptions) { eo.retry = p; eo.hasRetry = true }
+	return func(eo *engineOptions) { eo.retry = p }
 }
 
 // WithTelemetry attaches a metrics registry and, for subjects, an optional
@@ -57,7 +55,7 @@ func WithRetry(p RetryPolicy) Option {
 // is purely observational — it consumes no randomness and schedules no
 // events, so instrumented and uninstrumented runs of one seed are identical.
 func WithTelemetry(reg *obs.Registry, tr *obs.Tracer) Option {
-	return func(eo *engineOptions) { eo.reg = reg; eo.tracer = tr; eo.hasTel = true }
+	return func(eo *engineOptions) { eo.reg, eo.tracer = reg, tr }
 }
 
 // WithVerifyCache shares a credential-verification cache with the engine: the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"argus/internal/attr"
+	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/netsim"
 	"argus/internal/obs"
@@ -30,6 +31,19 @@ type resumeFixture struct {
 	air *tap
 
 	inRound int // discoveries of the round in flight
+
+	// The backend issues on the network's calendar. While life is set
+	// (withLife), a PROF it provisions closes life from now rather than in
+	// backend.ProfLifetime.
+	life time.Duration
+}
+
+// withLife runs provision with the PROFs the backend issues closing life from
+// now.
+func (f *resumeFixture) withLife(life time.Duration, provision func()) {
+	f.life = life
+	defer func() { f.life = 0 }()
+	provision()
 }
 
 func newResumeFixture(t *testing.T, n int) *resumeFixture {
@@ -42,7 +56,14 @@ func newResumeFixture(t *testing.T, n int) *resumeFixture {
 // round verified each device's public profile — and on the given links.
 func newResumeFixtureAt(t *testing.T, n int, level Level, link netsim.LinkModel) *resumeFixture {
 	t.Helper()
-	f := &resumeFixture{deployment: newDeployment(t), reg: obs.NewRegistry(), air: &tap{}}
+	f := &resumeFixture{reg: obs.NewRegistry(), air: &tap{}}
+	f.deployment = newDeployment(t, backend.WithClock(func() time.Time {
+		now := f.net.Date()
+		if f.life > 0 {
+			now = now.Add(f.life - backend.ProfLifetime)
+		}
+		return now
+	}))
 	f.net = netsim.New(link, 1)
 	f.air.install(f.net)
 	f.b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("type=='device'"), []string{"use"})
@@ -369,10 +390,18 @@ func TestRefreshInvalidatesTickets(t *testing.T) {
 
 // TestTicketNeverOutlivesValidityWindow: a ticket is minted inside the joint
 // window of the credentials it stands for, a ratchet step carries the window
-// over unchanged, and outside it the ticket is dead on both sides.
+// over unchanged, and outside it the ticket is dead on both sides — as is the
+// credential whose window closed, so the full handshake that follows a dead
+// ticket completes nothing either. The edges are reached on the virtual clock.
 func TestTicketNeverOutlivesValidityWindow(t *testing.T) {
 	f := newResumeFixture(t, 1)
 	o := f.only()
+	// PROF_S closes in 30 s, PROF_O in a year: the object's copy of the next
+	// ticket is the one that dies.
+	f.withLife(30*time.Second, f.refreshSubject)
+	if got, _ := f.round(t); len(got) != 1 {
+		t.Fatal("full handshake under the short PROF_S failed")
+	}
 	// Copies: a ratchet step overwrites the filed ticket in place.
 	st, ot := *onlyTicket(t, &f.subject.tickets), *onlyTicket(t, &o.tickets)
 	if st.id != ot.id || st.secret != ot.secret {
@@ -400,19 +429,142 @@ func TestTicketNeverOutlivesValidityWindow(t *testing.T) {
 	if !st2.notAfter.Equal(st.notAfter) || !ot2.notAfter.Equal(ot.notAfter) || !ot2.notBefore.Equal(ot.notBefore) {
 		t.Error("the ratchet moved the validity window")
 	}
+	f.want(t, "inside the window", 2, 1, 0)
 
-	// The object's copy expires: refused and dropped, one full handshake.
-	ot2.notAfter = time.Now().Add(-time.Second)
-	if got, _ := f.round(t); len(got) != 1 {
-		t.Fatal("round with an expired object-side ticket failed")
+	// The object's copy closes with PROF_S: refused and dropped, and the full
+	// handshake the refusal leads to presents the closed PROF_S.
+	f.idleUntil(max(f.net.Now(), f.closesAt(ot.notAfter)+time.Second))
+	if got, _ := f.round(t); len(got) != 0 {
+		t.Fatalf("round past the object-side edge: %d discoveries, want none", len(got))
 	}
 	f.want(t, "object-side expiry", 2, 1, 1)
-	// The subject's copy expires: it does not present it at all.
-	onlyTicket(t, &f.subject.tickets).notAfter = time.Now().Add(-time.Second)
-	if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 {
-		t.Fatalf("round with an expired subject-side ticket: %d discoveries over %d frames", len(got), len(frames))
+	if n, m := len(o.tickets.m), len(f.subject.tickets.m); n != 0 || m != 0 {
+		t.Errorf("tickets left after the refusal: object %d, subject %d", n, m)
 	}
-	f.want(t, "subject-side expiry", 3, 1, 1)
+
+	// A year-long PROF_S and a PROF_O that closes in 30 s: the subject's copy
+	// of the next ticket is the one that dies.
+	f.refreshSubject()
+	f.withLife(30*time.Second, func() { f.refreshObject(o.Name()) })
+	if got, _ := f.round(t); len(got) != 1 {
+		t.Fatal("full handshake under the short PROF_O failed")
+	}
+	f.want(t, "re-provisioned", 3, 1, 1)
+	// The subject does not present its closed copy at all: the object, whose
+	// copy is good for a year, answers in full and refuses nothing. (It mints
+	// a ticket for the answer whose PROF_O the subject then refuses: it
+	// cannot know.)
+	f.idleUntil(max(f.net.Now(), f.closesAt(onlyTicket(t, &f.subject.tickets).notAfter)+time.Second))
+	got, frames := f.round(t)
+	if len(got) != 0 {
+		t.Fatalf("round past the subject-side edge: %d discoveries, want none", len(got))
+	}
+	for _, fr := range frames {
+		if r, ok := fr.msg.(*wire.RES1); ok && r.Mode == wire.ModeResume {
+			t.Fatal("the object answered a presentation of the closed ticket")
+		}
+	}
+	for _, side := range []string{"subject", "object"} {
+		if n := counterValue(t, f.reg, obs.MResumptions, obs.L("side", side), obs.L("result", resultRefused)); n != 1 {
+			t.Errorf("subject-side expiry: %s refused = %d, want 1", side, n)
+		}
+	}
+	if n := counterValue(t, f.reg, obs.MResumptions, obs.L("side", "subject"), obs.L("result", resultMinted)); n != 3 {
+		t.Errorf("subject-side expiry: subject minted = %d, want 3", n)
+	}
+}
+
+// TestWindowsCloseInVirtualTime: an engine reads every validity window on its
+// endpoint's clock. A pair whose PROFs close 30 s on resumes up to that point
+// in virtual time and completes nothing after it, though the whole run takes
+// a fraction of a second of wall time.
+func TestWindowsCloseInVirtualTime(t *testing.T) {
+	f := newResumeFixture(t, 1)
+	o := f.only()
+	issued := f.net.Now()
+	f.withLife(30*time.Second, func() {
+		f.refreshSubject()
+		f.refreshObject(o.Name())
+	})
+	edge := min(f.closesAt(f.subject.prov.Profile.Expires), f.closesAt(o.prov.Variants[0].Profile.Expires))
+	if life := edge - issued; life < 27*time.Second || life > 30*time.Second {
+		t.Fatalf("the PROFs close %v after issue, want about 30 s", life)
+	}
+	if got, _ := f.round(t); len(got) != 1 {
+		t.Fatalf("full handshake under the short PROFs: %d discoveries, want 1", len(got))
+	}
+	f.want(t, "after the full handshake", 2, 0, 0)
+	f.idleUntil(edge - 5*time.Second)
+	if got, frames := f.round(t); len(got) != 1 || len(frames) != 4 || got[0].At >= edge {
+		t.Fatalf("round before the edge: %d discoveries over %d frames, want the resumed one", len(got), len(frames))
+	}
+	f.want(t, "before the edge", 2, 1, 0)
+	f.idleUntil(max(f.net.Now(), edge+time.Second)) // a drained round idles on for its answer cache
+	if got, _ := f.round(t); len(got) != 0 {
+		t.Fatalf("round past the edge: %d discoveries, want none", len(got))
+	}
+	f.want(t, "past the edge", 2, 1, 0)
+	if s, obj := f.subject.PendingSessions(), o.PendingSessions(); s != 0 || obj != 0 {
+		t.Errorf("sessions left: subject %d, object %d", s, obj)
+	}
+}
+
+// steppedDate is a simulator endpoint whose time of day stands step off the
+// network's: a host clock that is set, corrected or jumps while its engine
+// runs.
+type steppedDate struct {
+	*netsim.SimEndpoint
+	step time.Duration
+}
+
+func (e *steppedDate) Date() time.Time { return e.SimEndpoint.Date().Add(e.step) }
+
+// TestValidityClockReadAtEachCheck: an engine reads its endpoint's time of
+// day at every check, not once at Bind. An object whose clock is hours behind
+// refuses the fresh PROF_S as not yet valid; once its clock is set right it
+// serves the same subject, and once both clocks pass the PROFs' expiry it
+// serves nothing, with no engine bound again and the virtual clock barely
+// moved.
+func TestValidityClockReadAtEachCheck(t *testing.T) {
+	d := newDeployment(t)
+	d.b.AddPolicy(attr.MustParse("position=='staff'"), attr.MustParse("type=='device'"), []string{"use"})
+	sid, _, err := d.b.RegisterSubject("alice", attr.MustSet("position=staff"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid, _, err := d.b.RegisterObject("device", L2, attr.MustSet("type=device"), []string{"use"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sprov, err := d.b.ProvisionSubject(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oprov, err := d.b.ProvisionObject(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep := &steppedDate{SimEndpoint: d.net.NewEndpoint()}
+	oep := &steppedDate{SimEndpoint: d.net.NewEndpoint(), step: -2 * time.Hour}
+	d.subject = NewSubject(sprov, wire.V30, Costs{}, WithEndpoint(sep))
+	NewObject(oprov, wire.V30, Costs{}, WithEndpoint(oep))
+	d.net.Link(sep.Node(), oep.Node())
+
+	if got := len(d.run()); got != 0 {
+		t.Fatalf("object clock 2 h behind: %d discoveries, want none", got)
+	}
+	oep.step = 0
+	if got := len(d.run()); got != 1 {
+		t.Fatalf("object clock set right: %d discoveries, want 1", got)
+	}
+	sep.step = backend.ProfLifetime + time.Hour
+	oep.step = sep.step
+	if got := len(d.run()); got != 1 {
+		t.Fatalf("both clocks past the PROFs' expiry: %d discoveries in all, want still 1", got)
+	}
+	if d.net.Now() > time.Minute {
+		t.Fatalf("the virtual clock ran to %v", d.net.Now())
+	}
 }
 
 // wantBound asserts that the subject's one ticket is bound to the PROF_O
@@ -525,32 +677,49 @@ func TestResumedRES2UnsignedProfileRefused(t *testing.T) {
 }
 
 // TestResumedRES2ClosedWindowReverified: a bound profile is trusted only
-// inside its own validity window. Once it has closed, the bytes are verified
-// again (here they still hold), and the next ticket binds what was verified.
+// inside its own validity window. A resumed round that begins inside it, its
+// short QUE2 sent on a live ticket, can get its RES2 after the window closed:
+// then the bytes are verified again, and — being that closed PROF_O — refused.
+// The round is placed on the virtual clock so that the edge falls between the
+// short RES1 and the RES2.
 func TestResumedRES2ClosedWindowReverified(t *testing.T) {
-	f := newResumeFixture(t, 1)
+	link := netsim.DefaultWiFi()
+	link.JitterFrac = 0 // every resumed round keeps one timeline
+	f := newResumeFixtureAt(t, 1, L2, link)
 	o := f.only()
-	st := onlyTicket(t, &f.subject.tickets)
-	closed := *st.prof
-	closed.Expires = time.Now().Add(-time.Second)
-	st.prof = &closed
+	f.withLife(30*time.Second, func() { f.refreshObject(o.Name()) })
+	if got, _ := f.round(t); len(got) != 1 {
+		t.Fatal("full handshake under the short PROF_O failed")
+	}
+	wantBound(t, onlyTicket(t, &f.subject.tickets), o.variantEnc[0])
+	_, na := onlyTicket(t, &f.subject.tickets).prof.Window()
+	edge := f.closesAt(na)
+
+	// A resumed round, to read the timeline off: it verifies nothing.
 	before := f.ops(t, "subject", verify)
-	got, _ := f.round(t)
-	if len(got) != 1 {
-		t.Fatalf("round: %d discoveries, want 1", len(got))
+	start := f.net.Now()
+	got, frames := f.round(t)
+	if len(got) != 1 || len(frames) != 4 || f.ops(t, "subject", verify) != before {
+		t.Fatalf("resumed round: %d discoveries over %d frames, %d verifications; want 1, 4, 0",
+			len(got), len(frames), f.ops(t, "subject", verify)-before)
 	}
-	if n := f.ops(t, "subject", verify) - before; n != 1 {
-		t.Errorf("the subject verified %d times, want 1", n)
+	res1, res2 := frames[1].at-start, frames[3].at-start
+
+	f.idleUntil(edge - (res1+res2)/2)
+	start, id := f.net.Now(), onlyTicket(t, &f.subject.tickets).id
+	got, frames = f.round(t)
+	if len(frames) != 4 || start+res1 != frames[1].at || frames[1].at >= edge || frames[3].at <= edge {
+		t.Fatalf("the edge at %v does not fall between the short RES1 and the RES2 (%d frames)", edge-start, len(frames))
 	}
-	if got[0].Profile == &closed {
-		t.Error("the expired bound profile was reported as discovered")
+	if len(got) != 0 {
+		t.Fatalf("a RES2 after the edge was discovered: %+v", got[0].Profile)
 	}
-	tk := onlyTicket(t, &f.subject.tickets)
-	if tk.prof == &closed {
-		t.Error("the next ticket kept the expired bound profile")
+	if onlyTicket(t, &f.subject.tickets).id != id {
+		t.Error("the refused RES2 ratcheted the subject's ticket")
 	}
-	wantBound(t, tk, o.variantEnc[0])
-	f.want(t, "after the re-verified round", 1, 1, 0)
+	if n := counterValue(t, f.reg, obs.MResumptions, obs.L("side", "subject"), obs.L("result", resultResumed)); n != 1 {
+		t.Errorf("subject resumed = %d, want 1: the round across the edge completes nothing", n)
+	}
 }
 
 // TestReplayAndForeignAddressRefused: a short QUE2 is worth nothing to anyone
@@ -574,15 +743,15 @@ func TestReplayAndForeignAddressRefused(t *testing.T) {
 	// opens a session (any stranger's would), the short QUE2 names a ticket
 	// filed under another address — refused, nothing served, ticket intact.
 	var heard []wire.Message
-	var attacker netsim.NodeID
-	attacker = f.net.AddNode(netsim.HandlerFunc(func(net *netsim.Network, from netsim.NodeID, p []byte) {
+	attacker := f.net.NewEndpoint()
+	attacker.Bind(transport.HandlerFunc(func(from transport.Addr, p []byte) {
 		m, err := wire.Decode(p)
 		if err != nil {
 			return
 		}
 		heard = append(heard, m)
 		if m.Type() == wire.TRES1 {
-			net.Send(attacker, from, que2)
+			attacker.Send(from, que2)
 		}
 	}))
 	var objNode netsim.NodeID
@@ -591,8 +760,8 @@ func TestReplayAndForeignAddressRefused(t *testing.T) {
 			objNode = fr.from
 		}
 	}
-	f.net.Link(attacker, objNode)
-	f.net.Send(attacker, objNode, que1)
+	f.net.Link(attacker.Node(), objNode)
+	attacker.Send(netsim.AddrOf(objNode), que1)
 	f.net.Run(0)
 	var refusals int
 	for _, m := range heard {
@@ -789,7 +958,7 @@ func TestHintSlotDoesNotFollowRank(t *testing.T) {
 	const n = 3
 	f := newResumeFixture(t, n)
 	var buf [wire.HintSlots]*ticket
-	byRank := f.subject.tickets.recent(buf[:], time.Now())
+	byRank := f.subject.tickets.recent(buf[:], f.subject.now())
 	if len(byRank) != n {
 		t.Fatalf("subject holds %d tickets, want %d", len(byRank), n)
 	}
@@ -893,8 +1062,9 @@ func TestDiscoverAllOverResumedSessions(t *testing.T) {
 // either end in the middle of a round — at any of the three gaps between the
 // frames of the short exchange — must still end the round at once, with no
 // retransmission and no timer: a refusal that is itself the way forward. A
-// revoked subject is refused for good, and its chains run out on their
-// budgets.
+// subject refused for good — revoked, or presenting a PROF_S that closed, as
+// it has when the object's copy of the ticket expires — gets silence, and its
+// chains run out on their budgets.
 
 // gap names the frame of the short exchange an injection overtakes: it is
 // applied when that frame has been sent and before its receiver handles it.
@@ -921,20 +1091,43 @@ func (f *resumeFixture) at(g gap, inject func()) {
 	})
 }
 
+// closeAtGap places the next round on the virtual clock so that the
+// object's copy of the ticket closes at gaps[gi]: PROF_S is re-provisioned to
+// close 30 s on, a full round mints the ticket under it, a resumed round gives
+// the timeline, and the clock idles until the edge falls between the gap's
+// frame being sent (its predecessor handled, or the round begun) and its
+// receiver handling it.
+func (f *resumeFixture) closeAtGap(t *testing.T, o *Object, gi int) {
+	t.Helper()
+	f.withLife(30*time.Second, f.refreshSubject)
+	f.round(t)
+	start := f.net.Now()
+	got, frames := f.round(t)
+	if len(got) != 1 || len(frames) != 4 {
+		t.Fatalf("resumed round under the short PROF_S: %d discoveries over %d frames", len(got), len(frames))
+	}
+	sent := start
+	if gi > 0 {
+		sent = frames[gi-1].at
+	}
+	edge := f.closesAt(onlyTicket(t, &o.tickets).notAfter)
+	f.idleUntil(edge - (sent-start+frames[gi].at-start)/2)
+}
+
 func TestDeadEndMatrix(t *testing.T) {
 	type row struct {
 		name    string
 		inject  func(f *resumeFixture, o *Object)
-		revoked bool
+		refused bool   // for good: silence, no discovery
 		frames  [3]int // on the air, per gap: the table in DESIGN.md §15
 	}
 	rows := []row{
 		{"object Refresh", func(f *resumeFixture, o *Object) { f.refreshObject(o.Name()) }, false, [3]int{6, 6, 6}},
 		{"object Revoke", func(f *resumeFixture, o *Object) { o.Revoke(f.subject.ID()) }, true, [3]int{1, 3, 3}},
 		{"object ticket eviction", func(f *resumeFixture, o *Object) { o.tickets.drop(f.subject.ep.Addr()) }, false, [3]int{6, 6, 6}},
-		{"object ticket expiry", func(f *resumeFixture, o *Object) {
-			o.tickets.get(f.subject.ep.Addr()).notAfter = time.Now().Add(-time.Second)
-		}, false, [3]int{6, 6, 6}},
+		// No injection: the clock closes PROF_S, and with it the object's copy,
+		// at the gap (closeAtGap).
+		{"object ticket expiry", nil, true, [3]int{5, 5, 5}},
 		{"subject Refresh", func(f *resumeFixture, o *Object) {
 			prov, err := f.b.ProvisionSubject(f.subject.ID())
 			if err != nil {
@@ -964,7 +1157,11 @@ func TestDeadEndMatrix(t *testing.T) {
 				t.Run(level.String()+"/"+r.name+"/"+g.name, func(t *testing.T) {
 					f := newResumeFixtureAt(t, 1, level, fast)
 					o := f.only()
-					f.at(g, func() { r.inject(f, o) })
+					if r.inject == nil {
+						f.closeAtGap(t, o, gi)
+					} else {
+						f.at(g, func() { r.inject(f, o) })
+					}
 					start, expired := f.net.Now(), counterValue(t, f.reg, obs.MSessionsExpired)
 					que1 := []obs.Label{obs.L("msg", msgQUE1), obs.L("cause", obs.CauseTimeout)}
 					que2 := []obs.Label{obs.L("msg", msgQUE2)}
@@ -976,9 +1173,9 @@ func TestDeadEndMatrix(t *testing.T) {
 					}
 					f.net.Run(start + lightFloor - time.Millisecond)
 					got, frames := f.subject.Results()[seen:], f.air.msgs[onAir:]
-					if r.revoked {
+					if r.refused {
 						if len(got) != 0 {
-							t.Fatalf("revoked subject discovered %d services", len(got))
+							t.Fatalf("refused subject discovered %d services", len(got))
 						}
 					} else if len(got) != 1 || got[0].Level != level || got[0].Object != o.ID() {
 						t.Fatalf("round ended in %+v, want one discovery of the device at %v", got, level)
@@ -992,7 +1189,7 @@ func TestDeadEndMatrix(t *testing.T) {
 					if n := counterValue(t, f.reg, obs.MSessionsExpired) - expired; n != 0 {
 						t.Errorf("%d sessions expired before the round ended", n)
 					}
-					if r.revoked {
+					if r.refused {
 						// The silence is final, and left to run the round spends
 						// its budgets and no more: what a rebroadcast draws from
 						// the object's session, its RES1 again, does not restart
@@ -1016,7 +1213,7 @@ func TestDeadEndMatrix(t *testing.T) {
 					if len(f.subject.Results()) != seen+len(got) {
 						t.Errorf("%d more discoveries while draining", len(f.subject.Results())-seen-len(got))
 					}
-					if r.revoked {
+					if r.refused {
 						return
 					}
 					// And the pairing is whole again: the next round is the short one.

@@ -13,7 +13,6 @@ import (
 	"argus/internal/backend"
 	"argus/internal/cert"
 	"argus/internal/groups"
-	"argus/internal/obs"
 	"argus/internal/suite"
 	"argus/internal/transport"
 	"argus/internal/wire"
@@ -215,11 +214,10 @@ func NewSubject(prov *backend.SubjectProvision, version wire.Version, costs Cost
 		answered: make(map[transport.Addr]answer),
 	}
 	eo := applyOptions(opts)
-	if eo.hasRetry {
-		s.retry = eo.retry
-	}
-	if eo.hasTel {
-		s.instrument(eo.reg, eo.tracer)
+	s.retry = eo.retry
+	if eo.reg != nil || eo.tracer != nil {
+		s.tel = subjectTelemetryFor(eo.reg, eo.tracer, s.version)
+		s.tally = &s.tel.ops
 	}
 	s.vcache = eo.vcache
 	if eo.ep != nil {
@@ -250,17 +248,6 @@ func (s *Subject) syncPending() { s.pendingN.Store(int64(len(s.sessions))) }
 // Tickets returns the number of resumption tickets held, one per object the
 // subject can resume with. Safe to call from any goroutine.
 func (s *Subject) Tickets() int { return s.tickets.size() }
-
-// instrument attaches a metrics registry and an optional span tracer.
-// Telemetry is purely observational — it consumes no randomness and
-// schedules no events, so instrumented and uninstrumented runs of the same
-// seed are identical.
-func (s *Subject) instrument(reg *obs.Registry, tr *obs.Tracer) {
-	if reg != nil || tr != nil {
-		s.tel = subjectTelemetryFor(reg, tr, s.version)
-		s.tally = &s.tel.ops
-	}
-}
 
 // ID returns the subject's registered identity.
 func (s *Subject) ID() cert.ID { return s.prov.ID }
@@ -373,7 +360,7 @@ func (s *Subject) hints(fill *[wire.HintBlockSize + 8]byte) []byte {
 		slot[i], slot[j] = slot[j], slot[i]
 	}
 	var buf [wire.HintSlots]*ticket
-	known := s.tickets.recent(buf[:], time.Now())
+	known := s.tickets.recent(buf[:], s.now())
 	for i, t := range known {
 		h := t.secret.Hint(s.rs[:])
 		copy(block[slot[i]*wire.HintSize:], h[:])
@@ -720,7 +707,7 @@ func (s *Subject) handlePublicRES1(from transport.Addr, m *wire.RES1) {
 		// succeeded.
 		return
 	}
-	prof, err := s.vcache.DecodeProfile(m.Prof, s.prov.CACert, s.prov.AdminPub, time.Now())
+	prof, err := s.vcache.DecodeProfile(m.Prof, s.prov.CACert, s.prov.AdminPub, s.now())
 	if err != nil || prof.Kind != cert.RoleObject {
 		return
 	}
@@ -740,7 +727,7 @@ func (s *Subject) handleKnownRES1(from transport.Addr, m *wire.RES1) {
 	if s.heard(from) {
 		return
 	}
-	prof := s.known.lookup(from, m.ProfDigest, time.Now(), s.round)
+	prof := s.known.lookup(from, m.ProfDigest, s.now(), s.round)
 	if prof == nil {
 		s.tel.knownDrop()
 		return
@@ -792,7 +779,7 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 	switch {
 	case m.Mode == wire.ModeResume:
 		t := s.tickets.get(from)
-		if t == nil || !t.valid(time.Now()) {
+		if t == nil || !t.valid(s.now()) {
 			t = decoyTicket()
 		}
 		s.resumedQUE2(from, m, raw, t)
@@ -822,7 +809,7 @@ func (s *Subject) handleSecureRES1(from transport.Addr, m *wire.RES1, raw []byte
 // subject a good ticket.
 func (s *Subject) ticketFor(from transport.Addr, certO []byte) *ticket {
 	t := s.tickets.get(from)
-	if t == nil || t.certO != sha256.Sum256(certO) || !t.valid(time.Now()) {
+	if t == nil || t.certO != sha256.Sum256(certO) || !t.valid(s.now()) {
 		return nil
 	}
 	return t
@@ -1132,7 +1119,7 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 	// Service information is admin-signed end to end. A resumed session whose
 	// plaintext is the PROF_O its ticket was minted on carries bytes whose
 	// signature was checked then; anything else is verified now.
-	now := time.Now()
+	now := s.now()
 	var digest [32]byte
 	var prof *cert.Profile
 	if s.retry.Enabled() {

@@ -148,7 +148,7 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	}
 	prev := d.SubjNode
 	for i := 1; i < maxHop; i++ {
-		r := d.Net.AddNode(nil)
+		r := d.Net.AddNode()
 		d.Net.Link(prev, r)
 		d.relays = append(d.relays, r)
 		prev = r

@@ -52,7 +52,7 @@ func runPropagation(quick bool) (*Result, error) {
 		net := netsim.New(netsim.DefaultWiFi(), int64(n))
 		dep := net.NewEndpoint()
 		dist := update.NewDistributor(b.Admin(), dep)
-		hub := net.AddNode(nil)
+		hub := net.AddNode()
 		net.Link(dep.Node(), hub)
 
 		effectuated := 0

@@ -59,20 +59,19 @@ func runComparison(quick bool) (*Result, error) {
 		return nil, err
 	}
 	asubj := &baseline.ABESubject{PK: pk, SK: sk}
-	sn := net.AddNode(asubj)
-	asubj.Attach(sn)
+	sep := net.NewEndpoint()
+	asubj.Bind(sep)
 	policy := abe.And(abe.Leaf("position:staff"), abe.Leaf("department:X"))
 	for i := 0; i < n; i++ {
 		v, err := baseline.EncryptVariant(pk, policy, []byte(fmt.Sprintf("profile-%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		obj := &baseline.ABEObject{Variants: []baseline.ABEVariant{v}}
-		on := net.AddNode(obj)
-		obj.Attach(on)
-		net.Link(sn, on)
+		oep := net.NewEndpoint()
+		(&baseline.ABEObject{Variants: []baseline.ABEVariant{v}}).Bind(oep)
+		net.Link(sep.Node(), oep.Node())
 	}
-	asubj.Discover(net, 1)
+	asubj.Discover(1)
 	net.Run(0)
 	var abeLast time.Duration
 	for _, r := range asubj.Results {
@@ -93,15 +92,14 @@ func runComparison(quick bool) (*Result, error) {
 		candidates = append(candidates, fmt.Sprintf("kiosk-%d", i))
 	}
 	psubj := &baseline.PBCSubject{Cred: auth.Issue("subject"), Candidates: candidates}
-	pn := pnet.AddNode(psubj)
-	psubj.Attach(pn)
+	pep := pnet.NewEndpoint()
+	psubj.Bind(pep)
 	for _, cand := range candidates {
-		obj := &baseline.PBCObject{Cred: auth.Issue(cand), Profile: []byte("covert-" + cand)}
-		on := pnet.AddNode(obj)
-		obj.Attach(on)
-		pnet.Link(pn, on)
+		oep := pnet.NewEndpoint()
+		(&baseline.PBCObject{Cred: auth.Issue(cand), Profile: []byte("covert-" + cand)}).Bind(oep)
+		pnet.Link(pep.Node(), oep.Node())
 	}
-	if err := psubj.Discover(pnet, 1); err != nil {
+	if err := psubj.Discover(1); err != nil {
 		return nil, err
 	}
 	pnet.Run(0)

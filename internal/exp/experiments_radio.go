@@ -97,7 +97,7 @@ func runAblationRadio(bool) (*Result, error) {
 		return nil, err
 	}
 	if err := run("WiFi → BLE bridge", func(net *netsim.Network, sn, on netsim.NodeID) {
-		bridge := net.AddNode(nil)
+		bridge := net.AddNode()
 		net.LinkOn(sn, bridge, 0, netsim.DefaultWiFi())
 		net.LinkOn(bridge, on, 1, bleLink())
 	}); err != nil {

@@ -7,15 +7,18 @@ import (
 	"argus/internal/transport"
 )
 
-// This file adapts the simulator to the transport.Endpoint seam the protocol
-// engines speak (internal/transport). The adapter is deliberately thin:
-// every Endpoint call maps 1:1 onto the Network primitive the engines used
-// to call directly, consumes no randomness, and schedules no extra events —
-// so a fixed-seed run through the adapter is byte-identical to the
-// pre-refactor direct coupling (locked by internal/exp's golden fingerprint
-// test). Determinism holds because the simulator remains single-threaded:
-// all deliveries, timers and Do closures execute on the goroutine driving
-// Network.Run, which *is* the engines' event loop — no mailbox needed.
+// This file is the simulator's one seam to the protocols it carries: every
+// node that speaks — the Argus engines, the ABE and PBC baselines, update
+// agents, an attacker's radio — is a SimEndpoint, a transport.Endpoint
+// (internal/transport). Send, Broadcast, Compute, NewTimer and Now map 1:1
+// onto the network's medium, per-node CPU and virtual clock; none of them
+// consumes randomness or schedules an event of its own, so fixed-seed runs
+// replay byte-identically (locked by internal/exp's golden fingerprints).
+// Determinism holds because the simulator is single-threaded: all
+// deliveries, timers and Do closures execute on the goroutine driving
+// Network.Run, which *is* every node's event loop — no mailbox needed. Date
+// is the network's calendar (transport.Calendar), the clock the engines check
+// validity windows against, so every expiry they keep falls in virtual time.
 
 // AddrOf returns the transport address of a simulated node: its decimal ID.
 func AddrOf(id NodeID) transport.Addr {
@@ -37,17 +40,15 @@ type SimEndpoint struct {
 	node NodeID
 }
 
-var _ transport.Endpoint = (*SimEndpoint)(nil)
+var (
+	_ transport.Endpoint = (*SimEndpoint)(nil)
+	_ transport.Calendar = (*SimEndpoint)(nil)
+)
 
 // NewEndpoint registers a fresh node and returns its endpoint. The node has
 // no handler until Bind; link it to neighbors via Link/LinkOn using Node.
 func (n *Network) NewEndpoint() *SimEndpoint {
-	return &SimEndpoint{net: n, node: n.AddNode(nil)}
-}
-
-// EndpointAt wraps an existing node (e.g. to rotate engines on one address).
-func (n *Network) EndpointAt(id NodeID) *SimEndpoint {
-	return &SimEndpoint{net: n, node: id}
+	return &SimEndpoint{net: n, node: n.AddNode()}
 }
 
 // Node returns the underlying simulator node ID (for Link/HopDistance).
@@ -59,12 +60,11 @@ func (e *SimEndpoint) Addr() transport.Addr { return AddrOf(e.node) }
 // Now implements transport.Endpoint: the virtual clock.
 func (e *SimEndpoint) Now() time.Duration { return e.net.Now() }
 
+// Date implements transport.Calendar: the network's day (Network.Date).
+func (e *SimEndpoint) Date() time.Time { return e.net.Date() }
+
 // Bind implements transport.Endpoint: installs h as the node's handler.
-func (e *SimEndpoint) Bind(h transport.Handler) {
-	e.net.SetHandler(e.node, HandlerFunc(func(_ *Network, from NodeID, payload []byte) {
-		h.Handle(AddrOf(from), payload)
-	}))
-}
+func (e *SimEndpoint) Bind(h transport.Handler) { e.net.nodes[e.node].handler = h }
 
 // Send implements transport.Endpoint. Addresses outside the simulation are
 // dropped silently (radio semantics).
@@ -73,12 +73,12 @@ func (e *SimEndpoint) Send(to transport.Addr, payload []byte) {
 	if !ok || int(dst) >= len(e.net.nodes) || dst == e.node {
 		return
 	}
-	e.net.Send(e.node, dst, payload)
+	e.net.send(e.node, dst, payload)
 }
 
 // Broadcast implements transport.Endpoint: the simulator's TTL-scoped flood.
 func (e *SimEndpoint) Broadcast(payload []byte, ttl int) {
-	e.net.Broadcast(e.node, payload, ttl)
+	e.net.broadcast(e.node, payload, ttl)
 }
 
 // NewTimer implements transport.Endpoint: a virtual-clock timer.
@@ -97,6 +97,6 @@ func (e *SimEndpoint) Do(fn func()) { fn() }
 // Close implements transport.Endpoint: detaches the handler; the node stays
 // in the topology as a passive relay.
 func (e *SimEndpoint) Close() error {
-	e.net.SetHandler(e.node, nil)
+	e.net.nodes[e.node].handler = nil
 	return nil
 }

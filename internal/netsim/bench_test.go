@@ -10,9 +10,9 @@ func BenchmarkBroadcastStar(b *testing.B) {
 		nw, hub, leaves := star(20, DefaultWiFi())
 		count := 0
 		for _, l := range leaves {
-			nw.SetHandler(l, HandlerFunc(func(*Network, NodeID, []byte) { count++ }))
+			onDeliver(l, func(NodeID, []byte) { count++ })
 		}
-		nw.Broadcast(hub, payload, 1)
+		hub.Broadcast(payload, 1)
 		nw.Run(0)
 		if count != 20 {
 			b.Fatalf("delivered %d", count)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"argus/internal/netsim"
+	"argus/internal/transport"
 )
 
 // Example builds a two-room topology with a relay between them and sends a
@@ -16,17 +17,18 @@ func Example() {
 	} // no jitter: deterministic timing
 	net := netsim.New(model, 1)
 
-	phone := net.AddNode(nil)
-	relay := net.AddNode(nil)
-	lock := net.AddNode(netsim.HandlerFunc(func(n *netsim.Network, from netsim.NodeID, payload []byte) {
-		fmt.Printf("lock got %d bytes from node %d at %v\n", len(payload), from, n.Now())
+	phone := net.NewEndpoint()
+	relay := net.AddNode() // passive: forwards, never answers
+	lock := net.NewEndpoint()
+	lock.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
+		fmt.Printf("lock got %d bytes from node %s at %v\n", len(payload), from, net.Now())
 	}))
-	net.Link(phone, relay)
-	net.Link(relay, lock)
+	net.Link(phone.Node(), relay)
+	net.Link(relay, lock.Node())
 
-	net.Send(phone, lock, make([]byte, 100))
+	phone.Send(lock.Addr(), make([]byte, 100))
 	net.Run(0)
-	fmt.Println("hops:", net.HopDistance(phone, lock))
+	fmt.Println("hops:", net.HopDistance(phone.Node(), lock.Node()))
 	// Output:
 	// lock got 100 bytes from node 0 at 6ms
 	// hops: 2

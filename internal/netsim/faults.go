@@ -73,7 +73,7 @@ func (n *Network) FaultSeed(seed int64) { n.frng = rand.New(rand.NewSource(seed)
 func (n *Network) SetDropFilter(fn func(from, to NodeID, payload []byte) bool) { n.dropFilter = fn }
 
 // Crash takes a node down for d of virtual time starting now: it neither
-// transmits nor receives until recovery. Scheduled Compute work is unaffected
+// transmits nor receives until recovery. Scheduled compute work is unaffected
 // (a modeling simplification: the window models radio outage, not CPU state).
 func (n *Network) Crash(id NodeID, d time.Duration) {
 	until := n.now + d
@@ -89,9 +89,6 @@ func (n *Network) ScheduleCrash(id NodeID, at, d time.Duration) {
 	}
 	n.schedule(at, func() { n.Crash(id, d) })
 }
-
-// Down reports whether the node is inside a crash window.
-func (n *Network) Down(id NodeID) bool { return n.nodeDown(id) }
 
 func (n *Network) nodeDown(id NodeID) bool { return n.nodes[id].downUntil > n.now }
 

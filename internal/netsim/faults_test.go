@@ -7,19 +7,19 @@ import (
 	"time"
 )
 
-// countDeliveries installs a handler on id that appends every payload.
-func countDeliveries(nw *Network, id NodeID, got *[][]byte) {
-	nw.SetHandler(id, HandlerFunc(func(_ *Network, _ NodeID, p []byte) {
+// countDeliveries installs a handler on ep that appends every payload.
+func countDeliveries(ep *SimEndpoint, got *[][]byte) {
+	onDeliver(ep, func(_ NodeID, p []byte) {
 		*got = append(*got, append([]byte(nil), p...))
-	}))
+	})
 }
 
 func TestUnicastLossCounted(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	nw.SetFaults(FaultModel{Loss: 1})
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.Send(hub, leaves[0], []byte("x"))
+	countDeliveries(leaves[0], &got)
+	hub.Send(leaves[0].Addr(), []byte("x"))
 	nw.Run(0)
 	if len(got) != 0 {
 		t.Fatalf("delivered %d frames under total loss", len(got))
@@ -38,8 +38,8 @@ func TestCorruptionDeliversAlteredBytes(t *testing.T) {
 	nw.SetFaults(FaultModel{Corrupt: 1})
 	orig := []byte("some payload bytes")
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.Send(hub, leaves[0], orig)
+	countDeliveries(leaves[0], &got)
+	hub.Send(leaves[0].Addr(), orig)
 	nw.Run(0)
 	if len(got) != 1 {
 		t.Fatalf("delivered %d frames, want 1", len(got))
@@ -62,8 +62,8 @@ func TestDuplicationDeliversTwice(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	nw.SetFaults(FaultModel{Duplicate: 1})
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.Send(hub, leaves[0], []byte("x"))
+	countDeliveries(leaves[0], &got)
+	hub.Send(leaves[0].Addr(), []byte("x"))
 	nw.Run(0)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(got))
@@ -80,8 +80,8 @@ func TestReorderJitterDelaysDelivery(t *testing.T) {
 		nw, hub, leaves := star(1, DefaultWiFi())
 		nw.SetFaults(FaultModel{ReorderJitter: jitter})
 		var at time.Duration
-		nw.SetHandler(leaves[0], HandlerFunc(func(n *Network, _ NodeID, _ []byte) { at = n.Now() }))
-		nw.Send(hub, leaves[0], []byte("x"))
+		onDeliver(leaves[0], func(_ NodeID, _ []byte) { at = nw.Now() })
+		hub.Send(leaves[0].Addr(), []byte("x"))
 		nw.Run(0)
 		return at
 	}
@@ -93,12 +93,10 @@ func TestReorderJitterDelaysDelivery(t *testing.T) {
 func TestCrashWindowDropsAndRecovers(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.ScheduleCrash(leaves[0], 0, 1*time.Second)
-	nw.Send(hub, leaves[0], []byte("during"))
-	nw.After(2*time.Second, func() {
-		nw.Send(hub, leaves[0], []byte("after"))
-	})
+	countDeliveries(leaves[0], &got)
+	nw.ScheduleCrash(leaves[0].Node(), 0, 1*time.Second)
+	hub.Send(leaves[0].Addr(), []byte("during"))
+	hub.NewTimer(func() { hub.Send(leaves[0].Addr(), []byte("after")) }).Reset(2 * time.Second)
 	nw.Run(0)
 	if len(got) != 1 || string(got[0]) != "after" {
 		t.Fatalf("deliveries = %q, want only the post-recovery frame", got)
@@ -111,10 +109,10 @@ func TestCrashWindowDropsAndRecovers(t *testing.T) {
 func TestCrashedSourceCannotTransmit(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.Crash(hub, time.Second)
-	nw.Send(hub, leaves[0], []byte("x"))
-	nw.Broadcast(hub, []byte("y"), 1)
+	countDeliveries(leaves[0], &got)
+	nw.Crash(hub.Node(), time.Second)
+	hub.Send(leaves[0].Addr(), []byte("x"))
+	hub.Broadcast([]byte("y"), 1)
 	nw.Run(0)
 	if len(got) != 0 {
 		t.Fatalf("a downed node transmitted %d frames", len(got))
@@ -128,8 +126,8 @@ func TestSnoopHearsFramesToDownedReceiver(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	snooped := 0
 	nw.Snoop(func(_, _ NodeID, _ []byte) { snooped++ })
-	nw.Crash(leaves[0], time.Second)
-	nw.Send(hub, leaves[0], []byte("x"))
+	nw.Crash(leaves[0].Node(), time.Second)
+	hub.Send(leaves[0].Addr(), []byte("x"))
 	nw.Run(0)
 	if snooped != 1 {
 		t.Fatalf("snoop saw %d frames, want 1: the radio still carried it", snooped)
@@ -138,12 +136,12 @@ func TestSnoopHearsFramesToDownedReceiver(t *testing.T) {
 
 func TestPerLinkFaultOverride(t *testing.T) {
 	nw, hub, leaves := star(2, DefaultWiFi())
-	nw.SetLinkFaults(hub, leaves[0], FaultModel{Loss: 1})
+	nw.SetLinkFaults(hub.Node(), leaves[0].Node(), FaultModel{Loss: 1})
 	var got0, got1 [][]byte
-	countDeliveries(nw, leaves[0], &got0)
-	countDeliveries(nw, leaves[1], &got1)
-	nw.Send(hub, leaves[0], []byte("a"))
-	nw.Send(hub, leaves[1], []byte("b"))
+	countDeliveries(leaves[0], &got0)
+	countDeliveries(leaves[1], &got1)
+	hub.Send(leaves[0].Addr(), []byte("a"))
+	hub.Send(leaves[1].Addr(), []byte("b"))
 	nw.Run(0)
 	if len(got0) != 0 {
 		t.Fatal("loss override on hub→leaf0 did not drop")
@@ -157,9 +155,9 @@ func TestDropFilterTargetedLoss(t *testing.T) {
 	nw, hub, leaves := star(1, DefaultWiFi())
 	nw.SetDropFilter(func(_, _ NodeID, p []byte) bool { return bytes.Equal(p, []byte("drop-me")) })
 	var got [][]byte
-	countDeliveries(nw, leaves[0], &got)
-	nw.Send(hub, leaves[0], []byte("drop-me"))
-	nw.Send(hub, leaves[0], []byte("keep-me"))
+	countDeliveries(leaves[0], &got)
+	hub.Send(leaves[0].Addr(), []byte("drop-me"))
+	hub.Send(leaves[0].Addr(), []byte("keep-me"))
 	nw.Run(0)
 	if len(got) != 1 || string(got[0]) != "keep-me" {
 		t.Fatalf("deliveries = %q, want only keep-me", got)
@@ -176,9 +174,9 @@ func TestBroadcastLossIsPerReceiver(t *testing.T) {
 	nw.SetFaults(FaultModel{Loss: 0.5})
 	delivered := 0
 	for _, lf := range leaves {
-		nw.SetHandler(lf, HandlerFunc(func(_ *Network, _ NodeID, _ []byte) { delivered++ }))
+		onDeliver(lf, func(_ NodeID, _ []byte) { delivered++ })
 	}
-	nw.Broadcast(hub, []byte("x"), 1)
+	hub.Broadcast([]byte("x"), 1)
 	nw.Run(0)
 	if delivered == 0 || delivered == len(leaves) {
 		t.Fatalf("delivered = %d of %d: loss must be independent per receiver", delivered, len(leaves))
@@ -198,14 +196,14 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		nw.SetFaults(FaultModel{Loss: 0.3, Corrupt: 0.2, Duplicate: 0.2, ReorderJitter: 20 * time.Millisecond})
 		var log bytes.Buffer
 		for _, lf := range leaves {
-			id := lf
-			nw.SetHandler(lf, HandlerFunc(func(n *Network, _ NodeID, p []byte) {
-				fmt.Fprintf(&log, "%d@%v:%x\n", id, n.Now(), p)
-			}))
+			id := lf.Node()
+			onDeliver(lf, func(_ NodeID, p []byte) {
+				fmt.Fprintf(&log, "%d@%v:%x\n", id, nw.Now(), p)
+			})
 		}
 		for i := 0; i < 5; i++ {
-			nw.Broadcast(hub, []byte{byte(i), 0xaa, 0xbb}, 1)
-			nw.Send(hub, leaves[i], []byte{0xcc, byte(i)})
+			hub.Broadcast([]byte{byte(i), 0xaa, 0xbb}, 1)
+			hub.Send(leaves[i].Addr(), []byte{0xcc, byte(i)})
 		}
 		nw.Run(0)
 		return log.String()
@@ -227,18 +225,18 @@ func TestNoFaultsMatchesSeedBehavior(t *testing.T) {
 		nw, hub, leaves := star(6, DefaultWiFi())
 		if attach {
 			nw.SetFaults(FaultModel{})
-			nw.SetLinkFaults(hub, leaves[0], FaultModel{})
+			nw.SetLinkFaults(hub.Node(), leaves[0].Node(), FaultModel{})
 		}
 		var log bytes.Buffer
 		for _, lf := range leaves {
-			id := lf
-			nw.SetHandler(lf, HandlerFunc(func(n *Network, _ NodeID, p []byte) {
-				fmt.Fprintf(&log, "%d@%v:%x\n", id, n.Now(), p)
-			}))
+			id := lf.Node()
+			onDeliver(lf, func(_ NodeID, p []byte) {
+				fmt.Fprintf(&log, "%d@%v:%x\n", id, nw.Now(), p)
+			})
 		}
-		nw.Broadcast(hub, []byte("query"), 2)
+		hub.Broadcast([]byte("query"), 2)
 		for i, lf := range leaves {
-			nw.Send(hub, lf, []byte{byte(i)})
+			hub.Send(lf.Addr(), []byte{byte(i)})
 		}
 		nw.Run(0)
 		return log.String()

@@ -7,14 +7,19 @@
 //     objects grows roughly linearly in n (Fig 6e), and each extra hop costs
 //     an extra medium acquisition, making transmission time linear in hop
 //     count (Fig 6h);
-//   - one CPU per node: computation costs injected via Compute serialize per
-//     device, so the subject's per-object crypto pipeline overlaps with other
-//     objects' transmissions exactly as on the real testbed.
+//   - one CPU per node: computation costs charged through Endpoint.Compute
+//     serialize per device, so the subject's per-object crypto pipeline
+//     overlaps with other objects' transmissions exactly as on the real
+//     testbed.
 //
 // The design is justified by the paper itself: "our design is above the
 // network layer and orthogonal to radios" (§IX, Testbed Rationality) — what
 // determines the latency curves is message count, message size, hop count and
 // computation, all of which are modeled explicitly here.
+//
+// A node speaks only through its SimEndpoint (adapter.go), the same
+// transport.Endpoint the real transports give; a node without one is a
+// passive relay (AddNode).
 package netsim
 
 import (
@@ -30,23 +35,6 @@ import (
 
 // NodeID identifies a node in the ground network.
 type NodeID int
-
-// Handler receives messages delivered to a node.
-type Handler interface {
-	// HandleMessage is invoked at virtual delivery time. from is the
-	// originating node (not the relay). The payload is shared with the
-	// sender and every other receiver and is immutable from Send on: it may be
-	// retained, never written (a corrupting fault works on its own copy).
-	HandleMessage(net *Network, from NodeID, payload []byte)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(net *Network, from NodeID, payload []byte)
-
-// HandleMessage implements Handler.
-func (f HandlerFunc) HandleMessage(net *Network, from NodeID, payload []byte) {
-	f(net, from, payload)
-}
 
 // LinkModel is the WiFi-like cost model for one transmission.
 type LinkModel struct {
@@ -216,7 +204,7 @@ func (q *eventQueue) pop() *event   { return heap.Pop(q).(*event) }
 
 type node struct {
 	id        NodeID
-	handler   Handler
+	handler   transport.Handler // nil for a passive relay or tap
 	neighbors []NodeID
 	cpuFree   time.Duration // earliest time this node's CPU is idle
 	downUntil time.Duration // end of the current crash window (0 = up)
@@ -243,6 +231,7 @@ type Network struct {
 	rng        *rand.Rand
 	frng       *rand.Rand // fault-decision RNG, independent of airtime jitter
 	now        time.Duration
+	epoch      time.Time // the day at virtual time zero (Date)
 	seq        int64
 	queue      eventQueue
 	nodes      []*node
@@ -279,6 +268,7 @@ func New(model LinkModel, seed int64) *Network {
 		links:      make(map[[2]NodeID]linkInfo),
 		linkStats:  make(map[LinkKey]*LinkStat),
 		distDirty:  true,
+		epoch:      time.Now(),
 	}
 }
 
@@ -311,17 +301,14 @@ func (n *Network) Instrument(reg *obs.Registry) {
 	}
 }
 
-// AddNode registers a node and returns its ID. The handler may be nil for
-// passive nodes (pure relays or eavesdropping taps added via Snoop).
-func (n *Network) AddNode(h Handler) NodeID {
+// AddNode registers a passive node — a pure relay, or a tap whose ears are
+// Snoop — and returns its ID. A node that speaks is an endpoint (NewEndpoint).
+func (n *Network) AddNode() NodeID {
 	id := NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, &node{id: id, handler: h})
+	n.nodes = append(n.nodes, &node{id: id})
 	n.distDirty = true
 	return id
 }
-
-// SetHandler replaces a node's handler (used to rotate engines on one node).
-func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
 
 // Link connects two nodes bidirectionally on the default channel with the
 // network's default radio model.
@@ -373,6 +360,10 @@ func (n *Network) linkOf(a, b NodeID) linkInfo {
 // Now returns the current virtual time.
 func (n *Network) Now() time.Duration { return n.now }
 
+// Date returns the network's time of day: the wall clock read at New,
+// advanced by virtual time alone. Every endpoint of the network shares it.
+func (n *Network) Date() time.Time { return n.epoch.Add(n.now) }
+
 // Stats returns the accumulated counters.
 func (n *Network) Stats() Stats { return n.stats }
 
@@ -389,23 +380,9 @@ func (n *Network) LinkStats() map[LinkKey]LinkStat {
 	return out
 }
 
-// After schedules fn at now+d without occupying any resource (timers,
-// response-time equalization delays).
-func (n *Network) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	n.schedule(n.now+d, fn)
-}
-
-// Compute schedules fn after the node's CPU has spent cost on it. Work
-// queues per node: a second Compute on the same node starts only when the
+// compute runs t after the node's CPU has spent cost on it (SimEndpoint.Compute).
+// Work queues per node: a second compute on the same node starts only when the
 // first finishes — this is what serializes the subject's per-object crypto.
-func (n *Network) Compute(id NodeID, cost time.Duration, fn func()) {
-	n.compute(id, cost, transport.Func(fn))
-}
-
-// compute is Compute for a task (SimEndpoint.Compute).
 func (n *Network) compute(id NodeID, cost time.Duration, t transport.Task) {
 	nd := n.nodes[id]
 	start := n.now
@@ -546,13 +523,11 @@ func (n *Network) acquireMedium(from, to NodeID, li linkInfo, t time.Duration, b
 	return arrive
 }
 
-// Send unicasts payload from src to dst along a shortest path, relaying hop
-// by hop. Each hop occupies the shared medium. Delivery invokes dst's
-// handler; unreachable destinations are dropped silently (radio semantics).
-func (n *Network) Send(src, dst NodeID, payload []byte) {
-	if src == dst {
-		panic("netsim: send to self")
-	}
+// send unicasts payload from src to dst along a shortest path, relaying hop
+// by hop (SimEndpoint.Send). Each hop occupies the shared medium. Delivery
+// invokes dst's handler; unreachable destinations are dropped silently (radio
+// semantics).
+func (n *Network) send(src, dst NodeID, payload []byte) {
 	n.stats.MessagesSent++
 	n.tel.message()
 	n.relay(src, src, dst, payload)
@@ -594,11 +569,11 @@ func (n *Network) relay(origin, cur, dst NodeID, payload []byte) {
 	n.scheduleFaulty(f, arrive, payload, forward)
 }
 
-// Broadcast floods payload from src to every node within ttl hops. Each
-// forwarding node retransmits once (duplicate-suppressed by broadcast ID —
-// R_S plays this role in the real protocol, §IV-B). Delivery invokes each
-// receiver's handler exactly once.
-func (n *Network) Broadcast(src NodeID, payload []byte, ttl int) {
+// broadcast floods payload from src to every node within ttl hops
+// (SimEndpoint.Broadcast). Each forwarding node retransmits once
+// (duplicate-suppressed by broadcast ID — R_S plays this role in the real
+// protocol, §IV-B). Delivery invokes each receiver's handler exactly once.
+func (n *Network) broadcast(src NodeID, payload []byte, ttl int) {
 	if ttl < 1 {
 		return
 	}
@@ -708,7 +683,7 @@ func (n *Network) deliver(from, to NodeID, payload []byte) bool {
 	if h == nil {
 		return true
 	}
-	h.HandleMessage(n, from, payload)
+	h.Handle(AddrOf(from), payload)
 	return true
 }
 

@@ -3,47 +3,57 @@ package netsim
 import (
 	"testing"
 	"time"
+
+	"argus/internal/transport"
 )
 
 // star builds a hub with n leaves and returns (net, hub, leaves).
-func star(n int, model LinkModel) (*Network, NodeID, []NodeID) {
+func star(n int, model LinkModel) (*Network, *SimEndpoint, []*SimEndpoint) {
 	nw := New(model, 1)
-	hub := nw.AddNode(nil)
-	leaves := make([]NodeID, n)
+	hub := nw.NewEndpoint()
+	leaves := make([]*SimEndpoint, n)
 	for i := range leaves {
-		leaves[i] = nw.AddNode(nil)
-		nw.Link(hub, leaves[i])
+		leaves[i] = nw.NewEndpoint()
+		nw.Link(hub.Node(), leaves[i].Node())
 	}
 	return nw, hub, leaves
 }
 
 // chain builds a line a-b-c-... of n nodes.
-func chain(n int, model LinkModel) (*Network, []NodeID) {
+func chain(n int, model LinkModel) (*Network, []*SimEndpoint) {
 	nw := New(model, 1)
-	ids := make([]NodeID, n)
-	for i := range ids {
-		ids[i] = nw.AddNode(nil)
+	eps := make([]*SimEndpoint, n)
+	for i := range eps {
+		eps[i] = nw.NewEndpoint()
 		if i > 0 {
-			nw.Link(ids[i-1], ids[i])
+			nw.Link(eps[i-1].Node(), eps[i].Node())
 		}
 	}
-	return nw, ids
+	return nw, eps
+}
+
+// onDeliver binds fn as ep's handler, with the sender as a node ID.
+func onDeliver(ep *SimEndpoint, fn func(from NodeID, p []byte)) {
+	ep.Bind(transport.HandlerFunc(func(from transport.Addr, p []byte) {
+		id, _ := NodeOf(from)
+		fn(id, p)
+	}))
 }
 
 func TestUnicastDelivery(t *testing.T) {
 	nw, hub, leaves := star(3, DefaultWiFi())
 	var got []byte
 	var from NodeID
-	nw.SetHandler(leaves[1], HandlerFunc(func(_ *Network, f NodeID, p []byte) {
+	onDeliver(leaves[1], func(f NodeID, p []byte) {
 		from, got = f, p
-	}))
-	nw.Send(hub, leaves[1], []byte("hello"))
+	})
+	hub.Send(leaves[1].Addr(), []byte("hello"))
 	nw.Run(0)
 	if string(got) != "hello" {
 		t.Fatalf("payload = %q", got)
 	}
-	if from != hub {
-		t.Fatalf("from = %v, want hub %v", from, hub)
+	if from != hub.Node() {
+		t.Fatalf("from = %v, want hub %v", from, hub.Node())
 	}
 	if nw.Now() <= 0 {
 		t.Fatal("virtual time did not advance")
@@ -53,13 +63,13 @@ func TestUnicastDelivery(t *testing.T) {
 func TestMultiHopRelayPreservesOrigin(t *testing.T) {
 	nw, ids := chain(5, DefaultWiFi())
 	var from NodeID = -1
-	nw.SetHandler(ids[4], HandlerFunc(func(_ *Network, f NodeID, _ []byte) { from = f }))
-	nw.Send(ids[0], ids[4], []byte("x"))
+	onDeliver(ids[4], func(f NodeID, _ []byte) { from = f })
+	ids[0].Send(ids[4].Addr(), []byte("x"))
 	nw.Run(0)
-	if from != ids[0] {
-		t.Fatalf("origin = %v, want %v (not the relay)", from, ids[0])
+	if from != ids[0].Node() {
+		t.Fatalf("origin = %v, want %v (not the relay)", from, ids[0].Node())
 	}
-	if d := nw.HopDistance(ids[0], ids[4]); d != 4 {
+	if d := nw.HopDistance(ids[0].Node(), ids[4].Node()); d != 4 {
 		t.Fatalf("hop distance = %d, want 4", d)
 	}
 }
@@ -72,10 +82,10 @@ func TestLatencyLinearInHops(t *testing.T) {
 	for hops := 1; hops <= 4; hops++ {
 		nw, ids := chain(hops+1, model)
 		var arrived time.Duration
-		nw.SetHandler(ids[hops], HandlerFunc(func(n *Network, _ NodeID, _ []byte) {
-			arrived = n.Now()
-		}))
-		nw.Send(ids[0], ids[hops], make([]byte, 200))
+		onDeliver(ids[hops], func(_ NodeID, _ []byte) {
+			arrived = nw.Now()
+		})
+		ids[0].Send(ids[hops].Addr(), make([]byte, 200))
 		nw.Run(0)
 		times[hops] = arrived
 	}
@@ -97,20 +107,18 @@ func TestMediumSerializesTransmissions(t *testing.T) {
 	nw, hub, leaves := star(2, model)
 	var last time.Duration
 	for _, l := range leaves {
-		nw.SetHandler(l, HandlerFunc(func(n *Network, _ NodeID, _ []byte) { last = n.Now() }))
+		onDeliver(l, func(_ NodeID, _ []byte) { last = nw.Now() })
 	}
 	payload := make([]byte, 1000)
-	nw.Send(hub, leaves[0], payload)
-	nw.Send(hub, leaves[1], payload)
+	hub.Send(leaves[0].Addr(), payload)
+	hub.Send(leaves[1].Addr(), payload)
 	nw.Run(0)
 
-	single := New(model, 1)
-	h2 := single.AddNode(nil)
-	l2 := single.AddNode(nil)
-	single.Link(h2, l2)
+	single, h2, l2s := star(1, model)
+	l2 := l2s[0]
 	var one time.Duration
-	single.SetHandler(l2, HandlerFunc(func(n *Network, _ NodeID, _ []byte) { one = n.Now() }))
-	single.Send(h2, l2, payload)
+	onDeliver(l2, func(_ NodeID, _ []byte) { one = single.Now() })
+	h2.Send(l2.Addr(), payload)
 	single.Run(0)
 
 	if last < 2*one-time.Millisecond {
@@ -120,14 +128,11 @@ func TestMediumSerializesTransmissions(t *testing.T) {
 
 func TestBroadcastReachesWithinTTL(t *testing.T) {
 	nw, ids := chain(6, DefaultWiFi())
-	reached := make(map[NodeID]int)
+	reached := make(map[*SimEndpoint]int)
 	for _, id := range ids[1:] {
-		idCopy := id
-		nw.SetHandler(id, HandlerFunc(func(_ *Network, _ NodeID, _ []byte) {
-			reached[idCopy]++
-		}))
+		onDeliver(id, func(_ NodeID, _ []byte) { reached[id]++ })
 	}
-	nw.Broadcast(ids[0], []byte("que1"), 3)
+	ids[0].Broadcast([]byte("que1"), 3)
 	nw.Run(0)
 	for i, id := range ids[1:] {
 		hops := i + 1
@@ -144,21 +149,17 @@ func TestBroadcastReachesWithinTTL(t *testing.T) {
 func TestBroadcastNoDuplicateDelivery(t *testing.T) {
 	// Dense topology: hub plus triangle; flooding must deliver once per node.
 	nw := New(DefaultWiFi(), 1)
-	a := nw.AddNode(nil)
-	b := nw.AddNode(nil)
-	c := nw.AddNode(nil)
-	d := nw.AddNode(nil)
-	nw.Link(a, b)
-	nw.Link(a, c)
-	nw.Link(b, c)
-	nw.Link(b, d)
-	nw.Link(c, d)
+	a, b, c, d := nw.NewEndpoint(), nw.NewEndpoint(), nw.NewEndpoint(), nw.NewEndpoint()
+	nw.Link(a.Node(), b.Node())
+	nw.Link(a.Node(), c.Node())
+	nw.Link(b.Node(), c.Node())
+	nw.Link(b.Node(), d.Node())
+	nw.Link(c.Node(), d.Node())
 	counts := map[NodeID]int{}
-	for _, id := range []NodeID{b, c, d} {
-		idCopy := id
-		nw.SetHandler(id, HandlerFunc(func(_ *Network, _ NodeID, _ []byte) { counts[idCopy]++ }))
+	for _, ep := range []*SimEndpoint{b, c, d} {
+		onDeliver(ep, func(_ NodeID, _ []byte) { counts[ep.Node()]++ })
 	}
-	nw.Broadcast(a, []byte("q"), 4)
+	a.Broadcast([]byte("q"), 4)
 	nw.Run(0)
 	for id, c := range counts {
 		if c != 1 {
@@ -172,13 +173,12 @@ func TestBroadcastNoDuplicateDelivery(t *testing.T) {
 
 func TestComputeSerializesPerNode(t *testing.T) {
 	nw := New(DefaultWiFi(), 1)
-	id := nw.AddNode(nil)
-	other := nw.AddNode(nil)
+	ep, other := nw.NewEndpoint(), nw.NewEndpoint()
 	var done []time.Duration
-	record := func(n *Network) { done = append(done, n.Now()) }
-	nw.Compute(id, 10*time.Millisecond, func() { record(nw) })
-	nw.Compute(id, 10*time.Millisecond, func() { record(nw) })
-	nw.Compute(other, 10*time.Millisecond, func() { record(nw) })
+	record := transport.Func(func() { done = append(done, nw.Now()) })
+	ep.Compute(10*time.Millisecond, record)
+	ep.Compute(10*time.Millisecond, record)
+	other.Compute(10*time.Millisecond, record)
 	nw.Run(0)
 	if len(done) != 3 {
 		t.Fatalf("completions = %d", len(done))
@@ -189,12 +189,18 @@ func TestComputeSerializesPerNode(t *testing.T) {
 	}
 }
 
+// TestAfterOrdering: timers fire in deadline order, and in the order they
+// were set at one deadline.
 func TestAfterOrdering(t *testing.T) {
 	nw := New(DefaultWiFi(), 1)
+	ep := nw.NewEndpoint()
 	var order []int
-	nw.After(20*time.Millisecond, func() { order = append(order, 2) })
-	nw.After(10*time.Millisecond, func() { order = append(order, 1) })
-	nw.After(10*time.Millisecond, func() { order = append(order, 3) }) // FIFO at same time
+	after := func(d time.Duration, i int) {
+		ep.NewTimer(func() { order = append(order, i) }).Reset(d)
+	}
+	after(20*time.Millisecond, 2)
+	after(10*time.Millisecond, 1)
+	after(10*time.Millisecond, 3) // FIFO at same time
 	nw.Run(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 3 || order[2] != 2 {
 		t.Fatalf("order = %v", order)
@@ -210,8 +216,8 @@ func TestTimerLeavesNothingBehind(t *testing.T) {
 	tm := nw.newTimer(func() { order = append(order, "timer") })
 	tm.Reset(time.Hour)
 	tm.Reset(10 * time.Millisecond)
-	nw.After(10*time.Millisecond, func() { order = append(order, "after") })
-	tm.Reset(10 * time.Millisecond) // re-queued behind the After
+	nw.newTimer(func() { order = append(order, "after") }).Reset(10 * time.Millisecond)
+	tm.Reset(10 * time.Millisecond) // re-queued behind the other timer
 	stopped := nw.newTimer(func() { order = append(order, "stopped") })
 	stopped.Reset(2 * time.Hour)
 	stopped.Stop()
@@ -232,7 +238,7 @@ func TestTimerLeavesNothingBehind(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	nw := New(DefaultWiFi(), 1)
 	fired := false
-	nw.After(time.Second, func() { fired = true })
+	nw.newTimer(func() { fired = true }).Reset(time.Second)
 	end := nw.Run(100 * time.Millisecond)
 	if fired {
 		t.Fatal("event past limit fired")
@@ -249,13 +255,11 @@ func TestRunLimit(t *testing.T) {
 
 func TestUnreachableDrops(t *testing.T) {
 	nw := New(DefaultWiFi(), 1)
-	a := nw.AddNode(nil)
-	b := nw.AddNode(HandlerFunc(func(_ *Network, _ NodeID, _ []byte) {
-		t.Fatal("unreachable node received message")
-	}))
-	nw.Send(a, b, []byte("x"))
+	a, b := nw.NewEndpoint(), nw.NewEndpoint()
+	onDeliver(b, func(NodeID, []byte) { t.Fatal("unreachable node received message") })
+	a.Send(b.Addr(), []byte("x"))
 	nw.Run(0)
-	if nw.HopDistance(a, b) != -1 {
+	if nw.HopDistance(a.Node(), b.Node()) != -1 {
 		t.Fatal("disconnected nodes have a hop distance")
 	}
 }
@@ -264,7 +268,7 @@ func TestStatsAccounting(t *testing.T) {
 	model := DefaultWiFi()
 	model.JitterFrac = 0
 	nw, ids := chain(3, model)
-	nw.Send(ids[0], ids[2], make([]byte, 100))
+	ids[0].Send(ids[2].Addr(), make([]byte, 100))
 	nw.Run(0)
 	st := nw.Stats()
 	if st.MessagesSent != 1 {
@@ -286,9 +290,8 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		nw, hub, leaves := star(10, DefaultWiFi())
 		var last time.Duration
 		for _, l := range leaves {
-			lc := l
-			nw.SetHandler(lc, HandlerFunc(func(n *Network, _ NodeID, _ []byte) { last = n.Now() }))
-			nw.Send(hub, lc, make([]byte, 300))
+			onDeliver(l, func(_ NodeID, _ []byte) { last = nw.Now() })
+			hub.Send(l.Addr(), make([]byte, 300))
 		}
 		nw.Run(0)
 		return last
@@ -317,16 +320,17 @@ func TestChannelsDoNotContend(t *testing.T) {
 
 	build := func(sameChannel bool) time.Duration {
 		nw := New(model, 1)
-		hub := nw.AddNode(nil)
+		hub := nw.NewEndpoint()
 		var last time.Duration
 		for i := 0; i < 2; i++ {
-			leaf := nw.AddNode(HandlerFunc(func(n *Network, _ NodeID, _ []byte) { last = n.Now() }))
+			leaf := nw.NewEndpoint()
+			onDeliver(leaf, func(NodeID, []byte) { last = nw.Now() })
 			ch := DefaultChannel
 			if !sameChannel {
 				ch = Channel(i)
 			}
-			nw.LinkOn(hub, leaf, ch, model)
-			nw.Send(hub, leaf, make([]byte, 1000))
+			nw.LinkOn(hub.Node(), leaf.Node(), ch, model)
+			hub.Send(leaf.Addr(), make([]byte, 1000))
 		}
 		nw.Run(0)
 		return last
@@ -348,20 +352,20 @@ func TestBridgingDeviceAcrossRadios(t *testing.T) {
 	wifi := DefaultWiFi()
 	wifi.JitterFrac = 0
 	nw := New(wifi, 1)
-	subject := nw.AddNode(nil)
-	bridge := nw.AddNode(nil)
-	sensor := nw.AddNode(nil)
-	nw.LinkOn(subject, bridge, 0, wifi)
-	nw.LinkOn(bridge, sensor, 1, bleModel())
+	subject := nw.NewEndpoint()
+	bridge := nw.AddNode()
+	sensor := nw.NewEndpoint()
+	nw.LinkOn(subject.Node(), bridge, 0, wifi)
+	nw.LinkOn(bridge, sensor.Node(), 1, bleModel())
 
 	var arrived time.Duration
-	nw.SetHandler(sensor, HandlerFunc(func(n *Network, from NodeID, _ []byte) {
-		if from != subject {
+	onDeliver(sensor, func(from NodeID, _ []byte) {
+		if from != subject.Node() {
 			t.Errorf("origin = %v", from)
 		}
-		arrived = n.Now()
-	}))
-	nw.Send(subject, sensor, make([]byte, 120))
+		arrived = nw.Now()
+	})
+	subject.Send(sensor.Addr(), make([]byte, 120))
 	nw.Run(0)
 	if arrived == 0 {
 		t.Fatal("message did not cross the bridge")
@@ -379,12 +383,10 @@ func TestBroadcastPerChannelTransmissions(t *testing.T) {
 	model := DefaultWiFi()
 	model.JitterFrac = 0
 	nw := New(model, 1)
-	src := nw.AddNode(nil)
-	a := nw.AddNode(HandlerFunc(func(*Network, NodeID, []byte) {}))
-	b := nw.AddNode(HandlerFunc(func(*Network, NodeID, []byte) {}))
-	nw.LinkOn(src, a, 0, model)
-	nw.LinkOn(src, b, 1, bleModel())
-	nw.Broadcast(src, []byte("q"), 1)
+	src := nw.NewEndpoint()
+	nw.LinkOn(src.Node(), nw.AddNode(), 0, model)
+	nw.LinkOn(src.Node(), nw.AddNode(), 1, bleModel())
+	src.Broadcast([]byte("q"), 1)
 	nw.Run(0)
 	if got := nw.Stats().Transmissions; got != 2 {
 		t.Fatalf("transmissions = %d, want 2 (one per channel)", got)
@@ -393,22 +395,22 @@ func TestBroadcastPerChannelTransmissions(t *testing.T) {
 
 func TestUnlink(t *testing.T) {
 	nw, hub, leaves := star(2, DefaultWiFi())
-	if nw.HopDistance(hub, leaves[0]) != 1 {
+	if nw.HopDistance(hub.Node(), leaves[0].Node()) != 1 {
 		t.Fatal("setup")
 	}
-	nw.Unlink(hub, leaves[0])
-	if nw.HopDistance(hub, leaves[0]) != -1 {
+	nw.Unlink(hub.Node(), leaves[0].Node())
+	if nw.HopDistance(hub.Node(), leaves[0].Node()) != -1 {
 		t.Fatal("unlinked nodes still reachable")
 	}
-	if nw.HopDistance(hub, leaves[1]) != 1 {
+	if nw.HopDistance(hub.Node(), leaves[1].Node()) != 1 {
 		t.Fatal("unrelated link removed")
 	}
 	// Idempotent; unknown link ignored.
-	nw.Unlink(hub, leaves[0])
+	nw.Unlink(hub.Node(), leaves[0].Node())
 	// Messages to the removed neighbor are dropped silently.
 	delivered := false
-	nw.SetHandler(leaves[0], HandlerFunc(func(*Network, NodeID, []byte) { delivered = true }))
-	nw.Send(hub, leaves[0], []byte("x"))
+	onDeliver(leaves[0], func(NodeID, []byte) { delivered = true })
+	hub.Send(leaves[0].Addr(), []byte("x"))
 	nw.Run(0)
 	if delivered {
 		t.Fatal("message crossed a removed link")

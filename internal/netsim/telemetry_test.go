@@ -12,21 +12,21 @@ import (
 // (transmitter, Broadcast) sentinel, and the totals reconcile with Stats.
 func TestLinkStatsAccounting(t *testing.T) {
 	nw, hub, leaves := star(3, DefaultWiFi())
-	nw.SetHandler(leaves[0], HandlerFunc(func(*Network, NodeID, []byte) {}))
-	nw.Send(hub, leaves[0], make([]byte, 100))
-	nw.Send(hub, leaves[0], make([]byte, 50))
-	nw.Send(leaves[0], hub, make([]byte, 25))
-	nw.Broadcast(hub, make([]byte, 10), 1)
+	onDeliver(leaves[0], func(NodeID, []byte) {})
+	hub.Send(leaves[0].Addr(), make([]byte, 100))
+	hub.Send(leaves[0].Addr(), make([]byte, 50))
+	leaves[0].Send(hub.Addr(), make([]byte, 25))
+	hub.Broadcast(make([]byte, 10), 1)
 	nw.Run(0)
 
 	ls := nw.LinkStats()
-	if s := ls[LinkKey{From: hub, To: leaves[0]}]; s.Transmissions != 2 || s.Bytes != 150 {
+	if s := ls[LinkKey{From: hub.Node(), To: leaves[0].Node()}]; s.Transmissions != 2 || s.Bytes != 150 {
 		t.Errorf("hub→leaf0 = %+v, want 2 tx / 150 B", s)
 	}
-	if s := ls[LinkKey{From: leaves[0], To: hub}]; s.Transmissions != 1 || s.Bytes != 25 {
+	if s := ls[LinkKey{From: leaves[0].Node(), To: hub.Node()}]; s.Transmissions != 1 || s.Bytes != 25 {
 		t.Errorf("leaf0→hub = %+v, want 1 tx / 25 B", s)
 	}
-	if s := ls[LinkKey{From: hub, To: Broadcast}]; s.Transmissions != 1 || s.Bytes != 10 {
+	if s := ls[LinkKey{From: hub.Node(), To: Broadcast}]; s.Transmissions != 1 || s.Bytes != 10 {
 		t.Errorf("hub→broadcast = %+v, want 1 tx / 10 B", s)
 	}
 
@@ -49,10 +49,10 @@ func TestNetworkInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	nw, hub, leaves := star(2, DefaultWiFi())
 	nw.Instrument(reg)
-	nw.Send(hub, leaves[1], make([]byte, 64))
-	nw.Broadcast(hub, make([]byte, 16), 1)
-	orphan := nw.AddNode(nil) // not linked: unicast from it is dropped
-	nw.Send(orphan, hub, make([]byte, 8))
+	hub.Send(leaves[1].Addr(), make([]byte, 64))
+	hub.Broadcast(make([]byte, 16), 1)
+	orphan := nw.NewEndpoint() // not linked: unicast from it is dropped
+	orphan.Send(hub.Addr(), make([]byte, 8))
 	nw.Run(0)
 
 	st := nw.Stats()

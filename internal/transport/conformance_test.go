@@ -361,6 +361,49 @@ func TestConformanceClockAndTimers(t *testing.T) {
 	}
 }
 
+// TestConformanceDate: the time of day the engines check validity windows
+// against. The simulator keeps its own calendar, which moves with virtual
+// time and nothing else. Every other transport's is the wall clock read at
+// the call, whatever its monotonic clock reads: a host clock set or corrected
+// while an engine runs counts at its next check.
+func TestConformanceDate(t *testing.T) {
+	for _, fx := range fixtures() {
+		t.Run(fx.name, func(t *testing.T) {
+			eps, settle := fx.build(t, 1)
+			ep := eps[0]
+			ep.Bind(newRecorder(t))
+			if _, ok := ep.(transport.Calendar); !ok {
+				wantWall(t, ep)
+				return
+			}
+			d0, n0 := transport.Date(ep), ep.Now()
+			var d1 time.Time
+			var n1 time.Duration
+			ep.NewTimer(func() { d1, n1 = transport.Date(ep), ep.Now() }).Reset(5 * time.Millisecond)
+			settle()
+			if n1-n0 < 5*time.Millisecond || d1.Sub(d0) != n1-n0 {
+				t.Fatalf("over %v of the endpoint clock the calendar moved %v", n1-n0, d1.Sub(d0))
+			}
+		})
+	}
+	wantWall(t, frozenClock{})
+}
+
+// frozenClock is an endpoint whose monotonic clock stands far off the wall.
+type frozenClock struct{ transport.Endpoint }
+
+func (frozenClock) Now() time.Duration { return -1000 * time.Hour }
+
+// wantWall asserts that ep's time of day is the wall clock at the call.
+func wantWall(t *testing.T, ep transport.Endpoint) {
+	t.Helper()
+	lo := time.Now()
+	d := transport.Date(ep)
+	if hi := time.Now(); d.Before(lo) || d.After(hi) {
+		t.Fatalf("Date read %v, outside the wall clock's %v … %v", d, lo, hi)
+	}
+}
+
 // TestConformanceTimerResetAndStop is the Timer contract the retry wheel
 // stands on: Reset replaces the pending expiry, earlier or later; Stop
 // prevents it; a stopped timer can be set again; and the callback runs on the

@@ -92,7 +92,8 @@ type Endpoint interface {
 	Addr() Addr
 
 	// Now returns the transport clock: virtual time on the simulator,
-	// monotonic wall time since transport start on real transports.
+	// monotonic wall time since transport start on real transports. Every
+	// deadline an engine keeps runs on it; validity windows close on Date.
 	Now() time.Duration
 
 	// Send unicasts payload to a peer address. The bytes belong to the
@@ -130,4 +131,21 @@ type Endpoint interface {
 
 	// Close releases the endpoint's resources and stops its event loop.
 	Close() error
+}
+
+// Calendar is implemented by an endpoint that keeps its own time of day: the
+// simulator's, a day that advances with virtual time alone.
+type Calendar interface {
+	Date() time.Time
+}
+
+// Date returns the time of day on ep, the clock the engines check validity
+// windows against: the endpoint's own Calendar if it keeps one, otherwise the
+// wall clock read at the call (Mesh, UDP), so a stepped or resumed host clock
+// counts at once.
+func Date(ep Endpoint) time.Time {
+	if c, ok := ep.(Calendar); ok {
+		return c.Date()
+	}
+	return time.Now()
 }

@@ -46,7 +46,7 @@ func newDLQRig(t *testing.T, opts ...DistributorOption) *dlqRig {
 
 	r.reg = obs.NewRegistry()
 	r.net = netsim.New(netsim.DefaultWiFi(), 17)
-	hub := r.net.AddNode(nil)
+	hub := r.net.AddNode()
 	dep := r.net.NewEndpoint()
 	r.dist = NewDistributor(r.b.Admin(), dep, opts...)
 	r.dist.Instrument(r.reg)

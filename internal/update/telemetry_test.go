@@ -27,7 +27,7 @@ func TestPropagationTelemetry(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	net := netsim.New(netsim.DefaultWiFi(), 3)
-	hub := net.AddNode(nil)
+	hub := net.AddNode()
 	dep := net.NewEndpoint()
 	dist := NewDistributor(b.Admin(), dep)
 	dist.Instrument(reg)

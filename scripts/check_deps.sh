@@ -14,7 +14,12 @@
 #      in process, or
 #   6. a non-test file of internal/core other than ledger.go charges compute
 #      (`ep.Compute(`) or reads a cost table (`.costs.`): the op ledger is the
-#      one place a step is counted and charged.
+#      one place a step is counted and charged, or
+#   7. a non-test file of internal/core reads the wall clock (`time.Now(`,
+#      `time.Since(`, `time.Until(`): the engines' one clock is their
+#      endpoint's. Deadlines run on ep.Now(), validity windows on
+#      transport.Date(ep) (ledger.now), which reads the simulator's calendar
+#      there and the wall clock, at each check, on Mesh and UDP.
 #
 # Run it locally with `make deps-check`; `make verify` and CI include it.
 set -eu
@@ -83,7 +88,13 @@ if [ -n "$ledger" ]; then
 	status=1
 fi
 
+wallclock=$(grep -nE 'time\.(Now|Since|Until)\(' internal/core/*.go | grep -v '_test\.go:' || true)
+if [ -n "$wallclock" ]; then
+	echo "$wallclock" | sed 's/^/FAIL core reads the wall clock, not its endpoint clock (transport.Date): /'
+	status=1
+fi
+
 if [ $status -eq 0 ]; then
-	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo; argus-load $(echo "$load_deps" | wc -l | tr -d ' '), none of the backend service; core charges compute only in ledger.go)"
+	echo "deps check: ok (argus-node links $(echo "$node_deps" | wc -l | tr -d ' ') internal packages, none of the harness; argus-ops obs + realtime + slo; argus-load $(echo "$load_deps" | wc -l | tr -d ' '), none of the backend service; core charges compute only in ledger.go and reads no clock but its endpoint's)"
 fi
 exit $status
